@@ -18,6 +18,7 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 BUILD = os.path.join(ROOT, ".bench_build")
+FILE_API = os.path.join(".cmake", "api", "v1")  # CMake's file API, in a build tree
 
 
 def fail(message):
@@ -25,33 +26,69 @@ def fail(message):
     sys.exit(2)
 
 
-def build():
-    """Builds dpgreedy and perfbench_harness; returns their paths."""
-    for required in ("CMakeLists.txt", "src", "tools"):
-        if not os.path.exists(os.path.join(ROOT, required)):
-            fail(f"no {required} at {ROOT}: run from a checkout of the repository")
-    os.makedirs(BUILD, exist_ok=True)
-    repo_tree = os.path.join(BUILD, "dpgreedy")
-    bench_tree = os.path.join(BUILD, "perfbench")
-    jobs = str(os.cpu_count() or 1)
-    steps = []
-    if not os.path.exists(os.path.join(repo_tree, "CMakeCache.txt")):
-        steps.append(["cmake", "-S", ROOT, "-B", repo_tree,
-                      "-DCMAKE_BUILD_TYPE=Release", "-DDPG_BUILD_TESTS=OFF",
-                      "-DDPG_BUILD_BENCH=OFF", "-DDPG_BUILD_EXAMPLES=OFF"])
-    steps.append(["cmake", "--build", repo_tree, "--target", "dpgreedy",
-                  "-j", jobs])
-    if not os.path.exists(os.path.join(bench_tree, "CMakeCache.txt")):
-        steps.append(["cmake", "-S", HERE, "-B", bench_tree,
-                      "-DCMAKE_BUILD_TYPE=Release", f"-DDPG_BUILD={repo_tree}"])
-    steps.append(["cmake", "--build", bench_tree, "-j", jobs])
-    log_path = os.path.join(BUILD, "build.log")
+def run_steps(steps, log_path):
     with open(log_path, "a") as log:
         for step in steps:
             log.write("$ " + " ".join(step) + "\n")
             log.flush()
             if subprocess.run(step, stdout=log, stderr=subprocess.STDOUT).returncode:
                 fail(f"build step failed: {' '.join(step)} (see {log_path})")
+
+
+def tool_libraries(repo_tree):
+    """The static libraries on the dpgreedy target's link line, in order.
+
+    Read from the CMake file API reply of the repository tree, so the harness
+    links exactly what the tool links: a library added by a later commit is
+    picked up, and the archive of one it removed is left out.
+    """
+    reply = os.path.join(repo_tree, FILE_API, "reply")
+
+    def load(name):
+        with open(os.path.join(reply, name)) as f:
+            return json.load(f)
+
+    index = load(max(n for n in os.listdir(reply) if n.startswith("index-")))
+    codemodel = load(index["reply"]["codemodel-v2"]["jsonFile"])
+    for target in codemodel["configurations"][0]["targets"]:
+        if target["name"] == "dpgreedy":
+            tool = load(target["jsonFile"])
+            break
+    else:
+        fail("the repository defines no dpgreedy target")
+    tool_dir = os.path.join(repo_tree, tool["paths"]["build"])
+    return [os.path.normpath(os.path.join(tool_dir, f["fragment"]))
+            for f in tool["link"]["commandFragments"]
+            if f["role"] == "libraries" and f["fragment"].endswith(".a")]
+
+
+def build():
+    """Builds dpgreedy and perfbench_harness; returns their paths."""
+    for required in ("CMakeLists.txt", "src", "tools"):
+        if not os.path.exists(os.path.join(ROOT, required)):
+            fail(f"no {required} at {ROOT}: run from a checkout of the repository")
+    repo_tree = os.path.join(BUILD, "dpgreedy")
+    bench_tree = os.path.join(BUILD, "perfbench")
+    api = os.path.join(repo_tree, FILE_API)
+    os.makedirs(os.path.join(api, "query"), exist_ok=True)
+    open(os.path.join(api, "query", "codemodel-v2"), "a").close()
+    log_path = os.path.join(BUILD, "build.log")
+    jobs = str(os.cpu_count() or 1)
+    steps = []
+    if not os.path.isdir(os.path.join(api, "reply")):
+        steps.append(["cmake", "-S", ROOT, "-B", repo_tree,
+                      "-DCMAKE_BUILD_TYPE=Release", "-DDPG_BUILD_TESTS=OFF",
+                      "-DDPG_BUILD_BENCH=OFF", "-DDPG_BUILD_EXAMPLES=OFF"])
+    # Re-runs CMake itself, and so refreshes the file API reply, whenever a
+    # CMakeLists.txt of the repository changed.
+    steps.append(["cmake", "--build", repo_tree, "--target", "dpgreedy",
+                  "-j", jobs])
+    run_steps(steps, log_path)
+    # Configured on every run: a changed library list relinks the harness.
+    libraries = ";".join(tool_libraries(repo_tree))
+    run_steps([["cmake", "-S", HERE, "-B", bench_tree,
+                "-DCMAKE_BUILD_TYPE=Release", f"-DDPG_LIBS={libraries}"],
+               ["cmake", "--build", bench_tree, "-j", jobs]], log_path)
     return (os.path.join(repo_tree, "tools", "dpgreedy"),
             os.path.join(bench_tree, "perfbench_harness"))
 
@@ -83,7 +120,6 @@ def main():
         "--command", workload["command"], "--feed", workload["feed"],
         "--taxis", str(spec["generator"]["taxis"]),
         "--duration", str(workload["duration"]),
-        "--threads", str(workload["threads"]),
         "--spans-out", os.path.join(spans_dir, f"{args.workload}.tsv"),
     ]
     if "rate_rps" in workload:

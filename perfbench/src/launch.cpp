@@ -78,6 +78,20 @@ class Child {
   pid_t pid_ = -1;
 };
 
+/// Restores the calling thread's CPU set when it goes out of scope.
+class AffinityGuard {
+ public:
+  AffinityGuard() { ::sched_getaffinity(0, sizeof saved_, &saved_); }
+  ~AffinityGuard() { ::sched_setaffinity(0, sizeof saved_, &saved_); }
+  AffinityGuard(const AffinityGuard&) = delete;
+  AffinityGuard& operator=(const AffinityGuard&) = delete;
+
+  [[nodiscard]] const cpu_set_t& saved() const noexcept { return saved_; }
+
+ private:
+  cpu_set_t saved_{};
+};
+
 void sleep_until(Clock::time_point at) {
   // libstdc++'s steady_clock is CLOCK_MONOTONIC, so its epoch offsets map
   // directly onto an absolute clock_nanosleep deadline.
@@ -137,10 +151,7 @@ bool feed_flood(int fd, const LaunchSpec& spec, LaunchResult& result) {
     // The first batch carries the header line too.
     const std::size_t from = row == 0 ? 0 : offsets[row];
     const std::size_t to = offsets[std::min(rows, row + spec.batch_rows)];
-    const Clock::time_point issued = Clock::now();
     if (!write_all(fd, spec.csv.data() + from, to - from)) return false;
-    result.batch_write_s.push_back(
-        std::chrono::duration<double>(Clock::now() - issued).count());
   }
   result.last_byte = Clock::now();
   return true;
@@ -231,12 +242,11 @@ LaunchResult launch(const LaunchSpec& spec) {
   argv.push_back(nullptr);
 
   LaunchResult result;
+  const AffinityGuard affinity;
   // Declared before the child, so on an error path the child is killed
   // (closing its stdout) before the reader thread is joined.
   std::jthread reader;
   Child child;
-  cpu_set_t inherited;
-  ::sched_getaffinity(0, sizeof inherited, &inherited);
   if (spec.cpu >= 0) {
     // The spawned helper and its child inherit this thread's CPU set.
     cpu_set_t one;
@@ -247,7 +257,14 @@ LaunchResult launch(const LaunchSpec& spec) {
   result.t0 = Clock::now() + spec.lead;
   const int spawn_error = ::posix_spawn(child.out(), argv[0], &actions, &attr,
                                         argv.data(), environ);
-  ::sched_setaffinity(0, sizeof inherited, &inherited);
+  if (spec.cpu >= 0) {
+    // The feeder (this thread) and the reader keep off the child's CPU, so
+    // a pipe wake-up never runs them there in the child's stead.
+    cpu_set_t others = affinity.saved();
+    CPU_CLR(static_cast<std::size_t>(spec.cpu), &others);
+    ::sched_setaffinity(0, sizeof others,
+                        CPU_COUNT(&others) > 0 ? &others : &affinity.saved());
+  }
   posix_spawn_file_actions_destroy(&actions);
   posix_spawnattr_destroy(&attr);
   if (spawn_error != 0) {

@@ -60,7 +60,6 @@ struct LaunchResult {
   double cpu_s = 0.0;            // the child's user + system CPU time
   double max_rss_mib = 0.0;
   double feed_lag_max_s = 0.0;   // kPaced: latest a row was written, vs due
-  std::vector<double> batch_write_s;  // kFlood: how long each batch's write blocked
   bool feed_complete = false;    // every byte was written
   [[nodiscard]] bool exited_ok() const noexcept;
 };

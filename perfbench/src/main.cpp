@@ -3,8 +3,7 @@
 //   perfbench_harness --dpgreedy BIN --workdir DIR --workload NAME --seed N
 //                    --seconds T --trace 0|1 --feed flood|paced|file
 //                    --command "serve --trace - ..." --taxis K --duration D
-//                    [--threads N] [--rate R] [--spans-out FILE]
-//                    [--perturb-reference]
+//                    [--rate R] [--spans-out FILE] [--perturb-reference]
 //
 // run.py passes each workload's parameters from workloads.json.
 //
@@ -14,7 +13,7 @@
 // 3. Launches the command on the full input until --seconds are used,
 //    feeding and reading every child from this process, and checks every
 //    output; blocks of one-row launches (setup_s) run between them.
-// 4. With --trace 1, runs the in-process pass untraced and traced and
+// 4. With --trace 1, runs the in-process pass untraced and then traced and
 //    derives the per-layer metrics from the spans, counters and reports.
 //
 // Human-readable lines go to stdout first; the last line is one JSON object
@@ -29,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -53,10 +53,12 @@ using Seconds = std::chrono::duration<double>;
 
 // One-row launches before each timed launch and after the last, so set-up
 // is sampled across the whole run rather than in one instant.
-constexpr std::size_t kSetupBlock = 8;
+constexpr std::size_t kSetupBlock = 16;
 constexpr std::size_t kFloodBatchRows = 500;  // rows per closed-loop write
 constexpr Seconds kPacedLead{0.1};            // schedule starts after launch
 constexpr std::chrono::microseconds kPacedTick{20};  // feeder wake granularity
+// Registry threads of the traced pass's solve when the command names none.
+constexpr std::size_t kDefaultThreads = 2;
 
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return Seconds(to - from).count();
@@ -75,7 +77,7 @@ struct Options {
   Feed feed = Feed::kFlood;
   std::vector<std::string> command;  // dpgreedy arguments; {dpt} = input
   std::size_t snapshot_every = 0;    // the command's --snapshot-every
-  std::size_t threads = 2;           // registry threads of the solve layers
+  std::size_t threads = kDefaultThreads;  // the command's --threads
   double rate_rps = 0.0;             // paced offered rate
   std::size_t taxis = 0;             // generator: one item per taxi
   double duration = 0.0;             // generator: simulated time
@@ -118,10 +120,11 @@ Options parse_options(int argc, char** argv) {
   o.seconds = std::stod(*take("seconds", true));
   o.trace = *take("trace", true) == "1";
   o.command = split_words(*take("command", true));
-  // The reference must snapshot where `serve` does, so a serve command
-  // states its cadence and the harness reads it from there.
+  // The reference must snapshot where `serve` does and solve at the
+  // threads `solve` does, so the harness reads both from the command.
   for (std::size_t i = 0; i + 1 < o.command.size(); ++i) {
     if (o.command[i] == "--snapshot-every") o.snapshot_every = std::stoul(o.command[i + 1]);
+    if (o.command[i] == "--threads") o.threads = std::stoul(o.command[i + 1]);
   }
   o.taxis = std::stoul(*take("taxis", true));
   o.duration = std::stod(*take("duration", true));
@@ -135,7 +138,6 @@ Options parse_options(int argc, char** argv) {
   } else {
     throw std::invalid_argument("--feed must be flood, paced or file");
   }
-  if (const auto* v = take("threads", false)) o.threads = std::stoul(*v);
   if (const auto* v = take("rate", false)) o.rate_rps = std::stod(*v);
   if (const auto* v = take("spans-out", false)) o.spans_out = *v;
   if (o.feed == Feed::kPaced && o.rate_rps <= 0.0)
@@ -153,19 +155,22 @@ double median(std::vector<double> values) {
   return n % 2 == 1 ? values[n / 2] : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
-/// Mean of the values between the first and third quartile (all of them
-/// when fewer than four).  On this kind of shared host a launch's speed is
-/// bimodal (identical work took 540 or 820 ms of CPU, depending on how busy
-/// the host core under its vCPU was); the median of such a sample jumps
-/// between the modes from run to run, the interquartile mean moves smoothly.
-double interquartile_mean(std::vector<double> values) {
+/// Mean of the fastest tenth of the launches (at least one).  Every launch
+/// of a run does the same work, and on a shared host other tenants only
+/// ever slow one down: on a shared 4-vCPU VM the same 1M-row serve took
+/// 0.9 to 1.5 s within one run, and a run's median moved by up to 30%
+/// within minutes while its fastest launches held within 10%.
+double fastest_tenth(std::vector<double> values, bool higher_is_faster) {
   if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const std::size_t n = values.size();
-  const std::size_t cut = n >= 4 ? n / 4 : 0;
+  if (higher_is_faster) {
+    std::sort(values.begin(), values.end(), std::greater<>());
+  } else {
+    std::sort(values.begin(), values.end());
+  }
+  const std::size_t n = std::max<std::size_t>(1, values.size() / 10);
   double total = 0.0;
-  for (std::size_t i = cut; i < n - cut; ++i) total += values[i];
-  return total / static_cast<double>(n - 2 * cut);
+  for (std::size_t i = 0; i < n; ++i) total += values[i];
+  return total / static_cast<double>(n);
 }
 
 /// Nearest-rank percentile (0..100) of sorted values.
@@ -178,44 +183,23 @@ double percentile(const std::vector<double>& sorted, double p) {
 
 struct Latency {
   double p50 = 0.0;
-  double tail = 0.0;
-  double tail_percent = 99.0;  // which percentile `tail` is
+  double p99 = 0.0;
   std::size_t samples = 0;
-  bool per_launch = false;     // medians of per-launch percentiles
 };
 
-/// p50 and p99 of each launch, median over launches, when every launch has
-/// enough samples for its own p99 (ten beyond it); otherwise the samples are
-/// pooled and the tail is the highest percentile with ten samples beyond it.
+/// p50 and p99 of each launch, median over launches.
 Latency summarize(const std::vector<std::vector<double>>& per_launch) {
   Latency out;
-  std::vector<double> pooled;
-  bool per_launch_p99 = !per_launch.empty();
-  for (const std::vector<double>& launch : per_launch) {
-    pooled.insert(pooled.end(), launch.begin(), launch.end());
-    per_launch_p99 = per_launch_p99 && launch.size() >= 1000;
+  std::vector<double> p50s;
+  std::vector<double> p99s;
+  for (std::vector<double> launch : per_launch) {
+    out.samples += launch.size();
+    std::sort(launch.begin(), launch.end());
+    p50s.push_back(percentile(launch, 50));
+    p99s.push_back(percentile(launch, 99));
   }
-  out.samples = pooled.size();
-  if (per_launch_p99) {
-    std::vector<double> p50s;
-    std::vector<double> p99s;
-    for (std::vector<double> launch : per_launch) {
-      std::sort(launch.begin(), launch.end());
-      p50s.push_back(percentile(launch, 50));
-      p99s.push_back(percentile(launch, 99));
-    }
-    out.p50 = median(p50s);
-    out.tail = median(p99s);
-    out.per_launch = true;
-    return out;
-  }
-  std::sort(pooled.begin(), pooled.end());
-  const std::size_t n = pooled.size();
-  const std::size_t rank = std::max((n + 1) / 2, n > 10 ? n - 10 : 0);
-  out.p50 = percentile(pooled, 50);
-  out.tail_percent =
-      n == 0 ? 99.0 : 100.0 * static_cast<double>(rank) / static_cast<double>(n);
-  out.tail = percentile(pooled, out.tail_percent);
+  out.p50 = median(p50s);
+  out.p99 = median(p99s);
   return out;
 }
 
@@ -409,7 +393,7 @@ struct Timed {
   std::vector<double> throughput_rps;
   std::vector<double> wall_s;
   std::vector<double> cpu_s;
-  std::vector<std::vector<double>> latency_ms;  // per launch
+  std::vector<std::vector<double>> latency_ms;  // paced: per launch
   std::vector<double> rss_mib;
   std::vector<double> lag_s;
   std::vector<double> setup_s;  // one-row launches, launch to exit
@@ -438,7 +422,7 @@ class Bench {
   std::vector<Metric> layer_metrics(const PassOutcome& untraced,
                                     const PassOutcome& traced,
                                     const SpanLog& log, std::uint64_t dropped,
-                                    double solve_s, double latency_p50_ms) const;
+                                    double median_wall_s, double latency_p50_ms) const;
 
   Options o_;
   Knobs knobs_;
@@ -535,7 +519,6 @@ Timed Bench::measure() {
     if (t.launches > 0) measure_setup(t);
     if (o_.feed == Feed::kFlood) spec.cpu = cpus[t.launches % cpus.size()];
     const LaunchResult run = launch(spec);
-    std::vector<double>& latency = t.latency_ms.emplace_back();
     last = run.exited - run.launched;
     ++t.launches;
     t.attempted += in_.rows;
@@ -556,8 +539,6 @@ Timed Bench::measure() {
     if (!serving()) {
       t.throughput_rps.push_back(static_cast<double>(in_.rows) /
                                  seconds_between(run.launched, run.exited));
-      if (const Line* report = json_report_line(run))
-        latency.push_back(seconds_between(run.launched, report->at) * 1e3);
       continue;
     }
     const Line* final_line = nullptr;
@@ -567,14 +548,11 @@ Timed Bench::measure() {
     if (final_line == nullptr) continue;
     t.throughput_rps.push_back(static_cast<double>(in_.rows) /
                                seconds_between(run.first_byte, final_line->at));
-    if (o_.feed == Feed::kFlood) {
-      // Closed loop: a batch's request completes when the pipe took it all.
-      for (const double s : run.batch_write_s) latency.push_back(s * 1e3);
-      continue;
-    }
+    if (o_.feed != Feed::kPaced) continue;
     // Open loop: each snapshot covers rows up to N; row N-1 (0-based) was
     // due at t0 + (N-1)/rate, whenever the feeder actually wrote it.
     t.lag_s.push_back(run.feed_lag_max_s);
+    std::vector<double>& latency = t.latency_ms.emplace_back();
     for (const Line& line : run.lines) {
       if (!starts_with(line.text, "snapshot ")) continue;
       const double n = std::stod(fields_of(line.text)["requests"]);
@@ -610,7 +588,7 @@ std::vector<Metric> Bench::layer_metrics(const PassOutcome& untraced,
                                          const PassOutcome& traced,
                                          const SpanLog& log,
                                          std::uint64_t dropped,
-                                         double solve_s,
+                                         double median_wall_s,
                                          double latency_p50_ms) const {
   const double rows = static_cast<double>(traced.serve.rows);
   const double decode_s = sum(durations_s(log, SpanName::kCsvDecode));
@@ -670,7 +648,7 @@ std::vector<Metric> Bench::layer_metrics(const PassOutcome& untraced,
       {"parallel.speedup", traced.solve.serial.solve_seconds / par.solve_seconds, "x"},
       {"obs.trace_overhead_pct", (traced.wall_s / untraced.wall_s - 1.0) * 100.0, "%"},
       {"obs.trace_dropped_events", static_cast<double>(dropped), "count"},
-      {"tools.residual_s", solve_s - command_layers_s, "s"},
+      {"tools.residual_s", median_wall_s - command_layers_s, "s"},
       {"tools.latency_residual_ms", latency_p50_ms - interval_ms, "ms"},
   };
 }
@@ -685,51 +663,51 @@ int Bench::run() {
   std::printf("perfbench %s seed=%llu rows=%zu trace=%d\n", o_.workload.c_str(),
               static_cast<unsigned long long>(o_.seed), in_.rows, o_.trace ? 1 : 0);
 
-  // Reference (and, traced, the untraced half of the overhead comparison),
-  // before and outside every timed region.
+  // The reference, before and outside every timed region.
   dpg::obs::set_enabled(false);
   SpanLog off(false, o_.seed);
-  const PassOutcome untraced = run_pass(plan(o_.trace), knobs_, off);
-  make_reference(untraced);
+  make_reference(run_pass(plan(false), knobs_, off));
   if (o_.perturb_reference) ref_ = ref_.perturbed();
 
   const Timed t = measure();
 
   const Latency latency = summarize(t.latency_ms);
-  // The metrics BENCHMARK.json gates, in its order.  The latencies are
-  // printed but not gated: on a shared host whose hypervisor steals CPU in
-  // bursts, the p50 of a ~0.1 ms latency swung tenfold between runs.
-  // error_rate is 0 whenever a run is correct; it is the JSON's attempted /
-  // failed.  cpu_s excludes stolen time, so it holds where walls wander.
+  // The metrics BENCHMARK.json gates, in its order.  The rest are printed
+  // but not gated (workloads.json says why): the latencies, cpu_s and
+  // error_rate, which is 0 whenever a run is correct and is carried by the
+  // JSON's attempted / failed.
   const std::vector<Metric> e2e = {
-      {"throughput_rps", interquartile_mean(t.throughput_rps), "rows/s"},
-      {"solve_s", interquartile_mean(t.wall_s), "s"},
-      {"cpu_s", interquartile_mean(t.cpu_s), "s"},
+      {"throughput_rps", fastest_tenth(t.throughput_rps, true), "rows/s"},
+      {"solve_s", fastest_tenth(t.wall_s, false), "s"},
       {"setup_s", median(t.setup_s), "s"},
       {"peak_rss_mb", median(t.rss_mib), "MiB"},
   };
   const Metric latency_p50 = {"latency_p50_ms", latency.p50, "ms"};
   const double error_rate =
       static_cast<double>(t.failed) / static_cast<double>(t.attempted);
-  const bool backlog = o_.feed == Feed::kPaced && e2e[0].value < 0.99 * o_.rate_rps;
+  // Any launch that fell behind the schedule makes a backlog.
+  const bool backlog =
+      o_.feed == Feed::kPaced &&
+      (t.throughput_rps.empty() ||
+       *std::min_element(t.throughput_rps.begin(), t.throughput_rps.end()) <
+           0.99 * o_.rate_rps);
 
-  std::printf("end-to-end (%zu timed launches; throughput, solve_s and cpu_s "
-              "are interquartile means over launches, the rest medians):\n",
-              t.launches);
+  std::printf("end-to-end (%zu timed launches, %zu one-row set-up launches; "
+              "throughput_rps and solve_s are means of the fastest tenth of "
+              "the launches, the rest medians):\n",
+              t.launches, t.setup_s.size());
   print_metric(e2e[0]);
   if (backlog) {
     std::printf("  %-28s backlog: %.0f rows behind the %.0f rows/s schedule\n",
                 "latency_p50_ms, _p99_ms", t.backlog_rows, o_.rate_rps);
-  } else {
-    char note[128];
-    std::snprintf(note, sizeof note, "(p%.4g%s, %zu samples; not gated)",
-                  latency.tail_percent,
-                  latency.per_launch ? " per launch, median over launches" : " pooled",
-                  latency.samples);
-    print_metric(latency_p50, "(not gated)");
-    print_metric({"latency_p99_ms", latency.tail, "ms"}, note);
+  } else if (o_.feed == Feed::kPaced) {
+    const std::string note = "(per launch, median over launches; " +
+                             std::to_string(latency.samples) + " samples; not gated)";
+    print_metric(latency_p50, note);
+    print_metric({"latency_p99_ms", latency.p99, "ms"}, note);
   }
   for (std::size_t i = 1; i < e2e.size(); ++i) print_metric(e2e[i]);
+  print_metric({"cpu_s", median(t.cpu_s), "s"}, "(the child's user + system time; not gated)");
   if (o_.feed == Feed::kPaced) {
     print_metric({"feed.lag_ms_max",
                   t.lag_s.empty() ? 0.0 : *std::max_element(t.lag_s.begin(), t.lag_s.end()) * 1e3,
@@ -745,6 +723,10 @@ int Bench::run() {
   bool passes_agree = true;
   std::vector<Metric> layers;
   if (o_.trace) {
+    // The untraced half of the overhead comparison runs right before the
+    // traced half, so the host's speed drift over the timed launches does
+    // not enter obs.trace_overhead_pct.
+    const PassOutcome untraced = run_pass(plan(true), knobs_, off);
     dpg::obs::reset_metrics();
     dpg::obs::reset_trace();
     dpg::obs::set_enabled(true);
@@ -753,14 +735,15 @@ int Bench::run() {
     const std::uint64_t dropped = dpg::obs::trace_dropped_events();
     dpg::obs::set_enabled(false);
     passes_agree =
-        final_line(traced.serve.final_report, traced.serve.rows) == ref_.final_line &&
+        final_line(traced.serve.final_report, traced.serve.rows) ==
+            final_line(untraced.serve.final_report, untraced.serve.rows) &&
         traced.serve.snapshot_lines == untraced.serve.snapshot_lines &&
         std::bit_cast<std::uint64_t>(traced.solve.serial.total_cost) ==
             std::bit_cast<std::uint64_t>(untraced.solve.serial.total_cost) &&
         std::bit_cast<std::uint64_t>(traced.solve.parallel.total_cost) ==
             std::bit_cast<std::uint64_t>(untraced.solve.serial.total_cost);
     if (!o_.spans_out.empty()) log.write(o_.spans_out);
-    layers = layer_metrics(untraced, traced, log, dropped, e2e[1].value,
+    layers = layer_metrics(untraced, traced, log, dropped, median(t.wall_s),
                            latency_p50.value);
     std::printf("per-layer (traced pass, %zu spans%s%s):\n", log.spans().size(),
                 o_.spans_out.empty() ? "" : " in ", o_.spans_out.c_str());

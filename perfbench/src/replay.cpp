@@ -11,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "trace/dpt.hpp"
 #include "trace/io.hpp"
+#include "util/strings.hpp"
 
 namespace perfbench {
 namespace {
@@ -33,21 +34,15 @@ class Scope {
   std::uint32_t handle_;
 };
 
-std::string fixed(double value, int digits) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.*f", digits, value);
-  return buffer;
-}
-
 std::string snapshot_line(const dpg::StreamingSnapshot& s) {
   char buffer[512];
   std::snprintf(buffer, sizeof buffer,
                 "snapshot requests=%zu epoch=%zu packages=%zu items=%zu "
                 "total=%s ave=%s delta=%s",
                 s.requests, s.epoch, s.live_packages, s.item_count,
-                fixed(s.report.total_cost, 2).c_str(),
-                fixed(s.report.ave_cost, 4).c_str(),
-                fixed(s.delta.total_cost, 2).c_str());
+                dpg::format_fixed(s.report.total_cost, 2).c_str(),
+                dpg::format_fixed(s.report.ave_cost, 4).c_str(),
+                dpg::format_fixed(s.delta.total_cost, 2).c_str());
   return buffer;
 }
 
@@ -196,8 +191,8 @@ std::string final_line(const dpg::RunReport& report, std::size_t requests) {
   std::snprintf(buffer, sizeof buffer,
                 "final requests=%zu total=%s ave=%s transfers=%zu packs=%zu "
                 "unpacks=%zu",
-                requests, fixed(report.total_cost, 2).c_str(),
-                fixed(report.ave_cost, 4).c_str(), report.transfer_events,
+                requests, dpg::format_fixed(report.total_cost, 2).c_str(),
+                dpg::format_fixed(report.ave_cost, 4).c_str(), report.transfer_events,
                 report.package_count, report.unpack_events);
   return buffer;
 }
