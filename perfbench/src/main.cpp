@@ -158,8 +158,8 @@ double median(std::vector<double> values) {
 /// Mean of the fastest tenth of the launches (at least one).  Every launch
 /// of a run does the same work, and on a shared host other tenants only
 /// ever slow one down: on a shared 4-vCPU VM the same 1M-row serve took
-/// 0.9 to 1.5 s within one run, and a run's median moved by up to 30%
-/// within minutes while its fastest launches held within 10%.
+/// 0.9 to 1.5 s within one run, and over four runs of the same seeds the
+/// fastest launches varied by 7% where the medians varied by 19%.
 double fastest_tenth(std::vector<double> values, bool higher_is_faster) {
   if (values.empty()) return 0.0;
   if (higher_is_faster) {
