@@ -39,7 +39,7 @@ ReplayMetrics replay_optimal(const RequestSequence& trace,
                              const CostModel& model) {
   const OptimalBaselineResult result = solve_optimal_baseline(trace, model);
   std::vector<FlowPlan> plans;
-  for (const OptimalItemReport& r : result.items) {
+  for (const SingleItemReport& r : result.items) {
     plans.push_back(FlowPlan{make_item_flow(trace, r.item), r.schedule, "item"});
   }
   return replay_plans(plans, model, trace.server_count());
@@ -53,7 +53,7 @@ ReplayMetrics replay_package_served(const RequestSequence& trace,
     plans.push_back(FlowPlan{make_union_flow(trace, {r.pair.a, r.pair.b}),
                              r.schedule, "package"});
   }
-  for (const OptimalItemReport& r : result.singles) {
+  for (const SingleItemReport& r : result.singles) {
     plans.push_back(FlowPlan{make_item_flow(trace, r.item), r.schedule, "item"});
   }
   return replay_plans(plans, model, trace.server_count());

@@ -39,7 +39,7 @@ std::vector<std::string> comparison_row(const RunReport& report) {
           format_fixed(report.solve_seconds, 4)};
 }
 
-std::string render_comparison(const std::vector<RunReport>& reports) {
+std::string render_comparison(std::span<const RunReport> reports) {
   TextTable table(comparison_header());
   for (const RunReport& report : reports) {
     table.add_row(comparison_row(report));

@@ -3,6 +3,7 @@
 // the harnesses print identical rows for identical runs.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,9 +17,10 @@ namespace dpg {
 /// One human-readable table row for a report.
 [[nodiscard]] std::vector<std::string> comparison_row(const RunReport& report);
 
-/// The full comparison table (header + one row per report, aligned).
+/// The full comparison table (header + one row per report, aligned).  A
+/// span, so one report prints in place: `render_comparison({&report, 1})`.
 [[nodiscard]] std::string render_comparison(
-    const std::vector<RunReport>& reports);
+    std::span<const RunReport> reports);
 
 /// Machine-readable flat schema: header + one row per report.  Costs are
 /// printed with full round-trip precision.

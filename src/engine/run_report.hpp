@@ -45,10 +45,10 @@ struct RunReport {
   std::size_t transfer_events = 0;  // λ-charges: wire transfers + package fetches
   std::size_t cache_segments = 0;   // cache intervals across all schedules
 
-  // Wall-clock timing.  phase1_seconds measures the packing analysis
-  // (correlation + pairing) standalone on the same inputs for solvers that
-  // have one; solve_seconds is the end-to-end solve_* call (which includes
-  // its own Phase-1 pass — the two are independent measurements, not a sum).
+  // Wall-clock timing.  solve_seconds is the end-to-end solve_* call;
+  // phase1_seconds is the Phase-1 share of it (correlation analysis +
+  // pairing/grouping, timed inside that same call), 0 for the solvers that
+  // run no offline Phase 1.  So phase1_seconds <= solve_seconds.
   double phase1_seconds = 0.0;
   double solve_seconds = 0.0;
 

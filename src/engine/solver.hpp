@@ -49,7 +49,8 @@ struct SolverConfig {
   /// fixes the deterministic Phase-2 shard layout).
   ThreadPool* pool = nullptr;
   /// Keep the per-flow schedules as RunReport::plans (replayable).  Turning
-  /// this off skips the plan copies (costs are identical either way).
+  /// this off keeps no flow or schedule past the solve (costs are identical
+  /// either way).
   bool keep_schedules = true;
   /// Phase-2 fan-out width: 0 = serial, N = shard the per-flow solves over
   /// an N-worker pool owned for the duration of the run.  Results are

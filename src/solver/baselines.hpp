@@ -20,16 +20,8 @@ namespace dpg {
 
 class ThreadPool;
 
-/// Per-item outcome of the non-packing Optimal baseline.
-struct OptimalItemReport {
-  ItemId item = 0;
-  Cost cost = 0.0;
-  std::size_t accesses = 0;
-  Schedule schedule;
-};
-
 struct OptimalBaselineResult {
-  std::vector<OptimalItemReport> items;
+  std::vector<SingleItemReport> items;
   Cost total_cost = 0.0;
   std::size_t total_item_accesses = 0;
   double ave_cost = 0.0;
@@ -38,9 +30,12 @@ struct OptimalBaselineResult {
   [[nodiscard]] double pair_ave_cost(ItemId a, ItemId b) const;
 };
 
+/// `keep_flows` keeps each item's flow next to its schedule
+/// (SingleItemReport::flow), as DpGreedyOptions::keep_flows does.
 [[nodiscard]] OptimalBaselineResult solve_optimal_baseline(
     const RequestSequence& sequence, const CostModel& model,
-    const OptimalOfflineOptions& dp = {}, ThreadPool* pool = nullptr);
+    const OptimalOfflineOptions& dp = {}, ThreadPool* pool = nullptr,
+    bool keep_flows = false);
 
 /// Per-pair outcome of Package_Served.
 struct PackageServedPair {
@@ -48,6 +43,7 @@ struct PackageServedPair {
   Cost cost = 0.0;                 // 2α-discounted DP over the union flow
   std::size_t total_accesses = 0;  // |d_a| + |d_b|
   Schedule schedule;
+  Flow flow;  // the union flow `schedule` serves; empty unless kept
 
   [[nodiscard]] double ave_cost() const noexcept {
     return total_accesses == 0 ? 0.0
@@ -58,15 +54,21 @@ struct PackageServedPair {
 struct PackageServedResult {
   Packing packing;  // inclusive threshold (J >= θ)
   std::vector<PackageServedPair> pairs;
-  std::vector<OptimalItemReport> singles;  // unpacked items, served by DP
+  std::vector<SingleItemReport> singles;  // unpacked items, served by DP
   Cost total_cost = 0.0;
   std::size_t total_item_accesses = 0;
   double ave_cost = 0.0;
+  /// Wall-clock of Phase 1 (correlation analysis + pairing) inside this
+  /// solve.
+  double phase1_seconds = 0.0;
 };
 
+/// `keep_flows` keeps each Phase-2 flow next to its schedule, as
+/// DpGreedyOptions::keep_flows does.
 [[nodiscard]] PackageServedResult solve_package_served(
     const RequestSequence& sequence, const CostModel& model, double theta,
-    const OptimalOfflineOptions& dp = {}, ThreadPool* pool = nullptr);
+    const OptimalOfflineOptions& dp = {}, ThreadPool* pool = nullptr,
+    bool keep_flows = false);
 
 /// Package_Served for one explicit pair (figure harnesses sweep pairs
 /// directly): the union flow of requests touching either item, served as a

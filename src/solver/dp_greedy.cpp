@@ -10,6 +10,7 @@
 #include "solver/phase2_shard.hpp"
 #include "solver/workspace.hpp"
 #include "util/error.hpp"
+#include "util/stopwatch.hpp"
 
 namespace dpg {
 
@@ -156,7 +157,7 @@ void serve_singletons(const RequestSequence& sequence, const CostModel& model,
 PackageReport solve_pair_package_ws(const RequestSequence& sequence,
                                     const CostModel& model, ItemPair pair,
                                     const OptimalOfflineOptions& dp,
-                                    SolverWorkspace& ws) {
+                                    SolverWorkspace& ws, bool keep_flow) {
   PackageReport report;
   report.pair = pair;
   report.total_accesses =
@@ -168,25 +169,11 @@ PackageReport solve_pair_package_ws(const RequestSequence& sequence,
       solve_optimal_offline(ws.flow, model, sequence.server_count(), dp, &ws);
   report.package_cost = package.cost;  // already 2α-discounted
   report.package_schedule = std::move(package.schedule);
+  if (keep_flow) report.package_flow = ws.flow;
 
   serve_singletons(sequence, model, pair.a, pair.b, report, dp, ws);
   serve_singletons(sequence, model, pair.b, pair.a, report, dp, ws);
   g_singleton_services.add(report.services.size());
-  return report;
-}
-
-SingleItemReport solve_single_ws(const RequestSequence& sequence,
-                                 const CostModel& model, ItemId item,
-                                 const OptimalOfflineOptions& dp,
-                                 SolverWorkspace& ws) {
-  SingleItemReport report;
-  report.item = item;
-  report.accesses = sequence.item_frequency(item);
-  make_item_flow(sequence, item, ws.flow);
-  SolveResult solved =
-      solve_optimal_offline(ws.flow, model, sequence.server_count(), dp, &ws);
-  report.cost = solved.cost;
-  report.schedule = std::move(solved.schedule);
   return report;
 }
 
@@ -199,7 +186,8 @@ PackageReport solve_pair_package(const RequestSequence& sequence,
   model.validate();
   SolverWorkspace local;
   return solve_pair_package_ws(sequence, model, pair, dp,
-                               workspace != nullptr ? *workspace : local);
+                               workspace != nullptr ? *workspace : local,
+                               /*keep_flow=*/false);
 }
 
 DpGreedyResult solve_dp_greedy(const RequestSequence& sequence,
@@ -218,11 +206,13 @@ DpGreedyResult solve_dp_greedy(const RequestSequence& sequence,
   // shards over the Phase-2 pool unless the caller pinned its own.
   {
     const obs::TraceSpan phase1_span("dp_greedy/phase1");
+    const Stopwatch phase1_clock;
     CorrelationOptions correlation = options.correlation;
     if (correlation.pool == nullptr) correlation.pool = options.pool;
     const CorrelationAnalysis analysis(sequence, correlation);
     result.packing =
         greedy_pairing(analysis, options.theta, options.inclusive_threshold);
+    result.phase1_seconds = phase1_clock.elapsed_seconds();
   }
 
   // Phase 2: independent per-package and per-single solves, sharded through
@@ -240,13 +230,13 @@ DpGreedyResult solve_dp_greedy(const RequestSequence& sequence,
       options.pool, pair_count + single_count,
       [&](std::size_t i, SolverWorkspace& ws) {
         if (i < pair_count) {
-          result.packages[i] = solve_pair_package_ws(
-              sequence, model, result.packing.pairs[i], options.dp, ws);
+          result.packages[i] =
+              solve_pair_package_ws(sequence, model, result.packing.pairs[i],
+                                    options.dp, ws, options.keep_flows);
         } else {
-          result.singles[i - pair_count] =
-              solve_single_ws(sequence, model,
-                              result.packing.singles[i - pair_count],
-                              options.dp, ws);
+          result.singles[i - pair_count] = solve_single_item(
+              sequence, model, result.packing.singles[i - pair_count],
+              options.dp, ws, options.keep_flows);
         }
       });
 

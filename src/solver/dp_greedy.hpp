@@ -41,6 +41,10 @@ struct DpGreedyOptions {
   /// When set, package solves fan out over this pool (packages are
   /// independent, so results are identical to the serial path).
   ThreadPool* pool = nullptr;
+  /// Keep each Phase-2 flow next to its schedule (PackageReport::
+  /// package_flow, SingleItemReport::flow), so a caller that wants replayable
+  /// plans takes them from the result instead of rebuilding them.
+  bool keep_flows = false;
 };
 
 /// How one single-item request of a packed pair was served (Observation 2).
@@ -66,6 +70,7 @@ struct PackageReport {
   std::size_t co_request_count = 0;
   std::size_t total_accesses = 0;  // |d_a| + |d_b|
   Schedule package_schedule;       // validatable against the package flow
+  Flow package_flow;               // empty unless DpGreedyOptions::keep_flows
   std::vector<SingletonService> services;
 
   [[nodiscard]] Cost total_cost() const noexcept {
@@ -79,23 +84,17 @@ struct PackageReport {
   }
 };
 
-/// Phase-2 outcome for an unpacked item (plain optimal DP).
-struct SingleItemReport {
-  ItemId item = 0;
-  Cost cost = 0.0;
-  std::size_t accesses = 0;
-  Schedule schedule;
-};
-
 /// Full DP_Greedy outcome.
 struct DpGreedyResult {
   Packing packing;
   std::vector<PackageReport> packages;
-  std::vector<SingleItemReport> singles;
+  std::vector<SingleItemReport> singles;  // unpacked items (plain optimal DP)
   Cost total_cost = 0.0;
   std::size_t total_item_accesses = 0;
   /// Algorithm 1's output: total_cost / Σ|d_i|.
   double ave_cost = 0.0;
+  /// Wall-clock of Phase 1 (correlation analysis + pairing) inside this solve.
+  double phase1_seconds = 0.0;
 };
 
 /// Runs both phases over the whole sequence.

@@ -9,6 +9,7 @@
 #include "solver/phase2_shard.hpp"
 #include "solver/workspace.hpp"
 #include "util/error.hpp"
+#include "util/stopwatch.hpp"
 
 namespace dpg {
 
@@ -21,7 +22,7 @@ GroupReport solve_group_package_ws(const RequestSequence& sequence,
                                    const CostModel& model,
                                    const std::vector<ItemId>& group,
                                    const OptimalOfflineOptions& dp,
-                                   SolverWorkspace& ws) {
+                                   SolverWorkspace& ws, bool keep_flow) {
   const obs::TraceSpan span("group/package");
   g_group_packages.add();
   require(group.size() >= 2, "solve_group_package: group must have >= 2 items");
@@ -31,13 +32,14 @@ GroupReport solve_group_package_ws(const RequestSequence& sequence,
     report.total_accesses += sequence.item_frequency(item);
   }
 
-  const Flow group_flow = make_group_flow(sequence, group);
+  Flow group_flow = make_group_flow(sequence, group);
   report.full_request_count = group_flow.size();
   SolveResult solved =
       solve_optimal_offline(group_flow, model, sequence.server_count(), dp,
                             &ws);
   report.package_cost = solved.cost;  // g·α-discounted
   report.package_schedule = std::move(solved.schedule);
+  if (keep_flow) report.package_flow = std::move(group_flow);
 
   // Greedy pass over every request touching the group but not all of it.
   const double g = static_cast<double>(group.size());
@@ -99,21 +101,6 @@ GroupReport solve_group_package_ws(const RequestSequence& sequence,
   return report;
 }
 
-SingleItemReport solve_group_single_ws(const RequestSequence& sequence,
-                                       const CostModel& model, ItemId item,
-                                       const OptimalOfflineOptions& dp,
-                                       SolverWorkspace& ws) {
-  SingleItemReport report;
-  report.item = item;
-  report.accesses = sequence.item_frequency(item);
-  make_item_flow(sequence, item, ws.flow);
-  SolveResult solved =
-      solve_optimal_offline(ws.flow, model, sequence.server_count(), dp, &ws);
-  report.cost = solved.cost;
-  report.schedule = std::move(solved.schedule);
-  return report;
-}
-
 }  // namespace
 
 GroupReport solve_group_package(const RequestSequence& sequence,
@@ -122,7 +109,8 @@ GroupReport solve_group_package(const RequestSequence& sequence,
                                 const OptimalOfflineOptions& dp) {
   model.validate();
   SolverWorkspace ws;
-  return solve_group_package_ws(sequence, model, group, dp, ws);
+  return solve_group_package_ws(sequence, model, group, dp, ws,
+                                /*keep_flow=*/false);
 }
 
 GroupDpGreedyResult solve_group_dp_greedy(const RequestSequence& sequence,
@@ -135,9 +123,13 @@ GroupDpGreedyResult solve_group_dp_greedy(const RequestSequence& sequence,
   result.total_item_accesses = sequence.total_item_accesses();
 
   const obs::TraceSpan solve_span("solve/group_dp_greedy");
-  const CorrelationAnalysis analysis(sequence);
-  result.packing =
-      greedy_grouping(analysis, options.theta, options.max_group_size);
+  {
+    const Stopwatch phase1_clock;
+    const CorrelationAnalysis analysis(sequence);
+    result.packing =
+        greedy_grouping(analysis, options.theta, options.max_group_size);
+    result.phase1_seconds = phase1_clock.elapsed_seconds();
+  }
 
   // Phase 2: independent per-group and per-single solves, sharded through
   // solver/phase2_shard.hpp into pre-sized slots (bit-identical reductions
@@ -151,12 +143,12 @@ GroupDpGreedyResult solve_group_dp_greedy(const RequestSequence& sequence,
       [&](std::size_t i, SolverWorkspace& ws) {
         if (i < group_count) {
           result.groups[i] = solve_group_package_ws(
-              sequence, model, result.packing.groups[i], options.dp, ws);
+              sequence, model, result.packing.groups[i], options.dp, ws,
+              options.keep_flows);
         } else {
-          result.singles[i - group_count] =
-              solve_group_single_ws(sequence, model,
-                                    result.packing.singles[i - group_count],
-                                    options.dp, ws);
+          result.singles[i - group_count] = solve_single_item(
+              sequence, model, result.packing.singles[i - group_count],
+              options.dp, ws, options.keep_flows);
         }
       });
 

@@ -36,6 +36,7 @@ struct GroupReport {
   std::size_t full_request_count = 0;
   std::size_t total_accesses = 0;  // Σ |d_i| over the group
   Schedule package_schedule;
+  Flow package_flow;  // empty unless GroupDpGreedyOptions::keep_flows
 
   [[nodiscard]] Cost total_cost() const noexcept {
     return package_cost + partial_cost;
@@ -49,6 +50,9 @@ struct GroupDpGreedyResult {
   Cost total_cost = 0.0;
   std::size_t total_item_accesses = 0;
   double ave_cost = 0.0;
+  /// Wall-clock of Phase 1 (correlation analysis + grouping) inside this
+  /// solve.
+  double phase1_seconds = 0.0;
 };
 
 struct GroupDpGreedyOptions {
@@ -58,6 +62,9 @@ struct GroupDpGreedyOptions {
   /// When set, the per-group/per-single Phase-2 solves shard over this pool
   /// (results are bit-identical to the serial path).
   ThreadPool* pool = nullptr;
+  /// Keep each Phase-2 flow next to its schedule (see
+  /// DpGreedyOptions::keep_flows).
+  bool keep_flows = false;
 };
 
 [[nodiscard]] GroupDpGreedyResult solve_group_dp_greedy(

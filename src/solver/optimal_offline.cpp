@@ -1,6 +1,7 @@
 #include "solver/optimal_offline.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -225,6 +226,23 @@ SolveResult solve_optimal_offline(const Flow& flow, const CostModel& model,
     }
   }
   return result;
+}
+
+SingleItemReport solve_single_item(const RequestSequence& sequence,
+                                   const CostModel& model, ItemId item,
+                                   const OptimalOfflineOptions& options,
+                                   SolverWorkspace& workspace,
+                                   bool keep_flow) {
+  SingleItemReport report;
+  report.item = item;
+  report.accesses = sequence.item_frequency(item);
+  make_item_flow(sequence, item, workspace.flow);
+  SolveResult solved = solve_optimal_offline(
+      workspace.flow, model, sequence.server_count(), options, &workspace);
+  report.cost = solved.cost;
+  report.schedule = std::move(solved.schedule);
+  if (keep_flow) report.flow = workspace.flow;
+  return report;
 }
 
 }  // namespace dpg

@@ -68,4 +68,23 @@ struct OptimalOfflineOptions {
     const OptimalOfflineOptions& options = {},
     SolverWorkspace* workspace = nullptr);
 
+/// One item served on its own by the optimal offline DP: an unpacked item
+/// of DP_Greedy or its group extension, or any item of the Optimal baseline.
+struct SingleItemReport {
+  ItemId item = 0;
+  Cost cost = 0.0;
+  std::size_t accesses = 0;
+  Schedule schedule;
+  /// The item flow `schedule` serves; empty unless the solve kept it.
+  Flow flow;
+};
+
+/// Builds `item`'s flow in the workspace and solves it.  With `keep_flow`
+/// the report takes a copy of that flow, so a caller that wants the plan
+/// never has to rebuild it.
+[[nodiscard]] SingleItemReport solve_single_item(
+    const RequestSequence& sequence, const CostModel& model, ItemId item,
+    const OptimalOfflineOptions& options, SolverWorkspace& workspace,
+    bool keep_flow);
+
 }  // namespace dpg

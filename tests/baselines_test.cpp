@@ -85,7 +85,7 @@ TEST(PackageServed, WholeTraceDecomposition) {
   const PackageServedResult result = solve_package_served(seq, model, 0.1);
   Cost manual = 0.0;
   for (const PackageServedPair& p : result.pairs) manual += p.cost;
-  for (const OptimalItemReport& s : result.singles) manual += s.cost;
+  for (const SingleItemReport& s : result.singles) manual += s.cost;
   EXPECT_NEAR(result.total_cost, manual, kTol);
   // The packing partitions the items.
   EXPECT_EQ(result.pairs.size() * 2 + result.singles.size(), 6u);

@@ -14,6 +14,7 @@
 
 #include "engine/registry.hpp"
 #include "parallel/thread_pool.hpp"
+#include "report_equality.hpp"
 #include "solver/phase2_shard.hpp"
 #include "test_support.hpp"
 #include "trace/generators.hpp"
@@ -42,53 +43,7 @@ RequestSequence big_trace_200k() {
   return generate_zipf_trace(config, rng);
 }
 
-/// Bitwise equality of two reports: every cost EXPECT_EQ (no tolerance),
-/// every decision count, and — when schedules were kept — every plan's
-/// label, flow and schedule geometry.
-void expect_reports_identical(const RunReport& expected,
-                              const RunReport& actual,
-                              const std::string& context) {
-  EXPECT_EQ(expected.total_cost, actual.total_cost) << context;
-  EXPECT_EQ(expected.raw_cost, actual.raw_cost) << context;
-  EXPECT_EQ(expected.cache_cost, actual.cache_cost) << context;
-  EXPECT_EQ(expected.transfer_cost, actual.transfer_cost) << context;
-  EXPECT_EQ(expected.ave_cost, actual.ave_cost) << context;
-  EXPECT_EQ(expected.package_count, actual.package_count) << context;
-  EXPECT_EQ(expected.transfer_events, actual.transfer_events) << context;
-  EXPECT_EQ(expected.cache_segments, actual.cache_segments) << context;
-  EXPECT_EQ(expected.total_item_accesses, actual.total_item_accesses)
-      << context;
-
-  ASSERT_EQ(expected.plans.size(), actual.plans.size()) << context;
-  for (std::size_t p = 0; p < expected.plans.size(); ++p) {
-    const FlowPlan& want = expected.plans[p];
-    const FlowPlan& got = actual.plans[p];
-    const std::string plan_context = context + ", plan " + want.label;
-    EXPECT_EQ(want.label, got.label) << plan_context;
-    EXPECT_EQ(want.flow.size(), got.flow.size()) << plan_context;
-    EXPECT_EQ(want.flow.group_size, got.flow.group_size) << plan_context;
-    ASSERT_EQ(want.schedule.segments().size(), got.schedule.segments().size())
-        << plan_context;
-    for (std::size_t s = 0; s < want.schedule.segments().size(); ++s) {
-      EXPECT_EQ(want.schedule.segments()[s].server,
-                got.schedule.segments()[s].server) << plan_context;
-      EXPECT_EQ(want.schedule.segments()[s].begin,
-                got.schedule.segments()[s].begin) << plan_context;
-      EXPECT_EQ(want.schedule.segments()[s].end,
-                got.schedule.segments()[s].end) << plan_context;
-    }
-    ASSERT_EQ(want.schedule.transfers().size(),
-              got.schedule.transfers().size()) << plan_context;
-    for (std::size_t t = 0; t < want.schedule.transfers().size(); ++t) {
-      EXPECT_EQ(want.schedule.transfers()[t].from,
-                got.schedule.transfers()[t].from) << plan_context;
-      EXPECT_EQ(want.schedule.transfers()[t].to,
-                got.schedule.transfers()[t].to) << plan_context;
-      EXPECT_EQ(want.schedule.transfers()[t].time,
-                got.schedule.transfers()[t].time) << plan_context;
-    }
-  }
-}
+using testing::expect_reports_identical;
 
 /// The core property: for every registry solver, threads ∈ {1, 4, 7} all
 /// reproduce the threads=0 (serial) report bit for bit.

@@ -37,8 +37,10 @@
 // streams it line by line in bounded memory).
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -113,19 +115,23 @@ void begin_telemetry(const RunFlags& flags) {
   }
 }
 
+/// Writes `text` to `path`.  A failed write or close (a full disk,
+/// /dev/full) throws IoError naming the path, so the command exits 1.
 void write_text_file(const std::string& path, const std::string& text) {
   std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) throw IoError("cannot write " + path);
-  std::fputs(text.c_str(), file);
-  std::fclose(file);
+  const bool written = file != nullptr && std::fputs(text.c_str(), file) >= 0;
+  if (file == nullptr || std::fclose(file) != 0 || !written) {
+    throw IoError("cannot write " + path + ": " + std::strerror(errno));
+  }
 }
 
-/// Dumps --metrics-out / --trace-out files after the solves finished.
+/// Dumps --metrics-out / --trace-out files after the solves finished.  The
+/// notes go to stderr: stdout carries only the command's answer.
 void finish_telemetry(const RunFlags& flags) {
   if (!flags.metrics_out->empty()) {
     write_text_file(*flags.metrics_out,
                     obs::metrics_json(obs::snapshot_metrics()) + "\n");
-    std::printf("wrote metrics to %s\n", flags.metrics_out->c_str());
+    std::fprintf(stderr, "wrote metrics to %s\n", flags.metrics_out->c_str());
   }
   if (!flags.trace_out->empty()) {
     write_text_file(*flags.trace_out, obs::trace_json() + "\n");
@@ -134,7 +140,7 @@ void finish_telemetry(const RunFlags& flags) {
       std::fprintf(stderr, "warning: %llu trace events dropped (ring full)\n",
                    static_cast<unsigned long long>(dropped));
     }
-    std::printf("wrote trace to %s\n", flags.trace_out->c_str());
+    std::fprintf(stderr, "wrote trace to %s\n", flags.trace_out->c_str());
   }
 }
 
@@ -167,30 +173,40 @@ SolverConfig config_of(const RunFlags& flags) {
   return config;
 }
 
-void print_reports(const std::vector<RunReport>& reports,
-                   const std::string& format) {
-  if (format == "table") {
-    std::printf("%s", render_comparison(reports).c_str());
-    return;
-  }
-  if (format == "csv") {
-    std::printf("%s\n", join(report_csv_header(), ",").c_str());
-    for (const RunReport& report : reports) {
-      std::printf("%s\n", join(report_csv_row(report), ",").c_str());
-    }
-    return;
-  }
-  if (format == "json") {
-    std::printf("[");
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-      std::printf("%s%s", i == 0 ? "" : ",\n ",
-                  report_json(reports[i]).c_str());
-    }
-    std::printf("]\n");
-    return;
-  }
+enum class ReportFormat { kTable, kCsv, kJson };
+
+/// Parsed right after the flags, so a bad --format exits before any trace
+/// is read.
+ReportFormat parse_report_format(const std::string& format) {
+  if (format == "table") return ReportFormat::kTable;
+  if (format == "csv") return ReportFormat::kCsv;
+  if (format == "json") return ReportFormat::kJson;
   throw InvalidArgument("unknown --format '" + format +
                         "' (valid: table, csv, json)");
+}
+
+/// Prints the reports in place (a span: no report, and none of its plans,
+/// is copied to print it).
+void print_reports(std::span<const RunReport> reports, ReportFormat format) {
+  switch (format) {
+    case ReportFormat::kTable:
+      std::printf("%s", render_comparison(reports).c_str());
+      return;
+    case ReportFormat::kCsv:
+      std::printf("%s\n", join(report_csv_header(), ",").c_str());
+      for (const RunReport& report : reports) {
+        std::printf("%s\n", join(report_csv_row(report), ",").c_str());
+      }
+      return;
+    case ReportFormat::kJson:
+      std::printf("[");
+      for (std::size_t i = 0; i < reports.size(); ++i) {
+        std::printf("%s%s", i == 0 ? "" : ",\n ",
+                    report_json(reports[i]).c_str());
+      }
+      std::printf("]\n");
+      return;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -378,18 +394,9 @@ void export_plans(const std::vector<FlowPlan>& plans,
       continue;  // nothing scheduled (e.g. an item with no requests)
     }
     const std::string base = export_dir + "/" + plan_stem(plan.label);
-    std::FILE* csv = std::fopen((base + ".csv").c_str(), "w");
-    std::FILE* dot = std::fopen((base + ".dot").c_str(), "w");
-    if (csv == nullptr || dot == nullptr) {
-      if (csv != nullptr) std::fclose(csv);
-      if (dot != nullptr) std::fclose(dot);
-      throw IoError("cannot write exports under " + export_dir);
-    }
-    std::fputs(schedule_to_csv(plan.schedule).c_str(), csv);
-    std::fputs(schedule_to_dot(plan.schedule, plan.flow).c_str(), dot);
-    std::fclose(csv);
-    std::fclose(dot);
-    std::printf("exported %s.{csv,dot}\n", base.c_str());
+    write_text_file(base + ".csv", schedule_to_csv(plan.schedule));
+    write_text_file(base + ".dot", schedule_to_dot(plan.schedule, plan.flow));
+    std::fprintf(stderr, "exported %s.{csv,dot}\n", base.c_str());
   }
 }
 
@@ -404,6 +411,7 @@ int cmd_solve(int argc, const char* const* argv) {
   const std::string* export_dir =
       args.add_string("export-dir", "write plan schedules (CSV+DOT) here", "");
   args.parse(argc, argv);
+  const ReportFormat report_format = parse_report_format(*format);
   begin_telemetry(flags);
 
   const RequestSequence trace = load_trace(flags);
@@ -411,22 +419,27 @@ int cmd_solve(int argc, const char* const* argv) {
   const RunReport report =
       builtin_registry().run(*solver, trace, model, config_of(flags));
 
-  if (!report.plans.empty()) {
-    TextTable table({"plan", "cost", "segments", "transfers"});
+  // csv and json print the report alone; the plan table, the prose total
+  // and the metrics table are the human-readable extras of table format.
+  const bool table = report_format == ReportFormat::kTable;
+  if (table && !report.plans.empty()) {
+    TextTable plans({"plan", "cost", "segments", "transfers"});
     for (const FlowPlan& plan : report.plans) {
-      table.add_row({plan.label, format_fixed(plan.schedule.cost(model), 2),
+      plans.add_row({plan.label, format_fixed(plan.schedule.cost(model), 2),
                      std::to_string(plan.schedule.segments().size()),
                      std::to_string(plan.schedule.transfers().size())});
     }
-    std::printf("%s\n", table.render().c_str());
+    std::printf("%s\n", plans.render().c_str());
   }
-  print_reports({report}, *format);
-  std::printf("total %s over %zu item accesses — ave_cost %s\n",
-              format_fixed(report.total_cost, 2).c_str(),
-              report.total_item_accesses,
-              format_fixed(report.ave_cost, 4).c_str());
-  if (*format == "table" && !report.metrics.counters.empty()) {
-    std::printf("\n%s", render_metrics(report).c_str());
+  print_reports({&report, 1}, report_format);
+  if (table) {
+    std::printf("total %s over %zu item accesses — ave_cost %s\n",
+                format_fixed(report.total_cost, 2).c_str(),
+                report.total_item_accesses,
+                format_fixed(report.ave_cost, 4).c_str());
+    if (!report.metrics.counters.empty()) {
+      std::printf("\n%s", render_metrics(report).c_str());
+    }
   }
 
   if (!export_dir->empty()) export_plans(report.plans, *export_dir);
@@ -442,6 +455,7 @@ int cmd_compare(int argc, const char* const* argv) {
   const std::string* format =
       args.add_string("format", "table | csv | json", "table");
   args.parse(argc, argv);
+  const ReportFormat report_format = parse_report_format(*format);
   begin_telemetry(flags);
 
   std::vector<std::string> names;
@@ -455,7 +469,7 @@ int cmd_compare(int argc, const char* const* argv) {
   const RequestSequence trace = load_trace(flags);
   const std::vector<RunReport> reports =
       run_solvers(names, trace, model_of(flags), config_of(flags));
-  print_reports(reports, *format);
+  print_reports(reports, report_format);
   finish_telemetry(flags);
   return 0;
 }
