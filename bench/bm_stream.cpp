@@ -266,9 +266,7 @@ PipelineReport run_pipeline_compare(const std::string& trace_path,
   // decode and one engine.push() per row, all on one thread.
   RunReport serial_report;
   {
-    std::ifstream file(trace_path, std::ios::binary);
-    require(file.is_open(), "bm_stream: cannot reopen " + trace_path);
-    CsvStreamReader reader(file, trace_path);
+    CsvStreamReader reader(trace_path);
     StreamingEngine engine = make_pipeline_engine();
     CsvStreamRow row;
     Stopwatch watch;
@@ -379,8 +377,7 @@ ShardedReport run_sharded_compare(const std::string& trace_path,
 
   // Timing baseline: the serial per-push loop (decode + push, one thread).
   {
-    std::ifstream file = open_trace();
-    CsvStreamReader reader(file, trace_path);
+    CsvStreamReader reader(trace_path);
     StreamingEngine engine(model, eopts);
     CsvStreamRow row;
     Stopwatch watch;
@@ -407,8 +404,7 @@ ShardedReport run_sharded_compare(const std::string& trace_path,
   // order.  This is the canonical partitioned answer the 2×2 run must hit.
   RunReport reference_report;
   {
-    std::ifstream file = open_trace();
-    CsvStreamReader reader(file, trace_path);
+    CsvStreamReader reader(trace_path);
     std::vector<std::unique_ptr<StreamingEngine>> engines;
     for (std::size_t j = 0; j < 2; ++j) {
       engines.push_back(std::make_unique<StreamingEngine>(model, eopts));

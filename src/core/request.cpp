@@ -1,6 +1,7 @@
 #include "core/request.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "obs/metrics.hpp"
@@ -247,6 +248,9 @@ RequestSequence RequestSequence::adopt_columns(
 void RequestSequence::validate_columns(bool rows_normalized) const {
   require(server_count_ > 0, "RequestSequence: need >= 1 server");
   require(item_count_ > 0, "RequestSequence: need >= 1 item");
+  // Checked before build_item_index sizes its arrays by item_count_.
+  require(item_count_ <= kNoItem,
+          "RequestSequence: item id 4294967295 is reserved (kNoItem)");
   // One tight pass per flat array (not one combined per-row loop): each
   // check vectorizes, and failure messages are built only on the throw path
   // ("+ std::to_string(i)" eagerly would heap-allocate per request).
@@ -259,10 +263,10 @@ void RequestSequence::validate_columns(bool rows_normalized) const {
   }
   Time previous = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!(times_v_[i] > previous)) {
+    if (!(times_v_[i] > previous) || std::isinf(times_v_[i])) {
       throw InvalidArgument(
-          "RequestSequence: times must be strictly increasing and > 0 "
-          "(violated at request " + std::to_string(i) + ")");
+          "RequestSequence: times must be strictly increasing, finite and "
+          "> 0 (violated at request " + std::to_string(i) + ")");
     }
     previous = times_v_[i];
   }

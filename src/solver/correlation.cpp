@@ -93,6 +93,27 @@ void PairCountMap::sub(std::uint64_t key, std::size_t delta) {
     throw InvalidArgument("PairCountMap::sub: count underflow");
   }
   counts_[slot] -= delta;
+  if (counts_[slot] == 0) erase_slot(slot);
+}
+
+void PairCountMap::erase_slot(std::size_t hole) noexcept {
+  // Backward-shift deletion: walk the probe run after the hole and pull back
+  // every key whose home slot is at or before the hole (cyclically), so no
+  // lookup ever stops early at an empty slot inside its own run.
+  const std::size_t mask = keys_.size() - 1;
+  for (std::size_t next = (hole + 1) & mask; keys_[next] != kEmptyKey;
+       next = (next + 1) & mask) {
+    const std::size_t home =
+        static_cast<std::size_t>(mix_key(keys_[next])) & mask;
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      keys_[hole] = keys_[next];
+      counts_[hole] = counts_[next];
+      hole = next;
+    }
+  }
+  keys_[hole] = kEmptyKey;
+  counts_[hole] = 0;
+  --size_;
 }
 
 std::size_t PairCountMap::count(std::uint64_t key) const noexcept {

@@ -1,6 +1,9 @@
 #include "solver/online_state.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -239,6 +242,7 @@ void OnlineDpGreedyState::ensure_item_count(std::size_t item_count) {
   window_.ensure_item_count(item_count);
   partner_.resize(item_count, kNoItem);
   package_lo_.resize(item_count, kNoItem);
+  live_lo_.resize((item_count + 63) / 64, 0);
   item_flow_.reserve(item_count);
   while (item_flow_.size() < item_count) {
     // New items start at the origin at time 0, exactly as a batch solve
@@ -250,12 +254,19 @@ void OnlineDpGreedyState::ensure_item_count(std::size_t item_count) {
 
 OnlineDpGreedyState::Decision OnlineDpGreedyState::push(
     ServerId server, Time time, std::span<const ItemId> items) {
-  require(requests_seen_ == 0 || time > last_time_,
-          "OnlineDpGreedyState::push: request times must be strictly "
-          "increasing");
-  if (!items.empty()) {
-    ensure_item_count(static_cast<std::size_t>(items.back()) + 1);
+  // last_time_ starts at 0, so the first push must be at a time > 0.
+  if (!(time > last_time_) || !std::isfinite(time)) {
+    throw InvalidArgument(
+        "OnlineDpGreedyState::push: request times must be strictly "
+        "increasing, finite and > 0 (got " + format_fixed(time, 6) +
+        " after " + format_fixed(last_time_, 6) + ")");
   }
+  require(!items.empty(), "OnlineDpGreedyState::push: empty item set");
+  if (items.back() == kNoItem) {
+    throw InvalidArgument("OnlineDpGreedyState::push: item id " +
+                          std::to_string(kNoItem) + " is reserved");
+  }
+  ensure_item_count(static_cast<std::size_t>(items.back()) + 1);
 
   Decision decision;
   const Cost cost_before = result_.total_cost;
@@ -352,12 +363,15 @@ void OnlineDpGreedyState::repack(Time now, Decision& decision) {
   g_online_repacks.add();
   ++repacks_;
   decision.repacked = true;
-  const std::size_t k = partner_.size();
-  // Dissolve pairs whose windowed similarity decayed below θ/2.
-  for (ItemId a = 0; a < k; ++a) {
-    const ItemId b = partner_[a];
-    if (b == kNoItem || a > b) continue;
-    if (window_.jaccard(a, b) < options_.theta / 2.0) {
+  // Dissolve pairs whose windowed similarity decayed below θ/2.  Only live
+  // packages are visited, by their lower item in ascending order — the
+  // order of a full item scan, so cost accrues in the same order.
+  for (std::size_t word = 0; word < live_lo_.size(); ++word) {
+    for (std::uint64_t bits = live_lo_[word]; bits != 0; bits &= bits - 1) {
+      const auto bit = static_cast<unsigned>(std::countr_zero(bits));
+      const auto a = static_cast<ItemId>(word * 64 + bit);
+      const ItemId b = partner_[a];
+      if (window_.jaccard(a, b) >= options_.theta / 2.0) continue;
       // Split: both items get a copy where the package was last used.
       const ReplicaCopy seat = package_slot(a).most_recent();
       result_.total_cost += package_slot(a).finalize(model_, &result_.cache_time);
@@ -370,6 +384,7 @@ void OnlineDpGreedyState::repack(Time now, Decision& decision) {
       item_flow_[b].set_pending_cost(&result_.total_cost);
       partner_[a] = kNoItem;
       partner_[b] = kNoItem;
+      live_lo_[word] &= ~(std::uint64_t{1} << bit);
       ++result_.unpack_events;
       ++decision.unpack_events;
       --live_packages_;
@@ -380,11 +395,14 @@ void OnlineDpGreedyState::repack(Time now, Decision& decision) {
   // pair that can clear θ (J > θ ≥ 0 requires co > 0) — and the sort below
   // totally orders the unique (J, (a, b)) keys, so the candidate list is
   // bit-identical to the dense row scan this replaces, in the same order.
+  // J comes from the count the walk holds: the same Eq. (5) expression as
+  // window_.jaccard(a, b), without looking the pair up again.
   if (candidates_.empty() && candidates_.capacity() == 0) ++scratch_allocs_;
   candidates_.clear();
-  window_.for_each_co_pair([this](ItemId a, ItemId b, std::size_t) {
+  window_.for_each_co_pair([this](ItemId a, ItemId b, std::size_t co) {
     if (partner_[a] != kNoItem || partner_[b] != kNoItem) return;
-    const double j = window_.jaccard(a, b);
+    const double j = jaccard_similarity(window_.frequency(a),
+                                        window_.frequency(b), co);
     if (j > options_.theta) candidates_.emplace_back(j, std::make_pair(a, b));
   });
   std::sort(candidates_.rbegin(), candidates_.rend());
@@ -413,6 +431,7 @@ void OnlineDpGreedyState::repack(Time now, Decision& decision) {
     }
     package_lo_[b] = package_lo_[a];
     package_flow_[package_lo_[a]].set_pending_cost(&result_.total_cost);
+    live_lo_[a / 64] |= std::uint64_t{1} << (a % 64);
     ++result_.pack_events;
     ++decision.pack_events;
     ++live_packages_;

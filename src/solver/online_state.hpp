@@ -150,6 +150,9 @@ class OnlineDpGreedyState {
   /// Serves one request.  `items` must be sorted and duplicate-free (a
   /// RequestSequence row); `time` strictly greater than every previous push.
   /// Item ids beyond the current universe grow it (ensure_item_count).
+  /// Rejects, before touching any state, the rows a RequestSequence
+  /// rejects: a time that is not finite or not above the previous one (the
+  /// first must be > 0), an empty item set, and the reserved id kNoItem.
   Decision push(ServerId server, Time time, std::span<const ItemId> items);
 
   /// Serves every row of a block in trace order and returns the aggregate
@@ -216,6 +219,10 @@ class OnlineDpGreedyState {
   std::vector<BreakEvenFlowState> package_flow_;  // indexed by slot
   std::vector<ItemId> free_package_slots_;  // dissolved slots, reused so the
                                             // slot table is O(k), not O(packs)
+  // Bit a is set while a < partner_[a], one bit per item: the epoch's
+  // dissolve pass walks the set bits in ascending item order, which is the
+  // order a full item scan would visit the live packages in.
+  std::vector<std::uint64_t> live_lo_;
   std::size_t live_packages_ = 0;
 
   OnlineDpGreedyResult result_;  // running totals (also the pending sink)

@@ -6,9 +6,11 @@
 // at a time: add() pushes a request's item set into a ring buffer, bumps its
 // item frequencies and pair co-occurrence counts, and evicts the request
 // that slid out of the window with the mirror-image decrements.  Pair counts
-// live in the same sparse open-addressing PairCountMap the batch pass uses,
-// so memory is O(window · mean items/request + k + observed pairs) — bounded
-// by the item universe and the window, never by the stream length.
+// live in the same sparse open-addressing PairCountMap the batch pass uses;
+// a pair is erased when its last co-occurrence leaves the window, so memory
+// is O(window · mean items/request + k + peak live pairs) — bounded by the
+// item universe and the window, never by the stream length or by the pairs
+// seen long ago.
 //
 // jaccard() computes exactly the expression of Eq. (5) via
 // jaccard_similarity(), so a decision made from this class is bit-identical
@@ -64,13 +66,13 @@ class WindowedCorrelation {
   /// Invokes `fn(a, b, co)` for every pair with co_freq > 0 in the window,
   /// in unspecified order (a < b).  The candidate enumeration of an epoch
   /// re-pack: any pair that can clear a θ > 0 threshold co-occurs, so this
-  /// visits every possible candidate in O(observed pairs), not O(k²).
+  /// visits every possible candidate.  The map stores only pairs live in
+  /// the window, so the walk costs O(peak live pairs), not O(k²) and not
+  /// O(pairs ever seen).
   template <typename Fn>
   void for_each_co_pair(Fn&& fn) const {
     co_counts_.for_each([&fn](std::uint64_t key, std::size_t count) {
-      if (count > 0) {
-        fn(PairCountMap::unpack_a(key), PairCountMap::unpack_b(key), count);
-      }
+      fn(PairCountMap::unpack_a(key), PairCountMap::unpack_b(key), count);
     });
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <istream>
 #include <iterator>
@@ -226,16 +227,40 @@ RequestSequence read_trace_stream(std::istream& in,
   return trace_from_csv(text, min_server_count, min_item_count, {}, source);
 }
 
-CsvStreamReader::CsvStreamReader(std::istream& in, std::string source)
+CsvStreamReader::CsvStreamReader(const std::string& path)
+    : in_(path == "-" ? stdin : std::fopen(path.c_str(), "rb")),
+      owns_in_(path != "-"),
+      source_(path == "-" ? "<stdin>" : path) {
+  if (in_ == nullptr) throw IoError("cannot open trace file: " + path);
+}
+
+CsvStreamReader::CsvStreamReader(std::FILE* in, std::string source)
     : in_(in), source_(std::move(source)) {}
+
+CsvStreamReader::~CsvStreamReader() {
+  if (owns_in_) std::fclose(in_);
+  std::free(line_);
+}
+
+bool CsvStreamReader::read_line(std::string_view& line) {
+  const ssize_t length = ::getline(&line_, &line_capacity_, in_);
+  if (length < 0) {
+    if (std::ferror(in_)) throw IoError(source_ + ": read error");
+    return false;
+  }
+  g_bytes_parsed.add(static_cast<std::size_t>(length));
+  line = std::string_view(line_, static_cast<std::size_t>(length));
+  if (!line.empty() && line.back() == '\n') line.remove_suffix(1);
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  return true;
+}
 
 void CsvStreamReader::parse_header_line() {
   header_parsed_ = true;
-  if (!std::getline(in_, line_)) {
+  std::string_view header;
+  if (!read_line(header)) {
     throw IoError(source_ + ": empty input (no CSV header)");
   }
-  std::string_view header = line_;
-  if (!header.empty() && header.back() == '\r') header.remove_suffix(1);
   const csvdec::ColumnLayout layout = csvdec::parse_header(header);
   server_col_ = layout.server;
   time_col_ = layout.time;
@@ -246,9 +271,8 @@ void CsvStreamReader::parse_header_line() {
 
 bool CsvStreamReader::next(CsvStreamRow& row) {
   if (!header_parsed_) parse_header_line();
-  while (std::getline(in_, line_)) {
-    std::string_view line = line_;
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  std::string_view line;
+  while (read_line(line)) {
     if (line.empty()) continue;
     try {
       csvdec::ColumnLayout layout;
@@ -273,7 +297,6 @@ bool CsvStreamReader::next(CsvStreamRow& row) {
     }
     ++rows_;
     g_rows_parsed.add();
-    g_bytes_parsed.add(line_.size() + 1);
     return true;
   }
   return false;

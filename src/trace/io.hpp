@@ -11,6 +11,7 @@
 // double quotes (no embedded separators or escaped quotes).
 #pragma once
 
+#include <cstdio>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -74,30 +75,47 @@ struct CsvStreamRow {
 /// what `dpgreedy serve` uses to feed the StreamingEngine from a pipe.
 /// Same dialect as trace_from_csv (any column order, CRLF, blank lines,
 /// plain quotes); holds only the current line and row, so memory is O(max
-/// row length) regardless of stream length.  Sequence-level invariants
-/// (strictly increasing times, non-empty item sets) are the *consumer's*
-/// contract: the reader reports rows as written and the engine's push
-/// validates ordering.
+/// row length) regardless of stream length.  Each line comes straight out
+/// of the C stdio buffer through POSIX getline(3), one locked call per
+/// line; getline returns as soon as a row's newline has arrived, so a paced
+/// feed is still decoded row by row.  Sequence-level invariants (strictly
+/// increasing times, non-empty item sets) are the *consumer's* contract:
+/// the reader reports rows as written and the engine's push validates them.
 class CsvStreamReader {
  public:
-  /// The header row is consumed lazily on the first next() call.
-  explicit CsvStreamReader(std::istream& in,
-                           std::string source = "CSV stream");
+  /// Opens `path` for reading, or reads stdin when `path` is "-" (errors
+  /// then name "<stdin>").  Throws IoError if the file cannot be opened.
+  explicit CsvStreamReader(const std::string& path);
+
+  /// Reads an already-open stream, which the reader does not close.
+  CsvStreamReader(std::FILE* in, std::string source);
+
+  ~CsvStreamReader();
+  CsvStreamReader(const CsvStreamReader&) = delete;
+  CsvStreamReader& operator=(const CsvStreamReader&) = delete;
 
   /// Parses the next data row into `row`, reusing its buffers.  Returns
-  /// false at end of input.  Throws IoError (with `source` and the 1-based
-  /// data row number) on malformed input.
+  /// false at end of input.  The header row is consumed on the first call.
+  /// Throws IoError (with the source and the 1-based data row number) on
+  /// malformed input, and IoError naming the source on a read error.
   bool next(CsvStreamRow& row);
 
   /// Data rows successfully parsed so far.
   [[nodiscard]] std::size_t rows_read() const noexcept { return rows_; }
 
+  /// The label errors carry: the path, or "<stdin>".
+  [[nodiscard]] const std::string& source() const noexcept { return source_; }
+
  private:
+  /// The next line without its "\n" / "\r\n"; false at end of input.
+  bool read_line(std::string_view& line);
   void parse_header_line();
 
-  std::istream& in_;
+  std::FILE* in_;
+  bool owns_in_ = false;
   std::string source_;
-  std::string line_;
+  char* line_ = nullptr;  // getline(3)'s buffer, grown to the longest line
+  std::size_t line_capacity_ = 0;
   bool header_parsed_ = false;
   std::size_t server_col_ = 0;
   std::size_t time_col_ = 1;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <vector>
 
 #include "parallel/thread_pool.hpp"
 #include "solver/pairing.hpp"
@@ -49,6 +51,82 @@ TEST(PairCountMap, CountsAndGrowsPastInitialCapacity) {
   }
   EXPECT_EQ(map.size(), distinct);
   EXPECT_EQ(map.count(PairCountMap::pack(0, 2)), 0u);  // never inserted
+}
+
+// The slot hash of PairCountMap (mix_key in correlation.cpp), mirrored so
+// the deletion test can place keys at the end of the table on purpose.
+std::size_t home_slot(std::uint64_t key, std::size_t capacity) {
+  key ^= key >> 33;
+  key *= 0xff51afd7ed558ccdull;
+  key ^= key >> 33;
+  key *= 0xc4ceb9fe1a85ec53ull;
+  key ^= key >> 33;
+  return static_cast<std::size_t>(key) & (capacity - 1);
+}
+
+TEST(PairCountMap, SubtractingToZeroErasesAndKeepsWrappedRunsExact) {
+  // A default map has 16 slots and holds 8 keys before it grows.  Six keys
+  // homed in the last three slots, inserted first, make a probe run that
+  // wraps past slot 15; two keys homed in slots 0-1 then land behind it.
+  constexpr std::size_t kCapacity = 16;
+  std::vector<std::uint64_t> high, low;
+  for (ItemId a = 0; high.size() < 6 || low.size() < 2; ++a) {
+    const std::uint64_t key = PairCountMap::pack(a, a + 1000);
+    const std::size_t home = home_slot(key, kCapacity);
+    if (home >= 13 && high.size() < 6) high.push_back(key);
+    if (home <= 1 && low.size() < 2) low.push_back(key);
+  }
+  std::vector<std::uint64_t> keys = high;
+  keys.insert(keys.end(), low.begin(), low.end());
+  const auto fill = [&keys](PairCountMap& map) {
+    for (std::size_t i = 0; i < keys.size(); ++i) map.add(keys[i], i % 2 + 1);
+  };
+  {
+    // The run really wraps: the slot walk meets a high-homed key first.
+    PairCountMap map;
+    fill(map);
+    std::uint64_t first = 0;
+    bool seen = false;
+    map.for_each([&](std::uint64_t key, std::size_t) {
+      if (!seen) first = key;
+      seen = true;
+    });
+    ASSERT_GE(home_slot(first, kCapacity), 13u);
+  }
+
+  // Every order of erasing the eight keys, one unit at a time.
+  std::vector<std::size_t> order(keys.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::size_t orders = 0;
+  do {
+    PairCountMap map;
+    fill(map);
+    std::vector<std::size_t> left(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) left[i] = i % 2 + 1;
+    std::size_t live = keys.size();
+    for (const std::size_t victim : order) {
+      while (left[victim] > 0) {
+        map.sub(keys[victim]);
+        if (--left[victim] == 0) --live;
+        ASSERT_EQ(map.size(), live);
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+          ASSERT_EQ(map.count(keys[i]), left[i]);
+        }
+        std::size_t walked = 0;
+        map.for_each([&](std::uint64_t, std::size_t count) {
+          ASSERT_GT(count, 0u);
+          ++walked;
+        });
+        ASSERT_EQ(walked, live);
+      }
+    }
+    // An erased key can come back.
+    map.add(keys[order.front()], 3);
+    EXPECT_EQ(map.count(keys[order.front()]), 3u);
+    EXPECT_EQ(map.size(), 1u);
+    ++orders;
+  } while (std::next_permutation(order.begin(), order.end()));
+  EXPECT_EQ(orders, 40320u);
 }
 
 TEST(PairCountMap, MergeAddsCounts) {

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <initializer_list>
 #include <string>
 #include <thread>
 #include <vector>
@@ -89,6 +91,59 @@ TEST(StreamingEngine, PushByPushMatchesBatchBitIdentically) {
     // accruals, so their sum must not exceed it.
     EXPECT_LE(decision_sum, point.total_cost + 1e-9);
   }
+}
+
+// Wider goldens than the k = 20 grid above: a 2,000-taxi fleet and a
+// k = 300 Zipf trace with partner pulls, at the window × repack corners,
+// captured at %.17g before the epoch walk moved to live packages and live
+// window pairs only.  Packs and unpacks pin the epoch decisions themselves.
+struct WideGolden {
+  std::size_t window;
+  std::size_t repack;
+  double total_cost;
+  std::size_t packs;
+  std::size_t unpacks;
+};
+
+void expect_wide_goldens(const RequestSequence& trace,
+                         std::initializer_list<WideGolden> goldens) {
+  for (const WideGolden& golden : goldens) {
+    StreamingOptions options;
+    options.online.theta = 0.3;
+    options.online.window = golden.window;
+    options.online.repack_interval = golden.repack;
+    StreamingEngine engine(kModel, options);
+    for (const Request& r : trace.requests()) {
+      engine.push(r.server, r.time, r.items);
+    }
+    const RunReport report = engine.finish();
+    EXPECT_EQ(report.total_cost, golden.total_cost)
+        << "window=" << golden.window << " repack=" << golden.repack;
+    EXPECT_EQ(report.package_count, golden.packs);
+    EXPECT_EQ(report.unpack_events, golden.unpacks);
+  }
+}
+
+TEST(StreamingEngine, TaxiFleetMatchesGoldens) {
+  MobilityConfig config;
+  config.taxi_count = 2000;
+  config.duration = 10.0;
+  Rng rng(2024);
+  const RequestSequence trace = simulate_mobility(config, rng);
+  ASSERT_EQ(trace.size(), 19991u);
+  expect_wide_goldens(trace, {{8, 1, 42674.391226584135, 9953, 9948},
+                              {200, 50, 54230.000335237033, 8731, 8632}});
+}
+
+TEST(StreamingEngine, WideZipfMatchesGoldens) {
+  ZipfTraceConfig config;
+  config.server_count = 20;
+  config.item_count = 300;
+  config.request_count = 20000;
+  Rng rng(300);
+  const RequestSequence trace = generate_zipf_trace(config, rng);
+  expect_wide_goldens(trace, {{8, 1, 964712.91449552018, 7899, 7894},
+                              {200, 50, 2212599.5720841386, 2763, 2718}});
 }
 
 TEST(StreamingEngine, FinalSnapshotEqualsFinishBitIdentically) {
@@ -255,6 +310,53 @@ TEST(StreamingEngine, RejectsNonMonotoneTime) {
   engine.push(0, 5.0, std::vector<ItemId>{0});
   EXPECT_THROW(engine.push(0, 5.0, std::vector<ItemId>{0}), InvalidArgument);
   EXPECT_THROW(engine.push(0, 4.0, std::vector<ItemId>{0}), InvalidArgument);
+}
+
+TEST(StreamingEngine, RejectsTheRowsARequestSequenceRejects) {
+  // Each bad row is refused before it touches the state: the stream after
+  // it is served exactly as if the bad row had never been pushed.
+  struct BadRow {
+    const char* what;
+    Time time;
+    std::vector<ItemId> items;
+    bool first_only;  // only bad as the first row
+  };
+  const std::vector<BadRow> bad_rows = {
+      {"time not > 0", -5.0, {3}, true},
+      {"time 0", 0.0, {3}, true},
+      {"NaN time", std::nan(""), {3}, false},
+      {"infinite time", HUGE_VAL, {3}, false},
+      {"empty item set", 7.0, {}, false},
+      {"reserved item id", 7.0, {kNoItem}, false},
+      {"reserved item id with others", 7.0, {2, kNoItem}, false},
+  };
+  StreamingOptions options;
+  options.online = grid_options(8, 2);
+  const auto serve = [&options](const BadRow* bad, bool bad_first) {
+    StreamingEngine engine(kModel, options);
+    const auto try_bad = [&] {
+      if (bad == nullptr) return;
+      EXPECT_THROW(engine.push(1, bad->time, bad->items), InvalidArgument)
+          << bad->what;
+      EXPECT_EQ(engine.requests_seen(), bad_first ? 0u : 3u) << bad->what;
+    };
+    if (bad_first) try_bad();
+    engine.push(0, 1.0, std::vector<ItemId>{0, 1});
+    engine.push(1, 2.0, std::vector<ItemId>{1});
+    engine.push(2, 3.0, std::vector<ItemId>{0, 1});
+    if (!bad_first) try_bad();
+    engine.push(0, 8.0, std::vector<ItemId>{0, 1});
+    return engine.finish();
+  };
+  const RunReport clean = serve(nullptr, false);
+  for (const BadRow& bad : bad_rows) {
+    for (const bool bad_first : {true, false}) {
+      if (bad.first_only && !bad_first) continue;
+      const RunReport report = serve(&bad, bad_first);
+      EXPECT_EQ(report.total_cost, clean.total_cost) << bad.what;
+      EXPECT_EQ(report.total_item_accesses, clean.total_item_accesses);
+    }
+  }
 }
 
 TEST(StreamingEngine, OptionsValidateEagerlyAndNameTheField) {

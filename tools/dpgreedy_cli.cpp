@@ -818,18 +818,20 @@ int cmd_serve(int argc, const char* const* argv) {
         if (!push_one(r.server, r.time, r.items)) break;
       }
     } else {
-      // CSV file or stdin: line-at-a-time, bounded memory.
-      std::ifstream file;
-      const bool from_stdin = *flags.trace == "-";
-      if (!from_stdin) {
-        file.open(*flags.trace, std::ios::binary);
-        if (!file) throw IoError("cannot open trace file: " + *flags.trace);
-      }
-      CsvStreamReader reader(from_stdin ? std::cin : file,
-                             from_stdin ? "<stdin>" : *flags.trace);
+      // CSV file or stdin: line-at-a-time, bounded memory.  A row the
+      // engine rejects is reported like a malformed one: source and row.
+      CsvStreamReader reader(*flags.trace);
       CsvStreamRow row;
       while (reader.next(row)) {
-        if (!push_one(row.server, row.time, row.items)) break;
+        bool more = false;
+        try {
+          more = push_one(row.server, row.time, row.items);
+        } catch (const InvalidArgument& error) {
+          throw IoError(reader.source() + ": row " +
+                        std::to_string(reader.rows_read()) + ": " +
+                        error.what());
+        }
+        if (!more) break;
       }
     }
   } catch (const Error& error) {
@@ -838,6 +840,9 @@ int cmd_serve(int argc, const char* const* argv) {
   }
 
   if (!sharded) {
+    // The engine's own count: a block that failed mid-way in --pipeline
+    // still served the rows before the bad one.
+    pushed = engine.requests_seen();
     report = engine.finish();
     final_ratio = engine.cost_ratio();
     final_chunks = engine.probe_chunks();
