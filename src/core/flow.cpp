@@ -1,10 +1,32 @@
 #include "core/flow.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace dpg {
+
+namespace {
+
+/// The service point of request `index`, read from the server and time
+/// columns only (a request's item list is never needed to place it).
+ServicePoint point_of(const RequestSequence& sequence, std::size_t index) {
+  return ServicePoint{sequence.server_of(index), sequence.time_of(index),
+                      index};
+}
+
+/// Appends the requests whose holder count passes `keep` over the merged
+/// request lists of `items`.
+template <typename Keep>
+void append_merged(const RequestSequence& sequence,
+                   std::span<const ItemId> items, Keep keep, Flow& out) {
+  sequence.merge_item_lists(
+      items, [&](std::size_t index, std::span<const std::size_t> holders) {
+        if (keep(holders.size())) {
+          out.points.push_back(point_of(sequence, index));
+        }
+      });
+}
+
+}  // namespace
 
 Flow make_item_flow(const RequestSequence& sequence, ItemId item) {
   Flow flow;
@@ -16,8 +38,7 @@ void make_item_flow(const RequestSequence& sequence, ItemId item, Flow& out) {
   out.group_size = 1;
   out.points.clear();
   for (const std::size_t index : sequence.indices_for_item(item)) {
-    const Request& r = sequence[index];
-    out.points.push_back(ServicePoint{r.server, r.time, index});
+    out.points.push_back(point_of(sequence, index));
   }
 }
 
@@ -31,32 +52,21 @@ void make_package_flow(const RequestSequence& sequence, ItemId a, ItemId b,
                        Flow& out) {
   out.group_size = 2;
   out.points.clear();
-  // Requests holding both items are a subset of either item's request list;
-  // walk the shorter one (indices are already in time order).
-  const ItemId walk =
-      sequence.item_frequency(a) <= sequence.item_frequency(b) ? a : b;
-  const ItemId other = walk == a ? b : a;
-  for (const std::size_t index : sequence.indices_for_item(walk)) {
-    const Request& r = sequence[index];
-    if (r.contains(other)) {
-      out.points.push_back(ServicePoint{r.server, r.time, index});
-    }
-  }
+  // Requests holding both items: the intersection of the two request lists.
+  const ItemId pair[2] = {a, b};
+  append_merged(sequence, pair, [](std::size_t held) { return held == 2; },
+                out);
 }
 
 Flow make_group_flow(const RequestSequence& sequence,
                      const std::vector<ItemId>& group) {
   require(!group.empty(), "make_group_flow: empty group");
+  if (group.size() == 1) return make_item_flow(sequence, group.front());
   Flow flow;
   flow.group_size = group.size();
-  if (group.size() == 1) return make_item_flow(sequence, group.front());
-  for (std::size_t index = 0; index < sequence.size(); ++index) {
-    const Request& r = sequence[index];
-    const bool has_all = std::all_of(
-        group.begin(), group.end(),
-        [&r](ItemId item) { return r.contains(item); });
-    if (has_all) flow.points.push_back(ServicePoint{r.server, r.time, index});
-  }
+  const std::size_t k = group.size();
+  append_merged(sequence, group,
+                [k](std::size_t held) { return held == k; }, flow);
   return flow;
 }
 
@@ -65,13 +75,7 @@ Flow make_union_flow(const RequestSequence& sequence,
   require(!group.empty(), "make_union_flow: empty group");
   Flow flow;
   flow.group_size = group.size();
-  for (std::size_t index = 0; index < sequence.size(); ++index) {
-    const Request& r = sequence[index];
-    const bool has_any = std::any_of(
-        group.begin(), group.end(),
-        [&r](ItemId item) { return r.contains(item); });
-    if (has_any) flow.points.push_back(ServicePoint{r.server, r.time, index});
-  }
+  append_merged(sequence, group, [](std::size_t) { return true; }, flow);
   return flow;
 }
 

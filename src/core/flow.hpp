@@ -48,9 +48,9 @@ struct Flow {
 void make_item_flow(const RequestSequence& sequence, ItemId item, Flow& out);
 
 /// Service points of all requests containing *both* `a` and `b`
-/// (the package flow of Phase 2; group_size = 2).  Walks the rarer item's
-/// request index instead of the whole sequence, so the cost is
-/// O(min(|d_a|, |d_b|) · log|D|) rather than O(n · |D|).
+/// (the package flow of Phase 2; group_size = 2).  Merges the two items'
+/// request lists (RequestSequence::merge_item_lists), so the cost is
+/// O(|d_a| + |d_b|) and no request's item list is read.
 [[nodiscard]] Flow make_package_flow(const RequestSequence& sequence, ItemId a,
                                      ItemId b);
 
@@ -59,13 +59,14 @@ void make_package_flow(const RequestSequence& sequence, ItemId a, ItemId b,
                        Flow& out);
 
 /// Service points of all requests containing every item of `group`
-/// (multi-item packing extension; group_size = group.size()).
+/// (multi-item packing extension; group_size = group.size()).  One merge of
+/// the items' request lists: O(Σ|d_i| · |group|), independent of n.
 [[nodiscard]] Flow make_group_flow(const RequestSequence& sequence,
                                    const std::vector<ItemId>& group);
 
 /// Service points of all requests containing *any* item of `group`
 /// (the Package_Served baseline ships the whole package to each of them;
-/// group_size = group.size()).
+/// group_size = group.size()).  Same merge as make_group_flow.
 [[nodiscard]] Flow make_union_flow(const RequestSequence& sequence,
                                    const std::vector<ItemId>& group);
 

@@ -230,15 +230,30 @@ RequestSequence RequestSequence::adopt_columns(
     // Even the trusting path range-checks every id that is used as an index
     // downstream: an out-of-range item id would index per_item_offsets_ out
     // of bounds later, and an out-of-range server id would index per-server
-    // state (RequestIndex snapshots, queue tails) out of bounds.
+    // state (RequestIndex queue tails, recency columns) out of bounds.
     for (const ServerId server : columns.servers) {
       require(server < server_count, "adopt_columns: server id out of range");
     }
     for (const ItemId item : columns.items_pool) {
       require(item < item_count, "adopt_columns: item id out of range");
     }
-    for (const std::size_t row : columns.per_item_pool) {
-      require(row < n, "adopt_columns: inverted index row out of range");
+    // Each item's request list must be strictly ascending: the Phase-2
+    // flow builders merge these lists (merge_item_lists) and read their
+    // order as time order.  Strictly ascending, the last row of a list
+    // bounds all of its rows, so one compare per entry checks both.
+    const std::span<const std::size_t> pool = columns.per_item_pool;
+    const std::span<const std::size_t> starts = columns.per_item_offsets;
+    for (std::size_t item = 0; item < item_count; ++item) {
+      const std::size_t begin = starts[item];
+      const std::size_t end = starts[item + 1];
+      if (begin == end) continue;
+      for (std::size_t p = begin + 1; p < end; ++p) {
+        require(pool[p - 1] < pool[p],
+                "adopt_columns: an item's inverted index rows are not "
+                "strictly ascending");
+      }
+      require(pool[end - 1] < n,
+              "adopt_columns: inverted index row out of range");
     }
   }
   g_sequences_built.add();
@@ -333,21 +348,12 @@ std::size_t RequestSequence::item_frequency(ItemId item) const {
 
 std::size_t RequestSequence::pair_frequency(ItemId a, ItemId b) const {
   require(a < item_count_ && b < item_count_, "pair_frequency: item out of range");
-  const std::span<const std::size_t> ia = indices_for_item(a);
-  const std::span<const std::size_t> ib = indices_for_item(b);
+  const ItemId pair[2] = {a, b};
   std::size_t count = 0;
-  std::size_t x = 0, y = 0;
-  while (x < ia.size() && y < ib.size()) {
-    if (ia[x] == ib[y]) {
-      ++count;
-      ++x;
-      ++y;
-    } else if (ia[x] < ib[y]) {
-      ++x;
-    } else {
-      ++y;
-    }
-  }
+  merge_item_lists(pair, [&count](std::size_t,
+                                  std::span<const std::size_t> holders) {
+    if (holders.size() == 2) ++count;
+  });
   return count;
 }
 

@@ -193,8 +193,26 @@ class RequestSequence {
   /// Number of requests whose item set contains `item` (the |d_i| of Eq. 5).
   [[nodiscard]] std::size_t item_frequency(ItemId item) const;
 
-  /// Number of requests containing both items (the |(d_i, d_j)| of Eq. 5).
+  /// Number of requests containing both items (the |(d_i, d_j)| of Eq. 5):
+  /// a merge of the two items' request lists (merge_item_lists).
   [[nodiscard]] std::size_t pair_frequency(ItemId a, ItemId b) const;
+
+  /// Walks the union of the request lists of `items` (indices_for_item) in
+  /// one merge pass: visit(index, holders) runs once per distinct request
+  /// index, in ascending (time) order, where `holders` names the positions
+  /// in `items` of the items that request holds, ascending.  Membership is
+  /// read off the sorted lists alone — no request's item list is touched —
+  /// and the walk allocates nothing for up to kInlineMergeItems items.
+  ///
+  /// Phase 2 builds every flow through it: a package's co-requests are the
+  /// indices both items hold, an item's singleton events those only it
+  /// holds, a group's full requests those all k items hold, and a union
+  /// flow every index visited.
+  template <typename Visit>
+  void merge_item_lists(std::span<const ItemId> items, Visit&& visit) const;
+
+  /// Item count up to which merge_item_lists keeps its cursors on the stack.
+  static constexpr std::size_t kInlineMergeItems = 8;
 
   /// Total item-accesses Σ_i |d_i| — the ave_cost denominator of Algorithm 1.
   [[nodiscard]] std::size_t total_item_accesses() const noexcept {
@@ -253,6 +271,77 @@ class RequestSequence {
   std::span<const std::size_t> per_item_offsets_v_;
   std::shared_ptr<const void> keeper_;
 };
+
+template <typename Visit>
+void RequestSequence::merge_item_lists(std::span<const ItemId> items,
+                                       Visit&& visit) const {
+  static constexpr std::size_t kPositions[2] = {0, 1};
+  if (items.size() == 2) {
+    // The pair case (packages, singleton passes): a plain two-way merge.
+    const std::span<const std::size_t> a = indices_for_item(items[0]);
+    const std::span<const std::size_t> b = indices_for_item(items[1]);
+    const std::span<const std::size_t> both(kPositions, 2);
+    const std::span<const std::size_t> only_a(kPositions, 1);
+    const std::span<const std::size_t> only_b(kPositions + 1, 1);
+    std::size_t x = 0;
+    std::size_t y = 0;
+    while (x < a.size() && y < b.size()) {
+      if (a[x] == b[y]) {
+        visit(a[x], both);
+        ++x;
+        ++y;
+      } else if (a[x] < b[y]) {
+        visit(a[x++], only_a);
+      } else {
+        visit(b[y++], only_b);
+      }
+    }
+    for (; x < a.size(); ++x) visit(a[x], only_a);
+    for (; y < b.size(); ++y) visit(b[y], only_b);
+    return;
+  }
+
+  // k lists: each step takes the smallest head and advances every list
+  // that holds it.  Larger groups than kInlineMergeItems (rare: complete-
+  // linkage groups are small) spill their cursors to the heap.
+  const std::size_t k = items.size();
+  std::span<const std::size_t> inline_lists[kInlineMergeItems];
+  std::size_t inline_cursors[2 * kInlineMergeItems];
+  std::vector<std::span<const std::size_t>> spill_lists;
+  std::vector<std::size_t> spill_cursors;
+  std::span<const std::size_t>* lists = inline_lists;
+  std::size_t* cursors = inline_cursors;
+  if (k > kInlineMergeItems) {
+    spill_lists.resize(k);
+    spill_cursors.resize(2 * k);
+    lists = spill_lists.data();
+    cursors = spill_cursors.data();
+  }
+  std::size_t* holders = cursors + k;
+  for (std::size_t j = 0; j < k; ++j) {
+    lists[j] = indices_for_item(items[j]);
+    cursors[j] = 0;
+  }
+  for (;;) {
+    std::size_t next = static_cast<std::size_t>(-1);
+    bool any = false;
+    for (std::size_t j = 0; j < k; ++j) {
+      if (cursors[j] < lists[j].size()) {
+        next = std::min(next, lists[j][cursors[j]]);
+        any = true;
+      }
+    }
+    if (!any) return;
+    std::size_t held = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      if (cursors[j] < lists[j].size() && lists[j][cursors[j]] == next) {
+        holders[held++] = j;
+        ++cursors[j];
+      }
+    }
+    visit(next, std::span<const std::size_t>(holders, held));
+  }
+}
 
 /// Convenience builder used heavily by tests, generators and the streaming
 /// CSV parser: requests may be appended in any order and are sorted by time

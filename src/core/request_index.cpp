@@ -1,7 +1,5 @@
 #include "core/request_index.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace dpg {
@@ -21,7 +19,6 @@ void RequestIndex::rebuild(const Flow& flow, std::size_t server_count,
   const std::size_t n = flow.points.size() + 1;  // + origin node
   times_.resize(n);
   servers_.resize(n);
-  snapshots_.assign(n * m_, kNone);
   q_prev_.assign(n, kNone);
   q_next_.assign(n, kNone);
   q_tail_.assign(m_, kNone);
@@ -35,18 +32,15 @@ void RequestIndex::rebuild(const Flow& flow, std::size_t server_count,
     servers_[i] = p.server;
   }
 
-  // Pre-scan: rolling pLast[m], snapshotted per node, plus the Q_j lists.
-  p_last_.assign(m_, kNone);
+  // Pre-scan: append each node to its server's Q_j list.  The tail read
+  // BEFORE appending node i is the most recent node on that server strictly
+  // before i, i.e. p(i).
   for (std::size_t i = 0; i < n; ++i) {
-    // Snapshot BEFORE inserting node i: "most recent strictly before".
-    std::copy(p_last_.begin(), p_last_.end(),
-              snapshots_.begin() + static_cast<std::ptrdiff_t>(i * m_));
     const ServerId s = servers_[i];
     const std::int32_t tail = q_tail_[s];
     q_prev_[i] = tail;
     if (tail != kNone) q_next_[static_cast<std::size_t>(tail)] = static_cast<std::int32_t>(i);
     q_tail_[s] = static_cast<std::int32_t>(i);
-    p_last_[s] = static_cast<std::int32_t>(i);
   }
 }
 

@@ -1,12 +1,14 @@
 // The pre-scan data structures of Section V (Fig. 8).
 //
-// For one flow we build, in a single O(m·N) pre-scan pass:
+// For one flow we build, in a single O(n + m) pre-scan pass:
 //   * per-server doubly linked lists Q_j of the flow's service nodes,
 //   * a time index A[N] over all nodes,
-//   * a rolling pLast[m] array of the most recent node on each server,
-//     snapshotted into every node's m-size pointer array.
-// The service pass then identifies each candidate interval in O(1) per
-// server, giving the paper's O(mn^2) time / O(mn) space bounds.
+//   * p(i), the most recent node on node i's own server strictly before i —
+//     the one entry of the paper's per-node pLast[m] snapshot that the DP
+//     reads.  It is exactly the predecessor of i in its server's Q_j list,
+//     so the index keeps no m-wide pLast rows: O(n + m) space, not O(mn).
+// The service pass then identifies each candidate interval in O(1), so the
+// paper's O(mn^2) time / O(mn) space bounds still hold as upper bounds.
 //
 // Node 0 is always the implicit origin (server kOriginServer, time 0).
 #pragma once
@@ -55,16 +57,11 @@ class RequestIndex {
     return servers_;
   }
 
-  /// Most recent node on `server` strictly before `node` (the r_{p(i)} /
-  /// pLast snapshot of the paper); kNone if the flow never visited it.
-  [[nodiscard]] std::int32_t recent_on_server(std::size_t node,
-                                              ServerId server) const noexcept {
-    return snapshots_[node * m_ + server];
-  }
-
-  /// p(i): most recent node on node i's own server, strictly before i.
+  /// p(i): most recent node on node i's own server, strictly before i
+  /// (the r_{p(i)} of the paper); kNone if i is the server's first visit.
+  /// That is i's predecessor in its server's Q_j list.
   [[nodiscard]] std::int32_t prev_same_server(std::size_t node) const noexcept {
-    return recent_on_server(node, server_of(node));
+    return q_prev_[node];
   }
 
   /// Doubly linked list Q_j navigation: previous/next node on the same server.
@@ -79,22 +76,13 @@ class RequestIndex {
     return q_tail_[server];
   }
 
-  /// The full pLast snapshot of `node` (m entries, one per server): the most
-  /// recent node on each server strictly before `node`. These are the
-  /// potential start nodes of the intervals that cover the node (Fig. 8).
-  [[nodiscard]] std::span<const std::int32_t> snapshot(std::size_t node) const {
-    return {snapshots_.data() + node * m_, m_};
-  }
-
  private:
   std::size_t m_ = 0;
   std::vector<Time> times_;
   std::vector<ServerId> servers_;
-  std::vector<std::int32_t> snapshots_;  // node-major, m per node
   std::vector<std::int32_t> q_prev_;
   std::vector<std::int32_t> q_next_;
   std::vector<std::int32_t> q_tail_;
-  std::vector<std::int32_t> p_last_;  // rolling pre-scan scratch
 };
 
 }  // namespace dpg

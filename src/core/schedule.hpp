@@ -33,6 +33,13 @@ struct TransferEdge {
   Time time = 0.0;
 };
 
+/// How many cache segments and transfer edges a schedule holds: what a run
+/// report tallies when the schedule itself is not kept.
+struct ScheduleCounts {
+  std::size_t segments = 0;
+  std::size_t transfers = 0;
+};
+
 /// Outcome of Schedule::validate.
 struct ValidationResult {
   bool ok = true;
@@ -54,6 +61,9 @@ class Schedule {
     return transfers_;
   }
   [[nodiscard]] std::size_t group_size() const noexcept { return group_size_; }
+  [[nodiscard]] ScheduleCounts counts() const noexcept {
+    return {segments_.size(), transfers_.size()};
+  }
 
   /// Total cached time, with overlapping segments on the same server
   /// counted once (a server never needs two copies of the same flow).

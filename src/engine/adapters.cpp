@@ -1,11 +1,11 @@
 // The built-in solver adapters: each wraps one solve_* entry point behind
 // the engine's Solver interface without re-pricing anything.  total_cost is
 // copied bitwise from the wrapped result; the transfer-side breakdown is
-// reconstructed from the solver's own schedules/decision records (each
-// λ-charge counted once at its flow's rate), and cache_cost is the
-// renormalized remainder (see engine/run_report.cpp).  Each adapter owns
-// the wrapped result and moves the flows and schedules Phase 2 built into
-// RunReport::plans.
+// reconstructed from the solver's own schedule counts and decision records
+// (each λ-charge counted once at its flow's rate), and cache_cost is the
+// renormalized remainder (see engine/run_report.cpp).  The solvers keep
+// plans only under SolverConfig::keep_schedules; each adapter then moves the
+// flows and schedules Phase 2 built into RunReport::plans.
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -65,18 +65,19 @@ std::string group_label(const std::vector<ItemId>& items) {
   return out + "}";
 }
 
-/// Accounts one schedule into the report: every transfer edge is one
-/// λ-charge at the flow's rate, every segment one cache interval.
-void tally_schedule(const Schedule& schedule, const CostModel& model,
+/// Accounts one schedule into the report from its counts: every transfer
+/// edge is one λ-charge at the flow's rate, every segment one cache
+/// interval.
+void tally_schedule(ScheduleCounts counts, const CostModel& model,
                     double rate, RunReport& report) {
   report.transfer_cost +=
-      rate * model.lambda * static_cast<double>(schedule.transfers().size());
-  report.transfer_events += schedule.transfers().size();
-  report.cache_segments += schedule.segments().size();
+      rate * model.lambda * static_cast<double>(counts.transfers);
+  report.transfer_events += counts.transfers;
+  report.cache_segments += counts.segments;
 }
 
 /// Moves one solved flow and its schedule into the report's plans.  The
-/// solvers keep flows only when the config keeps schedules, so with
+/// solvers keep plans only when the config keeps schedules, so with
 /// keep_schedules off there is nothing to move and nothing is kept.
 void keep_plan(RunReport& report, const SolverConfig& config, Flow&& flow,
                Schedule&& schedule, std::string label) {
@@ -90,7 +91,7 @@ void keep_single_plans(RunReport& report, const SolverConfig& config,
                        const CostModel& model,
                        std::vector<SingleItemReport>& singles) {
   for (SingleItemReport& single : singles) {
-    tally_schedule(single.schedule, model, 1.0, report);
+    tally_schedule(single.schedule_counts, model, 1.0, report);
     keep_plan(report, config, std::move(single.flow),
               std::move(single.schedule), item_label(single.item));
   }
@@ -108,7 +109,7 @@ class DpGreedySolver final : public Solver {
     options.theta = config.theta;
     options.dp = config.dp;
     options.pool = lease.pool();
-    options.keep_flows = config.keep_schedules;
+    options.keep_plans = config.keep_schedules;
 
     RunReport report;
     report.solver = "dp_greedy";
@@ -124,7 +125,7 @@ class DpGreedySolver final : public Solver {
 
     const double pack_rate = model.flow_multiplier(2);
     for (PackageReport& pkg : result.packages) {
-      tally_schedule(pkg.package_schedule, model, pack_rate, report);
+      tally_schedule(pkg.package_counts, model, pack_rate, report);
       for (const SingletonService& service : pkg.services) {
         switch (service.choice) {
           case ServeChoice::kCacheSameServer:
@@ -198,7 +199,7 @@ class PackageServedSolver final : public Solver {
 
     const double pack_rate = model.flow_multiplier(2);
     for (PackageServedPair& pkg : result.pairs) {
-      tally_schedule(pkg.schedule, model, pack_rate, report);
+      tally_schedule(pkg.schedule_counts, model, pack_rate, report);
       keep_plan(report, config, std::move(pkg.flow), std::move(pkg.schedule),
                 "package " + group_label({pkg.pair.a, pkg.pair.b}));
     }
@@ -221,7 +222,7 @@ class GroupDpGreedySolver final : public Solver {
     options.max_group_size = config.max_group_size;
     options.dp = config.dp;
     options.pool = lease.pool();
-    options.keep_flows = config.keep_schedules;
+    options.keep_plans = config.keep_schedules;
 
     RunReport report;
     report.solver = "group_dp_greedy";
@@ -239,7 +240,7 @@ class GroupDpGreedySolver final : public Solver {
     for (GroupReport& group : result.groups) {
       const double rate =
           model.flow_multiplier(group.items.size());
-      tally_schedule(group.package_schedule, model, rate, report);
+      tally_schedule(group.package_counts, model, rate, report);
       report.transfer_cost += group.partial_transfer_cost;
       report.transfer_events += group.partial_transfer_events;
       keep_plan(report, config, std::move(group.package_flow),
@@ -267,10 +268,16 @@ struct ItemOutcome {
   Cost raw_cost = 0.0;
   Cost transfer_cost = 0.0;         // λ-side of this item's choices
   std::size_t transfer_events = 0;  // λ-charges behind that cost
+  std::size_t cache_segments = 0;   // of the schedule, kept either way
+  // The plan, kept only with keep_schedules: the schedule and the shard's
+  // item flow it serves.
   Schedule schedule;
-  Flow flow;  // the shard's item flow, kept only with keep_schedules
+  Flow flow;
 };
 
+/// `solve(flow, outcome)` fills the outcome's costs and returns the schedule;
+/// the shard records its segment count and keeps it only with
+/// keep_schedules.
 template <typename SolveFn>
 RunReport run_per_item(const std::string& name,
                        const RequestSequence& sequence,
@@ -288,8 +295,13 @@ RunReport run_per_item(const std::string& name,
       lease.pool(), item_count,
       [&](std::size_t i, SolverWorkspace& ws) {
         make_item_flow(sequence, static_cast<ItemId>(i), ws.flow);
-        outcomes[i] = solve(ws.flow, ws);
-        if (config.keep_schedules) outcomes[i].flow = ws.flow;
+        ItemOutcome& outcome = outcomes[i];
+        Schedule schedule = solve(ws.flow, outcome);
+        outcome.cache_segments = schedule.segments().size();
+        if (config.keep_schedules) {
+          outcome.schedule = std::move(schedule);
+          outcome.flow = ws.flow;
+        }
       },
       &workspace);
 
@@ -299,7 +311,7 @@ RunReport run_per_item(const std::string& name,
     report.raw_cost += outcome.raw_cost;
     report.transfer_cost += outcome.transfer_cost;
     report.transfer_events += outcome.transfer_events;
-    report.cache_segments += outcome.schedule.segments().size();
+    report.cache_segments += outcome.cache_segments;
     keep_plan(report, config, std::move(outcome.flow),
               std::move(outcome.schedule), item_label(item));
   }
@@ -308,24 +320,28 @@ RunReport run_per_item(const std::string& name,
   return report;
 }
 
+/// The outcome of a schedule-priced item solve (greedy, chain): every
+/// transfer edge is one λ-charge.  Returns the schedule for run_per_item.
+Schedule schedule_outcome(SolveResult&& solved, const CostModel& model,
+                          ItemOutcome& outcome) {
+  outcome.cost = solved.cost;
+  outcome.raw_cost = solved.raw_cost;
+  outcome.transfer_cost =
+      model.lambda * static_cast<double>(solved.schedule.transfers().size());
+  outcome.transfer_events = solved.schedule.transfers().size();
+  return std::move(solved.schedule);
+}
+
 class GreedySolver final : public Solver {
  public:
   RunReport run(const RequestSequence& sequence, const CostModel& model,
                 const SolverConfig& config) override {
     return run_per_item(
         "greedy", sequence, config, workspace_,
-        [&](const Flow& flow, SolverWorkspace&) {
-          SolveResult solved =
-              solve_greedy(flow, model, sequence.server_count());
-          ItemOutcome outcome;
-          outcome.cost = solved.cost;
-          outcome.raw_cost = solved.raw_cost;
-          outcome.transfer_cost =
-              model.lambda *
-              static_cast<double>(solved.schedule.transfers().size());
-          outcome.transfer_events = solved.schedule.transfers().size();
-          outcome.schedule = std::move(solved.schedule);
-          return outcome;
+        [&](const Flow& flow, ItemOutcome& outcome) {
+          return schedule_outcome(
+              solve_greedy(flow, model, sequence.server_count()), model,
+              outcome);
         });
   }
 
@@ -339,17 +355,8 @@ class ChainSolver final : public Solver {
                 const SolverConfig& config) override {
     return run_per_item(
         "chain", sequence, config, workspace_,
-        [&](const Flow& flow, SolverWorkspace&) {
-          SolveResult solved = solve_chain(flow, model);
-          ItemOutcome outcome;
-          outcome.cost = solved.cost;
-          outcome.raw_cost = solved.raw_cost;
-          outcome.transfer_cost =
-              model.lambda *
-              static_cast<double>(solved.schedule.transfers().size());
-          outcome.transfer_events = solved.schedule.transfers().size();
-          outcome.schedule = std::move(solved.schedule);
-          return outcome;
+        [&](const Flow& flow, ItemOutcome& outcome) {
+          return schedule_outcome(solve_chain(flow, model), model, outcome);
         });
   }
 
@@ -365,17 +372,15 @@ class OnlineBreakEvenSolver final : public Solver {
     options.hold_factor = config.hold_factor;
     return run_per_item(
         "online_break_even", sequence, config, workspace_,
-        [&](const Flow& flow, SolverWorkspace&) {
+        [&](const Flow& flow, ItemOutcome& outcome) {
           OnlineResult solved = solve_online_break_even(
               flow, model, sequence.server_count(), options);
-          ItemOutcome outcome;
           outcome.cost = solved.cost;
           outcome.raw_cost = solved.raw_cost;
           outcome.transfer_cost =
               model.lambda * static_cast<double>(solved.transfer_count);
           outcome.transfer_events = solved.transfer_count;
-          outcome.schedule = std::move(solved.schedule);
-          return outcome;
+          return std::move(solved.schedule);
         });
   }
 

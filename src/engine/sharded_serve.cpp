@@ -375,19 +375,28 @@ ShardedServeResult run_sharded_serve(
                                                 config.ring_capacity);
   }
 
-  // Error plumbing: the first engine/system exception wins and tears the
-  // topology down; decode errors travel through the source's error_seq
-  // instead (see the header's error contract).
+  // Error plumbing: the first engine rejection or system exception wins and
+  // tears the topology down; decode errors travel through the source's
+  // error_seq instead (see the header's error contract).  A rejection keeps
+  // its message only: the partitions still finish, so the merged report
+  // covers what they served.
   std::mutex error_mutex;
   std::exception_ptr first_exception;
+  std::string engine_error;
   std::atomic<bool> aborted{false};
-  const auto record_exception = [&](std::exception_ptr e) {
+  const auto record_first = [&](const auto& keep) {
     {
       const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_exception) first_exception = e;
+      if (!first_exception && engine_error.empty()) keep();
     }
     aborted.store(true, std::memory_order_release);
     transport->abort();
+  };
+  const auto record_exception = [&](std::exception_ptr e) {
+    record_first([&] { first_exception = e; });
+  };
+  const auto record_rejection = [&](std::string message) {
+    record_first([&] { engine_error = std::move(message); });
   };
 
   // Barrier snapshots: collected per seq; the last contributor merges in
@@ -399,7 +408,6 @@ ShardedServeResult run_sharded_serve(
   // Indexed per thread — each slot written by exactly one thread.
   std::vector<std::size_t> shard_rows(shards, 0);
   std::vector<std::uint64_t> shard_batches(shards, 0);
-  std::vector<std::size_t> partition_rows(partitions, 0);
 
   const auto shard_main = [&](std::size_t i) {
     try {
@@ -486,7 +494,6 @@ ShardedServeResult run_sharded_serve(
         // by the time any partition reaches a later seq the suppression is
         // visible (partitions consume in seq order).
         if (env.seq <= source.error_seq()) {
-          partition_rows[j] += env.block.size();
           engines[j]->push_batch(env.block);
           if (env.barrier) {
             StreamingSnapshot snap = engines[j]->snapshot();
@@ -512,6 +519,13 @@ ShardedServeResult run_sharded_serve(
       // Normal termination leaves the holdback empty (every claimed seq
       // ships to every partition); entries can only remain after an abort
       // tore the rings down mid-stream, and are dropped with it.
+    } catch (const InvalidArgument& rejection) {
+      // The engine rejected a row (say, a time that does not increase); it
+      // still holds every row before it.
+      const std::string what = rejection.what();
+      record_rejection(partitions == 1
+                           ? what
+                           : "partition " + std::to_string(j) + ": " + what);
     } catch (...) {
       record_exception(std::current_exception());
     }
@@ -531,9 +545,14 @@ ShardedServeResult run_sharded_serve(
   if (source.error_seq() != ShardClaimSource::kNoError) {
     result.feed_error = source.error_message();
   }
+  result.engine_error = std::move(engine_error);
 
+  // Rows served, per partition: an engine that rejected a row mid-block
+  // holds exactly the rows before it.
+  std::vector<std::size_t> partition_rows(partitions, 0);
   result.partition_reports.reserve(partitions);
   for (std::size_t j = 0; j < partitions; ++j) {
+    partition_rows[j] = engines[j]->requests_seen();
     result.partition_reports.push_back(engines[j]->finish());
     result.epoch = std::max(result.epoch, engines[j]->epoch());
     result.probe_chunks += engines[j]->probe_chunks();

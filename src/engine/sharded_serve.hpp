@@ -63,7 +63,12 @@
 // the requests before the failure, same as the 1×1 paths; the provenance
 // message lands in ShardedServeResult::feed_error rather than an
 // exception, because the partition engines (and their final reports) live
-// inside this call.
+// inside this call.  A row an engine rejects (InvalidArgument from
+// push_batch: a time that does not increase, say) stops the topology the
+// same way: every partition still finishes, the report covers the rows
+// served, and the message lands in ShardedServeResult::engine_error.  At
+// M = 1 those are exactly the rows before the rejected one, as on the 1×1
+// paths; at M > 1 each partition checks only its own rows.
 #pragma once
 
 #include <cstddef>
@@ -124,6 +129,10 @@ struct ShardedServeResult {
   /// Decode-failure provenance ("" = the stream ended cleanly).  When set,
   /// the reports cover exactly the requests before the failure.
   std::string feed_error;
+  /// The engine's message for a rejected row ("" = none), prefixed with
+  /// "partition j: " when M > 1.  When set, the reports and
+  /// stats.requests cover the rows the partitions served before it.
+  std::string engine_error;
 };
 
 /// Merged barrier snapshot + the global row count it corresponds to.
@@ -134,8 +143,9 @@ using ShardedSnapshotCallback =
 /// decode threads and config.partition_count engine threads, joins them,
 /// finishes every partition engine and returns the deterministic merge.
 /// `engine_options` configures each partition engine (probe included).
-/// Throws only on engine/system faults; decode errors surface through
-/// ShardedServeResult::feed_error (see the error contract above).
+/// Throws only on system faults; decode errors and rejected rows surface
+/// through ShardedServeResult::feed_error / engine_error (see the error
+/// contract above).
 ShardedServeResult run_sharded_serve(
     ShardClaimSource& source, const CostModel& model,
     const ServeConfig& config, const StreamingOptions& engine_options,

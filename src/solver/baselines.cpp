@@ -15,7 +15,7 @@ PackageServedPair solve_pair_package_served_ws(const RequestSequence& sequence,
                                                ItemPair pair,
                                                const OptimalOfflineOptions& dp,
                                                SolverWorkspace& ws,
-                                               bool keep_flow) {
+                                               bool keep_plan) {
   PackageServedPair out;
   out.pair = pair;
   out.total_accesses =
@@ -24,8 +24,11 @@ PackageServedPair solve_pair_package_served_ws(const RequestSequence& sequence,
   SolveResult solved =
       solve_optimal_offline(union_flow, model, sequence.server_count(), dp, &ws);
   out.cost = solved.cost;  // priced at the 2α package rate
-  out.schedule = std::move(solved.schedule);
-  if (keep_flow) out.flow = std::move(union_flow);
+  out.schedule_counts = solved.schedule.counts();
+  if (keep_plan) {
+    out.schedule = std::move(solved.schedule);
+    out.flow = std::move(union_flow);
+  }
   return out;
 }
 
@@ -47,7 +50,7 @@ OptimalBaselineResult solve_optimal_baseline(const RequestSequence& sequence,
                                              const CostModel& model,
                                              const OptimalOfflineOptions& dp,
                                              ThreadPool* pool,
-                                             bool keep_flows) {
+                                             bool keep_plans) {
   model.validate();
   OptimalBaselineResult result;
   result.total_item_accesses = sequence.total_item_accesses();
@@ -57,7 +60,7 @@ OptimalBaselineResult solve_optimal_baseline(const RequestSequence& sequence,
                         [&](std::size_t i, SolverWorkspace& ws) {
                           result.items[i] = solve_single_item(
                               sequence, model, static_cast<ItemId>(i), dp, ws,
-                              keep_flows);
+                              keep_plans);
                         });
 
   for (const SingleItemReport& report : result.items) {
@@ -77,13 +80,13 @@ PackageServedPair solve_pair_package_served(const RequestSequence& sequence,
   model.validate();
   SolverWorkspace ws;
   return solve_pair_package_served_ws(sequence, model, pair, dp, ws,
-                                      /*keep_flow=*/false);
+                                      /*keep_plan=*/true);
 }
 
 PackageServedResult solve_package_served(const RequestSequence& sequence,
                                          const CostModel& model, double theta,
                                          const OptimalOfflineOptions& dp,
-                                         ThreadPool* pool, bool keep_flows) {
+                                         ThreadPool* pool, bool keep_plans) {
   model.validate();
   require(theta >= 0.0 && theta <= 1.0,
           "solve_package_served: theta must be in [0, 1]");
@@ -107,11 +110,11 @@ PackageServedResult solve_package_served(const RequestSequence& sequence,
       [&](std::size_t i, SolverWorkspace& ws) {
         if (i < pair_count) {
           result.pairs[i] = solve_pair_package_served_ws(
-              sequence, model, result.packing.pairs[i], dp, ws, keep_flows);
+              sequence, model, result.packing.pairs[i], dp, ws, keep_plans);
         } else {
           result.singles[i - pair_count] = solve_single_item(
               sequence, model, result.packing.singles[i - pair_count], dp, ws,
-              keep_flows);
+              keep_plans);
         }
       });
 

@@ -30,20 +30,22 @@ struct OptimalBaselineResult {
   [[nodiscard]] double pair_ave_cost(ItemId a, ItemId b) const;
 };
 
-/// `keep_flows` keeps each item's flow next to its schedule
-/// (SingleItemReport::flow), as DpGreedyOptions::keep_flows does.
+/// `keep_plans` keeps each item's schedule and flow (SingleItemReport), as
+/// DpGreedyOptions::keep_plans does; off, only the schedule counts.
 [[nodiscard]] OptimalBaselineResult solve_optimal_baseline(
     const RequestSequence& sequence, const CostModel& model,
     const OptimalOfflineOptions& dp = {}, ThreadPool* pool = nullptr,
-    bool keep_flows = false);
+    bool keep_plans = true);
 
 /// Per-pair outcome of Package_Served.
 struct PackageServedPair {
   ItemPair pair;
   Cost cost = 0.0;                 // 2α-discounted DP over the union flow
   std::size_t total_accesses = 0;  // |d_a| + |d_b|
+  ScheduleCounts schedule_counts;  // of the schedule, kept either way
+  // The plan, empty unless kept: the schedule and the union flow it serves.
   Schedule schedule;
-  Flow flow;  // the union flow `schedule` serves; empty unless kept
+  Flow flow;
 
   [[nodiscard]] double ave_cost() const noexcept {
     return total_accesses == 0 ? 0.0
@@ -63,16 +65,16 @@ struct PackageServedResult {
   double phase1_seconds = 0.0;
 };
 
-/// `keep_flows` keeps each Phase-2 flow next to its schedule, as
-/// DpGreedyOptions::keep_flows does.
+/// `keep_plans` keeps each Phase-2 schedule and flow, as
+/// DpGreedyOptions::keep_plans does; off, only the schedule counts.
 [[nodiscard]] PackageServedResult solve_package_served(
     const RequestSequence& sequence, const CostModel& model, double theta,
     const OptimalOfflineOptions& dp = {}, ThreadPool* pool = nullptr,
-    bool keep_flows = false);
+    bool keep_plans = true);
 
 /// Package_Served for one explicit pair (figure harnesses sweep pairs
 /// directly): the union flow of requests touching either item, served as a
-/// package.
+/// package.  The result keeps its plan.
 [[nodiscard]] PackageServedPair solve_pair_package_served(
     const RequestSequence& sequence, const CostModel& model, ItemPair pair,
     const OptimalOfflineOptions& dp = {});

@@ -73,11 +73,12 @@ void serve_singletons_scalar(const RequestSequence& sequence,
   }
 }
 
-/// Kernelized serve_singletons: three column passes over the item's events.
-/// Pass 1 (scalar, stateful) gathers each event's recency inputs; pass 2 is
-/// the branch-light cost/choice math over flat columns; pass 3 accumulates
-/// serially in event order, so the report is bit-identical to the fused
-/// reference above.
+/// Kernelized serve_singletons: column passes over the item's events.
+/// Pass 0 marks the package events by merging the two items' request lists
+/// (the reference asks each request instead); pass 1 (scalar, stateful)
+/// gathers each event's recency inputs; pass 2 is the branch-light
+/// cost/choice math over flat columns; pass 3 accumulates serially in event
+/// order, so the report is bit-identical to the fused reference above.
 void serve_singletons_kernel(const RequestSequence& sequence,
                              const CostModel& model, ItemId item,
                              ItemId partner, PackageReport& report,
@@ -92,6 +93,19 @@ void serve_singletons_kernel(const RequestSequence& sequence,
   sc.choice.resize(e_count);
   sc.is_package.resize(e_count);
 
+  // Pass 0: which events are package requests — the events the partner's
+  // request list also holds, read off one merge of the two lists.
+  {
+    const ItemId pair[2] = {item, partner};
+    std::size_t e = 0;
+    sequence.merge_item_lists(
+        pair, [&](std::size_t, std::span<const std::size_t> holders) {
+          if (holders.front() == 0) {
+            sc.is_package[e++] = holders.size() == 2 ? 1 : 0;
+          }
+        });
+  }
+
   // Pass 1: recency gather (inherently serial — each event updates state).
   Time prev_time = 0.0;
   ws.server_times.assign(sequence.server_count(), -1.0);
@@ -104,7 +118,6 @@ void serve_singletons_kernel(const RequestSequence& sequence,
     sc.time[e] = time;
     sc.prev_time[e] = prev_time;
     sc.same_time[e] = last_on_server[server];
-    sc.is_package[e] = sequence[index].contains(partner) ? 1 : 0;
     prev_time = time;
     last_on_server[server] = time;
   }
@@ -157,7 +170,7 @@ void serve_singletons(const RequestSequence& sequence, const CostModel& model,
 PackageReport solve_pair_package_ws(const RequestSequence& sequence,
                                     const CostModel& model, ItemPair pair,
                                     const OptimalOfflineOptions& dp,
-                                    SolverWorkspace& ws, bool keep_flow) {
+                                    SolverWorkspace& ws, bool keep_plan) {
   PackageReport report;
   report.pair = pair;
   report.total_accesses =
@@ -168,8 +181,11 @@ PackageReport solve_pair_package_ws(const RequestSequence& sequence,
   SolveResult package =
       solve_optimal_offline(ws.flow, model, sequence.server_count(), dp, &ws);
   report.package_cost = package.cost;  // already 2α-discounted
-  report.package_schedule = std::move(package.schedule);
-  if (keep_flow) report.package_flow = ws.flow;
+  report.package_counts = package.schedule.counts();
+  if (keep_plan) {
+    report.package_schedule = std::move(package.schedule);
+    report.package_flow = ws.flow;
+  }
 
   serve_singletons(sequence, model, pair.a, pair.b, report, dp, ws);
   serve_singletons(sequence, model, pair.b, pair.a, report, dp, ws);
@@ -187,7 +203,7 @@ PackageReport solve_pair_package(const RequestSequence& sequence,
   SolverWorkspace local;
   return solve_pair_package_ws(sequence, model, pair, dp,
                                workspace != nullptr ? *workspace : local,
-                               /*keep_flow=*/false);
+                               /*keep_plan=*/true);
 }
 
 DpGreedyResult solve_dp_greedy(const RequestSequence& sequence,
@@ -232,11 +248,11 @@ DpGreedyResult solve_dp_greedy(const RequestSequence& sequence,
         if (i < pair_count) {
           result.packages[i] =
               solve_pair_package_ws(sequence, model, result.packing.pairs[i],
-                                    options.dp, ws, options.keep_flows);
+                                    options.dp, ws, options.keep_plans);
         } else {
           result.singles[i - pair_count] = solve_single_item(
               sequence, model, result.packing.singles[i - pair_count],
-              options.dp, ws, options.keep_flows);
+              options.dp, ws, options.keep_plans);
         }
       });
 

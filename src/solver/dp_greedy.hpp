@@ -41,10 +41,13 @@ struct DpGreedyOptions {
   /// When set, package solves fan out over this pool (packages are
   /// independent, so results are identical to the serial path).
   ThreadPool* pool = nullptr;
-  /// Keep each Phase-2 flow next to its schedule (PackageReport::
-  /// package_flow, SingleItemReport::flow), so a caller that wants replayable
-  /// plans takes them from the result instead of rebuilding them.
-  bool keep_flows = false;
+  /// Keep each Phase-2 plan: the schedule and the flow it serves
+  /// (PackageReport::package_schedule/package_flow, SingleItemReport::
+  /// schedule/flow), so a caller that wants replayable plans takes them from
+  /// the result instead of rebuilding them.  Off, the result keeps only each
+  /// schedule's counts (costs are identical either way); the registry turns
+  /// it off when SolverConfig::keep_schedules is.
+  bool keep_plans = true;
 };
 
 /// How one single-item request of a packed pair was served (Observation 2).
@@ -69,8 +72,11 @@ struct PackageReport {
   Cost singleton_cost = 0.0;  // sum of the greedy decisions
   std::size_t co_request_count = 0;
   std::size_t total_accesses = 0;  // |d_a| + |d_b|
-  Schedule package_schedule;       // validatable against the package flow
-  Flow package_flow;               // empty unless DpGreedyOptions::keep_flows
+  ScheduleCounts package_counts;   // of the package schedule, kept either way
+  // The package plan, empty unless DpGreedyOptions::keep_plans: the schedule
+  // is validatable against the flow.
+  Schedule package_schedule;
+  Flow package_flow;
   std::vector<SingletonService> services;
 
   [[nodiscard]] Cost total_cost() const noexcept {
@@ -103,9 +109,9 @@ struct DpGreedyResult {
                                              const DpGreedyOptions& options = {});
 
 /// Phase 2 for one explicitly given pair (used by the figure harnesses,
-/// which sweep pairs regardless of the threshold decision).  A `workspace`
-/// makes repeated calls allocation-free on the scratch path (results are
-/// identical either way).
+/// which sweep pairs regardless of the threshold decision); the report keeps
+/// its plan.  A `workspace` makes repeated calls allocation-free on the
+/// scratch path (results are identical either way).
 [[nodiscard]] PackageReport solve_pair_package(
     const RequestSequence& sequence, const CostModel& model, ItemPair pair,
     const OptimalOfflineOptions& dp = {}, SolverWorkspace* workspace = nullptr);

@@ -22,10 +22,15 @@ GroupReport solve_group_package_ws(const RequestSequence& sequence,
                                    const CostModel& model,
                                    const std::vector<ItemId>& group,
                                    const OptimalOfflineOptions& dp,
-                                   SolverWorkspace& ws, bool keep_flow) {
+                                   SolverWorkspace& ws, bool keep_plan) {
   const obs::TraceSpan span("group/package");
   g_group_packages.add();
   require(group.size() >= 2, "solve_group_package: group must have >= 2 items");
+  // The items in ascending id order — every request's own item order.
+  std::vector<ItemId> items(group);
+  std::sort(items.begin(), items.end());
+  require(std::adjacent_find(items.begin(), items.end()) == items.end(),
+          "solve_group_package: group items must be distinct");
   GroupReport report;
   report.items = group;
   for (const ItemId item : group) {
@@ -38,46 +43,44 @@ GroupReport solve_group_package_ws(const RequestSequence& sequence,
       solve_optimal_offline(group_flow, model, sequence.server_count(), dp,
                             &ws);
   report.package_cost = solved.cost;  // g·α-discounted
-  report.package_schedule = std::move(solved.schedule);
-  if (keep_flow) report.package_flow = std::move(group_flow);
+  report.package_counts = solved.schedule.counts();
+  if (keep_plan) {
+    report.package_schedule = std::move(solved.schedule);
+    report.package_flow = std::move(group_flow);
+  }
 
   // Greedy pass over every request touching the group but not all of it.
-  const double g = static_cast<double>(group.size());
-  const Cost package_fetch = g * model.alpha * model.lambda;
+  const std::size_t k = items.size();
+  const Cost package_fetch = static_cast<double>(k) * model.alpha * model.lambda;
 
-  // Per-item recency state: previous event time and last visit per server.
-  std::vector<Time> prev_time(group.size(), 0.0);
-  std::vector<std::vector<Time>> last_on_server(
-      group.size(), std::vector<Time>(sequence.server_count(), -1.0));
-  for (auto& per_server : last_on_server) per_server[kOriginServer] = 0.0;
+  // Per-item recency state, indexed by the item's position in `items`:
+  // previous event time and last visit per server (flat, k × m).
+  const std::size_t m = sequence.server_count();
+  std::vector<Time> prev_time(k, 0.0);
+  std::vector<Time> last_on_server(k * m, -1.0);
+  for (std::size_t j = 0; j < k; ++j) last_on_server[j * m + kOriginServer] = 0.0;
 
-  const auto slot_of = [&group](ItemId item) {
-    return static_cast<std::size_t>(
-        std::find(group.begin(), group.end(), item) - group.begin());
-  };
-
-  for (const Request& r : sequence.requests()) {
-    std::vector<std::size_t> present;  // group slots requested here
-    for (const ItemId item : r.items) {
-      if (std::find(group.begin(), group.end(), item) != group.end()) {
-        present.push_back(slot_of(item));
-      }
-    }
-    if (present.empty()) continue;
-    if (present.size() < group.size()) {
+  // One merge of the items' request lists names the group items each
+  // request holds, in ascending item order, so the per-request sums add the
+  // present items in the request's own item order.
+  sequence.merge_item_lists(items, [&](std::size_t index,
+                                       std::span<const std::size_t> present) {
+    const ServerId server = sequence.server_of(index);
+    const Time time = sequence.time_of(index);
+    if (present.size() < k) {
       g_group_partials.add();
       Cost individual_total = 0.0;
       Cost individual_transfer = 0.0;  // λ-side of the per-item choices
       std::size_t individual_transfer_events = 0;
-      for (const std::size_t slot : present) {
+      for (const std::size_t j : present) {
         // Branch-light two-way choice (solver/kernels.hpp) — the ∞ sentinel
         // goes in directly rather than via a μ·∞ product, same bits as the
         // original if/else accounting.
-        const Time last = last_on_server[slot][r.server];
+        const Time last = last_on_server[j * m + server];
         const Cost cache_option =
-            last >= 0.0 ? model.mu * (r.time - last) : kInfiniteCost;
+            last >= 0.0 ? model.mu * (time - last) : kInfiniteCost;
         const Cost transfer_option =
-            model.mu * (r.time - prev_time[slot]) + model.lambda;
+            model.mu * (time - prev_time[j]) + model.lambda;
         bool took_transfer = false;
         individual_total += kernels::min_cache_transfer(
             cache_option, transfer_option, &took_transfer);
@@ -93,11 +96,11 @@ GroupReport solve_group_package_ws(const RequestSequence& sequence,
         ++report.partial_transfer_events;
       }
     }
-    for (const std::size_t slot : present) {
-      prev_time[slot] = r.time;
-      last_on_server[slot][r.server] = r.time;
+    for (const std::size_t j : present) {
+      prev_time[j] = time;
+      last_on_server[j * m + server] = time;
     }
-  }
+  });
   return report;
 }
 
@@ -110,7 +113,7 @@ GroupReport solve_group_package(const RequestSequence& sequence,
   model.validate();
   SolverWorkspace ws;
   return solve_group_package_ws(sequence, model, group, dp, ws,
-                                /*keep_flow=*/false);
+                                /*keep_plan=*/true);
 }
 
 GroupDpGreedyResult solve_group_dp_greedy(const RequestSequence& sequence,
@@ -144,11 +147,11 @@ GroupDpGreedyResult solve_group_dp_greedy(const RequestSequence& sequence,
         if (i < group_count) {
           result.groups[i] = solve_group_package_ws(
               sequence, model, result.packing.groups[i], options.dp, ws,
-              options.keep_flows);
+              options.keep_plans);
         } else {
           result.singles[i - group_count] = solve_single_item(
               sequence, model, result.packing.singles[i - group_count],
-              options.dp, ws, options.keep_flows);
+              options.dp, ws, options.keep_plans);
         }
       });
 

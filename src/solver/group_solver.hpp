@@ -35,8 +35,10 @@ struct GroupReport {
   std::size_t partial_transfer_events = 0;  // λ-charges behind that cost
   std::size_t full_request_count = 0;
   std::size_t total_accesses = 0;  // Σ |d_i| over the group
+  ScheduleCounts package_counts;   // of the package schedule, kept either way
+  // The package plan, empty unless GroupDpGreedyOptions::keep_plans.
   Schedule package_schedule;
-  Flow package_flow;  // empty unless GroupDpGreedyOptions::keep_flows
+  Flow package_flow;
 
   [[nodiscard]] Cost total_cost() const noexcept {
     return package_cost + partial_cost;
@@ -62,16 +64,17 @@ struct GroupDpGreedyOptions {
   /// When set, the per-group/per-single Phase-2 solves shard over this pool
   /// (results are bit-identical to the serial path).
   ThreadPool* pool = nullptr;
-  /// Keep each Phase-2 flow next to its schedule (see
-  /// DpGreedyOptions::keep_flows).
-  bool keep_flows = false;
+  /// Keep each Phase-2 plan, schedule and flow (see
+  /// DpGreedyOptions::keep_plans).
+  bool keep_plans = true;
 };
 
 [[nodiscard]] GroupDpGreedyResult solve_group_dp_greedy(
     const RequestSequence& sequence, const CostModel& model,
     const GroupDpGreedyOptions& options = {});
 
-/// Phase 2 for one explicit group (harness entry point).
+/// Phase 2 for one explicit group of distinct items (harness entry point);
+/// the report keeps its plan.
 [[nodiscard]] GroupReport solve_group_package(
     const RequestSequence& sequence, const CostModel& model,
     const std::vector<ItemId>& group, const OptimalOfflineOptions& dp = {});

@@ -232,7 +232,7 @@ SingleItemReport solve_single_item(const RequestSequence& sequence,
                                    const CostModel& model, ItemId item,
                                    const OptimalOfflineOptions& options,
                                    SolverWorkspace& workspace,
-                                   bool keep_flow) {
+                                   bool keep_plan) {
   SingleItemReport report;
   report.item = item;
   report.accesses = sequence.item_frequency(item);
@@ -240,8 +240,11 @@ SingleItemReport solve_single_item(const RequestSequence& sequence,
   SolveResult solved = solve_optimal_offline(
       workspace.flow, model, sequence.server_count(), options, &workspace);
   report.cost = solved.cost;
-  report.schedule = std::move(solved.schedule);
-  if (keep_flow) report.flow = workspace.flow;
+  report.schedule_counts = solved.schedule.counts();
+  if (keep_plan) {
+    report.schedule = std::move(solved.schedule);
+    report.flow = workspace.flow;
+  }
   return report;
 }
 

@@ -74,17 +74,20 @@ struct SingleItemReport {
   ItemId item = 0;
   Cost cost = 0.0;
   std::size_t accesses = 0;
+  /// The schedule's segment and transfer counts, kept either way.
+  ScheduleCounts schedule_counts;
+  /// The plan: the schedule and the item flow it serves.  Both are empty
+  /// unless the solve kept plans.
   Schedule schedule;
-  /// The item flow `schedule` serves; empty unless the solve kept it.
   Flow flow;
 };
 
-/// Builds `item`'s flow in the workspace and solves it.  With `keep_flow`
-/// the report takes a copy of that flow, so a caller that wants the plan
-/// never has to rebuild it.
+/// Builds `item`'s flow in the workspace and solves it.  With `keep_plan`
+/// the report takes the schedule and a copy of the flow, so a caller that
+/// wants the plan never has to rebuild it; without, only the counts.
 [[nodiscard]] SingleItemReport solve_single_item(
     const RequestSequence& sequence, const CostModel& model, ItemId item,
     const OptimalOfflineOptions& options, SolverWorkspace& workspace,
-    bool keep_flow);
+    bool keep_plan);
 
 }  // namespace dpg

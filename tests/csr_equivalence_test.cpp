@@ -6,6 +6,7 @@
 // the streaming builder, the streaming CSV parser or the legacy one.
 #include <gtest/gtest.h>
 
+#include "report_equality.hpp"
 #include "test_support.hpp"
 
 #include <cstring>
@@ -121,6 +122,7 @@ TEST(CsrEquivalence, AllSolversBitIdenticalAcrossParsePaths) {
   ASSERT_TRUE(same_sequence(direct, legacy));
 
   const CostModel model = testing::running_example_model();
+  const PackedLowerBound bound = packed_lower_bound(direct, model);
   const SolverRegistry& registry = builtin_registry();
   ASSERT_EQ(registry.names().size(), 8u);
   for (const std::string& name : registry.names()) {
@@ -129,6 +131,9 @@ TEST(CsrEquivalence, AllSolversBitIdenticalAcrossParsePaths) {
     const RunReport c = registry.run(name, legacy, model);
     expect_bit_identical(a, b);
     expect_bit_identical(a, c);
+    for (const RunReport* report : {&a, &b, &c}) {
+      testing::expect_lemma1_certificate(*report, bound, model, name);
+    }
   }
 }
 
@@ -143,6 +148,9 @@ TEST(CsrEquivalence, RunningExampleGoldensHoldThroughCsvPath) {
                              config);
   EXPECT_NEAR(report.total_cost, 14.96, 1e-9);
   EXPECT_NEAR(report.ave_cost, 1.496, 1e-9);
+  testing::expect_lemma1_certificate(
+      report, packed_lower_bound(parsed, testing::running_example_model()),
+      testing::running_example_model(), "running example");
 }
 
 }  // namespace

@@ -27,6 +27,15 @@ void expect_same_schedule(const Schedule& a, const Schedule& b) {
   }
 }
 
+/// A flow with service points is never served by an empty schedule, so an
+/// empty one would mean the solve dropped its plan and the comparison below
+/// compared nothing.
+void expect_kept(const Schedule& schedule, std::size_t service_points) {
+  if (service_points == 0) return;
+  ASSERT_FALSE(schedule.segments().empty() && schedule.transfers().empty())
+      << "a flow of " << service_points << " points has an empty schedule";
+}
+
 void expect_same_result(const DpGreedyResult& serial,
                         const DpGreedyResult& pooled) {
   // Bit-identical totals: the same doubles summed in the same order.
@@ -54,6 +63,8 @@ void expect_same_result(const DpGreedyResult& serial,
       ASSERT_EQ(s.services[j].choice, p.services[j].choice);
       ASSERT_EQ(s.services[j].cost, p.services[j].cost);
     }
+    expect_kept(s.package_schedule, s.co_request_count);
+    expect_kept(p.package_schedule, p.co_request_count);
     expect_same_schedule(s.package_schedule, p.package_schedule);
   }
 
@@ -61,6 +72,8 @@ void expect_same_result(const DpGreedyResult& serial,
   for (std::size_t i = 0; i < serial.singles.size(); ++i) {
     ASSERT_EQ(serial.singles[i].item, pooled.singles[i].item);
     ASSERT_EQ(serial.singles[i].cost, pooled.singles[i].cost);
+    expect_kept(serial.singles[i].schedule, serial.singles[i].accesses);
+    expect_kept(pooled.singles[i].schedule, pooled.singles[i].accesses);
     expect_same_schedule(serial.singles[i].schedule,
                          pooled.singles[i].schedule);
   }
@@ -82,6 +95,26 @@ TEST(Determinism, PooledDpGreedyMatchesSerialBitForBit) {
     const DpGreedyResult serial = solve_dp_greedy(seq, model, serial_options);
     const DpGreedyResult pooled = solve_dp_greedy(seq, model, pooled_options);
     expect_same_result(serial, pooled);
+  }
+}
+
+TEST(Determinism, PooledPackagesMatchSerialBitForBit) {
+  // θ = 0 packs every co-accessed pair, so the package schedules and the
+  // singleton decisions are compared too (θ = 0.2 above forms no package
+  // on these traces).
+  ThreadPool pool(4);
+  const CostModel model{1.0, 1.5, 0.8};
+  for (const std::uint64_t seed : {11ull, 22ull}) {
+    Rng rng(seed);
+    const RequestSequence seq =
+        testing::random_sequence(rng, 600, 8, 20, 0.5);
+    DpGreedyOptions serial_options;
+    serial_options.theta = 0.0;
+    DpGreedyOptions pooled_options = serial_options;
+    pooled_options.pool = &pool;
+    const DpGreedyResult serial = solve_dp_greedy(seq, model, serial_options);
+    ASSERT_FALSE(serial.packages.empty());
+    expect_same_result(serial, solve_dp_greedy(seq, model, pooled_options));
   }
 }
 

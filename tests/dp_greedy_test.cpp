@@ -47,22 +47,70 @@ TEST(DpGreedy, ParallelAndSerialResultsAreIdentical) {
 
 TEST(DpGreedy, PackageSchedulesAreFeasible) {
   Rng rng(12);
+  std::size_t schedules_checked = 0;
   for (int trial = 0; trial < 10; ++trial) {
     const RequestSequence seq = testing::random_sequence(rng, 80, 4, 6, 0.6);
     const CostModel model{1.0, 1.5, 0.8};
     DpGreedyOptions options;
     options.theta = 0.05;
     const DpGreedyResult result = solve_dp_greedy(seq, model, options);
+    // A direct solve keeps its plans: each schedule serves a flow, so a
+    // non-empty flow with an empty schedule would make the check vacuous.
+    const auto expect_feasible = [&](const Schedule& schedule,
+                                     const Flow& flow, ScheduleCounts counts) {
+      const ValidationResult v = schedule.validate(flow);
+      ASSERT_TRUE(v.ok) << v.message;
+      EXPECT_EQ(schedule.segments().size(), counts.segments);
+      EXPECT_EQ(schedule.transfers().size(), counts.transfers);
+      if (flow.empty()) return;
+      ASSERT_FALSE(schedule.segments().empty() &&
+                   schedule.transfers().empty());
+      ++schedules_checked;
+    };
     for (const PackageReport& report : result.packages) {
       const Flow flow = make_package_flow(seq, report.pair.a, report.pair.b);
-      const ValidationResult v = report.package_schedule.validate(flow);
-      ASSERT_TRUE(v.ok) << v.message;
+      ASSERT_EQ(report.package_flow.size(), flow.size());
+      expect_feasible(report.package_schedule, flow, report.package_counts);
     }
     for (const SingleItemReport& report : result.singles) {
       const Flow flow = make_item_flow(seq, report.item);
-      const ValidationResult v = report.schedule.validate(flow);
-      ASSERT_TRUE(v.ok) << v.message;
+      ASSERT_EQ(report.flow.size(), flow.size());
+      expect_feasible(report.schedule, flow, report.schedule_counts);
     }
+  }
+  EXPECT_GT(schedules_checked, 0u);
+}
+
+TEST(DpGreedy, DroppedPlansKeepTheirCounts) {
+  Rng rng(13);
+  const RequestSequence seq = testing::random_sequence(rng, 120, 5, 6, 0.6);
+  const CostModel model{1.0, 1.5, 0.8};
+  DpGreedyOptions kept;
+  kept.theta = 0.05;
+  DpGreedyOptions dropped = kept;
+  dropped.keep_plans = false;
+  const DpGreedyResult a = solve_dp_greedy(seq, model, kept);
+  const DpGreedyResult b = solve_dp_greedy(seq, model, dropped);
+  EXPECT_EQ(a.total_cost, b.total_cost);
+  ASSERT_EQ(a.packages.size(), b.packages.size());
+  ASSERT_FALSE(a.packages.empty());
+  for (std::size_t i = 0; i < a.packages.size(); ++i) {
+    const PackageReport& with = a.packages[i];
+    const PackageReport& without = b.packages[i];
+    EXPECT_TRUE(without.package_schedule.segments().empty());
+    EXPECT_TRUE(without.package_schedule.transfers().empty());
+    EXPECT_TRUE(without.package_flow.empty());
+    EXPECT_EQ(with.package_counts.segments, without.package_counts.segments);
+    EXPECT_EQ(with.package_counts.transfers,
+              without.package_counts.transfers);
+    EXPECT_EQ(with.services.size(), without.services.size());
+  }
+  for (std::size_t i = 0; i < a.singles.size(); ++i) {
+    EXPECT_TRUE(b.singles[i].flow.empty());
+    EXPECT_EQ(a.singles[i].schedule_counts.segments,
+              b.singles[i].schedule_counts.segments);
+    EXPECT_EQ(a.singles[i].schedule_counts.transfers,
+              b.singles[i].schedule_counts.transfers);
   }
 }
 

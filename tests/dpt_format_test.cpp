@@ -471,6 +471,38 @@ TEST_F(DptCorruption, ResealedServerIdOutOfRangeIsRejected) {
   expect_rejected(bytes);
 }
 
+TEST_F(DptCorruption, ResealedUnsortedItemRowListIsRejected) {
+  // Phase 2 merges the items' stored row lists and reads their order as
+  // time order, so the trusting map open must check that each list is
+  // strictly ascending.  Swap the first two rows of item 0's list (rows 0
+  // and 1 of the running example) and recompute the checksum.
+  std::string bytes = bytes_;
+  const DescriptorView pool = find_descriptor(bytes, /*id=*/6);
+  ASSERT_GE(pool.element_count, 2u);
+  std::uint64_t rows[2];
+  std::memcpy(rows, bytes.data() + pool.byte_offset, sizeof rows);
+  ASSERT_LT(rows[0], rows[1]);
+  std::swap(rows[0], rows[1]);
+  std::memcpy(bytes.data() + pool.byte_offset, rows, sizeof rows);
+  reseal_column(bytes, pool);
+  write_bytes(path_, bytes);
+
+  DptReadOptions mapped;
+  mapped.mode = DptOpenMode::kMap;
+  try {
+    (void)read_trace_dpt(path_, mapped);
+    FAIL() << "expected FormatError";
+  } catch (const FormatError& error) {
+    EXPECT_NE(std::string(error.what()).find(path_), std::string::npos)
+        << error.what();
+  }
+  // The read open rebuilds the index from the rows and never trusts it.
+  DptReadOptions copied;
+  copied.mode = DptOpenMode::kRead;
+  EXPECT_TRUE(same_sequence(read_trace_dpt(path_, copied),
+                            testing::running_example_sequence()));
+}
+
 TEST_F(DptCorruption, ChecksumVerificationCanBeDisabledForValidStructure) {
   // With verify_checksums off a payload flip in the times column goes
   // through (the structural checks still hold); this documents that the

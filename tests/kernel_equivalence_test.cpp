@@ -42,6 +42,7 @@ RequestSequence big_trace_200k() {
   return generate_zipf_trace(config, rng);
 }
 
+using testing::expect_lemma1_certificate;
 using testing::expect_reports_identical;
 
 /// Runs every registry solver on `trace` with kernels on and off, at each
@@ -49,6 +50,7 @@ using testing::expect_reports_identical;
 void expect_kernels_transparent(const RequestSequence& trace,
                                 const std::string& trace_name) {
   const CostModel model = testing::running_example_model();
+  const PackedLowerBound bound = packed_lower_bound(trace, model);
   for (const std::string& name : builtin_registry().names()) {
     for (const std::size_t threads : kThreadCounts) {
       SolverConfig config;
@@ -57,10 +59,11 @@ void expect_kernels_transparent(const RequestSequence& trace,
           name, trace, model, SolverConfig(config).kernels(false));
       const RunReport kernel = builtin_registry().run(
           name, trace, model, SolverConfig(config).kernels(true));
-      expect_reports_identical(
-          scalar, kernel,
-          trace_name + ", solver " + name + ", threads " +
-              std::to_string(threads));
+      const std::string context = trace_name + ", solver " + name +
+                                  ", threads " + std::to_string(threads);
+      expect_reports_identical(scalar, kernel, context);
+      expect_lemma1_certificate(scalar, bound, model, context);
+      expect_lemma1_certificate(kernel, bound, model, context);
     }
   }
 }
@@ -101,12 +104,14 @@ TEST(FormatEquivalence, DptAndCsvProduceIdenticalReports) {
   ASSERT_TRUE(via_dpt.borrows_storage());
 
   const CostModel model = testing::running_example_model();
+  const PackedLowerBound bound = packed_lower_bound(original, model);
   for (const std::string& name : builtin_registry().names()) {
     const SolverConfig config;
-    expect_reports_identical(
-        builtin_registry().run(name, via_csv, model, config),
-        builtin_registry().run(name, via_dpt, model, config),
-        "csv-vs-dpt, solver " + name);
+    const RunReport csv = builtin_registry().run(name, via_csv, model, config);
+    const RunReport dpt = builtin_registry().run(name, via_dpt, model, config);
+    expect_reports_identical(csv, dpt, "csv-vs-dpt, solver " + name);
+    expect_lemma1_certificate(csv, bound, model, "csv, solver " + name);
+    expect_lemma1_certificate(dpt, bound, model, "dpt, solver " + name);
   }
   std::remove(csv_path.c_str());
   std::remove(dpt_path.c_str());

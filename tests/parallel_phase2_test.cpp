@@ -43,6 +43,7 @@ RequestSequence big_trace_200k() {
   return generate_zipf_trace(config, rng);
 }
 
+using testing::expect_lemma1_certificate;
 using testing::expect_reports_identical;
 
 /// The core property: for every registry solver, threads ∈ {1, 4, 7} all
@@ -50,14 +51,17 @@ using testing::expect_reports_identical;
 void expect_thread_invariant(const RequestSequence& seq,
                              const CostModel& model, SolverConfig config) {
   const SolverRegistry& registry = builtin_registry();
+  const PackedLowerBound bound = packed_lower_bound(seq, model);
   for (const std::string& name : registry.names()) {
     config.threads(0);
     const RunReport serial = registry.run(name, seq, model, config);
+    expect_lemma1_certificate(serial, bound, model, name + " serial");
     for (const std::size_t threads : kThreadCounts) {
       config.threads(threads);
       const RunReport pooled = registry.run(name, seq, model, config);
-      expect_reports_identical(
-          serial, pooled, name + " @ threads=" + std::to_string(threads));
+      const std::string context = name + " @ threads=" + std::to_string(threads);
+      expect_reports_identical(serial, pooled, context);
+      expect_lemma1_certificate(pooled, bound, model, context);
     }
   }
 }
@@ -82,16 +86,56 @@ TEST(ParallelPhase2, BigTraceBitIdenticalAcrossThreadCounts) {
   // interesting part at this scale (schedule geometry is covered above).
   SolverConfig config;
   config.keep_schedules = false;
+  const PackedLowerBound bound = packed_lower_bound(seq, model);
   for (const std::string& name : {std::string("dp_greedy"),
                                   std::string("optimal_baseline"),
                                   std::string("greedy")}) {
     config.threads(0);
     const RunReport serial = registry.run(name, seq, model, config);
+    expect_lemma1_certificate(serial, bound, model, name + " serial");
     for (const std::size_t threads : kThreadCounts) {
       config.threads(threads);
       expect_reports_identical(
           serial, registry.run(name, seq, model, config),
           name + " @ threads=" + std::to_string(threads));
+    }
+  }
+}
+
+/// SolverConfig::keep_schedules decides only whether the plans are kept:
+/// with it off, every report field but the plans and the timings has the
+/// same bits as with it on, and no plan is kept.
+TEST(ParallelPhase2, ReportsDoNotDependOnKeptPlans) {
+  const CostModel model{1.0, 2.0, 0.8};
+  PairedTraceConfig paired;
+  paired.server_count = 12;
+  paired.requests_per_pair = 150;
+  Rng rng(21);
+  const std::vector<RequestSequence> traces = {
+      zipf_trace_2k(), generate_paired_trace(paired, rng),
+      testing::running_example_sequence()};
+  for (std::size_t t = 0; t < traces.size(); ++t) {
+    for (const std::string& name : builtin_registry().names()) {
+      for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+        SolverConfig kept;
+        kept.theta = 0.3;
+        kept.threads(threads);
+        SolverConfig dropped = kept;
+        dropped.keep_schedules = false;
+        RunReport with = builtin_registry().run(name, traces[t], model, kept);
+        const RunReport without =
+            builtin_registry().run(name, traces[t], model, dropped);
+        const std::string context = "trace " + std::to_string(t) + ", " +
+                                    name + " @ threads=" +
+                                    std::to_string(threads);
+        EXPECT_TRUE(without.plans.empty()) << context;
+        if (name != "online_dp_greedy") {
+          EXPECT_FALSE(with.plans.empty()) << context;
+        }
+        EXPECT_EQ(with.solver, without.solver) << context;
+        with.plans.clear();
+        expect_reports_identical(with, without, context);
+      }
     }
   }
 }
@@ -123,9 +167,12 @@ TEST(ParallelPhase2, SharedPoolUnderConcurrentRunsStaysBitIdentical) {
   }
   for (std::thread& runner : runners) runner.join();
 
+  const PackedLowerBound bound = packed_lower_bound(seq, model);
   for (std::size_t i = 0; i < names.size(); ++i) {
     expect_reports_identical(serial[i], concurrent[i],
                              names[i] + " on shared pool");
+    expect_lemma1_certificate(concurrent[i], bound, model,
+                              names[i] + " on shared pool");
   }
 }
 
@@ -149,9 +196,11 @@ TEST(ParallelPhase2, OwnedPoolsUnderConcurrentRunsStayBitIdentical) {
   }
   for (std::thread& runner : runners) runner.join();
 
+  const PackedLowerBound bound = packed_lower_bound(seq, model);
   for (std::size_t i = 0; i < kRunners; ++i) {
-    expect_reports_identical(serial, concurrent[i],
-                             "owned pool runner " + std::to_string(i));
+    const std::string context = "owned pool runner " + std::to_string(i);
+    expect_reports_identical(serial, concurrent[i], context);
+    expect_lemma1_certificate(concurrent[i], bound, model, context);
   }
 }
 

@@ -1,16 +1,32 @@
 // Bitwise RunReport equality for the equivalence suites (thread counts,
 // kernels on/off, CSV vs .dpt): every cost EXPECT_EQ with no tolerance,
 // every decision count, and every plan's label, flow points and schedule
-// geometry.
+// geometry.  Also the Lemma-1 certificate every dp_greedy report of those
+// suites must carry.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "core/cost_model.hpp"
 #include "engine/run_report.hpp"
+#include "solver/lower_bound.hpp"
 
 namespace dpg::testing {
+
+/// Lemma 1 bounds the packed optimum from below, C* ≥ α·ΣC_iopt, so a
+/// dp_greedy cost with cost / (α·ΣC_iopt) ≤ 2/α is certified within
+/// Theorem 1's factor.  Reports of other solvers pass unchecked.
+inline void expect_lemma1_certificate(const RunReport& report,
+                                      const PackedLowerBound& bound,
+                                      const CostModel& model,
+                                      const std::string& context) {
+  if (report.solver != "dp_greedy") return;
+  EXPECT_LE(bound.certify_ratio(report.total_cost),
+            model.approximation_bound() + 1e-9)
+      << context;
+}
 
 /// Every service point of two flows: server, time and originating request.
 inline void expect_flows_identical(const Flow& expected, const Flow& actual,

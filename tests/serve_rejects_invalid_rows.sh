@@ -2,7 +2,8 @@
 # `dpgreedy serve` rejects the rows `dpgreedy solve` rejects.  Each bad row
 # must make serve exit 1, name `<stdin>: row N` on stderr, and still print
 # the final line of the valid prefix before it (compared with serve over
-# that prefix alone).  --pipeline must count the rows its engine served
+# that prefix alone) — per push, with --pipeline, and sharded over one
+# engine partition, whose reports must count the rows the engine served
 # before the bad one.  solve must exit 1 on an infinite time.
 #
 #   sh tests/serve_rejects_invalid_rows.sh build/tools/dpgreedy
@@ -30,13 +31,15 @@ check() {
     return
   fi
   expected=$(grep '^final ' "$dir/prefix.out")
-  for mode in "" "--pipeline --batch 2"; do
+  for mode in "" "--pipeline" "--pipeline --batch 2" "--shards 2" \
+      "--shards 2 --batch 2"; do
     # shellcheck disable=SC2086  # $mode is a flag list
     "$dpgreedy" serve --trace - $mode < "$dir/in.csv" > "$dir/out" 2> "$dir/err"
     status=$?
     [ "$status" -eq 1 ] || fail "$label ($mode): exit $status, want 1"
-    if [ -z "$mode" ] && ! grep -q "<stdin>: row $row: " "$dir/err"; then
-      fail "$label: stderr does not name <stdin>: row $row: $(cat "$dir/err")"
+    if ! grep -q "<stdin>: row $row: " "$dir/err"; then
+      fail "$label ($mode): stderr does not name <stdin>: row $row:" \
+        "$(cat "$dir/err")"
     fi
     actual=$(grep '^final ' "$dir/out")
     [ "$actual" = "$expected" ] ||
@@ -50,6 +53,8 @@ check "infinite first time" 1 '1,inf,3'
 check "empty item list" 2 '1,1,3' '2,2,'
 check "reserved item id" 1 '1,1,4294967295'
 check "out-of-order time" 3 '1,1,3' '1,2,3' '1,1.5,3'
+check "out-of-order time before a good row" 3 '0,1.0,1' '1,2.0,2' \
+  '2,1.5,3' '3,3.0,1'
 
 printf 'server,time,items\n1,inf,3\n' > "$dir/inf.csv"
 "$dpgreedy" solve --trace "$dir/inf.csv" > /dev/null 2>&1

@@ -606,6 +606,62 @@ TEST(ShardedServe, MalformedCsvRowServesTheValidPrefixAndReportsProvenance) {
   }
 }
 
+TEST(ShardedServe, RejectedRowStillFinishesEveryPartition) {
+  // 600 good rows, one whose time goes backwards, then more good rows.  At
+  // one partition the engine serves exactly the rows before the rejected
+  // one, whatever the shard count or block size, and the result carries the
+  // engine's message plus the merged report of that prefix.
+  std::string csv = "server,time,items\n";
+  for (int i = 0; i < 600; ++i) {
+    csv += std::to_string(i % 5) + "," + std::to_string(i + 1) + ".0," +
+           std::to_string(i % 7) + ";" + std::to_string(7 + i % 3) + "\n";
+  }
+  const std::size_t prefix_bytes = csv.size();
+  csv += "2,1.5,3\n";
+  for (int i = 0; i < 100; ++i) {
+    csv += "0," + std::to_string(1000 + i) + ".0,1\n";
+  }
+
+  StreamingOptions options;
+  options.online = grid_options(50, 10);
+  std::istringstream prefix_in(std::string(csv, 0, prefix_bytes));
+  CsvClaimSource prefix_source(prefix_in, "ooo.csv", 64);
+  const RunReport prefix_report =
+      run_sharded_serve(prefix_source, kModel, ServeConfig{}.batch(64),
+                        options)
+          .report;
+
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    for (const std::size_t batch : {2u, 64u, 1024u}) {
+      ServeConfig config;
+      config.batch(batch).shards(shards);
+      std::istringstream in(csv);
+      CsvClaimSource source(in, "ooo.csv", config.batch_rows);
+      const ShardedServeResult result =
+          run_sharded_serve(source, kModel, config, options);
+      const std::string label =
+          "N=" + std::to_string(shards) + " batch=" + std::to_string(batch);
+      EXPECT_TRUE(result.feed_error.empty()) << label;
+      EXPECT_NE(result.engine_error.find("strictly increasing"),
+                std::string::npos)
+          << label << ": " << result.engine_error;
+      EXPECT_EQ(result.stats.requests, 600u) << label;
+      expect_reports_equal(result.report, prefix_report, label);
+    }
+  }
+
+  // Across partitions the message names the partition that rejected it.
+  ServeConfig config;
+  config.batch(64).partitions(2);
+  std::istringstream in("server,time,items\n0,2.0,1\n0,1.0,1\n");
+  CsvClaimSource source(in, "ooo.csv", config.batch_rows);
+  const ShardedServeResult result =
+      run_sharded_serve(source, kModel, config, options);
+  EXPECT_EQ(result.engine_error.rfind("partition ", 0), 0u)
+      << result.engine_error;
+  EXPECT_EQ(result.stats.requests, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // push_batch empty-block contract (the no-op the sharded topology relies on)
 

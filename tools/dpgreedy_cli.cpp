@@ -161,8 +161,11 @@ CostModel model_of(const RunFlags& flags) {
   return model;
 }
 
+/// The solve knobs of the run flags.  Plans are not kept: only `solve`
+/// prints or exports them, and it turns them back on when it does.
 SolverConfig config_of(const RunFlags& flags) {
   SolverConfig config;
+  config.keep_schedules = false;
   config.theta = *flags.theta;
   config.max_group_size = *flags.group_size;
   config.window = *flags.window;
@@ -414,14 +417,18 @@ int cmd_solve(int argc, const char* const* argv) {
   const ReportFormat report_format = parse_report_format(*format);
   begin_telemetry(flags);
 
+  // csv and json print the report alone; the plan table, the prose total
+  // and the metrics table are the human-readable extras of table format.
+  // So plans are kept only for the plan table or --export-dir.
+  const bool table = report_format == ReportFormat::kTable;
+  SolverConfig config = config_of(flags);
+  config.keep_schedules = table || !export_dir->empty();
+
   const RequestSequence trace = load_trace(flags);
   const CostModel model = model_of(flags);
   const RunReport report =
-      builtin_registry().run(*solver, trace, model, config_of(flags));
+      builtin_registry().run(*solver, trace, model, config);
 
-  // csv and json print the report alone; the plan table, the prose total
-  // and the metrics table are the human-readable extras of table format.
-  const bool table = report_format == ReportFormat::kTable;
   if (table && !report.plans.empty()) {
     TextTable plans({"plan", "cost", "segments", "transfers"});
     for (const FlowPlan& plan : report.plans) {
@@ -732,6 +739,13 @@ int cmd_serve(int argc, const char* const* argv) {
   RunReport report;
   double final_ratio = 0.0;
   std::size_t final_chunks = 0;
+  // Rows the engine rejects are named like malformed ones: source and row.
+  const bool from_stdin = *flags.trace == "-";
+  const std::string source_label = from_stdin ? "<stdin>" : *flags.trace;
+  const auto rejected_row = [&source_label](std::size_t served,
+                                            const std::string& what) {
+    return source_label + ": row " + std::to_string(served + 1) + ": " + what;
+  };
   try {
     if (sharded) {
       // N decode shards × M engine partitions.  Merged barrier snapshots
@@ -752,19 +766,27 @@ int cmd_serve(int argc, const char* const* argv) {
         result = run_sharded_serve(source, model, config, options, on_merged);
       } else {
         std::ifstream file;
-        const bool from_stdin = *flags.trace == "-";
         if (!from_stdin) {
           file.open(*flags.trace, std::ios::binary);
           if (!file) throw IoError("cannot open trace file: " + *flags.trace);
         }
-        CsvClaimSource source(from_stdin ? std::cin : file,
-                              from_stdin ? "<stdin>" : *flags.trace,
+        CsvClaimSource source(from_stdin ? std::cin : file, source_label,
                               config.batch_rows, config.max_request_rows);
         result = run_sharded_serve(source, model, config, options, on_merged);
       }
       if (!result.feed_error.empty()) {
         std::fprintf(stderr, "dpgreedy serve: %s\n",
                      result.feed_error.c_str());
+        feed_failed = true;
+      }
+      if (!result.engine_error.empty()) {
+        // One partition served every row before the rejected one, so the
+        // row is named; across partitions the message names the partition.
+        const std::string message =
+            config.partition_count == 1
+                ? rejected_row(result.stats.requests, result.engine_error)
+                : result.engine_error;
+        std::fprintf(stderr, "dpgreedy serve: %s\n", message.c_str());
         feed_failed = true;
       }
       pushed = result.stats.requests;
@@ -793,23 +815,26 @@ int cmd_serve(int argc, const char* const* argv) {
               while (next_stats <= total) next_stats += config.stats_interval;
             }
           };
-      if (is_dpt_path(*flags.trace)) {
-        // Binary traces mmap in zero-copy; blocks view the mapped columns.
-        const RequestSequence trace = read_trace_auto(*flags.trace);
-        SequenceBlockReader source(trace, config.batch_rows,
-                                   config.max_request_rows);
-        run_serve_pipeline(source, engine, config, on_batch);
-      } else {
-        std::ifstream file;
-        const bool from_stdin = *flags.trace == "-";
-        if (!from_stdin) {
-          file.open(*flags.trace, std::ios::binary);
-          if (!file) throw IoError("cannot open trace file: " + *flags.trace);
+      try {
+        if (is_dpt_path(*flags.trace)) {
+          // Binary traces mmap in zero-copy; blocks view the mapped columns.
+          const RequestSequence trace = read_trace_auto(*flags.trace);
+          SequenceBlockReader source(trace, config.batch_rows,
+                                     config.max_request_rows);
+          run_serve_pipeline(source, engine, config, on_batch);
+        } else {
+          std::ifstream file;
+          if (!from_stdin) {
+            file.open(*flags.trace, std::ios::binary);
+            if (!file) throw IoError("cannot open trace file: " + *flags.trace);
+          }
+          CsvBlockReader source(from_stdin ? std::cin : file, source_label,
+                                config.batch_rows, config.max_request_rows);
+          run_serve_pipeline(source, engine, config, on_batch);
         }
-        CsvBlockReader source(from_stdin ? std::cin : file,
-                              from_stdin ? "<stdin>" : *flags.trace,
-                              config.batch_rows, config.max_request_rows);
-        run_serve_pipeline(source, engine, config, on_batch);
+      } catch (const InvalidArgument& error) {
+        // The engine rejected a row mid-block; it holds every row before.
+        throw IoError(rejected_row(engine.requests_seen(), error.what()));
       }
     } else if (is_dpt_path(*flags.trace)) {
       // Binary traces mmap in zero-copy; iterate the mapped columns.
@@ -827,9 +852,7 @@ int cmd_serve(int argc, const char* const* argv) {
         try {
           more = push_one(row.server, row.time, row.items);
         } catch (const InvalidArgument& error) {
-          throw IoError(reader.source() + ": row " +
-                        std::to_string(reader.rows_read()) + ": " +
-                        error.what());
+          throw IoError(rejected_row(pushed, error.what()));
         }
         if (!more) break;
       }
