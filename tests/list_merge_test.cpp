@@ -129,9 +129,15 @@ TEST(ListMerge, PackageFlowsMatchARowScan) {
 
 TEST(ListMerge, GroupFlowsMatchARowScan) {
   Rng rng(77);
+  // One group has more items than merge_item_lists keeps on the stack.
+  std::vector<ItemId> wide;
+  for (ItemId item = 0; item < kItems; item += 2) wide.push_back(item);
+  ASSERT_GT(wide.size(), RequestSequence::kInlineMergeItems);
   for (const std::uint64_t seed : {4ull, 5ull}) {
     const RequestSequence seq = block_trace(seed, 1500, 5);
-    for (const std::vector<ItemId>& group : random_groups(rng, 300)) {
+    std::vector<std::vector<ItemId>> groups = random_groups(rng, 300);
+    groups.push_back(wide);
+    for (const std::vector<ItemId>& group : groups) {
       const std::string context =
           "seed " + std::to_string(seed) + " " + group_name(group);
       expect_same_flow(scanned_flow(seq, group, group.size()),
@@ -140,18 +146,6 @@ TEST(ListMerge, GroupFlowsMatchARowScan) {
                        make_union_flow(seq, group), context + " union");
     }
   }
-}
-
-TEST(ListMerge, GroupsBeyondTheInlineCursorsMatchARowScan) {
-  // More items than merge_item_lists keeps on the stack: the spill path.
-  const RequestSequence seq = block_trace(6, 800, 4);
-  std::vector<ItemId> group;
-  for (ItemId item = 0; item < kItems; item += 2) group.push_back(item);
-  ASSERT_GT(group.size(), RequestSequence::kInlineMergeItems);
-  expect_same_flow(scanned_flow(seq, group, group.size()),
-                   make_group_flow(seq, group), "intersection");
-  expect_same_flow(scanned_flow(seq, group, 1), make_union_flow(seq, group),
-                   "union");
 }
 
 TEST(ListMerge, KernelSingletonsMatchTheScalarReference) {
