@@ -272,75 +272,62 @@ class RequestSequence {
   std::shared_ptr<const void> keeper_;
 };
 
-template <typename Visit>
-void RequestSequence::merge_item_lists(std::span<const ItemId> items,
-                                       Visit&& visit) const {
-  static constexpr std::size_t kPositions[2] = {0, 1};
-  if (items.size() == 2) {
-    // The pair case (packages, singleton passes): a plain two-way merge.
-    const std::span<const std::size_t> a = indices_for_item(items[0]);
-    const std::span<const std::size_t> b = indices_for_item(items[1]);
-    const std::span<const std::size_t> both(kPositions, 2);
-    const std::span<const std::size_t> only_a(kPositions, 1);
-    const std::span<const std::size_t> only_b(kPositions + 1, 1);
-    std::size_t x = 0;
-    std::size_t y = 0;
-    while (x < a.size() && y < b.size()) {
-      if (a[x] == b[y]) {
-        visit(a[x], both);
-        ++x;
-        ++y;
-      } else if (a[x] < b[y]) {
-        visit(a[x++], only_a);
-      } else {
-        visit(b[y++], only_b);
-      }
-    }
-    for (; x < a.size(); ++x) visit(a[x], only_a);
-    for (; y < b.size(); ++y) visit(b[y], only_b);
-    return;
-  }
+namespace detail {
 
-  // k lists: each step takes the smallest head and advances every list
-  // that holds it.  Larger groups than kInlineMergeItems (rare: complete-
-  // linkage groups are small) spill their cursors to the heap.
-  const std::size_t k = items.size();
-  std::span<const std::size_t> inline_lists[kInlineMergeItems];
-  std::size_t inline_cursors[2 * kInlineMergeItems];
-  std::vector<std::span<const std::size_t>> spill_lists;
-  std::vector<std::size_t> spill_cursors;
-  std::span<const std::size_t>* lists = inline_lists;
-  std::size_t* cursors = inline_cursors;
-  if (k > kInlineMergeItems) {
-    spill_lists.resize(k);
-    spill_cursors.resize(2 * k);
-    lists = spill_lists.data();
-    cursors = spill_cursors.data();
-  }
-  std::size_t* holders = cursors + k;
+/// merge_item_lists' loop over k lists, with caller-provided cursor, head
+/// and holder arrays of k entries each.  Each step takes the smallest head
+/// and advances every list that holds it.  A finished list's head reads
+/// kDone, above every request index, so the smallest head is kDone once
+/// all k lists are done.
+template <typename Visit>
+void merge_sorted_lists(const std::span<const std::size_t>* lists,
+                        std::size_t k, std::size_t* cursors,
+                        std::size_t* heads, std::size_t* holders,
+                        Visit& visit) {
+  constexpr std::size_t kDone = static_cast<std::size_t>(-1);
   for (std::size_t j = 0; j < k; ++j) {
-    lists[j] = indices_for_item(items[j]);
     cursors[j] = 0;
+    heads[j] = lists[j].empty() ? kDone : lists[j].front();
   }
   for (;;) {
-    std::size_t next = static_cast<std::size_t>(-1);
-    bool any = false;
-    for (std::size_t j = 0; j < k; ++j) {
-      if (cursors[j] < lists[j].size()) {
-        next = std::min(next, lists[j][cursors[j]]);
-        any = true;
-      }
-    }
-    if (!any) return;
+    std::size_t next = kDone;
+    for (std::size_t j = 0; j < k; ++j) next = std::min(next, heads[j]);
+    if (next == kDone) return;
     std::size_t held = 0;
     for (std::size_t j = 0; j < k; ++j) {
-      if (cursors[j] < lists[j].size() && lists[j][cursors[j]] == next) {
-        holders[held++] = j;
-        ++cursors[j];
-      }
+      if (heads[j] != next) continue;
+      holders[held++] = j;
+      const std::size_t cursor = ++cursors[j];
+      heads[j] = cursor < lists[j].size() ? lists[j][cursor] : kDone;
     }
     visit(next, std::span<const std::size_t>(holders, held));
   }
+}
+
+}  // namespace detail
+
+template <typename Visit>
+void RequestSequence::merge_item_lists(std::span<const ItemId> items,
+                                       Visit&& visit) const {
+  // Each case hands the loop arrays of its own: one pointer chosen at run
+  // time between stack and heap arrays measured slower at k = 2.
+  const std::size_t k = items.size();
+  if (k <= kInlineMergeItems) {
+    std::span<const std::size_t> lists[kInlineMergeItems];
+    std::size_t cursors[kInlineMergeItems] = {};
+    std::size_t heads[kInlineMergeItems] = {};
+    std::size_t holders[kInlineMergeItems] = {};
+    for (std::size_t j = 0; j < k; ++j) lists[j] = indices_for_item(items[j]);
+    detail::merge_sorted_lists(lists, k, cursors, heads, holders, visit);
+    return;
+  }
+  // Larger groups (rare: complete-linkage groups are small) keep their
+  // cursors on the heap.
+  std::vector<std::span<const std::size_t>> lists(k);
+  std::vector<std::size_t> state(3 * k);
+  for (std::size_t j = 0; j < k; ++j) lists[j] = indices_for_item(items[j]);
+  detail::merge_sorted_lists(lists.data(), k, state.data(), state.data() + k,
+                             state.data() + 2 * k, visit);
 }
 
 /// Convenience builder used heavily by tests, generators and the streaming

@@ -162,7 +162,9 @@ void StreamingEngine::maybe_run_probe() {
                               std::move(probe_buffer_));
   probe_buffer_.clear();  // moved-from; reset to a known state
   probe_buffer_.reserve(options_.probe_chunk);
-  offline_probe_cost_ += solve_optimal_baseline(chunk, model_).total_cost;
+  offline_probe_cost_ += solve_optimal_baseline(chunk, model_, {}, nullptr,
+                                                 /*keep_plans=*/false)
+                             .total_cost;
   online_probe_cost_ = state_.value_now().total_cost;
   ++probe_chunks_;
   g_stream_probe_chunks.add();
