@@ -1,8 +1,9 @@
 // Streaming-engine perf harness: sustained push ingest rate, the O(window)
 // steady-state memory ceiling, snapshot latency under load, the running
-// online-vs-offline cost-ratio probe, the decode→push pipeline vs the
-// per-push serial serve loop, and the sharded N×M topology vs its serial
-// anchors — emitted as the "streaming", "streaming_pipeline" and
+// online-vs-offline cost-ratio probe, a two-shard serve (decode on two
+// threads, push_batch on a third) vs the serial per-row loop, and the N×M
+// topology vs its serial anchors — emitted as the "streaming",
+// "streaming_pipeline" and
 // "streaming_sharded" sections of a fragment for dpgreedy_bench to merge
 // (see bench/harness/fragment.hpp).
 //
@@ -20,21 +21,19 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/serve_config.hpp"
-#include "engine/serve_pipeline.hpp"
 #include "engine/sharded_serve.hpp"
 #include "engine/streaming_engine.hpp"
 #include "trace/shard_source.hpp"
 #include "harness/fragment.hpp"
 #include "harness_common.hpp"
-#include "trace/block_reader.hpp"
 #include "trace/io.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -192,10 +191,11 @@ ProbeReport run_probe(std::size_t requests) {
   return report;
 }
 
-/// The decode→push pipeline vs the per-push serial serve path, both reading
-/// the same on-disk CSV so the comparison includes the decode work the
-/// pipeline overlaps with ingest.  The trace is streamed to disk row by row
-/// (never materialized) so the harness stays O(window + batch) in memory.
+/// A two-shard serve (2×1: decode on two threads, push_batch on a third)
+/// vs the serial per-row loop, both reading the same on-disk CSV so the
+/// comparison includes the decode work the threads overlap with ingest.
+/// The trace is streamed to disk row by row (never materialized) so the
+/// harness stays O(window + batch) in memory.
 struct PipelineReport {
   std::size_t requests = 0;
   std::size_t batch_rows = 0;
@@ -207,7 +207,7 @@ struct PipelineReport {
   double pipeline_requests_per_s = 0.0;
   double speedup = 0.0;
   bool multicore = false;      // >= 2 hardware threads: the 2x gate arms
-  bool bit_identical = false;  // pipeline final report == serial final report
+  bool bit_identical = false;  // 2x1 final report == serial final report
   Cost total_cost = 0.0;
   std::uint64_t allocs_warm = 0;
   std::uint64_t allocs_final = 0;
@@ -237,12 +237,12 @@ std::uint64_t write_trace_csv(const std::string& path, std::size_t requests) {
   return bytes > 0 ? static_cast<std::uint64_t>(bytes) : 0;
 }
 
-StreamingEngine make_pipeline_engine() {
+StreamingOptions pipeline_options() {
   StreamingOptions options = stream_options();
   StreamSource shape;  // only for the universe hints
   options.item_count_hint = shape.item_count;
   options.server_count_hint = shape.server_count;
-  return StreamingEngine(CostModel{1.0, 1.0, 0.8}, options);
+  return options;
 }
 
 bool reports_identical(const RunReport& a, const RunReport& b) {
@@ -255,74 +255,126 @@ bool reports_identical(const RunReport& a, const RunReport& b) {
          a.cache_segments == b.cache_segments;
 }
 
+/// The serial anchor: one-thread decode through the CSV claim source, then
+/// one StreamingEngine::push per row, into engines[route(row)].
+template <typename Route>
+void push_rows(const std::string& trace_path,
+               std::vector<std::unique_ptr<StreamingEngine>>& engines,
+               const Route& route) {
+  CsvClaimSource source(trace_path, ServeConfig{}.batch_rows);
+  RequestBlock block;
+  std::uint64_t seq = 0;
+  std::size_t rows_through = 0;
+  while (source.claim(block, seq, rows_through)) {
+    for (std::size_t r = 0; r < block.size(); ++r) {
+      engines[route(block.server_of(r), block.items_of(r))]->push(
+          block.server_of(r), block.time_of(r), block.items_of(r));
+    }
+  }
+  require(source.error_seq() == ShardClaimSource::kNoError,
+          "bm_stream: " + source.error_message());
+}
+
+/// One engine per partition, all with the harness options.
+std::vector<std::unique_ptr<StreamingEngine>> make_engines(
+    std::size_t count, const CostModel& model,
+    const StreamingOptions& options) {
+  std::vector<std::unique_ptr<StreamingEngine>> engines;
+  for (std::size_t j = 0; j < count; ++j) {
+    engines.push_back(std::make_unique<StreamingEngine>(model, options));
+  }
+  return engines;
+}
+
+/// A timed serve run that snapshots every tenth of the stream, recording
+/// the merged allocation count at the first snapshot past the warm-up mark
+/// and at the last.
+struct TimedServe {
+  ShardedServeResult result;
+  double seconds = 0.0;
+  std::uint64_t allocs_warm = 0;
+  std::uint64_t allocs_final = 0;
+  bool allocs_flat = false;
+};
+
+TimedServe timed_serve(const std::string& trace_path, ServeConfig config,
+                       const CostModel& model,
+                       const StreamingOptions& options, std::size_t requests) {
+  TimedServe timed;
+  config.snapshot_every(std::max<std::size_t>(requests / 10, 1));
+  CsvClaimSource source(trace_path, config.batch_rows);
+  const std::size_t warm_mark =
+      std::min(requests / 2, 100 * options.online.window);
+  bool warm_done = false;
+  ServeHooks hooks;
+  hooks.on_snapshot = [&](const StreamingSnapshot& s, std::size_t rows) {
+    if (!warm_done && rows >= warm_mark) {
+      timed.allocs_warm = s.state_alloc_events;
+      warm_done = true;
+    }
+    timed.allocs_final = s.state_alloc_events;
+  };
+  Stopwatch watch;
+  timed.result = run_sharded_serve(source, model, config, options, hooks);
+  timed.seconds = watch.elapsed_seconds();
+  timed.allocs_flat = warm_done && timed.allocs_final == timed.allocs_warm;
+  require(timed.result.feed_error.empty(),
+          "bm_stream: " + timed.result.feed_error);
+  return timed;
+}
+
 PipelineReport run_pipeline_compare(const std::string& trace_path,
                                     std::size_t requests) {
   PipelineReport report;
   report.requests = requests;
   report.multicore = std::thread::hardware_concurrency() >= 2;
   report.trace_bytes = write_trace_csv(trace_path, requests);
+  const CostModel model{1.0, 1.0, 0.8};
+  const StreamingOptions options = pipeline_options();
 
-  // Serial baseline: the pre-pipeline serve loop — line-at-a-time CSV
-  // decode and one engine.push() per row, all on one thread.
+  // Serial baseline: one-thread decode and one engine.push() per row.
   RunReport serial_report;
   {
-    CsvStreamReader reader(trace_path);
-    StreamingEngine engine = make_pipeline_engine();
-    CsvStreamRow row;
+    auto engines = make_engines(1, model, options);
     Stopwatch watch;
-    while (reader.next(row)) engine.push(row.server, row.time, row.items);
+    push_rows(trace_path, engines, [](ServerId, std::span<const ItemId>) {
+      return std::size_t{0};
+    });
     report.serial_s = watch.elapsed_seconds();
-    serial_report = engine.finish();
+    serial_report = engines[0]->finish();
   }
 
-  // Pipelined: chunked CSV decode on a producer thread, block hand-off over
-  // the SPSC ring, push_batch on this thread — the `serve --pipeline` path.
-  RunReport pipeline_report;
-  {
-    std::ifstream file(trace_path, std::ios::binary);
-    require(file.is_open(), "bm_stream: cannot reopen " + trace_path);
-    ServeConfig options;  // serve defaults: batch 1024, ring 8
-    report.batch_rows = options.batch_rows;
-    report.ring_capacity = options.ring_capacity;
-    CsvBlockReader source(file, trace_path, options.batch_rows);
-    StreamingEngine engine = make_pipeline_engine();
-    const std::size_t warm_mark =
-        std::min(requests / 2, 100 * stream_options().online.window);
-    bool warm_done = false;
-    Stopwatch watch;
-    const ServePipelineStats stats = run_serve_pipeline(
-        source, engine, options,
-        [&](const RequestBlock&, const StreamingDecision&, std::size_t rows) {
-          if (!warm_done && rows >= warm_mark) {
-            report.allocs_warm = engine.snapshot().state_alloc_events;
-            warm_done = true;
-          }
-        });
-    report.pipeline_s = watch.elapsed_seconds();
-    report.allocs_final = engine.snapshot().state_alloc_events;
-    report.enqueue_blocked = stats.enqueue_blocked;
-    report.dequeue_blocked = stats.dequeue_blocked;
-    pipeline_report = engine.finish();
-  }
+  // Two decode shards, one engine partition: `serve --shards 2`.
+  ServeConfig config;  // serve defaults: batch 1024, ring 8
+  config.shards(2);
+  report.batch_rows = config.batch_rows;
+  report.ring_capacity = config.ring_capacity;
+  const TimedServe timed =
+      timed_serve(trace_path, config, model, options, requests);
+  report.pipeline_s = timed.seconds;
+  report.allocs_warm = timed.allocs_warm;
+  report.allocs_final = timed.allocs_final;
+  report.allocs_flat = timed.allocs_flat;
+  report.enqueue_blocked = timed.result.stats.enqueue_blocked;
+  report.dequeue_blocked = timed.result.stats.dequeue_blocked;
 
   report.serial_requests_per_s =
       static_cast<double>(requests) / std::max(report.serial_s, 1e-12);
   report.pipeline_requests_per_s =
       static_cast<double>(requests) / std::max(report.pipeline_s, 1e-12);
   report.speedup = report.serial_s / std::max(report.pipeline_s, 1e-12);
-  report.bit_identical = reports_identical(serial_report, pipeline_report);
-  report.total_cost = pipeline_report.total_cost;
-  report.allocs_flat = report.allocs_final == report.allocs_warm;
+  report.bit_identical = reports_identical(serial_report, timed.result.report);
+  report.total_cost = timed.result.report.total_cost;
   std::remove(trace_path.c_str());
   return report;
 }
 
-/// The sharded N×M topology against its two determinism anchors, plus the
-/// throughput floor: a 2×1 run must reproduce the 1×1 pipeline report
+/// The N×M topology against its two determinism anchors, plus the
+/// throughput floor: a 2×1 run must reproduce the 1×1 (inline) report
 /// bit-for-bit (M = 1 ingests the exact global stream), and a 2×2 run by
 /// item set must reproduce a serial routed two-engine reference (the
 /// canonical partitioned answer).  Timing compares the 2×2 run to the
-/// serial per-push loop over the same on-disk CSV.
+/// serial per-row loop over the same on-disk CSV.
 struct ShardedReport {
   std::size_t requests = 0;
   std::size_t shards = 2;
@@ -335,7 +387,7 @@ struct ShardedReport {
   double sharded_requests_per_s = 0.0;
   double speedup = 0.0;
   bool multicore = false;  // >= 4 hardware threads: the 2x gate arms
-  bool bit_identical = false;         // 2x1 == 1x1 pipeline (and serial)
+  bool bit_identical = false;         // 2x1 == 1x1 (and serial)
   bool partitioned_identical = false;  // 2x2 == routed serial reference
   Cost total_cost = 0.0;
   std::uint64_t allocs_warm = 0;
@@ -352,51 +404,37 @@ ShardedReport run_sharded_compare(const std::string& trace_path,
   report.multicore = std::thread::hardware_concurrency() >= 4;
   write_trace_csv(trace_path, requests);
   const CostModel model{1.0, 1.0, 0.8};
-  StreamingOptions eopts = stream_options();
-  StreamSource shape;  // only for the universe hints
-  eopts.item_count_hint = shape.item_count;
-  eopts.server_count_hint = shape.server_count;
+  const StreamingOptions eopts = pipeline_options();
 
-  const auto open_trace = [&trace_path] {
-    std::ifstream file(trace_path, std::ios::binary);
-    require(file.is_open(), "bm_stream: cannot reopen " + trace_path);
-    return file;
-  };
-
-  // Anchor 1: the 1×1 pipeline report (PR 9's own anchor is the per-push
-  // loop, so matching this transitively matches both).
-  RunReport pipeline_report;
+  // Anchor 1: the 1×1 report, served inline (its own anchor is the
+  // per-row loop, so matching it transitively matches both).
+  RunReport inline_report;
   {
-    std::ifstream file = open_trace();
-    const ServeConfig config;
-    CsvBlockReader source(file, trace_path, config.batch_rows);
-    StreamingEngine engine(model, eopts);
-    run_serve_pipeline(source, engine, config, {});
-    pipeline_report = engine.finish();
+    CsvClaimSource source(trace_path, ServeConfig{}.batch_rows);
+    inline_report =
+        run_sharded_serve(source, model, ServeConfig{}, eopts).report;
   }
 
-  // Timing baseline: the serial per-push loop (decode + push, one thread).
+  // Timing baseline: the serial per-row loop (decode + push, one thread).
   {
-    CsvStreamReader reader(trace_path);
-    StreamingEngine engine(model, eopts);
-    CsvStreamRow row;
+    auto engines = make_engines(1, model, eopts);
     Stopwatch watch;
-    while (reader.next(row)) engine.push(row.server, row.time, row.items);
+    push_rows(trace_path, engines, [](ServerId, std::span<const ItemId>) {
+      return std::size_t{0};
+    });
     report.serial_s = watch.elapsed_seconds();
-    (void)engine.finish();
+    (void)engines[0]->finish();
   }
 
   // 2×1: two decode shards, one engine partition — bit-identity required.
   {
-    std::ifstream file = open_trace();
     ServeConfig config;
     config.shards(2).partitions(1);
-    CsvClaimSource source(file, trace_path, config.batch_rows, 0);
+    CsvClaimSource source(trace_path, config.batch_rows);
     const ShardedServeResult result =
         run_sharded_serve(source, model, config, eopts);
-    report.bit_identical =
-        result.feed_error.empty() &&
-        reports_identical(result.report, pipeline_report);
+    report.bit_identical = result.feed_error.empty() &&
+                           reports_identical(result.report, inline_report);
   }
 
   // Anchor 2: the serial routed reference for M = 2 by item set — decode on
@@ -404,17 +442,12 @@ ShardedReport run_sharded_compare(const std::string& trace_path,
   // order.  This is the canonical partitioned answer the 2×2 run must hit.
   RunReport reference_report;
   {
-    CsvStreamReader reader(trace_path);
-    std::vector<std::unique_ptr<StreamingEngine>> engines;
-    for (std::size_t j = 0; j < 2; ++j) {
-      engines.push_back(std::make_unique<StreamingEngine>(model, eopts));
-    }
-    CsvStreamRow row;
-    while (reader.next(row)) {
-      const std::size_t j = serve_partition_of(
-          row.server, row.items, ServeRoute::kByItemSet, engines.size());
-      engines[j]->push(row.server, row.time, row.items);
-    }
+    auto engines = make_engines(2, model, eopts);
+    push_rows(trace_path, engines,
+              [](ServerId server, std::span<const ItemId> items) {
+                return serve_partition_of(server, items,
+                                          ServeRoute::kByItemSet, 2);
+              });
     std::vector<RunReport> parts;
     parts.reserve(engines.size());
     for (auto& engine : engines) parts.push_back(engine->finish());
@@ -423,37 +456,21 @@ ShardedReport run_sharded_compare(const std::string& trace_path,
 
   // The timed 2×2 run, snapshotting on the ingest cadence for the
   // allocation ceiling (merged state_alloc_events sums the partitions).
-  {
-    std::ifstream file = open_trace();
-    ServeConfig config;
-    config.shards(2).partitions(2).route(ServeRoute::kByItemSet).snapshot_every(
-        std::max<std::size_t>(requests / 10, 1));
-    report.batch_rows = config.batch_rows;
-    report.ring_capacity = config.ring_capacity;
-    CsvClaimSource source(file, trace_path, config.batch_rows, 0);
-    const std::size_t warm_mark =
-        std::min(requests / 2, 100 * eopts.online.window);
-    bool warm_done = false;
-    Stopwatch watch;
-    const ShardedServeResult result = run_sharded_serve(
-        source, model, config, eopts,
-        [&](const StreamingSnapshot& s, std::size_t rows) {
-          if (!warm_done && rows >= warm_mark) {
-            report.allocs_warm = s.state_alloc_events;
-            warm_done = true;
-          }
-          report.allocs_final = s.state_alloc_events;
-        });
-    report.sharded_s = watch.elapsed_seconds();
-    report.partitioned_identical =
-        result.feed_error.empty() &&
-        reports_identical(result.report, reference_report);
-    report.total_cost = result.report.total_cost;
-    report.enqueue_blocked = result.stats.enqueue_blocked;
-    report.dequeue_blocked = result.stats.dequeue_blocked;
-    report.allocs_flat = warm_done &&
-                         report.allocs_final == report.allocs_warm;
-  }
+  ServeConfig config;
+  config.shards(2).partitions(2).route(ServeRoute::kByItemSet);
+  report.batch_rows = config.batch_rows;
+  report.ring_capacity = config.ring_capacity;
+  const TimedServe timed =
+      timed_serve(trace_path, config, model, eopts, requests);
+  report.sharded_s = timed.seconds;
+  report.partitioned_identical =
+      reports_identical(timed.result.report, reference_report);
+  report.total_cost = timed.result.report.total_cost;
+  report.enqueue_blocked = timed.result.stats.enqueue_blocked;
+  report.dequeue_blocked = timed.result.stats.dequeue_blocked;
+  report.allocs_warm = timed.allocs_warm;
+  report.allocs_final = timed.allocs_final;
+  report.allocs_flat = timed.allocs_flat;
 
   report.serial_requests_per_s =
       static_cast<double>(requests) / std::max(report.serial_s, 1e-12);
@@ -469,10 +486,10 @@ int run(const std::string& fragment_path, std::size_t requests) {
   const IngestReport ingest = run_ingest(requests);
   std::printf("ratio probe ...\n");
   const ProbeReport probe = run_probe(std::min<std::size_t>(requests, 200000));
-  // Sampled before the pipeline comparison so the streaming section's RSS
+  // Sampled before the CSV comparisons so the streaming section's RSS
   // gate keeps measuring the engine alone, not the CSV decode buffers.
   const std::uint64_t streaming_peak_rss = harness::peak_rss_bytes();
-  std::printf("pipeline vs per-push (%zu requests via on-disk CSV) ...\n",
+  std::printf("2x1 serve vs per-row (%zu requests via on-disk CSV) ...\n",
               requests);
   const PipelineReport pipeline =
       run_pipeline_compare(fragment_path + ".trace.csv", requests);
@@ -592,7 +609,7 @@ int run(const std::string& fragment_path, std::size_t requests) {
       probe.epochs, probe.ingest_s);
 
   std::printf(
-      "pipeline: serial %.2fs (%.2fM req/s) -> pipelined %.2fs (%.2fM req/s) "
+      "pipeline: serial %.2fs (%.2fM req/s) -> 2x1 %.2fs (%.2fM req/s) "
       " speedup %.2fx (%s)  reports %s  allocs %llu -> %llu (%s)  blocked "
       "enq %llu deq %llu\n",
       pipeline.serial_s, pipeline.serial_requests_per_s / 1e6,
@@ -622,8 +639,8 @@ int run(const std::string& fragment_path, std::size_t requests) {
 
   // The acceptance gate: O(window) steady state — the engine's allocation
   // count is bit-flat from warm-up to the end of a 10M-request stream — the
-  // probe produced a live ratio, the decode→push pipeline reproduced the
-  // serial report bit-exactly, and the sharded topology reproduced both of
+  // probe produced a live ratio, the 2x1 serve reproduced the serial
+  // report bit-exactly, and the 2x2 topology reproduced both of
   // its anchors (the 2x throughput floors are enforced by the registry
   // gates, armed only on multicore hosts).
   const bool pass = ingest.allocs_flat && probe.probe_chunks > 0 &&

@@ -165,15 +165,15 @@ const std::vector<ScenarioSpec>& scenario_registry() {
       SectionSpec pipeline;
       pipeline.key = "streaming_pipeline";
       pipeline.thresholds = {
-          // The decode→push pipeline must reproduce the per-push serial
-          // final report bit-exactly at every batch size — the contract
-          // push_batch is built on.
+          // The two-shard serve (2×1: decode threads → ring → push_batch)
+          // must reproduce the per-row serial final report bit-exactly —
+          // the contract push_batch is built on.
           gate_flag("bit_identical", true),
           // Same O(window) ceiling through the batch path: engine
           // allocation events bit-flat from warm-up to end of stream.
           gate_flag("allocs_flat", true),
-          // The tentpole: overlapping CSV decode with ingest must at least
-          // double throughput over the serial per-push loop.  On single-core
+          // Overlapping CSV decode with ingest must at least double
+          // throughput over the serial per-row loop.  On single-core
           // hosts the overlap cannot pay for itself, so the gate is skipped
           // (bit-identity and the honest serial row above still bind).
           with_skip_if(gate_abs("speedup", ">=", 2.0), "multicore",
@@ -187,7 +187,7 @@ const std::vector<ScenarioSpec>& scenario_registry() {
       sharded.key = "streaming_sharded";
       sharded.thresholds = {
           // M = 1 determinism anchor: a 2-shard, 1-partition run must
-          // reproduce the 1×1 pipeline final report bit-exactly.
+          // reproduce the 1×1 (inline) final report bit-exactly.
           gate_flag("bit_identical", true),
           // M = 2 anchor: the 2×2 by-item-set run must reproduce the
           // serial routed two-engine reference (the canonical partitioned

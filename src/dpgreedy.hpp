@@ -39,7 +39,6 @@
 #include "engine/render.hpp"         // IWYU pragma: export
 #include "engine/run_report.hpp"     // IWYU pragma: export
 #include "engine/serve_config.hpp"   // IWYU pragma: export
-#include "engine/serve_pipeline.hpp"  // IWYU pragma: export
 #include "engine/sharded_serve.hpp"  // IWYU pragma: export
 #include "engine/solver.hpp"         // IWYU pragma: export
 #include "engine/streaming_engine.hpp"  // IWYU pragma: export
@@ -48,10 +47,8 @@
 #include "obs/metrics.hpp"           // IWYU pragma: export
 #include "obs/scrape.hpp"            // IWYU pragma: export
 #include "obs/trace.hpp"             // IWYU pragma: export
-#include "parallel/mpmc_ring.hpp"    // IWYU pragma: export
 #include "parallel/spsc_ring.hpp"    // IWYU pragma: export
 #include "sim/replay.hpp"            // IWYU pragma: export
-#include "trace/block_reader.hpp"    // IWYU pragma: export
 #include "trace/dpt.hpp"             // IWYU pragma: export
 #include "trace/dpt_stream_writer.hpp"  // IWYU pragma: export
 #include "trace/shard_source.hpp"    // IWYU pragma: export

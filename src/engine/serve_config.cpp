@@ -12,20 +12,11 @@ namespace dpg {
 namespace {
 
 constexpr const char* kValidFields =
-    "batch, ring, shards, partitions, route, topology, snapshot_every, "
-    "stats_every, probe_chunk, max_requests, listen, prom_out, archive, "
-    "pipeline";
+    "batch, ring, shards, partitions, route, snapshot_every, stats_every, "
+    "probe_chunk, max_requests, listen, prom_out, archive";
 
 constexpr std::size_t kMaxShards = 64;
 constexpr std::size_t kMaxPartitions = 64;
-
-bool parse_flag(std::string_view field, std::string_view value) {
-  if (value == "true" || value == "1" || value == "on") return true;
-  if (value == "false" || value == "0" || value == "off") return false;
-  throw InvalidArgument("ServeConfig: field '" + std::string(field) +
-                        "' expects a boolean (true/false/1/0/on/off), got '" +
-                        std::string(value) + "'");
-}
 
 }  // namespace
 
@@ -37,20 +28,8 @@ ServeRoute parse_serve_route(std::string_view value) {
                         std::string(value) + "'");
 }
 
-ServeTopology parse_serve_topology(std::string_view value) {
-  if (value == "crossbar") return ServeTopology::kCrossbar;
-  if (value == "mpmc") return ServeTopology::kMpmc;
-  throw InvalidArgument("ServeConfig: topology must be 'crossbar' or 'mpmc', "
-                        "got '" +
-                        std::string(value) + "'");
-}
-
 const char* serve_route_name(ServeRoute route) noexcept {
   return route == ServeRoute::kByServer ? "server" : "itemset";
-}
-
-const char* serve_topology_name(ServeTopology topology) noexcept {
-  return topology == ServeTopology::kCrossbar ? "crossbar" : "mpmc";
 }
 
 ServeConfig& ServeConfig::with(std::string_view field, std::string_view value) {
@@ -77,8 +56,6 @@ ServeConfig& ServeConfig::with(std::string_view field, std::string_view value) {
     next.partition_count = size_of();
   } else if (field == "route") {
     next.flow_route = parse_serve_route(value);
-  } else if (field == "topology") {
-    next.ring_topology = parse_serve_topology(value);
   } else if (field == "snapshot_every") {
     next.snapshot_interval = size_of();
   } else if (field == "stats_every") {
@@ -93,8 +70,6 @@ ServeConfig& ServeConfig::with(std::string_view field, std::string_view value) {
     next.prom_path = value;
   } else if (field == "archive") {
     next.archive_path = value;
-  } else if (field == "pipeline") {
-    next.pipelined = parse_flag(field, value);
   } else {
     throw InvalidArgument("ServeConfig: unknown field '" + std::string(field) +
                           "' (valid: " + kValidFields + ")");

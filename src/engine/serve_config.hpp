@@ -1,8 +1,8 @@
-// ServeConfig: the one config object for the serve surface — per-push,
-// pipelined (1×1) and sharded (N×M) ingest all parse into it, the CLI's
-// `serve` flags map onto it one-for-one, and it carries the observational
-// sinks (stats cadence, Prometheus file, /metrics listener, `.dpt` archive)
-// that used to live in ad-hoc locals inside cmd_serve.
+// ServeConfig: the one config object for the serve surface — the serve
+// runtime (engine/sharded_serve.hpp) reads its shape from it at every N×M,
+// the CLI's `serve` flags map onto it one-for-one, and it carries the
+// observational sinks (stats cadence, Prometheus file, /metrics listener,
+// `.dpt` archive).
 //
 // Same contract as SolverConfig (engine/solver.hpp): a plain aggregate with
 // defaulted members, fluent setters for the fields whose member names differ
@@ -12,10 +12,6 @@
 //
 //   ServeConfig{}.batch(1024).ring(8).shards(4).partitions(2)
 //               .listen("0.0.0.0:9100").stats_every(100000)
-//
-// ServePipelineOptions (PR 9) folded into this type: batch_rows and
-// ring_capacity kept their names, run_serve_pipeline now takes a
-// ServeConfig directly (it reads only those two fields).
 #pragma once
 
 #include <cstddef>
@@ -35,29 +31,19 @@ enum class ServeRoute {
   kByItemSet,
 };
 
-/// How decoded blocks travel from the N shards to the M partitions.
-enum class ServeTopology {
-  /// One SPSC ring per (shard, partition) pair — N×M rings, zero CAS on
-  /// the hot path; each consumer sweeps its N inbound rings.
-  kCrossbar,
-  /// One MPMC ring per partition (parallel/mpmc_ring.hpp) — M rings, N
-  /// producers each; fewer rings, CAS-claimed slots.
-  kMpmc,
-};
-
 struct ServeConfig {
-  /// Rows per block (the decode chunk and the push_batch amortization unit).
+  /// Most rows per block (the decode chunk and the push_batch unit); a
+  /// block also ends at each cadence multiple and, on CSV, when the rows
+  /// that have arrived run out.
   std::size_t batch_rows = 1024;
   /// Per-ring capacity in blocks (rounded up to a power of two).
   std::size_t ring_capacity = 8;
-  /// Decode shards N (1 = single decoder).
+  /// Decode shards N (N = M = 1 serves inline on the caller's thread).
   std::size_t shard_count = 1;
   /// Engine partitions M (1 = single engine).
   std::size_t partition_count = 1;
   /// Flow-routing rule for partition_count > 1.
   ServeRoute flow_route = ServeRoute::kByServer;
-  /// Shard → partition transport for the sharded runtime.
-  ServeTopology ring_topology = ServeTopology::kCrossbar;
   /// Snapshot cadence in rows (0 = no periodic snapshots).
   std::size_t snapshot_interval = 1000;
   /// Stats-line cadence in rows (0 = off).
@@ -75,8 +61,6 @@ struct ServeConfig {
   /// Requires shards == partitions == 1 (the archive preserves arrival
   /// order, which a sharded run does not reassemble).
   std::string archive_path;
-  /// Use the two-stage decode→engine pipeline for the 1×1 topology.
-  bool pipelined = false;
 
   // Fluent builder surface (member names differ where the verb reads
   // better at the call site, matching SolverConfig's convention).
@@ -98,10 +82,6 @@ struct ServeConfig {
   }
   ServeConfig& route(ServeRoute r) noexcept {
     flow_route = r;
-    return *this;
-  }
-  ServeConfig& topology(ServeTopology t) noexcept {
-    ring_topology = t;
     return *this;
   }
   ServeConfig& snapshot_every(std::size_t rows) noexcept {
@@ -132,16 +112,11 @@ struct ServeConfig {
     archive_path = path;
     return *this;
   }
-  ServeConfig& pipeline(bool on) noexcept {
-    pipelined = on;
-    return *this;
-  }
 
   /// Sets one field by name from a string value ("batch", "ring", "shards",
-  /// "partitions", "route", "topology", "snapshot_every", "stats_every",
-  /// "probe_chunk", "max_requests", "listen", "prom_out", "archive",
-  /// "pipeline").  Routes are "server"/"itemset"; topologies are
-  /// "crossbar"/"mpmc".  Throws InvalidArgument immediately on an unknown
+  /// "partitions", "route", "snapshot_every", "stats_every", "probe_chunk",
+  /// "max_requests", "listen", "prom_out", "archive").  Routes are
+  /// "server"/"itemset".  Throws InvalidArgument immediately on an unknown
   /// field (the message lists the valid ones), an unparsable value, or a
   /// value outside the field's range.
   ServeConfig& with(std::string_view field, std::string_view value);
@@ -155,8 +130,6 @@ struct ServeConfig {
 /// Parse helpers shared by `.with` and the CLI (throw InvalidArgument on
 /// anything but the documented spellings).
 ServeRoute parse_serve_route(std::string_view value);
-ServeTopology parse_serve_topology(std::string_view value);
 const char* serve_route_name(ServeRoute route) noexcept;
-const char* serve_topology_name(ServeTopology topology) noexcept;
 
 }  // namespace dpg

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <map>
 #include <memory>
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "parallel/mpmc_ring.hpp"
 #include "parallel/spsc_ring.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -24,9 +22,8 @@ namespace dpg {
 
 namespace {
 
-// Aggregate backpressure counters (same names as the 1×1 pipeline, so the
-// metrics mean the same thing at every topology); per-shard/partition
-// suffixed labels are registered at run time below.
+// Aggregate backpressure counters; per-shard/partition suffixed labels are
+// registered at run time below.
 const obs::Counter g_ring_enqueue_blocked =
     obs::counter("ring.enqueue_blocked");
 const obs::Counter g_ring_dequeue_blocked =
@@ -40,65 +37,30 @@ constexpr std::size_t kMaxLabelIndex = 8;
 /// ring the envelope recycles into; `seq` is the claimed block's global
 /// sequence number (every partition receives every seq exactly once, so
 /// the consumer-side reorder is a dense counter plus a holdback map).
+/// `snapshot` / `stats` mark a block that ends on a cadence multiple.
 struct Envelope {
   std::uint64_t seq = 0;
   std::uint32_t shard = 0;
-  bool barrier = false;
+  bool snapshot = false;
+  bool stats = false;
   std::size_t rows_through = 0;
   RequestBlock block;
 };
 
-/// Same spin → yield → sleep ladder as the rings' internal waits.
-struct Backoff {
-  unsigned round = 0;
-  void wait() {
-    if (round < 64) {
-      // Busy spin: a peer is typically one block away.
-    } else if (round < 256) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-    ++round;
-  }
-};
+/// True when a claimed block of `rows` rows ending at global row
+/// `rows_through` reaches a multiple of `every` (0 = cadence off).
+bool reaches_multiple(std::size_t rows_through, std::size_t rows,
+                      std::size_t every) {
+  return every > 0 && rows_through / every > (rows_through - rows) / every;
+}
 
-/// The shard → partition transport, behind one interface so the shard and
-/// partition loops are topology-agnostic.  Virtual dispatch is per block,
-/// not per row — noise next to a push_batch.
-class Transport {
+/// The shard → partition transport: one SPSC ring per (shard, partition)
+/// pair in each direction — N×M work rings and N×M free rings.  Zero CAS
+/// anywhere; each consumer sweeps its N inbound rings with try_pop.
+class Crossbar {
  public:
-  virtual ~Transport() = default;
-
-  /// Shard i: takes a recycled envelope destined for partition j.
-  /// Blocking; false only when the run is being aborted.
-  virtual bool acquire(std::size_t i, std::size_t j, Envelope& env) = 0;
-  /// Shard i: ships a filled envelope to partition j.  Blocking (this is
-  /// where work-ring backpressure lands); false only on abort.
-  virtual bool send(std::size_t i, std::size_t j, Envelope& env) = 0;
-  /// Partition j: receives any inbound envelope.  Blocking; false when
-  /// every producer is done and the inbound rings are drained.
-  virtual bool receive(std::size_t j, Envelope& env) = 0;
-  /// Partition j: returns a drained envelope to its shard's free ring.
-  virtual void recycle(std::size_t j, Envelope& env) = 0;
-  /// Shard i is done claiming; the last shard closes the work rings.
-  virtual void shard_done(std::size_t i) = 0;
-  /// Any thread: tear everything down (error path).  All blocking calls
-  /// return false promptly afterwards.
-  virtual void abort() = 0;
-
-  /// Backpressure, summed per partition (defined for both topologies).
-  [[nodiscard]] virtual std::uint64_t enqueue_blocked(std::size_t j) const = 0;
-  [[nodiscard]] virtual std::uint64_t dequeue_blocked(std::size_t j) const = 0;
-};
-
-/// One SPSC ring per (shard, partition) pair, in both directions: N×M work
-/// rings and N×M free rings.  Zero CAS anywhere; each consumer sweeps its
-/// N inbound rings with try_pop.
-class CrossbarTransport final : public Transport {
- public:
-  CrossbarTransport(std::size_t shards, std::size_t partitions,
-                    std::size_t ring_capacity)
+  Crossbar(std::size_t shards, std::size_t partitions,
+           std::size_t ring_capacity)
       : shards_(shards), partitions_(partitions), done_(partitions) {
     // free ring capacity ring_capacity + 2 covers every envelope of the
     // (i, j) pair — in the work ring + one in each side's hands — so
@@ -117,17 +79,25 @@ class CrossbarTransport final : public Transport {
     for (auto& d : done_) d.assign(shards_, 0);
   }
 
-  bool acquire(std::size_t i, std::size_t j, Envelope& env) override {
+  /// Shard i: takes a recycled envelope destined for partition j.
+  /// Blocking; false only when the run is being aborted.
+  bool acquire(std::size_t i, std::size_t j, Envelope& env) {
     return free_[i * partitions_ + j]->pop(env);
   }
 
-  bool send(std::size_t i, std::size_t j, Envelope& env) override {
+  /// Shard i: ships a filled envelope to partition j.  Blocking (this is
+  /// where work-ring backpressure lands); false only on abort.
+  bool send(std::size_t i, std::size_t j, Envelope& env) {
     return work_[i * partitions_ + j]->push(env);
   }
 
-  bool receive(std::size_t j, Envelope& env) override {
+  /// Partition j: receives any inbound envelope.  Blocking; false when
+  /// every shard is done and the inbound rings are drained.
+  bool receive(std::size_t j, Envelope& env) {
     std::vector<char>& done = done_[j];
-    Backoff backoff;
+    // One wait ladder across sweeps: a fresh ladder per empty sweep would
+    // never reach the sleep rung.
+    RingBackoff backoff;
     for (;;) {
       std::size_t open = 0;
       for (std::size_t i = 0; i < shards_; ++i) {
@@ -146,29 +116,32 @@ class CrossbarTransport final : public Transport {
       if (open == 0) return false;
       idle_waits_[j].count.fetch_add(1, std::memory_order_relaxed);
       backoff.wait();
-      // A fresh wait ladder per empty sweep would never reach the sleep
-      // rung; keep the round count across sweeps until something arrives.
     }
   }
 
-  void recycle(std::size_t j, Envelope& env) override {
+  /// Partition j: returns a drained envelope to its shard's free ring.
+  void recycle(std::size_t j, Envelope& env) {
     // Capacity covers every envelope of the pair, so this fails only when
     // the ring was closed by abort() — then the envelope is simply dropped.
     if (!free_[env.shard * partitions_ + j]->try_push(env)) env = Envelope{};
   }
 
-  void shard_done(std::size_t i) override {
+  /// Shard i is done claiming: closes its work rings.
+  void shard_done(std::size_t i) {
     for (std::size_t j = 0; j < partitions_; ++j) {
       work_[i * partitions_ + j]->close();
     }
   }
 
-  void abort() override {
+  /// Any thread: tear everything down (error path).  All blocking calls
+  /// return false promptly afterwards.
+  void abort() {
     for (auto& ring : work_) ring->close();
     for (auto& ring : free_) ring->close();
   }
 
-  std::uint64_t enqueue_blocked(std::size_t j) const override {
+  /// Backpressure, summed per partition.
+  [[nodiscard]] std::uint64_t enqueue_blocked(std::size_t j) const {
     std::uint64_t total = 0;
     for (std::size_t i = 0; i < shards_; ++i) {
       total += work_[i * partitions_ + j]->push_blocked();
@@ -176,7 +149,7 @@ class CrossbarTransport final : public Transport {
     return total;
   }
 
-  std::uint64_t dequeue_blocked(std::size_t j) const override {
+  [[nodiscard]] std::uint64_t dequeue_blocked(std::size_t j) const {
     return idle_waits_[j].count.load(std::memory_order_relaxed);
   }
 
@@ -193,77 +166,315 @@ class CrossbarTransport final : public Transport {
   std::array<PaddedCount, 64> idle_waits_;  // ServeConfig caps partitions at 64
 };
 
-/// One MPMC work ring per partition (N producers each) and one MPMC free
-/// ring per shard (M producers each): N + M rings total, CAS-claimed slots.
-class MpmcTransport final : public Transport {
- public:
-  MpmcTransport(std::size_t shards, std::size_t partitions,
-                std::size_t ring_capacity)
-      : active_shards_(shards) {
-    for (std::size_t j = 0; j < partitions; ++j) {
-      work_.push_back(std::make_unique<MpmcRing<Envelope>>(ring_capacity));
-    }
-    // Each shard's envelope pool must cover all its partitions' rings plus
-    // the in-hand slots, same sizing argument as the crossbar per pair.
-    const std::size_t pool = partitions * (ring_capacity + 2);
-    for (std::size_t i = 0; i < shards; ++i) {
-      free_.push_back(std::make_unique<MpmcRing<Envelope>>(pool));
-      Envelope env;
-      for (std::size_t k = 0; k < pool; ++k) {
-        const bool ok = free_.back()->try_push(env);
-        require(ok, "sharded_serve: free ring under-sized");
-        env = Envelope{};
-      }
-    }
-  }
-
-  bool acquire(std::size_t i, std::size_t /*j*/, Envelope& env) override {
-    return free_[i]->pop(env);
-  }
-
-  bool send(std::size_t /*i*/, std::size_t j, Envelope& env) override {
-    return work_[j]->push(env);
-  }
-
-  bool receive(std::size_t j, Envelope& env) override {
-    return work_[j]->pop(env);
-  }
-
-  void recycle(std::size_t /*j*/, Envelope& env) override {
-    if (!free_[env.shard]->try_push(env)) env = Envelope{};
-  }
-
-  void shard_done(std::size_t /*i*/) override {
-    if (active_shards_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      for (auto& ring : work_) ring->close();
-    }
-  }
-
-  void abort() override {
-    for (auto& ring : work_) ring->close();
-    for (auto& ring : free_) ring->close();
-  }
-
-  std::uint64_t enqueue_blocked(std::size_t j) const override {
-    return work_[j]->push_blocked();
-  }
-
-  std::uint64_t dequeue_blocked(std::size_t j) const override {
-    return work_[j]->pop_blocked();
-  }
-
- private:
-  std::vector<std::unique_ptr<MpmcRing<Envelope>>> work_;  // per partition
-  std::vector<std::unique_ptr<MpmcRing<Envelope>>> free_;  // per shard
-  std::atomic<std::size_t> active_shards_;
-};
-
-/// Pending barrier: per-partition snapshots collected until all M arrive.
+/// Pending barrier: per-partition contributions collected until all M
+/// arrive.
 struct BarrierSlot {
   std::vector<std::optional<StreamingSnapshot>> parts;
+  std::size_t epoch = 0;
   std::size_t filled = 0;
-  std::size_t rows_through = 0;
 };
+
+/// One run of the topology: the engines, the shared error and barrier
+/// state, and the inline or threaded loop that drives them.
+class ServeRun {
+ public:
+  ServeRun(ShardClaimSource& source, const CostModel& model,
+           const ServeConfig& config, const StreamingOptions& options,
+           const ServeHooks& hooks)
+      : source_(source),
+        config_(config),
+        hooks_(hooks),
+        shard_rows_(config.shard_count, 0),
+        shard_batches_(config.shard_count, 0) {
+    for (std::size_t j = 0; j < config.partition_count; ++j) {
+      engines_.push_back(std::make_unique<StreamingEngine>(model, options));
+    }
+  }
+
+  /// N = M = 1: claim and serve on the caller's thread.
+  void run_inline() {
+    Envelope env;
+    while (claim(0, env)) {
+      if (!serve(0, env)) break;
+    }
+  }
+
+  /// Spawns M partition threads and N shard threads and joins them;
+  /// rethrows the first system fault.
+  void run_threaded() {
+    crossbar_ = std::make_unique<Crossbar>(
+        config_.shard_count, config_.partition_count, config_.ring_capacity);
+    std::vector<std::thread> threads;
+    threads.reserve(config_.shard_count + config_.partition_count);
+    for (std::size_t j = 0; j < config_.partition_count; ++j) {
+      threads.emplace_back([this, j] { partition_main(j); });
+    }
+    for (std::size_t i = 0; i < config_.shard_count; ++i) {
+      threads.emplace_back([this, i] { shard_main(i); });
+    }
+    for (std::thread& t : threads) t.join();
+    if (first_exception_) std::rethrow_exception(first_exception_);
+  }
+
+  /// Finishes every engine and merges; call once, after a run.
+  ShardedServeResult finish();
+
+ private:
+  /// Claims the next block for shard i and marks its cadences.
+  bool claim(std::size_t i, Envelope& env) {
+    if (!source_.claim(env.block, env.seq, env.rows_through)) return false;
+    const std::size_t rows = env.block.size();
+    env.snapshot =
+        reaches_multiple(env.rows_through, rows, config_.snapshot_interval);
+    env.stats =
+        reaches_multiple(env.rows_through, rows, config_.stats_interval);
+    ++shard_batches_[i];
+    shard_rows_[i] += rows;
+    return true;
+  }
+
+  /// Partition j serves one envelope: push_batch, the archive hook, and
+  /// its share of a cadence barrier.  False once the engine rejected a row.
+  bool serve(std::size_t j, const Envelope& env);
+  void barrier(std::size_t j, const Envelope& env);
+  void shard_main(std::size_t i);
+  /// Routes a claimed block to every partition; false on abort.
+  bool ship(std::size_t i, Envelope& claimed, std::vector<Envelope>& envs);
+  void partition_main(std::size_t j);
+
+  /// The first engine rejection or system exception wins and tears the
+  /// topology down; decode errors travel through the source's error_seq
+  /// instead.  A rejection keeps its message only: the partitions still
+  /// finish, so the merged report covers what they served.
+  template <typename Keep>
+  void record_first(const Keep& keep) {
+    {
+      const std::lock_guard<std::mutex> lock(error_mutex_);
+      if (!first_exception_ && engine_error_.empty()) keep();
+    }
+    aborted_.store(true, std::memory_order_release);
+    if (crossbar_) crossbar_->abort();
+  }
+
+  ShardClaimSource& source_;
+  const ServeConfig& config_;
+  const ServeHooks& hooks_;
+  std::vector<std::unique_ptr<StreamingEngine>> engines_;
+  std::unique_ptr<Crossbar> crossbar_;  // threaded runs only
+
+  std::mutex error_mutex_;
+  std::exception_ptr first_exception_;
+  std::string engine_error_;
+  std::atomic<bool> aborted_{false};
+
+  // Barriers are collected per seq; the last contributor merges in
+  // partition-index order and fires the hooks while still holding the
+  // mutex, so hooks are serialized and arrive in stream order.
+  std::mutex barrier_mutex_;
+  std::map<std::uint64_t, BarrierSlot> barriers_;
+
+  // Indexed per shard — each slot written by exactly one thread.
+  std::vector<std::size_t> shard_rows_;
+  std::vector<std::uint64_t> shard_batches_;
+};
+
+bool ServeRun::serve(std::size_t j, const Envelope& env) {
+  // Suppress blocks after a recorded decode failure: the failing seq itself
+  // carries the valid prefix and is still served.  The error_seq store
+  // happens-before the failing block's ring push, so by the time any
+  // partition reaches a later seq the suppression is visible (partitions
+  // consume in seq order).
+  if (env.seq > source_.error_seq()) return true;
+  StreamingEngine& engine = *engines_[j];
+  const bool archive = hooks_.on_served && config_.partition_count == 1;
+  try {
+    engine.push_batch(env.block);
+  } catch (const InvalidArgument& rejection) {
+    // The engine rejected a row (say, a time that does not increase); it
+    // still holds every row before it.
+    if (archive) {
+      const std::size_t before = env.rows_through - env.block.size();
+      hooks_.on_served(env.block, engine.requests_seen() - before);
+    }
+    const std::string what = rejection.what();
+    record_first([&] {
+      engine_error_ = config_.partition_count == 1
+                          ? what
+                          : "partition " + std::to_string(j) + ": " + what;
+    });
+    return false;
+  }
+  if (archive) hooks_.on_served(env.block, env.block.size());
+  if (env.snapshot || env.stats) barrier(j, env);
+  return true;
+}
+
+void ServeRun::barrier(std::size_t j, const Envelope& env) {
+  StreamingEngine& engine = *engines_[j];
+  std::optional<StreamingSnapshot> snap;
+  if (env.snapshot) snap = engine.snapshot();
+  const std::size_t epoch = engine.epoch();
+
+  const std::size_t partitions = config_.partition_count;
+  const std::lock_guard<std::mutex> lock(barrier_mutex_);
+  BarrierSlot& slot = barriers_[env.seq];
+  if (slot.parts.empty()) slot.parts.resize(partitions);
+  slot.parts[j] = std::move(snap);
+  slot.epoch = std::max(slot.epoch, epoch);
+  if (++slot.filled < partitions) return;
+
+  if (env.snapshot && hooks_.on_snapshot) {
+    std::vector<StreamingSnapshot> parts;
+    parts.reserve(partitions);
+    for (auto& part : slot.parts) parts.push_back(std::move(*part));
+    hooks_.on_snapshot(merge_partition_snapshots(parts), env.rows_through);
+  }
+  if (env.stats && hooks_.on_stats) {
+    hooks_.on_stats(env.rows_through, slot.epoch);
+  }
+  barriers_.erase(env.seq);
+}
+
+void ServeRun::shard_main(std::size_t i) {
+  try {
+    Envelope claimed;
+    std::vector<Envelope> envs(config_.partition_count);
+    while (!aborted_.load(std::memory_order_acquire) && claim(i, claimed) &&
+           ship(i, claimed, envs)) {
+    }
+  } catch (...) {
+    const std::exception_ptr e = std::current_exception();
+    record_first([&] { first_exception_ = e; });
+  }
+  crossbar_->shard_done(i);
+}
+
+bool ServeRun::ship(std::size_t i, Envelope& claimed,
+                    std::vector<Envelope>& envs) {
+  const std::size_t partitions = config_.partition_count;
+  for (std::size_t j = 0; j < partitions; ++j) {
+    if (!crossbar_->acquire(i, j, envs[j])) return false;
+    envs[j].seq = claimed.seq;
+    envs[j].shard = static_cast<std::uint32_t>(i);
+    envs[j].snapshot = claimed.snapshot;
+    envs[j].stats = claimed.stats;
+    envs[j].rows_through = claimed.rows_through;
+    envs[j].block.clear();
+  }
+
+  if (partitions == 1) {
+    // Single partition: the whole claimed block ships as-is (swap, so
+    // zero-copy `.dpt` views ride through untouched and the envelope's
+    // owned block becomes next claim's scratch).
+    std::swap(envs[0].block, claimed.block);
+  } else {
+    const RequestBlock& block = claimed.block;
+    for (std::size_t r = 0; r < block.size(); ++r) {
+      const ServerId server = block.server_of(r);
+      const std::span<const ItemId> items = block.items_of(r);
+      const std::size_t j =
+          serve_partition_of(server, items, config_.flow_route, partitions);
+      envs[j].block.begin_row(server, block.time_of(r));
+      for (const ItemId item : items) envs[j].block.push_item(item);
+      envs[j].block.end_row();
+    }
+  }
+
+  for (std::size_t j = 0; j < partitions; ++j) {
+    if (!crossbar_->send(i, j, envs[j])) return false;
+  }
+  return true;
+}
+
+void ServeRun::partition_main(std::size_t j) {
+  try {
+    std::map<std::uint64_t, Envelope> holdback;
+    std::uint64_t expected = 0;
+    for (;;) {
+      Envelope env;
+      const auto held = holdback.find(expected);
+      if (held != holdback.end()) {
+        env = std::move(held->second);
+        holdback.erase(held);
+      } else {
+        if (!crossbar_->receive(j, env)) break;  // shards done + drained
+        if (env.seq != expected) {
+          holdback.emplace(env.seq, std::move(env));
+          continue;
+        }
+      }
+      ++expected;
+      if (!serve(j, env)) break;  // rejected: the run is aborting
+      crossbar_->recycle(j, env);
+    }
+    // Normal termination leaves the holdback empty (every claimed seq ships
+    // to every partition); entries can only remain after an abort tore the
+    // rings down mid-stream, and are dropped with it.
+  } catch (...) {
+    const std::exception_ptr e = std::current_exception();
+    record_first([&] { first_exception_ = e; });
+  }
+}
+
+ShardedServeResult ServeRun::finish() {
+  const std::size_t shards = config_.shard_count;
+  const std::size_t partitions = config_.partition_count;
+  ShardedServeResult result;
+  if (source_.error_seq() != ShardClaimSource::kNoError) {
+    result.feed_error = source_.error_message();
+  }
+  result.engine_error = std::move(engine_error_);
+
+  // Rows served, per partition: an engine that rejected a row mid-block
+  // holds exactly the rows before it.
+  std::vector<std::size_t> partition_rows(partitions, 0);
+  result.partition_reports.reserve(partitions);
+  Cost online_probe = 0.0;
+  Cost offline_probe = 0.0;
+  for (std::size_t j = 0; j < partitions; ++j) {
+    StreamingEngine& engine = *engines_[j];
+    partition_rows[j] = engine.requests_seen();
+    result.partition_reports.push_back(engine.finish());
+    result.epoch = std::max(result.epoch, engine.epoch());
+    result.probe_chunks += engine.probe_chunks();
+    online_probe += engine.online_probe_cost();
+    offline_probe += engine.offline_probe_cost();
+    result.stats.requests += partition_rows[j];
+  }
+  result.report = merge_partition_reports(result.partition_reports);
+  result.cost_ratio = offline_probe > 0.0 ? online_probe / offline_probe : 0.0;
+  for (std::size_t i = 0; i < shards; ++i) {
+    result.stats.batches += shard_batches_[i];
+  }
+
+  // Mirror the counts into the metrics (registration is idempotent and the
+  // adds are no-ops with obs off): per-shard and per-partition rows, and
+  // for threaded runs the ring backpressure, aggregate first.
+  for (std::size_t i = 0; i < std::min(shards, kMaxLabelIndex); ++i) {
+    obs::counter("stream.shard_rows.s" + std::to_string(i))
+        .add(shard_rows_[i]);
+    obs::counter("stream.shard_batches.s" + std::to_string(i))
+        .add(shard_batches_[i]);
+  }
+  for (std::size_t j = 0; j < std::min(partitions, kMaxLabelIndex); ++j) {
+    obs::counter("stream.partition_rows.p" + std::to_string(j))
+        .add(partition_rows[j]);
+  }
+  if (!crossbar_) return result;
+  for (std::size_t j = 0; j < partitions; ++j) {
+    result.stats.enqueue_blocked += crossbar_->enqueue_blocked(j);
+    result.stats.dequeue_blocked += crossbar_->dequeue_blocked(j);
+    if (j < kMaxLabelIndex) {
+      obs::counter("ring.enqueue_blocked.p" + std::to_string(j))
+          .add(crossbar_->enqueue_blocked(j));
+      obs::counter("ring.dequeue_blocked.p" + std::to_string(j))
+          .add(crossbar_->dequeue_blocked(j));
+    }
+  }
+  g_ring_enqueue_blocked.add(result.stats.enqueue_blocked);
+  g_ring_dequeue_blocked.add(result.stats.dequeue_blocked);
+  return result;
+}
 
 }  // namespace
 
@@ -352,251 +563,20 @@ StreamingSnapshot merge_partition_snapshots(
   return merged;
 }
 
-ShardedServeResult run_sharded_serve(
-    ShardClaimSource& source, const CostModel& model,
-    const ServeConfig& config, const StreamingOptions& engine_options,
-    const ShardedSnapshotCallback& on_snapshot) {
+ShardedServeResult run_sharded_serve(ShardClaimSource& source,
+                                     const CostModel& model,
+                                     const ServeConfig& config,
+                                     const StreamingOptions& engine_options,
+                                     const ServeHooks& hooks) {
   config.validate();
-  const std::size_t shards = config.shard_count;
-  const std::size_t partitions = config.partition_count;
-
-  std::vector<std::unique_ptr<StreamingEngine>> engines;
-  engines.reserve(partitions);
-  for (std::size_t j = 0; j < partitions; ++j) {
-    engines.push_back(std::make_unique<StreamingEngine>(model, engine_options));
-  }
-
-  std::unique_ptr<Transport> transport;
-  if (config.ring_topology == ServeTopology::kCrossbar) {
-    transport = std::make_unique<CrossbarTransport>(shards, partitions,
-                                                    config.ring_capacity);
+  source.cut_at_multiples(config.snapshot_interval, config.stats_interval);
+  ServeRun run(source, model, config, engine_options, hooks);
+  if (config.shard_count == 1 && config.partition_count == 1) {
+    run.run_inline();
   } else {
-    transport = std::make_unique<MpmcTransport>(shards, partitions,
-                                                config.ring_capacity);
+    run.run_threaded();
   }
-
-  // Error plumbing: the first engine rejection or system exception wins and
-  // tears the topology down; decode errors travel through the source's
-  // error_seq instead (see the header's error contract).  A rejection keeps
-  // its message only: the partitions still finish, so the merged report
-  // covers what they served.
-  std::mutex error_mutex;
-  std::exception_ptr first_exception;
-  std::string engine_error;
-  std::atomic<bool> aborted{false};
-  const auto record_first = [&](const auto& keep) {
-    {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_exception && engine_error.empty()) keep();
-    }
-    aborted.store(true, std::memory_order_release);
-    transport->abort();
-  };
-  const auto record_exception = [&](std::exception_ptr e) {
-    record_first([&] { first_exception = e; });
-  };
-  const auto record_rejection = [&](std::string message) {
-    record_first([&] { engine_error = std::move(message); });
-  };
-
-  // Barrier snapshots: collected per seq; the last contributor merges in
-  // partition-index order and fires the callback while still holding the
-  // mutex, so callbacks are serialized and arrive in barrier order.
-  std::mutex barrier_mutex;
-  std::map<std::uint64_t, BarrierSlot> barriers;
-
-  // Indexed per thread — each slot written by exactly one thread.
-  std::vector<std::size_t> shard_rows(shards, 0);
-  std::vector<std::uint64_t> shard_batches(shards, 0);
-
-  const auto shard_main = [&](std::size_t i) {
-    try {
-      RequestBlock claimed;
-      std::vector<Envelope> envs(partitions);
-      std::uint64_t seq = 0;
-      std::size_t rows_through = 0;
-      while (!aborted.load(std::memory_order_acquire) &&
-             source.claim(claimed, seq, rows_through)) {
-        ++shard_batches[i];
-        shard_rows[i] += claimed.size();
-        const std::size_t interval = config.snapshot_interval;
-        const bool barrier =
-            interval > 0 && (rows_through / interval) >
-                                ((rows_through - claimed.size()) / interval);
-
-        bool ok = true;
-        for (std::size_t j = 0; j < partitions; ++j) {
-          if (!transport->acquire(i, j, envs[j])) {
-            ok = false;
-            break;
-          }
-          envs[j].seq = seq;
-          envs[j].shard = static_cast<std::uint32_t>(i);
-          envs[j].barrier = barrier;
-          envs[j].rows_through = rows_through;
-          envs[j].block.clear();
-        }
-        if (!ok) break;
-
-        if (partitions == 1) {
-          // Single partition: the whole claimed block ships as-is (swap, so
-          // zero-copy `.dpt` views ride through untouched and the envelope's
-          // owned block becomes next claim's scratch).
-          std::swap(envs[0].block, claimed);
-        } else {
-          const std::size_t rows = claimed.size();
-          for (std::size_t r = 0; r < rows; ++r) {
-            const ServerId server = claimed.server_of(r);
-            const std::span<const ItemId> items = claimed.items_of(r);
-            const std::size_t j = serve_partition_of(
-                server, items, config.flow_route, partitions);
-            envs[j].block.begin_row(server, claimed.time_of(r));
-            for (const ItemId item : items) envs[j].block.push_item(item);
-            envs[j].block.end_row();
-          }
-        }
-
-        for (std::size_t j = 0; j < partitions; ++j) {
-          if (!transport->send(i, j, envs[j])) {
-            ok = false;
-            break;
-          }
-        }
-        if (!ok) break;
-      }
-    } catch (...) {
-      record_exception(std::current_exception());
-    }
-    transport->shard_done(i);
-  };
-
-  const auto partition_main = [&](std::size_t j) {
-    try {
-      std::map<std::uint64_t, Envelope> holdback;
-      std::uint64_t expected = 0;
-      for (;;) {
-        Envelope env;
-        const auto held = holdback.find(expected);
-        if (held != holdback.end()) {
-          env = std::move(held->second);
-          holdback.erase(held);
-        } else {
-          if (!transport->receive(j, env)) break;  // producers done+drained
-          if (env.seq != expected) {
-            holdback.emplace(env.seq, std::move(env));
-            continue;
-          }
-        }
-        ++expected;
-        // Suppress blocks after a recorded decode failure: the failing seq
-        // itself carries the valid prefix and is still served.  The
-        // error_seq store happens-before the failing block's ring push, so
-        // by the time any partition reaches a later seq the suppression is
-        // visible (partitions consume in seq order).
-        if (env.seq <= source.error_seq()) {
-          engines[j]->push_batch(env.block);
-          if (env.barrier) {
-            StreamingSnapshot snap = engines[j]->snapshot();
-            const std::lock_guard<std::mutex> lock(barrier_mutex);
-            BarrierSlot& slot = barriers[env.seq];
-            if (slot.parts.empty()) slot.parts.resize(partitions);
-            slot.parts[j] = std::move(snap);
-            slot.rows_through = env.rows_through;
-            if (++slot.filled == partitions) {
-              std::vector<StreamingSnapshot> parts;
-              parts.reserve(partitions);
-              for (auto& part : slot.parts) parts.push_back(std::move(*part));
-              const std::size_t rows = slot.rows_through;
-              barriers.erase(env.seq);
-              if (on_snapshot) {
-                on_snapshot(merge_partition_snapshots(parts), rows);
-              }
-            }
-          }
-        }
-        transport->recycle(j, env);
-      }
-      // Normal termination leaves the holdback empty (every claimed seq
-      // ships to every partition); entries can only remain after an abort
-      // tore the rings down mid-stream, and are dropped with it.
-    } catch (const InvalidArgument& rejection) {
-      // The engine rejected a row (say, a time that does not increase); it
-      // still holds every row before it.
-      const std::string what = rejection.what();
-      record_rejection(partitions == 1
-                           ? what
-                           : "partition " + std::to_string(j) + ": " + what);
-    } catch (...) {
-      record_exception(std::current_exception());
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(shards + partitions);
-  for (std::size_t j = 0; j < partitions; ++j) {
-    threads.emplace_back(partition_main, j);
-  }
-  for (std::size_t i = 0; i < shards; ++i) threads.emplace_back(shard_main, i);
-  for (std::thread& t : threads) t.join();
-
-  if (first_exception) std::rethrow_exception(first_exception);
-
-  ShardedServeResult result;
-  if (source.error_seq() != ShardClaimSource::kNoError) {
-    result.feed_error = source.error_message();
-  }
-  result.engine_error = std::move(engine_error);
-
-  // Rows served, per partition: an engine that rejected a row mid-block
-  // holds exactly the rows before it.
-  std::vector<std::size_t> partition_rows(partitions, 0);
-  result.partition_reports.reserve(partitions);
-  for (std::size_t j = 0; j < partitions; ++j) {
-    partition_rows[j] = engines[j]->requests_seen();
-    result.partition_reports.push_back(engines[j]->finish());
-    result.epoch = std::max(result.epoch, engines[j]->epoch());
-    result.probe_chunks += engines[j]->probe_chunks();
-  }
-  result.report = merge_partition_reports(result.partition_reports);
-
-  Cost online_probe = 0.0;
-  Cost offline_probe = 0.0;
-  for (std::size_t j = 0; j < partitions; ++j) {
-    online_probe += engines[j]->online_probe_cost();
-    offline_probe += engines[j]->offline_probe_cost();
-  }
-  result.cost_ratio = offline_probe > 0.0 ? online_probe / offline_probe : 0.0;
-
-  for (std::size_t i = 0; i < shards; ++i) {
-    result.stats.batches += shard_batches[i];
-  }
-  for (std::size_t j = 0; j < partitions; ++j) {
-    result.stats.requests += partition_rows[j];
-    result.stats.enqueue_blocked += transport->enqueue_blocked(j);
-    result.stats.dequeue_blocked += transport->dequeue_blocked(j);
-  }
-
-  // Mirror the backpressure into the ring.* metrics (aggregate first, then
-  // the per-shard/partition labels documented in docs/observability.md —
-  // registration is idempotent and the adds are no-ops with obs off).
-  g_ring_enqueue_blocked.add(result.stats.enqueue_blocked);
-  g_ring_dequeue_blocked.add(result.stats.dequeue_blocked);
-  for (std::size_t i = 0; i < std::min(shards, kMaxLabelIndex); ++i) {
-    obs::counter("stream.shard_rows.s" + std::to_string(i))
-        .add(shard_rows[i]);
-    obs::counter("stream.shard_batches.s" + std::to_string(i))
-        .add(shard_batches[i]);
-  }
-  for (std::size_t j = 0; j < std::min(partitions, kMaxLabelIndex); ++j) {
-    obs::counter("ring.enqueue_blocked.p" + std::to_string(j))
-        .add(transport->enqueue_blocked(j));
-    obs::counter("ring.dequeue_blocked.p" + std::to_string(j))
-        .add(transport->dequeue_blocked(j));
-    obs::counter("stream.partition_rows.p" + std::to_string(j))
-        .add(partition_rows[j]);
-  }
-
-  return result;
+  return run.finish();
 }
 
 }  // namespace dpg

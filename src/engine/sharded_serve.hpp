@@ -1,17 +1,21 @@
-// The sharded serve topology: N decode shards × M engine partitions.
+// The serve runtime: N decode shards × M engine partitions, the one engine
+// behind every `dpgreedy serve` run.
 //
 //   shard 0 ─┐                 ┌─ partition 0 (StreamingEngine)
-//   shard 1 ─┼─► rings ────────┼─ partition 1 (StreamingEngine)
-//     ...    │  (crossbar or   │    ...
-//   shard N ─┘   MPMC per      └─ partition M
-//                partition)         │
+//   shard 1 ─┼─► SPSC rings ───┼─ partition 1 (StreamingEngine)
+//     ...    │  (one per shard │    ...
+//   shard N ─┘   × partition)  └─ partition M
+//                                   │
 //                                   ▼
 //                     deterministic merge → one RunReport
 //
-// Shards claim blocks from a ShardClaimSource (trace/shard_source.hpp) —
-// each claim returns the block plus its global sequence number — decode
-// them (CSV) or slice them (sequence/`.dpt`), and route every row to the
-// partition that owns its flow:
+// At N = M = 1 there is nothing to overlap, so the runtime runs inline on
+// the caller's thread: claim a block, push_batch it, fire the hooks — no
+// ring and no thread.  Otherwise shards claim blocks from a
+// ShardClaimSource (trace/shard_source.hpp) — each claim returns the block
+// plus its global sequence number — decode them (CSV) or slice them
+// (sequence/`.dpt`), and route every row to the partition that owns its
+// flow:
 //
 //   routing key   kByServer:  the row's server id (a server's whole stream
 //                             lands on one partition — per-server flows are
@@ -23,62 +27,64 @@
 //                             so the assignment is stable across runs,
 //                             platforms and (N, M) block layouts
 //
-// Transport is chosen by ServeConfig::ring_topology: a ring-per-(shard,
-// partition) SPSC crossbar (N×M rings, zero CAS on the hot path) or one
-// MPMC ring per partition (parallel/mpmc_ring.hpp; M rings, N producers).
-// Envelopes recycle on matching free rings, so steady state allocates
-// nothing per block.  Every claimed block ships exactly one envelope to
-// every partition — empty sub-blocks included (push_batch on an empty
-// block is a documented no-op) — so each partition receives the dense
-// sequence 0, 1, 2, … and restores canonical trace order with a simple
+// Transport: one SPSC work ring and one SPSC free ring per (shard,
+// partition) pair — zero CAS on the hot path; each partition sweeps its N
+// inbound rings.  Envelopes recycle on the free rings, so steady state
+// allocates nothing per block.  Every claimed block ships exactly one
+// envelope to every partition — empty sub-blocks included (push_batch on an
+// empty block is a documented no-op) — so each partition receives the dense
+// sequence 0, 1, 2, … and restores canonical trace order with an
 // expected-seq counter plus a holdback map, regardless of which shard
 // decoded what or how the rings interleaved.
 //
 // Determinism contract (see docs/streaming.md for the full argument):
-//   * For a fixed partition count M, the merged report and every barrier
+//   * For a fixed partition count M, the merged report and every cadence
 //     snapshot are bit-identical across every shard count N, batch size,
-//     ring topology, ring capacity and thread schedule — each partition
-//     consumes its routed sub-stream in canonical order, and the merge
-//     reduces per-partition results in fixed partition-index order.
-//   * At M = 1 the single partition ingests the exact global stream, so
-//     the merged report is bit-identical to the 1×1 pipeline on every
-//     trace.  For M > 1 it is bit-identical to the 1×1 report exactly on
+//     ring capacity and thread schedule — each partition consumes its
+//     routed sub-stream in canonical order, and the merge reduces
+//     per-partition results in fixed partition-index order.
+//   * At M = 1 the single partition ingests the exact global stream, so the
+//     merged report is bit-identical to per-row StreamingEngine::push on
+//     every trace.  For M > 1 it is bit-identical to it exactly on
 //     flow-partitionable traces (streams whose cost decomposes over the
 //     routed flow universes); on general traces the interleaving of
 //     floating-point accumulation across partitions differs from the
 //     global order, and the merged result is the canonical *partitioned*
 //     answer, reproducible bit-for-bit at that M.
 //
-// Snapshots: barrier envelopes (claimed blocks whose cumulative row count
-// crosses a multiple of ServeConfig::snapshot_interval) make every
-// partition snapshot at the same global stream position; the last
-// partition to reach a barrier merges the M snapshots in partition-index
-// order and fires the callback (serialized, in barrier order).  The
-// cost-ratio probe runs per partition over its own sub-stream; the merged
-// ratio is Σ online / Σ offline over the per-partition probes.
+// Cadences: the runtime cuts the source's claims at every multiple of
+// ServeConfig::snapshot_interval and ::stats_interval, so a block ends on
+// each such row.  Those blocks are barriers: every partition contributes at
+// the same global stream position (a snapshot, and its epoch), and the last
+// partition to arrive merges in partition-index order and fires the hooks
+// (serialized, in stream order).  The cost-ratio probe runs per partition
+// over its own sub-stream; the merged ratio is Σ online / Σ offline.
 //
 // Error contract: a malformed row at global seq S (recorded by the source
 // via atomic-min) suppresses every block after S — partitions process
-// seq ≤ S in canonical order, then skip — so the engines ingest exactly
-// the requests before the failure, same as the 1×1 paths; the provenance
-// message lands in ShardedServeResult::feed_error rather than an
-// exception, because the partition engines (and their final reports) live
-// inside this call.  A row an engine rejects (InvalidArgument from
-// push_batch: a time that does not increase, say) stops the topology the
-// same way: every partition still finishes, the report covers the rows
-// served, and the message lands in ShardedServeResult::engine_error.  At
-// M = 1 those are exactly the rows before the rejected one, as on the 1×1
-// paths; at M > 1 each partition checks only its own rows.
+// seq ≤ S in canonical order, then skip — so the engines ingest exactly the
+// requests before the failure; the provenance message lands in
+// ShardedServeResult::feed_error rather than an exception, because the
+// partition engines (and their final reports) live inside this call.  A row
+// an engine rejects (InvalidArgument from push_batch: a time that does not
+// increase, say) stops the run the same way: every partition still
+// finishes, the report covers the rows served, and the message lands in
+// ShardedServeResult::engine_error.  At M = 1 those are exactly the rows
+// before the rejected one; at M > 1 each partition checks only its own
+// rows.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cost_model.hpp"
+#include "core/request_block.hpp"
 #include "engine/run_report.hpp"
 #include "engine/serve_config.hpp"
 #include "engine/streaming_engine.hpp"
@@ -135,20 +141,63 @@ struct ShardedServeResult {
   std::string engine_error;
 };
 
-/// Merged barrier snapshot + the global row count it corresponds to.
-using ShardedSnapshotCallback =
-    std::function<void(const StreamingSnapshot&, std::size_t)>;
+/// What the runtime reports while it runs.  Every hook is optional, fires
+/// in stream order and never concurrently with another.
+struct ServeHooks {
+  /// At every multiple of snapshot_interval: the merged snapshot and the
+  /// global row count it covers.
+  std::function<void(const StreamingSnapshot&, std::size_t)> on_snapshot;
+  /// At every multiple of stats_interval, after that row's snapshot: the
+  /// global row count and the epoch (max over partitions).
+  std::function<void(std::size_t, std::size_t)> on_stats;
+  /// M = 1 only: each block the engine served, and how many of its leading
+  /// rows it served (all but a rejected row and what follows it).  This is
+  /// `serve --archive`'s feed.
+  std::function<void(const RequestBlock&, std::size_t)> on_served;
+};
 
-/// Runs the N×M topology to end of stream: spawns config.shard_count
-/// decode threads and config.partition_count engine threads, joins them,
-/// finishes every partition engine and returns the deterministic merge.
-/// `engine_options` configures each partition engine (probe included).
-/// Throws only on system faults; decode errors and rejected rows surface
-/// through ShardedServeResult::feed_error / engine_error (see the error
-/// contract above).
-ShardedServeResult run_sharded_serve(
-    ShardClaimSource& source, const CostModel& model,
-    const ServeConfig& config, const StreamingOptions& engine_options,
-    const ShardedSnapshotCallback& on_snapshot = {});
+/// Runs the serve topology to end of stream: inline at N = M = 1, else
+/// config.shard_count decode threads and config.partition_count engine
+/// threads, joined before returning; finishes every partition engine and
+/// returns the deterministic merge.  `engine_options` configures each
+/// partition engine (probe included).  Cuts the source's claims at the
+/// config's cadences.  Throws only on system faults; decode errors and
+/// rejected rows surface through ShardedServeResult::feed_error /
+/// engine_error (see the error contract above).
+ShardedServeResult run_sharded_serve(ShardClaimSource& source,
+                                     const CostModel& model,
+                                     const ServeConfig& config,
+                                     const StreamingOptions& engine_options,
+                                     const ServeHooks& hooks = {});
+
+/// Double-buffered snapshot publication: the serve thread writes the back
+/// buffer privately and swaps it in under a briefly-held mutex; readers
+/// (stats printer, prom writer, HTTP scrapes) copy the front buffer under
+/// the same brief mutex.  Neither side ever holds an engine mutex, so
+/// observers never block ingest.
+class ReportBoard {
+ public:
+  /// Publishes a snapshot (writer side; one writer at a time).
+  void publish(StreamingSnapshot snapshot) {
+    back_ = std::move(snapshot);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    std::swap(front_, back_);
+    ++version_;
+  }
+
+  /// Copies the latest published snapshot.  `version` (optional) receives
+  /// the publication count — 0 means nothing has been published yet.
+  [[nodiscard]] StreamingSnapshot read(std::uint64_t* version = nullptr) const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (version != nullptr) *version = version_;
+    return front_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  StreamingSnapshot front_;
+  StreamingSnapshot back_;  // writer-private between publishes
+  std::uint64_t version_ = 0;
+};
 
 }  // namespace dpg

@@ -4,7 +4,7 @@
 //   GET /metrics  -> 200, Prometheus text format (the body comes from a
 //                    caller-supplied callback, typically
 //                    prometheus_text(snapshot_metrics()) plus lines derived
-//                    from the pipeline's double-buffered ReportBoard — so a
+//                    from serve's double-buffered ReportBoard — so a
 //                    scrape never touches the engine mutex);
 //   GET /healthz  -> 200 "ok\n".
 // Anything else is 404 (unknown path) or 405 (non-GET).  One request per

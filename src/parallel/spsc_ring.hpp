@@ -1,5 +1,5 @@
-// Bounded single-producer / single-consumer ring — the hand-off between the
-// serve pipeline's decode stage and the engine thread.
+// Bounded single-producer / single-consumer ring — the hand-off between a
+// serve decode shard and an engine partition (engine/sharded_serve.hpp).
 //
 // The classic two-index design: the producer owns `head_` (next write slot),
 // the consumer owns `tail_` (next read slot), each published with release
@@ -46,6 +46,23 @@ namespace dpg {
 // on every x86-64 and the common AArch64 cores.
 inline constexpr std::size_t kCacheLineBytes = 64;
 
+/// Spin -> yield -> sleep, so a stalled peer costs microseconds of latency,
+/// not a busy core.  Shared by the ring's blocking calls and the serve
+/// runtime's partition sweep.
+struct RingBackoff {
+  unsigned round = 0;
+  void wait() {
+    if (round < 64) {
+      // Busy spin: the peer is typically one batch away.
+    } else if (round < 256) {
+      std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    ++round;
+  }
+};
+
 template <typename T>
 class SpscRing {
  public:
@@ -91,7 +108,7 @@ class SpscRing {
   bool push(T& value) {
     if (try_push(value)) return true;
     blocked_push_.fetch_add(1, std::memory_order_relaxed);
-    Backoff backoff;
+    RingBackoff backoff;
     while (!try_push(value)) {
       if (closed_.load(std::memory_order_acquire)) return false;
       backoff.wait();
@@ -116,7 +133,7 @@ class SpscRing {
   bool pop(T& out) {
     if (try_pop(out)) return true;
     blocked_pop_.fetch_add(1, std::memory_order_relaxed);
-    Backoff backoff;
+    RingBackoff backoff;
     for (;;) {
       if (try_pop(out)) return true;
       // Order matters: re-check contents after observing the closed flag,
@@ -143,22 +160,6 @@ class SpscRing {
   }
 
  private:
-  /// Spin -> yield -> sleep, so a stalled peer costs microseconds of
-  /// latency, not a busy core.
-  struct Backoff {
-    unsigned round = 0;
-    void wait() {
-      if (round < 64) {
-        // Busy spin: the peer is typically one batch away.
-      } else if (round < 256) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
-      ++round;
-    }
-  };
-
   /// An index plus its owner's cached copy of the peer index, padded to a
   /// cache line so producer and consumer never share one.
   struct alignas(kCacheLineBytes) PaddedIndex {

@@ -100,9 +100,8 @@ class OnlineBreakEvenState {
   /// Serves one point (strictly after every previous one).
   void advance(const ServicePoint& point);
 
-  /// Serves a run of points in order — the batch entry the pipelined serve
-  /// path uses.  Same per-point arithmetic as advance(), so the result is
-  /// bit-identical at every batch size.
+  /// Serves a run of points in order.  Same per-point arithmetic as
+  /// advance(), so the result is bit-identical at every batch size.
   void advance_batch(std::span<const ServicePoint> points);
 
   /// Closes the books (charges every surviving copy to its last use) and

@@ -2,11 +2,10 @@
 //
 // One definition of the trace CSV dialect — header-discovered column order,
 // optional plain quotes, ';'-separated item lists, CRLF tolerance — used by
-// all three consumers: the one-shot parser (trace_from_csv), the
-// line-at-a-time CsvStreamReader, and the chunked CsvBlockReader feeding the
-// serve pipeline.  Everything here is allocation-free over string_views;
-// errors carry only the row-local message (callers wrap them with
-// file/row/byte-offset provenance).
+// both consumers: the one-shot parser (trace_from_csv) and the serve
+// runtime's CsvClaimSource.  Everything here is allocation-free over
+// string_views; errors carry only the row-local message (callers wrap them
+// with file/row/byte-offset provenance).
 #pragma once
 
 #include <charconv>

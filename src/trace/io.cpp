@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <istream>
 #include <iterator>
@@ -225,81 +223,6 @@ RequestSequence read_trace_stream(std::istream& in,
   const std::string text(std::istreambuf_iterator<char>(in),
                          std::istreambuf_iterator<char>{});
   return trace_from_csv(text, min_server_count, min_item_count, {}, source);
-}
-
-CsvStreamReader::CsvStreamReader(const std::string& path)
-    : in_(path == "-" ? stdin : std::fopen(path.c_str(), "rb")),
-      owns_in_(path != "-"),
-      source_(path == "-" ? "<stdin>" : path) {
-  if (in_ == nullptr) throw IoError("cannot open trace file: " + path);
-}
-
-CsvStreamReader::CsvStreamReader(std::FILE* in, std::string source)
-    : in_(in), source_(std::move(source)) {}
-
-CsvStreamReader::~CsvStreamReader() {
-  if (owns_in_) std::fclose(in_);
-  std::free(line_);
-}
-
-bool CsvStreamReader::read_line(std::string_view& line) {
-  const ssize_t length = ::getline(&line_, &line_capacity_, in_);
-  if (length < 0) {
-    if (std::ferror(in_)) throw IoError(source_ + ": read error");
-    return false;
-  }
-  g_bytes_parsed.add(static_cast<std::size_t>(length));
-  line = std::string_view(line_, static_cast<std::size_t>(length));
-  if (!line.empty() && line.back() == '\n') line.remove_suffix(1);
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  return true;
-}
-
-void CsvStreamReader::parse_header_line() {
-  header_parsed_ = true;
-  std::string_view header;
-  if (!read_line(header)) {
-    throw IoError(source_ + ": empty input (no CSV header)");
-  }
-  const csvdec::ColumnLayout layout = csvdec::parse_header(header);
-  server_col_ = layout.server;
-  time_col_ = layout.time;
-  items_col_ = layout.items;
-  column_count_ = layout.column_count;
-  canonical_ = layout.canonical();
-}
-
-bool CsvStreamReader::next(CsvStreamRow& row) {
-  if (!header_parsed_) parse_header_line();
-  std::string_view line;
-  while (read_line(line)) {
-    if (line.empty()) continue;
-    try {
-      csvdec::ColumnLayout layout;
-      layout.server = server_col_;
-      layout.time = time_col_;
-      layout.items = items_col_;
-      layout.column_count = column_count_;
-      const csvdec::RowFields fields =
-          csvdec::split_row(line, layout, canonical_);
-      row.server = static_cast<ServerId>(
-          csvdec::fast_parse_size(csvdec::strip_quotes(fields.server)));
-      row.time = csvdec::fast_parse_double(csvdec::strip_quotes(fields.time));
-      row.items.clear();
-      csvdec::parse_item_list(
-          fields.items, [&](ItemId item) { row.items.push_back(item); });
-      std::sort(row.items.begin(), row.items.end());
-      row.items.erase(std::unique(row.items.begin(), row.items.end()),
-                      row.items.end());
-    } catch (const Error& e) {
-      throw IoError(source_ + ": row " + std::to_string(rows_ + 1) + ": " +
-                    e.what());
-    }
-    ++rows_;
-    g_rows_parsed.add();
-    return true;
-  }
-  return false;
 }
 
 }  // namespace dpg

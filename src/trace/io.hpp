@@ -11,7 +11,6 @@
 // double quotes (no embedded separators or escaped quotes).
 #pragma once
 
-#include <cstdio>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -63,66 +62,5 @@ void write_trace_file(const std::string& path, const RequestSequence& sequence);
 [[nodiscard]] RequestSequence read_trace_stream(
     std::istream& in, std::size_t min_server_count = 0,
     std::size_t min_item_count = 0, std::string_view source = "<stdin>");
-
-/// One parsed `server,time,items` row of a streamed trace.
-struct CsvStreamRow {
-  ServerId server = 0;
-  Time time = 0.0;
-  std::vector<ItemId> items;  // sorted, duplicate-free
-};
-
-/// Bounded-memory, line-at-a-time CSV trace reader for unbounded inputs —
-/// what `dpgreedy serve` uses to feed the StreamingEngine from a pipe.
-/// Same dialect as trace_from_csv (any column order, CRLF, blank lines,
-/// plain quotes); holds only the current line and row, so memory is O(max
-/// row length) regardless of stream length.  Each line comes straight out
-/// of the C stdio buffer through POSIX getline(3), one locked call per
-/// line; getline returns as soon as a row's newline has arrived, so a paced
-/// feed is still decoded row by row.  Sequence-level invariants (strictly
-/// increasing times, non-empty item sets) are the *consumer's* contract:
-/// the reader reports rows as written and the engine's push validates them.
-class CsvStreamReader {
- public:
-  /// Opens `path` for reading, or reads stdin when `path` is "-" (errors
-  /// then name "<stdin>").  Throws IoError if the file cannot be opened.
-  explicit CsvStreamReader(const std::string& path);
-
-  /// Reads an already-open stream, which the reader does not close.
-  CsvStreamReader(std::FILE* in, std::string source);
-
-  ~CsvStreamReader();
-  CsvStreamReader(const CsvStreamReader&) = delete;
-  CsvStreamReader& operator=(const CsvStreamReader&) = delete;
-
-  /// Parses the next data row into `row`, reusing its buffers.  Returns
-  /// false at end of input.  The header row is consumed on the first call.
-  /// Throws IoError (with the source and the 1-based data row number) on
-  /// malformed input, and IoError naming the source on a read error.
-  bool next(CsvStreamRow& row);
-
-  /// Data rows successfully parsed so far.
-  [[nodiscard]] std::size_t rows_read() const noexcept { return rows_; }
-
-  /// The label errors carry: the path, or "<stdin>".
-  [[nodiscard]] const std::string& source() const noexcept { return source_; }
-
- private:
-  /// The next line without its "\n" / "\r\n"; false at end of input.
-  bool read_line(std::string_view& line);
-  void parse_header_line();
-
-  std::FILE* in_;
-  bool owns_in_ = false;
-  std::string source_;
-  char* line_ = nullptr;  // getline(3)'s buffer, grown to the longest line
-  std::size_t line_capacity_ = 0;
-  bool header_parsed_ = false;
-  std::size_t server_col_ = 0;
-  std::size_t time_col_ = 1;
-  std::size_t items_col_ = 2;
-  std::size_t column_count_ = 3;
-  bool canonical_ = true;
-  std::size_t rows_ = 0;
-};
 
 }  // namespace dpg

@@ -1,8 +1,12 @@
 #include "trace/shard_source.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <utility>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -11,18 +15,34 @@ namespace dpg {
 
 namespace {
 
-// Same parse counters as the other CSV readers, so `trace.*` metrics cover
-// the sharded ingest path too.
+// Same parse counters as trace_from_csv, so `trace.*` metrics cover the
+// serve ingest path too.
 const obs::Counter g_rows_parsed = obs::counter("trace.rows_parsed");
 const obs::Counter g_bytes_parsed = obs::counter("trace.bytes_parsed");
 
-// One IO chunk (same sizing rationale as block_reader.cpp).
-constexpr std::size_t kReadChunkBytes = 1u << 20;
+// The read buffer: one 64 KiB read(2) holds ~2,000 rows of a taxi feed, so
+// a flood still fills whole batches, while peak RSS stays off the 1 MiB a
+// buffer sized for one read per block would cost.
+constexpr std::size_t kReadBufferBytes = 64u << 10;
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // ShardClaimSource
+
+ShardClaimSource::ShardClaimSource(std::size_t batch_rows, std::size_t limit)
+    : batch_rows_(batch_rows), limit_(limit) {
+  require(batch_rows_ > 0, "ShardClaimSource: batch_rows must be >= 1");
+}
+
+std::size_t ShardClaimSource::claim_rows(std::size_t start) const noexcept {
+  std::size_t rows = batch_rows_;
+  if (limit_ > 0) rows = std::min(rows, limit_ > start ? limit_ - start : 0);
+  for (const std::size_t every : cuts_) {
+    if (every > 0) rows = std::min(rows, every - start % every);
+  }
+  return rows;
+}
 
 void ShardClaimSource::report_error(std::uint64_t seq, std::string message) {
   // Atomic-min on the failing seq; the winning (smallest) seq keeps its
@@ -47,27 +67,31 @@ void ShardClaimSource::report_error(std::uint64_t seq, std::string message) {
 SequenceClaimSource::SequenceClaimSource(const RequestSequence& sequence,
                                          std::size_t batch_rows,
                                          std::size_t limit)
-    : sequence_(sequence),
-      batch_rows_(batch_rows),
-      end_(limit == 0 ? sequence.size() : std::min(limit, sequence.size())) {
-  require(batch_rows_ > 0, "SequenceClaimSource: batch_rows must be >= 1");
-}
+    : ShardClaimSource(batch_rows, limit), sequence_(sequence) {}
 
 bool SequenceClaimSource::claim(RequestBlock& block, std::uint64_t& seq,
                                 std::size_t& rows_through) {
-  const std::uint64_t i =
-      next_block_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t start = static_cast<std::size_t>(i) * batch_rows_;
-  if (start >= end_) {
-    block.clear();
-    return false;
+  std::size_t start = 0;
+  std::size_t n = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    start = next_row_;
+    if (start < sequence_.size()) {
+      n = std::min(claim_rows(start), sequence_.size() - start);
+    }
+    if (n == 0) {
+      block.clear();
+      return false;
+    }
+    next_row_ = start + n;
+    seq = next_seq_++;
   }
-  const std::size_t n = std::min(batch_rows_, end_ - start);
+  // Offsets stay absolute into the full items pool; the block indexes the
+  // pool base directly, so the slice is pure pointer arithmetic.
   const SequenceColumns columns = sequence_.columns();
   block.adopt(columns.servers.subspan(start, n),
               columns.times.subspan(start, n),
               columns.item_offsets.subspan(start, n + 1), columns.items_pool);
-  seq = i;
   rows_through = start + n;
   return true;
 }
@@ -75,52 +99,63 @@ bool SequenceClaimSource::claim(RequestBlock& block, std::uint64_t& seq,
 // ---------------------------------------------------------------------------
 // CsvClaimSource
 
-CsvClaimSource::CsvClaimSource(std::istream& in, std::string source,
-                               std::size_t batch_rows, std::size_t limit)
-    : in_(in), source_(std::move(source)), batch_rows_(batch_rows),
-      limit_(limit) {
-  require(batch_rows_ > 0, "CsvClaimSource: batch_rows must be >= 1");
-  buffer_.reserve(kReadChunkBytes + 4096);
+CsvClaimSource::CsvClaimSource(const std::string& path, std::size_t batch_rows,
+                               std::size_t limit)
+    : CsvClaimSource(0, path == "-" ? "<stdin>" : path, batch_rows, limit) {
+  if (path == "-") return;
+  // Opened last, so no later initializer can throw and leak the fd.
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd_ < 0) throw IoError("cannot open trace file: " + path);
+  owns_fd_ = true;
 }
 
-bool CsvClaimSource::next_line(std::string_view& line, std::size_t* offset) {
+CsvClaimSource::CsvClaimSource(int fd, std::string source,
+                               std::size_t batch_rows, std::size_t limit)
+    : ShardClaimSource(batch_rows, limit),
+      fd_(fd),
+      source_(std::move(source)),
+      buffer_(kReadBufferBytes, '\0') {}
+
+CsvClaimSource::~CsvClaimSource() {
+  if (owns_fd_) ::close(fd_);
+}
+
+bool CsvClaimSource::next_line(std::string_view& line, std::size_t& offset,
+                               bool may_read) {
   for (;;) {
-    const std::size_t newline = buffer_.find('\n', pos_);
-    if (newline != std::string::npos) {
-      *offset = base_offset_ + pos_;
-      line = std::string_view(buffer_).substr(pos_, newline - pos_);
-      pos_ = newline + 1;
+    const char* begin = buffer_.data() + pos_;
+    const auto* newline =
+        static_cast<const char*>(std::memchr(begin, '\n', end_ - pos_));
+    if (newline != nullptr || (eof_ && pos_ < end_)) {
+      // A complete line, or the final one without a trailing newline.
+      const char* stop = newline != nullptr ? newline : buffer_.data() + end_;
+      line = std::string_view(begin, static_cast<std::size_t>(stop - begin));
+      offset = base_offset_ + pos_;
+      pos_ = newline != nullptr ? pos_ + line.size() + 1 : end_;
       if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
       return true;
     }
-    if (eof_) {
-      if (pos_ >= buffer_.size()) return false;
-      // Final line without a trailing newline.
-      *offset = base_offset_ + pos_;
-      line = std::string_view(buffer_).substr(pos_);
-      pos_ = buffer_.size();
-      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-      return true;
-    }
-    // Compact the consumed prefix, then pull the next chunk.
+    if (eof_ || !may_read) return false;
+    // Compact the consumed prefix; grow only for a line that fills the
+    // whole buffer.
     if (pos_ > 0) {
-      buffer_.erase(0, pos_);
+      std::memmove(buffer_.data(), buffer_.data() + pos_, end_ - pos_);
       base_offset_ += pos_;
+      end_ -= pos_;
       pos_ = 0;
     }
-    const std::size_t old_size = buffer_.size();
-    buffer_.resize(old_size + kReadChunkBytes);
-    in_.read(buffer_.data() + old_size,
-             static_cast<std::streamsize>(kReadChunkBytes));
-    const std::size_t got = static_cast<std::size_t>(in_.gcount());
-    buffer_.resize(old_size + got);
-    if (got == 0) {
-      if (in_.bad()) {
-        throw IoError(source_ + ": read error at byte offset " +
-                      std::to_string(base_offset_ + buffer_.size()));
-      }
-      eof_ = true;
+    if (end_ == buffer_.size()) buffer_.resize(2 * buffer_.size());
+    ssize_t got = 0;
+    do {
+      got = ::read(fd_, buffer_.data() + end_, buffer_.size() - end_);
+    } while (got < 0 && errno == EINTR);
+    if (got < 0) {
+      throw IoError(source_ + ": read error at byte offset " +
+                    std::to_string(base_offset_ + end_) + ": " +
+                    std::strerror(errno));
     }
+    if (got == 0) eof_ = true;
+    end_ += static_cast<std::size_t>(got);
   }
 }
 
@@ -128,7 +163,7 @@ void CsvClaimSource::parse_header_line() {
   header_parsed_ = true;
   std::string_view header;
   std::size_t offset = 0;
-  if (!next_line(header, &offset)) {
+  if (!next_line(header, offset, /*may_read=*/true)) {
     throw IoError(source_ + ": empty input (no CSV header)");
   }
   layout_ = csvdec::parse_header(header);
@@ -139,42 +174,53 @@ bool CsvClaimSource::claim(RequestBlock& block, std::uint64_t& seq,
                            std::size_t& rows_through) {
   block.clear();
 
-  // Per-thread claim scratch: the raw bytes of this claim's lines plus
-  // their locations.  thread_local (not per-call) so a shard's repeated
-  // claims reuse warm capacity; cleared on entry, never used re-entrantly.
+  // Per-thread claim scratch: a copy of the raw bytes of this claim's
+  // lines.  thread_local (not per-call) so a shard's repeated claims reuse
+  // warm capacity; overwritten on entry, never used re-entrantly.
   thread_local std::string text;
-  thread_local std::vector<LineRef> lines;
-  text.clear();
-  lines.clear();
 
   std::size_t start_row = 0;
+  std::size_t start_offset = 0;  // stream offset of text[0]
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (error_seq() != kNoError) return false;
-    if (!header_parsed_) parse_header_line();
-
-    start_row = rows_grabbed_.load(std::memory_order_relaxed);
-    while (lines.size() < batch_rows_ &&
-           (limit_ == 0 || start_row + lines.size() < limit_)) {
+    std::size_t rows = 0;
+    const char* first = nullptr;
+    const char* last = nullptr;
+    try {
+      if (!header_parsed_) parse_header_line();
+      start_row = next_row_;
+      const std::size_t want = claim_rows(start_row);
       std::string_view line;
       std::size_t offset = 0;
-      if (!next_line(line, &offset)) break;
-      if (line.empty()) continue;
-      lines.push_back(LineRef{text.size(), line.size(), offset});
-      text.append(line);
+      // Block on the input only while this claim holds no line; once it
+      // holds one the buffer is not compacted, so its lines stay contiguous.
+      while (rows < want && next_line(line, offset, rows == 0)) {
+        if (line.empty()) continue;
+        if (rows++ == 0) {
+          first = line.data();
+          start_offset = offset;
+        }
+        last = line.data() + line.size();
+      }
+    } catch (const Error& e) {
+      // A header or read error ends the stream before any further block.
+      report_error(next_seq_, e.what());
+      return false;
     }
-    if (lines.empty()) return false;  // end of stream / limit reached
+    if (rows == 0) return false;  // end of stream / limit reached
+    text.assign(first, last);
     seq = next_seq_++;
-    rows_grabbed_.store(start_row + lines.size(), std::memory_order_relaxed);
+    next_row_ = start_row + rows;
   }
-  rows_through = start_row + lines.size();
 
   // Decode outside the lock — this is the part that runs N shards wide.
   std::size_t bytes = 0;
-  for (std::size_t r = 0; r < lines.size(); ++r) {
-    const LineRef& ref = lines[r];
-    const std::string_view line =
-        std::string_view(text).substr(ref.begin, ref.length);
+  std::string_view rest = text;
+  while (!rest.empty()) {
+    const std::size_t offset = start_offset + (text.size() - rest.size());
+    const std::string_view line = csvdec::next_line(rest);
+    if (line.empty()) continue;
     try {
       const csvdec::RowFields fields =
           csvdec::split_row(line, layout_, canonical_);
@@ -190,13 +236,15 @@ bool CsvClaimSource::claim(RequestBlock& block, std::uint64_t& seq,
       // the seq numbering has no gap.  The runtime suppresses seqs after
       // this one on the partition side.
       block.abort_row();
-      report_error(seq, source_ + ": row " + std::to_string(start_row + r + 1) +
-                            " (byte offset " + std::to_string(ref.offset) +
+      report_error(seq, source_ + ": row " +
+                            std::to_string(start_row + block.size() + 1) +
+                            " (byte offset " + std::to_string(offset) +
                             "): " + e.what());
       break;
     }
-    bytes += ref.length + 1;
+    bytes += line.size() + 1;
   }
+  rows_through = start_row + block.size();
 
   g_rows_parsed.add(block.size());
   g_bytes_parsed.add(bytes);

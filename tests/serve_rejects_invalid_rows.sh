@@ -2,9 +2,10 @@
 # `dpgreedy serve` rejects the rows `dpgreedy solve` rejects.  Each bad row
 # must make serve exit 1, name `<stdin>: row N` on stderr, and still print
 # the final line of the valid prefix before it (compared with serve over
-# that prefix alone) — per push, with --pipeline, and sharded over one
-# engine partition, whose reports must count the rows the engine served
-# before the bad one.  solve must exit 1 on an infinite time.
+# that prefix alone) — on one thread at several block sizes (so the bad row
+# lands mid-block), and with two decode shards over one engine partition,
+# whose reports must count the rows the engine served before the bad one.
+# solve must exit 1 on an infinite time.
 #
 #   sh tests/serve_rejects_invalid_rows.sh build/tools/dpgreedy
 set -u
@@ -31,8 +32,8 @@ check() {
     return
   fi
   expected=$(grep '^final ' "$dir/prefix.out")
-  for mode in "" "--pipeline" "--pipeline --batch 2" "--shards 2" \
-      "--shards 2 --batch 2"; do
+  for mode in "" "--batch 2" "--shards 2" "--shards 2 --batch 2" \
+      "--shards 2 --batch 64"; do
     # shellcheck disable=SC2086  # $mode is a flag list
     "$dpgreedy" serve --trace - $mode < "$dir/in.csv" > "$dir/out" 2> "$dir/err"
     status=$?

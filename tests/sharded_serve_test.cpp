@@ -1,25 +1,30 @@
-// The sharded serve surface: ServeConfig (the unified builder every serve
-// entry point parses into), serve_partition_of routing, the deterministic
-// merge, and run_sharded_serve itself.
+// The serve surface: ServeConfig (the builder every serve entry point
+// parses into), serve_partition_of routing, the deterministic merge, and
+// run_sharded_serve itself.
 //
-// The load-bearing guarantee mirrors the pipeline suite one level up: for a
-// fixed partition count M, the merged report and every barrier snapshot are
-// bit-identical across every shard count, batch size, ring topology and
-// thread schedule — and at M = 1 they are bit-identical to the per-push
-// engine (checked against the same full-precision goldens as
-// streaming_pipeline_test.cpp).  The reference implementation here routes
-// rows serially through M engines with the same hash, so any divergence in
-// the concurrent runtime (ordering, holdback, barriers, merge) is a test
-// failure, not an FP tolerance.
+// The load-bearing guarantee mirrors the block suite one level up: for a
+// fixed partition count M, the merged report and every cadence snapshot are
+// bit-identical across every shard count, batch size and thread schedule —
+// and at M = 1 they are bit-identical to the per-push engine (checked
+// against the same full-precision goldens as streaming_pipeline_test.cpp).
+// The reference implementation here routes rows serially through M
+// engines with the same hash and snapshots at exact cadence multiples, so
+// any divergence in the runtime (claim cuts, ordering, holdback, barriers,
+// merge) is a test failure, not an FP tolerance.
 //
 // ShardedServe.* runs under TSan in CI alongside the ring suites.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "dpgreedy.hpp"
@@ -94,13 +99,16 @@ void expect_snapshots_equal(const StreamingSnapshot& a,
 
 /// The serial reference for the N×M runtime: route every row with the same
 /// hash into M per-push engines in global trace order, snapshot all of them
-/// (partition-index order) at exactly the barrier blocks the sharded
-/// sources emit, then finish + merge.  Matches ShardedServeResult
-/// field-for-field so tests can diff the two directly.
+/// (partition-index order) at every exact multiple of the snapshot cadence
+/// and note the max epoch at every multiple of the stats cadence, then
+/// finish + merge.  Matches ShardedServeResult field-for-field so tests
+/// can diff the two directly.
 struct ReferenceRun {
   ShardedServeResult result;
   std::vector<StreamingSnapshot> snapshots;
   std::vector<std::size_t> snapshot_rows;
+  std::vector<std::size_t> stats_rows;
+  std::vector<std::size_t> stats_epochs;
 };
 
 ReferenceRun reference_partitioned_run(const RequestSequence& trace,
@@ -113,26 +121,27 @@ ReferenceRun reference_partitioned_run(const RequestSequence& trace,
   }
 
   ReferenceRun run;
-  const std::size_t n = trace.size();
-  for (std::size_t start = 0; start < n; start += config.batch_rows) {
-    const std::size_t size = std::min(config.batch_rows, n - start);
-    for (std::size_t r = start; r < start + size; ++r) {
-      const std::size_t j =
-          serve_partition_of(trace.server_of(r), trace.items_of(r),
-                             config.flow_route, partitions);
-      engines[j]->push(trace.server_of(r), trace.time_of(r),
-                       trace.items_of(r));
-    }
-    const std::size_t through = start + size;
-    const std::size_t interval = config.snapshot_interval;
-    if (interval > 0 &&
-        (through / interval) > ((through - size) / interval)) {
+  for (std::size_t r = 0; r < trace.size(); ++r) {
+    const std::size_t j = serve_partition_of(
+        trace.server_of(r), trace.items_of(r), config.flow_route, partitions);
+    engines[j]->push(trace.server_of(r), trace.time_of(r), trace.items_of(r));
+    const std::size_t through = r + 1;
+    if (config.snapshot_interval > 0 &&
+        through % config.snapshot_interval == 0) {
       std::vector<StreamingSnapshot> parts;
-      for (std::size_t j = 0; j < partitions; ++j) {
-        parts.push_back(engines[j]->snapshot());
+      for (std::size_t p = 0; p < partitions; ++p) {
+        parts.push_back(engines[p]->snapshot());
       }
       run.snapshots.push_back(merge_partition_snapshots(parts));
       run.snapshot_rows.push_back(through);
+    }
+    if (config.stats_interval > 0 && through % config.stats_interval == 0) {
+      std::size_t epoch = 0;
+      for (const auto& engine : engines) {
+        epoch = std::max(epoch, engine->epoch());
+      }
+      run.stats_rows.push_back(through);
+      run.stats_epochs.push_back(epoch);
     }
   }
 
@@ -163,27 +172,23 @@ TEST(ServeConfig, DefaultsValidateAndFluentSettersChain) {
       .shards(3)
       .partitions(2)
       .route(ServeRoute::kByItemSet)
-      .topology(ServeTopology::kMpmc)
       .snapshot_every(5000)
       .stats_every(100)
       .probe_chunk(256)
       .max_requests(9999)
       .listen("127.0.0.1:9100")
-      .prom_out("metrics.prom")
-      .pipeline(true);
+      .prom_out("metrics.prom");
   EXPECT_EQ(config.batch_rows, 512u);
   EXPECT_EQ(config.ring_capacity, 4u);
   EXPECT_EQ(config.shard_count, 3u);
   EXPECT_EQ(config.partition_count, 2u);
   EXPECT_EQ(config.flow_route, ServeRoute::kByItemSet);
-  EXPECT_EQ(config.ring_topology, ServeTopology::kMpmc);
   EXPECT_EQ(config.snapshot_interval, 5000u);
   EXPECT_EQ(config.stats_interval, 100u);
   EXPECT_EQ(config.probe_chunk_rows, 256u);
   EXPECT_EQ(config.max_request_rows, 9999u);
   EXPECT_EQ(config.listen_address, "127.0.0.1:9100");
   EXPECT_EQ(config.prom_path, "metrics.prom");
-  EXPECT_TRUE(config.pipelined);
   EXPECT_NO_THROW(config.validate());
 }
 
@@ -194,27 +199,23 @@ TEST(ServeConfig, WithParsesEveryField) {
       .with("shards", "4")
       .with("partitions", "8")
       .with("route", "itemset")
-      .with("topology", "mpmc")
       .with("snapshot_every", "12345")
       .with("stats_every", "77")
       .with("probe_chunk", "500")
       .with("max_requests", "1000000")
       .with("listen", "0.0.0.0:9100")
-      .with("prom_out", "/tmp/serve.prom")
-      .with("pipeline", "on");
+      .with("prom_out", "/tmp/serve.prom");
   EXPECT_EQ(config.batch_rows, 2048u);
   EXPECT_EQ(config.ring_capacity, 16u);
   EXPECT_EQ(config.shard_count, 4u);
   EXPECT_EQ(config.partition_count, 8u);
   EXPECT_EQ(config.flow_route, ServeRoute::kByItemSet);
-  EXPECT_EQ(config.ring_topology, ServeTopology::kMpmc);
   EXPECT_EQ(config.snapshot_interval, 12345u);
   EXPECT_EQ(config.stats_interval, 77u);
   EXPECT_EQ(config.probe_chunk_rows, 500u);
   EXPECT_EQ(config.max_request_rows, 1000000u);
   EXPECT_EQ(config.listen_address, "0.0.0.0:9100");
   EXPECT_EQ(config.prom_path, "/tmp/serve.prom");
-  EXPECT_TRUE(config.pipelined);
 
   // The archive field composes with the 1×1 restriction.
   ServeConfig archive;
@@ -234,9 +235,7 @@ TEST(ServeConfig, WithThrowsNamingTheOffense) {
         << "should list valid fields: " << what;
   }
   EXPECT_THROW(config.with("route", "round_robin"), InvalidArgument);
-  EXPECT_THROW(config.with("topology", "spsc"), InvalidArgument);
   EXPECT_THROW(config.with("batch", "not_a_number"), InvalidArgument);
-  EXPECT_THROW(config.with("pipeline", "maybe"), InvalidArgument);
   // Eager range validation at the .with call site.
   EXPECT_THROW(config.with("shards", "0"), InvalidArgument);
   EXPECT_THROW(config.with("partitions", "65"), InvalidArgument);
@@ -277,11 +276,10 @@ TEST(ServeConfig, RouteAndTopologyNamesRoundTrip) {
             ServeRoute::kByServer);
   EXPECT_EQ(parse_serve_route(serve_route_name(ServeRoute::kByItemSet)),
             ServeRoute::kByItemSet);
-  EXPECT_EQ(
-      parse_serve_topology(serve_topology_name(ServeTopology::kCrossbar)),
-      ServeTopology::kCrossbar);
-  EXPECT_EQ(parse_serve_topology(serve_topology_name(ServeTopology::kMpmc)),
-            ServeTopology::kMpmc);
+  // The transport is fixed (one SPSC ring per shard and partition), so a
+  // topology is no longer a field at all.
+  ServeConfig config;
+  EXPECT_THROW(config.with("topology", "crossbar"), InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -400,40 +398,38 @@ TEST(ShardedServe, GridMatchesSerialReferenceSnapshotBySnapshot) {
       const ReferenceRun ref =
           reference_partitioned_run(trace, base, options);
       for (const std::size_t shards : {1u, 2u, 4u}) {
-        for (const ServeTopology topology :
-             {ServeTopology::kCrossbar, ServeTopology::kMpmc}) {
-          const std::string label =
-              "N=" + std::to_string(shards) + " M=" +
-              std::to_string(partitions) + " batch=" + std::to_string(batch) +
-              " topo=" + serve_topology_name(topology);
-          ServeConfig config = base;
-          config.shards(shards).topology(topology);
-          SequenceClaimSource source(trace, config.batch_rows);
-          std::vector<StreamingSnapshot> snapshots;
-          std::vector<std::size_t> snapshot_rows;
-          const ShardedServeResult result = run_sharded_serve(
-              source, kModel, config, options,
-              [&](const StreamingSnapshot& snap, std::size_t rows) {
-                snapshots.push_back(snap);
-                snapshot_rows.push_back(rows);
-              });
+        const std::string label =
+            "N=" + std::to_string(shards) + " M=" +
+            std::to_string(partitions) + " batch=" + std::to_string(batch);
+        ServeConfig config = base;
+        config.shards(shards);
+        SequenceClaimSource source(trace, config.batch_rows);
+        std::vector<StreamingSnapshot> snapshots;
+        std::vector<std::size_t> snapshot_rows;
+        ServeHooks hooks;
+        hooks.on_snapshot = [&](const StreamingSnapshot& snap,
+                                std::size_t rows) {
+          snapshots.push_back(snap);
+          snapshot_rows.push_back(rows);
+        };
+        const ShardedServeResult result =
+            run_sharded_serve(source, kModel, config, options, hooks);
 
-          EXPECT_TRUE(result.feed_error.empty()) << label;
-          EXPECT_EQ(result.stats.requests, trace.size()) << label;
-          expect_reports_equal(result.report, ref.result.report, label);
-          EXPECT_EQ(result.epoch, ref.result.epoch) << label;
-          ASSERT_EQ(result.partition_reports.size(), partitions) << label;
-          for (std::size_t j = 0; j < partitions; ++j) {
-            expect_reports_equal(result.partition_reports[j],
-                                 ref.result.partition_reports[j],
-                                 label + " partition " + std::to_string(j));
-          }
-          ASSERT_EQ(snapshots.size(), ref.snapshots.size()) << label;
-          EXPECT_EQ(snapshot_rows, ref.snapshot_rows) << label;
-          for (std::size_t s = 0; s < snapshots.size(); ++s) {
-            expect_snapshots_equal(snapshots[s], ref.snapshots[s],
-                                   label + " snapshot " + std::to_string(s));
-          }
+        EXPECT_TRUE(result.feed_error.empty()) << label;
+        EXPECT_EQ(result.stats.requests, trace.size()) << label;
+        expect_reports_equal(result.report, ref.result.report, label);
+        EXPECT_EQ(result.epoch, ref.result.epoch) << label;
+        ASSERT_EQ(result.partition_reports.size(), partitions) << label;
+        for (std::size_t j = 0; j < partitions; ++j) {
+          expect_reports_equal(result.partition_reports[j],
+                               ref.result.partition_reports[j],
+                               label + " partition " + std::to_string(j));
+        }
+        ASSERT_EQ(snapshots.size(), ref.snapshots.size()) << label;
+        EXPECT_EQ(snapshot_rows, ref.snapshot_rows) << label;
+        for (std::size_t s = 0; s < snapshots.size(); ++s) {
+          expect_snapshots_equal(snapshots[s], ref.snapshots[s],
+                                 label + " snapshot " + std::to_string(s));
         }
       }
     }
@@ -508,11 +504,12 @@ TEST(ShardedServe, ProbeAggregatesAcrossPartitions) {
   const ReferenceRun ref = reference_partitioned_run(trace, config, options);
   SequenceClaimSource source(trace, config.batch_rows);
   std::vector<StreamingSnapshot> snapshots;
-  const ShardedServeResult result = run_sharded_serve(
-      source, kModel, config, options,
-      [&](const StreamingSnapshot& snap, std::size_t) {
-        snapshots.push_back(snap);
-      });
+  ServeHooks hooks;
+  hooks.on_snapshot = [&](const StreamingSnapshot& snap, std::size_t) {
+    snapshots.push_back(snap);
+  };
+  const ShardedServeResult result =
+      run_sharded_serve(source, kModel, config, options, hooks);
   // The probe degrades gracefully under partitioning: each partition probes
   // its own sub-stream and the aggregate is Σ online / Σ offline — equal to
   // the serial partitioned reference bit-for-bit.
@@ -541,15 +538,14 @@ TEST(ShardedServe, CsvSourceMatchesSequenceSourceBitForBit) {
   const ShardedServeResult from_seq =
       run_sharded_serve(seq_source, kModel, config, options);
 
-  const std::string csv = trace_to_csv(trace);
-  std::istringstream in(csv);
-  CsvClaimSource csv_source(in, "golden.csv", config.batch_rows);
+  CsvClaimSource csv_source(
+      testing::write_temp_file("golden.csv", trace_to_csv(trace)),
+      config.batch_rows);
   const ShardedServeResult from_csv =
       run_sharded_serve(csv_source, kModel, config, options);
 
   expect_reports_equal(from_csv.report, from_seq.report, "csv vs sequence");
   EXPECT_EQ(from_csv.stats.requests, trace.size());
-  EXPECT_EQ(csv_source.rows(), trace.size());
 }
 
 TEST(ShardedServe, MalformedCsvRowServesTheValidPrefixAndReportsProvenance) {
@@ -573,9 +569,11 @@ TEST(ShardedServe, MalformedCsvRowServesTheValidPrefixAndReportsProvenance) {
   // Clean-prefix reference per partition count: the canonical answer at a
   // given M is the M-partition run (M > 1 partitions the flows, which is a
   // different — but per-M deterministic — report than 1×1).
+  const std::string path = testing::write_temp_file("bad.csv", csv);
   const auto prefix_report_at = [&](std::size_t partitions) {
-    std::istringstream in(std::string(csv, 0, bad_offset));
-    CsvClaimSource source(in, "bad.csv", 64);
+    CsvClaimSource source(
+        testing::write_temp_file("prefix.csv", std::string(csv, 0, bad_offset)),
+        64);
     ServeConfig config;
     config.batch(64).partitions(partitions);
     return run_sharded_serve(source, kModel, config, options).report;
@@ -586,15 +584,14 @@ TEST(ShardedServe, MalformedCsvRowServesTheValidPrefixAndReportsProvenance) {
     for (const std::size_t shards : {1u, 4u}) {
       ServeConfig config;
       config.batch(64).shards(shards).partitions(partitions);
-      std::istringstream in(csv);
-      CsvClaimSource source(in, "bad.csv", config.batch_rows);
+      CsvClaimSource source(path, config.batch_rows);
       const ShardedServeResult result =
           run_sharded_serve(source, kModel, config, options);
       const std::string label = "N=" + std::to_string(shards) + " M=" +
                                 std::to_string(partitions);
       EXPECT_EQ(result.stats.requests, 1000u) << label;
       expect_reports_equal(result.report, prefix_report, label);
-      EXPECT_NE(result.feed_error.find("bad.csv"), std::string::npos)
+      EXPECT_NE(result.feed_error.find(path), std::string::npos)
           << label << ": " << result.feed_error;
       EXPECT_NE(result.feed_error.find("row 1001"), std::string::npos)
           << label << ": " << result.feed_error;
@@ -624,8 +621,10 @@ TEST(ShardedServe, RejectedRowStillFinishesEveryPartition) {
 
   StreamingOptions options;
   options.online = grid_options(50, 10);
-  std::istringstream prefix_in(std::string(csv, 0, prefix_bytes));
-  CsvClaimSource prefix_source(prefix_in, "ooo.csv", 64);
+  const std::string path = testing::write_temp_file("ooo.csv", csv);
+  CsvClaimSource prefix_source(
+      testing::write_temp_file("prefix.csv", std::string(csv, 0, prefix_bytes)),
+      64);
   const RunReport prefix_report =
       run_sharded_serve(prefix_source, kModel, ServeConfig{}.batch(64),
                         options)
@@ -635,8 +634,7 @@ TEST(ShardedServe, RejectedRowStillFinishesEveryPartition) {
     for (const std::size_t batch : {2u, 64u, 1024u}) {
       ServeConfig config;
       config.batch(batch).shards(shards);
-      std::istringstream in(csv);
-      CsvClaimSource source(in, "ooo.csv", config.batch_rows);
+      CsvClaimSource source(path, config.batch_rows);
       const ShardedServeResult result =
           run_sharded_serve(source, kModel, config, options);
       const std::string label =
@@ -653,13 +651,127 @@ TEST(ShardedServe, RejectedRowStillFinishesEveryPartition) {
   // Across partitions the message names the partition that rejected it.
   ServeConfig config;
   config.batch(64).partitions(2);
-  std::istringstream in("server,time,items\n0,2.0,1\n0,1.0,1\n");
-  CsvClaimSource source(in, "ooo.csv", config.batch_rows);
+  CsvClaimSource source(
+      testing::write_temp_file("ooo2.csv",
+                               "server,time,items\n0,2.0,1\n0,1.0,1\n"),
+      config.batch_rows);
   const ShardedServeResult result =
       run_sharded_serve(source, kModel, config, options);
   EXPECT_EQ(result.engine_error.rfind("partition ", 0), 0u)
       << result.engine_error;
   EXPECT_EQ(result.stats.requests, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Cadences and paced input
+
+TEST(ShardedServe, StatsAndSnapshotsLandOnExactMultiples) {
+  // Claims end at every cadence multiple, so at every N×M the hooks fire at
+  // exactly the rows per-push serve prints — a snapshot, then stats, when
+  // one row is a multiple of both — with the reference's epochs.
+  const RequestSequence trace = golden_trace();
+  StreamingOptions options;
+  options.online = grid_options(50, 10);
+  for (const std::size_t snapshot_every : {0u, 200u}) {
+    for (const std::size_t partitions : {1u, 2u}) {
+      ServeConfig base;
+      base.batch(64).partitions(partitions).snapshot_every(snapshot_every)
+          .stats_every(150);
+      const ReferenceRun ref = reference_partitioned_run(trace, base, options);
+      std::vector<std::string> expected;
+      for (std::size_t s = 0, t = 0;
+           s < ref.snapshot_rows.size() || t < ref.stats_rows.size();) {
+        if (t == ref.stats_rows.size() ||
+            (s < ref.snapshot_rows.size() &&
+             ref.snapshot_rows[s] <= ref.stats_rows[t])) {
+          expected.push_back("snapshot " +
+                             std::to_string(ref.snapshot_rows[s++]));
+        } else {
+          expected.push_back("stats " + std::to_string(ref.stats_rows[t]) +
+                             " epoch " + std::to_string(ref.stats_epochs[t]));
+          ++t;
+        }
+      }
+      ASSERT_EQ(ref.stats_rows.size(), trace.size() / 150);
+
+      for (const std::size_t shards : {1u, 2u}) {
+        const std::string label = "N=" + std::to_string(shards) +
+                                  " M=" + std::to_string(partitions) +
+                                  " every=" + std::to_string(snapshot_every);
+        ServeConfig config = base;
+        config.shards(shards);
+        SequenceClaimSource source(trace, config.batch_rows);
+        std::vector<std::string> events;
+        ServeHooks hooks;
+        hooks.on_snapshot = [&](const StreamingSnapshot& snap,
+                                std::size_t rows) {
+          EXPECT_EQ(snap.requests, rows) << label;
+          events.push_back("snapshot " + std::to_string(rows));
+        };
+        hooks.on_stats = [&](std::size_t rows, std::size_t epoch) {
+          events.push_back("stats " + std::to_string(rows) + " epoch " +
+                           std::to_string(epoch));
+        };
+        (void)run_sharded_serve(source, kModel, config, options, hooks);
+        EXPECT_EQ(events, expected) << label;
+      }
+    }
+  }
+}
+
+TEST(ShardedServe, PausedPipeGetsTheSnapshotForTheRowsThatArrived) {
+  // The header and 200 rows, then a pause with the pipe held open: the
+  // snapshot for row 200 must reach the hook before the rest is written,
+  // at one decode shard and at two.
+  const RequestSequence trace = golden_trace();
+  const std::string csv = trace_to_csv(trace);
+  std::size_t cut = 0;
+  for (int line = 0; line < 201; ++line) cut = csv.find('\n', cut) + 1;
+  const std::string_view head = std::string_view(csv).substr(0, cut);
+  const std::string_view rest = std::string_view(csv).substr(cut);
+
+  StreamingOptions options;
+  options.online = grid_options(50, 10);
+  for (const std::size_t shards : {1u, 2u}) {
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    const auto write_all = [fd = fds[1]](std::string_view bytes) {
+      while (!bytes.empty()) {
+        const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+        if (n <= 0) return;
+        bytes.remove_prefix(static_cast<std::size_t>(n));
+      }
+    };
+    std::atomic<bool> snapshot_200{false};
+    bool arrived_during_pause = false;
+    std::thread writer([&] {
+      write_all(head);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!snapshot_200.load() &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      arrived_during_pause = snapshot_200.load();
+      write_all(rest);
+      ::close(fds[1]);
+    });
+
+    CsvClaimSource source(fds[0], "<pipe>", 1024);
+    ServeConfig config;
+    config.shards(shards).snapshot_every(200);
+    ServeHooks hooks;
+    hooks.on_snapshot = [&](const StreamingSnapshot&, std::size_t rows) {
+      if (rows == 200) snapshot_200.store(true);
+    };
+    const ShardedServeResult result =
+        run_sharded_serve(source, kModel, config, options, hooks);
+    writer.join();
+    ::close(fds[0]);
+    EXPECT_TRUE(arrived_during_pause) << "N=" << shards;
+    EXPECT_TRUE(result.feed_error.empty()) << result.feed_error;
+    EXPECT_EQ(result.stats.requests, trace.size());
+  }
 }
 
 // ---------------------------------------------------------------------------

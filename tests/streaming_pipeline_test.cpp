@@ -1,11 +1,11 @@
-// The pipelined ingest path: SpscRing, RequestBlock, the block readers,
-// push_batch, and run_serve_pipeline.
+// The block ingest path: SpscRing, RequestBlock, the claim sources as block
+// readers, push_batch, and the serve runtime at one shard and partition.
 //
 // The load-bearing guarantee is bit-identity: at every batch size, the
 // engine state after push_batch — final report AND every intermediate
 // snapshot, down to the steady-state allocation counter — equals the
-// per-push engine exactly.  The pipeline buys throughput by amortizing
-// overhead, never by changing arithmetic.
+// per-push engine exactly.  Blocks buy throughput by amortizing overhead,
+// never by changing arithmetic.
 //
 // The concurrency suites (SpscRing.*, StreamingPipeline.*) run under TSan
 // in CI alongside StreamingEngine.*.
@@ -18,7 +18,6 @@
 
 #include <atomic>
 #include <cstring>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -165,93 +164,114 @@ TEST(RequestBlock, AdoptViewsSequenceColumnsWithAbsoluteOffsets) {
 }
 
 // ---------------------------------------------------------------------------
-// Block readers
+// Claim sources as block readers
 
-void expect_blocks_replay_trace(BlockSource& source,
-                                const RequestSequence& trace,
-                                std::size_t expected_rows) {
+/// Drains `source` claim by claim and checks every row against `trace`;
+/// returns the last claim's rows_through.
+std::size_t expect_blocks_replay_trace(ShardClaimSource& source,
+                                       const RequestSequence& trace,
+                                       std::size_t expected_rows) {
   RequestBlock block;
+  std::uint64_t seq = 0;
+  std::size_t rows_through = 0;
   std::size_t row = 0;
-  while (source.next(block)) {
+  while (source.claim(block, seq, rows_through)) {
     for (std::size_t i = 0; i < block.size(); ++i, ++row) {
-      ASSERT_LT(row, expected_rows);
+      EXPECT_LT(row, expected_rows);
+      if (row >= expected_rows) return rows_through;
       const Request r = trace[row];
-      ASSERT_EQ(block.server_of(i), r.server) << "row " << row;
-      ASSERT_EQ(block.time_of(i), r.time) << "row " << row;
-      ASSERT_TRUE(std::equal(block.items_of(i).begin(),
+      EXPECT_EQ(block.server_of(i), r.server) << "row " << row;
+      EXPECT_EQ(block.time_of(i), r.time) << "row " << row;
+      EXPECT_TRUE(std::equal(block.items_of(i).begin(),
                              block.items_of(i).end(), r.items.begin(),
                              r.items.end()))
           << "row " << row;
     }
+    EXPECT_EQ(rows_through, row);
   }
   EXPECT_EQ(row, expected_rows);
-  EXPECT_TRUE(block.empty());  // next() leaves the block empty at EOF
+  EXPECT_EQ(source.error_seq(), ShardClaimSource::kNoError);
+  return rows_through;
+}
+
+/// A CSV of 10 good rows (`server i%3`, time i+1, items {0, 1}) followed by
+/// `tail`; `bad_offset` receives the byte offset where the tail starts.
+std::string ten_good_rows_then(const std::string& tail,
+                               std::size_t* bad_offset = nullptr) {
+  std::string csv = "server,time,items\n";
+  for (int i = 0; i < 10; ++i) {
+    csv += std::to_string(i % 3) + "," + std::to_string(i + 1) + ".0,0;1\n";
+  }
+  if (bad_offset != nullptr) *bad_offset = csv.size();
+  return csv + tail;
 }
 
 TEST(BlockReader, SequenceReaderReplaysEveryRowAtEveryBatchSize) {
   const RequestSequence trace = golden_trace();
   for (const std::size_t batch : kBatchSizes) {
-    SequenceBlockReader reader(trace, batch);
+    SequenceClaimSource reader(trace, batch);
     expect_blocks_replay_trace(reader, trace, trace.size());
   }
 }
 
 TEST(BlockReader, CsvReaderReplaysEveryRowAtEveryBatchSize) {
   const RequestSequence trace = golden_trace();
-  const std::string csv = trace_to_csv(trace);
+  const std::string path =
+      testing::write_temp_file("golden.csv", trace_to_csv(trace));
   for (const std::size_t batch : kBatchSizes) {
-    std::istringstream in(csv);
-    CsvBlockReader reader(in, "golden.csv", batch);
-    expect_blocks_replay_trace(reader, trace, trace.size());
-    EXPECT_EQ(reader.rows(), trace.size());
+    CsvClaimSource reader(path, batch);
+    EXPECT_EQ(expect_blocks_replay_trace(reader, trace, trace.size()),
+              trace.size());
   }
 }
 
 TEST(BlockReader, LimitTruncatesTheStream) {
   const RequestSequence trace = golden_trace();
-  SequenceBlockReader seq_reader(trace, 64, /*limit=*/100);
+  SequenceClaimSource seq_reader(trace, 64, /*limit=*/100);
   expect_blocks_replay_trace(seq_reader, trace, 100);
 
-  const std::string csv = trace_to_csv(trace);
-  std::istringstream in(csv);
-  CsvBlockReader csv_reader(in, "golden.csv", 64, /*limit=*/100);
+  const std::string path =
+      testing::write_temp_file("golden.csv", trace_to_csv(trace));
+  CsvClaimSource csv_reader(path, 64, /*limit=*/100);
   expect_blocks_replay_trace(csv_reader, trace, 100);
 }
 
 TEST(BlockReader, MalformedRowDeliversValidPrefixThenThrowsWithProvenance) {
   // 10 good rows, then garbage: the reader must hand over the 10 decoded
-  // rows first, then raise IoError with path + row + byte offset.
-  std::string csv = "server,time,items\n";
-  for (int i = 0; i < 10; ++i) {
-    csv += std::to_string(i % 3) + "," + std::to_string(i + 1) + ".0,0;1\n";
-  }
-  const std::size_t bad_offset = csv.size();
-  csv += "this is not a row\n";
-  csv += "0,99.0,2\n";
-
-  std::istringstream in(csv);
-  CsvBlockReader reader(in, "bad.csv", /*batch_rows=*/64);
+  // rows first, then record the failure with path + row + byte offset and
+  // end the stream.
+  std::size_t bad_offset = 0;
+  const std::string path = testing::write_temp_file(
+      "bad.csv", ten_good_rows_then("this is not a row\n0,99.0,2\n",
+                                    &bad_offset));
+  CsvClaimSource reader(path, /*batch_rows=*/64);
   RequestBlock block;
-  ASSERT_TRUE(reader.next(block));
+  std::uint64_t seq = 0;
+  std::size_t rows_through = 0;
+  ASSERT_TRUE(reader.claim(block, seq, rows_through));
   EXPECT_EQ(block.size(), 10u);
-  try {
-    reader.next(block);
-    FAIL() << "expected IoError";
-  } catch (const IoError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("bad.csv"), std::string::npos) << what;
-    EXPECT_NE(what.find("row 11"), std::string::npos) << what;
-    EXPECT_NE(what.find("byte offset " + std::to_string(bad_offset)),
-              std::string::npos)
-        << what;
-  }
+  EXPECT_EQ(rows_through, 10u);
+  EXPECT_EQ(reader.error_seq(), seq);
+  const std::string what = reader.error_message();
+  EXPECT_NE(what.find(path), std::string::npos) << what;
+  EXPECT_NE(what.find("row 11"), std::string::npos) << what;
+  EXPECT_NE(what.find("byte offset " + std::to_string(bad_offset)),
+            std::string::npos)
+      << what;
+  EXPECT_FALSE(reader.claim(block, seq, rows_through));
 }
 
 TEST(BlockReader, MalformedFirstRowThrowsImmediately) {
-  std::istringstream in("server,time,items\nnot,a\n");
-  CsvBlockReader reader(in, "bad.csv", 64);
+  const std::string path =
+      testing::write_temp_file("bad.csv", "server,time,items\nnot,a\n");
+  CsvClaimSource reader(path, 64);
   RequestBlock block;
-  EXPECT_THROW((void)reader.next(block), IoError);
+  std::uint64_t seq = 0;
+  std::size_t rows_through = 0;
+  ASSERT_TRUE(reader.claim(block, seq, rows_through));
+  EXPECT_TRUE(block.empty());
+  EXPECT_EQ(reader.error_seq(), 0u);
+  EXPECT_NE(reader.error_message().find("row 1"), std::string::npos);
 }
 
 TEST(BlockReader, MalformedItemListRollsBackTheHalfOpenRow) {
@@ -260,17 +280,13 @@ TEST(BlockReader, MalformedItemListRollsBackTheHalfOpenRow) {
   // contain only the 10 complete rows — no trailing server/time without a
   // closing item offset — or items_of() on the last row reads out of
   // bounds downstream.
-  std::string csv = "server,time,items\n";
-  for (int i = 0; i < 10; ++i) {
-    csv += std::to_string(i % 3) + "," + std::to_string(i + 1) + ".0,0;1\n";
-  }
-  csv += "2,11.0,3;zzz\n";  // begin_row succeeds, parse_item_list throws
-  csv += "0,99.0,2\n";
-
-  std::istringstream in(csv);
-  CsvBlockReader reader(in, "bad.csv", /*batch_rows=*/64);
+  const std::string path = testing::write_temp_file(
+      "bad.csv", ten_good_rows_then("2,11.0,3;zzz\n0,99.0,2\n"));
+  CsvClaimSource reader(path, /*batch_rows=*/64);
   RequestBlock block;
-  ASSERT_TRUE(reader.next(block));
+  std::uint64_t seq = 0;
+  std::size_t rows_through = 0;
+  ASSERT_TRUE(reader.claim(block, seq, rows_through));
   ASSERT_EQ(block.size(), 10u);
   EXPECT_EQ(block.total_items(), 20u);  // the bad row's items are gone too
   for (std::size_t i = 0; i < block.size(); ++i) {
@@ -279,25 +295,24 @@ TEST(BlockReader, MalformedItemListRollsBackTheHalfOpenRow) {
     EXPECT_EQ(block.items_of(i)[0], 0u);
     EXPECT_EQ(block.items_of(i)[1], 1u);
   }
-  try {
-    reader.next(block);
-    FAIL() << "expected IoError";
-  } catch (const IoError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("bad.csv"), std::string::npos) << what;
-    EXPECT_NE(what.find("row 11"), std::string::npos) << what;
-  }
+  const std::string what = reader.error_message();
+  EXPECT_NE(what.find(path), std::string::npos) << what;
+  EXPECT_NE(what.find("row 11"), std::string::npos) << what;
 }
 
 TEST(BlockReader, MalformedItemListOnTheFirstRowOfABlockThrowsCleanly) {
-  // Same failure shape, but as the block's first row: the reader throws
-  // immediately, and the block it hands back is empty, not half-open.
-  std::istringstream in("server,time,items\n1,1.0,0;zzz\n");
-  CsvBlockReader reader(in, "bad.csv", 64);
+  // Same failure shape, but as the block's first row: the block handed back
+  // is empty, not half-open, and the failure is recorded at its seq.
+  const std::string path =
+      testing::write_temp_file("bad.csv", "server,time,items\n1,1.0,0;zzz\n");
+  CsvClaimSource reader(path, 64);
   RequestBlock block;
-  EXPECT_THROW((void)reader.next(block), IoError);
+  std::uint64_t seq = 0;
+  std::size_t rows_through = 0;
+  ASSERT_TRUE(reader.claim(block, seq, rows_through));
   EXPECT_TRUE(block.empty());
   EXPECT_EQ(block.total_items(), 0u);
+  EXPECT_EQ(reader.error_seq(), seq);
 }
 
 // ---------------------------------------------------------------------------
@@ -384,10 +399,12 @@ TEST(StreamingPipeline, PushBatchBitIdenticalAcrossGridAndBatchSizes) {
                                 " repack=" + std::to_string(point.repack) +
                                 " batch=" + std::to_string(batch);
 
-      SequenceBlockReader reader(trace, batch);
+      SequenceClaimSource reader(trace, batch);
       RequestBlock block;
+      std::uint64_t seq = 0;
+      std::size_t rows_through = 0;
       std::size_t row = 0;
-      while (reader.next(block)) {
+      while (reader.claim(block, seq, rows_through)) {
         batched.push_batch(block);
         for (std::size_t i = 0; i < block.size(); ++i, ++row) {
           const Request r = trace[row];
@@ -425,9 +442,11 @@ TEST(StreamingPipeline, PushBatchInterleavesTheRatioProbeIdentically) {
     StreamingEngine batched(kModel, options);
     StreamingEngine reference(kModel, options);
 
-    SequenceBlockReader reader(trace, batch);
+    SequenceClaimSource reader(trace, batch);
     RequestBlock block;
-    while (reader.next(block)) batched.push_batch(block);
+    std::uint64_t seq = 0;
+    std::size_t rows_through = 0;
+    while (reader.claim(block, seq, rows_through)) batched.push_batch(block);
     for (const Request& r : trace.requests()) {
       reference.push(r.server, r.time, r.items);
     }
@@ -462,7 +481,7 @@ TEST(StreamingPipeline, AdvanceBatchMatchesPerPointAdvance) {
 }
 
 // ---------------------------------------------------------------------------
-// The threaded pipeline
+// The serve runtime at one shard and one partition (inline, no threads)
 
 TEST(StreamingPipeline, RunServePipelineMatchesPerPushOverSequence) {
   const RequestSequence trace = golden_trace();
@@ -470,44 +489,51 @@ TEST(StreamingPipeline, RunServePipelineMatchesPerPushOverSequence) {
   options.online = grid_options(50, 10);
   options.item_count_hint = trace.item_count();
 
-  StreamingEngine piped(kModel, options);
-  SequenceBlockReader source(trace, 64);
-  ServeConfig popts;
-  popts.batch(64).ring(4);
-  const ServePipelineStats stats =
-      run_serve_pipeline(source, piped, popts);
-  EXPECT_EQ(stats.requests, trace.size());
-  EXPECT_EQ(stats.batches, (trace.size() + 63) / 64);
-  EXPECT_EQ(piped.finish().total_cost, 23070.892026151188);
+  SequenceClaimSource source(trace, 64);
+  ServeConfig config;
+  config.batch(64).ring(4).snapshot_every(0);
+  const ShardedServeResult result =
+      run_sharded_serve(source, kModel, config, options);
+  EXPECT_EQ(result.stats.requests, trace.size());
+  EXPECT_EQ(result.stats.batches, (trace.size() + 63) / 64);
+  EXPECT_EQ(result.report.total_cost, 23070.892026151188);
 }
 
 TEST(StreamingPipeline, RunServePipelineMatchesPerPushOverCsv) {
   const RequestSequence trace = golden_trace();
-  const std::string csv = trace_to_csv(trace);
+  const std::string path =
+      testing::write_temp_file("golden.csv", trace_to_csv(trace));
   StreamingOptions options;
   options.online = grid_options(50, 10);
 
-  StreamingEngine piped(kModel, options);
-  std::istringstream in(csv);
-  CsvBlockReader source(in, "golden.csv", 128);
-  ServeConfig popts;
-  popts.batch(128);
+  CsvClaimSource source(path, 128);
+  ServeConfig config;
+  config.batch(128);
   std::size_t callback_rows = 0;
-  const ServePipelineStats stats = run_serve_pipeline(
-      source, piped, popts,
-      [&](const RequestBlock& block, const StreamingDecision&,
-          std::size_t total) {
-        callback_rows += block.size();
-        EXPECT_EQ(callback_rows, total);
-      });
-  EXPECT_EQ(stats.requests, trace.size());
+  // At one shard and one partition the runtime is inline: every hook runs
+  // on the calling thread.
+  const std::thread::id caller = std::this_thread::get_id();
+  ServeHooks hooks;
+  hooks.on_served = [&](const RequestBlock& block, std::size_t rows) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(rows, block.size());
+    callback_rows += rows;
+  };
+  hooks.on_snapshot = [&](const StreamingSnapshot& s, std::size_t rows) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(callback_rows, rows);
+    EXPECT_EQ(s.requests, rows);
+  };
+  const ShardedServeResult result =
+      run_sharded_serve(source, kModel, config, options, hooks);
+  EXPECT_EQ(result.stats.requests, trace.size());
   EXPECT_EQ(callback_rows, trace.size());
-  EXPECT_EQ(piped.finish().total_cost, 23070.892026151188);
+  EXPECT_EQ(result.report.total_cost, 23070.892026151188);
 }
 
 TEST(StreamingPipeline, DecodeErrorSurfacesAfterTheValidPrefix) {
-  // A malformed row mid-stream: every request before it is ingested, then
-  // the IoError reaches the caller, who can still snapshot/finish.
+  // A malformed row mid-stream: every request before it is ingested and
+  // finished, and the provenance reaches the caller.
   std::string csv = "server,time,items\n";
   for (int i = 0; i < 100; ++i) {
     csv += std::to_string(i % 3) + "," + std::to_string(i + 1) + ".0,0;1\n";
@@ -517,33 +543,28 @@ TEST(StreamingPipeline, DecodeErrorSurfacesAfterTheValidPrefix) {
 
   StreamingOptions options;
   options.online = grid_options(8, 4);
-  StreamingEngine engine(kModel, options);
-  std::istringstream in(csv);
-  CsvBlockReader source(in, "bad.csv", 32);
-  ServeConfig popts;
-  popts.batch(32);
-  try {
-    run_serve_pipeline(source, engine, popts);
-    FAIL() << "expected IoError";
-  } catch (const IoError& e) {
-    EXPECT_NE(std::string(e.what()).find("bad.csv: row 101"),
-              std::string::npos)
-        << e.what();
-  }
-  EXPECT_EQ(engine.requests_seen(), 100u);
-  EXPECT_GT(engine.finish().total_cost, 0.0);
+  const std::string path = testing::write_temp_file("bad.csv", csv);
+  CsvClaimSource source(path, 32);
+  ServeConfig config;
+  config.batch(32);
+  const ShardedServeResult result =
+      run_sharded_serve(source, kModel, config, options);
+  EXPECT_NE(result.feed_error.find(path + ": row 101"), std::string::npos)
+      << result.feed_error;
+  EXPECT_EQ(result.stats.requests, 100u);
+  EXPECT_GT(result.report.total_cost, 0.0);
 }
 
 TEST(StreamingPipeline, ConcurrentBoardReadersAndScrapesUnderLoad) {
-  // The full observer stack under load: the pipeline publishes snapshots to
-  // a ReportBoard at batch granularity while (a) a reader thread copies the
-  // board and (b) HTTP scrapes hit a live ScrapeListener whose /metrics
-  // body reads the same board.  Run under TSan in CI.
+  // The full observer stack under load: a two-shard serve publishes
+  // snapshots to a ReportBoard from its partition thread every 30 rows
+  // while (a) a reader thread copies the board and (b) HTTP scrapes hit a
+  // live ScrapeListener whose /metrics body reads the same board.  Run
+  // under TSan in CI.
   const RequestSequence trace = golden_trace();
   StreamingOptions options;
   options.online = grid_options(50, 10);
   options.item_count_hint = trace.item_count();
-  StreamingEngine engine(kModel, options);
 
   ReportBoard board;
   obs::ScrapeListener listener("127.0.0.1", 0, [&board] {
@@ -600,19 +621,22 @@ TEST(StreamingPipeline, ConcurrentBoardReadersAndScrapesUnderLoad) {
     }
   });
 
-  SequenceBlockReader source(trace, 32);
-  ServeConfig popts;
-  popts.batch(32).ring(4);
-  run_serve_pipeline(source, engine, popts,
-                     [&](const RequestBlock&, const StreamingDecision&,
-                         std::size_t) { board.publish(engine.snapshot()); });
+  SequenceClaimSource source(trace, 32);
+  ServeConfig config;
+  config.batch(32).ring(4).shards(2).snapshot_every(30);
+  ServeHooks hooks;
+  hooks.on_snapshot = [&board](const StreamingSnapshot& s, std::size_t) {
+    board.publish(s);
+  };
+  const ShardedServeResult result =
+      run_sharded_serve(source, kModel, config, options, hooks);
   done.store(true, std::memory_order_release);
   reader.join();
   scraper.join();
   listener.stop();
 
   EXPECT_EQ(board.read().requests, trace.size());
-  EXPECT_EQ(engine.finish().total_cost, 23070.892026151188);
+  EXPECT_EQ(result.report.total_cost, 23070.892026151188);
 }
 
 }  // namespace

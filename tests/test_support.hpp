@@ -1,7 +1,12 @@
 // Shared fixtures for the test suites.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
+#include <fstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/cost_model.hpp"
@@ -14,6 +19,20 @@ namespace dpg::testing {
 /// Materializes a Request view's item span for gtest container matchers.
 inline std::vector<ItemId> items_of(const Request& r) {
   return {r.items.begin(), r.items.end()};
+}
+
+/// Writes `text` to a file under the test temp directory, named after the
+/// running test plus `name` (so tests running in parallel never share one);
+/// returns the path.
+inline std::string write_temp_file(const std::string& name,
+                                   std::string_view text) {
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string path = ::testing::TempDir() + test->test_suite_name() +
+                           "." + test->name() + "." + name;
+  std::ofstream out(path, std::ios::binary);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  return path;
 }
 
 /// Exact structural equality of two sequences (dims, servers, times, items).

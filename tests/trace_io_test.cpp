@@ -2,9 +2,11 @@
 
 #include "test_support.hpp"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <string_view>
@@ -13,6 +15,7 @@
 
 #include "trace/generators.hpp"
 #include "trace/io.hpp"
+#include "trace/shard_source.hpp"
 #include "util/error.hpp"
 
 namespace dpg {
@@ -140,118 +143,114 @@ TEST(TraceIo, ParseHintsDoNotChangeTheResult) {
   }
 }
 
-// CsvStreamReader: the line-at-a-time reader behind `dpgreedy serve`.
+// CsvClaimSource: the CSV reader behind `dpgreedy serve`.
 
-/// An in-memory FILE* over `text` (closed by the caller).
-std::FILE* memory_file(std::string& text) {
-  return fmemopen(text.data(), text.size(), "r");
+/// One decoded row, as a claim hands it over.
+struct ClaimedRow {
+  ServerId server = 0;
+  Time time = 0.0;
+  std::vector<ItemId> items;
+};
+
+/// Claims blocks until the source ends; `rows_through` receives the last
+/// claim's cumulative row count.
+std::vector<ClaimedRow> claim_all(CsvClaimSource& source,
+                                  std::size_t* rows_through) {
+  std::vector<ClaimedRow> rows;
+  RequestBlock block;
+  std::uint64_t seq = 0;
+  while (source.claim(block, seq, *rows_through)) {
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      rows.push_back(ClaimedRow{
+          block.server_of(i), block.time_of(i),
+          {block.items_of(i).begin(), block.items_of(i).end()}});
+    }
+  }
+  return rows;
 }
 
-TEST(CsvStreamReader, ReadsAnyColumnOrderCrlfBlankLinesAndQuotes) {
+/// Opens `path` read-only (closed by the caller).
+int open_fd(const std::string& path) { return ::open(path.c_str(), O_RDONLY); }
+
+TEST(CsvClaimSource, ReadsAnyColumnOrderCrlfBlankLinesAndQuotes) {
   // Reordered, quoted header with an extra column; CRLF and LF endings;
   // blank lines; duplicate item ids; a last row without a newline.
-  std::string text =
+  const std::string path = testing::write_temp_file(
+      "dpg_any_order.csv",
       "\"items\",extra,time,server\r\n"
       "\r\n"
       "\"3;1;3\",x,1.5,2\r\n"
       "\n"
-      "0,y,\"2.5\",1";
-  std::FILE* file = memory_file(text);
-  ASSERT_NE(file, nullptr);
-  CsvStreamReader reader(file, "mem");
-  CsvStreamRow row;
-  ASSERT_TRUE(reader.next(row));
-  EXPECT_EQ(row.server, 2u);
-  EXPECT_EQ(row.time, 1.5);
-  EXPECT_EQ(row.items, (std::vector<ItemId>{1, 3}));
-  ASSERT_TRUE(reader.next(row));
-  EXPECT_EQ(row.server, 1u);
-  EXPECT_EQ(row.time, 2.5);
-  EXPECT_EQ(row.items, (std::vector<ItemId>{0}));
-  EXPECT_FALSE(reader.next(row));
-  EXPECT_EQ(reader.rows_read(), 2u);
-  std::fclose(file);
+      "0,y,\"2.5\",1");
+  CsvClaimSource reader(path, 64);
+  std::size_t rows_through = 0;
+  const std::vector<ClaimedRow> rows = claim_all(reader, &rows_through);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].server, 2u);
+  EXPECT_EQ(rows[0].time, 1.5);
+  EXPECT_EQ(rows[0].items, (std::vector<ItemId>{1, 3}));
+  EXPECT_EQ(rows[1].server, 1u);
+  EXPECT_EQ(rows[1].time, 2.5);
+  EXPECT_EQ(rows[1].items, (std::vector<ItemId>{0}));
+  EXPECT_EQ(rows_through, 2u);
+  EXPECT_EQ(reader.error_seq(), ShardClaimSource::kNoError);
 }
 
-TEST(CsvStreamReader, ReadsWhatTraceToCsvWrites) {
+TEST(CsvClaimSource, ReadsWhatTraceToCsvWrites) {
   ZipfTraceConfig config;
   config.request_count = 300;
   Rng rng(8);
   const RequestSequence original = generate_zipf_trace(config, rng);
-  std::string text = trace_to_csv(original);
-  std::FILE* file = memory_file(text);
-  ASSERT_NE(file, nullptr);
-  CsvStreamReader reader(file, "mem");
-  CsvStreamRow row;
-  for (const Request& r : original.requests()) {
-    ASSERT_TRUE(reader.next(row));
-    EXPECT_EQ(row.server, r.server);
-    EXPECT_EQ(row.time, r.time);
-    EXPECT_EQ(row.items, testing::items_of(r));
+  CsvClaimSource reader(
+      testing::write_temp_file("dpg_zipf.csv", trace_to_csv(original)), 64);
+  std::size_t rows_through = 0;
+  const std::vector<ClaimedRow> rows = claim_all(reader, &rows_through);
+  ASSERT_EQ(rows.size(), original.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].server, original[i].server);
+    EXPECT_EQ(rows[i].time, original[i].time);
+    EXPECT_EQ(rows[i].items, testing::items_of(original[i]));
   }
-  EXPECT_FALSE(reader.next(row));
-  std::fclose(file);
 }
 
-TEST(CsvStreamReader, MalformedRowNamesTheSourceAndDataRow) {
+TEST(CsvClaimSource, MalformedRowNamesTheSourceAndDataRow) {
   // The blank line is not a data row: the bad row is data row 2.
-  std::string text = "server,time,items\n0,1.0,0\n\n1,zz,1\n2,3.0,2\n";
-  std::FILE* file = memory_file(text);
-  ASSERT_NE(file, nullptr);
-  CsvStreamReader reader(file, "feed.csv");
-  CsvStreamRow row;
-  ASSERT_TRUE(reader.next(row));
-  try {
-    (void)reader.next(row);
-    FAIL() << "expected IoError";
-  } catch (const IoError& error) {
-    const std::string what = error.what();
-    EXPECT_EQ(what.rfind("feed.csv: row 2: ", 0), 0u) << what;
-  }
-  EXPECT_EQ(reader.rows_read(), 1u);
-  std::fclose(file);
+  const int fd = open_fd(testing::write_temp_file(
+      "dpg_feed.csv", "server,time,items\n0,1.0,0\n\n1,zz,1\n2,3.0,2\n"));
+  ASSERT_GE(fd, 0);
+  CsvClaimSource reader(fd, "feed.csv", 64);
+  std::size_t rows_through = 0;
+  EXPECT_EQ(claim_all(reader, &rows_through).size(), 1u);
+  const std::string what = reader.error_message();
+  EXPECT_EQ(what.rfind("feed.csv: row 2 (byte offset 27): ", 0), 0u) << what;
+  EXPECT_EQ(rows_through, 1u);
+  ::close(fd);
 }
 
-TEST(CsvStreamReader, EmptyInputAndMissingFileRaise) {
-  CsvStreamReader reader("/dev/null");
-  CsvStreamRow row;
-  try {
-    (void)reader.next(row);
-    FAIL() << "expected IoError";
-  } catch (const IoError& error) {
-    EXPECT_EQ(std::string(error.what()),
-              "/dev/null: empty input (no CSV header)");
-  }
-  EXPECT_THROW(CsvStreamReader("/nope/missing.csv"), IoError);
+TEST(CsvClaimSource, EmptyInputAndMissingFileRaise) {
+  CsvClaimSource reader("/dev/null", 64);
+  std::size_t rows_through = 0;
+  EXPECT_TRUE(claim_all(reader, &rows_through).empty());
+  EXPECT_EQ(reader.error_message(), "/dev/null: empty input (no CSV header)");
+  EXPECT_THROW(CsvClaimSource("/nope/missing.csv", 64), IoError);
 }
 
-TEST(CsvStreamReader, OpensAPathAndLabelsErrorsWithIt) {
-  const std::string path = ::testing::TempDir() + "dpg_stream_reader.csv";
-  {
-    std::FILE* file = std::fopen(path.c_str(), "w");
-    ASSERT_NE(file, nullptr);
-    std::fputs("server,time,items\n0,1.0,0\n1,2.0\n", file);
-    std::fclose(file);
-  }
-  CsvStreamReader reader(path);
+TEST(CsvClaimSource, OpensAPathAndLabelsErrorsWithIt) {
+  const std::string path = testing::write_temp_file(
+      "dpg_stream_reader.csv", "server,time,items\n0,1.0,0\n1,2.0\n");
+  CsvClaimSource reader(path, 64);
   EXPECT_EQ(reader.source(), path);
-  CsvStreamRow row;
-  ASSERT_TRUE(reader.next(row));
-  try {
-    (void)reader.next(row);
-    FAIL() << "expected IoError";
-  } catch (const IoError& error) {
-    EXPECT_EQ(std::string(error.what()).rfind(path + ": row 2: ", 0), 0u)
-        << error.what();
-  }
+  std::size_t rows_through = 0;
+  EXPECT_EQ(claim_all(reader, &rows_through).size(), 1u);
+  EXPECT_EQ(reader.error_message().rfind(path + ": row 2 (byte offset ", 0),
+            0u)
+      << reader.error_message();
   std::remove(path.c_str());
 }
 
-TEST(CsvStreamReader, RowSplitAcrossTwoPipeWritesIsDecodedOnceAndWhole) {
+TEST(CsvClaimSource, RowSplitAcrossTwoPipeWritesIsDecodedOnceAndWhole) {
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
-  std::FILE* in = ::fdopen(fds[0], "r");
-  ASSERT_NE(in, nullptr);
   const auto write_all = [fd = fds[1]](std::string_view bytes) {
     while (!bytes.empty()) {
       const ssize_t n = ::write(fd, bytes.data(), bytes.size());
@@ -267,19 +266,19 @@ TEST(CsvStreamReader, RowSplitAcrossTwoPipeWritesIsDecodedOnceAndWhole) {
     write_all("2\n1,2.5,7\n");
     ::close(fds[1]);
   });
-  CsvStreamReader reader(in, "<pipe>");
-  CsvStreamRow row;
-  ASSERT_TRUE(reader.next(row));
-  EXPECT_EQ(row.server, 0u);
-  EXPECT_EQ(row.time, 1.5);
-  EXPECT_EQ(row.items, (std::vector<ItemId>{2, 4}));
-  ASSERT_TRUE(reader.next(row));
-  EXPECT_EQ(row.server, 1u);
-  EXPECT_EQ(row.items, (std::vector<ItemId>{7}));
-  EXPECT_FALSE(reader.next(row));
-  EXPECT_EQ(reader.rows_read(), 2u);
+  CsvClaimSource reader(fds[0], "<pipe>", 64);
+  std::size_t rows_through = 0;
+  const std::vector<ClaimedRow> rows = claim_all(reader, &rows_through);
   writer.join();
-  std::fclose(in);
+  ::close(fds[0]);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].server, 0u);
+  EXPECT_EQ(rows[0].time, 1.5);
+  EXPECT_EQ(rows[0].items, (std::vector<ItemId>{2, 4}));
+  EXPECT_EQ(rows[1].server, 1u);
+  EXPECT_EQ(rows[1].items, (std::vector<ItemId>{7}));
+  EXPECT_EQ(rows_through, 2u);
+  EXPECT_EQ(reader.error_seq(), ShardClaimSource::kNoError);
 }
 
 }  // namespace
