@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <exception>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -15,6 +17,7 @@
 
 #include "obs/metrics.hpp"
 #include "parallel/spsc_ring.hpp"
+#include "solver/online_state.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -38,12 +41,18 @@ constexpr std::size_t kMaxLabelIndex = 8;
 /// sequence number (every partition receives every seq exactly once, so
 /// the consumer-side reorder is a dense counter plus a holdback map).
 /// `snapshot` / `stats` mark a block that ends on a cadence multiple.
+/// At M > 1, `rows`, `first_time` and `last_time` describe the claimed
+/// block (each partition holds only its share of it), so every partition
+/// can check its first row against the previous block's last.
 struct Envelope {
   std::uint64_t seq = 0;
   std::uint32_t shard = 0;
   bool snapshot = false;
   bool stats = false;
   std::size_t rows_through = 0;
+  std::size_t rows = 0;
+  Time first_time = 0.0;
+  Time last_time = 0.0;
   RequestBlock block;
 };
 
@@ -184,6 +193,7 @@ class ServeRun {
       : source_(source),
         config_(config),
         hooks_(hooks),
+        last_time_(config.partition_count, 0.0),
         shard_rows_(config.shard_count, 0),
         shard_batches_(config.shard_count, 0) {
     for (std::size_t j = 0; j < config.partition_count; ++j) {
@@ -236,6 +246,16 @@ class ServeRun {
   /// Partition j serves one envelope: push_batch, the archive hook, and
   /// its share of a cadence barrier.  False once the engine rejected a row.
   bool serve(std::size_t j, const Envelope& env);
+  /// M > 1, shard side: cuts the claimed block before its first row that
+  /// is not later than the row before it, and fills in its rows and times.
+  void check_time_order(Envelope& claimed);
+  /// M > 1, partition side: whether the block's first row is later than
+  /// the last row partition j saw; records the row when it is not.
+  bool opens_in_order(std::size_t j, const Envelope& env);
+  /// Records a row that breaks time order at `seq` (1-based stream row
+  /// `row`); the earliest row wins.  Blocks after its seq are skipped, so
+  /// the partitions serve exactly the rows before it, as one engine would.
+  void reject_row(std::uint64_t seq, std::size_t row, std::string message);
   void barrier(std::size_t j, const Envelope& env);
   void shard_main(std::size_t i);
   /// Routes a claimed block to every partition; false on abort.
@@ -267,6 +287,16 @@ class ServeRun {
   std::string engine_error_;
   std::atomic<bool> aborted_{false};
 
+  // The earliest out-of-order row (M > 1), under error_mutex_; reject_seq_
+  // is its block's seq, read lock-free by every partition.
+  static constexpr std::uint64_t kNoReject =
+      std::numeric_limits<std::uint64_t>::max();
+  std::atomic<std::uint64_t> reject_seq_{kNoReject};
+  std::size_t rejected_row_ = 0;
+  std::string reject_message_;
+  // Per partition: the time of the last row of the last block it checked.
+  std::vector<Time> last_time_;
+
   // Barriers are collected per seq; the last contributor merges in
   // partition-index order and fires the hooks while still holding the
   // mutex, so hooks are serialized and arrive in stream order.
@@ -279,12 +309,18 @@ class ServeRun {
 };
 
 bool ServeRun::serve(std::size_t j, const Envelope& env) {
-  // Suppress blocks after a recorded decode failure: the failing seq itself
-  // carries the valid prefix and is still served.  The error_seq store
-  // happens-before the failing block's ring push, so by the time any
-  // partition reaches a later seq the suppression is visible (partitions
-  // consume in seq order).
-  if (env.seq > source_.error_seq()) return true;
+  // Suppress blocks after a recorded decode failure or out-of-order row:
+  // the failing seq itself carries the valid prefix and is still served.
+  // The error_seq / reject_seq_ store happens-before the failing block's
+  // ring push, so by the time any partition reaches a later seq the
+  // suppression is visible (partitions consume in seq order).  A block
+  // whose first row is out of order is found here, by every partition, and
+  // skipped whole.
+  if (env.seq > source_.error_seq() ||
+      env.seq > reject_seq_.load(std::memory_order_acquire)) {
+    return true;
+  }
+  if (env.rows > 0 && !opens_in_order(j, env)) return true;
   StreamingEngine& engine = *engines_[j];
   const bool archive = hooks_.on_served && config_.partition_count == 1;
   try {
@@ -307,6 +343,48 @@ bool ServeRun::serve(std::size_t j, const Envelope& env) {
   if (archive) hooks_.on_served(env.block, env.block.size());
   if (env.snapshot || env.stats) barrier(j, env);
   return true;
+}
+
+void ServeRun::check_time_order(Envelope& claimed) {
+  const RequestBlock& block = claimed.block;
+  const std::size_t first_row = claimed.rows_through - block.size();
+  std::size_t rows = block.size();
+  for (std::size_t r = 1; r < rows; ++r) {
+    const Time before = block.time_of(r - 1);
+    const Time time = block.time_of(r);
+    if (OnlineDpGreedyState::time_follows(before, time)) continue;
+    reject_row(claimed.seq, first_row + r + 1,
+               OnlineDpGreedyState::time_order_error(before, time));
+    // The cut block ends before any cadence row it would have reached.
+    rows = r;
+    claimed.rows_through = first_row + rows;
+    claimed.snapshot = false;
+    claimed.stats = false;
+    break;
+  }
+  claimed.rows = rows;
+  claimed.first_time = rows > 0 ? block.time_of(0) : 0.0;
+  claimed.last_time = rows > 0 ? block.time_of(rows - 1) : 0.0;
+}
+
+bool ServeRun::opens_in_order(std::size_t j, const Envelope& env) {
+  Time& last = last_time_[j];
+  if (!OnlineDpGreedyState::time_follows(last, env.first_time)) {
+    reject_row(env.seq, env.rows_through - env.rows + 1,
+               OnlineDpGreedyState::time_order_error(last, env.first_time));
+    return false;
+  }
+  last = env.last_time;
+  return true;
+}
+
+void ServeRun::reject_row(std::uint64_t seq, std::size_t row,
+                          std::string message) {
+  const std::lock_guard<std::mutex> lock(error_mutex_);
+  if (rejected_row_ != 0 && rejected_row_ <= row) return;
+  rejected_row_ = row;
+  reject_message_ = std::move(message);
+  reject_seq_.store(seq, std::memory_order_release);
 }
 
 void ServeRun::barrier(std::size_t j, const Envelope& env) {
@@ -339,8 +417,9 @@ void ServeRun::shard_main(std::size_t i) {
   try {
     Envelope claimed;
     std::vector<Envelope> envs(config_.partition_count);
-    while (!aborted_.load(std::memory_order_acquire) && claim(i, claimed) &&
-           ship(i, claimed, envs)) {
+    while (!aborted_.load(std::memory_order_acquire) &&
+           reject_seq_.load(std::memory_order_acquire) == kNoReject &&
+           claim(i, claimed) && ship(i, claimed, envs)) {
     }
   } catch (...) {
     const std::exception_ptr e = std::current_exception();
@@ -352,6 +431,9 @@ void ServeRun::shard_main(std::size_t i) {
 bool ServeRun::ship(std::size_t i, Envelope& claimed,
                     std::vector<Envelope>& envs) {
   const std::size_t partitions = config_.partition_count;
+  // Each partition sees only its own rows, so time order is checked here,
+  // before routing, on the whole block.
+  if (partitions > 1) check_time_order(claimed);
   for (std::size_t j = 0; j < partitions; ++j) {
     if (!crossbar_->acquire(i, j, envs[j])) return false;
     envs[j].seq = claimed.seq;
@@ -359,6 +441,9 @@ bool ServeRun::ship(std::size_t i, Envelope& claimed,
     envs[j].snapshot = claimed.snapshot;
     envs[j].stats = claimed.stats;
     envs[j].rows_through = claimed.rows_through;
+    envs[j].rows = claimed.rows;
+    envs[j].first_time = claimed.first_time;
+    envs[j].last_time = claimed.last_time;
     envs[j].block.clear();
   }
 
@@ -369,7 +454,7 @@ bool ServeRun::ship(std::size_t i, Envelope& claimed,
     std::swap(envs[0].block, claimed.block);
   } else {
     const RequestBlock& block = claimed.block;
-    for (std::size_t r = 0; r < block.size(); ++r) {
+    for (std::size_t r = 0; r < claimed.rows; ++r) {
       const ServerId server = block.server_of(r);
       const std::span<const ItemId> items = block.items_of(r);
       const std::size_t j =
@@ -424,6 +509,10 @@ ShardedServeResult ServeRun::finish() {
     result.feed_error = source_.error_message();
   }
   result.engine_error = std::move(engine_error_);
+  if (result.engine_error.empty() && rejected_row_ != 0) {
+    result.engine_error = std::move(reject_message_);
+    result.rejected_row = rejected_row_;
+  }
 
   // Rows served, per partition: an engine that rejected a row mid-block
   // holds exactly the rows before it.
@@ -442,6 +531,10 @@ ShardedServeResult ServeRun::finish() {
     result.stats.requests += partition_rows[j];
   }
   result.report = merge_partition_reports(result.partition_reports);
+  // One engine served every row before the one it rejected.
+  if (partitions == 1 && !result.engine_error.empty()) {
+    result.rejected_row = result.stats.requests + 1;
+  }
   result.cost_ratio = offline_probe > 0.0 ? online_probe / offline_probe : 0.0;
   for (std::size_t i = 0; i < shards; ++i) {
     result.stats.batches += shard_batches_[i];

@@ -70,8 +70,14 @@
 // increase, say) stops the run the same way: every partition still
 // finishes, the report covers the rows served, and the message lands in
 // ShardedServeResult::engine_error.  At M = 1 those are exactly the rows
-// before the rejected one; at M > 1 each partition checks only its own
-// rows.
+// before the rejected one.  At M > 1 each partition sees only its own rows,
+// so time order is checked before routing: the decode shard checks the rows
+// of its claimed block and cuts the block before the first that is not
+// later than the one before it; every partition checks each block's first
+// time against the previous block's last.  An out-of-order row then ends
+// the run like a decode failure at its block — the partitions serve exactly
+// the rows before it, and engine_error names it, with rejected_row, as one
+// engine would.
 #pragma once
 
 #include <cstddef>
@@ -136,9 +142,13 @@ struct ShardedServeResult {
   /// the reports cover exactly the requests before the failure.
   std::string feed_error;
   /// The engine's message for a rejected row ("" = none), prefixed with
-  /// "partition j: " when M > 1.  When set, the reports and
-  /// stats.requests cover the rows the partitions served before it.
+  /// "partition j: " when M > 1 and the row is not named.  When set, the
+  /// reports and stats.requests cover the rows the partitions served
+  /// before it.
   std::string engine_error;
+  /// The 1-based stream row engine_error rejects (0 = not named): always
+  /// at M = 1, and at M > 1 for a row out of time order.
+  std::size_t rejected_row = 0;
 };
 
 /// What the runtime reports while it runs.  Every hook is optional, fires

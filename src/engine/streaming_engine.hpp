@@ -37,10 +37,11 @@
 // slightly pessimistic divisor), bounded-memory by construction.
 //
 // Memory.  Steady state allocates nothing per push: the window ring reuses
-// slot capacity, scratch vectors stay warm, and the package-slot table
-// recycles dissolved slots.  snapshot().state_alloc_events is the
-// trace.build_allocs-style counter proving it — constant once warm (asserted
-// by bench/bm_stream on a 10M-request run).
+// slot capacity, scratch vectors stay warm, and a pack or split restarts
+// flows in place, each keeping its replicas inline unless it outgrows them.
+// snapshot().state_alloc_events is the trace.build_allocs-style counter for
+// the ring and scratch — constant once warm (asserted by bench/bm_stream on
+// a 10M-request run); replica spills are not counted there.
 //
 // Thread safety.  push / snapshot / finish are mutually serialized by an
 // internal mutex, so a monitoring thread may snapshot() while another

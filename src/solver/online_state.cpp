@@ -46,10 +46,9 @@ void OnlineDpGreedyOptions::validate() const {
 // ---------------------------------------------------------------------------
 // BreakEvenFlowState
 
-Cost BreakEvenFlowState::serve(ServerId server, Time t, const CostModel& model,
-                               double horizon, bool never_drop,
-                               std::size_t* transfer_count, Time* cache_time) {
-  retire(t, model, horizon, never_drop, cache_time);
+Cost BreakEvenFlowState::serve(ServerId server, Time t, double rate,
+                               const FlowLedger& ledger) {
+  retire(t, rate, ledger);
   for (ReplicaCopy& c : copies_) {
     if (c.server == server) {
       c.last_use = t;
@@ -62,24 +61,19 @@ Cost BreakEvenFlowState::serve(ServerId server, Time t, const CostModel& model,
   }
   source->last_use = t;  // held until now to source the transfer
   copies_.push_back(ReplicaCopy{server, t, t});
-  ++*transfer_count;
-  return multiplier_ * model.lambda;
+  ++ledger.transfers;
+  return rate * ledger.model.lambda;
 }
 
-bool BreakEvenFlowState::has_copy_at(ServerId server) const {
-  return std::any_of(
-      copies_.begin(), copies_.end(),
-      [server](const ReplicaCopy& c) { return c.server == server; });
-}
-
-void BreakEvenFlowState::add_copy(ServerId server, Time t) {
+bool BreakEvenFlowState::add_copy(ServerId server, Time t) {
   for (ReplicaCopy& c : copies_) {
     if (c.server == server) {
       c.last_use = t;
-      return;
+      return false;
     }
   }
   copies_.push_back(ReplicaCopy{server, t, t});
+  return true;
 }
 
 const ReplicaCopy& BreakEvenFlowState::most_recent() const {
@@ -90,40 +84,37 @@ const ReplicaCopy& BreakEvenFlowState::most_recent() const {
   return *best;
 }
 
-Cost BreakEvenFlowState::finalize(const CostModel& model, Time* cache_time) {
+Cost BreakEvenFlowState::finalize(double rate, const FlowLedger& ledger) {
   Cost cost = 0.0;
   for (const ReplicaCopy& c : copies_) {
-    cost += multiplier_ * model.mu * (c.last_use - c.since);
-    *cache_time += c.last_use - c.since;
+    cost += rate * ledger.model.mu * (c.last_use - c.since);
+    ledger.cache_time += c.last_use - c.since;
   }
   copies_.clear();
   return cost;
 }
 
-void BreakEvenFlowState::peek_accrued(const CostModel& model, Cost* cost,
-                                      Time* cache_time) const {
+void BreakEvenFlowState::peek_accrued(double rate,
+                                      const FlowLedger& ledger) const {
   for (const ReplicaCopy& c : copies_) {
-    *cost += multiplier_ * model.mu * (c.last_use - c.since);
-    *cache_time += c.last_use - c.since;
+    ledger.total_cost += rate * ledger.model.mu * (c.last_use - c.since);
+    ledger.cache_time += c.last_use - c.since;
   }
 }
 
-void BreakEvenFlowState::retire(Time now, const CostModel& model,
-                                double horizon, bool never_drop,
-                                Time* cache_time) {
-  if (never_drop) return;
+void BreakEvenFlowState::retire(Time now, double rate,
+                                const FlowLedger& ledger) {
+  // A lone copy is the newest one, which is never dropped.
+  if (ledger.never_drop || copies_.size() < 2) return;
   Time newest = -1.0;
   for (const ReplicaCopy& c : copies_) newest = std::max(newest, c.last_use);
   for (std::size_t i = 0; i < copies_.size();) {
     ReplicaCopy& c = copies_[i];
-    const Time drop_time = c.last_use + horizon;
+    const Time drop_time = c.last_use + ledger.horizon;
     if (c.last_use < newest && drop_time < now) {
-      if (pending_sink_ != nullptr) {
-        *pending_sink_ += multiplier_ * model.mu * (drop_time - c.since);
-      }
-      *cache_time += drop_time - c.since;
-      copies_[i] = copies_.back();
-      copies_.pop_back();
+      ledger.total_cost += rate * ledger.model.mu * (drop_time - c.since);
+      ledger.cache_time += drop_time - c.since;
+      copies_.erase_swap(i);
     } else {
       ++i;
     }
@@ -241,25 +232,27 @@ void OnlineDpGreedyState::ensure_item_count(std::size_t item_count) {
   if (item_count <= partner_.size()) return;
   window_.ensure_item_count(item_count);
   partner_.resize(item_count, kNoItem);
-  package_lo_.resize(item_count, kNoItem);
   live_lo_.resize((item_count + 63) / 64, 0);
-  item_flow_.reserve(item_count);
-  while (item_flow_.size() < item_count) {
+  package_jaccard_.resize(item_count, 0.0);
+  flows_.reserve(item_count);
+  while (flows_.size() < item_count) {
     // New items start at the origin at time 0, exactly as a batch solve
     // initializes the full universe up front.
-    item_flow_.emplace_back(1.0, kOriginServer, 0.0);
-    item_flow_.back().set_pending_cost(&result_.total_cost);
+    flows_.emplace_back(kOriginServer, 0.0);
   }
+}
+
+std::string OnlineDpGreedyState::time_order_error(Time previous, Time time) {
+  return "OnlineDpGreedyState::push: request times must be strictly "
+         "increasing, finite and > 0 (got " + format_fixed(time, 6) +
+         " after " + format_fixed(previous, 6) + ")";
 }
 
 OnlineDpGreedyState::Decision OnlineDpGreedyState::push(
     ServerId server, Time time, std::span<const ItemId> items) {
   // last_time_ starts at 0, so the first push must be at a time > 0.
-  if (!(time > last_time_) || !std::isfinite(time)) {
-    throw InvalidArgument(
-        "OnlineDpGreedyState::push: request times must be strictly "
-        "increasing, finite and > 0 (got " + format_fixed(time, 6) +
-        " after " + format_fixed(last_time_, 6) + ")");
+  if (!time_follows(last_time_, time)) {
+    throw InvalidArgument(time_order_error(last_time_, time));
   }
   require(!items.empty(), "OnlineDpGreedyState::push: empty item set");
   if (items.back() == kNoItem) {
@@ -279,49 +272,36 @@ OnlineDpGreedyState::Decision OnlineDpGreedyState::push(
     repack(time, decision);
   }
 
-  // Serve: group the packed pairs that appear fully in this request.
-  if (handled_.capacity() < items.size()) ++scratch_allocs_;
-  handled_.assign(items.size(), false);
+  // Serve each item's flow in row order.  A packed pair requested in full
+  // is served once, at its lower item, which the sorted row reaches first.
   for (std::size_t x = 0; x < items.size(); ++x) {
-    if (handled_[x]) continue;
     const ItemId item = items[x];
     const ItemId mate = partner_[item];
-    const bool mate_present =
-        mate != kNoItem &&
-        std::binary_search(items.begin(), items.end(), mate);
+    if (mate == kNoItem) {
+      // Unpacked item: plain break-even.  serve() returns only the λ part
+      // of the charge (horizon drops are charged to the ledger as they go).
+      const Cost shipped = flows_[item].serve(server, time, 1.0, ledger());
+      result_.total_cost += shipped;
+      result_.transfer_cost += shipped;
+      continue;
+    }
+    // The row is sorted: look for the mate only on its side of the item.
+    const std::span<const ItemId> side =
+        mate < item ? items.first(x) : items.subspan(x + 1);
+    const bool mate_present = std::binary_search(side.begin(), side.end(), mate);
     if (mate_present) {
-      // Full package request.  serve() returns only the λ part of the
-      // charge (cache accrual flows through the pending-cost sink).
+      if (mate < item) continue;  // served at the lower item
+      // Full package request.
       const Cost shipped =
-          package_slot(item).serve(server, time, model_, horizon_, never_drop_,
-                                   &result_.transfers, &result_.cache_time);
+          flows_[item].serve(server, time, pack_rate_, ledger());
       result_.total_cost += shipped;
       result_.transfer_cost += shipped;
-      for (std::size_t y = 0; y < items.size(); ++y) {
-        if (items[y] == mate) handled_[y] = true;
-      }
-      handled_[x] = true;
-    } else if (mate != kNoItem) {
-      // Single item of a packed pair: free if the package is local,
-      // otherwise fetch the package for 2αλ (Observation 2).
-      BreakEvenFlowState& flow = package_slot(item);
-      if (!flow.has_copy_at(server)) {
-        result_.total_cost += pack_rate_ * model_.lambda;
-        result_.transfer_cost += pack_rate_ * model_.lambda;
-        ++result_.package_fetches;
-        flow.add_copy(server, time);
-      } else {
-        flow.add_copy(server, time);  // refresh last_use
-      }
-      handled_[x] = true;
-    } else {
-      // Unpacked item: plain break-even.
-      const Cost shipped =
-          item_flow_[item].serve(server, time, model_, horizon_, never_drop_,
-                                 &result_.transfers, &result_.cache_time);
-      result_.total_cost += shipped;
-      result_.transfer_cost += shipped;
-      handled_[x] = true;
+    } else if (flows_[std::min(item, mate)].add_copy(server, time)) {
+      // Single item of a packed pair with no local package copy: fetch the
+      // package for 2αλ (Observation 2).  A local copy serves it free.
+      result_.total_cost += pack_rate_ * model_.lambda;
+      result_.transfer_cost += pack_rate_ * model_.lambda;
+      ++result_.package_fetches;
     }
   }
 
@@ -363,25 +343,40 @@ void OnlineDpGreedyState::repack(Time now, Decision& decision) {
   g_online_repacks.add();
   ++repacks_;
   decision.repacked = true;
-  // Dissolve pairs whose windowed similarity decayed below θ/2.  Only live
+  // One walk over the pairs live in the window (every pair with co_freq >
+  // 0) gives each live package its windowed Jaccard and collects every
+  // other pair that clears θ (J > θ ≥ 0 requires co > 0).  J comes from the
+  // count the walk holds: the same Eq. (5) expression as
+  // window_.jaccard(a, b), without looking the pair up.
+  if (candidates_.empty() && candidates_.capacity() == 0) ++scratch_allocs_;
+  candidates_.clear();
+  window_.for_each_co_pair([this](ItemId a, ItemId b, std::size_t co) {
+    const double j = jaccard_similarity(window_.frequency(a),
+                                        window_.frequency(b), co);
+    if (partner_[a] == b) {
+      package_jaccard_[a] = j;  // a < b: the package's lower item
+    } else if (j > options_.theta) {
+      candidates_.emplace_back(j, std::make_pair(a, b));
+    }
+  });
+  // Dissolve pairs whose windowed similarity decayed below θ/2; a package
+  // the walk did not meet has left the window and reads J = 0.  Only live
   // packages are visited, by their lower item in ascending order — the
   // order of a full item scan, so cost accrues in the same order.
   for (std::size_t word = 0; word < live_lo_.size(); ++word) {
     for (std::uint64_t bits = live_lo_[word]; bits != 0; bits &= bits - 1) {
       const auto bit = static_cast<unsigned>(std::countr_zero(bits));
       const auto a = static_cast<ItemId>(word * 64 + bit);
+      const double j = package_jaccard_[a];
+      package_jaccard_[a] = 0.0;
+      if (j >= options_.theta / 2.0) continue;
+      // Split: both items restart with a copy where the package was last
+      // used.
       const ItemId b = partner_[a];
-      if (window_.jaccard(a, b) >= options_.theta / 2.0) continue;
-      // Split: both items get a copy where the package was last used.
-      const ReplicaCopy seat = package_slot(a).most_recent();
-      result_.total_cost += package_slot(a).finalize(model_, &result_.cache_time);
-      free_package_slots_.push_back(package_lo_[a]);
-      package_lo_[a] = kNoItem;
-      package_lo_[b] = kNoItem;
-      item_flow_[a] = BreakEvenFlowState(1.0, seat.server, now);
-      item_flow_[a].set_pending_cost(&result_.total_cost);
-      item_flow_[b] = BreakEvenFlowState(1.0, seat.server, now);
-      item_flow_[b].set_pending_cost(&result_.total_cost);
+      const ServerId seat = flows_[a].most_recent().server;
+      result_.total_cost += flows_[a].finalize(pack_rate_, ledger());
+      flows_[a].restart(seat, now);
+      flows_[b].restart(seat, now);
       partner_[a] = kNoItem;
       partner_[b] = kNoItem;
       live_lo_[word] &= ~(std::uint64_t{1} << bit);
@@ -390,47 +385,30 @@ void OnlineDpGreedyState::repack(Time now, Decision& decision) {
       --live_packages_;
     }
   }
-  // Form new pairs greedily by descending windowed similarity.  The sparse
-  // co-pair walk visits every pair with co_freq > 0 — a superset of every
-  // pair that can clear θ (J > θ ≥ 0 requires co > 0) — and the sort below
-  // totally orders the unique (J, (a, b)) keys, so the candidate list is
-  // bit-identical to the dense row scan this replaces, in the same order.
-  // J comes from the count the walk holds: the same Eq. (5) expression as
-  // window_.jaccard(a, b), without looking the pair up again.
-  if (candidates_.empty() && candidates_.capacity() == 0) ++scratch_allocs_;
-  candidates_.clear();
-  window_.for_each_co_pair([this](ItemId a, ItemId b, std::size_t co) {
-    if (partner_[a] != kNoItem || partner_[b] != kNoItem) return;
-    const double j = jaccard_similarity(window_.frequency(a),
-                                        window_.frequency(b), co);
-    if (j > options_.theta) candidates_.emplace_back(j, std::make_pair(a, b));
+  // Form new pairs greedily by descending windowed similarity among the
+  // pairs whose items are both unpacked now.  The sort totally orders the
+  // unique (J, (a, b)) keys, so the candidate order is the one a dense
+  // row scan would give.
+  std::erase_if(candidates_, [this](const auto& candidate) {
+    return partner_[candidate.second.first] != kNoItem ||
+           partner_[candidate.second.second] != kNoItem;
   });
   std::sort(candidates_.rbegin(), candidates_.rend());
   for (const auto& [j, pair] : candidates_) {
     const auto [a, b] = pair;
     if (partner_[a] != kNoItem || partner_[b] != kNoItem) continue;
     // Assemble the package at a's most recent location; b's copy is
-    // shipped there at the individual rate.
-    const ReplicaCopy seat = item_flow_[a].most_recent();
-    result_.total_cost += item_flow_[a].finalize(model_, &result_.cache_time);
-    result_.total_cost += item_flow_[b].finalize(model_, &result_.cache_time);
+    // shipped there at the individual rate.  The package's flow is a's,
+    // restarted; b's stays empty while the pair lives.
+    const ServerId seat = flows_[a].most_recent().server;
+    result_.total_cost += flows_[a].finalize(1.0, ledger());
+    result_.total_cost += flows_[b].finalize(1.0, ledger());
     result_.total_cost += model_.lambda;  // move b to the assembly point
     result_.transfer_cost += model_.lambda;
     ++result_.transfers;
     partner_[a] = b;
     partner_[b] = a;
-    if (free_package_slots_.empty()) {
-      package_lo_[a] = static_cast<ItemId>(package_flow_.size());
-      package_flow_.emplace_back(pack_rate_, seat.server, now);
-    } else {
-      // Reuse a dissolved slot so the table stays O(k), not O(pack events).
-      package_lo_[a] = free_package_slots_.back();
-      free_package_slots_.pop_back();
-      package_flow_[package_lo_[a]] =
-          BreakEvenFlowState(pack_rate_, seat.server, now);
-    }
-    package_lo_[b] = package_lo_[a];
-    package_flow_[package_lo_[a]].set_pending_cost(&result_.total_cost);
+    flows_[a].restart(seat, now);
     live_lo_[a / 64] |= std::uint64_t{1} << (a % 64);
     ++result_.pack_events;
     ++decision.pack_events;
@@ -445,11 +423,9 @@ OnlineDpGreedyResult OnlineDpGreedyState::finalize() {
   const std::size_t k = partner_.size();
   for (ItemId item = 0; item < k; ++item) {
     if (partner_[item] == kNoItem) {
-      result_.total_cost +=
-          item_flow_[item].finalize(model_, &result_.cache_time);
+      result_.total_cost += flows_[item].finalize(1.0, ledger());
     } else if (item < partner_[item]) {
-      result_.total_cost +=
-          package_slot(item).finalize(model_, &result_.cache_time);
+      result_.total_cost += flows_[item].finalize(pack_rate_, ledger());
     }
   }
   result_.ave_cost =
@@ -466,14 +442,14 @@ OnlineDpGreedyResult OnlineDpGreedyState::finalize() {
 
 OnlineDpGreedyResult OnlineDpGreedyState::value_now() const {
   OnlineDpGreedyResult result = result_;
+  const FlowLedger ledger{model_, horizon_, never_drop_, result.total_cost,
+                          result.transfers, result.cache_time};
   const std::size_t k = partner_.size();
   for (ItemId item = 0; item < k; ++item) {
     if (partner_[item] == kNoItem) {
-      item_flow_[item].peek_accrued(model_, &result.total_cost,
-                                    &result.cache_time);
+      flows_[item].peek_accrued(1.0, ledger);
     } else if (item < partner_[item]) {
-      package_slot(item).peek_accrued(model_, &result.total_cost,
-                                      &result.cache_time);
+      flows_[item].peek_accrued(pack_rate_, ledger);
     }
   }
   result.ave_cost =

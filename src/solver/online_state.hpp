@@ -19,9 +19,11 @@
 //     non-destructively at any time (value_now) or closed out (finalize).
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -31,62 +33,70 @@
 #include "core/types.hpp"
 #include "solver/online.hpp"
 #include "solver/online_dp_greedy.hpp"
+#include "solver/replica_list.hpp"
 #include "solver/windowed_correlation.hpp"
 
 namespace dpg {
 
-/// One live replica of a flow.
-struct ReplicaCopy {
-  ServerId server;
-  Time since;
-  Time last_use;
+/// The terms one policy state prices its flows under, and the running
+/// totals their charges land in.  Flows hold neither, so a flow is its
+/// replica list alone.
+struct FlowLedger {
+  const CostModel& model;
+  double horizon;     // copies are held this long past their last use
+  bool never_drop;    // μ = 0: no copy is ever dropped
+  Cost& total_cost;   // cache charges of copies dropped at their horizon
+  std::size_t& transfers;
+  Time& cache_time;
 };
 
 /// Break-even replica management for one flow (an item or a package).
 /// Identical in policy to the per-flow online rule; item flows and package
-/// flows share this accounting.  Cache accrual of copies dropped at their
-/// horizon flows through the pending-cost sink; live copies are charged at
-/// finalize (or valued via peek_accrued).
+/// flows share this accounting, each at its rate (1 for an item, 2α for a
+/// package).  Cache accrual of copies dropped at their horizon is charged
+/// to the ledger as they drop; live copies are charged at finalize (or
+/// valued via peek_accrued).
 class BreakEvenFlowState {
  public:
-  BreakEvenFlowState(double multiplier, ServerId start_server, Time start_time)
-      : multiplier_(multiplier) {
-    copies_.push_back(ReplicaCopy{start_server, start_time, start_time});
+  BreakEvenFlowState(ServerId start_server, Time start_time) {
+    restart(start_server, start_time);
+  }
+
+  /// Starts the flow over with one copy at (server, t), in place: how a
+  /// pack or split reuses a finalized flow.  Copies still live are dropped
+  /// uncharged, so finalize first.
+  void restart(ServerId server, Time t) {
+    copies_.clear();
+    copies_.push_back(ReplicaCopy{server, t, t});
   }
 
   /// Retires expired copies, then serves a request at (server, t).
-  /// Returns the cost increment (multiplier applied; λ-side only — cache
-  /// accrual is charged at retirement/finalize).
-  Cost serve(ServerId server, Time t, const CostModel& model, double horizon,
-             bool never_drop, std::size_t* transfer_count, Time* cache_time);
+  /// Returns the cost increment (rate applied; λ-side only — cache accrual
+  /// is charged at retirement/finalize).
+  Cost serve(ServerId server, Time t, double rate, const FlowLedger& ledger);
 
-  /// True if a copy of this flow is live at `server` right now.
-  [[nodiscard]] bool has_copy_at(ServerId server) const;
-
-  /// Adds a replica at (server, t) (used by package fetches).
-  void add_copy(ServerId server, Time t);
+  /// Uses the copy at `server` at time t, or adds one there (a package
+  /// fetch).  True when the copy is new.
+  bool add_copy(ServerId server, Time t);
 
   /// Most recently used copy (always exists).
   [[nodiscard]] const ReplicaCopy& most_recent() const;
 
-  /// Charges all copies up to their last use and clears the flow.
-  Cost finalize(const CostModel& model, Time* cache_time);
+  /// Charges all copies up to their last use and clears the flow; returns
+  /// their cost and adds their cache time to the ledger.
+  Cost finalize(double rate, const FlowLedger& ledger);
 
-  /// What finalize would charge right now, without mutating: accrued cache
-  /// cost and cache time of the live copies, in the same copy order (so a
-  /// snapshot valuation is bit-identical to an actual close-out).
-  void peek_accrued(const CostModel& model, Cost* cost, Time* cache_time) const;
-
-  /// Where the cache cost of horizon-dropped copies accrues.
-  void set_pending_cost(Cost* sink) { pending_sink_ = sink; }
+  /// What finalize would charge right now, without mutating: adds the
+  /// accrued cache cost and cache time of the live copies to the ledger,
+  /// copy by copy in finalize's order.  finalize sums a flow's copies
+  /// before adding them to the total, so with two or more copies the two
+  /// totals can differ in the last bits.
+  void peek_accrued(double rate, const FlowLedger& ledger) const;
 
  private:
-  void retire(Time now, const CostModel& model, double horizon,
-              bool never_drop, Time* cache_time);
+  void retire(Time now, double rate, const FlowLedger& ledger);
 
-  double multiplier_;
-  std::vector<ReplicaCopy> copies_;
-  Cost* pending_sink_ = nullptr;
+  ReplicaList copies_;
 };
 
 /// The resumable loop body of solve_online_break_even: one flow's replica
@@ -124,9 +134,9 @@ class OnlineBreakEvenState {
 /// The resumable core of online DP_Greedy: windowed Jaccard packing with
 /// epoch re-pairing and break-even serving, advanced one request at a time.
 ///
-/// Non-copyable/non-movable: flow states hold a pending-cost sink pointer
-/// into the running result.  Long-lived fronts hold it behind the
-/// StreamingEngine; the batch driver stack-allocates one per solve.
+/// Non-copyable/non-movable: one state is one stream's books.  Long-lived
+/// fronts hold it behind the StreamingEngine; solve_online_dp_greedy
+/// stack-allocates one per solve.
 class OnlineDpGreedyState {
  public:
   /// What one push did — the serving decision for that request.
@@ -163,6 +173,15 @@ class OnlineDpGreedyState {
   /// items, strictly increasing times), which both block readers guarantee.
   Decision push_batch(const RequestBlock& block);
 
+  /// True when a push at `time` may follow one at `previous` (0 before the
+  /// first push): `time` is finite and strictly later.
+  [[nodiscard]] static bool time_follows(Time previous, Time time) noexcept {
+    return time > previous && std::isfinite(time);
+  }
+
+  /// The message push() rejects such a time with.
+  [[nodiscard]] static std::string time_order_error(Time previous, Time time);
+
   /// Grows the item universe (new items start at the origin at time 0,
   /// exactly as a batch solve initializes them).  Never shrinks.
   void ensure_item_count(std::size_t item_count);
@@ -198,11 +217,10 @@ class OnlineDpGreedyState {
 
  private:
   void repack(Time now, Decision& decision);
-  [[nodiscard]] BreakEvenFlowState& package_slot(ItemId item) {
-    return package_flow_[package_lo_[item]];
-  }
-  [[nodiscard]] const BreakEvenFlowState& package_slot(ItemId item) const {
-    return package_flow_[package_lo_[item]];
+  /// The ledger over this state's running totals.
+  [[nodiscard]] FlowLedger ledger() noexcept {
+    return {model_, horizon_, never_drop_, result_.total_cost,
+            result_.transfers, result_.cache_time};
   }
 
   CostModel model_;
@@ -212,26 +230,28 @@ class OnlineDpGreedyState {
   double pack_rate_;
 
   WindowedCorrelation window_;
-  std::vector<ItemId> partner_;     // item -> its packed mate (kNoItem if none)
-  std::vector<ItemId> package_lo_;  // item -> its package slot
-  std::vector<BreakEvenFlowState> item_flow_;
-  std::vector<BreakEvenFlowState> package_flow_;  // indexed by slot
-  std::vector<ItemId> free_package_slots_;  // dissolved slots, reused so the
-                                            // slot table is O(k), not O(packs)
+  std::vector<ItemId> partner_;  // item -> its packed mate (kNoItem if none)
+  // flows_[a] is item a's flow while a is unpacked, and its package's while
+  // a is the package's lower item (empty while a is the upper one): a pack
+  // or split restarts flows in place, so one flow per item is all there is.
+  std::vector<BreakEvenFlowState> flows_;
   // Bit a is set while a < partner_[a], one bit per item: the epoch's
   // dissolve pass walks the set bits in ascending item order, which is the
   // order a full item scan would visit the live packages in.
   std::vector<std::uint64_t> live_lo_;
+  // The windowed Jaccard of the live package with lower item a, written by
+  // the epoch's pair walk and read (and reset to 0) by its dissolve pass; 0
+  // between epochs, which is the Jaccard of a pair absent from the window.
+  std::vector<double> package_jaccard_;
   std::size_t live_packages_ = 0;
 
-  OnlineDpGreedyResult result_;  // running totals (also the pending sink)
+  OnlineDpGreedyResult result_;  // running totals (the ledger's)
   std::size_t since_repack_ = 0;
   std::size_t requests_seen_ = 0;
   std::size_t repacks_ = 0;
   Time last_time_ = 0.0;
 
-  // Reused scratch (kept warm across pushes).
-  std::vector<bool> handled_;
+  // Reused scratch (kept warm across epochs).
   std::vector<std::pair<double, std::pair<ItemId, ItemId>>> candidates_;
   std::uint64_t scratch_allocs_ = 0;
 };

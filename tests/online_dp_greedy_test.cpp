@@ -4,6 +4,7 @@
 #include "solver/dp_greedy.hpp"
 #include "solver/online.hpp"
 #include "solver/online_dp_greedy.hpp"
+#include "solver/online_state.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 
@@ -103,6 +104,74 @@ TEST(OnlineDpGreedy, UnpacksWhenCorrelationDecays) {
   const OnlineDpGreedyResult online = solve_online_dp_greedy(seq, model, options);
   EXPECT_GE(online.pack_events, 1u);
   EXPECT_GE(online.unpack_events, 1u);
+}
+
+// The epoch's dissolve rule, one branch at a time: θ = 0.5 packs a pair
+// above J = 0.5 and splits it below J = 0.25, with a window of four rows
+// and an epoch every fourth push.
+OnlineDpGreedyOptions hysteresis_options(double theta) {
+  OnlineDpGreedyOptions options;
+  options.theta = theta;
+  options.window = 4;
+  options.repack_interval = 4;
+  return options;
+}
+
+/// Pushes one epoch of rows at server 0, one time unit apart after `t`;
+/// returns the epoch's decision (the last push's).
+OnlineDpGreedyState::Decision push_epoch(
+    OnlineDpGreedyState& state, Time& t,
+    std::initializer_list<std::vector<ItemId>> rows) {
+  OnlineDpGreedyState::Decision last;
+  for (const std::vector<ItemId>& row : rows) {
+    last = state.push(0, t += 1.0, row);
+  }
+  return last;
+}
+
+TEST(OnlineDpGreedyState, PackageInTheHysteresisBandSurvivesAnEpoch) {
+  const CostModel model{1.0, 1.0, 0.8};
+  OnlineDpGreedyState state(model, hysteresis_options(0.5), 3);
+  Time t = 0.0;
+  EXPECT_EQ(push_epoch(state, t, {{0, 1}, {0, 1}, {0, 1}, {0, 1}}).pack_events,
+            1u);
+  // The window now holds {0,1}, {0}, {1}, {2}: the pair still co-occurs,
+  // at J = 1/3, below θ but not below θ/2.
+  const OnlineDpGreedyState::Decision epoch =
+      push_epoch(state, t, {{0, 1}, {0}, {1}, {2}});
+  EXPECT_TRUE(epoch.repacked);
+  EXPECT_EQ(state.window().co_frequency(0, 1), 1u);
+  EXPECT_EQ(state.window().jaccard(0, 1), 1.0 / 3.0);
+  EXPECT_EQ(epoch.unpack_events, 0u);
+  EXPECT_EQ(state.live_packages(), 1u);
+}
+
+TEST(OnlineDpGreedyState, PackageThatLeftTheWindowSplitsOnlyAboveThetaZero) {
+  const CostModel model{1.0, 1.0, 0.8};
+  for (const double theta : {0.5, 0.0}) {
+    OnlineDpGreedyState state(model, hysteresis_options(theta), 3);
+    Time t = 0.0;
+    EXPECT_EQ(
+        push_epoch(state, t, {{0, 1}, {0, 1}, {0, 1}, {0, 1}}).pack_events,
+        1u)
+        << "theta=" << theta;
+    // An epoch that reads the live pair at J = 1 first, so the J read
+    // below is the current window's, not one an earlier epoch left.
+    EXPECT_EQ(
+        push_epoch(state, t, {{0, 1}, {0, 1}, {0, 1}, {0, 1}}).unpack_events,
+        0u);
+    // No row of the window holds both items, so the pair is absent from
+    // the window's pair counts and reads J = 0: below θ/2 = 0.25, and not
+    // below θ/2 = 0.
+    const OnlineDpGreedyState::Decision epoch =
+        push_epoch(state, t, {{0}, {2}, {2}, {2}});
+    EXPECT_TRUE(epoch.repacked);
+    EXPECT_EQ(state.window().co_frequency(0, 1), 0u);
+    EXPECT_EQ(state.window().jaccard(0, 1), 0.0);
+    const std::size_t splits = theta > 0.0 ? 1u : 0u;
+    EXPECT_EQ(epoch.unpack_events, splits) << "theta=" << theta;
+    EXPECT_EQ(state.live_packages(), 1u - splits) << "theta=" << theta;
+  }
 }
 
 TEST(OnlineDpGreedy, ValidatesOptions) {

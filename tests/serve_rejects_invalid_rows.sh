@@ -5,7 +5,9 @@
 # that prefix alone) — on one thread at several block sizes (so the bad row
 # lands mid-block), and with two decode shards over one engine partition,
 # whose reports must count the rows the engine served before the bad one.
-# solve must exit 1 on an infinite time.
+# A row out of time order gets the same handling over two engine
+# partitions, which see only their own rows (compared with the prefix
+# served over the same partitions).  solve must exit 1 on an infinite time.
 #
 #   sh tests/serve_rejects_invalid_rows.sh build/tools/dpgreedy
 set -u
@@ -34,17 +36,42 @@ check() {
   expected=$(grep '^final ' "$dir/prefix.out")
   for mode in "" "--batch 2" "--shards 2" "--shards 2 --batch 2" \
       "--shards 2 --batch 64"; do
+    expect_rejected "$label" "$row" "$mode" "$expected"
+  done
+}
+
+# expect_rejected LABEL N MODE FINAL: serve in.csv under MODE exits 1,
+# names row N and prints FINAL.
+expect_rejected() {
+  # shellcheck disable=SC2086  # $3 is a flag list
+  "$dpgreedy" serve --trace - $3 < "$dir/in.csv" > "$dir/out" 2> "$dir/err"
+  status=$?
+  [ "$status" -eq 1 ] || fail "$1 ($3): exit $status, want 1"
+  if ! grep -q "<stdin>: row $2: " "$dir/err"; then
+    fail "$1 ($3): stderr does not name <stdin>: row $2:" "$(cat "$dir/err")"
+  fi
+  actual=$(grep '^final ' "$dir/out")
+  [ "$actual" = "$4" ] || fail "$1 ($3): '$actual', want '$4'"
+}
+
+# check_partitioned LABEL N ROW...: as check, over two engine partitions.
+check_partitioned() {
+  label=$1
+  row=$2
+  shift 2
+  echo server,time,items > "$dir/in.csv"
+  printf '%s\n' "$@" >> "$dir/in.csv"
+  head -n "$row" "$dir/in.csv" > "$dir/prefix.csv"
+  for mode in "--partitions 2" "--shards 2 --partitions 2" \
+      "--partitions 2 --batch 2" "--shards 2 --partitions 2 --batch 2"; do
     # shellcheck disable=SC2086  # $mode is a flag list
-    "$dpgreedy" serve --trace - $mode < "$dir/in.csv" > "$dir/out" 2> "$dir/err"
-    status=$?
-    [ "$status" -eq 1 ] || fail "$label ($mode): exit $status, want 1"
-    if ! grep -q "<stdin>: row $row: " "$dir/err"; then
-      fail "$label ($mode): stderr does not name <stdin>: row $row:" \
-        "$(cat "$dir/err")"
+    if ! "$dpgreedy" serve --trace - $mode < "$dir/prefix.csv" \
+        > "$dir/prefix.out"; then
+      fail "$label ($mode): serve over the valid prefix failed"
+      continue
     fi
-    actual=$(grep '^final ' "$dir/out")
-    [ "$actual" = "$expected" ] ||
-      fail "$label ($mode): '$actual', want '$expected'"
+    expect_rejected "$label" "$row" "$mode" \
+      "$(grep '^final ' "$dir/prefix.out")"
   done
 }
 
@@ -56,6 +83,10 @@ check "reserved item id" 1 '1,1,4294967295'
 check "out-of-order time" 3 '1,1,3' '1,2,3' '1,1.5,3'
 check "out-of-order time before a good row" 3 '0,1.0,1' '1,2.0,2' \
   '2,1.5,3' '3,3.0,1'
+check_partitioned "out-of-order time before a good row" 3 '0,1.0,1' \
+  '1,2.0,2' '2,1.5,3' '3,3.0,1'
+check_partitioned "infinite time mid-stream" 2 '0,1.0,1' '1,inf,2' \
+  '2,3.0,3'
 
 printf 'server,time,items\n1,inf,3\n' > "$dir/inf.csv"
 "$dpgreedy" solve --trace "$dir/inf.csv" > /dev/null 2>&1

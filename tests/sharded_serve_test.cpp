@@ -643,23 +643,91 @@ TEST(ShardedServe, RejectedRowStillFinishesEveryPartition) {
       EXPECT_NE(result.engine_error.find("strictly increasing"),
                 std::string::npos)
           << label << ": " << result.engine_error;
+      EXPECT_EQ(result.rejected_row, 601u) << label;
       EXPECT_EQ(result.stats.requests, 600u) << label;
       expect_reports_equal(result.report, prefix_report, label);
     }
   }
 
-  // Across partitions the message names the partition that rejected it.
+  // Across partitions a row out of time order is caught before routing and
+  // named as at one partition; a row only its engine rejects (an empty item
+  // set) is named by the partition that rejected it.
   ServeConfig config;
   config.batch(64).partitions(2);
-  CsvClaimSource source(
+  CsvClaimSource backwards(
       testing::write_temp_file("ooo2.csv",
                                "server,time,items\n0,2.0,1\n0,1.0,1\n"),
       config.batch_rows);
-  const ShardedServeResult result =
-      run_sharded_serve(source, kModel, config, options);
-  EXPECT_EQ(result.engine_error.rfind("partition ", 0), 0u)
-      << result.engine_error;
-  EXPECT_EQ(result.stats.requests, 1u);
+  const ShardedServeResult named =
+      run_sharded_serve(backwards, kModel, config, options);
+  EXPECT_EQ(named.engine_error.rfind("OnlineDpGreedyState::push: ", 0), 0u)
+      << named.engine_error;
+  EXPECT_EQ(named.rejected_row, 2u);
+  EXPECT_EQ(named.stats.requests, 1u);
+
+  CsvClaimSource empty_row(
+      testing::write_temp_file("empty2.csv",
+                               "server,time,items\n0,1.0,1\n0,2.0,\n"),
+      config.batch_rows);
+  const ShardedServeResult unnamed =
+      run_sharded_serve(empty_row, kModel, config, options);
+  EXPECT_EQ(unnamed.engine_error.rfind("partition ", 0), 0u)
+      << unnamed.engine_error;
+  EXPECT_EQ(unnamed.rejected_row, 0u);
+  EXPECT_EQ(unnamed.stats.requests, 1u);
+}
+
+TEST(ShardedServe, OutOfOrderRowOpeningALaterBlockEndsEveryPartitionThere) {
+  // Row 601 goes back in time and opens a block at every batch size below,
+  // so no shard sees it next to the row before it: each partition checks
+  // the block's first time against the previous block's last.  Every
+  // partition then serves exactly the 600 rows before it, as one engine
+  // would, and the run names the row.
+  std::string csv = "server,time,items\n";
+  for (int i = 0; i < 600; ++i) {
+    csv += std::to_string(i % 5) + "," + std::to_string(i + 1) + ".0," +
+           std::to_string(i % 7) + ";" + std::to_string(7 + i % 3) + "\n";
+  }
+  const std::size_t prefix_bytes = csv.size();
+  csv += "2,1.5,3\n";
+  for (int i = 0; i < 100; ++i) {
+    csv += std::to_string(i % 5) + "," + std::to_string(1000 + i) + ".0,1\n";
+  }
+  const std::string path = testing::write_temp_file("ooo_block.csv", csv);
+  const std::string prefix_path = testing::write_temp_file(
+      "ooo_block_prefix.csv", std::string(csv, 0, prefix_bytes));
+
+  StreamingOptions options;
+  options.online = grid_options(50, 10);
+  for (const std::size_t partitions : {2u, 3u}) {
+    CsvClaimSource prefix_source(prefix_path, 64);
+    const RunReport prefix_report =
+        run_sharded_serve(prefix_source, kModel,
+                          ServeConfig{}.batch(64).partitions(partitions),
+                          options)
+            .report;
+    for (const std::size_t shards : {1u, 2u, 4u}) {
+      for (const std::size_t batch : {2u, 100u, 600u}) {
+        ServeConfig config;
+        config.batch(batch).shards(shards).partitions(partitions);
+        CsvClaimSource source(path, config.batch_rows);
+        const ShardedServeResult result =
+            run_sharded_serve(source, kModel, config, options);
+        const std::string label = "M=" + std::to_string(partitions) +
+                                  " N=" + std::to_string(shards) +
+                                  " batch=" + std::to_string(batch);
+        EXPECT_TRUE(result.feed_error.empty()) << label;
+        EXPECT_EQ(result.engine_error,
+                  "OnlineDpGreedyState::push: request times must be strictly "
+                  "increasing, finite and > 0 (got 1.500000 after "
+                  "600.000000)")
+            << label;
+        EXPECT_EQ(result.rejected_row, 601u) << label;
+        EXPECT_EQ(result.stats.requests, 600u) << label;
+        expect_reports_equal(result.report, prefix_report, label);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

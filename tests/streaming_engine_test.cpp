@@ -106,13 +106,14 @@ struct WideGolden {
 };
 
 void expect_wide_goldens(const RequestSequence& trace,
-                         std::initializer_list<WideGolden> goldens) {
+                         std::initializer_list<WideGolden> goldens,
+                         const CostModel& model = kModel) {
   for (const WideGolden& golden : goldens) {
     StreamingOptions options;
     options.online.theta = 0.3;
     options.online.window = golden.window;
     options.online.repack_interval = golden.repack;
-    StreamingEngine engine(kModel, options);
+    StreamingEngine engine(model, options);
     for (const Request& r : trace.requests()) {
       engine.push(r.server, r.time, r.items);
     }
@@ -133,6 +134,22 @@ TEST(StreamingEngine, TaxiFleetMatchesGoldens) {
   ASSERT_EQ(trace.size(), 19991u);
   expect_wide_goldens(trace, {{8, 1, 42674.391226584135, 9953, 9948},
                               {200, 50, 54230.000335237033, 8731, 8632}});
+}
+
+TEST(StreamingEngine, NeverDropTaxiFleetMatchesGoldens) {
+  // μ = 0: no copy is ever dropped, so a flow holds a copy at every server
+  // it visited since its last pack or split, and flows outgrow the inline
+  // replica capacity.  Captured at %.17g with the vector-backed flows.
+  MobilityConfig config;
+  config.taxi_count = 2000;
+  config.duration = 10.0;
+  Rng rng(2024);
+  const RequestSequence trace = simulate_mobility(config, rng);
+  expect_wide_goldens(trace,
+                      {{8, 1, 34270.999999993692, 9953, 9948},
+                       {64, 7, 36152.19999999876, 9606, 9578},
+                       {200, 50, 35157.999999998807, 8731, 8632}},
+                      CostModel{/*mu=*/0.0, /*lambda=*/1.0, /*alpha=*/0.8});
 }
 
 TEST(StreamingEngine, WideZipfMatchesGoldens) {

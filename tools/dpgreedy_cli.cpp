@@ -735,14 +735,13 @@ int cmd_serve(int argc, const char* const* argv) {
     feed_failed = true;
   }
   if (!result.engine_error.empty()) {
-    // One partition served every row before the rejected one, so the row is
-    // named like a malformed one (source and row); across partitions the
-    // message names the partition.
+    // A rejected row the runtime can name is named like a malformed one
+    // (source and row); otherwise the message names the partition.
     const std::string source = *flags.trace == "-" ? "<stdin>" : *flags.trace;
     const std::string message =
-        config.partition_count == 1
-            ? source + ": row " + std::to_string(result.stats.requests + 1) +
-                  ": " + result.engine_error
+        result.rejected_row > 0
+            ? source + ": row " + std::to_string(result.rejected_row) + ": " +
+                  result.engine_error
             : result.engine_error;
     std::fprintf(stderr, "dpgreedy serve: %s\n", message.c_str());
     feed_failed = true;
