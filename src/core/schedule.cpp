@@ -16,21 +16,45 @@ namespace {
 const obs::Counter g_segments_emitted = obs::counter("schedule.segments_emitted");
 const obs::Counter g_transfers_emitted = obs::counter("schedule.transfers_emitted");
 
+/// The checks on a segment; false for a zero-length one, which carries no
+/// information and is skipped.
+bool segment_has_length(Time begin, Time end) {
+  require(end >= begin, "Schedule: segment end before begin");
+  require(begin >= 0.0, "Schedule: negative segment time");
+  return end != begin;
+}
+
+void check_transfer(ServerId from, ServerId to, Time time) {
+  require(time >= 0.0, "Schedule: negative transfer time");
+  require(from != to, "Schedule: transfer to the same server");
+}
+
 }  // namespace
 
 void Schedule::add_segment(ServerId server, Time begin, Time end) {
-  require(end >= begin, "Schedule: segment end before begin");
-  require(begin >= 0.0, "Schedule: negative segment time");
-  if (end == begin) return;  // zero-length segments carry no information
+  if (!segment_has_length(begin, end)) return;
   g_segments_emitted.add();
   segments_.push_back(CacheSegment{server, begin, end});
 }
 
 void Schedule::add_transfer(ServerId from, ServerId to, Time time) {
-  require(time >= 0.0, "Schedule: negative transfer time");
-  require(from != to, "Schedule: transfer to the same server");
+  check_transfer(from, to, time);
   g_transfers_emitted.add();
   transfers_.push_back(TransferEdge{from, to, time});
+}
+
+void ScheduleCounter::add_segment(ServerId, Time begin, Time end) {
+  if (segment_has_length(begin, end)) ++counts_.segments;
+}
+
+void ScheduleCounter::add_transfer(ServerId from, ServerId to, Time time) {
+  check_transfer(from, to, time);
+  ++counts_.transfers;
+}
+
+void ScheduleCounter::publish() const noexcept {
+  g_segments_emitted.add(counts_.segments);
+  g_transfers_emitted.add(counts_.transfers);
 }
 
 Time Schedule::total_cache_time() const {

@@ -40,6 +40,24 @@ struct ScheduleCounts {
   std::size_t transfers = 0;
 };
 
+/// Counts what a Schedule would hold without holding it: add_segment and
+/// add_transfer run Schedule's checks and skip the zero-length segments it
+/// skips, so a loop written once against either fills the same counts.
+class ScheduleCounter {
+ public:
+  void add_segment(ServerId server, Time begin, Time end);
+  void add_transfer(ServerId from, ServerId to, Time time);
+
+  [[nodiscard]] ScheduleCounts counts() const noexcept { return counts_; }
+
+  /// Bumps the schedule.*_emitted counters by the totals, as building the
+  /// schedule would have, element by element.
+  void publish() const noexcept;
+
+ private:
+  ScheduleCounts counts_;
+};
+
 /// Outcome of Schedule::validate.
 struct ValidationResult {
   bool ok = true;

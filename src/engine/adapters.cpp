@@ -1,7 +1,7 @@
 // The built-in solver adapters: each wraps one solve_* entry point behind
 // the engine's Solver interface without re-pricing anything.  total_cost is
 // copied bitwise from the wrapped result; the transfer-side breakdown is
-// reconstructed from the solver's own schedule counts and decision records
+// reconstructed from the solver's own schedule counts and charge lists
 // (each λ-charge counted once at its flow's rate), and cache_cost is the
 // renormalized remainder (see engine/run_report.cpp).  The solvers keep
 // plans only under SolverConfig::keep_schedules; each adapter then moves the
@@ -126,20 +126,13 @@ class DpGreedySolver final : public Solver {
     const double pack_rate = model.flow_multiplier(2);
     for (PackageReport& pkg : result.packages) {
       tally_schedule(pkg.package_counts, model, pack_rate, report);
-      for (const SingletonService& service : pkg.services) {
-        switch (service.choice) {
-          case ServeChoice::kCacheSameServer:
-            break;
-          case ServeChoice::kTransferFromPrev:
-            report.transfer_cost += model.lambda;
-            ++report.transfer_events;
-            break;
-          case ServeChoice::kPackageFetch:
-            report.transfer_cost += model.package_fetch_cost();
-            ++report.transfer_events;
-            break;
-        }
+      // The greedy λ-charges, in service order.
+      for (const ServeChoice charge : pkg.charges) {
+        report.transfer_cost += charge == ServeChoice::kTransferFromPrev
+                                    ? model.lambda
+                                    : model.package_fetch_cost();
       }
+      report.transfer_events += pkg.charges.size();
       keep_plan(report, config, std::move(pkg.package_flow),
                 std::move(pkg.package_schedule),
                 "package " + group_label({pkg.pair.a, pkg.pair.b}));

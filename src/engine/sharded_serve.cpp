@@ -51,6 +51,9 @@ struct Envelope {
   bool stats = false;
   std::size_t rows_through = 0;
   std::size_t rows = 0;
+  // M > 1: whether every partition checks first_time (the claimed block's
+  // row 0, even when a bad item set cut it) against the block before.
+  bool checks_open = false;
   Time first_time = 0.0;
   Time last_time = 0.0;
   RequestBlock block;
@@ -247,15 +250,20 @@ class ServeRun {
   /// its share of a cadence barrier.  False once the engine rejected a row.
   bool serve(std::size_t j, const Envelope& env);
   /// M > 1, shard side: cuts the claimed block before its first row that
-  /// is not later than the row before it, and fills in its rows and times.
-  void check_time_order(Envelope& claimed);
+  /// an engine would reject — a time not later than the row before it, an
+  /// empty item set or the reserved item id — and fills in its rows and
+  /// times.  Row 0's time is checked by the partitions (opens_in_order).
+  void check_rows(Envelope& claimed);
   /// M > 1, partition side: whether the block's first row is later than
   /// the last row partition j saw; records the row when it is not.
   bool opens_in_order(std::size_t j, const Envelope& env);
-  /// Records a row that breaks time order at `seq` (1-based stream row
-  /// `row`); the earliest row wins.  Blocks after its seq are skipped, so
-  /// the partitions serve exactly the rows before it, as one engine would.
-  void reject_row(std::uint64_t seq, std::size_t row, std::string message);
+  /// Records a row an engine would reject at `seq` (1-based stream row
+  /// `row`); the earliest row wins, and at one row a time out of order
+  /// wins over a bad item set, as push() checks the time first.  Blocks
+  /// after its seq are skipped, so the partitions serve exactly the rows
+  /// before it, as one engine would.
+  void reject_row(std::uint64_t seq, std::size_t row, std::string message,
+                  bool time_order);
   void barrier(std::size_t j, const Envelope& env);
   void shard_main(std::size_t i);
   /// Routes a claimed block to every partition; false on abort.
@@ -293,6 +301,7 @@ class ServeRun {
       std::numeric_limits<std::uint64_t>::max();
   std::atomic<std::uint64_t> reject_seq_{kNoReject};
   std::size_t rejected_row_ = 0;
+  bool rejected_for_time_ = false;
   std::string reject_message_;
   // Per partition: the time of the last row of the last block it checked.
   std::vector<Time> last_time_;
@@ -320,7 +329,7 @@ bool ServeRun::serve(std::size_t j, const Envelope& env) {
       env.seq > reject_seq_.load(std::memory_order_acquire)) {
     return true;
   }
-  if (env.rows > 0 && !opens_in_order(j, env)) return true;
+  if (env.checks_open && !opens_in_order(j, env)) return true;
   StreamingEngine& engine = *engines_[j];
   const bool archive = hooks_.on_served && config_.partition_count == 1;
   try {
@@ -345,16 +354,25 @@ bool ServeRun::serve(std::size_t j, const Envelope& env) {
   return true;
 }
 
-void ServeRun::check_time_order(Envelope& claimed) {
+void ServeRun::check_rows(Envelope& claimed) {
   const RequestBlock& block = claimed.block;
   const std::size_t first_row = claimed.rows_through - block.size();
   std::size_t rows = block.size();
-  for (std::size_t r = 1; r < rows; ++r) {
-    const Time before = block.time_of(r - 1);
-    const Time time = block.time_of(r);
-    if (OnlineDpGreedyState::time_follows(before, time)) continue;
-    reject_row(claimed.seq, first_row + r + 1,
-               OnlineDpGreedyState::time_order_error(before, time));
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::span<const ItemId> items = block.items_of(r);
+    if (r > 0 && !OnlineDpGreedyState::time_follows(block.time_of(r - 1),
+                                                    block.time_of(r))) {
+      reject_row(claimed.seq, first_row + r + 1,
+                 OnlineDpGreedyState::time_order_error(block.time_of(r - 1),
+                                                       block.time_of(r)),
+                 /*time_order=*/true);
+    } else if (!OnlineDpGreedyState::accepts_items(items)) {
+      reject_row(claimed.seq, first_row + r + 1,
+                 OnlineDpGreedyState::item_set_error(items),
+                 /*time_order=*/false);
+    } else {
+      continue;
+    }
     // The cut block ends before any cadence row it would have reached.
     rows = r;
     claimed.rows_through = first_row + rows;
@@ -363,15 +381,17 @@ void ServeRun::check_time_order(Envelope& claimed) {
     break;
   }
   claimed.rows = rows;
-  claimed.first_time = rows > 0 ? block.time_of(0) : 0.0;
-  claimed.last_time = rows > 0 ? block.time_of(rows - 1) : 0.0;
+  claimed.checks_open = !block.empty();
+  claimed.first_time = block.empty() ? 0.0 : block.time_of(0);
+  claimed.last_time = rows > 0 ? block.time_of(rows - 1) : claimed.first_time;
 }
 
 bool ServeRun::opens_in_order(std::size_t j, const Envelope& env) {
   Time& last = last_time_[j];
   if (!OnlineDpGreedyState::time_follows(last, env.first_time)) {
     reject_row(env.seq, env.rows_through - env.rows + 1,
-               OnlineDpGreedyState::time_order_error(last, env.first_time));
+               OnlineDpGreedyState::time_order_error(last, env.first_time),
+               /*time_order=*/true);
     return false;
   }
   last = env.last_time;
@@ -379,10 +399,15 @@ bool ServeRun::opens_in_order(std::size_t j, const Envelope& env) {
 }
 
 void ServeRun::reject_row(std::uint64_t seq, std::size_t row,
-                          std::string message) {
+                          std::string message, bool time_order) {
   const std::lock_guard<std::mutex> lock(error_mutex_);
-  if (rejected_row_ != 0 && rejected_row_ <= row) return;
+  if (rejected_row_ != 0 &&
+      (rejected_row_ < row ||
+       (rejected_row_ == row && (rejected_for_time_ || !time_order)))) {
+    return;
+  }
   rejected_row_ = row;
+  rejected_for_time_ = time_order;
   reject_message_ = std::move(message);
   reject_seq_.store(seq, std::memory_order_release);
 }
@@ -431,9 +456,9 @@ void ServeRun::shard_main(std::size_t i) {
 bool ServeRun::ship(std::size_t i, Envelope& claimed,
                     std::vector<Envelope>& envs) {
   const std::size_t partitions = config_.partition_count;
-  // Each partition sees only its own rows, so time order is checked here,
-  // before routing, on the whole block.
-  if (partitions > 1) check_time_order(claimed);
+  // Each partition sees only its own rows, so the rows an engine would
+  // reject are found here, before routing, on the whole block.
+  if (partitions > 1) check_rows(claimed);
   for (std::size_t j = 0; j < partitions; ++j) {
     if (!crossbar_->acquire(i, j, envs[j])) return false;
     envs[j].seq = claimed.seq;
@@ -442,6 +467,7 @@ bool ServeRun::ship(std::size_t i, Envelope& claimed,
     envs[j].stats = claimed.stats;
     envs[j].rows_through = claimed.rows_through;
     envs[j].rows = claimed.rows;
+    envs[j].checks_open = claimed.checks_open;
     envs[j].first_time = claimed.first_time;
     envs[j].last_time = claimed.last_time;
     envs[j].block.clear();

@@ -21,20 +21,42 @@ const obs::Counter g_singles_solved = obs::counter("phase2.singles_solved");
 const obs::Counter g_singleton_services =
     obs::counter("phase2.singleton_services");
 
+static_assert(static_cast<int>(ServeChoice::kCacheSameServer) ==
+                  kernels::kChoiceCache &&
+              static_cast<int>(ServeChoice::kTransferFromPrev) ==
+                  kernels::kChoiceTransfer &&
+              static_cast<int>(ServeChoice::kPackageFetch) ==
+                  kernels::kChoicePackage,
+              "serve choice encodings must line up");
+
+/// Records one greedy decision of `item`: its cost into singleton_cost, a
+/// non-cache choice into the charge list, and with `keep_plan` the decision
+/// itself.
+void record_service(PackageReport& report, std::size_t request_index,
+                    ItemId item, ServeChoice choice, Cost cost,
+                    bool keep_plan) {
+  report.singleton_cost += cost;
+  if (choice != ServeChoice::kCacheSameServer) report.charges.push_back(choice);
+  if (keep_plan) {
+    report.services.push_back({request_index, item, choice, cost});
+  }
+}
+
 /// Greedy service of the requests that touch exactly one item of a pair.
 /// Events of `item` (origin, single-item requests, package requests) are
 /// walked in time order; package events cost nothing here (the package DP
 /// already paid for them) but do update the recency state the greedy
 /// options consult, because serving a request leaves a copy behind.
 ///
-/// The reference is one fused stateful loop; the kernel variant below
-/// splits it into SoA column passes.  Both orders of accumulation are the
-/// event order, so the two are bit-identical (cross-checked in
+/// The reference: one stateful loop per item that asks each request
+/// whether it holds the partner.  The kernel path (walk_package below)
+/// makes the same decisions in the same accumulation order, so the two are
+/// bit-identical (cross-checked in tests/list_merge_test.cpp and
 /// tests/kernel_equivalence_test.cpp).
 void serve_singletons_scalar(const RequestSequence& sequence,
                              const CostModel& model, ItemId item,
                              ItemId partner, PackageReport& report,
-                             SolverWorkspace& ws) {
+                             SolverWorkspace& ws, bool keep_plan) {
   // Recency state over this item's event history (workspace scratch).
   Time prev_time = 0.0;
   ws.server_times.assign(sequence.server_count(), -1.0);
@@ -52,118 +74,79 @@ void serve_singletons_scalar(const RequestSequence& sequence,
       const Cost transfer_option = model.mu * (r.time - prev_time) + model.lambda;
       const Cost package_option = model.package_fetch_cost();
 
-      SingletonService service;
-      service.request_index = index;
-      service.item = item;
       if (cache_option <= transfer_option && cache_option <= package_option) {
-        service.choice = ServeChoice::kCacheSameServer;
-        service.cost = cache_option;
+        record_service(report, index, item, ServeChoice::kCacheSameServer,
+                       cache_option, keep_plan);
       } else if (transfer_option <= package_option) {
-        service.choice = ServeChoice::kTransferFromPrev;
-        service.cost = transfer_option;
+        record_service(report, index, item, ServeChoice::kTransferFromPrev,
+                       transfer_option, keep_plan);
       } else {
-        service.choice = ServeChoice::kPackageFetch;
-        service.cost = package_option;
+        record_service(report, index, item, ServeChoice::kPackageFetch,
+                       package_option, keep_plan);
       }
-      report.singleton_cost += service.cost;
-      report.services.push_back(service);
     }
     prev_time = r.time;
     last_on_server[r.server] = r.time;
   }
 }
 
-/// Kernelized serve_singletons: column passes over the item's events.
-/// Pass 0 marks the package events by merging the two items' request lists
-/// (the reference asks each request instead); pass 1 (scalar, stateful)
-/// gathers each event's recency inputs; pass 2 is the branch-light
-/// cost/choice math over flat columns; pass 3 accumulates serially in event
-/// order, so the report is bit-identical to the fused reference above.
-void serve_singletons_kernel(const RequestSequence& sequence,
-                             const CostModel& model, ItemId item,
-                             ItemId partner, PackageReport& report,
-                             SolverWorkspace& ws) {
-  const std::span<const std::size_t> events = sequence.indices_for_item(item);
-  const std::size_t e_count = events.size();
-  SingletonScratch& sc = ws.singles;
-  sc.time.resize(e_count);
-  sc.prev_time.resize(e_count);
-  sc.same_time.resize(e_count);
-  sc.cost.resize(e_count);
-  sc.choice.resize(e_count);
-  sc.is_package.resize(e_count);
-
-  // Pass 0: which events are package requests — the events the partner's
-  // request list also holds, read off one merge of the two lists.
-  {
-    const ItemId pair[2] = {item, partner};
-    std::size_t e = 0;
-    sequence.merge_item_lists(
-        pair, [&](std::size_t, std::span<const std::size_t> holders) {
-          if (holders.front() == 0) {
-            sc.is_package[e++] = holders.size() == 2 ? 1 : 0;
-          }
-        });
-  }
-
-  // Pass 1: recency gather (inherently serial — each event updates state).
-  Time prev_time = 0.0;
-  ws.server_times.assign(sequence.server_count(), -1.0);
-  std::vector<Time>& last_on_server = ws.server_times;
-  last_on_server[kOriginServer] = 0.0;  // the origin copy
-  for (std::size_t e = 0; e < e_count; ++e) {
-    const std::size_t index = events[e];
-    const ServerId server = sequence.server_of(index);
-    const Time time = sequence.time_of(index);
-    sc.time[e] = time;
-    sc.prev_time[e] = prev_time;
-    sc.same_time[e] = last_on_server[server];
-    prev_time = time;
-    last_on_server[server] = time;
-  }
-
-  // Pass 2: cost + choice as straight-line column math.
+/// The kernel path of Phase 2's walk over a package {a, b}: one merge of
+/// the two items' request lists reads each request's server and time once
+/// and
+///   * appends the requests holding both items to the package flow
+///     (ws.flow), which update both items' recency state;
+///   * decides a's single-item requests as they come, in a's event order;
+///   * decides b's the same way but stages them (ws.staged), folding them in
+///     after a's so singleton_cost, the charges and the services accumulate
+///     in the reference's order: a's decisions, then b's.
+/// The two items' recency state interleaves per server: last[2s + lane].
+void walk_package(const RequestSequence& sequence, const CostModel& model,
+                  ItemPair pair, PackageReport& report, SolverWorkspace& ws,
+                  bool keep_plan) {
+  Flow& flow = ws.flow;
+  flow.group_size = 2;
+  flow.points.clear();
+  ws.staged.clear();
+  ws.server_times.assign(2 * sequence.server_count(), -1.0);
+  Time* last = ws.server_times.data();
+  last[2 * kOriginServer] = 0.0;  // the origin copies
+  last[2 * kOriginServer + 1] = 0.0;
+  Time prev[2] = {0.0, 0.0};
   const double mu = model.mu;
   const Cost lambda = model.lambda;
   const Cost package_option = model.package_fetch_cost();
-  for (std::size_t e = 0; e < e_count; ++e) {
-    const Cost cache_option = sc.same_time[e] >= 0.0
-                                  ? mu * (sc.time[e] - sc.same_time[e])
-                                  : kInfiniteCost;
-    const Cost transfer_option = mu * (sc.time[e] - sc.prev_time[e]) + lambda;
-    Cost cost;
-    sc.choice[e] = static_cast<std::uint8_t>(kernels::serve_choice3(
-        cache_option, transfer_option, package_option, &cost));
-    sc.cost[e] = cost;
-  }
 
-  // Pass 3: serial accumulation in event order.
-  static_assert(static_cast<int>(ServeChoice::kCacheSameServer) ==
-                    kernels::kChoiceCache &&
-                static_cast<int>(ServeChoice::kTransferFromPrev) ==
-                    kernels::kChoiceTransfer &&
-                static_cast<int>(ServeChoice::kPackageFetch) ==
-                    kernels::kChoicePackage,
-                "serve choice encodings must line up");
-  for (std::size_t e = 0; e < e_count; ++e) {
-    if (sc.is_package[e] != 0) continue;
-    SingletonService service;
-    service.request_index = events[e];
-    service.item = item;
-    service.choice = static_cast<ServeChoice>(sc.choice[e]);
-    service.cost = sc.cost[e];
-    report.singleton_cost += service.cost;
-    report.services.push_back(service);
-  }
-}
-
-void serve_singletons(const RequestSequence& sequence, const CostModel& model,
-                      ItemId item, ItemId partner, PackageReport& report,
-                      const OptimalOfflineOptions& dp, SolverWorkspace& ws) {
-  if (dp.use_kernels) {
-    serve_singletons_kernel(sequence, model, item, partner, report, ws);
-  } else {
-    serve_singletons_scalar(sequence, model, item, partner, report, ws);
+  const ItemId items[2] = {pair.a, pair.b};
+  sequence.merge_item_lists(
+      items, [&](std::size_t index, std::span<const std::size_t> holders) {
+        const ServerId server = sequence.server_of(index);
+        const Time time = sequence.time_of(index);
+        Time* here = last + 2 * static_cast<std::size_t>(server);
+        if (holders.size() == 2) {
+          flow.points.push_back(ServicePoint{server, time, index});
+          prev[0] = prev[1] = time;
+          here[0] = here[1] = time;
+          return;
+        }
+        const std::size_t lane = holders.front();
+        const Cost cache_option =
+            here[lane] >= 0.0 ? mu * (time - here[lane]) : kInfiniteCost;
+        const Cost transfer_option = mu * (time - prev[lane]) + lambda;
+        Cost cost;
+        const kernels::ServeChoiceIndex choice = kernels::serve_choice3(
+            cache_option, transfer_option, package_option, &cost);
+        if (lane == 0) {
+          record_service(report, index, pair.a,
+                         static_cast<ServeChoice>(choice), cost, keep_plan);
+        } else {
+          ws.staged.push_back(StagedDecision{index, cost, choice});
+        }
+        prev[lane] = time;
+        here[lane] = time;
+      });
+  for (const StagedDecision& d : ws.staged) {
+    record_service(report, d.request_index, pair.b,
+                   static_cast<ServeChoice>(d.choice), d.cost, keep_plan);
   }
 }
 
@@ -176,20 +159,29 @@ PackageReport solve_pair_package_ws(const RequestSequence& sequence,
   report.total_accesses =
       sequence.item_frequency(pair.a) + sequence.item_frequency(pair.b);
 
-  make_package_flow(sequence, pair.a, pair.b, ws.flow);
+  if (dp.use_kernels) {
+    walk_package(sequence, model, pair, report, ws, keep_plan);
+  } else {
+    make_package_flow(sequence, pair.a, pair.b, ws.flow);
+    serve_singletons_scalar(sequence, model, pair.a, pair.b, report, ws,
+                            keep_plan);
+    serve_singletons_scalar(sequence, model, pair.b, pair.a, report, ws,
+                            keep_plan);
+  }
   report.co_request_count = ws.flow.size();
+  // Every request of either item not in the flow is one greedy decision.
+  g_singleton_services.add(report.total_accesses -
+                           2 * report.co_request_count);
+
   SolveResult package =
-      solve_optimal_offline(ws.flow, model, sequence.server_count(), dp, &ws);
+      solve_optimal_offline(ws.flow, model, sequence.server_count(),
+                            plan_options(dp, keep_plan), &ws);
   report.package_cost = package.cost;  // already 2α-discounted
-  report.package_counts = package.schedule.counts();
+  report.package_counts = package.counts;
   if (keep_plan) {
     report.package_schedule = std::move(package.schedule);
     report.package_flow = ws.flow;
   }
-
-  serve_singletons(sequence, model, pair.a, pair.b, report, dp, ws);
-  serve_singletons(sequence, model, pair.b, pair.a, report, dp, ws);
-  g_singleton_services.add(report.services.size());
   return report;
 }
 

@@ -14,6 +14,7 @@
 // Guarantee: total cost ≤ (2/α) × optimal (Theorem 1).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/cost_model.hpp"
@@ -43,15 +44,17 @@ struct DpGreedyOptions {
   ThreadPool* pool = nullptr;
   /// Keep each Phase-2 plan: the schedule and the flow it serves
   /// (PackageReport::package_schedule/package_flow, SingleItemReport::
-  /// schedule/flow), so a caller that wants replayable plans takes them from
-  /// the result instead of rebuilding them.  Off, the result keeps only each
-  /// schedule's counts (costs are identical either way); the registry turns
-  /// it off when SolverConfig::keep_schedules is.
+  /// schedule/flow) and each package's greedy decisions (PackageReport::
+  /// services), so a caller that wants replayable plans takes them from the
+  /// result instead of rebuilding them.  Off, no schedule is built (the DP
+  /// counts it) and the result keeps only each schedule's counts and each
+  /// package's charge list (costs are identical either way); the registry
+  /// turns it off when SolverConfig::keep_schedules is.
   bool keep_plans = true;
 };
 
 /// How one single-item request of a packed pair was served (Observation 2).
-enum class ServeChoice {
+enum class ServeChoice : std::uint8_t {
   kCacheSameServer,     // μ(t_i − t_{p(i)})
   kTransferFromPrev,    // μ(t_i − t_{i−1}) + λ
   kPackageFetch,        // 2αλ
@@ -73,8 +76,13 @@ struct PackageReport {
   std::size_t co_request_count = 0;
   std::size_t total_accesses = 0;  // |d_a| + |d_b|
   ScheduleCounts package_counts;   // of the package schedule, kept either way
-  // The package plan, empty unless DpGreedyOptions::keep_plans: the schedule
-  // is validatable against the flow.
+  /// The λ-charges among the greedy decisions: every choice but a cache, in
+  /// service order (a's requests, then b's).  One byte each, kept either
+  /// way; the registry prices transfer_cost from it.
+  std::vector<ServeChoice> charges;
+  // The plan, empty unless DpGreedyOptions::keep_plans: the package
+  // schedule (validatable against the flow) and every greedy decision, in
+  // the same service order.
   Schedule package_schedule;
   Flow package_flow;
   std::vector<SingletonService> services;

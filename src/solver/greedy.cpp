@@ -41,6 +41,7 @@ SolveResult solve_greedy(const Flow& flow, const CostModel& model,
   }
   result.raw_cost = total;
   result.cost = model.flow_multiplier(flow.group_size) * total;
+  result.counts = result.schedule.counts();
   return result;
 }
 
@@ -62,6 +63,7 @@ SolveResult solve_chain(const Flow& flow, const CostModel& model) {
     prev_server = point.server;
   }
   result.cost = model.flow_multiplier(flow.group_size) * result.raw_cost;
+  result.counts = result.schedule.counts();
   return result;
 }
 
@@ -101,6 +103,7 @@ SolveResult solve_greedy_heterogeneous(const Flow& flow,
   }
   result.raw_cost = total;
   result.cost = total;  // heterogeneous flows are priced at face value
+  result.counts = result.schedule.counts();
   return result;
 }
 

@@ -40,10 +40,10 @@ GroupReport solve_group_package_ws(const RequestSequence& sequence,
   Flow group_flow = make_group_flow(sequence, group);
   report.full_request_count = group_flow.size();
   SolveResult solved =
-      solve_optimal_offline(group_flow, model, sequence.server_count(), dp,
-                            &ws);
+      solve_optimal_offline(group_flow, model, sequence.server_count(),
+                            plan_options(dp, keep_plan), &ws);
   report.package_cost = solved.cost;  // g·α-discounted
-  report.package_counts = solved.schedule.counts();
+  report.package_counts = solved.counts;
   if (keep_plan) {
     report.package_schedule = std::move(solved.schedule);
     report.package_flow = std::move(group_flow);

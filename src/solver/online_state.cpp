@@ -96,10 +96,13 @@ Cost BreakEvenFlowState::finalize(double rate, const FlowLedger& ledger) {
 
 void BreakEvenFlowState::peek_accrued(double rate,
                                       const FlowLedger& ledger) const {
+  // finalize's arithmetic: the flow's copies summed first, then added.
+  Cost cost = 0.0;
   for (const ReplicaCopy& c : copies_) {
-    ledger.total_cost += rate * ledger.model.mu * (c.last_use - c.since);
+    cost += rate * ledger.model.mu * (c.last_use - c.since);
     ledger.cache_time += c.last_use - c.since;
   }
+  ledger.total_cost += cost;
 }
 
 void BreakEvenFlowState::retire(Time now, double rate,
@@ -248,17 +251,20 @@ std::string OnlineDpGreedyState::time_order_error(Time previous, Time time) {
          " after " + format_fixed(previous, 6) + ")";
 }
 
+std::string OnlineDpGreedyState::item_set_error(
+    std::span<const ItemId> items) {
+  if (items.empty()) return "OnlineDpGreedyState::push: empty item set";
+  return "OnlineDpGreedyState::push: item id " + std::to_string(kNoItem) +
+         " is reserved";
+}
+
 OnlineDpGreedyState::Decision OnlineDpGreedyState::push(
     ServerId server, Time time, std::span<const ItemId> items) {
   // last_time_ starts at 0, so the first push must be at a time > 0.
   if (!time_follows(last_time_, time)) {
     throw InvalidArgument(time_order_error(last_time_, time));
   }
-  require(!items.empty(), "OnlineDpGreedyState::push: empty item set");
-  if (items.back() == kNoItem) {
-    throw InvalidArgument("OnlineDpGreedyState::push: item id " +
-                          std::to_string(kNoItem) + " is reserved");
-  }
+  if (!accepts_items(items)) throw InvalidArgument(item_set_error(items));
   ensure_item_count(static_cast<std::size_t>(items.back()) + 1);
 
   Decision decision;

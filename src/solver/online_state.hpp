@@ -87,10 +87,9 @@ class BreakEvenFlowState {
   Cost finalize(double rate, const FlowLedger& ledger);
 
   /// What finalize would charge right now, without mutating: adds the
-  /// accrued cache cost and cache time of the live copies to the ledger,
-  /// copy by copy in finalize's order.  finalize sums a flow's copies
-  /// before adding them to the total, so with two or more copies the two
-  /// totals can differ in the last bits.
+  /// accrued cache cost and cache time of the live copies to the ledger
+  /// with finalize's arithmetic — the copies summed in finalize's order,
+  /// then the sum added to the total — so the two agree to the bit.
   void peek_accrued(double rate, const FlowLedger& ledger) const;
 
  private:
@@ -181,6 +180,17 @@ class OnlineDpGreedyState {
 
   /// The message push() rejects such a time with.
   [[nodiscard]] static std::string time_order_error(Time previous, Time time);
+
+  /// True when push() accepts a row's sorted item set: not empty and
+  /// without the reserved id kNoItem (which sorts last).
+  [[nodiscard]] static bool accepts_items(
+      std::span<const ItemId> items) noexcept {
+    return !items.empty() && items.back() != kNoItem;
+  }
+
+  /// The message push() rejects such an item set with.
+  [[nodiscard]] static std::string item_set_error(
+      std::span<const ItemId> items);
 
   /// Grows the item universe (new items start at the origin at time 0,
   /// exactly as a batch solve initializes them).  Never shrinks.

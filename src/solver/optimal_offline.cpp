@@ -20,6 +20,47 @@ const obs::Counter g_workspace_hits = obs::counter("phase2.workspace_reuse_hits"
 const obs::Counter g_workspace_local = obs::counter("phase2.workspace_local");
 const obs::Histogram g_flow_nodes = obs::histogram("phase2.flow_nodes");
 
+/// Backtracks from the last node into `out`, a Schedule or a
+/// ScheduleCounter; each step explains how node i and the nodes between the
+/// predecessor state and i are physically served.
+template <typename Sink>
+void backtrack(const RequestIndex& index, const std::vector<DpChoice>& choice,
+               double mu, double lambda, Sink& out) {
+  std::size_t i = index.node_count() - 1;
+  while (i > 0) {
+    const DpChoice& ch = choice[i];
+    const Time t_i = index.time_of(i);
+    const ServerId s_i = index.server_of(i);
+    if (ch.via_line) {
+      const auto p = static_cast<std::size_t>(index.prev_same_server(i));
+      out.add_segment(s_i, index.time_of(p), t_i);
+      const auto k = static_cast<std::size_t>(ch.split_k);
+      // Intermediates: local cache link when that is what w_j priced,
+      // otherwise a side transfer off the line.
+      for (std::size_t j = k + 1; j < i; ++j) {
+        const std::int32_t pj = index.prev_same_server(j);
+        const bool local_chosen =
+            pj >= 0 &&
+            mu * (index.time_of(j) -
+                  index.time_of(static_cast<std::size_t>(pj))) < lambda;
+        if (local_chosen) {
+          out.add_segment(index.server_of(j),
+                          index.time_of(static_cast<std::size_t>(pj)),
+                          index.time_of(j));
+        } else {
+          out.add_transfer(s_i, index.server_of(j), index.time_of(j));
+        }
+      }
+      i = k;
+    } else {
+      const ServerId s_prev = index.server_of(i - 1);
+      out.add_segment(s_prev, index.time_of(i - 1), t_i);
+      if (s_prev != s_i) out.add_transfer(s_prev, s_i, t_i);
+      i = i - 1;
+    }
+  }
+}
+
 }  // namespace
 
 SolveResult solve_optimal_offline(const Flow& flow, const CostModel& model,
@@ -187,43 +228,13 @@ SolveResult solve_optimal_offline(const Flow& flow, const CostModel& model,
   result.cost = model.flow_multiplier(flow.group_size) * result.raw_cost;
 
   if (options.build_schedule) {
-    // Backtrack from the last node; each step explains how node i and the
-    // nodes between the predecessor state and i are physically served.
-    std::size_t i = n - 1;
-    while (i > 0) {
-      const DpChoice& ch = choice[i];
-      const Time t_i = index.time_of(i);
-      const ServerId s_i = index.server_of(i);
-      if (ch.via_line) {
-        const auto p = static_cast<std::size_t>(index.prev_same_server(i));
-        result.schedule.add_segment(s_i, index.time_of(p), t_i);
-        const auto k = static_cast<std::size_t>(ch.split_k);
-        // Intermediates: local cache link when that is what w_j priced,
-        // otherwise a side transfer off the line.
-        for (std::size_t j = k + 1; j < i; ++j) {
-          const std::int32_t pj = index.prev_same_server(j);
-          const bool local_chosen =
-              pj >= 0 &&
-              mu * (index.time_of(j) -
-                    index.time_of(static_cast<std::size_t>(pj))) < lambda;
-          if (local_chosen) {
-            result.schedule.add_segment(
-                index.server_of(j),
-                index.time_of(static_cast<std::size_t>(pj)),
-                index.time_of(j));
-          } else {
-            result.schedule.add_transfer(s_i, index.server_of(j),
-                                         index.time_of(j));
-          }
-        }
-        i = k;
-      } else {
-        const ServerId s_prev = index.server_of(i - 1);
-        result.schedule.add_segment(s_prev, index.time_of(i - 1), t_i);
-        if (s_prev != s_i) result.schedule.add_transfer(s_prev, s_i, t_i);
-        i = i - 1;
-      }
-    }
+    backtrack(index, choice, mu, lambda, result.schedule);
+    result.counts = result.schedule.counts();
+  } else {
+    ScheduleCounter counter;
+    backtrack(index, choice, mu, lambda, counter);
+    counter.publish();
+    result.counts = counter.counts();
   }
   return result;
 }
@@ -237,10 +248,11 @@ SingleItemReport solve_single_item(const RequestSequence& sequence,
   report.item = item;
   report.accesses = sequence.item_frequency(item);
   make_item_flow(sequence, item, workspace.flow);
-  SolveResult solved = solve_optimal_offline(
-      workspace.flow, model, sequence.server_count(), options, &workspace);
+  SolveResult solved =
+      solve_optimal_offline(workspace.flow, model, sequence.server_count(),
+                            plan_options(options, keep_plan), &workspace);
   report.cost = solved.cost;
-  report.schedule_counts = solved.schedule.counts();
+  report.schedule_counts = solved.counts;
   if (keep_plan) {
     report.schedule = std::move(solved.schedule);
     report.flow = workspace.flow;

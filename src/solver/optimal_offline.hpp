@@ -54,9 +54,19 @@ struct OptimalOfflineOptions {
   /// off = the reference loops, kept as the cross-check oracle.
   bool use_kernels = true;
 
-  /// Reconstruct the schedule (backtracking). Costs are computed either way.
+  /// Reconstruct the schedule (backtracking).  Off, the same backtrack only
+  /// counts its segments and transfers (SolveResult::counts); costs and
+  /// counts are computed either way.
   bool build_schedule = true;
 };
+
+/// `options` with the schedule built only when the caller keeps the plan;
+/// otherwise it is counted.
+[[nodiscard]] inline OptimalOfflineOptions plan_options(
+    OptimalOfflineOptions options, bool keep_plan) noexcept {
+  options.build_schedule = options.build_schedule && keep_plan;
+  return options;
+}
 
 /// Solves one flow to optimality. `server_count` bounds the server ids in
 /// the flow; the flow starts at `origin` (server 0 by default) at time 0.

@@ -16,8 +16,12 @@ struct SolveResult {
   Cost cost = 0.0;
 
   /// The schedule realizing the cost (feasibility-checkable via
-  /// Schedule::validate against the same flow).
+  /// Schedule::validate against the same flow).  Empty when the solve only
+  /// counted it (OptimalOfflineOptions::build_schedule off).
   Schedule schedule;
+
+  /// The schedule's segment and transfer counts, filled either way.
+  ScheduleCounts counts;
 };
 
 }  // namespace dpg

@@ -61,17 +61,13 @@ class SuffixMin {
   std::vector<std::pair<std::int32_t, double>> entries_;
 };
 
-/// Per-event columns of the kernelized singleton pass (solver/dp_greedy.cpp):
-/// a scalar recency pass fills the gather columns, a branch-light pass turns
-/// them into costs and choices, and a serial pass accumulates — same order,
-/// same bits as the fused reference loop.
-struct SingletonScratch {
-  std::vector<Time> time;        // event time t_e
-  std::vector<Time> prev_time;   // previous event of the item (any server)
-  std::vector<Time> same_time;   // last event on this server, -1 if none
-  std::vector<Cost> cost;        // chosen serve cost
-  std::vector<std::uint8_t> choice;      // kernels::ServeChoiceIndex
-  std::vector<std::uint8_t> is_package;  // event already paid by the package DP
+/// One greedy decision for the second item of a package, made during the
+/// one walk over the pair's requests and held until the first item's
+/// decisions are summed (solver/dp_greedy.cpp).
+struct StagedDecision {
+  std::size_t request_index = 0;
+  Cost cost = 0.0;
+  std::uint8_t choice = 0;  // kernels::ServeChoiceIndex
 };
 
 /// The reusable scratch of one solver "lane".
@@ -95,11 +91,12 @@ struct SolverWorkspace {
   std::vector<Cost> link;
   std::vector<Cost> v;
 
-  /// Per-server recency scratch for the Phase-2 greedy singleton pass.
+  /// Per-server recency scratch of the Phase-2 greedy decisions: one
+  /// item's (scalar reference) or a package's two items', interleaved.
   std::vector<Time> server_times;
 
-  /// Event columns for the kernelized singleton pass.
-  SingletonScratch singles;
+  /// The second item's decisions of the package walk.
+  std::vector<StagedDecision> staged;
 };
 
 }  // namespace dpg

@@ -614,7 +614,9 @@ void write_trace_dpt(const std::string& path,
 
   std::vector<unsigned char> header;
   header.reserve(align_up(h.header_bytes, kColumnAlignment));
-  header.insert(header.end(), kDptMagic, kDptMagic + sizeof kDptMagic);
+  // Byte by byte, as the put_* helpers write: GCC 12's -Wstringop-overflow
+  // misreads a range insert into the reserved buffer under -fsanitize=thread.
+  for (const char c : kDptMagic) header.push_back(static_cast<unsigned char>(c));
   put_u32(header, kEndianMarker);
   put_u32(header, h.version);
   put_u64(header, h.header_bytes);

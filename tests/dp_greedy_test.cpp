@@ -1,10 +1,14 @@
 // Unit and property tests for the full DP_Greedy pipeline (Algorithm 1).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "util/error.hpp"
 #include "parallel/thread_pool.hpp"
 #include "solver/baselines.hpp"
 #include "solver/dp_greedy.hpp"
+#include "solver/group_solver.hpp"
 #include "test_support.hpp"
 
 namespace dpg {
@@ -81,36 +85,130 @@ TEST(DpGreedy, PackageSchedulesAreFeasible) {
   EXPECT_GT(schedules_checked, 0u);
 }
 
+/// The non-cache choices of `services`, in order: the charge list they
+/// imply.
+std::vector<ServeChoice> charges_of(const std::vector<SingletonService>& services) {
+  std::vector<ServeChoice> charges;
+  for (const SingletonService& s : services) {
+    if (s.choice != ServeChoice::kCacheSameServer) charges.push_back(s.choice);
+  }
+  return charges;
+}
+
+void expect_counts_eq(ScheduleCounts want, ScheduleCounts got,
+                      const std::string& context) {
+  EXPECT_EQ(want.segments, got.segments) << context;
+  EXPECT_EQ(want.transfers, got.transfers) << context;
+}
+
 TEST(DpGreedy, DroppedPlansKeepTheirCounts) {
+  // Without plans no schedule is built and no greedy decision is kept: each
+  // package keeps its counted schedule counts and its charge list, which
+  // must equal the built schedule's counts and the kept decisions' non-cache
+  // choices, in order.
   Rng rng(13);
   const RequestSequence seq = testing::random_sequence(rng, 120, 5, 6, 0.6);
   const CostModel model{1.0, 1.5, 0.8};
-  DpGreedyOptions kept;
-  kept.theta = 0.05;
-  DpGreedyOptions dropped = kept;
-  dropped.keep_plans = false;
-  const DpGreedyResult a = solve_dp_greedy(seq, model, kept);
-  const DpGreedyResult b = solve_dp_greedy(seq, model, dropped);
-  EXPECT_EQ(a.total_cost, b.total_cost);
-  ASSERT_EQ(a.packages.size(), b.packages.size());
-  ASSERT_FALSE(a.packages.empty());
-  for (std::size_t i = 0; i < a.packages.size(); ++i) {
-    const PackageReport& with = a.packages[i];
-    const PackageReport& without = b.packages[i];
-    EXPECT_TRUE(without.package_schedule.segments().empty());
-    EXPECT_TRUE(without.package_schedule.transfers().empty());
-    EXPECT_TRUE(without.package_flow.empty());
-    EXPECT_EQ(with.package_counts.segments, without.package_counts.segments);
-    EXPECT_EQ(with.package_counts.transfers,
-              without.package_counts.transfers);
-    EXPECT_EQ(with.services.size(), without.services.size());
+  for (const bool kernels : {true, false}) {
+    DpGreedyOptions kept;
+    kept.theta = 0.05;
+    kept.dp.use_kernels = kernels;
+    DpGreedyOptions dropped = kept;
+    dropped.keep_plans = false;
+    const DpGreedyResult a = solve_dp_greedy(seq, model, kept);
+    const DpGreedyResult b = solve_dp_greedy(seq, model, dropped);
+    const std::string path = kernels ? "kernels" : "scalar";
+    EXPECT_EQ(a.total_cost, b.total_cost) << path;
+    ASSERT_EQ(a.packages.size(), b.packages.size()) << path;
+    ASSERT_FALSE(a.packages.empty()) << path;
+    for (std::size_t i = 0; i < a.packages.size(); ++i) {
+      const PackageReport& with = a.packages[i];
+      const PackageReport& without = b.packages[i];
+      const std::string context = path + ", package " + std::to_string(i);
+      EXPECT_TRUE(without.package_schedule.segments().empty()) << context;
+      EXPECT_TRUE(without.package_schedule.transfers().empty()) << context;
+      EXPECT_TRUE(without.package_flow.empty()) << context;
+      expect_counts_eq(with.package_schedule.counts(), with.package_counts,
+                       context);
+      expect_counts_eq(with.package_schedule.counts(), without.package_counts,
+                       context);
+      EXPECT_TRUE(without.services.empty()) << context;
+      EXPECT_EQ(with.services.size(),
+                with.total_accesses - 2 * with.co_request_count)
+          << context;
+      EXPECT_EQ(charges_of(with.services), with.charges) << context;
+      EXPECT_EQ(with.charges, without.charges) << context;
+      EXPECT_EQ(with.singleton_cost, without.singleton_cost) << context;
+    }
+    for (std::size_t i = 0; i < a.singles.size(); ++i) {
+      const std::string context = path + ", single " + std::to_string(i);
+      EXPECT_TRUE(b.singles[i].flow.empty()) << context;
+      EXPECT_TRUE(b.singles[i].schedule.segments().empty()) << context;
+      expect_counts_eq(a.singles[i].schedule.counts(),
+                       a.singles[i].schedule_counts, context);
+      expect_counts_eq(a.singles[i].schedule.counts(),
+                       b.singles[i].schedule_counts, context);
+    }
   }
-  for (std::size_t i = 0; i < a.singles.size(); ++i) {
-    EXPECT_TRUE(b.singles[i].flow.empty());
-    EXPECT_EQ(a.singles[i].schedule_counts.segments,
-              b.singles[i].schedule_counts.segments);
-    EXPECT_EQ(a.singles[i].schedule_counts.transfers,
-              b.singles[i].schedule_counts.transfers);
+}
+
+TEST(DpGreedy, EverySolverCountsWhatItWouldBuild) {
+  // For every flow of every solver whose Phase 2 runs the offline DP, the
+  // counts kept without plans equal Schedule::counts() of the plan kept
+  // with them.
+  Rng rng(29);
+  const RequestSequence seq = testing::random_sequence(rng, 150, 6, 8, 0.6);
+  const CostModel model{1.0, 1.5, 0.8};
+  const OptimalOfflineOptions dp;
+
+  const OptimalBaselineResult opt_with =
+      solve_optimal_baseline(seq, model, dp, nullptr, true);
+  const OptimalBaselineResult opt_without =
+      solve_optimal_baseline(seq, model, dp, nullptr, false);
+  ASSERT_EQ(opt_with.items.size(), opt_without.items.size());
+  for (std::size_t i = 0; i < opt_with.items.size(); ++i) {
+    expect_counts_eq(opt_with.items[i].schedule.counts(),
+                     opt_without.items[i].schedule_counts,
+                     "optimal_baseline item " + std::to_string(i));
+  }
+
+  const PackageServedResult ps_with =
+      solve_package_served(seq, model, 0.05, dp, nullptr, true);
+  const PackageServedResult ps_without =
+      solve_package_served(seq, model, 0.05, dp, nullptr, false);
+  ASSERT_EQ(ps_with.pairs.size(), ps_without.pairs.size());
+  ASSERT_FALSE(ps_with.pairs.empty());
+  for (std::size_t i = 0; i < ps_with.pairs.size(); ++i) {
+    EXPECT_TRUE(ps_without.pairs[i].schedule.segments().empty());
+    expect_counts_eq(ps_with.pairs[i].schedule.counts(),
+                     ps_without.pairs[i].schedule_counts,
+                     "package_served pair " + std::to_string(i));
+  }
+  for (std::size_t i = 0; i < ps_with.singles.size(); ++i) {
+    expect_counts_eq(ps_with.singles[i].schedule.counts(),
+                     ps_without.singles[i].schedule_counts,
+                     "package_served single " + std::to_string(i));
+  }
+
+  GroupDpGreedyOptions group;
+  group.theta = 0.05;
+  GroupDpGreedyOptions group_dropped = group;
+  group_dropped.keep_plans = false;
+  const GroupDpGreedyResult g_with = solve_group_dp_greedy(seq, model, group);
+  const GroupDpGreedyResult g_without =
+      solve_group_dp_greedy(seq, model, group_dropped);
+  ASSERT_EQ(g_with.groups.size(), g_without.groups.size());
+  ASSERT_FALSE(g_with.groups.empty());
+  for (std::size_t i = 0; i < g_with.groups.size(); ++i) {
+    EXPECT_TRUE(g_without.groups[i].package_schedule.segments().empty());
+    expect_counts_eq(g_with.groups[i].package_schedule.counts(),
+                     g_without.groups[i].package_counts,
+                     "group " + std::to_string(i));
+  }
+  for (std::size_t i = 0; i < g_with.singles.size(); ++i) {
+    expect_counts_eq(g_with.singles[i].schedule.counts(),
+                     g_without.singles[i].schedule_counts,
+                     "group single " + std::to_string(i));
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/flow.hpp"
@@ -148,45 +149,112 @@ TEST(ListMerge, GroupFlowsMatchARowScan) {
   }
 }
 
-TEST(ListMerge, KernelSingletonsMatchTheScalarReference) {
-  // The kernel pass marks package events by merging the pair's lists; the
-  // scalar reference asks each request.  Services, choices and costs must
-  // agree bit for bit on every ordered pair.
-  const CostModel model{1.0, 1.5, 0.8};
+/// The kernel walk of a package (one merge that builds the flow and makes
+/// both items' greedy decisions) against the scalar reference (flow build,
+/// then one loop per item asking each request for the partner): costs,
+/// decisions, charges, flow and schedule counts must agree bit for bit.
+void expect_kernel_walk_matches_scalar(const RequestSequence& seq,
+                                       const CostModel& model, ItemId a,
+                                       ItemId b, const std::string& context) {
   OptimalOfflineOptions scalar;
   scalar.use_kernels = false;
   const OptimalOfflineOptions kernel;
-  for (const std::uint64_t seed : {7ull, 8ull}) {
-    const RequestSequence seq = block_trace(seed, 1200, 6);
-    for (ItemId a = 0; a < kItems; ++a) {
-      for (ItemId b = 0; b < kItems; ++b) {
-        if (a == b) continue;
-        const ItemPair pair{a, b, 0.0};
-        const std::string context = "seed " + std::to_string(seed) + " {" +
-                                    std::to_string(a) + "," +
-                                    std::to_string(b) + "}";
-        const PackageReport want = solve_pair_package(seq, model, pair, scalar);
-        const PackageReport got = solve_pair_package(seq, model, pair, kernel);
-        EXPECT_EQ(want.package_cost, got.package_cost) << context;
-        EXPECT_EQ(want.singleton_cost, got.singleton_cost) << context;
-        EXPECT_EQ(want.co_request_count, got.co_request_count) << context;
-        ASSERT_EQ(want.services.size(), got.services.size()) << context;
-        for (std::size_t s = 0; s < want.services.size(); ++s) {
-          EXPECT_EQ(want.services[s].request_index,
-                    got.services[s].request_index) << context;
-          EXPECT_EQ(want.services[s].item, got.services[s].item) << context;
-          EXPECT_EQ(want.services[s].choice, got.services[s].choice)
-              << context;
-          EXPECT_EQ(want.services[s].cost, got.services[s].cost) << context;
+  const ItemPair pair{a, b, 0.0};
+  const PackageReport want = solve_pair_package(seq, model, pair, scalar);
+  const PackageReport got = solve_pair_package(seq, model, pair, kernel);
+  EXPECT_EQ(want.package_cost, got.package_cost) << context;
+  EXPECT_EQ(want.singleton_cost, got.singleton_cost) << context;
+  EXPECT_EQ(want.co_request_count, got.co_request_count) << context;
+  EXPECT_EQ(want.package_counts.segments, got.package_counts.segments)
+      << context;
+  EXPECT_EQ(want.package_counts.transfers, got.package_counts.transfers)
+      << context;
+  expect_same_flow(want.package_flow, got.package_flow, context + " flow");
+  ASSERT_EQ(want.services.size(), got.services.size()) << context;
+  for (std::size_t s = 0; s < want.services.size(); ++s) {
+    EXPECT_EQ(want.services[s].request_index, got.services[s].request_index)
+        << context;
+    EXPECT_EQ(want.services[s].item, got.services[s].item) << context;
+    EXPECT_EQ(want.services[s].choice, got.services[s].choice) << context;
+    EXPECT_EQ(want.services[s].cost, got.services[s].cost) << context;
+  }
+  EXPECT_EQ(want.charges, got.charges) << context;
+  // Singleton events are exactly the item's rows without the partner.
+  const std::size_t singles = seq.item_frequency(a) + seq.item_frequency(b) -
+                              2 * seq.pair_frequency(a, b);
+  EXPECT_EQ(got.services.size(), singles) << context;
+}
+
+TEST(ListMerge, KernelSingletonsMatchTheScalarReference) {
+  // Every ordered pair of the block traces: pairs within a block, pairs
+  // across the blocks (no co-requests) and pairs with the never-requested
+  // item; at μ > 0 and at μ = 0, where every cache option that exists is
+  // free and ties decide.
+  for (const CostModel& model :
+       {CostModel{1.0, 1.5, 0.8}, CostModel{0.0, 1.5, 0.8}}) {
+    for (const std::uint64_t seed : {7ull, 8ull}) {
+      const RequestSequence seq = block_trace(seed, 1200, 6);
+      for (ItemId a = 0; a < kItems; ++a) {
+        for (ItemId b = 0; b < kItems; ++b) {
+          if (a == b) continue;
+          expect_kernel_walk_matches_scalar(
+              seq, model, a, b,
+              "mu " + std::to_string(model.mu) + " seed " +
+                  std::to_string(seed) + " {" + std::to_string(a) + "," +
+                  std::to_string(b) + "}");
         }
-        // Singleton events are exactly the item's rows without the partner.
-        const std::size_t singles =
-            seq.item_frequency(a) + seq.item_frequency(b) -
-            2 * seq.pair_frequency(a, b);
-        EXPECT_EQ(got.services.size(), singles) << context;
       }
     }
   }
+}
+
+TEST(ListMerge, KernelWalkHandlesTheDegenerateShapes) {
+  // Item 1 is only ever requested with item 0, items 2 and 3 never share a
+  // request, and several requests sit at the origin server 0, whose copy
+  // every item holds from time 0.
+  SequenceBuilder builder(3, 4);
+  builder.add(0, 0.5, {0, 1});
+  builder.add(1, 1.0, {0});
+  builder.add(0, 1.5, {2});
+  builder.add(2, 2.0, {3});
+  builder.add(0, 2.5, {0, 1});
+  builder.add(1, 3.0, {2});
+  builder.add(0, 3.5, {0});
+  builder.add(2, 4.0, {3});
+  builder.add(0, 4.5, {3});
+  builder.add(1, 5.0, {0, 1});
+  const RequestSequence seq = std::move(builder).build();
+  for (const CostModel& model :
+       {CostModel{1.0, 1.5, 0.8}, CostModel{0.0, 1.5, 0.8},
+        CostModel{1.0, 0.0, 0.8}}) {
+    const std::string rates = "mu " + std::to_string(model.mu) + " lambda " +
+                              std::to_string(model.lambda);
+    for (const auto& [a, b] : {std::pair<ItemId, ItemId>{0, 1}, {1, 0},
+                               {2, 3}, {3, 2}, {0, 2}}) {
+      expect_kernel_walk_matches_scalar(
+          seq, model, a, b,
+          rates + " {" + std::to_string(a) + "," + std::to_string(b) + "}");
+    }
+    // Item 1 makes no greedy decision in its package; items 2 and 3 share
+    // no request, so their package flow is empty and costs nothing.
+    const PackageReport mates = solve_pair_package(seq, model, {1, 0, 0.0});
+    EXPECT_EQ(mates.co_request_count, 3u) << rates;
+    EXPECT_EQ(mates.services.size(), 2u) << rates;
+    for (const SingletonService& s : mates.services) {
+      EXPECT_EQ(s.item, 0u) << rates;
+    }
+    const PackageReport apart = solve_pair_package(seq, model, {2, 3, 0.0});
+    EXPECT_EQ(apart.co_request_count, 0u) << rates;
+    EXPECT_EQ(apart.package_cost, 0.0) << rates;
+    EXPECT_EQ(apart.services.size(), 5u) << rates;
+  }
+  // The origin copy serves item 2's first request at server 0 from cache,
+  // for μ · 1.5.
+  const PackageReport origin =
+      solve_pair_package(seq, CostModel{1.0, 1.5, 0.8}, {2, 3, 0.0});
+  ASSERT_FALSE(origin.services.empty());
+  EXPECT_EQ(origin.services.front().choice, ServeChoice::kCacheSameServer);
+  EXPECT_EQ(origin.services.front().cost, 1.5);
 }
 
 /// The partial-request pass of the group solver as a walk of every row:

@@ -93,6 +93,34 @@ TEST(OptimalOffline, ScheduleIsAlwaysFeasibleAndMatchesReportedCost) {
   }
 }
 
+TEST(OptimalOffline, CountedSchedulesMatchBuiltOnes) {
+  // With build_schedule off the backtrack only counts: the counts must be
+  // those of the schedule it would have built, on both DP paths, and the
+  // cost must not move.
+  Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    const Flow flow =
+        testing::random_flow(rng, 1 + static_cast<std::size_t>(trial % 40), 5);
+    const CostModel model{trial % 5 == 0 ? 0.0 : 1.0,
+                          0.25 + 0.25 * static_cast<double>(trial % 16), 0.8};
+    for (const bool kernels : {true, false}) {
+      OptimalOfflineOptions built;
+      built.use_kernels = kernels;
+      OptimalOfflineOptions counted = built;
+      counted.build_schedule = false;
+      const SolveResult a = solve_optimal_offline(flow, model, 5, built);
+      const SolveResult b = solve_optimal_offline(flow, model, 5, counted);
+      EXPECT_EQ(a.raw_cost, b.raw_cost);
+      EXPECT_EQ(a.counts.segments, a.schedule.counts().segments);
+      EXPECT_EQ(a.counts.transfers, a.schedule.counts().transfers);
+      EXPECT_EQ(b.counts.segments, a.schedule.counts().segments);
+      EXPECT_EQ(b.counts.transfers, a.schedule.counts().transfers);
+      EXPECT_TRUE(b.schedule.segments().empty());
+      EXPECT_TRUE(b.schedule.transfers().empty());
+    }
+  }
+}
+
 TEST(OptimalOffline, PackageMultiplierScalesCost) {
   Rng rng(21);
   const Flow base = testing::random_flow(rng, 12, 3);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "engine/registry.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "report_equality.hpp"
 #include "solver/phase2_shard.hpp"
@@ -135,6 +136,49 @@ TEST(ParallelPhase2, ReportsDoNotDependOnKeptPlans) {
         EXPECT_EQ(with.solver, without.solver) << context;
         with.plans.clear();
         expect_reports_identical(with, without, context);
+      }
+    }
+  }
+}
+
+/// Plans off, Phase 2 counts the schedules it does not build and keeps no
+/// greedy decision records, yet every counter reads as with plans on:
+/// schedule.*_emitted by the counted totals, phase2.singleton_services by
+/// the decisions made, not the records kept.
+TEST(ParallelPhase2, CountersDoNotDependOnKeptPlans) {
+  const CostModel model{1.0, 2.0, 0.8};
+  PairedTraceConfig paired;
+  paired.server_count = 12;
+  paired.requests_per_pair = 150;
+  Rng rng(22);
+  const std::vector<RequestSequence> traces = {
+      zipf_trace_2k(), generate_paired_trace(paired, rng)};
+  for (std::size_t t = 0; t < traces.size(); ++t) {
+    for (const std::string& name : builtin_registry().names()) {
+      for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+        SolverConfig kept;
+        kept.theta = 0.3;
+        kept.threads(threads).telemetry(true);
+        SolverConfig dropped = kept;
+        dropped.keep_schedules = false;
+        const RunReport with =
+            builtin_registry().run(name, traces[t], model, kept);
+        const RunReport without =
+            builtin_registry().run(name, traces[t], model, dropped);
+        const std::string context = "trace " + std::to_string(t) + ", " +
+                                    name + " @ threads=" +
+                                    std::to_string(threads);
+        EXPECT_EQ(with.metrics.counters, without.metrics.counters) << context;
+        if (name == "dp_greedy") {
+          EXPECT_GT(obs::counter_value(without.metrics,
+                                       "phase2.singleton_services"),
+                    0u)
+              << context;
+          EXPECT_EQ(obs::counter_value(without.metrics,
+                                       "schedule.segments_emitted"),
+                    without.cache_segments)
+              << context;
+        }
       }
     }
   }

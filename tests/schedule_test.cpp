@@ -32,6 +32,30 @@ TEST(Schedule, RejectsIllFormedPieces) {
   EXPECT_THROW(s.add_transfer(0, 1, -1.0), InvalidArgument);
 }
 
+TEST(ScheduleCounter, CountsWhatTheScheduleKeepsAndRejectsTheSame) {
+  Schedule s;
+  ScheduleCounter c;
+  const auto both = [&](auto add) {
+    add(s);
+    add(c);
+  };
+  both([](auto& out) { out.add_segment(0, 0.0, 2.0); });
+  both([](auto& out) { out.add_segment(1, 1.0, 1.0); });  // zero length
+  both([](auto& out) { out.add_transfer(0, 1, 1.0); });
+  both([](auto& out) { out.add_segment(1, 1.0, 3.0); });
+  EXPECT_EQ(c.counts().segments, s.counts().segments);
+  EXPECT_EQ(c.counts().transfers, s.counts().transfers);
+  EXPECT_EQ(c.counts().segments, 2u);
+  EXPECT_EQ(c.counts().transfers, 1u);
+
+  EXPECT_THROW(c.add_segment(0, 2.0, 1.0), InvalidArgument);
+  EXPECT_THROW(c.add_segment(0, -1.0, 1.0), InvalidArgument);
+  EXPECT_THROW(c.add_transfer(1, 1, 1.0), InvalidArgument);
+  EXPECT_THROW(c.add_transfer(0, 1, -1.0), InvalidArgument);
+  EXPECT_EQ(c.counts().segments, 2u);
+  EXPECT_EQ(c.counts().transfers, 1u);
+}
+
 // Fig. 1: single item, cache intervals of lengths 1.4 + 3.5 + 0.3 and four
 // transfers: C = (1.4+3.5+0.3)μ + 4λ.
 TEST(ScheduleGolden, Figure1Cost) {

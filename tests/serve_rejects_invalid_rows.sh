@@ -5,9 +5,11 @@
 # that prefix alone) — on one thread at several block sizes (so the bad row
 # lands mid-block), and with two decode shards over one engine partition,
 # whose reports must count the rows the engine served before the bad one.
-# A row out of time order gets the same handling over two engine
-# partitions, which see only their own rows (compared with the prefix
-# served over the same partitions).  solve must exit 1 on an infinite time.
+# A row out of time order, an empty item list and the reserved item id get
+# the same handling over two engine partitions, which see only their own
+# rows (compared with the prefix served over the same partitions), whether
+# the bad row sits mid-block or opens one.  solve must exit 1 on an
+# infinite time.
 #
 #   sh tests/serve_rejects_invalid_rows.sh build/tools/dpgreedy
 set -u
@@ -63,7 +65,8 @@ check_partitioned() {
   printf '%s\n' "$@" >> "$dir/in.csv"
   head -n "$row" "$dir/in.csv" > "$dir/prefix.csv"
   for mode in "--partitions 2" "--shards 2 --partitions 2" \
-      "--partitions 2 --batch 2" "--shards 2 --partitions 2 --batch 2"; do
+      "--partitions 2 --batch 2" "--shards 2 --partitions 2 --batch 2" \
+      "--shards 2 --partitions 2 --batch 64"; do
     # shellcheck disable=SC2086  # $mode is a flag list
     if ! "$dpgreedy" serve --trace - $mode < "$dir/prefix.csv" \
         > "$dir/prefix.out"; then
@@ -87,6 +90,17 @@ check_partitioned "out-of-order time before a good row" 3 '0,1.0,1' \
   '1,2.0,2' '2,1.5,3' '3,3.0,1'
 check_partitioned "infinite time mid-stream" 2 '0,1.0,1' '1,inf,2' \
   '2,3.0,3'
+check_partitioned "empty item list mid-stream" 3 '0,1.0,1' '1,2.0,2' \
+  '2,3.0,' '3,4.0,1'
+check_partitioned "reserved item id mid-stream" 3 '0,1.0,1' '1,2.0,2' \
+  '2,3.0,4294967295' '3,4.0,1'
+# 3000 good rows, an empty item list, 3000 more (rows hold no spaces, so
+# the unquoted expansions split into one argument per row).
+before=$(awk 'BEGIN { for (i = 1; i <= 3000; i++) printf "%d,%d.0,%d\n", i % 5, i, i % 7 }')
+after=$(awk 'BEGIN { for (i = 1; i <= 3000; i++) printf "%d,%d.0,%d\n", i % 5, 4000 + i, i % 7 }')
+# shellcheck disable=SC2086
+check_partitioned "empty item list after 3000 rows" 3001 $before '2,3500.0,' \
+  $after
 
 printf 'server,time,items\n1,inf,3\n' > "$dir/inf.csv"
 "$dpgreedy" solve --trace "$dir/inf.csv" > /dev/null 2>&1

@@ -650,8 +650,8 @@ TEST(ShardedServe, RejectedRowStillFinishesEveryPartition) {
   }
 
   // Across partitions a row out of time order is caught before routing and
-  // named as at one partition; a row only its engine rejects (an empty item
-  // set) is named by the partition that rejected it.
+  // named as at one partition; so is a row only an engine rejects (an
+  // empty item set).
   ServeConfig config;
   config.batch(64).partitions(2);
   CsvClaimSource backwards(
@@ -669,12 +669,80 @@ TEST(ShardedServe, RejectedRowStillFinishesEveryPartition) {
       testing::write_temp_file("empty2.csv",
                                "server,time,items\n0,1.0,1\n0,2.0,\n"),
       config.batch_rows);
-  const ShardedServeResult unnamed =
+  const ShardedServeResult empty_named =
       run_sharded_serve(empty_row, kModel, config, options);
-  EXPECT_EQ(unnamed.engine_error.rfind("partition ", 0), 0u)
-      << unnamed.engine_error;
-  EXPECT_EQ(unnamed.rejected_row, 0u);
-  EXPECT_EQ(unnamed.stats.requests, 1u);
+  EXPECT_EQ(empty_named.engine_error,
+            "OnlineDpGreedyState::push: empty item set");
+  EXPECT_EQ(empty_named.rejected_row, 2u);
+  EXPECT_EQ(empty_named.stats.requests, 1u);
+}
+
+TEST(ShardedServe, RowsOnlyAnEngineRejectsEndEveryPartitionThere) {
+  // 3000 good rows, a bad row 3001, then 3000 more good rows.  An empty
+  // item set or the reserved item id passes the decoder and time order;
+  // only an engine rejects it.  At every topology the run must serve
+  // exactly the 3000 rows before it, as one engine would, and name it —
+  // whether it sits mid-block (batch 64) or opens a block (batch 1000,
+  // 3000), where no shard sees the row before it.  A row whose time also
+  // goes back is named for its time, which push() checks first.
+  struct BadRow {
+    std::string row;
+    std::string message;
+  };
+  const std::vector<BadRow> bad_rows = {
+      {"2,3000.5,", "OnlineDpGreedyState::push: empty item set"},
+      {"2,3000.5,4294967295",
+       "OnlineDpGreedyState::push: item id 4294967295 is reserved"},
+      {"2,1.5,",
+       "OnlineDpGreedyState::push: request times must be strictly "
+       "increasing, finite and > 0 (got 1.500000 after 3000.000000)"},
+  };
+  std::string prefix = "server,time,items\n";
+  for (int i = 0; i < 3000; ++i) {
+    prefix += std::to_string(i % 5) + "," + std::to_string(i + 1) + ".0," +
+              std::to_string(i % 7) + ";" + std::to_string(7 + i % 3) + "\n";
+  }
+  std::string suffix;
+  for (int i = 0; i < 3000; ++i) {
+    suffix += std::to_string(i % 5) + "," + std::to_string(4000 + i) +
+              ".0," + std::to_string(i % 7) + "\n";
+  }
+  const std::string prefix_path =
+      testing::write_temp_file("engine_bad_prefix.csv", prefix);
+
+  StreamingOptions options;
+  options.online = grid_options(50, 10);
+  for (std::size_t b = 0; b < bad_rows.size(); ++b) {
+    const std::string path = testing::write_temp_file(
+        "engine_bad_" + std::to_string(b) + ".csv",
+        prefix + bad_rows[b].row + "\n" + suffix);
+    for (const std::size_t partitions : {1u, 2u, 3u}) {
+      CsvClaimSource prefix_source(prefix_path, 64);
+      const RunReport prefix_report =
+          run_sharded_serve(prefix_source, kModel,
+                            ServeConfig{}.batch(64).partitions(partitions),
+                            options)
+              .report;
+      for (const std::size_t shards : {1u, 2u, 4u}) {
+        for (const std::size_t batch : {64u, 1000u, 3000u}) {
+          ServeConfig config;
+          config.batch(batch).shards(shards).partitions(partitions);
+          CsvClaimSource source(path, config.batch_rows);
+          const ShardedServeResult result =
+              run_sharded_serve(source, kModel, config, options);
+          const std::string label =
+              "row '" + bad_rows[b].row + "' M=" + std::to_string(partitions) +
+              " N=" + std::to_string(shards) +
+              " batch=" + std::to_string(batch);
+          EXPECT_TRUE(result.feed_error.empty()) << label;
+          EXPECT_EQ(result.engine_error, bad_rows[b].message) << label;
+          EXPECT_EQ(result.rejected_row, 3001u) << label;
+          EXPECT_EQ(result.stats.requests, 3000u) << label;
+          expect_reports_equal(result.report, prefix_report, label);
+        }
+      }
+    }
+  }
 }
 
 TEST(ShardedServe, OutOfOrderRowOpeningALaterBlockEndsEveryPartitionThere) {

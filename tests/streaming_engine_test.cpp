@@ -163,24 +163,50 @@ TEST(StreamingEngine, WideZipfMatchesGoldens) {
                               {200, 50, 2212599.5720841386, 2763, 2718}});
 }
 
-TEST(StreamingEngine, FinalSnapshotEqualsFinishBitIdentically) {
-  const RequestSequence trace = golden_trace();
+/// Pushes `trace` and checks that the snapshot after the last push and
+/// finish() report the same bits.
+void expect_final_snapshot_equals_finish(const RequestSequence& trace,
+                                         const CostModel& model,
+                                         const std::string& context) {
   StreamingOptions options;
   options.online = grid_options(50, 10);
-  StreamingEngine engine(kModel, options);
+  StreamingEngine engine(model, options);
   for (const Request& r : trace.requests()) {
     engine.push(r.server, r.time, r.items);
   }
   const StreamingSnapshot snapshot = engine.snapshot();
   const RunReport final_report = engine.finish();
-  // snapshot() values live replicas non-destructively in the same order
-  // finalize() retires them, so the two reports agree to the bit.
-  EXPECT_EQ(snapshot.report.total_cost, final_report.total_cost);
-  EXPECT_EQ(snapshot.report.transfer_cost, final_report.transfer_cost);
-  EXPECT_EQ(snapshot.report.package_count, final_report.package_count);
-  EXPECT_EQ(snapshot.report.unpack_events, final_report.unpack_events);
-  EXPECT_EQ(snapshot.report.transfer_events, final_report.transfer_events);
-  EXPECT_EQ(snapshot.requests, trace.size());
+  // snapshot() values live replicas non-destructively with finalize()'s
+  // arithmetic — each flow's copies summed, then added to the total — so
+  // the two reports agree to the bit.
+  EXPECT_EQ(snapshot.report.total_cost, final_report.total_cost) << context;
+  EXPECT_EQ(snapshot.report.transfer_cost, final_report.transfer_cost)
+      << context;
+  EXPECT_EQ(snapshot.report.package_count, final_report.package_count)
+      << context;
+  EXPECT_EQ(snapshot.report.unpack_events, final_report.unpack_events)
+      << context;
+  EXPECT_EQ(snapshot.report.transfer_events, final_report.transfer_events)
+      << context;
+  EXPECT_EQ(snapshot.requests, trace.size()) << context;
+}
+
+TEST(StreamingEngine, FinalSnapshotEqualsFinishBitIdentically) {
+  expect_final_snapshot_equals_finish(golden_trace(), kModel, "zipf");
+  // Taxi fleets end with many flows holding two or more live copies, where
+  // the order of the additions shows in the last bits.
+  MobilityConfig fleet;
+  fleet.taxi_count = 200;
+  fleet.duration = 5.0;
+  for (const double mu : {1.0, 0.0}) {
+    const CostModel model{mu, 1.0, 0.8};
+    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+      Rng rng(seed);
+      expect_final_snapshot_equals_finish(
+          simulate_mobility(fleet, rng), model,
+          "taxi seed " + std::to_string(seed) + " mu " + std::to_string(mu));
+    }
+  }
 }
 
 TEST(StreamingEngine, SnapshotDeltasPartitionTheCumulativeReport) {
