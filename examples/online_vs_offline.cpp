@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
 
   std::printf("== holding-horizon ablation (mean ratio across items) ==\n");
   TextTable ablation({"hold factor", "mean ratio", "worst ratio"});
-  for (const double factor : {0.0, 0.25, 0.5, 1.0, 2.0, 4.0}) {
+  for (const double factor : {0.25, 0.5, 1.0, 2.0, 4.0}) {
     SolverConfig config;
     config.hold_factor = factor;
     const RunReport swept =

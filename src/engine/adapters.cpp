@@ -255,25 +255,21 @@ class GroupDpGreedySolver final : public Solver {
 // runs in item order, so the FP accumulation matches the serial path bit
 // for bit at any thread count.
 
-/// One item's solve outcome, merged serially into the RunReport.
+/// One item's solve, merged serially into the RunReport.  The schedule is
+/// built, and the shard's item flow it serves kept, only with
+/// keep_schedules; otherwise the solve counted its schedule.
 struct ItemOutcome {
-  Cost cost = 0.0;
-  Cost raw_cost = 0.0;
-  Cost transfer_cost = 0.0;         // λ-side of this item's choices
-  std::size_t transfer_events = 0;  // λ-charges behind that cost
-  std::size_t cache_segments = 0;   // of the schedule, kept either way
-  // The plan, kept only with keep_schedules: the schedule and the shard's
-  // item flow it serves.
-  Schedule schedule;
+  SolveResult solved;
   Flow flow;
 };
 
-/// `solve(flow, outcome)` fills the outcome's costs and returns the schedule;
-/// the shard records its segment count and keeps it only with
-/// keep_schedules.
+/// `solve(flow, build_schedule)` solves one item flow into the plan sink
+/// keep_schedules asks for: a Schedule when the plan is kept, a
+/// ScheduleCounter when it is only counted.  Every transfer edge is one
+/// λ-charge.
 template <typename SolveFn>
 RunReport run_per_item(const std::string& name,
-                       const RequestSequence& sequence,
+                       const RequestSequence& sequence, const CostModel& model,
                        const SolverConfig& config, SolverWorkspace& workspace,
                        SolveFn&& solve) {
   const PoolLease lease(config);
@@ -289,40 +285,22 @@ RunReport run_per_item(const std::string& name,
       [&](std::size_t i, SolverWorkspace& ws) {
         make_item_flow(sequence, static_cast<ItemId>(i), ws.flow);
         ItemOutcome& outcome = outcomes[i];
-        Schedule schedule = solve(ws.flow, outcome);
-        outcome.cache_segments = schedule.segments().size();
-        if (config.keep_schedules) {
-          outcome.schedule = std::move(schedule);
-          outcome.flow = ws.flow;
-        }
+        outcome.solved = solve(ws.flow, config.keep_schedules);
+        if (config.keep_schedules) outcome.flow = ws.flow;
       },
       &workspace);
 
   for (ItemId item = 0; item < item_count; ++item) {
     ItemOutcome& outcome = outcomes[item];
-    report.total_cost += outcome.cost;
-    report.raw_cost += outcome.raw_cost;
-    report.transfer_cost += outcome.transfer_cost;
-    report.transfer_events += outcome.transfer_events;
-    report.cache_segments += outcome.cache_segments;
+    report.total_cost += outcome.solved.cost;
+    report.raw_cost += outcome.solved.raw_cost;
+    tally_schedule(outcome.solved.counts, model, 1.0, report);
     keep_plan(report, config, std::move(outcome.flow),
-              std::move(outcome.schedule), item_label(item));
+              std::move(outcome.solved.schedule), item_label(item));
   }
   report.solve_seconds = stopwatch.elapsed_seconds();
   finalize_report(report);
   return report;
-}
-
-/// The outcome of a schedule-priced item solve (greedy, chain): every
-/// transfer edge is one λ-charge.  Returns the schedule for run_per_item.
-Schedule schedule_outcome(SolveResult&& solved, const CostModel& model,
-                          ItemOutcome& outcome) {
-  outcome.cost = solved.cost;
-  outcome.raw_cost = solved.raw_cost;
-  outcome.transfer_cost =
-      model.lambda * static_cast<double>(solved.schedule.transfers().size());
-  outcome.transfer_events = solved.schedule.transfers().size();
-  return std::move(solved.schedule);
 }
 
 class GreedySolver final : public Solver {
@@ -330,11 +308,10 @@ class GreedySolver final : public Solver {
   RunReport run(const RequestSequence& sequence, const CostModel& model,
                 const SolverConfig& config) override {
     return run_per_item(
-        "greedy", sequence, config, workspace_,
-        [&](const Flow& flow, ItemOutcome& outcome) {
-          return schedule_outcome(
-              solve_greedy(flow, model, sequence.server_count()), model,
-              outcome);
+        "greedy", sequence, model, config, workspace_,
+        [&](const Flow& flow, bool build_schedule) {
+          return solve_greedy(flow, model, sequence.server_count(),
+                              build_schedule);
         });
   }
 
@@ -347,9 +324,9 @@ class ChainSolver final : public Solver {
   RunReport run(const RequestSequence& sequence, const CostModel& model,
                 const SolverConfig& config) override {
     return run_per_item(
-        "chain", sequence, config, workspace_,
-        [&](const Flow& flow, ItemOutcome& outcome) {
-          return schedule_outcome(solve_chain(flow, model), model, outcome);
+        "chain", sequence, model, config, workspace_,
+        [&](const Flow& flow, bool build_schedule) {
+          return solve_chain(flow, model, build_schedule);
         });
   }
 
@@ -364,16 +341,10 @@ class OnlineBreakEvenSolver final : public Solver {
     OnlineOptions options;
     options.hold_factor = config.hold_factor;
     return run_per_item(
-        "online_break_even", sequence, config, workspace_,
-        [&](const Flow& flow, ItemOutcome& outcome) {
-          OnlineResult solved = solve_online_break_even(
-              flow, model, sequence.server_count(), options);
-          outcome.cost = solved.cost;
-          outcome.raw_cost = solved.raw_cost;
-          outcome.transfer_cost =
-              model.lambda * static_cast<double>(solved.transfer_count);
-          outcome.transfer_events = solved.transfer_count;
-          return std::move(solved.schedule);
+        "online_break_even", sequence, model, config, workspace_,
+        [&](const Flow& flow, bool build_schedule) {
+          return solve_online_break_even(flow, model, sequence.server_count(),
+                                         options, build_schedule);
         });
   }
 

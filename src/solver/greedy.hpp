@@ -15,18 +15,23 @@ namespace dpg {
 /// Solves one flow greedily. The reported raw_cost is the per-decision sum
 /// the paper analyses; the reconstructed schedule's cost can only be lower
 /// (shared cache lines are double-counted by the greedy accounting but
-/// unioned in the schedule).
+/// unioned in the schedule).  Without `build_schedule` the schedule is only
+/// counted (SolveResult::counts); costs are the same either way.
 [[nodiscard]] SolveResult solve_greedy(const Flow& flow, const CostModel& model,
-                                       std::size_t server_count);
+                                       std::size_t server_count,
+                                       bool build_schedule = true);
 
 /// The chain strategy: the copy simply follows the request trajectory
 /// (always Tr, never a same-server cache line).  The weakest sensible
 /// offline policy; benches use it as a floor-of-quality baseline.
-[[nodiscard]] SolveResult solve_chain(const Flow& flow, const CostModel& model);
+[[nodiscard]] SolveResult solve_chain(const Flow& flow, const CostModel& model,
+                                      bool build_schedule = true);
 
 /// Greedy under the heterogeneous cost generalization (per-server μ,
 /// per-pair λ); the only solver that accepts it, since the general problem
-/// is conjectured NP-complete (Section III-C).
+/// is conjectured NP-complete (Section III-C).  The same decision loop as
+/// solve_greedy, priced per server and per pair, with the flow at face
+/// value.
 [[nodiscard]] SolveResult solve_greedy_heterogeneous(
     const Flow& flow, const HeterogeneousCostModel& model);
 

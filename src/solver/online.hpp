@@ -17,21 +17,9 @@
 
 #include "core/cost_model.hpp"
 #include "core/flow.hpp"
-#include "core/schedule.hpp"
-#include "core/types.hpp"
+#include "solver/solve_result.hpp"
 
 namespace dpg {
-
-struct OnlineResult {
-  /// Total cost paid (cache accrual + transfers), flow multiplier applied.
-  Cost cost = 0.0;
-  /// Undiscounted cost.
-  Cost raw_cost = 0.0;
-  std::size_t transfer_count = 0;
-  Time cache_time = 0.0;
-  /// Reconstructed schedule (validatable like the offline ones).
-  Schedule schedule;
-};
 
 struct OnlineOptions {
   /// Multiplier on the λ/μ break-even holding horizon (1.0 = classic rule;
@@ -46,9 +34,13 @@ struct OnlineOptions {
 };
 
 /// Runs the break-even policy over one flow, one service point at a time
-/// (the policy never looks ahead).
-[[nodiscard]] OnlineResult solve_online_break_even(
+/// (the policy never looks ahead), on one BreakEvenFlowState
+/// (solver/online_state.hpp).  raw_cost = μ·(cache time) + λ·(transfers);
+/// cost applies the flow multiplier.  The schedule records every transfer
+/// and every copy's held segment, and is validatable like the offline
+/// ones; without `build_schedule` it is only counted (SolveResult::counts).
+[[nodiscard]] SolveResult solve_online_break_even(
     const Flow& flow, const CostModel& model, std::size_t server_count,
-    const OnlineOptions& options = {});
+    const OnlineOptions& options = {}, bool build_schedule = true);
 
 }  // namespace dpg

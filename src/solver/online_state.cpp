@@ -5,6 +5,7 @@
 #include <cmath>
 #include <string>
 
+#include "core/schedule.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -20,16 +21,8 @@ const obs::Counter g_online_unpacks = obs::counter("online.unpack_events");
 const obs::Counter g_online_transfers = obs::counter("online.transfers");
 const obs::Counter g_online_package_fetches =
     obs::counter("online.package_fetches");
-const obs::Counter g_break_even_solves = obs::counter("online.break_even_solves");
-const obs::Counter g_break_even_drops = obs::counter("online.break_even_drops");
 
 }  // namespace
-
-void OnlineOptions::validate() const {
-  require(hold_factor > 0.0,
-          "OnlineOptions.hold_factor: must be > 0, got " +
-              format_fixed(hold_factor, 6));
-}
 
 void OnlineDpGreedyOptions::validate() const {
   require(theta >= 0.0 && theta <= 1.0,
@@ -46,9 +39,10 @@ void OnlineDpGreedyOptions::validate() const {
 // ---------------------------------------------------------------------------
 // BreakEvenFlowState
 
+template <typename Plan>
 Cost BreakEvenFlowState::serve(ServerId server, Time t, double rate,
-                               const FlowLedger& ledger) {
-  retire(t, rate, ledger);
+                               const FlowLedger& ledger, Plan&& plan) {
+  retire(t, rate, ledger, plan);
   for (ReplicaCopy& c : copies_) {
     if (c.server == server) {
       c.last_use = t;
@@ -59,7 +53,11 @@ Cost BreakEvenFlowState::serve(ServerId server, Time t, double rate,
   for (ReplicaCopy& c : copies_) {
     if (c.last_use > source->last_use) source = &c;
   }
-  source->last_use = t;  // held until now to source the transfer
+  // Serving as a transfer source counts as a use: the copy was in fact held
+  // until now, so its segment (and horizon) extend to t, keeping the
+  // recorded schedule causally grounded.
+  plan.add_transfer(source->server, server, t);
+  source->last_use = t;
   copies_.push_back(ReplicaCopy{server, t, t});
   ++ledger.transfers;
   return rate * ledger.model.lambda;
@@ -84,11 +82,14 @@ const ReplicaCopy& BreakEvenFlowState::most_recent() const {
   return *best;
 }
 
-Cost BreakEvenFlowState::finalize(double rate, const FlowLedger& ledger) {
+template <typename Plan>
+Cost BreakEvenFlowState::finalize(double rate, const FlowLedger& ledger,
+                                  Plan&& plan) {
   Cost cost = 0.0;
   for (const ReplicaCopy& c : copies_) {
     cost += rate * ledger.model.mu * (c.last_use - c.since);
     ledger.cache_time += c.last_use - c.since;
+    plan.add_segment(c.server, c.since, c.last_use);
   }
   copies_.clear();
   return cost;
@@ -105,8 +106,9 @@ void BreakEvenFlowState::peek_accrued(double rate,
   ledger.total_cost += cost;
 }
 
+template <typename Plan>
 void BreakEvenFlowState::retire(Time now, double rate,
-                                const FlowLedger& ledger) {
+                                const FlowLedger& ledger, Plan& plan) {
   // A lone copy is the newest one, which is never dropped.
   if (ledger.never_drop || copies_.size() < 2) return;
   Time newest = -1.0;
@@ -117,6 +119,7 @@ void BreakEvenFlowState::retire(Time now, double rate,
     if (c.last_use < newest && drop_time < now) {
       ledger.total_cost += rate * ledger.model.mu * (drop_time - c.since);
       ledger.cache_time += drop_time - c.since;
+      plan.add_segment(c.server, c.since, drop_time);
       copies_.erase_swap(i);
     } else {
       ++i;
@@ -124,94 +127,19 @@ void BreakEvenFlowState::retire(Time now, double rate,
   }
 }
 
-// ---------------------------------------------------------------------------
-// OnlineBreakEvenState
-
-OnlineBreakEvenState::OnlineBreakEvenState(const CostModel& model,
-                                           std::size_t server_count,
-                                           std::size_t group_size,
-                                           const OnlineOptions& options)
-    : model_(model),
-      server_count_(server_count),
-      group_size_(group_size),
-      never_drop_(model.mu == 0.0),
-      horizon_(never_drop_ ? 0.0
-                           : options.hold_factor * model.lambda / model.mu) {
-  model.validate();
-  options.validate();
-  g_break_even_solves.add();
-  result_.schedule = Schedule(group_size);
-  copies_.push_back(ReplicaCopy{kOriginServer, 0.0, 0.0});
-}
-
-void OnlineBreakEvenState::advance(const ServicePoint& point) {
-  require(point.server < server_count_,
-          "solve_online_break_even: server out of range");
-  // 1) Retire copies whose break-even horizon expired before `point.time`,
-  //    keeping at least the most recently used copy alive.
-  if (!never_drop_) {
-    Time newest = -1.0;
-    for (const ReplicaCopy& c : copies_) newest = std::max(newest, c.last_use);
-    for (std::size_t i = 0; i < copies_.size();) {
-      ReplicaCopy& c = copies_[i];
-      const Time drop_time = c.last_use + horizon_;
-      if (c.last_use < newest && drop_time < point.time) {
-        result_.cache_time += drop_time - c.since;
-        result_.schedule.add_segment(c.server, c.since, drop_time);
-        g_break_even_drops.add();
-        copies_[i] = copies_.back();
-        copies_.pop_back();
-      } else {
-        ++i;
-      }
-    }
-  }
-
-  // 2) Serve the request: local hit extends the local copy; otherwise
-  //    transfer a replica from the most recently used live copy.
-  ReplicaCopy* local = nullptr;
-  for (ReplicaCopy& c : copies_) {
-    if (c.server == point.server) {
-      local = &c;
-      break;
-    }
-  }
-  if (local != nullptr) {
-    local->last_use = point.time;
-  } else {
-    ReplicaCopy* source = &copies_.front();
-    for (ReplicaCopy& c : copies_) {
-      if (c.last_use > source->last_use) source = &c;
-    }
-    ++result_.transfer_count;
-    // Serving as a transfer source counts as a use: the copy was in fact
-    // held until now, so its accounted segment (and horizon) extend to
-    // `point.time`, keeping the recorded schedule causally grounded.
-    result_.schedule.add_transfer(source->server, point.server, point.time);
-    source->last_use = point.time;
-    copies_.push_back(ReplicaCopy{point.server, point.time, point.time});
-  }
-  ++served_;
-}
-
-void OnlineBreakEvenState::advance_batch(std::span<const ServicePoint> points) {
-  for (const ServicePoint& point : points) advance(point);
-}
-
-OnlineResult OnlineBreakEvenState::finish() {
-  // 3) Close the books: every surviving copy is charged up to its last use
-  //    (an online run ends when the request stream ends).
-  for (const ReplicaCopy& c : copies_) {
-    result_.cache_time += c.last_use - c.since;
-    result_.schedule.add_segment(c.server, c.since, c.last_use);
-  }
-  copies_.clear();
-  result_.raw_cost =
-      model_.mu * result_.cache_time +
-      model_.lambda * static_cast<double>(result_.transfer_count);
-  result_.cost = model_.flow_multiplier(group_size_) * result_.raw_cost;
-  return std::move(result_);
-}
+// solve_online_break_even records into either sink.
+template Cost BreakEvenFlowState::serve<Schedule&>(ServerId, Time, double,
+                                                   const FlowLedger&,
+                                                   Schedule&);
+template Cost BreakEvenFlowState::serve<ScheduleCounter&>(ServerId, Time,
+                                                          double,
+                                                          const FlowLedger&,
+                                                          ScheduleCounter&);
+template Cost BreakEvenFlowState::finalize<Schedule&>(double,
+                                                      const FlowLedger&,
+                                                      Schedule&);
+template Cost BreakEvenFlowState::finalize<ScheduleCounter&>(
+    double, const FlowLedger&, ScheduleCounter&);
 
 // ---------------------------------------------------------------------------
 // OnlineDpGreedyState
@@ -222,8 +150,7 @@ OnlineDpGreedyState::OnlineDpGreedyState(const CostModel& model,
     : model_(model),
       options_(options),
       never_drop_(model.mu == 0.0),
-      horizon_(never_drop_ ? 0.0
-                           : options.hold_factor * model.lambda / model.mu),
+      horizon_(break_even_horizon(model, options.hold_factor)),
       pack_rate_(model.flow_multiplier(2)),
       window_(item_count, options.window) {
   model.validate();
@@ -286,7 +213,8 @@ OnlineDpGreedyState::Decision OnlineDpGreedyState::push(
     if (mate == kNoItem) {
       // Unpacked item: plain break-even.  serve() returns only the λ part
       // of the charge (horizon drops are charged to the ledger as they go).
-      const Cost shipped = flows_[item].serve(server, time, 1.0, ledger());
+      const Cost shipped =
+          flows_[item].serve(server, time, 1.0, ledger(), NoPlan{});
       result_.total_cost += shipped;
       result_.transfer_cost += shipped;
       continue;
@@ -299,7 +227,7 @@ OnlineDpGreedyState::Decision OnlineDpGreedyState::push(
       if (mate < item) continue;  // served at the lower item
       // Full package request.
       const Cost shipped =
-          flows_[item].serve(server, time, pack_rate_, ledger());
+          flows_[item].serve(server, time, pack_rate_, ledger(), NoPlan{});
       result_.total_cost += shipped;
       result_.transfer_cost += shipped;
     } else if (flows_[std::min(item, mate)].add_copy(server, time)) {
@@ -380,7 +308,8 @@ void OnlineDpGreedyState::repack(Time now, Decision& decision) {
       // used.
       const ItemId b = partner_[a];
       const ServerId seat = flows_[a].most_recent().server;
-      result_.total_cost += flows_[a].finalize(pack_rate_, ledger());
+      result_.total_cost +=
+          flows_[a].finalize(pack_rate_, ledger(), NoPlan{});
       flows_[a].restart(seat, now);
       flows_[b].restart(seat, now);
       partner_[a] = kNoItem;
@@ -407,8 +336,8 @@ void OnlineDpGreedyState::repack(Time now, Decision& decision) {
     // shipped there at the individual rate.  The package's flow is a's,
     // restarted; b's stays empty while the pair lives.
     const ServerId seat = flows_[a].most_recent().server;
-    result_.total_cost += flows_[a].finalize(1.0, ledger());
-    result_.total_cost += flows_[b].finalize(1.0, ledger());
+    result_.total_cost += flows_[a].finalize(1.0, ledger(), NoPlan{});
+    result_.total_cost += flows_[b].finalize(1.0, ledger(), NoPlan{});
     result_.total_cost += model_.lambda;  // move b to the assembly point
     result_.transfer_cost += model_.lambda;
     ++result_.transfers;
@@ -429,9 +358,10 @@ OnlineDpGreedyResult OnlineDpGreedyState::finalize() {
   const std::size_t k = partner_.size();
   for (ItemId item = 0; item < k; ++item) {
     if (partner_[item] == kNoItem) {
-      result_.total_cost += flows_[item].finalize(1.0, ledger());
+      result_.total_cost += flows_[item].finalize(1.0, ledger(), NoPlan{});
     } else if (item < partner_[item]) {
-      result_.total_cost += flows_[item].finalize(pack_rate_, ledger());
+      result_.total_cost +=
+          flows_[item].finalize(pack_rate_, ledger(), NoPlan{});
     }
   }
   result_.ave_cost =

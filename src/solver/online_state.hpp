@@ -1,17 +1,12 @@
-// Resumable per-flow state for the online policies.
-//
-// solve_online_break_even and solve_online_dp_greedy used to be monolithic
-// left-to-right loops over a fully materialized input; this header extracts
-// their loop bodies into state objects that advance one request at a time,
-// so a long-lived serving engine (engine/streaming_engine.hpp) can push
-// requests as they arrive and snapshot mid-stream.  The batch entry points
-// remain as thin drivers over these states and are bit-identical to the
-// pre-extraction implementations at every option setting.
+// Resumable per-flow state for the online policies, advanced one request
+// at a time so a long-lived serving engine (engine/streaming_engine.hpp)
+// can push requests as they arrive and snapshot mid-stream.
 //
 //   * BreakEvenFlowState — the rent-or-buy replica set of ONE flow (an item
-//     or a package): serve/retire/finalize with the λ/μ break-even horizon.
-//   * OnlineBreakEvenState — the schedule-recording variant driving one
-//     flow's ServicePoints (what solve_online_break_even steps).
+//     or a package): serve/retire/finalize with the λ/μ break-even horizon,
+//     recording what it ships, drops and closes into a plan sink.
+//     solve_online_break_even drives one per item flow into a Schedule or a
+//     ScheduleCounter; OnlineDpGreedyState passes NoPlan.
 //   * OnlineDpGreedyState — the full windowed-packing policy: a
 //     WindowedCorrelation over the last `window` requests, epoch re-pairing
 //     under the θ / θ·hysteresis split rule, break-even serving of item and
@@ -28,10 +23,8 @@
 #include <vector>
 
 #include "core/cost_model.hpp"
-#include "core/flow.hpp"
 #include "core/request_block.hpp"
 #include "core/types.hpp"
-#include "solver/online.hpp"
 #include "solver/online_dp_greedy.hpp"
 #include "solver/replica_list.hpp"
 #include "solver/windowed_correlation.hpp"
@@ -50,12 +43,28 @@ struct FlowLedger {
   Time& cache_time;
 };
 
+/// The copy-holding horizon of the break-even rule: hold_factor · λ/μ past
+/// a copy's last use, or 0 when μ = 0 and no copy is ever dropped.
+[[nodiscard]] inline double break_even_horizon(const CostModel& model,
+                                               double hold_factor) noexcept {
+  return model.mu == 0.0 ? 0.0 : hold_factor * model.lambda / model.mu;
+}
+
+/// The plan sink of a flow whose plan is neither kept nor counted (online
+/// DP_Greedy's flows): records nothing.
+struct NoPlan {
+  void add_segment(ServerId, Time, Time) noexcept {}
+  void add_transfer(ServerId, ServerId, Time) noexcept {}
+};
+
 /// Break-even replica management for one flow (an item or a package).
-/// Identical in policy to the per-flow online rule; item flows and package
-/// flows share this accounting, each at its rate (1 for an item, 2α for a
-/// package).  Cache accrual of copies dropped at their horizon is charged
-/// to the ledger as they drop; live copies are charged at finalize (or
-/// valued via peek_accrued).
+/// Item flows and package flows share this accounting, each at its rate (1
+/// for an item, 2α for a package).  Cache accrual of copies dropped at
+/// their horizon is charged to the ledger as they drop; live copies are
+/// charged at finalize (or valued via peek_accrued).  serve and finalize
+/// record into `plan` — a Schedule, a ScheduleCounter or NoPlan, the sinks
+/// online_state.cpp instantiates them for — each transfer they ship and the
+/// cache segment of each copy they drop or close, in the order they happen.
 class BreakEvenFlowState {
  public:
   BreakEvenFlowState(ServerId start_server, Time start_time) {
@@ -70,10 +79,13 @@ class BreakEvenFlowState {
     copies_.push_back(ReplicaCopy{server, t, t});
   }
 
-  /// Retires expired copies, then serves a request at (server, t).
+  /// Retires expired copies, then serves a request at (server, t): a local
+  /// copy serves it, or the most recently used copy ships one there.
   /// Returns the cost increment (rate applied; λ-side only — cache accrual
   /// is charged at retirement/finalize).
-  Cost serve(ServerId server, Time t, double rate, const FlowLedger& ledger);
+  template <typename Plan>
+  Cost serve(ServerId server, Time t, double rate, const FlowLedger& ledger,
+             Plan&& plan);
 
   /// Uses the copy at `server` at time t, or adds one there (a package
   /// fetch).  True when the copy is new.
@@ -82,9 +94,15 @@ class BreakEvenFlowState {
   /// Most recently used copy (always exists).
   [[nodiscard]] const ReplicaCopy& most_recent() const;
 
+  /// Live copies.
+  [[nodiscard]] std::size_t copy_count() const noexcept {
+    return copies_.size();
+  }
+
   /// Charges all copies up to their last use and clears the flow; returns
   /// their cost and adds their cache time to the ledger.
-  Cost finalize(double rate, const FlowLedger& ledger);
+  template <typename Plan>
+  Cost finalize(double rate, const FlowLedger& ledger, Plan&& plan);
 
   /// What finalize would charge right now, without mutating: adds the
   /// accrued cache cost and cache time of the live copies to the ledger
@@ -93,41 +111,10 @@ class BreakEvenFlowState {
   void peek_accrued(double rate, const FlowLedger& ledger) const;
 
  private:
-  void retire(Time now, double rate, const FlowLedger& ledger);
+  template <typename Plan>
+  void retire(Time now, double rate, const FlowLedger& ledger, Plan& plan);
 
   ReplicaList copies_;
-};
-
-/// The resumable loop body of solve_online_break_even: one flow's replica
-/// set plus the reconstructed schedule, advanced one ServicePoint at a time.
-class OnlineBreakEvenState {
- public:
-  /// Validates the model and options eagerly (OnlineOptions::validate).
-  OnlineBreakEvenState(const CostModel& model, std::size_t server_count,
-                       std::size_t group_size, const OnlineOptions& options);
-
-  /// Serves one point (strictly after every previous one).
-  void advance(const ServicePoint& point);
-
-  /// Serves a run of points in order.  Same per-point arithmetic as
-  /// advance(), so the result is bit-identical at every batch size.
-  void advance_batch(std::span<const ServicePoint> points);
-
-  /// Closes the books (charges every surviving copy to its last use) and
-  /// returns the result.  The state is spent afterwards.
-  [[nodiscard]] OnlineResult finish();
-
-  [[nodiscard]] std::size_t points_served() const noexcept { return served_; }
-
- private:
-  CostModel model_;
-  std::size_t server_count_;
-  std::size_t group_size_;
-  bool never_drop_;
-  Time horizon_;
-  std::vector<ReplicaCopy> copies_;
-  OnlineResult result_;
-  std::size_t served_ = 0;
 };
 
 /// The resumable core of online DP_Greedy: windowed Jaccard packing with

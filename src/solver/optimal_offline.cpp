@@ -227,15 +227,9 @@ SolveResult solve_optimal_offline(const Flow& flow, const CostModel& model,
   result.raw_cost = c[n - 1];
   result.cost = model.flow_multiplier(flow.group_size) * result.raw_cost;
 
-  if (options.build_schedule) {
-    backtrack(index, choice, mu, lambda, result.schedule);
-    result.counts = result.schedule.counts();
-  } else {
-    ScheduleCounter counter;
-    backtrack(index, choice, mu, lambda, counter);
-    counter.publish();
-    result.counts = counter.counts();
-  }
+  record_plan(result, options.build_schedule, [&](auto& plan) {
+    backtrack(index, choice, mu, lambda, plan);
+  });
   return result;
 }
 

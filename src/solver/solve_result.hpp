@@ -17,11 +17,29 @@ struct SolveResult {
 
   /// The schedule realizing the cost (feasibility-checkable via
   /// Schedule::validate against the same flow).  Empty when the solve only
-  /// counted it (OptimalOfflineOptions::build_schedule off).
+  /// counted it (build_schedule off).
   Schedule schedule;
 
   /// The schedule's segment and transfer counts, filled either way.
   ScheduleCounts counts;
 };
+
+/// Runs `record(plan)` once, into the plan sink `build_schedule` asks for:
+/// the result's Schedule, or a ScheduleCounter whose totals are published
+/// to the schedule.*_emitted counters as building would have.  `record` is
+/// written once against either sink (a generic lambda), so the counts are
+/// those of the schedule it would build.  Fills result.counts either way.
+template <typename Record>
+void record_plan(SolveResult& result, bool build_schedule, Record&& record) {
+  if (build_schedule) {
+    record(result.schedule);
+    result.counts = result.schedule.counts();
+    return;
+  }
+  ScheduleCounter counter;
+  record(counter);
+  counter.publish();
+  result.counts = counter.counts();
+}
 
 }  // namespace dpg

@@ -11,22 +11,6 @@
 namespace dpg {
 namespace {
 
-void expect_same_schedule(const Schedule& a, const Schedule& b) {
-  ASSERT_EQ(a.group_size(), b.group_size());
-  ASSERT_EQ(a.segments().size(), b.segments().size());
-  for (std::size_t i = 0; i < a.segments().size(); ++i) {
-    ASSERT_EQ(a.segments()[i].server, b.segments()[i].server);
-    ASSERT_EQ(a.segments()[i].begin, b.segments()[i].begin);
-    ASSERT_EQ(a.segments()[i].end, b.segments()[i].end);
-  }
-  ASSERT_EQ(a.transfers().size(), b.transfers().size());
-  for (std::size_t i = 0; i < a.transfers().size(); ++i) {
-    ASSERT_EQ(a.transfers()[i].from, b.transfers()[i].from);
-    ASSERT_EQ(a.transfers()[i].to, b.transfers()[i].to);
-    ASSERT_EQ(a.transfers()[i].time, b.transfers()[i].time);
-  }
-}
-
 /// A flow with service points is never served by an empty schedule, so an
 /// empty one would mean the solve dropped its plan and the comparison below
 /// compared nothing.
@@ -65,7 +49,7 @@ void expect_same_result(const DpGreedyResult& serial,
     }
     expect_kept(s.package_schedule, s.co_request_count);
     expect_kept(p.package_schedule, p.co_request_count);
-    expect_same_schedule(s.package_schedule, p.package_schedule);
+    testing::expect_same_schedule(s.package_schedule, p.package_schedule);
   }
 
   ASSERT_EQ(serial.singles.size(), pooled.singles.size());
@@ -74,7 +58,7 @@ void expect_same_result(const DpGreedyResult& serial,
     ASSERT_EQ(serial.singles[i].cost, pooled.singles[i].cost);
     expect_kept(serial.singles[i].schedule, serial.singles[i].accesses);
     expect_kept(pooled.singles[i].schedule, pooled.singles[i].accesses);
-    expect_same_schedule(serial.singles[i].schedule,
+    testing::expect_same_schedule(serial.singles[i].schedule,
                          pooled.singles[i].schedule);
   }
 }

@@ -8,7 +8,9 @@
 #include "parallel/thread_pool.hpp"
 #include "solver/baselines.hpp"
 #include "solver/dp_greedy.hpp"
+#include "solver/greedy.hpp"
 #include "solver/group_solver.hpp"
+#include "solver/online.hpp"
 #include "test_support.hpp"
 
 namespace dpg {
@@ -152,10 +154,31 @@ TEST(DpGreedy, DroppedPlansKeepTheirCounts) {
   }
 }
 
+/// `solve(flow, build_schedule)` counts, without building, exactly the
+/// schedule it builds, for every item flow of `seq`.
+template <typename SolveFn>
+void expect_per_item_counts(const RequestSequence& seq, SolveFn&& solve,
+                            const std::string& name) {
+  for (ItemId item = 0; item < seq.item_count(); ++item) {
+    const Flow flow = make_item_flow(seq, item);
+    const SolveResult built = solve(flow, true);
+    const SolveResult counted = solve(flow, false);
+    const std::string context = name + " item " + std::to_string(item);
+    if (!flow.empty()) {
+      EXPECT_FALSE(built.schedule.segments().empty()) << context;
+    }
+    EXPECT_TRUE(counted.schedule.segments().empty()) << context;
+    EXPECT_TRUE(counted.schedule.transfers().empty()) << context;
+    expect_counts_eq(built.schedule.counts(), built.counts, context);
+    expect_counts_eq(built.schedule.counts(), counted.counts, context);
+    EXPECT_EQ(built.cost, counted.cost) << context;
+  }
+}
+
 TEST(DpGreedy, EverySolverCountsWhatItWouldBuild) {
-  // For every flow of every solver whose Phase 2 runs the offline DP, the
-  // counts kept without plans equal Schedule::counts() of the plan kept
-  // with them.
+  // For every flow of every solver whose Phase 2 runs the offline DP, and
+  // of every per-item policy, the counts kept without plans equal
+  // Schedule::counts() of the plan kept with them.
   Rng rng(29);
   const RequestSequence seq = testing::random_sequence(rng, 150, 6, 8, 0.6);
   const CostModel model{1.0, 1.5, 0.8};
@@ -209,6 +232,30 @@ TEST(DpGreedy, EverySolverCountsWhatItWouldBuild) {
     expect_counts_eq(g_with.singles[i].schedule.counts(),
                      g_without.singles[i].schedule_counts,
                      "group single " + std::to_string(i));
+  }
+
+  const std::size_t m = seq.server_count();
+  expect_per_item_counts(
+      seq,
+      [&](const Flow& flow, bool build) {
+        return solve_greedy(flow, model, m, build);
+      },
+      "greedy");
+  expect_per_item_counts(
+      seq,
+      [&](const Flow& flow, bool build) {
+        return solve_chain(flow, model, build);
+      },
+      "chain");
+  for (const double hold : {0.25, 1.0, 4.0}) {
+    OnlineOptions online;
+    online.hold_factor = hold;
+    expect_per_item_counts(
+        seq,
+        [&](const Flow& flow, bool build) {
+          return solve_online_break_even(flow, model, m, online, build);
+        },
+        "online_break_even hold " + std::to_string(hold));
   }
 }
 

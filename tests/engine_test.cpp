@@ -12,6 +12,7 @@
 
 #include "engine/registry.hpp"
 #include "engine/render.hpp"
+#include "mobility/simulator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "report_equality.hpp"
@@ -140,6 +141,101 @@ void expect_bit_identical(const RequestSequence& seq, const CostModel& model) {
   EXPECT_EQ(registry.run("chain", seq, model, config).total_cost, chain_total);
   EXPECT_EQ(registry.run("online_break_even", seq, model, config).total_cost,
             online_total);
+}
+
+// The per-item policies on a taxi fleet and a Zipf trace, captured at
+// %.17g before greedy, chain and online_break_even wrote their plans into
+// one sink.  Every row must hold at threads 0 and 4, with plans kept and
+// with plans only counted.  greedy and chain ignore the hold factor.
+struct PerItemGolden {
+  const char* trace;
+  double mu;
+  double hold;
+  const char* solver;
+  double total_cost;
+  double raw_cost;
+  std::size_t transfer_events;
+  std::size_t cache_segments;
+};
+
+const PerItemGolden kPerItemGoldens[] = {
+    {"taxi", 1, 0.5, "greedy", 12781.310376415962,
+     12781.310376415962, 6791, 8897},
+    {"taxi", 1, 0.5, "chain", 13030.273991060938,
+     13030.273991060938, 7216, 8897},
+    {"taxi", 1, 0.5, "online_break_even", 15937.186871822634,
+     15937.186871822634, 6908, 6780},
+    {"taxi", 1, 1, "greedy", 12781.310376415962,
+     12781.310376415962, 6791, 8897},
+    {"taxi", 1, 1, "chain", 13030.273991060938, 13030.273991060938, 7216, 8897},
+    {"taxi", 1, 1, "online_break_even", 18896.785854760114,
+     18896.785854760114, 6804, 6646},
+    {"taxi", 0, 0.5, "greedy", 4770, 4770, 4770, 8897},
+    {"taxi", 0, 0.5, "chain", 7216, 7216, 7216, 8897},
+    {"taxi", 0, 0.5, "online_break_even", 4770, 4770, 4770, 2633},
+    {"taxi", 0, 1, "greedy", 4770, 4770, 4770, 8897},
+    {"taxi", 0, 1, "chain", 7216, 7216, 7216, 8897},
+    {"taxi", 0, 1, "online_break_even", 4770, 4770, 4770, 2633},
+    {"zipf", 1, 0.5, "greedy", 87015.035274294321,
+     87015.035274294321, 4860, 5980},
+    {"zipf", 1, 0.5, "chain", 87046.48715678131, 87046.48715678131, 4933, 5980},
+    {"zipf", 1, 0.5, "online_break_even", 89008.012914631399,
+     89008.012914631399, 4617, 4599},
+    {"zipf", 1, 1, "greedy", 87015.035274294321,
+     87015.035274294321, 4860, 5980},
+    {"zipf", 1, 1, "chain", 87046.48715678131, 87046.48715678131, 4933, 5980},
+    {"zipf", 1, 1, "online_break_even", 91281.029775800023,
+     91281.029775800023, 4613, 4595},
+    {"zipf", 0, 0.5, "greedy", 438, 438, 438, 5980},
+    {"zipf", 0, 0.5, "chain", 4933, 4933, 4933, 5980},
+    {"zipf", 0, 0.5, "online_break_even", 438, 438, 438, 455},
+    {"zipf", 0, 1, "greedy", 438, 438, 438, 5980},
+    {"zipf", 0, 1, "chain", 4933, 4933, 4933, 5980},
+    {"zipf", 0, 1, "online_break_even", 438, 438, 438, 455},
+};
+
+TEST(Engine, PerItemPoliciesMatchGoldens) {
+  MobilityConfig fleet;
+  fleet.taxi_count = 300;
+  fleet.duration = 20.0;
+  Rng taxi_rng(404);
+  const RequestSequence taxi = simulate_mobility(fleet, taxi_rng);
+  ZipfTraceConfig zipf_config;
+  zipf_config.server_count = 12;
+  zipf_config.item_count = 40;
+  zipf_config.request_count = 4000;
+  Rng zipf_rng(405);
+  const RequestSequence zipf = generate_zipf_trace(zipf_config, zipf_rng);
+  ASSERT_EQ(taxi.size(), 5893u);
+  ASSERT_EQ(zipf.size(), 4000u);
+
+  for (const PerItemGolden& golden : kPerItemGoldens) {
+    const RequestSequence& trace =
+        std::string(golden.trace) == "taxi" ? taxi : zipf;
+    const CostModel model{golden.mu, 1.0, 0.8};
+    for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+      for (const bool keep : {true, false}) {
+        SolverConfig config;
+        config.hold_factor = golden.hold;
+        config.keep_schedules = keep;
+        config.threads(threads);
+        const RunReport report =
+            builtin_registry().run(golden.solver, trace, model, config);
+        const std::string context =
+            std::string(golden.solver) + " on " + golden.trace +
+            " mu=" + std::to_string(golden.mu) +
+            " hold=" + std::to_string(golden.hold) +
+            " threads=" + std::to_string(threads) +
+            (keep ? " kept" : " counted");
+        EXPECT_EQ(report.total_cost, golden.total_cost) << context;
+        EXPECT_EQ(report.raw_cost, golden.raw_cost) << context;
+        EXPECT_EQ(report.transfer_events, golden.transfer_events) << context;
+        EXPECT_EQ(report.cache_segments, golden.cache_segments) << context;
+        EXPECT_EQ(report.plans.size(), keep ? trace.item_count() : 0u)
+            << context;
+      }
+    }
+  }
 }
 
 TEST(Engine, BitIdenticalOnRunningExample) {

@@ -82,7 +82,10 @@ TEST(GreedyHeterogeneous, ReducesToHomogeneousWhenUniform) {
     const Flow flow = testing::random_flow(rng, 20, 4);
     const SolveResult a = solve_greedy(flow, homo, 4);
     const SolveResult b = solve_greedy_heterogeneous(flow, hetero);
-    ASSERT_NEAR(a.raw_cost, b.raw_cost, 1e-9);
+    // One decision loop: the same bits and the same schedule.
+    ASSERT_EQ(a.raw_cost, b.raw_cost);
+    ASSERT_EQ(a.cost, b.cost);
+    testing::expect_same_schedule(a.schedule, b.schedule);
   }
 }
 

@@ -1,26 +1,34 @@
-// Heap traffic of the online decision path, counted exactly.
+// Heap traffic of the online decision path and of counted plans, counted
+// exactly.
 //
 // A global operator new/delete override local to this binary (as in
 // bench/bm_phase1.cpp) bumps one relaxed atomic per allocation, so "no
-// allocation" is a count of 0, not an estimate.  Two claims rest on it:
+// allocation" is a count of 0, not an estimate.  Three claims rest on it:
 //   * ReplicaList behaves as std::vector<ReplicaCopy> under the operations
 //     the flows use, and allocates only past its inline capacity;
 //   * once warm, OnlineDpGreedyState::push allocates nothing, however many
 //     packs, splits and transfers it makes, while every flow stays within
-//     the inline capacity.
+//     the inline capacity;
+//   * a per-item policy whose plan is only counted builds no schedule.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/request_index.hpp"
+#include "engine/registry.hpp"
+#include "solver/greedy.hpp"
+#include "solver/online.hpp"
 #include "solver/online_state.hpp"
 #include "solver/replica_list.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -206,6 +214,55 @@ TEST(OnlineDpGreedyState, WarmPushesThatPackSplitAndTransferAllocateNothing) {
   EXPECT_GT(total.unpack_events, 100u);
   EXPECT_GT(total.transfers, 1000u);
   EXPECT_GT(total.package_fetches, 100u);
+}
+
+TEST(PerItemPlans, CountedSolvesBuildNoSchedule) {
+  // Without build_schedule the plan goes into a ScheduleCounter: chain and
+  // the break-even rule allocate nothing at all (three servers keep every
+  // replica inline), and greedy only its RequestIndex.  A built plan
+  // allocates, so the count can see one.
+  Rng rng(21);
+  const Flow flow = testing::random_flow(rng, 500, 3);
+  const CostModel model{1.0, 1.0, 0.8};
+
+  std::uint64_t before = allocations_now();
+  const SolveResult chain = solve_chain(flow, model, false);
+  const SolveResult online = solve_online_break_even(flow, model, 3, {}, false);
+  EXPECT_EQ(allocations_now() - before, 0u);
+  EXPECT_GT(chain.counts.segments, 0u);
+  EXPECT_GT(online.counts.transfers, 0u);
+
+  before = allocations_now();
+  { const RequestIndex index(flow, 3); }
+  const std::uint64_t index_allocs = allocations_now() - before;
+  before = allocations_now();
+  const SolveResult greedy = solve_greedy(flow, model, 3, false);
+  EXPECT_EQ(allocations_now() - before, index_allocs);
+  EXPECT_GT(greedy.counts.segments, 0u);
+
+  before = allocations_now();
+  EXPECT_EQ(solve_chain(flow, model).schedule.counts().segments,
+            chain.counts.segments);
+  EXPECT_GT(allocations_now() - before, 0u);
+}
+
+TEST(PerItemPlans, RegistryRunWithoutPlansBuildsNoSchedule) {
+  // keep_schedules off reaches every item's solve: a warm run allocates a
+  // handful of times, not once per item for its schedule.  Three servers
+  // keep every break-even replica inline.
+  Rng rng(22);
+  const RequestSequence seq = testing::random_sequence(rng, 4000, 3, 200);
+  const CostModel model{1.0, 1.0, 0.8};
+  SolverConfig config;
+  config.keep_schedules = false;
+  for (const char* name : {"chain", "online_break_even"}) {
+    const std::unique_ptr<Solver> solver = builtin_registry().create(name);
+    (void)solver->run(seq, model, config);
+    const std::uint64_t before = allocations_now();
+    const RunReport report = solver->run(seq, model, config);
+    EXPECT_LT(allocations_now() - before, seq.item_count()) << name;
+    EXPECT_GT(report.cache_segments, seq.item_count()) << name;
+  }
 }
 
 }  // namespace

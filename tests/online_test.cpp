@@ -14,27 +14,27 @@ namespace {
 constexpr double kTol = 1e-9;
 
 TEST(OnlineBreakEven, EmptyFlowCostsNothing) {
-  const OnlineResult r =
+  const SolveResult r =
       solve_online_break_even(Flow{{}, 1}, CostModel{1, 1, 0.8}, 2);
   EXPECT_EQ(r.raw_cost, 0.0);
-  EXPECT_EQ(r.transfer_count, 0u);
+  EXPECT_EQ(r.counts.transfers, 0u);
 }
 
 TEST(OnlineBreakEven, LocalHitAtOriginIsPureCache) {
   Flow flow;
   flow.points.push_back({kOriginServer, 3.0, 0});
-  const OnlineResult r =
+  const SolveResult r =
       solve_online_break_even(flow, CostModel{1, 1, 0.8}, 2);
-  EXPECT_EQ(r.transfer_count, 0u);
+  EXPECT_EQ(r.counts.transfers, 0u);
   EXPECT_NEAR(r.raw_cost, 3.0, kTol);
 }
 
 TEST(OnlineBreakEven, MissTransfersFromLiveCopy) {
   Flow flow;
   flow.points.push_back({1, 0.5, 0});
-  const OnlineResult r =
+  const SolveResult r =
       solve_online_break_even(flow, CostModel{1, 1, 0.8}, 2);
-  EXPECT_EQ(r.transfer_count, 1u);
+  EXPECT_EQ(r.counts.transfers, 1u);
   // Origin copy held to 0.5 (its use as a source), remote copy zero-length.
   EXPECT_NEAR(r.raw_cost, 0.5 + 1.0, kTol);
 }
@@ -46,18 +46,20 @@ TEST(OnlineBreakEven, DropsIdleCopiesAfterBreakEvenHorizon) {
   flow.points.push_back({1, 1.0, 0});
   flow.points.push_back({0, 50.0, 1});
   const CostModel model{1.0, 2.0, 0.8};
-  const OnlineResult r = solve_online_break_even(flow, model, 2);
+  const SolveResult r = solve_online_break_even(flow, model, 2);
   // Costs: origin hold [0, 1.0] (source use) = 1; transfer λ=2;
   // server-1 copy: used at 1.0, newest copy... server-1 copy IS the newest
   // (last_use 1.0 vs origin 1.0 — tie keeps both), so neither drops until
   // the origin serves t=50 locally.  The origin copy's last_use was 1.0
   // (source use), server-1's 1.0; the origin serves at 50 as a local hit.
   // Exact accounting asserted below just as feasibility + bounded waste:
-  EXPECT_EQ(r.transfer_count, 1u);
+  EXPECT_EQ(r.counts.transfers, 1u);
   const ValidationResult v = r.schedule.validate(flow);
   EXPECT_TRUE(v.ok) << v.message;
   // The idle server-1 copy must not be charged for the full 49-unit gap.
-  EXPECT_LT(r.cache_time, 60.0);
+  // Break-even copies on one server never overlap, so the schedule's
+  // unioned cache time is the policy's own.
+  EXPECT_LT(r.schedule.total_cache_time(), 60.0);
 }
 
 TEST(OnlineBreakEven, ScheduleAlwaysFeasibleOnRandomFlows) {
@@ -65,7 +67,7 @@ TEST(OnlineBreakEven, ScheduleAlwaysFeasibleOnRandomFlows) {
   for (int trial = 0; trial < 60; ++trial) {
     const Flow flow = testing::random_flow(rng, 40, 5);
     const CostModel model{1.0, 0.5 + static_cast<double>(trial % 7), 0.8};
-    const OnlineResult r = solve_online_break_even(flow, model, 5);
+    const SolveResult r = solve_online_break_even(flow, model, 5);
     const ValidationResult v = r.schedule.validate(flow);
     ASSERT_TRUE(v.ok) << v.message;
     ASSERT_NEAR(r.schedule.raw_cost(model), r.raw_cost, 1e-6);
@@ -112,8 +114,8 @@ TEST(OnlineBreakEven, ZeroMuNeverDropsAndNeverRetransfersToSameServer) {
   flow.points.push_back({2, 2.0, 1});
   flow.points.push_back({1, 30.0, 2});
   const CostModel model{0.0, 1.0, 0.8};
-  const OnlineResult r = solve_online_break_even(flow, model, 3);
-  EXPECT_EQ(r.transfer_count, 2u);  // server 1 copy survives forever
+  const SolveResult r = solve_online_break_even(flow, model, 3);
+  EXPECT_EQ(r.counts.transfers, 2u);  // server 1 copy survives forever
   EXPECT_NEAR(r.raw_cost, 2.0, kTol);
 }
 
@@ -125,7 +127,7 @@ TEST(OnlineBreakEven, SmallHoldFactorDegeneratesTowardChaining) {
                                   // stops being newest (the chain strategy)
   for (int trial = 0; trial < 20; ++trial) {
     const Flow flow = testing::random_flow(rng, 20, 3);
-    const OnlineResult r = solve_online_break_even(flow, model, 3, eager_drop);
+    const SolveResult r = solve_online_break_even(flow, model, 3, eager_drop);
     const ValidationResult v = r.schedule.validate(flow);
     ASSERT_TRUE(v.ok) << v.message;
   }

@@ -458,28 +458,6 @@ TEST(StreamingPipeline, PushBatchInterleavesTheRatioProbeIdentically) {
   }
 }
 
-TEST(StreamingPipeline, AdvanceBatchMatchesPerPointAdvance) {
-  Rng rng(9);
-  std::vector<ServicePoint> points;
-  Time t = 0.0;
-  for (int i = 0; i < 500; ++i) {
-    points.push_back(
-        ServicePoint{static_cast<ServerId>(rng.next_int(0, 7)),
-                     t += 0.25 * static_cast<double>(rng.next_int(1, 5))});
-  }
-  OnlineOptions options;
-  OnlineBreakEvenState batched(kModel, 8, 1, options);
-  OnlineBreakEvenState reference(kModel, 8, 1, options);
-  batched.advance_batch(points);
-  for (const ServicePoint& p : points) reference.advance(p);
-  EXPECT_EQ(batched.points_served(), reference.points_served());
-  const OnlineResult a = batched.finish();
-  const OnlineResult b = reference.finish();
-  EXPECT_EQ(a.cost, b.cost);
-  EXPECT_EQ(a.transfer_count, b.transfer_count);
-  EXPECT_EQ(a.cache_time, b.cache_time);
-}
-
 // ---------------------------------------------------------------------------
 // The serve runtime at one shard and one partition (inline, no threads)
 

@@ -12,9 +12,27 @@
 #include "core/cost_model.hpp"
 #include "core/flow.hpp"
 #include "core/request.hpp"
+#include "core/schedule.hpp"
 #include "util/rng.hpp"
 
 namespace dpg::testing {
+
+/// Asserts the same segments and transfers, in the same order, to the bit.
+inline void expect_same_schedule(const Schedule& a, const Schedule& b) {
+  ASSERT_EQ(a.group_size(), b.group_size());
+  ASSERT_EQ(a.segments().size(), b.segments().size());
+  for (std::size_t i = 0; i < a.segments().size(); ++i) {
+    ASSERT_EQ(a.segments()[i].server, b.segments()[i].server);
+    ASSERT_EQ(a.segments()[i].begin, b.segments()[i].begin);
+    ASSERT_EQ(a.segments()[i].end, b.segments()[i].end);
+  }
+  ASSERT_EQ(a.transfers().size(), b.transfers().size());
+  for (std::size_t i = 0; i < a.transfers().size(); ++i) {
+    ASSERT_EQ(a.transfers()[i].from, b.transfers()[i].from);
+    ASSERT_EQ(a.transfers()[i].to, b.transfers()[i].to);
+    ASSERT_EQ(a.transfers()[i].time, b.transfers()[i].time);
+  }
+}
 
 /// Materializes a Request view's item span for gtest container matchers.
 inline std::vector<ItemId> items_of(const Request& r) {

@@ -8,7 +8,8 @@
 //                     [--alpha A] [--mu M] [--lambda L] [--threads N]
 //                     [--format F] [--export-dir DIR]
 //   dpgreedy compare  --trace trace.csv [--solvers a,b,c] [--format F]
-//   dpgreedy online   --trace trace.csv ...  (online vs offline DP_Greedy)
+//                     (online vs offline DP_Greedy: --solvers
+//                     online_dp_greedy,dp_greedy)
 //   dpgreedy serve    --trace - [--snapshot-every N] [--probe-chunk N]
 //                     [--stats-every N] [--prom-out FILE] [--batch N]
 //                     [--ring N] [--listen HOST:PORT] [--shards N]
@@ -31,7 +32,7 @@
 // binary columnar `.dpt` format of trace/dpt.hpp (mmap zero-copy load);
 // every subcommand picks the reader/writer from the file extension, and
 // `convert` translates between the two losslessly.  A trace path of `-`
-// reads CSV from stdin (stats/solve/compare/online materialize it; serve
+// reads CSV from stdin (stats/solve/compare materialize it; serve
 // streams it in bounded memory, serving rows as they arrive).
 #include <algorithm>
 #include <cctype>
@@ -477,36 +478,6 @@ int cmd_compare(int argc, const char* const* argv) {
   return 0;
 }
 
-int cmd_online(int argc, const char* const* argv) {
-  ArgParser args("dpgreedy online", "online DP_Greedy vs the offline solve");
-  const RunFlags flags = add_run_flags(args);
-  args.parse(argc, argv);
-  begin_telemetry(flags);
-
-  const RequestSequence trace = load_trace(flags);
-  const CostModel model = model_of(flags);
-  const SolverConfig config = config_of(flags);
-  const RunReport online =
-      builtin_registry().run("online_dp_greedy", trace, model, config);
-  const RunReport offline =
-      builtin_registry().run("dp_greedy", trace, model, config);
-
-  std::printf("online : total %s, ave %s (%zu packs, %zu unpacks, "
-              "%zu λ-charges)\n",
-              format_fixed(online.total_cost, 2).c_str(),
-              format_fixed(online.ave_cost, 4).c_str(), online.package_count,
-              online.unpack_events, online.transfer_events);
-  std::printf("offline: total %s, ave %s\n",
-              format_fixed(offline.total_cost, 2).c_str(),
-              format_fixed(offline.ave_cost, 4).c_str());
-  if (offline.total_cost > 0.0) {
-    std::printf("online/offline ratio: %s\n",
-                format_fixed(online.total_cost / offline.total_cost, 3).c_str());
-  }
-  finish_telemetry(flags);
-  return 0;
-}
-
 int cmd_serve(int argc, const char* const* argv) {
   ArgParser args("dpgreedy serve",
                  "run the streaming engine over a request feed");
@@ -772,8 +743,8 @@ int cmd_serve(int argc, const char* const* argv) {
 
 void usage() {
   std::fputs(
-      "usage: dpgreedy <list|generate|stats|convert|solve|compare|online|"
-      "serve> [options]\n"
+      "usage: dpgreedy <list|generate|stats|convert|solve|compare|serve> "
+      "[options]\n"
       "       dpgreedy <command> --help for per-command options\n",
       stderr);
 }
@@ -796,7 +767,6 @@ int main(int argc, char** argv) {
     if (command == "convert") return cmd_convert(sub_argc, sub_argv);
     if (command == "solve") return cmd_solve(sub_argc, sub_argv);
     if (command == "compare") return cmd_compare(sub_argc, sub_argv);
-    if (command == "online") return cmd_online(sub_argc, sub_argv);
     if (command == "serve") return cmd_serve(sub_argc, sub_argv);
     usage();
     return 2;
