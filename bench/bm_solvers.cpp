@@ -4,12 +4,14 @@
 // registry solver end to end (one benchmark per registered name).
 //
 // `bm_solvers --fragment FILE` skips the google-benchmark suite and instead
-// measures the branch-light DP kernels (solver/kernels.hpp) against their
-// scalar reference loops, emitting the "dp_kernel" section as a fragment
-// for dpgreedy_bench to merge, with a >=2x single-thread speedup gate armed
-// (the gate only applies where a SIMD variant compiled).
+// measures the DP kernels (solver/kernels.hpp: the fused pre-scan and the
+// window-minimum ring) against the scalar reference loops they replace,
+// emitting the "dp_kernel" section as a fragment for dpgreedy_bench to
+// merge, with a >=2x single-thread speedup gate armed (the gate only
+// applies where the SSE2 kernels compiled).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <sstream>
@@ -341,66 +343,97 @@ double kernel_best_ms(Fn&& fn, int repetitions = kKernelRepetitions) {
 #define DPG_BENCH_NOINLINE __attribute__((noinline))
 #endif
 
+/// The literal window scan: min over [i − width, i) at every node.
 DPG_BENCH_NOINLINE double sweep_window_scalar(const double* v,
                                               std::size_t width,
                                               std::size_t n) {
   double acc = 0.0;
   for (std::size_t i = width; i < n; ++i) {
-    acc += kernels::window_min_scalar(v, i - width, i).second;
+    double best = v[i - width];
+    for (std::size_t k = i - width + 1; k < i; ++k) {
+      best = std::min(best, v[k]);
+    }
+    acc += best;
   }
   return acc;
 }
 
-DPG_BENCH_NOINLINE double sweep_window_kernel(const double* v,
+/// The same minima as the forward pass reads them: the ring holds v up to
+/// i − 2 and answers [i − width, i − 1); v_{i−1} joins as a register and
+/// is pushed after the query.  `out`, when given, keeps each minimum.
+DPG_BENCH_NOINLINE double sweep_window_kernel(kernels::WindowMinRing& ring,
+                                              const double* v,
                                               std::size_t width,
-                                              std::size_t n) {
+                                              std::size_t n,
+                                              double* out = nullptr) {
+  for (std::size_t j = 0; j + 1 < width; ++j) ring.push(j, v[j]);
   double acc = 0.0;
   for (std::size_t i = width; i < n; ++i) {
-    acc += kernels::window_min(v, i - width, i).second;
+    const double older = ring.min_of(i - width, i - 1);
+    ring.push(i - 1, v[i - 1]);
+    const double best = std::min(older, v[i - 1]);
+    if (out != nullptr) out[i] = best;
+    acc += best;
   }
   return acc;
 }
 
-DPG_BENCH_NOINLINE void sweep_w_scalar(const Cost* link, double lambda,
-                                       std::size_t n, Cost* w,
-                                       Cost* w_prefix) {
-  kernels::w_and_prefix_scalar(link, lambda, n, w, w_prefix);
+/// The reference's pre-scan: the RequestIndex pass that finds p(i), then
+/// the literal w/W loop.
+DPG_BENCH_NOINLINE void sweep_prescan_scalar(const Flow& flow,
+                                             std::size_t servers, double mu,
+                                             double lambda,
+                                             RequestIndex& index, Cost* w,
+                                             Cost* w_prefix) {
+  index.rebuild(flow, servers);
+  w[0] = 0.0;
+  w_prefix[0] = 0.0;
+  for (std::size_t j = 1; j < index.node_count(); ++j) {
+    const std::int32_t pj = index.prev_same_server(j);
+    const Cost link =
+        pj >= 0 ? mu * (index.time_of(j) -
+                        index.time_of(static_cast<std::size_t>(pj)))
+                : kInfiniteCost;
+    w[j] = std::min(lambda, link);
+    w_prefix[j] = w_prefix[j - 1] + w[j];
+  }
 }
 
-DPG_BENCH_NOINLINE void sweep_w_kernel(const Cost* link, double lambda,
-                                       std::size_t n, Cost* w,
-                                       Cost* w_prefix) {
-  kernels::w_and_prefix(link, lambda, n, w, w_prefix);
+/// The kernel path's one fused pass (p(i), link, w, W and base).
+DPG_BENCH_NOINLINE void sweep_prescan_kernel(
+    const Flow& flow, std::size_t servers, double mu, double lambda,
+    std::int32_t* last_visit, const kernels::NodeColumns& columns) {
+  kernels::prescan_flow(flow.points, servers, mu, lambda, last_visit,
+                        columns);
 }
 
 int run_dp_kernel(const std::string& fragment_path) {
-  // Columns gathered exactly as the kernel path of solve_optimal_offline
-  // gathers them: a 65536-request single-item flow over 16 servers, so the
-  // same-server windows average n/m = 4096 nodes (the sweep below clamps to
-  // the widths the blocked scan actually serves).
+  // A 65536-request single-item flow over 16 servers, pre-scanned both
+  // ways; the window sweeps run over a tie-heavy v column of the same
+  // length at fixed widths up to the widest window the ring serves.
   const std::size_t n = 65536;
-  const Flow flow = make_flow(n, 16, 9);
-  const RequestIndex index(flow, 16);
-  const std::size_t nodes = index.node_count();
-  const Time* t = index.times().data();
-  std::vector<std::int32_t> prev(nodes);
-  prev[0] = RequestIndex::kNone;
-  for (std::size_t j = 1; j < nodes; ++j) prev[j] = index.prev_same_server(j);
+  const std::size_t servers = 16;
+  const Flow flow = make_flow(n, servers, 9);
+  const std::size_t nodes = n + 1;
   const double mu = 1.0;
   const double lambda = 2.0;
 
-  std::vector<Cost> link(nodes);
-  kernels::link_costs(t, prev.data(), mu, nodes, link.data());
-  // link_costs has no SIMD variant (the prev[] gather needs AVX2+); its cost
-  // is recorded for context but shared by both pipelines below.
+  RequestIndex index;
+  std::vector<Cost> w_s(nodes), wp_s(nodes);
+  std::vector<std::int32_t> last_visit(servers);
+  std::vector<Time> t(nodes);
+  std::vector<ServerId> s(nodes);
+  std::vector<std::int32_t> prev(nodes);
+  std::vector<Cost> base(nodes), wp_k(nodes);
+  const kernels::NodeColumns columns{t.data(), s.data(), prev.data(),
+                                     base.data(), wp_k.data()};
+  // The p(i) pre-scan alone, for context: the reference runs it before
+  // its w/W loop; the kernel pass folds it in.
   const double link_ms = kernel_best_ms([&] {
-    for (int i = 0; i < 8; ++i) {
-      kernels::link_costs(t, prev.data(), mu, nodes, link.data());
-    }
+    for (int i = 0; i < 8; ++i) index.rebuild(flow, servers);
   });
 
-  // Tie-heavy v column (0.125-quantized, like the equivalence fuzzers) so
-  // the latest-argmin tie rule is genuinely exercised while being timed.
+  // Tie-heavy v column (0.125-quantized, like the equivalence fuzzers).
   std::vector<double> v(nodes);
   Rng rng(17);
   for (double& x : v) x = 0.125 * static_cast<double>(rng.next_below(4096));
@@ -412,12 +445,16 @@ int run_dp_kernel(const std::string& fragment_path) {
   };
   std::vector<WindowRow> windows;
   bool bit_identical = true;
-  for (const std::size_t width : {std::size_t{16}, std::size_t{64},
-                                  kernels::kWindowScanThreshold}) {
+  kernels::WindowMinRing ring;
+  std::vector<double> minima(nodes);
+  for (const std::size_t width :
+       {std::size_t{16}, std::size_t{64}, kernels::kRingWindow}) {
+    (void)sweep_window_kernel(ring, v.data(), width, nodes, minima.data());
     for (std::size_t i = width; i < nodes; ++i) {
-      const auto s = kernels::window_min_scalar(v.data(), i - width, i);
-      const auto k = kernels::window_min(v.data(), i - width, i);
-      if (s != k) bit_identical = false;
+      const double* window = v.data() + (i - width);
+      if (minima[i] != *std::min_element(window, window + width)) {
+        bit_identical = false;
+      }
     }
     WindowRow row{width, 0.0, 0.0};
     row.scalar_ms = kernel_best_ms([&] {
@@ -425,43 +462,45 @@ int run_dp_kernel(const std::string& fragment_path) {
       benchmark::DoNotOptimize(acc);
     });
     row.kernel_ms = kernel_best_ms([&] {
-      double acc = sweep_window_kernel(v.data(), width, nodes);
+      double acc = sweep_window_kernel(ring, v.data(), width, nodes);
       benchmark::DoNotOptimize(acc);
     });
     windows.push_back(row);
   }
 
-  std::vector<Cost> w_s(nodes), wp_s(nodes), w_k(nodes), wp_k(nodes);
-  kernels::w_and_prefix_scalar(link.data(), lambda, nodes, w_s.data(),
-                               wp_s.data());
-  kernels::w_and_prefix(link.data(), lambda, nodes, w_k.data(), wp_k.data());
-  if (w_s != w_k || wp_s != wp_k) bit_identical = false;
+  sweep_prescan_scalar(flow, servers, mu, lambda, index, w_s.data(),
+                       wp_s.data());
+  sweep_prescan_kernel(flow, servers, mu, lambda, last_visit.data(), columns);
+  if (wp_s != wp_k) bit_identical = false;
   const double w_scalar_ms = kernel_best_ms([&] {
     for (int i = 0; i < 8; ++i) {
-      sweep_w_scalar(link.data(), lambda, nodes, w_s.data(), wp_s.data());
+      sweep_prescan_scalar(flow, servers, mu, lambda, index, w_s.data(),
+                           wp_s.data());
     }
     benchmark::DoNotOptimize(wp_s.data());
   });
   const double w_kernel_ms = kernel_best_ms([&] {
     for (int i = 0; i < 8; ++i) {
-      sweep_w_kernel(link.data(), lambda, nodes, w_k.data(), wp_k.data());
+      sweep_prescan_kernel(flow, servers, mu, lambda, last_visit.data(),
+                           columns);
     }
     benchmark::DoNotOptimize(wp_k.data());
   });
 
-  // The fused pipeline both solver paths run per flow: one w/W pass, then a
-  // window minimum per node, at the widest window the blocked scan serves
-  // (wider windows take the SuffixMin stack on both paths, so the kernels
-  // change nothing there).
-  const std::size_t pipe_width = kernels::kWindowScanThreshold;
+  // The per-flow pipeline: one pre-scan, then a window minimum per node,
+  // at the widest window the ring serves (wider ones go through block
+  // minima on the kernel path).
+  const std::size_t pipe_width = kernels::kRingWindow;
   const double pipeline_scalar_ms = kernel_best_ms([&] {
-    sweep_w_scalar(link.data(), lambda, nodes, w_s.data(), wp_s.data());
+    sweep_prescan_scalar(flow, servers, mu, lambda, index, w_s.data(),
+                         wp_s.data());
     double acc = sweep_window_scalar(v.data(), pipe_width, nodes);
     benchmark::DoNotOptimize(acc);
   });
   const double pipeline_kernel_ms = kernel_best_ms([&] {
-    sweep_w_kernel(link.data(), lambda, nodes, w_k.data(), wp_k.data());
-    double acc = sweep_window_kernel(v.data(), pipe_width, nodes);
+    sweep_prescan_kernel(flow, servers, mu, lambda, last_visit.data(),
+                         columns);
+    double acc = sweep_window_kernel(ring, v.data(), pipe_width, nodes);
     benchmark::DoNotOptimize(acc);
   });
   const double pipeline_speedup = pipeline_scalar_ms / pipeline_kernel_ms;
@@ -497,7 +536,8 @@ int run_dp_kernel(const std::string& fragment_path) {
   if (status == 0) std::printf("wrote %s\n", fragment_path.c_str());
 
   std::printf("dp_kernel isa=%s nodes=%zu\n", kernels::active_isa(), nodes);
-  std::printf("w_and_prefix: scalar %.3f ms  kernel %.3f ms  %.2fx\n",
+  std::printf("pre-scan (w_and_prefix): scalar %.3f ms  kernel %.3f ms  "
+              "%.2fx\n",
               w_scalar_ms, w_kernel_ms, w_scalar_ms / w_kernel_ms);
   for (const WindowRow& row : windows) {
     std::printf("window_min w=%zu: scalar %.3f ms  kernel %.3f ms  %.2fx\n",
@@ -508,9 +548,8 @@ int run_dp_kernel(const std::string& fragment_path) {
               pipeline_scalar_ms, pipeline_kernel_ms, pipeline_speedup,
               bit_identical ? "bit-identical" : "DIFFERS");
 
-  // The >=2x gate is only meaningful where a SIMD variant compiled; on other
-  // ISAs every kernel is its own scalar reference and the gate degenerates
-  // to the bit-identity check.
+  // The >=2x gate is only meaningful where the SSE2 kernels compiled; on
+  // other ISAs the gate degenerates to the bit-identity check.
   const bool simd = std::string(kernels::active_isa()) != "scalar";
   const bool pass = bit_identical && (!simd || pipeline_speedup >= 2.0);
   if (!simd) std::printf("speedup gate skipped (scalar ISA)\n");

@@ -51,10 +51,15 @@ class RequestIndex {
     return servers_[node];
   }
 
-  /// The flat node columns (for the SoA kernel passes in solver/kernels.hpp).
+  /// The flat node columns.
   [[nodiscard]] std::span<const Time> times() const noexcept { return times_; }
   [[nodiscard]] std::span<const ServerId> servers() const noexcept {
     return servers_;
+  }
+  /// p(i) of every node (prev_same_server), as one column.
+  [[nodiscard]] std::span<const std::int32_t> prev_same_servers()
+      const noexcept {
+    return q_prev_;
   }
 
   /// p(i): most recent node on node i's own server, strictly before i

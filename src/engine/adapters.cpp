@@ -263,9 +263,10 @@ struct ItemOutcome {
   Flow flow;
 };
 
-/// `solve(flow, build_schedule)` solves one item flow into the plan sink
-/// keep_schedules asks for: a Schedule when the plan is kept, a
-/// ScheduleCounter when it is only counted.  Every transfer edge is one
+/// `solve(flow, build_schedule, ws)` solves one item flow into the plan
+/// sink keep_schedules asks for: a Schedule when the plan is kept, a
+/// ScheduleCounter when it is only counted.  `ws` is the shard's
+/// workspace, for the scratch the solve reuses.  Every transfer edge is one
 /// λ-charge.
 template <typename SolveFn>
 RunReport run_per_item(const std::string& name,
@@ -285,7 +286,7 @@ RunReport run_per_item(const std::string& name,
       [&](std::size_t i, SolverWorkspace& ws) {
         make_item_flow(sequence, static_cast<ItemId>(i), ws.flow);
         ItemOutcome& outcome = outcomes[i];
-        outcome.solved = solve(ws.flow, config.keep_schedules);
+        outcome.solved = solve(ws.flow, config.keep_schedules, ws);
         if (config.keep_schedules) outcome.flow = ws.flow;
       },
       &workspace);
@@ -309,9 +310,9 @@ class GreedySolver final : public Solver {
                 const SolverConfig& config) override {
     return run_per_item(
         "greedy", sequence, model, config, workspace_,
-        [&](const Flow& flow, bool build_schedule) {
+        [&](const Flow& flow, bool build_schedule, SolverWorkspace& ws) {
           return solve_greedy(flow, model, sequence.server_count(),
-                              build_schedule);
+                              build_schedule, &ws);
         });
   }
 
@@ -325,7 +326,7 @@ class ChainSolver final : public Solver {
                 const SolverConfig& config) override {
     return run_per_item(
         "chain", sequence, model, config, workspace_,
-        [&](const Flow& flow, bool build_schedule) {
+        [&](const Flow& flow, bool build_schedule, SolverWorkspace&) {
           return solve_chain(flow, model, build_schedule);
         });
   }
@@ -342,7 +343,7 @@ class OnlineBreakEvenSolver final : public Solver {
     options.hold_factor = config.hold_factor;
     return run_per_item(
         "online_break_even", sequence, model, config, workspace_,
-        [&](const Flow& flow, bool build_schedule) {
+        [&](const Flow& flow, bool build_schedule, SolverWorkspace&) {
           return solve_online_break_even(flow, model, sequence.server_count(),
                                          options, build_schedule);
         });

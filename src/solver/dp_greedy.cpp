@@ -90,9 +90,10 @@ void serve_singletons_scalar(const RequestSequence& sequence,
   }
 }
 
-/// The kernel path of Phase 2's walk over a package {a, b}: one merge of
-/// the two items' request lists reads each request's server and time once
-/// and
+/// The kernel path of Phase 2's walk over a package {a, b}: one two-cursor
+/// merge of the two items' request lists (kernels::merge_two_lists), which
+/// prefetches the server and time of the rows it will reach, reads each
+/// request's server and time once and
 ///   * appends the requests holding both items to the package flow
 ///     (ws.flow), which update both items' recency state;
 ///   * decides a's single-item requests as they come, in a's event order;
@@ -116,11 +117,17 @@ void walk_package(const RequestSequence& sequence, const CostModel& model,
   const Cost lambda = model.lambda;
   const Cost package_option = model.package_fetch_cost();
 
-  const ItemId items[2] = {pair.a, pair.b};
-  sequence.merge_item_lists(
-      items, [&](std::size_t index, std::span<const std::size_t> holders) {
-        const ServerId server = sequence.server_of(index);
-        const Time time = sequence.time_of(index);
+  const ServerId* servers = sequence.servers().data();
+  const Time* times = sequence.times().data();
+  kernels::merge_two_lists(
+      sequence.indices_for_item(pair.a), sequence.indices_for_item(pair.b),
+      [servers, times](std::size_t index) {
+        kernels::prefetch(servers + index);
+        kernels::prefetch(times + index);
+      },
+      [&](std::size_t index, std::span<const std::size_t> holders) {
+        const ServerId server = servers[index];
+        const Time time = times[index];
         Time* here = last + 2 * static_cast<std::size_t>(server);
         if (holders.size() == 2) {
           flow.points.push_back(ServicePoint{server, time, index});
@@ -159,14 +166,19 @@ PackageReport solve_pair_package_ws(const RequestSequence& sequence,
   report.total_accesses =
       sequence.item_frequency(pair.a) + sequence.item_frequency(pair.b);
 
-  if (dp.use_kernels) {
-    walk_package(sequence, model, pair, report, ws, keep_plan);
-  } else {
-    make_package_flow(sequence, pair.a, pair.b, ws.flow);
-    serve_singletons_scalar(sequence, model, pair.a, pair.b, report, ws,
-                            keep_plan);
-    serve_singletons_scalar(sequence, model, pair.b, pair.a, report, ws,
-                            keep_plan);
+  {
+    // Building the flow and the greedy decisions: Phase 2's CPU outside
+    // the DP (phase2/dp_solve).
+    const obs::TraceSpan walk_span("phase2/package_walk");
+    if (dp.use_kernels) {
+      walk_package(sequence, model, pair, report, ws, keep_plan);
+    } else {
+      make_package_flow(sequence, pair.a, pair.b, ws.flow);
+      serve_singletons_scalar(sequence, model, pair.a, pair.b, report, ws,
+                              keep_plan);
+      serve_singletons_scalar(sequence, model, pair.b, pair.a, report, ws,
+                              keep_plan);
+    }
   }
   report.co_request_count = ws.flow.size();
   // Every request of either item not in the flow is one greedy decision.

@@ -1,6 +1,7 @@
 #include "solver/greedy.hpp"
 
 #include "core/request_index.hpp"
+#include "solver/workspace.hpp"
 #include "util/error.hpp"
 
 namespace dpg {
@@ -11,16 +12,17 @@ namespace {
 /// transfer prices `lambda(from, to)`: each service point takes the
 /// cheaper of a cache line from its server's previous visit and a
 /// cache-then-transfer from the preceding point.  raw_cost is the
-/// per-decision sum; `multiplier` prices the flow.
+/// per-decision sum; `multiplier` prices the flow.  The pre-scan index is
+/// rebuilt into `index`, a workspace's or a local one.
 template <typename Mu, typename Lambda>
 SolveResult solve_greedy_flow(const Flow& flow, std::size_t server_count,
                               Mu mu, Lambda lambda, double multiplier,
-                              bool build_schedule) {
+                              bool build_schedule, RequestIndex& index) {
   SolveResult result;
   result.schedule = Schedule(flow.group_size);
   if (flow.empty()) return result;
 
-  const RequestIndex index(flow, server_count);
+  index.rebuild(flow, server_count);
   record_plan(result, build_schedule, [&](auto& plan) {
     Cost total = 0.0;
     for (std::size_t i = 1; i < index.node_count(); ++i) {
@@ -56,15 +58,18 @@ SolveResult solve_greedy_flow(const Flow& flow, std::size_t server_count,
 }  // namespace
 
 SolveResult solve_greedy(const Flow& flow, const CostModel& model,
-                         std::size_t server_count, bool build_schedule) {
+                         std::size_t server_count, bool build_schedule,
+                         SolverWorkspace* workspace) {
   model.validate();
   validate_flow(flow);
+  RequestIndex local;
   return solve_greedy_flow(
       flow, server_count, [&](ServerId) { return model.mu; },
       [&](ServerId from, ServerId to) {
         return from != to ? model.lambda : 0.0;
       },
-      model.flow_multiplier(flow.group_size), build_schedule);
+      model.flow_multiplier(flow.group_size), build_schedule,
+      workspace != nullptr ? workspace->index : local);
 }
 
 SolveResult solve_chain(const Flow& flow, const CostModel& model,
@@ -95,10 +100,11 @@ SolveResult solve_greedy_heterogeneous(const Flow& flow,
                                        const HeterogeneousCostModel& model) {
   validate_flow(flow);
   // Heterogeneous flows are priced at face value.
+  RequestIndex index;
   return solve_greedy_flow(
       flow, model.server_count(), [&](ServerId s) { return model.mu(s); },
       [&](ServerId from, ServerId to) { return model.lambda(from, to); }, 1.0,
-      /*build_schedule=*/true);
+      /*build_schedule=*/true, index);
 }
 
 }  // namespace dpg

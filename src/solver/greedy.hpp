@@ -12,14 +12,19 @@
 
 namespace dpg {
 
+struct SolverWorkspace;
+
 /// Solves one flow greedily. The reported raw_cost is the per-decision sum
 /// the paper analyses; the reconstructed schedule's cost can only be lower
 /// (shared cache lines are double-counted by the greedy accounting but
 /// unioned in the schedule).  Without `build_schedule` the schedule is only
-/// counted (SolveResult::counts); costs are the same either way.
+/// counted (SolveResult::counts); costs are the same either way.  Passing a
+/// `workspace` rebuilds its RequestIndex in place instead of a fresh one,
+/// so repeated solves allocate nothing once it has grown.
 [[nodiscard]] SolveResult solve_greedy(const Flow& flow, const CostModel& model,
                                        std::size_t server_count,
-                                       bool build_schedule = true);
+                                       bool build_schedule = true,
+                                       SolverWorkspace* workspace = nullptr);
 
 /// The chain strategy: the copy simply follows the request trajectory
 /// (always Tr, never a same-server cache line).  The weakest sensible

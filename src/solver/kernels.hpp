@@ -1,41 +1,61 @@
-// Branch-light structure-of-arrays kernels for the Phase-2 DP hot loops.
+// Branch-light kernels for the Phase-2 hot loops.
 //
-// solve_optimal_offline spends its time in two places: the w_j =
-// min(λ, μ·Δt) / prefix-sum pass and the window minimum over v_k =
-// C(k) − W(k) inside D(i).  Both are rewritten here as flat column passes —
-// a precomputed same-server link column instead of a per-node branch on
-// p(j), a saturating min instead of an if, and a blocked min-reduction for
-// the window scan.  The SSE2 variants are hand-written intrinsics (SSE2 is
-// the x86-64 baseline, so no runtime dispatch is needed); every kernel has
-// a scalar fallback compiled on other ISAs, and both variants are
-// bit-identical to the reference loops they replace:
+// solve_optimal_offline spends its time on the chain from one DP cell to
+// the next: C(i) needs min_{k in [p(i), i)} v_k with v_k = C(k) − W(k), and
+// v_i needs C(i).  The kernel path keeps that chain free of data-dependent
+// branches:
 //
-//   * min over finite doubles is exact in IEEE-754, so a blocked
-//     _mm_min_pd reduction returns the same bits as a serial scan;
-//   * argmin ties resolve to the LATEST index in the window, matching the
-//     SuffixMin monotonic stack (push pops `>=`, keeping the newest of any
-//     equal run) — the scalar reference scans backward with a strict `<`
-//     for the same reason;
-//   * the link column stores the ∞ "no previous visit" sentinel directly
-//     instead of multiplying μ into an ∞ Δt, which would manufacture NaNs
-//     at μ = 0.
+//   * prescan_flow finds p(i) and writes W and base(i) = μ·(t_i − t_{p(i)})
+//     + W(i−1) in one pass over the flow, storing the ∞ base of a server's
+//     first visit directly (multiplying μ into an ∞ Δt would manufacture
+//     NaNs at μ = 0);
+//   * the forward pass computes only the minimum VALUE of v over the window,
+//     from a WindowMin (solver/workspace.hpp).  Windows of at most
+//     kRingWindow nodes read two overlapping power-of-two blocks of a
+//     WindowMinRing in O(1).  Wider ones are cut at kWideBlock boundaries:
+//     the rest of p(i)'s block, then the closed blocks after it from the
+//     SuffixMin stack over block minima in O(log n), then the newest block
+//     from the ring.  The structure holds v up to i − 2, and v_{i−1} joins
+//     the minimum as a register, so the loop-carried chain is a
+//     subtraction, two mins, an add and a min;
+//   * per node the pass stores only whether D(i) won and that minimum.  The
+//     backtrack recovers the split as the LATEST k in [p(i), i) whose v_k
+//     equals the minimum — the tie rule of SuffixMin (its push pops `>=`,
+//     keeping the newest of any equal run) and of the reference loops.  The
+//     scan runs backward from i − 1 over nodes the backtrack then walks as
+//     intermediates anyway, so it is O(n) per flow in all.
 //
-// The kernels are cross-checked bit-identical against the scalar reference
-// in tests/kernels_test.cpp and against the full solver paths in
-// tests/kernel_equivalence_test.cpp; the ≥2x single-thread speedup gate
-// lives in bench/bm_solvers.cpp (`dp_kernel` section of BENCH_solvers.json).
+// The worst case stays O(n log n) per flow: the ring costs O(1) per push and
+// query, closing a block O(kWideBlock) once per kWideBlock pushes, the stack
+// O(1) amortized per block and O(log n) per query, and no per-node scan in
+// the forward pass is longer than a fixed constant.  Every result is
+// bit-identical to the reference loops: min over finite doubles is exact in
+// IEEE-754, so the minimum has the same bits however it is grouped, and the
+// recovered split is the reference's argmin.
+//
+// Package walks (walk_package in solver/dp_greedy.cpp) merge a pair's two
+// request lists with merge_two_lists, which advances its cursors by
+// comparison results and prefetches the rows it will read.
+//
+// Cross-checked bit for bit against the `--no-kernels` reference loops in
+// tests/kernels_test.cpp and tests/kernel_equivalence_test.cpp, and the
+// two-list walk against the k-list merge in tests/list_merge_test.cpp; the
+// >=2x single-thread gate lives in bench/bm_solvers.cpp (`dp_kernel`
+// section of BENCH_solvers.json).
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <utility>
+#include <span>
 
+#include "core/flow.hpp"
 #include "core/types.hpp"
+#include "util/error.hpp"
 
 #if defined(__SSE2__) || defined(_M_X64) || \
     (defined(_M_IX86_FP) && _M_IX86_FP >= 2)
 #define DPG_KERNELS_SSE2 1
-#include <emmintrin.h>
 #else
 #define DPG_KERNELS_SSE2 0
 #endif
@@ -52,130 +72,197 @@ namespace dpg::kernels {
 #endif
 }
 
-/// D(i) windows no wider than this take the blocked scan over the dense v
-/// column; wider windows fall back to the SuffixMin stack, which answers in
-/// O(log) regardless of width.  Windows are ~n/m nodes on average, so the
-/// scan path covers everything up to ~96-server-spread flows; 96 · 8 bytes
-/// is 12 cache lines, well under the crossover measured in bm_solvers.
-inline constexpr std::size_t kWindowScanThreshold = 96;
-
-// ---------------------------------------------------------------------------
-// Link column: link[j] = μ·(t_j − t_{p(j)}), or ∞ when p(j) does not exist.
-
-/// Scalar reference.  The gather through prev[] dominates; there is no
-/// profitable SSE2 variant (no 64-bit gather below AVX2), so the dispatching
-/// name forwards here on every ISA.
-inline void link_costs_scalar(const Time* times, const std::int32_t* prev,
-                              double mu, std::size_t n, Cost* link) {
-  link[0] = kInfiniteCost;  // node 0 is the origin; never read
-  for (std::size_t j = 1; j < n; ++j) {
-    const std::int32_t p = prev[j];
-    link[j] = p >= 0
-                  ? mu * (times[j] - times[static_cast<std::size_t>(p)])
-                  : kInfiniteCost;
-  }
+/// `take ? x : 0.0` through a bit mask: the same bits as the ternary, with
+/// no branch for the compiler to emit on an unpredictable `take`.
+[[nodiscard]] inline double select_or_zero(bool take, double x) noexcept {
+  const std::uint64_t mask = std::uint64_t{0} - std::uint64_t{take};
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) & mask);
 }
 
-inline void link_costs(const Time* times, const std::int32_t* prev, double mu,
-                       std::size_t n, Cost* link) {
-  link_costs_scalar(times, prev, mu, n, link);
-}
-
-// ---------------------------------------------------------------------------
-// w / W pass: w[j] = min(λ, link[j]), w_prefix[j] = w_prefix[j-1] + w[j].
-
-/// Scalar reference for the fused pass (indices 1..n-1; slot 0 is zeroed).
-inline void w_and_prefix_scalar(const Cost* link, double lambda,
-                                std::size_t n, Cost* w, Cost* w_prefix) {
-  w[0] = 0.0;
-  w_prefix[0] = 0.0;
-  for (std::size_t j = 1; j < n; ++j) {
-    w[j] = std::min(lambda, link[j]);
-    w_prefix[j] = w_prefix[j - 1] + w[j];
-  }
-}
-
-/// The min pass vectorizes (MINPD has exactly std::min's semantics for the
-/// finite-vs-∞ inputs here); the prefix sum stays serial — its loop-carried
-/// dependency is the definition of W.  Same bits as the fused scalar pass.
-inline void w_and_prefix(const Cost* link, double lambda, std::size_t n,
-                         Cost* w, Cost* w_prefix) {
-#if DPG_KERNELS_SSE2
-  w[0] = 0.0;
-  w_prefix[0] = 0.0;
-  const __m128d lam = _mm_set1_pd(lambda);
-  std::size_t j = 1;
-  for (; j + 2 <= n; j += 2) {
-    _mm_storeu_pd(w + j, _mm_min_pd(_mm_loadu_pd(link + j), lam));
-  }
-  for (; j < n; ++j) w[j] = std::min(lambda, link[j]);
-  for (j = 1; j < n; ++j) w_prefix[j] = w_prefix[j - 1] + w[j];
+/// Hints that `address` will be read soon.  Never faults.
+inline void prefetch(const void* address) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(address);
 #else
-  w_and_prefix_scalar(link, lambda, n, w, w_prefix);
+  (void)address;
 #endif
 }
 
 // ---------------------------------------------------------------------------
-// Window minimum over v[lo..hi): value and LATEST argmin among ties.
+// Fused pre-scan: p(i), link, w and W in one pass over the flow.
 
-/// Scalar reference: backward scan with a strict `<`, so the latest index of
-/// any equal run wins — the tie rule SuffixMin implements via its `>=` pop.
-[[nodiscard]] inline std::pair<std::int32_t, double> window_min_scalar(
-    const double* v, std::size_t lo, std::size_t hi) {
-  std::size_t arg = hi - 1;
-  double best = v[arg];
-  for (std::size_t k = hi - 1; k-- > lo;) {
-    if (v[k] < best) {
-      best = v[k];
-      arg = k;
-    }
+/// The node columns the kernel DP reads, one entry per node: node 0 is the
+/// origin (server kOriginServer at time 0), node i the flow's point i − 1.
+struct NodeColumns {
+  Time* times;
+  ServerId* servers;
+  std::int32_t* prev;  // p(i), or -1 on a server's first visit
+  Cost* base;          // μ·(t_i − t_{p(i)}) + W(i−1), ∞ without p(i)
+  Cost* w_prefix;      // W(i) = w(1) + ... + w(i)
+};
+
+/// Fills `out` for a flow's `points` (n = points + 1 nodes) in one pass,
+/// with `last_visit` (server_count entries) as the per-server scratch.
+/// Throws InvalidArgument on a server id out of range, as
+/// RequestIndex::rebuild does.  base and W carry the reference's bits:
+/// link = μ·Δt is added to W(i−1) first, and W(i) = W(i−1) + min(λ, link).
+inline void prescan_flow(std::span<const ServicePoint> points,
+                         std::size_t server_count, double mu, double lambda,
+                         std::int32_t* last_visit, const NodeColumns& out) {
+  require(server_count > kOriginServer, "prescan_flow: need >= 1 server");
+  std::fill(last_visit, last_visit + server_count, std::int32_t{-1});
+  last_visit[kOriginServer] = 0;
+  out.times[0] = 0.0;
+  out.servers[0] = kOriginServer;
+  out.prev[0] = -1;
+  out.base[0] = kInfiniteCost;
+  out.w_prefix[0] = 0.0;
+  Cost w_prefix = 0.0;
+  for (std::size_t i = 1; i <= points.size(); ++i) {
+    const ServicePoint& point = points[i - 1];
+    require(point.server < server_count,
+            "prescan_flow: service point server out of range");
+    const std::int32_t p = last_visit[point.server];
+    last_visit[point.server] = static_cast<std::int32_t>(i);
+    const auto p_node = static_cast<std::size_t>(p);
+    const Cost link =
+        p >= 0 ? mu * (point.time - out.times[p_node]) : kInfiniteCost;
+    out.times[i] = point.time;
+    out.servers[i] = point.server;
+    out.prev[i] = p;
+    out.base[i] = link + w_prefix;
+    w_prefix += std::min(lambda, link);
+    out.w_prefix[i] = w_prefix;
   }
-  return {static_cast<std::int32_t>(arg), best};
 }
 
-/// Blocked SSE2 min-reduction (two accumulators, so the 4-cycle MINPD
-/// latency chain splits in half), then a vectorized backward equality scan
-/// to the latest exact match.  Matches the scalar reference bit for bit:
-/// min over finite doubles is exact, so the reduction returns the same bits
-/// as a serial scan, and taking the higher-index lane of the first matching
-/// pair yields the latest argmin among ties.
-[[nodiscard]] inline std::pair<std::int32_t, double> window_min(
-    const double* v, std::size_t lo, std::size_t hi) {
-#if DPG_KERNELS_SSE2
-  __m128d acc0 = _mm_set1_pd(v[hi - 1]);
-  __m128d acc1 = acc0;
-  std::size_t k = lo;
-  for (; k + 4 <= hi; k += 4) {
-    acc0 = _mm_min_pd(acc0, _mm_loadu_pd(v + k));
-    acc1 = _mm_min_pd(acc1, _mm_loadu_pd(v + k + 2));
-  }
-  __m128d acc = _mm_min_pd(acc0, acc1);
-  for (; k + 2 <= hi; k += 2) {
-    acc = _mm_min_pd(acc, _mm_loadu_pd(v + k));
-  }
-  double best =
-      _mm_cvtsd_f64(_mm_min_sd(acc, _mm_unpackhi_pd(acc, acc)));
-  if (k < hi && v[k] < best) best = v[k];
-  // Backward locate, two lanes at a time.  CMPEQPD + MOVMSKPD flags both
-  // lanes of a pair; bit 1 is the higher index, so it wins a within-pair
-  // tie.  If no pair matched, only v[lo] can be left (an equal element must
-  // exist — `best` is the min over [lo, hi)).
-  const __m128d vb = _mm_set1_pd(best);
-  std::size_t e = hi;
-  std::size_t arg = lo;
-  while (e - lo >= 2) {
-    const int mask =
-        _mm_movemask_pd(_mm_cmpeq_pd(_mm_loadu_pd(v + e - 2), vb));
-    if (mask != 0) {
-      arg = e - 2 + ((mask & 2) != 0 ? 1 : 0);
-      break;
+// ---------------------------------------------------------------------------
+// Window minimum of the most recent values, in O(1) without branches.
+
+/// The minimum over any window of the last kSlots values pushed, from
+/// power-of-two blocks: level L keeps min(v_k, ..., v_{k + 2^L − 1}) for
+/// each block start k in a ring of kSlots entries.  push(j, x) completes
+/// the block ending at j on every level from the one below (one min per
+/// level), and min_of(lo, hi) takes the min of the two level-L blocks that
+/// cover [lo, hi), L = ⌊log2(hi − lo)⌋.  Each level's row is 2·kSlots
+/// long and its upper half holds +∞, which an empty window reads instead
+/// of branching.
+class WindowMinRing {
+ public:
+  static constexpr std::size_t kSlots = 128;
+  /// Blocks of 1, 2, ..., 64 values: every window narrower than kSlots.
+  static constexpr std::size_t kLevels = std::bit_width(kSlots - 1);
+
+  WindowMinRing() noexcept {
+    for (double (&level)[2 * kSlots] : levels_) {
+      std::fill(std::begin(level), std::end(level), kInfiniteCost);
     }
-    e -= 2;
   }
-  return {static_cast<std::int32_t>(arg), best};
-#else
-  return window_min_scalar(v, lo, hi);
-#endif
+
+  /// Appends v_j = x.  Pushes come in index order, one per index.
+  void push(std::size_t j, double x) noexcept {
+    levels_[0][j & kMask] = x;
+    double block = x;
+    for (std::size_t level = 1; level < kLevels; ++level) {
+      // The level-L block ending at j starts at j + 1 − 2^L; its upper
+      // half is the level-(L−1) block just completed.  Early pushes
+      // complete blocks that would start before index 0; no query reads
+      // them before a real block of the same slot replaces them.
+      const std::size_t slot = (j + 1 - (std::size_t{1} << level)) & kMask;
+      block = std::min(levels_[level - 1][slot], block);
+      levels_[level][slot] = block;
+    }
+  }
+
+  /// v_j itself, for any of the last kSlots values pushed.
+  [[nodiscard]] double value(std::size_t j) const noexcept {
+    return levels_[0][j & kMask];
+  }
+
+  /// min(v_lo, ..., v_{hi−1}), or +∞ when lo == hi.  Needs hi − lo <
+  /// kSlots, every index in [lo, hi) pushed, and no more than kSlots − 1
+  /// pushes after lo (so no block of the window has been overwritten).
+  [[nodiscard]] double min_of(std::size_t lo, std::size_t hi) const noexcept {
+    const std::size_t width = hi - lo;
+    // An empty window reads level 0 in the +∞ half: `infinite` is kSlots
+    // or 0, and ORing it into a ring slot picks the half.
+    const std::size_t infinite = std::size_t{width == 0} * kSlots;
+    const auto level =
+        static_cast<std::size_t>(std::bit_width(width | 1) - 1);
+    const std::size_t first = (lo & kMask) | infinite;
+    const std::size_t second =
+        ((hi - (std::size_t{1} << level)) & kMask) | infinite;
+    return std::min(levels_[level][first], levels_[level][second]);
+  }
+
+ private:
+  static constexpr std::size_t kMask = kSlots - 1;
+  double levels_[kLevels][2 * kSlots];
+};
+
+/// WindowMin (solver/workspace.hpp) reads windows of fewer than this many
+/// values from the ring.  The forward pass asks for [p(i), i − 1), so D(i)
+/// windows of at most kRingWindow nodes take the ring.  Windows are about
+/// n/m nodes on average (a mean of 39, and 90% at most 97, on the
+/// 2,000-taxi benchmark trace).
+inline constexpr std::size_t kRingWindow = WindowMinRing::kSlots;
+
+/// Wider windows are read in aligned blocks of this many values.
+inline constexpr std::size_t kWideBlock = 64;
+static_assert(2 * kWideBlock <= kRingWindow,
+              "a wide window must hold a whole block past its first one");
+
+// ---------------------------------------------------------------------------
+// Two-list walk (Phase-2 package flows).
+
+/// How many entries ahead of its cursors merge_two_lists prefetches.
+inline constexpr std::size_t kMergePrefetchDistance = 16;
+
+/// merge_item_lists at k = 2 (core/request.hpp) as one two-cursor loop:
+/// visit(index, holders) runs once per distinct index of the ascending
+/// lists `a` and `b`, in ascending order, with holders {0}, {1} or {0, 1}.
+/// Each step advances the cursors by its two comparisons instead of
+/// branching on them, and calls prefetch(index) for the entry
+/// kMergePrefetchDistance ahead of each cursor, so the caller can pull in
+/// the rows it is about to read.
+template <typename Prefetch, typename Visit>
+void merge_two_lists(std::span<const std::size_t> a,
+                     std::span<const std::size_t> b, Prefetch&& prefetch,
+                     Visit&& visit) {
+  static constexpr std::size_t kHolders[2] = {0, 1};
+  const std::span<const std::size_t> only_a(kHolders, 1);
+  const std::span<const std::size_t> only_b(kHolders + 1, 1);
+  const std::size_t na = a.size();
+  const std::size_t nb = b.size();
+  for (std::size_t k = 0; k < std::min(kMergePrefetchDistance, na); ++k) {
+    prefetch(a[k]);
+  }
+  for (std::size_t k = 0; k < std::min(kMergePrefetchDistance, nb); ++k) {
+    prefetch(b[k]);
+  }
+  std::size_t ia = 0;
+  std::size_t ib = 0;
+  while (ia < na && ib < nb) {
+    prefetch(a[std::min(ia + kMergePrefetchDistance, na - 1)]);
+    prefetch(b[std::min(ib + kMergePrefetchDistance, nb - 1)]);
+    const std::size_t head_a = a[ia];
+    const std::size_t head_b = b[ib];
+    const bool in_a = head_a <= head_b;
+    const bool in_b = head_b <= head_a;
+    ia += in_a ? 1 : 0;
+    ib += in_b ? 1 : 0;
+    visit(in_a ? head_a : head_b,
+          std::span<const std::size_t>(kHolders + (in_a ? 0 : 1),
+                                       (in_a ? 1u : 0u) + (in_b ? 1u : 0u)));
+  }
+  for (; ia < na; ++ia) {
+    prefetch(a[std::min(ia + kMergePrefetchDistance, na - 1)]);
+    visit(a[ia], only_a);
+  }
+  for (; ib < nb; ++ib) {
+    prefetch(b[std::min(ib + kMergePrefetchDistance, nb - 1)]);
+    visit(b[ib], only_b);
+  }
 }
 
 // ---------------------------------------------------------------------------

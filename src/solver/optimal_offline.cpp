@@ -1,6 +1,7 @@
 #include "solver/optimal_offline.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -20,45 +21,102 @@ const obs::Counter g_workspace_hits = obs::counter("phase2.workspace_reuse_hits"
 const obs::Counter g_workspace_local = obs::counter("phase2.workspace_local");
 const obs::Histogram g_flow_nodes = obs::histogram("phase2.flow_nodes");
 
-/// Backtracks from the last node into `out`, a Schedule or a
-/// ScheduleCounter; each step explains how node i and the nodes between the
-/// predecessor state and i are physically served.
-template <typename Sink>
-void backtrack(const RequestIndex& index, const std::vector<DpChoice>& choice,
-               double mu, double lambda, Sink& out) {
-  std::size_t i = index.node_count() - 1;
+/// The node columns a backtrack reads: t_i, s_i and p(i).
+struct NodeView {
+  const Time* times;
+  const ServerId* servers;
+  const std::int32_t* prev;
+};
+
+/// Backtracks from node n − 1 into `out`, a Schedule or a ScheduleCounter;
+/// each step explains how node i and the nodes between the predecessor
+/// state and i are physically served.  `split_of(i)` is the split k of a
+/// D(i) step, or -1 for a Tr(i) step.
+template <typename SplitOf, typename Sink>
+void backtrack(const NodeView& nodes, std::size_t n, double mu, double lambda,
+               SplitOf&& split_of, Sink& out) {
+  const Time* t = nodes.times;
+  const ServerId* s = nodes.servers;
+  std::size_t i = n - 1;
   while (i > 0) {
-    const DpChoice& ch = choice[i];
-    const Time t_i = index.time_of(i);
-    const ServerId s_i = index.server_of(i);
-    if (ch.via_line) {
-      const auto p = static_cast<std::size_t>(index.prev_same_server(i));
-      out.add_segment(s_i, index.time_of(p), t_i);
-      const auto k = static_cast<std::size_t>(ch.split_k);
+    const std::int32_t split = split_of(i);
+    if (split >= 0) {
+      const auto p = static_cast<std::size_t>(nodes.prev[i]);
+      out.add_segment(s[i], t[p], t[i]);
+      const auto k = static_cast<std::size_t>(split);
       // Intermediates: local cache link when that is what w_j priced,
       // otherwise a side transfer off the line.
       for (std::size_t j = k + 1; j < i; ++j) {
-        const std::int32_t pj = index.prev_same_server(j);
+        const std::int32_t pj = nodes.prev[j];
         const bool local_chosen =
             pj >= 0 &&
-            mu * (index.time_of(j) -
-                  index.time_of(static_cast<std::size_t>(pj))) < lambda;
+            mu * (t[j] - t[static_cast<std::size_t>(pj)]) < lambda;
         if (local_chosen) {
-          out.add_segment(index.server_of(j),
-                          index.time_of(static_cast<std::size_t>(pj)),
-                          index.time_of(j));
+          out.add_segment(s[j], t[static_cast<std::size_t>(pj)], t[j]);
         } else {
-          out.add_transfer(s_i, index.server_of(j), index.time_of(j));
+          out.add_transfer(s[i], s[j], t[j]);
         }
       }
       i = k;
     } else {
-      const ServerId s_prev = index.server_of(i - 1);
-      out.add_segment(s_prev, index.time_of(i - 1), t_i);
-      if (s_prev != s_i) out.add_transfer(s_prev, s_i, t_i);
+      out.add_segment(s[i - 1], t[i - 1], t[i]);
+      if (s[i - 1] != s[i]) out.add_transfer(s[i - 1], s[i], t[i]);
       i = i - 1;
     }
   }
+}
+
+/// The kernel forward pass over the pre-scanned columns (n >= 2 nodes):
+/// returns C(n − 1) and leaves v, via_line and line_min for the backtrack.
+Cost forward_pass(SolverWorkspace& ws, std::size_t n, double mu,
+                  double lambda) {
+  const Time* t = ws.times.data();
+  const ServerId* s = ws.servers.data();
+  const std::int32_t* prev = ws.prev.data();
+  const Cost* base = ws.base.data();
+  const Cost* w_prefix = ws.w_prefix.data();
+  double* v = ws.v.data();
+  std::uint8_t* via_line = ws.via_line.data();
+  Cost* line_min = ws.line_min.data();
+  WindowMin& windows = ws.windows;
+  windows.clear();
+
+  Cost c = 0.0;         // C(i − 1)
+  double v_last = 0.0;  // v_{i−1} = C(i − 1) − W(i − 1)
+  v[0] = 0.0;
+  for (std::size_t i = 1; i < n; ++i) {
+    // D(i)'s window is [p(i), i).  `windows` holds v up to i − 2: the
+    // minimum over [p(i), i − 1) comes from it, and v_{i−1} joins it as a
+    // register.  A first visit reads the empty window; its base is ∞.
+    const std::int32_t p = prev[i];
+    const Cost older =
+        windows.min_from(p >= 0 ? static_cast<std::size_t>(p) : i - 1);
+    windows.push(v_last);
+    const Cost best = std::min(older, v_last);
+
+    const Cost tr = c + mu * (t[i] - t[i - 1]) +
+                    kernels::select_or_zero(s[i] != s[i - 1], lambda);
+    const Cost line = base[i] + best;
+    via_line[i] = line < tr ? 1 : 0;
+    line_min[i] = best;
+    c = std::min(tr, line);
+    v_last = c - w_prefix[i];
+    v[i] = v_last;
+  }
+  return c;
+}
+
+/// The split of node i on the kernel path: -1 for a Tr(i) step, otherwise
+/// the latest k in [p(i), i) whose v_k equals D(i)'s window minimum — the
+/// argmin the reference loops keep.  The scan walks back over the nodes
+/// the backtrack then serves as intermediates, so it is O(n) per flow.
+std::int32_t recovered_split(const SolverWorkspace& ws, std::size_t i) {
+  if (ws.via_line[i] == 0) return -1;
+  const double best = ws.line_min[i];
+  const auto p = static_cast<std::size_t>(ws.prev[i]);
+  std::size_t k = i - 1;
+  while (k > p && ws.v[k] != best) --k;
+  return static_cast<std::int32_t>(k);
 }
 
 }  // namespace
@@ -81,17 +139,53 @@ SolveResult solve_optimal_offline(const Flow& flow, const CostModel& model,
   }
 
   // All scratch lives in the (caller-provided or local) workspace; repeated
-  // solves through one workspace reuse capacity and allocate nothing.
-  SolverWorkspace local;
-  SolverWorkspace& ws = workspace != nullptr ? *workspace : local;
+  // solves through one workspace reuse capacity and allocate nothing.  The
+  // local one is built only when needed: its window-minimum ring is
+  // filled on construction.
+  std::optional<SolverWorkspace> local;
+  SolverWorkspace& ws = workspace != nullptr ? *workspace : local.emplace();
 
-  ws.index.rebuild(flow, server_count);
-  const RequestIndex& index = ws.index;
-  const std::size_t n = index.node_count();  // origin + services
+  const std::size_t n = flow.size() + 1;  // origin + services
   g_dp_cells.add(n - 1);
   g_flow_nodes.record(n);
   const double mu = model.mu;
   const double lambda = model.lambda;
+
+  if (options.use_kernels) {
+    // Kernel path (solver/kernels.hpp): one pre-scan pass builds p(i),
+    // base and W; the forward pass keeps only window minima; the backtrack
+    // recovers each split.  Bit-identical to the reference branch below.
+    ws.times.resize(n);
+    ws.servers.resize(n);
+    ws.prev.resize(n);
+    ws.base.resize(n);
+    ws.w_prefix.resize(n);
+    ws.v.resize(n);
+    ws.via_line.resize(n);
+    ws.line_min.resize(n);
+    ws.last_visit.resize(server_count);
+    kernels::prescan_flow(flow.points, server_count, mu, lambda,
+                          ws.last_visit.data(),
+                          kernels::NodeColumns{ws.times.data(),
+                                               ws.servers.data(),
+                                               ws.prev.data(), ws.base.data(),
+                                               ws.w_prefix.data()});
+    result.raw_cost = forward_pass(ws, n, mu, lambda);
+    result.cost = model.flow_multiplier(flow.group_size) * result.raw_cost;
+    record_plan(result, options.build_schedule, [&](auto& plan) {
+      backtrack(NodeView{ws.times.data(), ws.servers.data(), ws.prev.data()},
+                n, mu, lambda,
+                [&ws](std::size_t i) { return recovered_split(ws, i); },
+                plan);
+    });
+    return result;
+  }
+
+  // Reference path: the Section-V pre-scan index and the literal
+  // recurrences, kept as the bit-exact oracle the kernels are checked
+  // against.
+  ws.index.rebuild(flow, server_count);
+  const RequestIndex& index = ws.index;
 
   // w_j: the cheapest way to serve node j as an *intermediate* under a cache
   // line that spans its time — a λ side-transfer off the line, or j's own
@@ -110,125 +204,75 @@ SolveResult solve_optimal_offline(const Flow& flow, const CostModel& model,
   suffix.clear();
   suffix.push(0, 0.0);
 
-  if (options.use_kernels) {
-    // Kernel path (solver/kernels.hpp): gather the same-server predecessor
-    // and link columns once, run the w/W pass as flat column kernels, and
-    // answer D(i)'s window minimum with a blocked scan over the dense
-    // v_k = C(k) − W(k) column — SuffixMin stays as the wide-window
-    // backstop.  Bit-identical to the reference branch below.
-    const Time* t = index.times().data();
-    const ServerId* s = index.servers().data();
-    ws.prev.resize(n);
-    std::int32_t* prev = ws.prev.data();
-    prev[0] = RequestIndex::kNone;
-    for (std::size_t j = 1; j < n; ++j) prev[j] = index.prev_same_server(j);
-    ws.link.resize(n);
-    kernels::link_costs(t, prev, mu, n, ws.link.data());
-    kernels::w_and_prefix(ws.link.data(), lambda, n, w.data(),
-                          w_prefix.data());
-    ws.v.resize(n);
-    double* v = ws.v.data();
-    v[0] = 0.0;
+  for (std::size_t j = 1; j < n; ++j) {
+    Cost local_link = kInfiniteCost;
+    const std::int32_t pj = index.prev_same_server(j);
+    if (pj >= 0) {
+      local_link = mu * (index.time_of(j) -
+                         index.time_of(static_cast<std::size_t>(pj)));
+    }
+    w[j] = std::min(lambda, local_link);
+    w_prefix[j] = w_prefix[j - 1] + w[j];
+  }
 
-    for (std::size_t i = 1; i < n; ++i) {
-      const Cost tr =
-          c[i - 1] + mu * (t[i] - t[i - 1]) + (s[i] != s[i - 1] ? lambda : 0.0);
-      Cost line = kInfiniteCost;
-      std::int32_t line_k = -1;
-      const std::int32_t p = prev[i];
-      if (p >= 0) {
-        const Cost base = mu * (t[i] - t[static_cast<std::size_t>(p)]) +
-                          w_prefix[i - 1];
-        if (i - static_cast<std::size_t>(p) <= kernels::kWindowScanThreshold) {
-          const auto [arg, best] =
-              kernels::window_min(v, static_cast<std::size_t>(p), i);
+  for (std::size_t i = 1; i < n; ++i) {
+    const Time t_i = index.time_of(i);
+    const Time t_prev = index.time_of(i - 1);
+    const ServerId s_i = index.server_of(i);
+    const ServerId s_prev = index.server_of(i - 1);
+
+    // Tr(i): chain through the previous service point.
+    const Cost tr =
+        c[i - 1] + mu * (t_i - t_prev) + (s_i != s_prev ? lambda : 0.0);
+
+    // D(i): cache line on s_i from the previous same-server visit p(i);
+    // every node between the split k and i is served for w_j.
+    Cost line = kInfiniteCost;
+    std::int32_t line_k = -1;
+    const std::int32_t p = index.prev_same_server(i);
+    if (p >= 0) {
+      const Time t_p = index.time_of(static_cast<std::size_t>(p));
+      const Cost base = mu * (t_i - t_p) + w_prefix[i - 1];
+      if (options.fast_range_min) {
+        const auto [arg, best] = suffix.query(p);
+        if (best < kInfiniteCost) {
           line = base + best;
           line_k = arg;
-        } else {
-          const auto [arg, best] = suffix.query(p);
-          if (best < kInfiniteCost) {
-            line = base + best;
-            line_k = arg;
+        }
+      } else {
+        for (std::int32_t k = p; k < static_cast<std::int32_t>(i); ++k) {
+          const Cost candidate =
+              base + c[static_cast<std::size_t>(k)] -
+              w_prefix[static_cast<std::size_t>(k)];
+          if (candidate < line) {
+            line = candidate;
+            line_k = k;
           }
         }
       }
-      if (line < tr) {
-        c[i] = line;
-        choice[i] = DpChoice{true, line_k};
-      } else {
-        c[i] = tr;
-        choice[i] = DpChoice{false, static_cast<std::int32_t>(i) - 1};
-      }
-      v[i] = c[i] - w_prefix[i];
-      suffix.push(static_cast<std::int32_t>(i), v[i]);
-    }
-  } else {
-    // Reference path: the literal recurrences, kept as the bit-exact oracle
-    // the kernels are cross-checked against.
-    for (std::size_t j = 1; j < n; ++j) {
-      Cost local_link = kInfiniteCost;
-      const std::int32_t pj = index.prev_same_server(j);
-      if (pj >= 0) {
-        local_link = mu * (index.time_of(j) -
-                           index.time_of(static_cast<std::size_t>(pj)));
-      }
-      w[j] = std::min(lambda, local_link);
-      w_prefix[j] = w_prefix[j - 1] + w[j];
     }
 
-    for (std::size_t i = 1; i < n; ++i) {
-      const Time t_i = index.time_of(i);
-      const Time t_prev = index.time_of(i - 1);
-      const ServerId s_i = index.server_of(i);
-      const ServerId s_prev = index.server_of(i - 1);
-
-      // Tr(i): chain through the previous service point.
-      const Cost tr =
-          c[i - 1] + mu * (t_i - t_prev) + (s_i != s_prev ? lambda : 0.0);
-
-      // D(i): cache line on s_i from the previous same-server visit p(i);
-      // every node between the split k and i is served for w_j.
-      Cost line = kInfiniteCost;
-      std::int32_t line_k = -1;
-      const std::int32_t p = index.prev_same_server(i);
-      if (p >= 0) {
-        const Time t_p = index.time_of(static_cast<std::size_t>(p));
-        const Cost base = mu * (t_i - t_p) + w_prefix[i - 1];
-        if (options.fast_range_min) {
-          const auto [arg, best] = suffix.query(p);
-          if (best < kInfiniteCost) {
-            line = base + best;
-            line_k = arg;
-          }
-        } else {
-          for (std::int32_t k = p; k < static_cast<std::int32_t>(i); ++k) {
-            const Cost candidate =
-                base + c[static_cast<std::size_t>(k)] -
-                w_prefix[static_cast<std::size_t>(k)];
-            if (candidate < line) {
-              line = candidate;
-              line_k = k;
-            }
-          }
-        }
-      }
-
-      if (line < tr) {
-        c[i] = line;
-        choice[i] = DpChoice{true, line_k};
-      } else {
-        c[i] = tr;
-        choice[i] = DpChoice{false, static_cast<std::int32_t>(i) - 1};
-      }
-      suffix.push(static_cast<std::int32_t>(i), c[i] - w_prefix[i]);
+    if (line < tr) {
+      c[i] = line;
+      choice[i] = DpChoice{true, line_k};
+    } else {
+      c[i] = tr;
+      choice[i] = DpChoice{false, static_cast<std::int32_t>(i) - 1};
     }
+    suffix.push(static_cast<std::int32_t>(i), c[i] - w_prefix[i]);
   }
 
   result.raw_cost = c[n - 1];
   result.cost = model.flow_multiplier(flow.group_size) * result.raw_cost;
 
   record_plan(result, options.build_schedule, [&](auto& plan) {
-    backtrack(index, choice, mu, lambda, plan);
+    backtrack(NodeView{index.times().data(), index.servers().data(),
+                       index.prev_same_servers().data()},
+              n, mu, lambda,
+              [&choice](std::size_t i) {
+                return choice[i].via_line ? choice[i].split_k : -1;
+              },
+              plan);
   });
   return result;
 }

@@ -43,15 +43,16 @@ struct OptimalOfflineOptions {
   /// D(i) (O(n log n) overall) instead of the literal O(n) scan per node
   /// (O(n²) overall, the paper's Section-V bound). Results are identical;
   /// tests cross-check both paths.  Only consulted when `use_kernels` is
-  /// off — the kernel path embeds the suffix-min as its wide-window
-  /// backstop.
+  /// off — the kernel path keeps its own window minima.
   bool fast_range_min = true;
 
-  /// Run the DP through the branch-light SoA kernels (solver/kernels.hpp):
-  /// precomputed link column, vectorized w pass, blocked window-min with
-  /// the SuffixMin stack as the asymptotic backstop.  Bit-identical to the
-  /// scalar reference on every input (tests/kernel_equivalence_test.cpp);
-  /// off = the reference loops, kept as the cross-check oracle.
+  /// Run the DP through the branch-light kernels (solver/kernels.hpp): one
+  /// fused pre-scan, value-only window minima (a power-of-two ring for
+  /// windows up to kRingWindow nodes, block minima and the SuffixMin stack
+  /// past it), and each split recovered on the backtrack as the latest
+  /// tie.  Bit-identical to the scalar reference on every input
+  /// (tests/kernels_test.cpp, tests/kernel_equivalence_test.cpp); off = the
+  /// reference loops, kept as the cross-check oracle.
   bool use_kernels = true;
 
   /// Reconstruct the schedule (backtracking).  Off, the same backtrack only

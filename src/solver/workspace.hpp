@@ -2,12 +2,12 @@
 //
 // Phase 2 of DP_Greedy runs one independent optimal-offline DP per package
 // and per unpacked item.  Each solve needs the same family of buffers — the
-// flow being built, the Section-V pre-scan index, the w/W/C/choice arrays
-// and the suffix-min stack — and a fresh solve would otherwise allocate all
-// of them from scratch.  A SolverWorkspace owns that scratch; threading one
-// through repeated solves makes the steady state allocation-free: every
-// buffer is assign()ed/clear()ed in place and only grows when a flow larger
-// than anything seen before arrives.
+// flow being built, the pre-scan node columns, the per-node DP records and
+// the window minima — and a fresh solve would otherwise allocate all of them
+// from scratch.  A SolverWorkspace owns that scratch; threading one through
+// repeated solves makes the steady state allocation-free: every buffer is
+// assign()ed/clear()ed in place and only grows when a flow larger than
+// anything seen before arrives.
 //
 // Contract: a workspace may be reused across any number of solves of any
 // flows (results are bit-identical to workspace-free solves — see
@@ -23,6 +23,7 @@
 #include "core/flow.hpp"
 #include "core/request_index.hpp"
 #include "core/types.hpp"
+#include "solver/kernels.hpp"
 
 namespace dpg {
 
@@ -61,6 +62,60 @@ class SuffixMin {
   std::vector<std::pair<std::int32_t, double>> entries_;
 };
 
+/// The kernel DP's window minima: min_from(lo) = min(v_lo, ..., v_{n−1})
+/// over the n values pushed so far, in index order.  A window of fewer
+/// than kernels::kRingWindow values is two blocks of the ring: O(1), no
+/// branch.  A wider one is cut at kernels::kWideBlock boundaries: the rest
+/// of lo's block (suffix minima written when the block closed), the closed
+/// blocks after it (a SuffixMin stack over block minima, one push per
+/// block, O(log n) query), and the newest block's start (the ring again).
+/// Same value as SuffixMin::query(lo).second, with no per-value stack push.
+class WindowMin {
+ public:
+  /// Forgets every value; capacity is kept.
+  void clear() noexcept {
+    size_ = 0;
+    blocks_.clear();
+  }
+
+  /// Appends v_n = x.
+  void push(double x) {
+    constexpr std::size_t kBlock = kernels::kWideBlock;
+    ring_.push(size_, x);
+    ++size_;
+    if (size_ % kBlock != 0) return;
+    // x closes its block: write the block's suffix minima from the ring,
+    // which still holds the whole block, and push the block's minimum.
+    if (block_suffix_.size() < size_) block_suffix_.resize(size_);
+    double block_min = kInfiniteCost;
+    for (std::size_t k = size_; k-- > size_ - kBlock;) {
+      block_min = std::min(block_min, ring_.value(k));
+      block_suffix_[k] = block_min;
+    }
+    blocks_.push(static_cast<std::int32_t>(size_ / kBlock - 1), block_min);
+  }
+
+  /// min(v_lo, ..., v_{n−1}); +∞ when lo == n.
+  [[nodiscard]] double min_from(std::size_t lo) const {
+    constexpr std::size_t kBlock = kernels::kWideBlock;
+    if (size_ - lo < kernels::kRingWindow) return ring_.min_of(lo, size_);
+    // lo's block closed at least a block before the newest value, so the
+    // three parts cover [lo, n) (the last two may overlap) and nothing
+    // outside it.
+    const std::size_t newest_block = (size_ - 1) / kBlock * kBlock;
+    const double closed_blocks =
+        blocks_.query(static_cast<std::int32_t>(lo / kBlock + 1)).second;
+    return std::min(block_suffix_[lo],
+                    std::min(closed_blocks, ring_.min_of(newest_block, size_)));
+  }
+
+ private:
+  kernels::WindowMinRing ring_;
+  std::vector<double> block_suffix_;
+  SuffixMin blocks_;
+  std::size_t size_ = 0;
+};
+
 /// One greedy decision for the second item of a package, made during the
 /// one walk over the pair's requests and held until the first item's
 /// decisions are summed (solver/dp_greedy.cpp).
@@ -75,21 +130,29 @@ struct SolverWorkspace {
   /// Flow-build buffer: make_item_flow / make_package_flow write here.
   Flow flow;
 
-  /// Section-V pre-scan index, rebuilt in place per solve.
+  /// Section-V pre-scan index, rebuilt in place per solve (the reference
+  /// DP and the greedy baseline).
   RequestIndex index;
 
-  // Offline-DP arrays, assign()ed per solve.
+  // Reference-DP arrays, assign()ed per solve.
   std::vector<Cost> w;         // per-node intermediate service cost w(j)
-  std::vector<Cost> w_prefix;  // prefix sums W(i)
+  std::vector<Cost> w_prefix;  // prefix sums W(i); the kernel path's too
   std::vector<Cost> c;         // optimal costs C(i)
   std::vector<DpChoice> choice;
   SuffixMin suffix;
 
-  // Kernel-path columns (solver/kernels.hpp): same-server predecessor,
-  // link costs μ·Δt, and the dense v_k = C(k) − W(k) the window scan reads.
+  // Kernel-path node columns (kernels::prescan_flow) and per-node records:
+  // v_k = C(k) − W(k), whether D(i) won, and D(i)'s window minimum, from
+  // which the backtrack recovers the split.
+  std::vector<Time> times;
+  std::vector<ServerId> servers;
   std::vector<std::int32_t> prev;
-  std::vector<Cost> link;
+  std::vector<Cost> base;
   std::vector<Cost> v;
+  std::vector<std::uint8_t> via_line;
+  std::vector<Cost> line_min;
+  std::vector<std::int32_t> last_visit;  // per server, during the pre-scan
+  WindowMin windows;
 
   /// Per-server recency scratch of the Phase-2 greedy decisions: one
   /// item's (scalar reference) or a package's two items', interleaved.

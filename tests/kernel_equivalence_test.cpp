@@ -47,9 +47,9 @@ using testing::expect_reports_identical;
 
 /// Runs every registry solver on `trace` with kernels on and off, at each
 /// thread count, and demands bit-identical reports.
-void expect_kernels_transparent(const RequestSequence& trace,
-                                const std::string& trace_name) {
-  const CostModel model = testing::running_example_model();
+void expect_kernels_transparent(
+    const RequestSequence& trace, const std::string& trace_name,
+    const CostModel& model = testing::running_example_model()) {
   const PackedLowerBound bound = packed_lower_bound(trace, model);
   for (const std::string& name : builtin_registry().names()) {
     for (const std::size_t threads : kThreadCounts) {
@@ -79,6 +79,31 @@ TEST(KernelEquivalence, Zipf2kAllSolvers) {
 
 TEST(KernelEquivalence, BigZipf200kAllSolvers) {
   expect_kernels_transparent(big_trace_200k(), "zipf 200k");
+}
+
+TEST(KernelEquivalence, WideWindowsAndRateSweepAllSolvers) {
+  // 300 servers stretch most D(i) windows past the window-minimum ring
+  // onto the block minima, and at μ = 0.01 lines across them win; μ = 0
+  // makes every window one tie; λ from 0.2 to 8 moves the split between
+  // cache lines and chains.  Two items, mostly requested together, so
+  // dp_greedy also solves a package at 2α.
+  Rng rng(17);
+  const RequestSequence trace =
+      testing::random_sequence(rng, 3000, 300, 2, 0.9);
+  ASSERT_GT(builtin_registry()
+                .run("dp_greedy", trace, testing::running_example_model(),
+                     SolverConfig{})
+                .package_count,
+            0u);
+  for (const double mu : {1.0, 0.01, 0.0}) {
+    for (const double lambda : {0.2, 1.0, 8.0}) {
+      expect_kernels_transparent(
+          trace,
+          "300 servers, mu " + std::to_string(mu) + " lambda " +
+              std::to_string(lambda),
+          CostModel{mu, lambda, 0.8});
+    }
+  }
 }
 
 TEST(KernelEquivalence, ConfigStringKeyReachesTheSwitch) {

@@ -14,6 +14,7 @@
 #include "core/flow.hpp"
 #include "solver/dp_greedy.hpp"
 #include "solver/group_solver.hpp"
+#include "solver/kernels.hpp"
 #include "util/rng.hpp"
 
 namespace dpg {
@@ -146,6 +147,108 @@ TEST(ListMerge, GroupFlowsMatchARowScan) {
       expect_same_flow(scanned_flow(seq, group, 1),
                        make_union_flow(seq, group), context + " union");
     }
+  }
+}
+
+/// One visit of a list walk: the request index and the holders.
+struct ListVisit {
+  std::size_t index = 0;
+  std::vector<std::size_t> holders;
+  bool operator==(const ListVisit&) const = default;
+};
+
+/// The k-list merge of RequestSequence::merge_item_lists at k = 2.
+std::vector<ListVisit> k_list_walk(const std::vector<std::size_t>& a,
+                                   const std::vector<std::size_t>& b) {
+  const std::span<const std::size_t> lists[2] = {a, b};
+  std::size_t cursors[2] = {};
+  std::size_t heads[2] = {};
+  std::size_t holders[2] = {};
+  std::vector<ListVisit> visits;
+  auto visit = [&visits](std::size_t index,
+                         std::span<const std::size_t> held) {
+    visits.push_back({index, {held.begin(), held.end()}});
+  };
+  detail::merge_sorted_lists(lists, 2, cursors, heads, holders, visit);
+  return visits;
+}
+
+/// The two-cursor walk of a package, recording what it prefetches too.
+std::vector<ListVisit> two_cursor_walk(const std::vector<std::size_t>& a,
+                                       const std::vector<std::size_t>& b,
+                                       std::vector<std::size_t>& prefetched) {
+  std::vector<ListVisit> visits;
+  kernels::merge_two_lists(
+      a, b, [&prefetched](std::size_t index) { prefetched.push_back(index); },
+      [&visits](std::size_t index, std::span<const std::size_t> held) {
+        visits.push_back({index, {held.begin(), held.end()}});
+      });
+  return visits;
+}
+
+void expect_same_walk(const std::vector<std::size_t>& a,
+                      const std::vector<std::size_t>& b,
+                      const std::string& context) {
+  std::vector<std::size_t> prefetched;
+  EXPECT_EQ(two_cursor_walk(a, b, prefetched), k_list_walk(a, b)) << context;
+  // Only list entries are prefetched (the caller reads rows at them), and
+  // every entry is, before or when its cursor reaches it.
+  std::vector<std::size_t> entries = a;
+  entries.insert(entries.end(), b.begin(), b.end());
+  std::sort(entries.begin(), entries.end());
+  entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
+  std::sort(prefetched.begin(), prefetched.end());
+  prefetched.erase(std::unique(prefetched.begin(), prefetched.end()),
+                   prefetched.end());
+  EXPECT_EQ(prefetched, entries) << context;
+}
+
+/// Ascending indices below `universe`, each kept with probability `keep`.
+std::vector<std::size_t> random_list(Rng& rng, std::size_t universe,
+                                     double keep) {
+  std::vector<std::size_t> list;
+  for (std::size_t index = 0; index < universe; ++index) {
+    if (rng.next_bool(keep)) list.push_back(index);
+  }
+  return list;
+}
+
+TEST(ListMerge, TwoCursorWalkMatchesTheKListMerge) {
+  using List = std::vector<std::size_t>;
+  const List empty;
+  const List low = {1, 2, 3, 5, 8};
+  const List high = {40, 41, 60, 99};
+  const List odd = {1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29,
+                    31, 33, 35, 37};
+  const List even = {0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28,
+                     30, 32, 34, 36, 38, 40, 42};
+  const List mixed = {0, 3, 4, 9, 10, 11, 30, 31, 32, 33, 34, 35, 36, 37,
+                      38, 39, 50, 70, 71, 72, 73, 74, 75};
+  const std::vector<std::pair<const char*, std::pair<List, List>>> cases = {
+      {"both empty", {empty, empty}},
+      {"a empty", {empty, odd}},
+      {"b empty", {even, empty}},
+      {"disjoint, a first", {low, high}},
+      {"disjoint, b first", {high, low}},
+      {"disjoint, interleaved", {odd, even}},
+      {"identical", {mixed, mixed}},
+      {"interleaved with shared entries, a ends first", {low, mixed}},
+      {"interleaved with shared entries, b ends first", {mixed, odd}},
+      {"one shared entry", {{7}, {2, 7, 90}}},
+  };
+  for (const auto& [name, lists] : cases) {
+    expect_same_walk(lists.first, lists.second, name);
+    expect_same_walk(lists.second, lists.first,
+                     std::string(name) + ", swapped");
+  }
+  // Random lists around the prefetch distance: shorter, equal, longer.
+  Rng rng(12);
+  for (int round = 0; round < 300; ++round) {
+    const std::size_t universe = rng.next_below(
+        4 * kernels::kMergePrefetchDistance + 2);
+    expect_same_walk(random_list(rng, universe, rng.next_double(0.0, 1.0)),
+                     random_list(rng, universe, rng.next_double(0.0, 1.0)),
+                     "round " + std::to_string(round));
   }
 }
 

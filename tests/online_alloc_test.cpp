@@ -28,6 +28,7 @@
 #include "solver/online.hpp"
 #include "solver/online_state.hpp"
 #include "solver/replica_list.hpp"
+#include "solver/workspace.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -263,6 +264,34 @@ TEST(PerItemPlans, RegistryRunWithoutPlansBuildsNoSchedule) {
     EXPECT_LT(allocations_now() - before, seq.item_count()) << name;
     EXPECT_GT(report.cache_segments, seq.item_count()) << name;
   }
+}
+
+TEST(PerItemPlans, GreedyRebuildsTheWorkspaceIndexInPlace) {
+  // Given a workspace, greedy rebuilds its RequestIndex instead of a fresh
+  // one: a warm counted solve allocates nothing, with the same answer, and
+  // a warm registry run without plans stays below one allocation per item,
+  // as chain's does.
+  Rng rng(23);
+  const Flow flow = testing::random_flow(rng, 500, 3);
+  const CostModel model{1.0, 1.0, 0.8};
+  const SolveResult fresh = solve_greedy(flow, model, 3, false);
+  SolverWorkspace workspace;
+  (void)solve_greedy(flow, model, 3, false, &workspace);
+  const std::uint64_t before = allocations_now();
+  const SolveResult warm = solve_greedy(flow, model, 3, false, &workspace);
+  EXPECT_EQ(allocations_now() - before, 0u);
+  EXPECT_EQ(warm.raw_cost, fresh.raw_cost);
+  EXPECT_EQ(warm.counts.segments, fresh.counts.segments);
+  EXPECT_EQ(warm.counts.transfers, fresh.counts.transfers);
+
+  const RequestSequence seq = testing::random_sequence(rng, 4000, 3, 200);
+  SolverConfig config;
+  config.keep_schedules = false;
+  const std::unique_ptr<Solver> solver = builtin_registry().create("greedy");
+  (void)solver->run(seq, model, config);
+  const std::uint64_t run_before = allocations_now();
+  (void)solver->run(seq, model, config);
+  EXPECT_LT(allocations_now() - run_before, seq.item_count());
 }
 
 }  // namespace

@@ -46,6 +46,9 @@
 #include <utility>
 #include <vector>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include "dpgreedy.hpp"
 #include "util/stopwatch.hpp"
 
@@ -387,6 +390,22 @@ std::string plan_stem(const std::string& label) {
   return stem.empty() ? "plan" : stem;
 }
 
+/// Checked right after the flags, so an --export-dir that is not a
+/// writable directory exits before any trace is read, with nothing on
+/// stdout.
+void require_writable_dir(const std::string& dir) {
+  struct stat info {};
+  if (::stat(dir.c_str(), &info) != 0) {
+    throw IoError("--export-dir " + dir + ": " + std::strerror(errno));
+  }
+  if (!S_ISDIR(info.st_mode)) {
+    throw IoError("--export-dir " + dir + ": not a directory");
+  }
+  if (::access(dir.c_str(), W_OK | X_OK) != 0) {
+    throw IoError("--export-dir " + dir + ": " + std::strerror(errno));
+  }
+}
+
 void export_plans(const std::vector<FlowPlan>& plans,
                   const std::string& export_dir) {
   for (const FlowPlan& plan : plans) {
@@ -412,6 +431,7 @@ int cmd_solve(int argc, const char* const* argv) {
       args.add_string("export-dir", "write plan schedules (CSV+DOT) here", "");
   args.parse(argc, argv);
   const ReportFormat report_format = parse_report_format(*format);
+  if (!export_dir->empty()) require_writable_dir(*export_dir);
   begin_telemetry(flags);
 
   // csv and json print the report alone; the plan table, the prose total
