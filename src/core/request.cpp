@@ -178,29 +178,16 @@ RequestSequence RequestSequence::adopt_columns(
   require(seq.keeper_ != nullptr,
           "adopt_columns: a keeper must own the column storage");
 
-  // Structural consistency is always enforced — accessors index these
-  // arrays against each other, so mismatched sizes would be UB, not just a
-  // wrong answer.
+  // The sizes are always enforced: accessors index these arrays against
+  // each other, so mismatched sizes would be UB, not just a wrong answer.
+  // The contents are the caller's to check (the `.dpt` open does, in its
+  // verification pass).
   const std::size_t n = columns.servers.size();
   require(columns.times.size() == n, "adopt_columns: times size mismatch");
   require(columns.item_offsets.size() == n + 1,
           "adopt_columns: item_offsets must have n + 1 entries");
-  require(columns.item_offsets.front() == 0,
-          "adopt_columns: item_offsets must start at 0");
-  require(columns.item_offsets.back() == columns.items_pool.size(),
-          "adopt_columns: item_offsets must end at the pool size");
-  require(std::is_sorted(columns.item_offsets.begin(),
-                         columns.item_offsets.end()),
-          "adopt_columns: item_offsets must be non-decreasing");
   require(columns.per_item_offsets.size() == item_count + 1,
           "adopt_columns: per_item_offsets must have k + 1 entries");
-  require(columns.per_item_offsets.front() == 0,
-          "adopt_columns: per_item_offsets must start at 0");
-  require(columns.per_item_offsets.back() == columns.per_item_pool.size(),
-          "adopt_columns: per_item_offsets must end at its pool size");
-  require(std::is_sorted(columns.per_item_offsets.begin(),
-                         columns.per_item_offsets.end()),
-          "adopt_columns: per_item_offsets must be non-decreasing");
   require(columns.per_item_pool.size() == columns.items_pool.size(),
           "adopt_columns: inverted-index pool size mismatch");
 
@@ -226,35 +213,6 @@ RequestSequence RequestSequence::adopt_columns(
                            columns.per_item_offsets.begin(),
                            columns.per_item_offsets.end()),
             "adopt_columns: stored inverted index does not match the items");
-  } else {
-    // Even the trusting path range-checks every id that is used as an index
-    // downstream: an out-of-range item id would index per_item_offsets_ out
-    // of bounds later, and an out-of-range server id would index per-server
-    // state (RequestIndex queue tails, recency columns) out of bounds.
-    for (const ServerId server : columns.servers) {
-      require(server < server_count, "adopt_columns: server id out of range");
-    }
-    for (const ItemId item : columns.items_pool) {
-      require(item < item_count, "adopt_columns: item id out of range");
-    }
-    // Each item's request list must be strictly ascending: the Phase-2
-    // flow builders merge these lists (merge_item_lists) and read their
-    // order as time order.  Strictly ascending, the last row of a list
-    // bounds all of its rows, so one compare per entry checks both.
-    const std::span<const std::size_t> pool = columns.per_item_pool;
-    const std::span<const std::size_t> starts = columns.per_item_offsets;
-    for (std::size_t item = 0; item < item_count; ++item) {
-      const std::size_t begin = starts[item];
-      const std::size_t end = starts[item + 1];
-      if (begin == end) continue;
-      for (std::size_t p = begin + 1; p < end; ++p) {
-        require(pool[p - 1] < pool[p],
-                "adopt_columns: an item's inverted index rows are not "
-                "strictly ascending");
-      }
-      require(pool[end - 1] < n,
-              "adopt_columns: inverted index row out of range");
-    }
   }
   g_sequences_built.add();
   return seq;

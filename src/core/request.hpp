@@ -83,11 +83,15 @@ class RequestSequence {
 
   /// Adopts externally stored CSR columns without copying them.  `keeper`
   /// owns the storage (e.g. an mmap'ed file) and is held until every copy of
-  /// the sequence is gone.  Structural consistency (sizes, offset bounds) is
-  /// always checked; `verify_columns` additionally re-runs the full logical
-  /// validation and cross-checks the provided inverted index against a
-  /// rebuild — callers normally rely on the file checksums instead.
-  /// Throws InvalidArgument on any inconsistency.
+  /// the sequence is gone.  The column sizes are always checked.  The
+  /// contents are trusted: the caller must have checked that both offsets
+  /// columns start at 0, end at their pool's size and never decrease, and,
+  /// unless `verify_columns` is set, that every id is in range, every row
+  /// is non-empty with strictly ascending items, and every item's rows are
+  /// strictly ascending and < n (the `.dpt` open checks all of it in its
+  /// verification pass).  `verify_columns` re-runs the full logical
+  /// validation instead and cross-checks the provided inverted index
+  /// against a rebuild.  Throws InvalidArgument on any inconsistency found.
   [[nodiscard]] static RequestSequence adopt_columns(
       std::size_t server_count, std::size_t item_count,
       const SequenceColumns& columns, std::shared_ptr<const void> keeper,

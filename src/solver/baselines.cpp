@@ -96,7 +96,9 @@ PackageServedResult solve_package_served(const RequestSequence& sequence,
 
   {
     const Stopwatch phase1_clock;
-    const CorrelationAnalysis analysis(sequence);
+    CorrelationOptions correlation;
+    correlation.pool = pool;
+    const CorrelationAnalysis analysis(sequence, correlation);
     result.packing = greedy_pairing(analysis, theta, /*inclusive=*/true);
     result.phase1_seconds = phase1_clock.elapsed_seconds();
   }

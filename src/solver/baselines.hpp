@@ -66,7 +66,9 @@ struct PackageServedResult {
 };
 
 /// `keep_plans` keeps each Phase-2 schedule and flow, as
-/// DpGreedyOptions::keep_plans does; off, only the schedule counts.
+/// DpGreedyOptions::keep_plans does; off, only the schedule counts.  `pool`
+/// shards Phase 1's pair count and the Phase-2 solves (bit-identical to the
+/// serial path).
 [[nodiscard]] PackageServedResult solve_package_served(
     const RequestSequence& sequence, const CostModel& model, double theta,
     const OptimalOfflineOptions& dp = {}, ThreadPool* pool = nullptr,

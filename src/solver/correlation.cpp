@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -207,15 +208,47 @@ void CorrelationAnalysis::count_dense(const RequestSequence& sequence) {
 void CorrelationAnalysis::count_sparse(const RequestSequence& sequence,
                                        ThreadPool* pool) {
   const obs::TraceSpan span("phase1/count_sparse");
-  const auto count_range = [&sequence](std::size_t begin, std::size_t end,
-                                       PairCountMap& into) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const Request& r = sequence[i];
-      for (std::size_t x = 0; x < r.items.size(); ++x) {
-        for (std::size_t y = x + 1; y < r.items.size(); ++y) {
-          into.add(PairCountMap::pack(r.items[x], r.items[y]));
+  const SequenceColumns columns = sequence.columns();
+  const std::span<const std::size_t> offsets = columns.item_offsets;
+  const std::span<const ItemId> items = columns.items_pool;
+  // Rows of one or two items are counted without a branch on their width, a
+  // block of rows at a time: every row writes the key of its first two items
+  // into a buffer, and only a two-item row advances the cursor (a one-item
+  // row's key is overwritten by the next row's).  The scan reads
+  // items[offsets[i]] for every row, so it relies on rows being non-empty
+  // with strictly ascending items: a built sequence is validated, and the
+  // `.dpt` open checks both before it adopts a file's rows.  Rows of three
+  // or more items flush the buffer first, so the map sees every pair in row
+  // order.
+  const auto count_range = [offsets, items](std::size_t begin, std::size_t end,
+                                            PairCountMap& into) {
+    constexpr std::size_t kBlockRows = 2048;
+    std::uint64_t keys[kBlockRows];
+    const std::size_t last = items.size() - 1;  // unread when there are no rows
+    std::size_t held = 0;
+    const auto flush = [&] {
+      for (std::size_t j = 0; j < held; ++j) into.add(keys[j]);
+      held = 0;
+    };
+    for (std::size_t block = begin; block < end; block += kBlockRows) {
+      const std::size_t block_end = std::min(end, block + kBlockRows);
+      for (std::size_t i = block; i < block_end; ++i) {
+        const std::size_t lo = offsets[i];
+        const std::size_t hi = offsets[i + 1];
+        if (hi - lo > 2) [[unlikely]] {
+          flush();
+          for (std::size_t x = lo; x + 1 < hi; ++x) {
+            for (std::size_t y = x + 1; y < hi; ++y) {
+              into.add(PairCountMap::pack(items[x], items[y]));
+            }
+          }
+          continue;
         }
+        keys[held] = static_cast<std::uint64_t>(items[lo]) << 32 |
+                     items[std::min(lo + 1, last)];
+        held += hi - lo == 2 ? 1 : 0;
       }
+      flush();
     }
   };
 

@@ -128,7 +128,9 @@ GroupDpGreedyResult solve_group_dp_greedy(const RequestSequence& sequence,
   const obs::TraceSpan solve_span("solve/group_dp_greedy");
   {
     const Stopwatch phase1_clock;
-    const CorrelationAnalysis analysis(sequence);
+    CorrelationOptions correlation;
+    correlation.pool = options.pool;
+    const CorrelationAnalysis analysis(sequence, correlation);
     result.packing =
         greedy_grouping(analysis, options.theta, options.max_group_size);
     result.phase1_seconds = phase1_clock.elapsed_seconds();

@@ -61,8 +61,9 @@ struct GroupDpGreedyOptions {
   double theta = 0.3;
   std::size_t max_group_size = 3;
   OptimalOfflineOptions dp;
-  /// When set, the per-group/per-single Phase-2 solves shard over this pool
-  /// (results are bit-identical to the serial path).
+  /// When set, Phase 1's pair count and the per-group/per-single Phase-2
+  /// solves shard over this pool (results are bit-identical to the serial
+  /// path).
   ThreadPool* pool = nullptr;
   /// Keep each Phase-2 plan, schedule and flow (see
   /// DpGreedyOptions::keep_plans).

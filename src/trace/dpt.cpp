@@ -10,12 +10,17 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <iostream>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "parallel/thread_pool.hpp"
 #include "trace/io.hpp"
 #include "util/error.hpp"
 
@@ -430,18 +435,57 @@ ColumnSet resolve_columns(const std::string& path, const Header& h) {
   return set;
 }
 
-void verify_checksums(const std::string& path, const unsigned char* bytes,
-                      const ColumnSet& set) {
-  const obs::TraceSpan span("trace/dpt_checksum");
-  for (std::uint32_t id = 1; id <= kColumnCount; ++id) {
-    const ColumnDesc* desc = set.by_id[id];
-    if (dpt_checksum(bytes + desc->byte_offset, desc->byte_length) !=
-        desc->checksum) {
-      corrupt(path, std::string("checksum mismatch in column '") +
-                        column_name(id) + "'");
-    }
+// ---------------------------------------------------------------------------
+// The verification pass.  Each column task hashes its column whole, then
+// runs the column's structural checks over it.  The tasks are spread over
+// the caller's pool, largest first; each CSR pair (item_offsets with
+// items_pool, per_item_offsets with per_item_pool) is one task, since the
+// pool checks cut their column by the verified offsets.  No task throws:
+// each records whether its checksums matched and its first structural
+// fault, and the open raises them after the join in a fixed order, so the
+// error does not depend on the pool width or on which task finished first.
+
+/// The structural checks in the order the open reports them: a file with
+/// several faults gets the message of the first.  The two row checks come
+/// last.
+enum class Check : std::uint8_t {
+  kItemOffsetsStart,
+  kItemOffsetsEnd,
+  kItemOffsetsOrder,
+  kPerItemOffsetsStart,
+  kPerItemOffsetsEnd,
+  kPerItemOffsetsOrder,
+  kServerRange,
+  kItemRange,
+  kPerItemRows,  // per item in id order: rows ascending, then last row < n
+  kEmptyRow,
+  kRowOrder,
+  kPassed,
+};
+
+/// What the pass found in one column.
+struct ColumnVerdict {
+  bool checksum_ok = true;
+  Check fault = Check::kPassed;
+  std::string message;
+
+  /// Records a fault unless one ordered before it is already held.
+  void note(Check check, std::string text) {
+    if (check >= fault) return;
+    fault = check;
+    message = std::move(text);
   }
-}
+  [[nodiscard]] bool passed() const noexcept { return fault == Check::kPassed; }
+};
+
+struct VerifyPlan {
+  const unsigned char* bytes = nullptr;
+  const ColumnSet* set = nullptr;
+  const Header* header = nullptr;
+  bool hash = true;           // compare every column's XXH64
+  bool check_offsets = true;  // both offsets columns
+  bool check_content = true;  // id ranges, per-item rows, the row checks
+};
 
 template <typename T>
 std::span<const T> column_span(const unsigned char* bytes,
@@ -450,6 +494,204 @@ std::span<const T> column_span(const unsigned char* bytes,
   // (mmap) or allocator- (read) aligned, so the cast target is aligned.
   return {reinterpret_cast<const T*>(bytes + desc.byte_offset),
           static_cast<std::size_t>(desc.element_count)};
+}
+
+/// Column `id`, its checksum compared into `verdict` first when the plan
+/// hashes.
+template <typename T>
+std::span<const T> hashed_column(const VerifyPlan& plan, std::uint32_t id,
+                                 ColumnVerdict& verdict) {
+  const ColumnDesc& desc = *plan.set->by_id[id];
+  if (plan.hash) {
+    verdict.checksum_ok =
+        dpt_checksum(plan.bytes + desc.byte_offset, desc.byte_length) ==
+        desc.checksum;
+  }
+  return column_span<T>(plan.bytes, desc);
+}
+
+/// True when some id is `count` or more (a max fold, which vectorizes).
+template <typename T>
+bool any_out_of_range(std::span<const T> ids, std::uint64_t count) {
+  T top = 0;
+  for (const T id : ids) top = std::max(top, id);
+  return !ids.empty() && top >= count;
+}
+
+void verify_servers(const VerifyPlan& plan, ColumnVerdict* verdicts) {
+  ColumnVerdict& verdict = verdicts[kColServers];
+  const auto servers = hashed_column<ServerId>(plan, kColServers, verdict);
+  if (plan.check_content &&
+      any_out_of_range(servers, plan.header->server_count)) {
+    verdict.note(Check::kServerRange, "adopt_columns: server id out of range");
+  }
+}
+
+void verify_times(const VerifyPlan& plan, ColumnVerdict* verdicts) {
+  // The trusting open takes the times as they are: only the checksum
+  // covers them (verify_columns checks their order).
+  (void)hashed_column<Time>(plan, kColTimes, verdicts[kColTimes]);
+}
+
+/// item_offsets, then items_pool: the row checks read the verified offsets.
+void verify_rows(const VerifyPlan& plan, ColumnVerdict* verdicts) {
+  ColumnVerdict& offsets_verdict = verdicts[kColItemOffsets];
+  const auto offsets =
+      hashed_column<std::uint64_t>(plan, kColItemOffsets, offsets_verdict);
+  if (plan.check_offsets) {
+    if (offsets.front() != 0) {
+      offsets_verdict.note(Check::kItemOffsetsStart,
+                           "adopt_columns: item_offsets must start at 0");
+    } else if (offsets.back() != plan.header->item_access_count) {
+      offsets_verdict.note(
+          Check::kItemOffsetsEnd,
+          "adopt_columns: item_offsets must end at the pool size");
+    } else if (const auto step =
+                   std::adjacent_find(offsets.begin(), offsets.end(),
+                                      std::greater_equal<>());
+               step != offsets.end()) {
+      // Each entry must exceed the one before: a smaller one anywhere
+      // breaks the order, else the first equal one ends an empty row.
+      if (!std::is_sorted(step, offsets.end())) {
+        offsets_verdict.note(
+            Check::kItemOffsetsOrder,
+            "adopt_columns: item_offsets must be non-decreasing");
+      } else if (plan.check_content) {
+        offsets_verdict.note(
+            Check::kEmptyRow,
+            "RequestSequence: empty item set at request " +
+                std::to_string(step - offsets.begin()));
+      }
+    }
+  }
+
+  ColumnVerdict& items_verdict = verdicts[kColItemsPool];
+  const auto items =
+      hashed_column<ItemId>(plan, kColItemsPool, items_verdict);
+  if (!plan.check_content) return;
+  if (any_out_of_range(items, plan.header->item_count)) {
+    items_verdict.note(Check::kItemRange,
+                       "adopt_columns: item id out of range");
+  }
+  // The row check cuts the pool by the offsets, so it runs only when every
+  // offset passed: each row is then non-empty and inside the pool.  A row's
+  // first pair is compared without a branch on the row's width (one or two
+  // items, unpredictably, in a taxi trace): a one-item row compares its
+  // item with the next row's first and drops the result, so only the last
+  // row's second read needs a clamp.
+  if (!offsets_verdict.passed() || !items_verdict.passed()) return;
+  const std::size_t last = items.size() - 1;
+  for (std::size_t row = 0; row + 1 < offsets.size(); ++row) {
+    const std::size_t lo = offsets[row];
+    const std::size_t hi = offsets[row + 1];
+    bool unsorted =
+        (hi - lo >= 2) & (items[lo] >= items[std::min(lo + 1, last)]);
+    for (std::size_t p = lo + 2; p < hi; ++p) {
+      unsorted |= items[p - 1] >= items[p];
+    }
+    if (unsorted) {
+      items_verdict.note(
+          Check::kRowOrder,
+          "RequestSequence: item set must be sorted and duplicate-free at "
+          "request " + std::to_string(row));
+      return;
+    }
+  }
+}
+
+/// per_item_offsets, then per_item_pool: each item's rows must be strictly
+/// ascending, and its last row below n.
+void verify_item_index(const VerifyPlan& plan, ColumnVerdict* verdicts) {
+  ColumnVerdict& starts_verdict = verdicts[kColPerItemOffsets];
+  const auto starts =
+      hashed_column<std::uint64_t>(plan, kColPerItemOffsets, starts_verdict);
+  if (plan.check_offsets) {
+    // Empty only when the header's item count is 2^64 - 1 and k + 1 wrapped.
+    if (starts.empty() || starts.front() != 0) {
+      starts_verdict.note(Check::kPerItemOffsetsStart,
+                          "adopt_columns: per_item_offsets must start at 0");
+    } else if (starts.back() != plan.header->item_access_count) {
+      starts_verdict.note(
+          Check::kPerItemOffsetsEnd,
+          "adopt_columns: per_item_offsets must end at its pool size");
+    } else if (!std::is_sorted(starts.begin(), starts.end())) {
+      starts_verdict.note(
+          Check::kPerItemOffsetsOrder,
+          "adopt_columns: per_item_offsets must be non-decreasing");
+    }
+  }
+
+  ColumnVerdict& verdict = verdicts[kColPerItemPool];
+  const auto pool =
+      hashed_column<std::uint64_t>(plan, kColPerItemPool, verdict);
+  if (!plan.check_content || !starts_verdict.passed()) return;
+  // Phase 2 merges these lists and reads their order as time order.
+  // Strictly ascending, a list's last row bounds all of its rows.
+  for (std::size_t item = 0; item + 1 < starts.size(); ++item) {
+    const auto rows =
+        pool.subspan(starts[item], starts[item + 1] - starts[item]);
+    if (std::adjacent_find(rows.begin(), rows.end(),
+                           std::greater_equal<>()) != rows.end()) {
+      verdict.note(Check::kPerItemRows,
+                   "adopt_columns: an item's inverted index rows are not "
+                   "strictly ascending");
+      return;
+    }
+    if (!rows.empty() && rows.back() >= plan.header->request_count) {
+      verdict.note(Check::kPerItemRows,
+                   "adopt_columns: inverted index row out of range");
+      return;
+    }
+  }
+}
+
+/// Runs the pass over all six columns, on `pool` when set, then raises the
+/// first checksum mismatch in column-id order, else the first structural
+/// fault in Check order.
+void verify_pass(const std::string& path, const VerifyPlan& plan,
+                 ThreadPool* pool) {
+  if (!plan.hash && !plan.check_offsets && !plan.check_content) return;
+  ColumnVerdict verdicts[kColumnCount + 1];
+  struct Task {
+    std::uint64_t bytes;
+    void (*run)(const VerifyPlan&, ColumnVerdict*);
+  };
+  const auto bytes_of = [&plan](std::uint32_t id) {
+    return plan.set->by_id[id]->byte_length;
+  };
+  Task tasks[] = {
+      {bytes_of(kColServers), verify_servers},
+      {bytes_of(kColTimes), verify_times},
+      {bytes_of(kColItemOffsets) + bytes_of(kColItemsPool), verify_rows},
+      {bytes_of(kColPerItemOffsets) + bytes_of(kColPerItemPool),
+       verify_item_index},
+  };
+  std::stable_sort(std::begin(tasks), std::end(tasks),
+                   [](const Task& x, const Task& y) {
+                     return x.bytes > y.bytes;
+                   });
+  const auto run = [&](std::size_t t) {
+    const obs::TraceSpan span("trace/dpt_verify");
+    tasks[t].run(plan, verdicts);
+  };
+  if (pool != nullptr) {
+    parallel_for(*pool, std::size(tasks), run);
+  } else {
+    for (std::size_t t = 0; t < std::size(tasks); ++t) run(t);
+  }
+
+  for (std::uint32_t id = 1; id <= kColumnCount; ++id) {
+    if (!verdicts[id].checksum_ok) {
+      corrupt(path, std::string("checksum mismatch in column '") +
+                        column_name(id) + "'");
+    }
+  }
+  const ColumnVerdict& first = *std::min_element(
+      std::begin(verdicts), std::end(verdicts),
+      [](const ColumnVerdict& x, const ColumnVerdict& y) {
+        return x.fault < y.fault;
+      });
+  if (!first.passed()) corrupt(path, first.message);
 }
 
 RequestSequence build_copy(const std::string& path, const Header& h,
@@ -514,11 +756,20 @@ RequestSequence read_dpt_impl(const std::string& path,
     const unsigned char* bytes = mapped->data();
     const Header h = parse_header(path, bytes, file_bytes);
     const ColumnSet set = resolve_columns(path, h);
-    if (options.verify_checksums) verify_checksums(path, bytes, set);
-    if (min_server_count > h.server_count ||
-        min_item_count > h.item_count) {
-      // The borrowed per-item index is shaped by the stored item count;
-      // larger universes need the owning rebuild.
+    // The borrowed per-item index is shaped by the stored item count; larger
+    // universes need the owning rebuild, which checks the rows itself.
+    const bool rebuild = min_server_count > h.server_count ||
+                         min_item_count > h.item_count;
+    VerifyPlan plan;
+    plan.bytes = bytes;
+    plan.set = &set;
+    plan.header = &h;
+    plan.hash = options.verify_checksums;
+    plan.check_offsets = !rebuild;
+    // verify_columns re-validates the content in adopt_columns instead.
+    plan.check_content = !rebuild && !options.verify_columns;
+    verify_pass(path, plan, options.pool);
+    if (rebuild) {
       return build_copy(path, h, set, bytes, min_server_count,
                         min_item_count);
     }
@@ -538,8 +789,8 @@ RequestSequence read_dpt_impl(const std::string& path,
                                             columns, std::move(mapped),
                                             options.verify_columns);
     } catch (const InvalidArgument& e) {
-      // Structural inconsistency in a well-checksummed file is still file
-      // corruption from the caller's point of view.
+      // verify_columns' validation failing on a well-checksummed file is
+      // still file corruption from the caller's point of view.
       corrupt(path, e.what());
     }
   }
@@ -558,7 +809,14 @@ RequestSequence read_dpt_impl(const std::string& path,
   }
   const Header h = parse_header(path, buffer.data(), file_bytes);
   const ColumnSet set = resolve_columns(path, h);
-  if (options.verify_checksums) verify_checksums(path, buffer.data(), set);
+  VerifyPlan plan;
+  plan.bytes = buffer.data();
+  plan.set = &set;
+  plan.header = &h;
+  plan.hash = options.verify_checksums;
+  plan.check_offsets = false;  // the builder re-validates every row
+  plan.check_content = false;
+  verify_pass(path, plan, options.pool);
   return build_copy(path, h, set, buffer.data(), min_server_count,
                     min_item_count);
 }
@@ -714,14 +972,15 @@ bool is_dpt_path(std::string_view path) noexcept {
 
 RequestSequence read_trace_auto(const std::string& path,
                                 std::size_t min_server_count,
-                                std::size_t min_item_count) {
+                                std::size_t min_item_count, ThreadPool* pool) {
   if (path == "-") {
     // stdin is always CSV: the .dpt reader needs a seekable/mappable file.
     return read_trace_stream(std::cin, min_server_count, min_item_count);
   }
   if (is_dpt_path(path)) {
-    return read_dpt_impl(path, DptReadOptions{}, min_server_count,
-                         min_item_count);
+    DptReadOptions options;
+    options.pool = pool;
+    return read_dpt_impl(path, options, min_server_count, min_item_count);
   }
   return read_trace_file(path, min_server_count, min_item_count);
 }

@@ -4,12 +4,15 @@
 // verbatim in little-endian order behind a fixed header and a column table
 // (see docs/FORMAT.md for the byte-level layout).  All six columns are
 // stored — the four primary CSR arrays *and* the derived per-item inverted
-// index — so opening a file performs no per-request work at all: the mmap
-// path (`DptOpenMode::kMap`) validates the header, optionally verifies the
-// per-column XXH64 checksums, and hands the mapped columns to
-// RequestSequence::adopt_columns as non-owning views.  A 1M-request trace
-// opens in single-digit milliseconds; at 100M requests the open is
-// checksum-bound (seconds, vs the minute-scale CSV parse + convert).
+// index — so opening a file builds nothing per request: the mmap path
+// (`DptOpenMode::kMap`) validates the header, then verifies the columns,
+// and hands the mapped columns to RequestSequence::adopt_columns as
+// non-owning views.  The verification hashes each column with XXH64, then
+// runs that column's structural checks: offsets, id ranges, the per-item
+// row lists, and the two row checks (no row is empty, and each row's items
+// are strictly ascending).  The columns are spread over the caller's pool
+// (`DptReadOptions::pool`), largest first, so on a few workers the open
+// takes about as long as its largest column task.
 //
 // The read-copy path (`DptOpenMode::kRead`) is the untrusting mirror: it
 // streams rows through SequenceBuilder (pre-sized from the header counts),
@@ -25,6 +28,8 @@
 #include "core/request.hpp"
 
 namespace dpg {
+
+class ThreadPool;
 
 /// Format generation tag at byte 0 of every `.dpt` file.
 inline constexpr char kDptMagic[8] = {'D', 'P', 'T', 'R', 'A', 'C', 'E', '1'};
@@ -71,13 +76,19 @@ struct DptReadOptions {
   DptOpenMode mode = DptOpenMode::kMap;
   /// Verify every column's stored XXH64 before use.  The writer only emits
   /// validated sequences, so a checksum pass certifies the logical
-  /// invariants too; turning this off makes open O(header) but detects only
-  /// structural corruption.
+  /// invariants too; turning this off skips the hashing, and the open then
+  /// detects only structural corruption (the pass still runs its checks).
   bool verify_checksums = true;
   /// Additionally re-run full logical validation and cross-check the stored
   /// inverted index against a rebuild (kMap only; kRead always validates by
   /// construction).  For distrusted files when checksums are off.
   bool verify_columns = false;
+  /// The pool the verification pass spreads the columns over, one task per
+  /// column (item_offsets and items_pool share one: the row checks read the
+  /// verified offsets).  Null verifies on the calling thread.  The caller
+  /// must not be one of this pool's workers: it blocks until every column
+  /// is done.  Every pool width gives the same sequence and the same error.
+  ThreadPool* pool = nullptr;
 };
 
 /// Header summary without loading any column data.
@@ -97,7 +108,10 @@ void write_trace_dpt(const std::string& path, const RequestSequence& sequence);
 
 /// Opens a `.dpt` file.  Throws FormatError on any malformed input
 /// (truncation, bad magic, future version, checksum mismatch, inconsistent
-/// column table) and IoError on filesystem problems.
+/// column table, an empty row or a row whose items are not strictly
+/// ascending) and IoError on filesystem problems.  A file with several
+/// faults reports the first checksum mismatch in column-id order, else its
+/// first structural fault, at every pool width.
 [[nodiscard]] RequestSequence read_trace_dpt(const std::string& path,
                                              const DptReadOptions& options = {});
 
@@ -111,10 +125,11 @@ void write_trace_dpt(const std::string& path, const RequestSequence& sequence);
 /// everything else the CSV path in trace/io.hpp.  When explicit minimum
 /// counts exceed what a `.dpt` header stores, the read falls back to the
 /// owning rebuild path (the borrowed inverted index is shaped by the stored
-/// item count).
+/// item count).  `pool` is the `.dpt` open's DptReadOptions::pool.
 [[nodiscard]] RequestSequence read_trace_auto(const std::string& path,
                                               std::size_t min_server_count = 0,
-                                              std::size_t min_item_count = 0);
+                                              std::size_t min_item_count = 0,
+                                              ThreadPool* pool = nullptr);
 void write_trace_auto(const std::string& path, const RequestSequence& sequence);
 
 }  // namespace dpg

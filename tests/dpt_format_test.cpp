@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "mobility/simulator.hpp"
+#include "parallel/thread_pool.hpp"
 #include "trace/dpt.hpp"
 #include "trace/generators.hpp"
 #include "trace/io.hpp"
@@ -353,6 +354,36 @@ TEST(DptBorrowed, CopyAndMoveStayUsable) {
 // ---------------------------------------------------------------------------
 // Corruption: every damaged file fails with a FormatError naming the path.
 
+/// The opens every corruption case runs: no pool, then pools of 1, 2 and 4
+/// workers.  The message must not depend on which column task finished
+/// first.
+class VerifyPools {
+ public:
+  VerifyPools() : one_(1), two_(2), four_(4) {}
+  [[nodiscard]] std::vector<ThreadPool*> all() {
+    return {nullptr, &one_, &two_, &four_};
+  }
+
+ private:
+  ThreadPool one_, two_, four_;
+};
+
+std::string width_of(const ThreadPool* pool) {
+  return pool == nullptr ? "no pool"
+                         : std::to_string(pool->worker_count()) + " workers";
+}
+
+/// The message `read_trace_dpt(path, options)` fails with ("" when it
+/// opens).  A failure that is not a FormatError fails the test.
+std::string open_error(const std::string& path, const DptReadOptions& options) {
+  try {
+    (void)read_trace_dpt(path, options);
+  } catch (const FormatError& error) {
+    return error.what();
+  }
+  return "";
+}
+
 class DptCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -363,48 +394,74 @@ class DptCorruption : public ::testing::Test {
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
-  /// Writes `bytes` to the file and expects both open modes to throw a
-  /// FormatError whose message names the file.
-  void expect_rejected(const std::string& bytes) {
+  /// Writes `bytes` to the file and expects the `mode` open, with no pool
+  /// and on every pool width, to fail with exactly "<path>: <message>".
+  void expect_message(const std::string& bytes, DptOpenMode mode,
+                      const std::string& message) {
     write_bytes(path_, bytes);
-    for (const DptOpenMode mode : {DptOpenMode::kMap, DptOpenMode::kRead}) {
+    for (ThreadPool* pool : pools_.all()) {
       DptReadOptions options;
       options.mode = mode;
-      try {
-        (void)read_trace_dpt(path_, options);
-        FAIL() << "expected FormatError";
-      } catch (const FormatError& error) {
-        EXPECT_NE(std::string(error.what()).find(path_), std::string::npos)
-            << error.what();
-      }
+      options.pool = pool;
+      EXPECT_EQ(open_error(path_, options), path_ + ": " + message)
+          << (mode == DptOpenMode::kMap ? "kMap, " : "kRead, ")
+          << width_of(pool);
     }
   }
 
+  /// Both open modes fail with the same message.
+  void expect_rejected(const std::string& bytes, const std::string& message) {
+    expect_rejected(bytes, message, message);
+  }
+  void expect_rejected(const std::string& bytes, const std::string& map_message,
+                       const std::string& read_message) {
+    expect_message(bytes, DptOpenMode::kMap, map_message);
+    expect_message(bytes, DptOpenMode::kRead, read_message);
+  }
+
+  /// Expects the kRead open, on every pool width, to give `want`: it
+  /// rebuilds the rows and normalizes them (sorted, duplicate-free).
+  void expect_read_normalizes(const RequestSequence& want) {
+    for (ThreadPool* pool : pools_.all()) {
+      DptReadOptions copied;
+      copied.mode = DptOpenMode::kRead;
+      copied.pool = pool;
+      EXPECT_TRUE(same_sequence(read_trace_dpt(path_, copied), want))
+          << width_of(pool);
+    }
+  }
+
+  VerifyPools pools_;
   std::string path_;
   std::string bytes_;
 };
 
-TEST_F(DptCorruption, EmptyFile) { expect_rejected(""); }
+TEST_F(DptCorruption, EmptyFile) {
+  expect_rejected("", "truncated header (0 bytes, need 64)");
+}
 
 TEST_F(DptCorruption, TruncatedHeader) {
-  expect_rejected(bytes_.substr(0, 32));
+  expect_rejected(bytes_.substr(0, 32), "truncated header (32 bytes, need 64)");
 }
 
 TEST_F(DptCorruption, TruncatedColumns) {
-  expect_rejected(bytes_.substr(0, bytes_.size() / 2));
-  expect_rejected(bytes_.substr(0, bytes_.size() - 1));
+  expect_rejected(bytes_.substr(0, bytes_.size() / 2),
+                  "column 'times': data out of file bounds (truncated file?)");
+  expect_rejected(
+      bytes_.substr(0, bytes_.size() - 1),
+      "column 'per_item_pool': data out of file bounds (truncated file?)");
 }
 
 TEST_F(DptCorruption, WrongMagic) {
   std::string bytes = bytes_;
   bytes[0] = 'X';
-  expect_rejected(bytes);
+  expect_rejected(bytes, "not a .dpt trace (bad magic)");
 }
 
 TEST_F(DptCorruption, FutureVersion) {
   std::string bytes = bytes_;
   bytes[12] = static_cast<char>(0x7F);  // u32 version field little-endian
-  expect_rejected(bytes);
+  expect_rejected(bytes, "unsupported version 127 (this build reads up to 1)");
 }
 
 TEST_F(DptCorruption, FlippedColumnByte) {
@@ -412,24 +469,25 @@ TEST_F(DptCorruption, FlippedColumnByte) {
   // checksum can catch this, which is the point of having one.
   std::string bytes = bytes_;
   bytes[bytes.size() - 5] = static_cast<char>(bytes[bytes.size() - 5] ^ 0x40);
-  expect_rejected(bytes);
+  expect_rejected(bytes, "checksum mismatch in column 'per_item_pool'");
 }
 
 TEST_F(DptCorruption, FlippedChecksumByte) {
   // Damage a stored checksum in the column table instead of the payload.
   std::string bytes = bytes_;
   bytes[64 + 32] = static_cast<char>(bytes[64 + 32] ^ 0x01);
-  expect_rejected(bytes);
+  expect_rejected(bytes, "checksum mismatch in column 'servers'");
 }
 
 TEST_F(DptCorruption, DescriptorOffsetOverflowIsRejected) {
   // byte_offset + byte_length wrapping past 2^64 must not pass the bounds
-  // check and hand verify_checksums a wild pointer.
+  // check and hand the verification pass a wild pointer.
   std::string bytes = bytes_;
   const DescriptorView servers = find_descriptor(bytes, /*id=*/1);
   const std::uint64_t wild = 0xFFFFFFFFFFFFFFC0ULL;  // 64-byte aligned
   std::memcpy(bytes.data() + servers.row + 16, &wild, sizeof wild);
-  expect_rejected(bytes);
+  expect_rejected(
+      bytes, "column 'servers': data out of file bounds (truncated file?)");
 }
 
 TEST_F(DptCorruption, DescriptorLengthWrapIsRejected) {
@@ -441,7 +499,7 @@ TEST_F(DptCorruption, DescriptorLengthWrapIsRejected) {
   const std::uint64_t zero = 0;
   std::memcpy(bytes.data() + servers.row + 8, &huge, sizeof huge);
   std::memcpy(bytes.data() + servers.row + 24, &zero, sizeof zero);
-  expect_rejected(bytes);
+  expect_rejected(bytes, "column 'servers': descriptor length mismatch");
 }
 
 TEST_F(DptCorruption, ResealedOffsetsPastThePoolAreRejected) {
@@ -456,19 +514,50 @@ TEST_F(DptCorruption, ResealedOffsetsPastThePoolAreRejected) {
                   (offsets.element_count - 1) * 8,
               &past, sizeof past);
   reseal_column(bytes, offsets);
-  expect_rejected(bytes);
+  expect_rejected(bytes,
+                  "adopt_columns: item_offsets must end at the pool size",
+                  "column 'item_offsets': not a valid CSR offsets column");
+}
+
+TEST_F(DptCorruption, ResealedOffsetsThatLeapAndFallBackAreRejected) {
+  // The running example's offsets are {0, 1, 3, 4, 6, 7, 8, 10}.  Raise
+  // offsets[1] by 2^63 or more and drop offsets[2] to 0: the start and the
+  // end still hold, and every step is below 2^63 in two's complement, so
+  // only a compare of the entries themselves finds the order broken.
+  const DescriptorView offsets = find_descriptor(bytes_, /*id=*/3);
+  ASSERT_EQ(offsets.element_count, 8u);
+  const std::uint64_t half = std::uint64_t{1} << 63;
+  for (const std::uint64_t leap : {half, half + 5, ~std::uint64_t{0}}) {
+    std::string bytes = bytes_;
+    const std::uint64_t zero = 0;
+    std::memcpy(bytes.data() + offsets.byte_offset + 8, &leap, sizeof leap);
+    std::memcpy(bytes.data() + offsets.byte_offset + 16, &zero, sizeof zero);
+    reseal_column(bytes, offsets);
+    expect_rejected(bytes, "adopt_columns: item_offsets must be non-decreasing",
+                    "column 'item_offsets': not a valid CSR offsets column");
+    // verify_columns cuts the rows by these offsets too.
+    for (ThreadPool* pool : pools_.all()) {
+      DptReadOptions options;
+      options.verify_columns = true;
+      options.pool = pool;
+      EXPECT_EQ(open_error(path_, options),
+                path_ + ": adopt_columns: item_offsets must be non-decreasing")
+          << "verify_columns, " << width_of(pool) << ", leap " << leap;
+    }
+  }
 }
 
 TEST_F(DptCorruption, ResealedServerIdOutOfRangeIsRejected) {
   // Server ids index per-server solver state downstream, so even the
-  // trusting adopt_columns path must range-check them.
+  // trusting map open must range-check them.
   std::string bytes = bytes_;
   const DescriptorView servers = find_descriptor(bytes, /*id=*/1);
   ASSERT_GT(servers.element_count, 0u);
   const std::uint32_t bogus = 0xFFFFu;
   std::memcpy(bytes.data() + servers.byte_offset, &bogus, sizeof bogus);
   reseal_column(bytes, servers);
-  expect_rejected(bytes);
+  expect_rejected(bytes, "adopt_columns: server id out of range",
+                  "RequestSequence: server id out of range at request 0");
 }
 
 TEST_F(DptCorruption, ResealedUnsortedItemRowListIsRejected) {
@@ -485,22 +574,112 @@ TEST_F(DptCorruption, ResealedUnsortedItemRowListIsRejected) {
   std::swap(rows[0], rows[1]);
   std::memcpy(bytes.data() + pool.byte_offset, rows, sizeof rows);
   reseal_column(bytes, pool);
-  write_bytes(path_, bytes);
-
-  DptReadOptions mapped;
-  mapped.mode = DptOpenMode::kMap;
-  try {
-    (void)read_trace_dpt(path_, mapped);
-    FAIL() << "expected FormatError";
-  } catch (const FormatError& error) {
-    EXPECT_NE(std::string(error.what()).find(path_), std::string::npos)
-        << error.what();
-  }
+  expect_message(bytes, DptOpenMode::kMap,
+                 "adopt_columns: an item's inverted index rows are not "
+                 "strictly ascending");
   // The read open rebuilds the index from the rows and never trusts it.
-  DptReadOptions copied;
-  copied.mode = DptOpenMode::kRead;
-  EXPECT_TRUE(same_sequence(read_trace_dpt(path_, copied),
-                            testing::running_example_sequence()));
+  expect_read_normalizes(testing::running_example_sequence());
+}
+
+TEST_F(DptCorruption, ResealedItemRowPastTheLastRequestIsRejected) {
+  // Item 1's list, the last in per_item_pool, ends at row 6 of the running
+  // example's 7; row 7 keeps the list ascending but names no request.
+  std::string bytes = bytes_;
+  const DescriptorView pool = find_descriptor(bytes, /*id=*/6);
+  const std::size_t last = pool.byte_offset + (pool.element_count - 1) * 8;
+  std::uint64_t row = 0;
+  std::memcpy(&row, bytes.data() + last, sizeof row);
+  ASSERT_EQ(row, 6u);
+  row = 7;
+  std::memcpy(bytes.data() + last, &row, sizeof row);
+  reseal_column(bytes, pool);
+  expect_message(bytes, DptOpenMode::kMap,
+                 "adopt_columns: inverted index row out of range");
+  expect_read_normalizes(testing::running_example_sequence());
+}
+
+// The rows of a `.dpt` must be non-empty with strictly ascending items:
+// Phase 1 indexes its pair counts by a row's items, and a repeated item
+// wrote past the dense pair-count array.  The running example's rows are
+// {0} {0,1} {1} {0,1} {0} {1} {0,1}.
+
+TEST_F(DptCorruption, ResealedRepeatedItemInARowIsRejected) {
+  std::string bytes = bytes_;
+  const DescriptorView items = find_descriptor(bytes, /*id=*/4);
+  const std::uint32_t zero = 0;  // row 1 {0,1} becomes {0,0}
+  std::memcpy(bytes.data() + items.byte_offset + 2 * 4, &zero, sizeof zero);
+  reseal_column(bytes, items);
+  expect_message(
+      bytes, DptOpenMode::kMap,
+      "RequestSequence: item set must be sorted and duplicate-free at "
+      "request 1");
+  // The read open dedups the row.
+  SequenceBuilder want(/*server_count=*/4, /*item_count=*/2);
+  want.add(2, 0.5, {0}).add(1, 0.8, {0}).add(3, 1.1, {1}).add(0, 1.4, {0, 1});
+  want.add(2, 2.6, {0}).add(2, 3.2, {1}).add(1, 4.0, {0, 1});
+  expect_read_normalizes(std::move(want).build());
+}
+
+TEST_F(DptCorruption, ResealedSwappedPairInARowIsRejected) {
+  // Row 3 {0,1} at pool entries 4 and 5, and the last row, row 6, at 8 and 9.
+  for (const std::size_t row : {3u, 6u}) {
+    const std::size_t entry = row == 3 ? 4 : 8;
+    std::string bytes = bytes_;
+    const DescriptorView items = find_descriptor(bytes, /*id=*/4);
+    std::uint32_t pair[2];
+    std::memcpy(pair, bytes.data() + items.byte_offset + entry * 4,
+                sizeof pair);
+    ASSERT_LT(pair[0], pair[1]);
+    std::swap(pair[0], pair[1]);
+    std::memcpy(bytes.data() + items.byte_offset + entry * 4, pair,
+                sizeof pair);
+    reseal_column(bytes, items);
+    expect_message(
+        bytes, DptOpenMode::kMap,
+        "RequestSequence: item set must be sorted and duplicate-free at "
+        "request " + std::to_string(row));
+    // The read open sorts the row back.
+    expect_read_normalizes(testing::running_example_sequence());
+  }
+}
+
+TEST_F(DptCorruption, ResealedEmptyRowIsRejected) {
+  // offsets[1] = 0 empties row 0 and hands its item to row 1, which then
+  // repeats item 0: the empty row is reported first.
+  std::string bytes = bytes_;
+  const DescriptorView offsets = find_descriptor(bytes, /*id=*/3);
+  const std::uint64_t zero = 0;
+  std::memcpy(bytes.data() + offsets.byte_offset + 8, &zero, sizeof zero);
+  reseal_column(bytes, offsets);
+  expect_rejected(bytes, "RequestSequence: empty item set at request 0");
+}
+
+TEST_F(DptCorruption, ChecksumMismatchOutranksAStructuralFault) {
+  // A server id out of range in column 1 (resealed) and a flipped times
+  // byte in column 2: the checksum is reported, in every mode and at every
+  // pool width, although the servers task may finish first.
+  std::string bytes = bytes_;
+  const DescriptorView servers = find_descriptor(bytes, /*id=*/1);
+  const std::uint32_t bogus = 0xFFFFu;
+  std::memcpy(bytes.data() + servers.byte_offset, &bogus, sizeof bogus);
+  reseal_column(bytes, servers);
+  const DescriptorView times = find_descriptor(bytes, /*id=*/2);
+  bytes[times.byte_offset + 3] =
+      static_cast<char>(bytes[times.byte_offset + 3] ^ 0x10);
+  expect_rejected(bytes, "checksum mismatch in column 'times'");
+
+  // A resealed unsorted per-item list (column 6, the largest task) and a
+  // flipped server byte (column 1): the checksum still wins.
+  bytes = bytes_;
+  const DescriptorView pool = find_descriptor(bytes, /*id=*/6);
+  std::uint64_t rows[2];
+  std::memcpy(rows, bytes.data() + pool.byte_offset, sizeof rows);
+  std::swap(rows[0], rows[1]);
+  std::memcpy(bytes.data() + pool.byte_offset, rows, sizeof rows);
+  reseal_column(bytes, pool);
+  bytes[servers.byte_offset] =
+      static_cast<char>(bytes[servers.byte_offset] ^ 1);
+  expect_rejected(bytes, "checksum mismatch in column 'servers'");
 }
 
 TEST_F(DptCorruption, ChecksumVerificationCanBeDisabledForValidStructure) {
@@ -528,6 +707,176 @@ TEST_F(DptCorruption, ChecksumVerificationCanBeDisabledForValidStructure) {
   options.verify_checksums = false;
   const RequestSequence seq = read_trace_dpt(path_, options);
   EXPECT_EQ(seq.size(), testing::running_example_sequence().size());
+}
+
+// ---------------------------------------------------------------------------
+// Faults deep in a 20,000-row file, where servers, times, item_offsets,
+// items_pool and per_item_pool each hold more than 64 KiB: every check must
+// find its fault wherever it sits and name the right row.  Each fault goes
+// just before, at and after 64 KiB into its column.  (The times column has
+// no structural check in the trusting open: only its checksum covers it.)
+
+template <typename T>
+T peek(const std::string& bytes, const DescriptorView& column,
+       std::size_t index) {
+  T value;
+  std::memcpy(&value, bytes.data() + column.byte_offset + index * sizeof(T),
+              sizeof value);
+  return value;
+}
+
+template <typename T>
+void poke(std::string& bytes, const DescriptorView& column, std::size_t index,
+          T value) {
+  std::memcpy(bytes.data() + column.byte_offset + index * sizeof(T), &value,
+              sizeof value);
+}
+
+class DptDeepFaults : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kRows = 20000;
+  static constexpr std::size_t kItems = 8;
+  static constexpr std::size_t kServers = 4;
+  // 64 KiB into a column, in entries: of u32 and of u64 entries.
+  static constexpr std::size_t kMark32 = 16384;
+  static constexpr std::size_t kMark64 = 8192;
+  // The one four-item row, on items_pool entries [kMark32 - 2, kMark32 + 2).
+  static constexpr std::size_t kWideRow = (kMark32 - 2) / 2;
+
+  void SetUp() override {
+    // Two-item rows {r % 4, 4 + r % 4}, except one four-item row across the
+    // items_pool mark.
+    SequenceBuilder builder(kServers, kItems);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const auto low = static_cast<ItemId>(r % 4);
+      const auto server = static_cast<ServerId>(r % kServers);
+      const Time time = static_cast<Time>(r + 1);
+      if (r == kWideRow) {
+        builder.add(server, time, {0, 2, 4, 6});
+      } else {
+        builder.add(server, time, {low, static_cast<ItemId>(4 + low)});
+      }
+    }
+    path_ = temp_path("dpt_deep.dpt");
+    write_trace_dpt(path_, std::move(builder).build());
+    bytes_ = read_bytes(path_);
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Reseals `column` in `bytes` and expects the map open, with no pool and
+  /// on every pool width, to fail with exactly "<path>: <message>".
+  void expect_fault(std::string bytes, const DescriptorView& column,
+                    const std::string& message, const std::string& where) {
+    reseal_column(bytes, column);
+    write_bytes(path_, bytes);
+    for (ThreadPool* pool : pools_.all()) {
+      DptReadOptions options;
+      options.pool = pool;
+      EXPECT_EQ(open_error(path_, options), path_ + ": " + message)
+          << where << ", " << width_of(pool);
+    }
+  }
+
+  VerifyPools pools_;
+  std::string path_;
+  std::string bytes_;
+};
+
+TEST_F(DptDeepFaults, TheUntouchedFileOpens) {
+  for (ThreadPool* pool : pools_.all()) {
+    DptReadOptions options;
+    options.pool = pool;
+    EXPECT_EQ(open_error(path_, options), "") << width_of(pool);
+  }
+  const DescriptorView items = find_descriptor(bytes_, /*id=*/4);
+  ASSERT_GT(items.element_count, 2 * kMark32);
+  const DescriptorView index = find_descriptor(bytes_, /*id=*/6);
+  ASSERT_GT(index.element_count, 2 * kMark64);
+}
+
+TEST_F(DptDeepFaults, ServerIdOutOfRange) {
+  const DescriptorView servers = find_descriptor(bytes_, /*id=*/1);
+  for (const std::size_t at : {kMark32 - 1, kMark32, kMark32 + 1}) {
+    std::string bytes = bytes_;
+    poke<std::uint32_t>(bytes, servers, at, kServers);
+    expect_fault(bytes, servers, "adopt_columns: server id out of range",
+                 "server " + std::to_string(at));
+  }
+}
+
+TEST_F(DptDeepFaults, DecreasingItemOffset) {
+  const DescriptorView offsets = find_descriptor(bytes_, /*id=*/3);
+  for (const std::size_t at : {kMark64 - 1, kMark64, kMark64 + 1}) {
+    std::string bytes = bytes_;
+    poke<std::uint64_t>(bytes, offsets, at,
+                        peek<std::uint64_t>(bytes, offsets, at - 1) - 1);
+    expect_fault(bytes, offsets,
+                 "adopt_columns: item_offsets must be non-decreasing",
+                 "offset " + std::to_string(at));
+  }
+}
+
+TEST_F(DptDeepFaults, EmptyRow) {
+  const DescriptorView offsets = find_descriptor(bytes_, /*id=*/3);
+  for (const std::size_t at : {kMark64 - 1, kMark64, kMark64 + 1}) {
+    // offsets[at] = offsets[at - 1] empties row at - 1.
+    std::string bytes = bytes_;
+    poke<std::uint64_t>(bytes, offsets, at,
+                        peek<std::uint64_t>(bytes, offsets, at - 1));
+    expect_fault(bytes, offsets,
+                 "RequestSequence: empty item set at request " +
+                     std::to_string(at - 1),
+                 "offset " + std::to_string(at));
+  }
+}
+
+TEST_F(DptDeepFaults, ItemIdOutOfRange) {
+  const DescriptorView items = find_descriptor(bytes_, /*id=*/4);
+  for (const std::size_t at : {kMark32 - 1, kMark32, kMark32 + 1}) {
+    std::string bytes = bytes_;
+    poke<std::uint32_t>(bytes, items, at, kItems);
+    expect_fault(bytes, items, "adopt_columns: item id out of range",
+                 "item " + std::to_string(at));
+  }
+}
+
+TEST_F(DptDeepFaults, UnsortedRowAcrossTheMark) {
+  // Swap a pair of the four-item row before, across and after the mark.
+  const DescriptorView items = find_descriptor(bytes_, /*id=*/4);
+  const DescriptorView offsets = find_descriptor(bytes_, /*id=*/3);
+  ASSERT_EQ(peek<std::uint64_t>(bytes_, offsets, kWideRow), kMark32 - 2);
+  ASSERT_EQ(peek<std::uint64_t>(bytes_, offsets, kWideRow + 1), kMark32 + 2);
+  for (const std::size_t at : {kMark32 - 2, kMark32 - 1, kMark32}) {
+    std::string bytes = bytes_;
+    const auto first = peek<std::uint32_t>(bytes, items, at);
+    poke<std::uint32_t>(bytes, items, at,
+                        peek<std::uint32_t>(bytes, items, at + 1));
+    poke<std::uint32_t>(bytes, items, at + 1, first);
+    expect_fault(bytes, items,
+                 "RequestSequence: item set must be sorted and duplicate-free "
+                 "at request " + std::to_string(kWideRow),
+                 "pair at " + std::to_string(at));
+  }
+}
+
+TEST_F(DptDeepFaults, UnsortedItemRowListAcrossTheMark) {
+  // Item 1's list covers per_item_pool entries around the mark: swap a pair
+  // of its rows before, across and after it.
+  const DescriptorView starts = find_descriptor(bytes_, /*id=*/5);
+  const DescriptorView index = find_descriptor(bytes_, /*id=*/6);
+  ASSERT_LT(peek<std::uint64_t>(bytes_, starts, 1), kMark64 - 2);
+  ASSERT_GT(peek<std::uint64_t>(bytes_, starts, 2), kMark64 + 1);
+  for (const std::size_t at : {kMark64 - 2, kMark64 - 1, kMark64}) {
+    std::string bytes = bytes_;
+    const auto first = peek<std::uint64_t>(bytes, index, at);
+    poke<std::uint64_t>(bytes, index, at,
+                        peek<std::uint64_t>(bytes, index, at + 1));
+    poke<std::uint64_t>(bytes, index, at + 1, first);
+    expect_fault(bytes, index,
+                 "adopt_columns: an item's inverted index rows are not "
+                 "strictly ascending",
+                 "pair at " + std::to_string(at));
+  }
 }
 
 }  // namespace

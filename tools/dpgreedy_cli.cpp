@@ -50,6 +50,7 @@
 #include <unistd.h>
 
 #include "dpgreedy.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/stopwatch.hpp"
 
 using namespace dpg;
@@ -89,8 +90,10 @@ RunFlags add_run_flags(ArgParser& args) {
   flags.repack = args.add_size("repack", "online re-pairing interval", 50);
   flags.group_size = args.add_size("group-size", "max group size", 3);
   flags.hold = args.add_double("hold", "break-even hold factor", 1.0);
-  flags.threads =
-      args.add_size("threads", "Phase-2 worker threads (0 = serial)", 0);
+  flags.threads = args.add_size(
+      "threads",
+      "worker threads for the `.dpt` open, Phase 1 and Phase 2 (0 = serial)",
+      0);
   flags.no_kernels = args.add_flag(
       "no-kernels", "run the scalar DP reference loops instead of the "
       "SIMD kernels (results are bit-identical)");
@@ -144,8 +147,17 @@ void finish_telemetry(const RunFlags& flags) {
   }
 }
 
-RequestSequence load_trace(const RunFlags& flags) {
-  RequestSequence trace = read_trace_auto(*flags.trace);
+/// The launch's one pool, built from --threads before the trace is read:
+/// the `.dpt` open verifies its columns on it, then every solve of `solve`
+/// and `compare` shards Phase 1 and Phase 2 over it (`serve` runs neither).
+/// Null at --threads 0 (serial).
+std::unique_ptr<ThreadPool> pool_of(const RunFlags& flags) {
+  if (*flags.threads == 0) return nullptr;
+  return std::make_unique<ThreadPool>(*flags.threads);
+}
+
+RequestSequence load_trace(const RunFlags& flags, ThreadPool* pool) {
+  RequestSequence trace = read_trace_auto(*flags.trace, 0, 0, pool);
   DPG_INFO << "loaded " << trace.size() << " requests (m="
            << trace.server_count() << ", k=" << trace.item_count()
            << ") from " << *flags.trace;
@@ -161,10 +173,12 @@ CostModel model_of(const RunFlags& flags) {
   return model;
 }
 
-/// The solve knobs of the run flags.  Plans are not kept: only `solve`
-/// prints or exports them, and it turns them back on when it does.
-SolverConfig config_of(const RunFlags& flags) {
+/// The solve knobs of the run flags, solving on `pool` (pool_of's).  Plans
+/// are not kept: only `solve` prints or exports them, and it turns them back
+/// on when it does.
+SolverConfig config_of(const RunFlags& flags, ThreadPool* pool) {
   SolverConfig config;
+  config.pool = pool;
   config.keep_schedules = false;
   config.theta = *flags.theta;
   config.max_group_size = *flags.group_size;
@@ -438,10 +452,11 @@ int cmd_solve(int argc, const char* const* argv) {
   // and the metrics table are the human-readable extras of table format.
   // So plans are kept only for the plan table or --export-dir.
   const bool table = report_format == ReportFormat::kTable;
-  SolverConfig config = config_of(flags);
+  const std::unique_ptr<ThreadPool> pool = pool_of(flags);
+  SolverConfig config = config_of(flags, pool.get());
   config.keep_schedules = table || !export_dir->empty();
 
-  const RequestSequence trace = load_trace(flags);
+  const RequestSequence trace = load_trace(flags, pool.get());
   const CostModel model = model_of(flags);
   const RunReport report =
       builtin_registry().run(*solver, trace, model, config);
@@ -490,9 +505,10 @@ int cmd_compare(int argc, const char* const* argv) {
       names.push_back(std::string(trim(name)));
     }
   }
-  const RequestSequence trace = load_trace(flags);
+  const std::unique_ptr<ThreadPool> pool = pool_of(flags);
+  const RequestSequence trace = load_trace(flags, pool.get());
   const std::vector<RunReport> reports =
-      run_solvers(names, trace, model_of(flags), config_of(flags));
+      run_solvers(names, trace, model_of(flags), config_of(flags, pool.get()));
   print_reports(reports, report_format);
   finish_telemetry(flags);
   return 0;
@@ -708,7 +724,9 @@ int cmd_serve(int argc, const char* const* argv) {
   try {
     if (is_dpt_path(*flags.trace)) {
       // Binary traces mmap in zero-copy; claimed blocks view the columns.
-      const RequestSequence trace = read_trace_auto(*flags.trace);
+      // The open verifies them on a --threads pool, gone once it returns.
+      const RequestSequence trace =
+          read_trace_auto(*flags.trace, 0, 0, pool_of(flags).get());
       SequenceClaimSource source(trace, config.batch_rows,
                                  config.max_request_rows);
       result = run_sharded_serve(source, model, config, options, hooks);
