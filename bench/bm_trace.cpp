@@ -303,20 +303,18 @@ std::size_t file_bytes(const std::string& path) {
   return in ? static_cast<std::size_t>(in.tellg()) : 0;
 }
 
-/// `.dpt` binary format on a 1M-request trace: write + open latency in both
-/// modes (mmap borrow vs untrusting read-copy), the CSV parse of the same
-/// trace for scale, and convert throughput both directions.  The mmap open
-/// is the acceptance-gated number: < 10 ms with checksum verification on.
+/// `.dpt` binary format on a 1M-request trace: write + open latency, the
+/// CSV parse of the same trace for scale, and convert throughput both
+/// directions.  The open (mmap, every column hashed and checked) is the
+/// acceptance-gated number: < 10 ms.
 struct BinaryIoReport {
   std::size_t requests = 0;
   std::size_t csv_bytes = 0;
   std::size_t dpt_bytes = 0;
   double csv_write_ms = 0.0;
   double dpt_write_ms = 0.0;
-  double open_map_ms = 0.0;          // kMap, checksums verified (default)
-  double open_map_nocheck_ms = 0.0;  // kMap, verify_checksums = false
-  double open_read_ms = 0.0;         // kRead: buffered read + rebuild
-  double csv_parse_ms = 0.0;         // read_trace_file on the same trace
+  double open_map_ms = 0.0;   // read_trace_dpt: mmap + verification pass
+  double csv_parse_ms = 0.0;  // read_trace_file on the same trace
   double convert_csv_to_dpt_ms = 0.0;
   double convert_dpt_to_csv_ms = 0.0;
   bool map_borrows = false;
@@ -345,20 +343,6 @@ BinaryIoReport run_binary_io() {
 
   report.open_map_ms = time_best_ms([&] {
     if (read_trace_dpt(dpt_path).size() != report.requests) std::abort();
-  });
-  DptReadOptions nocheck;
-  nocheck.verify_checksums = false;
-  report.open_map_nocheck_ms = time_best_ms([&] {
-    if (read_trace_dpt(dpt_path, nocheck).size() != report.requests) {
-      std::abort();
-    }
-  });
-  DptReadOptions copy;
-  copy.mode = DptOpenMode::kRead;
-  report.open_read_ms = time_best_ms([&] {
-    if (read_trace_dpt(dpt_path, copy).size() != report.requests) {
-      std::abort();
-    }
   });
   report.csv_parse_ms = time_best_ms([&] {
     if (read_trace_file(csv_path).size() != report.requests) std::abort();
@@ -392,8 +376,7 @@ struct HundredMillionReport {
   double generate_s = 0.0;
   double csv_write_s = 0.0;
   double convert_s = 0.0;
-  double open_ms = 0.0;          // checksum-verified mmap open
-  double open_nocheck_ms = 0.0;  // mmap open, verify_checksums = false
+  double open_ms = 0.0;  // mmap open, every column hashed and checked
   double solve_s = 0.0;
   Cost total_cost = 0.0;
   bool map_borrows = false;
@@ -433,14 +416,6 @@ HundredMillionReport run_hundred_million() {
   std::remove(csv_path.c_str());
   report.dpt_bytes = file_bytes(dpt_path);
 
-  {
-    DptReadOptions nocheck;
-    nocheck.verify_checksums = false;
-    Stopwatch nocheck_watch;
-    const RequestSequence structural = read_trace_dpt(dpt_path, nocheck);
-    report.open_nocheck_ms = nocheck_watch.elapsed_seconds() * 1e3;
-    if (structural.size() != report.requests) std::abort();
-  }
   Stopwatch watch;
   const RequestSequence mapped = read_trace_dpt(dpt_path);
   report.open_ms = watch.elapsed_seconds() * 1e3;
@@ -524,11 +499,7 @@ int run(const std::string& fragment_path, bool with_hundred_million) {
       << ", \"csv_write_ms\": " << binary.csv_write_ms
       << ", \"dpt_write_ms\": " << binary.dpt_write_ms
       << ", \"open_map_ms\": " << binary.open_map_ms
-      << ", \"open_map_nocheck_ms\": " << binary.open_map_nocheck_ms
-      << ", \"open_read_ms\": " << binary.open_read_ms
       << ", \"csv_parse_ms\": " << binary.csv_parse_ms
-      << ", \"map_vs_read_speedup\": "
-      << binary.open_read_ms / binary.open_map_ms
       << ", \"map_vs_csv_speedup\": "
       << binary.csv_parse_ms / binary.open_map_ms
       << ", \"convert_csv_to_dpt_ms\": " << binary.convert_csv_to_dpt_ms
@@ -560,7 +531,6 @@ int run(const std::string& fragment_path, bool with_hundred_million) {
         << ", \"csv_write_s\": " << hundred.csv_write_s
         << ", \"convert_s\": " << hundred.convert_s
         << ", \"open_map_ms\": " << hundred.open_ms
-        << ", \"open_map_nocheck_ms\": " << hundred.open_nocheck_ms
         << ", \"dp_greedy_solve_s\": " << hundred.solve_s
         << ", \"total_cost\": " << hundred.total_cost
         << ", \"map_borrows\": " << (hundred.map_borrows ? "true" : "false")
@@ -568,13 +538,13 @@ int run(const std::string& fragment_path, bool with_hundred_million) {
     sections.emplace_back("hundred_million_e2e", hundred_section.str());
     std::printf(
         "100M e2e: generate %.1fs  csv write %.1fs (%.1f GiB)  convert %.1fs "
-        "(%.1f GiB .dpt)  mmap open %.2f ms (nocheck %.2f ms)  dp_greedy "
+        "(%.1f GiB .dpt)  mmap open %.2f ms  dp_greedy "
         "%.1fs  cost %.2f  %s\n",
         hundred.generate_s, hundred.csv_write_s,
         static_cast<double>(hundred.csv_bytes) / (1024.0 * 1024.0 * 1024.0),
         hundred.convert_s,
         static_cast<double>(hundred.dpt_bytes) / (1024.0 * 1024.0 * 1024.0),
-        hundred.open_ms, hundred.open_nocheck_ms, hundred.solve_s,
+        hundred.open_ms, hundred.solve_s,
         hundred.total_cost, hundred.map_borrows ? "borrowed" : "OWNED?");
   }
   const int status = bench::write_fragment(fragment_path, sections);
@@ -619,13 +589,11 @@ int run(const std::string& fragment_path, bool with_hundred_million) {
 
   std::printf(
       "binary io 1M rows: dpt write %.2f ms (%.1f MiB vs %.1f MiB csv)  "
-      "mmap open %.2f ms (nocheck %.3f ms)  kRead %.2f ms  csv parse "
-      "%.2f ms\n",
+      "mmap open %.2f ms  csv parse %.2f ms\n",
       binary.dpt_write_ms,
       static_cast<double>(binary.dpt_bytes) / (1024.0 * 1024.0),
       static_cast<double>(binary.csv_bytes) / (1024.0 * 1024.0),
-      binary.open_map_ms, binary.open_map_nocheck_ms, binary.open_read_ms,
-      binary.csv_parse_ms);
+      binary.open_map_ms, binary.csv_parse_ms);
   std::printf(
       "binary io convert: csv->dpt %.2f ms  dpt->csv %.2f ms  %s, %s\n",
       binary.convert_csv_to_dpt_ms, binary.convert_dpt_to_csv_ms,
@@ -647,8 +615,8 @@ int run(const std::string& fragment_path, bool with_hundred_million) {
                     parse.legacy_ms / parse.streaming_ms >= 5.0 &&
                     build_n.build_allocs == build_2n.build_allocs;
   std::printf("trace_io acceptance: %s\n", pass ? "PASS" : "FAIL");
-  // The binary gate: the zero-copy open of a 1M-request trace stays under
-  // 10 ms with checksum verification on, borrows the mapping, and is
+  // The binary gate: the zero-copy open of a 1M-request trace, every column
+  // hashed and checked, stays under 10 ms, borrows the mapping, and is
   // bit-exact against the in-memory source.
   const bool binary_pass = binary.open_map_ms < 10.0 && binary.map_borrows &&
                            binary.roundtrip_identical;

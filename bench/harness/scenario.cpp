@@ -247,7 +247,6 @@ const std::vector<ScenarioSpec>& scenario_registry() {
           gate_abs("open_map_ms", "<=", 10.0),
           gate_flag("map_borrows", true),
           gate_flag("roundtrip_identical", true),
-          gate_abs("map_vs_read_speedup", ">=", 2.0),
       };
       binary_io.headlines = {"open_map_ms", "map_vs_csv_speedup",
                              "dpt_bytes"};

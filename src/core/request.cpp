@@ -192,7 +192,6 @@ RequestSequence RequestSequence::adopt_columns(
           "adopt_columns: inverted-index pool size mismatch");
 
   if (verify_columns) {
-    seq.validate_columns(/*rows_normalized=*/false);
     // Cross-check the stored inverted index against a rebuild: the borrowed
     // views stay in place, the rebuilt owned vectors are just compared and
     // discarded (vectors stay small-but-allocated only on this slow path).

@@ -85,13 +85,14 @@ class RequestSequence {
   /// owns the storage (e.g. an mmap'ed file) and is held until every copy of
   /// the sequence is gone.  The column sizes are always checked.  The
   /// contents are trusted: the caller must have checked that both offsets
-  /// columns start at 0, end at their pool's size and never decrease, and,
-  /// unless `verify_columns` is set, that every id is in range, every row
-  /// is non-empty with strictly ascending items, and every item's rows are
-  /// strictly ascending and < n (the `.dpt` open checks all of it in its
-  /// verification pass).  `verify_columns` re-runs the full logical
-  /// validation instead and cross-checks the provided inverted index
-  /// against a rebuild.  Throws InvalidArgument on any inconsistency found.
+  /// columns start at 0, end at their pool's size and never decrease, that
+  /// every id is in range, every row is non-empty with strictly ascending
+  /// items, the times are strictly increasing, finite and > 0, and every
+  /// item's rows are strictly ascending and < n (the `.dpt` open checks all
+  /// of it in its verification pass).  `verify_columns` also cross-checks
+  /// the provided inverted index against one rebuilt from the rows, the one
+  /// check that the index lists the rows holding each item.  Throws
+  /// InvalidArgument on any inconsistency found.
   [[nodiscard]] static RequestSequence adopt_columns(
       std::size_t server_count, std::size_t item_count,
       const SequenceColumns& columns, std::shared_ptr<const void> keeper,

@@ -4,7 +4,7 @@
 // inspect caching workloads:
 //
 //   * the engine: SolverRegistry dispatch by stable name, SolverConfig (a
-//     fluent builder: `SolverConfig{}.threads(8).telemetry(true).seed(42)`),
+//     fluent builder: `SolverConfig{}.threads(8).telemetry(true)`),
 //     the canonical RunReport and its renderers,
 //   * trace I/O and workloads: CSV read/write, the synthetic generators,
 //     descriptive stats, the taxi mobility simulator,

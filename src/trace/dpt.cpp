@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -121,87 +122,6 @@ std::uint64_t dpt_checksum(const void* data, std::size_t size,
   return hash;
 }
 
-DptChecksumStream::DptChecksumStream(std::uint64_t seed) noexcept
-    : seed_(seed) {
-  acc_[0] = seed + kPrime1 + kPrime2;
-  acc_[1] = seed + kPrime2;
-  acc_[2] = seed;
-  acc_[3] = seed - kPrime1;
-}
-
-void DptChecksumStream::update(const void* data, std::size_t size) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  total_ += size;
-  // Top up a carried partial stripe first.  Consuming eagerly at exactly 32
-  // buffered bytes matches the one-shot loop, which also folds a stripe
-  // when exactly 32 bytes remain (its tail is total % 32 bytes).
-  if (buffered_ > 0) {
-    const std::size_t take = std::min(size, sizeof buffer_ - buffered_);
-    std::memcpy(buffer_ + buffered_, p, take);
-    buffered_ += take;
-    p += take;
-    size -= take;
-    if (buffered_ < sizeof buffer_) return;
-    acc_[0] = xxh64_round(acc_[0], read_u64(buffer_));
-    acc_[1] = xxh64_round(acc_[1], read_u64(buffer_ + 8));
-    acc_[2] = xxh64_round(acc_[2], read_u64(buffer_ + 16));
-    acc_[3] = xxh64_round(acc_[3], read_u64(buffer_ + 24));
-    buffered_ = 0;
-  }
-  // Whole stripes straight from the caller's buffer, no copy.
-  while (size >= 32) {
-    acc_[0] = xxh64_round(acc_[0], read_u64(p));
-    acc_[1] = xxh64_round(acc_[1], read_u64(p + 8));
-    acc_[2] = xxh64_round(acc_[2], read_u64(p + 16));
-    acc_[3] = xxh64_round(acc_[3], read_u64(p + 24));
-    p += 32;
-    size -= 32;
-  }
-  if (size > 0) {
-    std::memcpy(buffer_, p, size);
-    buffered_ = size;
-  }
-}
-
-std::uint64_t DptChecksumStream::digest() const noexcept {
-  // Finalize from a copy: the accumulators already hold every full stripe
-  // (floor(total / 32) of them), the carry buffer holds the total % 32
-  // tail — exactly the split the one-shot function reaches before its own
-  // finalization.
-  std::uint64_t hash;
-  if (total_ >= 32) {
-    hash = rotl64(acc_[0], 1) + rotl64(acc_[1], 7) + rotl64(acc_[2], 12) +
-           rotl64(acc_[3], 18);
-    hash = xxh64_merge(hash, acc_[0]);
-    hash = xxh64_merge(hash, acc_[1]);
-    hash = xxh64_merge(hash, acc_[2]);
-    hash = xxh64_merge(hash, acc_[3]);
-  } else {
-    hash = seed_ + kPrime5;
-  }
-  hash += total_;
-  const unsigned char* p = buffer_;
-  const unsigned char* const end = buffer_ + buffered_;
-  while (p + 8 <= end) {
-    hash = rotl64(hash ^ xxh64_round(0, read_u64(p)), 27) * kPrime1 + kPrime4;
-    p += 8;
-  }
-  if (p + 4 <= end) {
-    hash = rotl64(hash ^ (read_u32_wide(p) * kPrime1), 23) * kPrime2 + kPrime3;
-    p += 4;
-  }
-  while (p < end) {
-    hash = rotl64(hash ^ (*p * kPrime5), 11) * kPrime1;
-    ++p;
-  }
-  hash ^= hash >> 33;
-  hash *= kPrime2;
-  hash ^= hash >> 29;
-  hash *= kPrime3;
-  hash ^= hash >> 32;
-  return hash;
-}
-
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -284,8 +204,10 @@ inline std::size_t align_up(std::size_t v, std::size_t a) noexcept {
 
 /// Owns one mmap'ed read-only file; the keeper of borrowed sequences.
 /// The mapping is sized from an fstat of the opened descriptor (no
-/// stat-then-open race), but a file truncated *while mapped* still raises
-/// SIGBUS on access — an mmap fact of life, documented in docs/FORMAT.md.
+/// stat-then-open race).  The repo's writers replace a file by rename, which
+/// leaves the mapped pages alone, but a file truncated in place *while
+/// mapped* still raises SIGBUS on access — an mmap fact of life, documented
+/// in docs/FORMAT.md.
 class MappedFile {
  public:
   explicit MappedFile(const std::string& path) {
@@ -436,18 +358,19 @@ ColumnSet resolve_columns(const std::string& path, const Header& h) {
 }
 
 // ---------------------------------------------------------------------------
-// The verification pass.  Each column task hashes its column whole, then
-// runs the column's structural checks over it.  The tasks are spread over
-// the caller's pool, largest first; each CSR pair (item_offsets with
-// items_pool, per_item_offsets with per_item_pool) is one task, since the
-// pool checks cut their column by the verified offsets.  No task throws:
-// each records whether its checksums matched and its first structural
-// fault, and the open raises them after the join in a fixed order, so the
-// error does not depend on the pool width or on which task finished first.
+// The verification pass, the only validator of a file's contents.  Each
+// column task hashes its column whole, then runs the column's checks over
+// it.  The tasks are spread over the caller's pool, largest first; each CSR
+// pair (item_offsets with items_pool, per_item_offsets with per_item_pool)
+// is one task, since the pool checks cut their column by the verified
+// offsets.  No task throws: each records whether its checksums matched and
+// its first fault, and the open raises them after the join in a fixed
+// order, so the error does not depend on the pool width or on which task
+// finished first.
 
 /// The structural checks in the order the open reports them: a file with
 /// several faults gets the message of the first.  The two row checks come
-/// last.
+/// after the others, and the times check last of all.
 enum class Check : std::uint8_t {
   kItemOffsetsStart,
   kItemOffsetsEnd,
@@ -460,6 +383,7 @@ enum class Check : std::uint8_t {
   kPerItemRows,  // per item in id order: rows ascending, then last row < n
   kEmptyRow,
   kRowOrder,
+  kTimes,
   kPassed,
 };
 
@@ -482,31 +406,25 @@ struct VerifyPlan {
   const unsigned char* bytes = nullptr;
   const ColumnSet* set = nullptr;
   const Header* header = nullptr;
-  bool hash = true;           // compare every column's XXH64
-  bool check_offsets = true;  // both offsets columns
-  bool check_content = true;  // id ranges, per-item rows, the row checks
 };
 
 template <typename T>
 std::span<const T> column_span(const unsigned char* bytes,
                                const ColumnDesc& desc) {
-  // Columns are kColumnAlignment-aligned in the file and the base is page-
-  // (mmap) or allocator- (read) aligned, so the cast target is aligned.
+  // Columns are kColumnAlignment-aligned in the file and the mapping is
+  // page-aligned, so the cast target is aligned.
   return {reinterpret_cast<const T*>(bytes + desc.byte_offset),
           static_cast<std::size_t>(desc.element_count)};
 }
 
-/// Column `id`, its checksum compared into `verdict` first when the plan
-/// hashes.
+/// Column `id`, its checksum compared into `verdict` first.
 template <typename T>
 std::span<const T> hashed_column(const VerifyPlan& plan, std::uint32_t id,
                                  ColumnVerdict& verdict) {
   const ColumnDesc& desc = *plan.set->by_id[id];
-  if (plan.hash) {
-    verdict.checksum_ok =
-        dpt_checksum(plan.bytes + desc.byte_offset, desc.byte_length) ==
-        desc.checksum;
-  }
+  verdict.checksum_ok =
+      dpt_checksum(plan.bytes + desc.byte_offset, desc.byte_length) ==
+      desc.checksum;
   return column_span<T>(plan.bytes, desc);
 }
 
@@ -521,16 +439,36 @@ bool any_out_of_range(std::span<const T> ids, std::uint64_t count) {
 void verify_servers(const VerifyPlan& plan, ColumnVerdict* verdicts) {
   ColumnVerdict& verdict = verdicts[kColServers];
   const auto servers = hashed_column<ServerId>(plan, kColServers, verdict);
-  if (plan.check_content &&
-      any_out_of_range(servers, plan.header->server_count)) {
+  if (any_out_of_range(servers, plan.header->server_count)) {
     verdict.note(Check::kServerRange, "adopt_columns: server id out of range");
   }
 }
 
+/// Strictly increasing, finite and > 0, as RequestSequence requires: a
+/// positive first time, each time above the one before (`!(a < b)` fails a
+/// NaN on either side) and a finite last time (+inf can sit nowhere else in
+/// an increasing column).  The message names validate_columns' row.
 void verify_times(const VerifyPlan& plan, ColumnVerdict* verdicts) {
-  // The trusting open takes the times as they are: only the checksum
-  // covers them (verify_columns checks their order).
-  (void)hashed_column<Time>(plan, kColTimes, verdicts[kColTimes]);
+  ColumnVerdict& verdict = verdicts[kColTimes];
+  const auto times = hashed_column<Time>(plan, kColTimes, verdict);
+  if (times.empty()) return;
+  const auto step = std::adjacent_find(
+      times.begin(), times.end(), [](Time a, Time b) { return !(a < b); });
+  std::size_t row = times.size();
+  if (!(times.front() > 0.0)) {
+    row = 0;
+  } else if (step != times.end()) {
+    // A +inf before the last row is the fault itself, not the row after it.
+    row = static_cast<std::size_t>(step - times.begin()) +
+          (std::isinf(*step) ? 0u : 1u);
+  } else if (!std::isfinite(times.back())) {
+    row = times.size() - 1;
+  }
+  if (row < times.size()) {
+    verdict.note(Check::kTimes,
+                 "RequestSequence: times must be strictly increasing, finite "
+                 "and > 0 (violated at request " + std::to_string(row) + ")");
+  }
 }
 
 /// item_offsets, then items_pool: the row checks read the verified offsets.
@@ -538,37 +476,33 @@ void verify_rows(const VerifyPlan& plan, ColumnVerdict* verdicts) {
   ColumnVerdict& offsets_verdict = verdicts[kColItemOffsets];
   const auto offsets =
       hashed_column<std::uint64_t>(plan, kColItemOffsets, offsets_verdict);
-  if (plan.check_offsets) {
-    if (offsets.front() != 0) {
-      offsets_verdict.note(Check::kItemOffsetsStart,
-                           "adopt_columns: item_offsets must start at 0");
-    } else if (offsets.back() != plan.header->item_access_count) {
+  if (offsets.front() != 0) {
+    offsets_verdict.note(Check::kItemOffsetsStart,
+                         "adopt_columns: item_offsets must start at 0");
+  } else if (offsets.back() != plan.header->item_access_count) {
+    offsets_verdict.note(
+        Check::kItemOffsetsEnd,
+        "adopt_columns: item_offsets must end at the pool size");
+  } else if (const auto step =
+                 std::adjacent_find(offsets.begin(), offsets.end(),
+                                    std::greater_equal<>());
+             step != offsets.end()) {
+    // Each entry must exceed the one before: a smaller one anywhere breaks
+    // the order, else the first equal one ends an empty row.
+    if (!std::is_sorted(step, offsets.end())) {
       offsets_verdict.note(
-          Check::kItemOffsetsEnd,
-          "adopt_columns: item_offsets must end at the pool size");
-    } else if (const auto step =
-                   std::adjacent_find(offsets.begin(), offsets.end(),
-                                      std::greater_equal<>());
-               step != offsets.end()) {
-      // Each entry must exceed the one before: a smaller one anywhere
-      // breaks the order, else the first equal one ends an empty row.
-      if (!std::is_sorted(step, offsets.end())) {
-        offsets_verdict.note(
-            Check::kItemOffsetsOrder,
-            "adopt_columns: item_offsets must be non-decreasing");
-      } else if (plan.check_content) {
-        offsets_verdict.note(
-            Check::kEmptyRow,
-            "RequestSequence: empty item set at request " +
-                std::to_string(step - offsets.begin()));
-      }
+          Check::kItemOffsetsOrder,
+          "adopt_columns: item_offsets must be non-decreasing");
+    } else {
+      offsets_verdict.note(Check::kEmptyRow,
+                           "RequestSequence: empty item set at request " +
+                               std::to_string(step - offsets.begin()));
     }
   }
 
   ColumnVerdict& items_verdict = verdicts[kColItemsPool];
   const auto items =
       hashed_column<ItemId>(plan, kColItemsPool, items_verdict);
-  if (!plan.check_content) return;
   if (any_out_of_range(items, plan.header->item_count)) {
     items_verdict.note(Check::kItemRange,
                        "adopt_columns: item id out of range");
@@ -605,26 +539,24 @@ void verify_item_index(const VerifyPlan& plan, ColumnVerdict* verdicts) {
   ColumnVerdict& starts_verdict = verdicts[kColPerItemOffsets];
   const auto starts =
       hashed_column<std::uint64_t>(plan, kColPerItemOffsets, starts_verdict);
-  if (plan.check_offsets) {
-    // Empty only when the header's item count is 2^64 - 1 and k + 1 wrapped.
-    if (starts.empty() || starts.front() != 0) {
-      starts_verdict.note(Check::kPerItemOffsetsStart,
-                          "adopt_columns: per_item_offsets must start at 0");
-    } else if (starts.back() != plan.header->item_access_count) {
-      starts_verdict.note(
-          Check::kPerItemOffsetsEnd,
-          "adopt_columns: per_item_offsets must end at its pool size");
-    } else if (!std::is_sorted(starts.begin(), starts.end())) {
-      starts_verdict.note(
-          Check::kPerItemOffsetsOrder,
-          "adopt_columns: per_item_offsets must be non-decreasing");
-    }
+  // Empty only when the header's item count is 2^64 - 1 and k + 1 wrapped.
+  if (starts.empty() || starts.front() != 0) {
+    starts_verdict.note(Check::kPerItemOffsetsStart,
+                        "adopt_columns: per_item_offsets must start at 0");
+  } else if (starts.back() != plan.header->item_access_count) {
+    starts_verdict.note(
+        Check::kPerItemOffsetsEnd,
+        "adopt_columns: per_item_offsets must end at its pool size");
+  } else if (!std::is_sorted(starts.begin(), starts.end())) {
+    starts_verdict.note(
+        Check::kPerItemOffsetsOrder,
+        "adopt_columns: per_item_offsets must be non-decreasing");
   }
 
   ColumnVerdict& verdict = verdicts[kColPerItemPool];
   const auto pool =
       hashed_column<std::uint64_t>(plan, kColPerItemPool, verdict);
-  if (!plan.check_content || !starts_verdict.passed()) return;
+  if (!starts_verdict.passed()) return;
   // Phase 2 merges these lists and reads their order as time order.
   // Strictly ascending, a list's last row bounds all of its rows.
   for (std::size_t item = 0; item + 1 < starts.size(); ++item) {
@@ -650,7 +582,6 @@ void verify_item_index(const VerifyPlan& plan, ColumnVerdict* verdicts) {
 /// fault in Check order.
 void verify_pass(const std::string& path, const VerifyPlan& plan,
                  ThreadPool* pool) {
-  if (!plan.hash && !plan.check_offsets && !plan.check_content) return;
   ColumnVerdict verdicts[kColumnCount + 1];
   struct Task {
     std::uint64_t bytes;
@@ -692,133 +623,6 @@ void verify_pass(const std::string& path, const VerifyPlan& plan,
         return x.fault < y.fault;
       });
   if (!first.passed()) corrupt(path, first.message);
-}
-
-RequestSequence build_copy(const std::string& path, const Header& h,
-                           const ColumnSet& set, const unsigned char* bytes,
-                           std::size_t min_server_count,
-                           std::size_t min_item_count) {
-  // The untrusting path: stream every row through SequenceBuilder, which
-  // re-validates and rebuilds the inverted index.  The header counts give
-  // the builder an exact reserve hint, so the rebuild is allocation-flat.
-  const auto servers = column_span<ServerId>(bytes, *set.by_id[kColServers]);
-  const auto times = column_span<Time>(bytes, *set.by_id[kColTimes]);
-  const auto offsets =
-      column_span<std::uint64_t>(bytes, *set.by_id[kColItemOffsets]);
-  const auto pool = column_span<ItemId>(bytes, *set.by_id[kColItemsPool]);
-  // resolve_columns fixed the column *shapes*, not their contents: the
-  // offsets drive pool indexing below, so a corrupt-but-rechecksummed file
-  // must not walk past the pool (mirrors adopt_columns' structural checks).
-  if (offsets.front() != 0 || offsets.back() != pool.size() ||
-      !std::is_sorted(offsets.begin(), offsets.end())) {
-    corrupt(path, "column 'item_offsets': not a valid CSR offsets column");
-  }
-  SequenceBuilder builder(1, 1);
-  builder.reserve(h.request_count, h.item_access_count);
-  try {
-    for (std::size_t i = 0; i < h.request_count; ++i) {
-      builder.begin_request(servers[i], times[i]);
-      for (std::uint64_t j = offsets[i]; j < offsets[i + 1]; ++j) {
-        builder.push_item(pool[j]);
-      }
-      builder.end_request();
-    }
-    return std::move(builder).build_with_counts(
-        std::max<std::size_t>(h.server_count, min_server_count),
-        std::max<std::size_t>(h.item_count, min_item_count));
-  } catch (const InvalidArgument& e) {
-    // Rows that fail sequence validation in a well-checksummed file are
-    // file corruption from the caller's point of view (mirrors the kMap
-    // adopt_columns wrapping).
-    corrupt(path, e.what());
-  }
-}
-
-RequestSequence read_dpt_impl(const std::string& path,
-                              const DptReadOptions& options,
-                              std::size_t min_server_count,
-                              std::size_t min_item_count) {
-  const obs::TraceSpan span("trace/dpt_open");
-  g_dpt_opens.add();
-
-  // Borrowing views into the file verbatim requires the in-memory element
-  // shapes to match the on-disk ones.
-  static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
-                "the .dpt zero-copy path assumes 64-bit size_t");
-  static_assert(sizeof(Time) == 8 && sizeof(ServerId) == 4 &&
-                    sizeof(ItemId) == 4,
-                "the .dpt column shapes mirror core/types.hpp");
-
-  if (options.mode == DptOpenMode::kMap) {
-    auto mapped = std::make_shared<MappedFile>(path);
-    const std::size_t file_bytes = mapped->size();
-    g_dpt_bytes_mapped.add(file_bytes);
-    const unsigned char* bytes = mapped->data();
-    const Header h = parse_header(path, bytes, file_bytes);
-    const ColumnSet set = resolve_columns(path, h);
-    // The borrowed per-item index is shaped by the stored item count; larger
-    // universes need the owning rebuild, which checks the rows itself.
-    const bool rebuild = min_server_count > h.server_count ||
-                         min_item_count > h.item_count;
-    VerifyPlan plan;
-    plan.bytes = bytes;
-    plan.set = &set;
-    plan.header = &h;
-    plan.hash = options.verify_checksums;
-    plan.check_offsets = !rebuild;
-    // verify_columns re-validates the content in adopt_columns instead.
-    plan.check_content = !rebuild && !options.verify_columns;
-    verify_pass(path, plan, options.pool);
-    if (rebuild) {
-      return build_copy(path, h, set, bytes, min_server_count,
-                        min_item_count);
-    }
-    SequenceColumns columns;
-    columns.servers = column_span<ServerId>(bytes, *set.by_id[kColServers]);
-    columns.times = column_span<Time>(bytes, *set.by_id[kColTimes]);
-    columns.items_pool =
-        column_span<ItemId>(bytes, *set.by_id[kColItemsPool]);
-    columns.item_offsets =
-        column_span<std::size_t>(bytes, *set.by_id[kColItemOffsets]);
-    columns.per_item_pool =
-        column_span<std::size_t>(bytes, *set.by_id[kColPerItemPool]);
-    columns.per_item_offsets =
-        column_span<std::size_t>(bytes, *set.by_id[kColPerItemOffsets]);
-    try {
-      return RequestSequence::adopt_columns(h.server_count, h.item_count,
-                                            columns, std::move(mapped),
-                                            options.verify_columns);
-    } catch (const InvalidArgument& e) {
-      // verify_columns' validation failing on a well-checksummed file is
-      // still file corruption from the caller's point of view.
-      corrupt(path, e.what());
-    }
-  }
-
-  // kRead: one buffered read, then the builder path.  A file that shrinks
-  // between the stat and the read leaves the stream short, which throws
-  // IoError below — no unmapped-page hazard on this path.
-  const std::size_t file_bytes = file_size_of(path);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open trace file: " + path);
-  std::vector<unsigned char> buffer(file_bytes);
-  in.read(reinterpret_cast<char*>(buffer.data()),
-          static_cast<std::streamsize>(buffer.size()));
-  if (!in && !buffer.empty()) {
-    throw IoError("error while reading trace file: " + path);
-  }
-  const Header h = parse_header(path, buffer.data(), file_bytes);
-  const ColumnSet set = resolve_columns(path, h);
-  VerifyPlan plan;
-  plan.bytes = buffer.data();
-  plan.set = &set;
-  plan.header = &h;
-  plan.hash = options.verify_checksums;
-  plan.check_offsets = false;  // the builder re-validates every row
-  plan.check_content = false;
-  verify_pass(path, plan, options.pool);
-  return build_copy(path, h, set, buffer.data(), min_server_count,
-                    min_item_count);
 }
 
 }  // namespace
@@ -894,31 +698,68 @@ void write_trace_dpt(const std::string& path,
   }
   header.resize(align_up(header.size(), kColumnAlignment), 0);
 
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot write trace file: " + path);
-  out.write(reinterpret_cast<const char*>(header.data()),
-            static_cast<std::streamsize>(header.size()));
-  std::size_t written = header.size();
-  const char zeros[kColumnAlignment] = {};
-  for (std::size_t i = 0; i < kColumnCount; ++i) {
-    const ColumnDesc& desc = h.columns[i];
-    if (written < desc.byte_offset) {
-      out.write(zeros,
-                static_cast<std::streamsize>(desc.byte_offset - written));
-      written = desc.byte_offset;
+  std::size_t written = 0;
+  replace_trace_file(path, [&](std::ostream& out) {
+    out.write(reinterpret_cast<const char*>(header.data()),
+              static_cast<std::streamsize>(header.size()));
+    written = header.size();
+    const char zeros[kColumnAlignment] = {};
+    for (std::size_t i = 0; i < kColumnCount; ++i) {
+      const ColumnDesc& desc = h.columns[i];
+      if (written < desc.byte_offset) {
+        out.write(zeros,
+                  static_cast<std::streamsize>(desc.byte_offset - written));
+        written = desc.byte_offset;
+      }
+      out.write(static_cast<const char*>(plans[i].data),
+                static_cast<std::streamsize>(desc.byte_length));
+      written += desc.byte_length;
     }
-    out.write(static_cast<const char*>(plans[i].data),
-              static_cast<std::streamsize>(desc.byte_length));
-    written += desc.byte_length;
-  }
-  if (!out) throw IoError("error while writing trace file: " + path);
+  });
   g_dpt_rows_written.add(sequence.size());
   g_dpt_bytes_written.add(written);
 }
 
 RequestSequence read_trace_dpt(const std::string& path,
                                const DptReadOptions& options) {
-  return read_dpt_impl(path, options, 0, 0);
+  const obs::TraceSpan span("trace/dpt_open");
+  g_dpt_opens.add();
+
+  // Borrowing views into the file verbatim requires the in-memory element
+  // shapes to match the on-disk ones.
+  static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
+                "the .dpt zero-copy path assumes 64-bit size_t");
+  static_assert(sizeof(Time) == 8 && sizeof(ServerId) == 4 &&
+                    sizeof(ItemId) == 4,
+                "the .dpt column shapes mirror core/types.hpp");
+
+  auto mapped = std::make_shared<MappedFile>(path);
+  const std::size_t file_bytes = mapped->size();
+  g_dpt_bytes_mapped.add(file_bytes);
+  const unsigned char* bytes = mapped->data();
+  const Header h = parse_header(path, bytes, file_bytes);
+  const ColumnSet set = resolve_columns(path, h);
+  verify_pass(path, VerifyPlan{bytes, &set, &h}, options.pool);
+
+  SequenceColumns columns;
+  columns.servers = column_span<ServerId>(bytes, *set.by_id[kColServers]);
+  columns.times = column_span<Time>(bytes, *set.by_id[kColTimes]);
+  columns.items_pool = column_span<ItemId>(bytes, *set.by_id[kColItemsPool]);
+  columns.item_offsets =
+      column_span<std::size_t>(bytes, *set.by_id[kColItemOffsets]);
+  columns.per_item_pool =
+      column_span<std::size_t>(bytes, *set.by_id[kColPerItemPool]);
+  columns.per_item_offsets =
+      column_span<std::size_t>(bytes, *set.by_id[kColPerItemOffsets]);
+  try {
+    return RequestSequence::adopt_columns(h.server_count, h.item_count,
+                                          columns, std::move(mapped),
+                                          options.verify_columns);
+  } catch (const InvalidArgument& e) {
+    // An index that does not match the rows (verify_columns) is file
+    // corruption from the caller's point of view.
+    corrupt(path, e.what());
+  }
 }
 
 DptInfo probe_trace_dpt(const std::string& path) {
@@ -970,19 +811,17 @@ bool is_dpt_path(std::string_view path) noexcept {
          (ext[2] == 'p' || ext[2] == 'P') && (ext[3] == 't' || ext[3] == 'T');
 }
 
-RequestSequence read_trace_auto(const std::string& path,
-                                std::size_t min_server_count,
-                                std::size_t min_item_count, ThreadPool* pool) {
+RequestSequence read_trace_auto(const std::string& path, ThreadPool* pool) {
   if (path == "-") {
     // stdin is always CSV: the .dpt reader needs a seekable/mappable file.
-    return read_trace_stream(std::cin, min_server_count, min_item_count);
+    return read_trace_stream(std::cin);
   }
   if (is_dpt_path(path)) {
     DptReadOptions options;
     options.pool = pool;
-    return read_dpt_impl(path, options, min_server_count, min_item_count);
+    return read_trace_dpt(path, options);
   }
-  return read_trace_file(path, min_server_count, min_item_count);
+  return read_trace_file(path);
 }
 
 void write_trace_auto(const std::string& path,

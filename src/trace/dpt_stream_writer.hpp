@@ -3,94 +3,56 @@
 // write_trace_dpt (trace/dpt.hpp) needs a finished RequestSequence; a serve
 // process has no such thing — rows arrive one block at a time and the
 // stream's length, server count and item universe are only known when the
-// feed ends.  DptStreamWriter accepts rows as they are served:
+// feed ends.  DptStreamWriter collects the rows as they are served in a
+// SequenceBuilder:
 //
 //   DptStreamWriter archive("feed.dpt");
-//   for each block: archive.append_block(block);   // or append() per row
-//   archive.finish();                              // writes the file
+//   for each served row: archive.append(server, time, items);
+//   archive.finish();   // builds the sequence, then write_trace_dpt
 //
-// The resulting file is byte-for-byte what write_trace_dpt would have
-// produced for the same logical sequence (same header, same column order
-// and alignment, same checksums, same derived per-item inverted index) —
-// pinned by tests/dpt_stream_writer_test.cpp.  Column data accumulates in
-// memory (the `.dpt` header leads with counts and per-column checksums, so
-// the file cannot be written front-to-back while rows are still arriving),
-// but checksums for the four append-side columns run incrementally via
-// DptChecksumStream — finish() only scans the per-item index it builds.
+// finish() builds with counts of max id seen + 1, so a `.dpt` archived from
+// a feed replays with the same universe the engine discovered, and the file
+// is the one write_trace_dpt writes for that sequence.
 //
-// Rows are validated on entry exactly like SequenceBuilder: times strictly
-// increasing and > 0, item sets canonicalized (append() sorts/dedups a
-// scratch copy; append_block trusts the RequestBlock sorted-unique
-// invariant) and non-empty.  Counts are derived as
-// max(min_*_count, max id seen + 1) at finish(), so a `.dpt` archived from
-// a feed replays with the same universe the engine discovered — pass the
-// mins to pin a larger universe up front.
-//
-// Nothing touches the filesystem until finish(); a writer destroyed without
-// finishing leaves no partial file behind.
+// Rows are checked as they arrive: times strictly increasing and > 0 (the
+// builder would sort rows that come out of order instead of rejecting them)
+// and item sets non-empty; each row is canonicalized (sorted, duplicate-free)
+// like SequenceBuilder::end_request.  Nothing touches the filesystem until
+// finish(); a writer destroyed without finishing leaves no file behind.
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <string>
-#include <vector>
 
-#include "core/request_block.hpp"
+#include "core/request.hpp"
 #include "core/types.hpp"
-#include "trace/dpt.hpp"
 
 namespace dpg {
 
 class DptStreamWriter {
  public:
-  explicit DptStreamWriter(std::string path, std::size_t min_server_count = 0,
-                           std::size_t min_item_count = 0);
+  explicit DptStreamWriter(std::string path);
 
-  /// Appends one request.  `items` need not be sorted (a scratch copy is
-  /// canonicalized like SequenceBuilder::end_request); `time` must be
+  /// Appends one request.  `items` need not be sorted; `time` must be
   /// strictly greater than every previous row's and > 0.
   void append(ServerId server, Time time, std::span<const ItemId> items);
 
-  /// Appends every row of a block in order.  Block rows are already sorted
-  /// and duplicate-free (the RequestBlock invariant), so this skips the
-  /// canonicalization copy — the bulk path for archiving a serve feed.
-  void append_block(const RequestBlock& block);
-
   /// Rows appended so far.
-  [[nodiscard]] std::size_t rows() const noexcept { return servers_.size(); }
+  [[nodiscard]] std::size_t rows() const noexcept { return builder_.size(); }
 
-  /// Builds the per-item inverted index, writes the file and spends the
-  /// writer (further appends throw).  Throws InvalidArgument when the
-  /// derived server or item count is zero (empty feed with no mins) and
-  /// IoError on filesystem problems.
+  /// Builds the sequence, writes the file and spends the writer (further
+  /// appends throw).  Throws InvalidArgument on an empty feed and IoError on
+  /// filesystem problems.
   void finish();
 
  private:
-  void append_canonical(ServerId server, Time time,
-                        std::span<const ItemId> items);
-
   std::string path_;
-  std::size_t min_server_count_ = 0;
-  std::size_t min_item_count_ = 0;
+  SequenceBuilder builder_{1, 1};  // counts are set at finish()
   bool finished_ = false;
   Time last_time_ = 0.0;
   ServerId max_server_ = 0;
   ItemId max_item_ = 0;
-
-  // CSR columns, accumulated in append order (item_offsets_ leads with 0,
-  // matching the on-disk u64 × (n + 1) column).
-  std::vector<ServerId> servers_;
-  std::vector<Time> times_;
-  std::vector<std::size_t> item_offsets_;
-  std::vector<ItemId> items_pool_;
-
-  std::vector<ItemId> row_;  // canonicalization scratch for append()
-
-  // Running per-column checksums for the append-side columns.
-  DptChecksumStream servers_sum_;
-  DptChecksumStream times_sum_;
-  DptChecksumStream item_offsets_sum_;
-  DptChecksumStream items_pool_sum_;
 };
 
 }  // namespace dpg

@@ -1,7 +1,13 @@
 #include "trace/io.hpp"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <iterator>
@@ -170,25 +176,55 @@ RequestSequence trace_from_csv_legacy(const std::string& text,
   return RequestSequence(server_count, item_count, std::move(requests));
 }
 
+void replace_trace_file(const std::string& path,
+                        const std::function<void(std::ostream&)>& write) {
+  struct stat info {};
+  const bool in_place =
+      ::lstat(path.c_str(), &info) == 0 && !S_ISREG(info.st_mode);
+  const std::string target =
+      in_place ? path : path + ".tmp." + std::to_string(::getpid());
+  const auto discard = [&] {
+    if (!in_place) std::remove(target.c_str());
+  };
+  std::ofstream out(target, std::ios::binary | std::ios::trunc);
+  if (!out) throw IoError("cannot write trace file: " + path);
+  try {
+    write(out);
+  } catch (...) {
+    discard();
+    throw;
+  }
+  out.close();
+  if (!out) {
+    discard();
+    throw IoError("error while writing trace file: " + path);
+  }
+  if (!in_place && std::rename(target.c_str(), path.c_str()) != 0) {
+    const int error = errno;
+    discard();
+    throw IoError("cannot write trace file: " + path + " (" +
+                  std::strerror(error) + ")");
+  }
+}
+
 void write_trace_file(const std::string& path, const RequestSequence& sequence) {
   const obs::TraceSpan span("trace/write_file");
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot write trace file: " + path);
-  std::string buffer;
-  buffer.reserve(kWriteBufferBytes);
-  buffer += kHeader;
   std::size_t bytes = 0;
-  for (const Request& r : sequence.requests()) {
-    append_request_row(buffer, r);
-    if (buffer.size() >= kWriteBufferBytes - 512) {
-      out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-      bytes += buffer.size();
-      buffer.clear();
+  replace_trace_file(path, [&](std::ostream& out) {
+    std::string buffer;
+    buffer.reserve(kWriteBufferBytes);
+    buffer += kHeader;
+    for (const Request& r : sequence.requests()) {
+      append_request_row(buffer, r);
+      if (buffer.size() >= kWriteBufferBytes - 512) {
+        out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
+        bytes += buffer.size();
+        buffer.clear();
+      }
     }
-  }
-  out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-  bytes += buffer.size();
-  if (!out) throw IoError("error while writing trace file: " + path);
+    out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
+    bytes += buffer.size();
+  });
   g_rows_written.add(sequence.size());
   g_bytes_written.add(bytes);
 }

@@ -11,6 +11,7 @@
 // double quotes (no embedded separators or escaped quotes).
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -48,9 +49,20 @@ struct TraceParseHints {
     const std::string& text, std::size_t min_server_count = 0,
     std::size_t min_item_count = 0);
 
+/// Writes a trace file by replacement, as both trace writers do: `write`
+/// fills a temporary file next to `path`, which is renamed over `path` once
+/// the stream has closed cleanly.  A sequence still borrowing the old file's
+/// mapping keeps its pages, so a trace converts onto its own path.  On
+/// failure the temporary is removed and `path` is left as it was.  A `path`
+/// that exists and is not a regular file (a device, a FIFO, a symlink) is
+/// written in place.  Throws IoError.
+void replace_trace_file(const std::string& path,
+                        const std::function<void(std::ostream&)>& write);
+
 /// File variants. Throw IoError on filesystem problems.  Writing streams
-/// row-by-row through a buffer; reading loads the file in one sized read
-/// and labels any parse/validation error with the path and byte offset.
+/// row-by-row through a buffer into replace_trace_file; reading loads the
+/// file in one sized read and labels any parse/validation error with the
+/// path and byte offset.
 void write_trace_file(const std::string& path, const RequestSequence& sequence);
 [[nodiscard]] RequestSequence read_trace_file(
     const std::string& path, std::size_t min_server_count = 0,

@@ -1,9 +1,8 @@
 // The binary columnar trace format (trace/dpt.hpp): exact round-trips for
-// every generator family in both open modes (mmap zero-copy and untrusting
-// read), CSV ↔ .dpt interchange byte-identity, the XXH64 checksum against
-// its published vectors, and one test per corruption class — each must fail
-// with a clean FormatError naming the file, never a crash or a garbage
-// sequence.
+// every generator family through the one open (mmap zero-copy), CSV ↔ .dpt
+// interchange byte-identity, the XXH64 checksum against its published
+// vectors, and one test per corruption class — each must fail with a clean
+// FormatError naming the file, never a crash or a garbage sequence.
 #include <gtest/gtest.h>
 
 #include "test_support.hpp"
@@ -13,7 +12,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -99,26 +100,17 @@ void reseal_column(std::string& bytes, const DescriptorView& desc) {
   std::memcpy(bytes.data() + desc.row + 32, &sum, sizeof sum);
 }
 
-/// Round-trips `original` through a .dpt file in both open modes and checks
-/// exact structural equality plus CSV byte-identity of the re-serialization.
+/// Round-trips `original` through a .dpt file and checks exact structural
+/// equality plus CSV byte-identity of the re-serialization.
 void expect_dpt_roundtrip(const RequestSequence& original,
                           const std::string& stem) {
   const std::string path = temp_path(stem + ".dpt");
   write_trace_dpt(path, original);
 
-  DptReadOptions mapped;
-  mapped.mode = DptOpenMode::kMap;
-  const RequestSequence via_map = read_trace_dpt(path, mapped);
+  const RequestSequence via_map = read_trace_dpt(path);
   EXPECT_TRUE(via_map.borrows_storage());
   EXPECT_TRUE(same_sequence(original, via_map));
   EXPECT_EQ(trace_to_csv(original), trace_to_csv(via_map));
-
-  DptReadOptions copied;
-  copied.mode = DptOpenMode::kRead;
-  const RequestSequence via_read = read_trace_dpt(path, copied);
-  EXPECT_FALSE(via_read.borrows_storage());
-  EXPECT_TRUE(same_sequence(original, via_read));
-  EXPECT_EQ(trace_to_csv(original), trace_to_csv(via_read));
 
   std::remove(path.c_str());
 }
@@ -225,7 +217,7 @@ TEST(DptRoundTrip, WriteIsDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// The auto-dispatching entry points and dimension widening.
+// The auto-dispatching entry points and the header probe.
 
 TEST(DptAuto, ExtensionPicksTheFormat) {
   EXPECT_TRUE(is_dpt_path("trace.dpt"));
@@ -245,22 +237,6 @@ TEST(DptAuto, ExtensionPicksTheFormat) {
   EXPECT_EQ(read_bytes(dpt_path).substr(0, 8), "DPTRACE1");
   std::remove(csv_path.c_str());
   std::remove(dpt_path.c_str());
-}
-
-TEST(DptAuto, MinimumCountsWidenTheDimensions) {
-  const RequestSequence seq = testing::running_example_sequence();
-  const std::string path = temp_path("dpt_widen.dpt");
-  write_trace_dpt(path, seq);
-  const RequestSequence widened =
-      read_trace_auto(path, /*min_server_count=*/10, /*min_item_count=*/5);
-  EXPECT_EQ(widened.server_count(), 10u);
-  EXPECT_EQ(widened.item_count(), 5u);
-  ASSERT_EQ(widened.size(), seq.size());
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_EQ(widened[i].server, seq[i].server);
-    EXPECT_EQ(widened[i].time, seq[i].time);
-  }
-  std::remove(path.c_str());
 }
 
 TEST(DptAuto, ProbeReportsTheHeaderCounts) {
@@ -352,6 +328,71 @@ TEST(DptBorrowed, CopyAndMoveStayUsable) {
 }
 
 // ---------------------------------------------------------------------------
+// The writers replace their target by rename: a sequence still mapped from
+// the target keeps its pages, and a failed write leaves the target alone.
+
+TEST(DptReplace, WritingOntoTheMappedSourceKeepsItReadable) {
+  const RequestSequence original = testing::running_example_sequence();
+  const std::string path = temp_path("dpt_self.dpt");
+  write_trace_dpt(path, original);
+  const std::string dpt_bytes = read_bytes(path);
+
+  const RequestSequence mapped = read_trace_dpt(path);
+  write_trace_dpt(path, mapped);  // .dpt onto itself
+  EXPECT_EQ(read_bytes(path), dpt_bytes);
+  EXPECT_TRUE(same_sequence(mapped, original));
+
+  const RequestSequence remapped = read_trace_dpt(path);
+  write_trace_file(path, remapped);  // CSV onto the mapped .dpt
+  EXPECT_EQ(read_bytes(path), trace_to_csv(original));
+  EXPECT_TRUE(same_sequence(remapped, original));
+  std::remove(path.c_str());
+}
+
+TEST(DptReplace, AFailedWriteLeavesTheTargetAndNoTemporary) {
+  namespace fs = std::filesystem;
+  const fs::path dir = temp_path("dpt_replace_dir");
+  fs::remove_all(dir);
+  fs::create_directory(dir);
+  const std::string path = (dir / "trace.dpt").string();
+  write_trace_dpt(path, testing::running_example_sequence());
+  const std::string before = read_bytes(path);
+  const auto entries = [&dir] {
+    return std::distance(fs::directory_iterator(dir), fs::directory_iterator());
+  };
+
+  // The writer throws midway, then the stream fails.
+  EXPECT_THROW(replace_trace_file(path,
+                                  [](std::ostream& out) {
+                                    out << "partial";
+                                    throw IoError("disk on fire");
+                                  }),
+               IoError);
+  EXPECT_EQ(read_bytes(path), before);
+  EXPECT_EQ(entries(), 1);
+  EXPECT_THROW(replace_trace_file(path,
+                                  [](std::ostream& out) {
+                                    out << "partial";
+                                    out.setstate(std::ios::badbit);
+                                  }),
+               IoError);
+  EXPECT_EQ(read_bytes(path), before);
+  EXPECT_EQ(entries(), 1);
+
+  // A symlink is written through, in place: it stays a link.
+  const fs::path link = dir / "link.dpt";
+  fs::create_symlink(dir / "trace.dpt", link);
+  SequenceBuilder builder(/*server_count=*/1, /*item_count=*/1);
+  builder.add(0, 1.0, {0});
+  const RequestSequence one_row = std::move(builder).build();
+  write_trace_dpt(link.string(), one_row);
+  EXPECT_TRUE(fs::is_symlink(link));
+  EXPECT_TRUE(same_sequence(read_trace_dpt(path), one_row));
+  EXPECT_EQ(entries(), 2);
+  fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
 // Corruption: every damaged file fails with a FormatError naming the path.
 
 /// The opens every corruption case runs: no pool, then pools of 1, 2 and 4
@@ -384,6 +425,24 @@ std::string open_error(const std::string& path, const DptReadOptions& options) {
   return "";
 }
 
+/// Expects every open of `path` — with no pool and on every pool width,
+/// without and with verify_columns — to fail with exactly `want` ("" to
+/// open).  verify_columns adds only the index cross-check, which runs after
+/// the pass, so a file the pass rejects gets the pass's message.
+void expect_open_error(const std::string& path, VerifyPools& pools,
+                       const std::string& want, const std::string& where) {
+  for (const bool verify_columns : {false, true}) {
+    for (ThreadPool* pool : pools.all()) {
+      DptReadOptions options;
+      options.verify_columns = verify_columns;
+      options.pool = pool;
+      EXPECT_EQ(open_error(path, options), want)
+          << where << width_of(pool)
+          << (verify_columns ? ", verify_columns" : "");
+    }
+  }
+}
+
 class DptCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -394,41 +453,12 @@ class DptCorruption : public ::testing::Test {
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
-  /// Writes `bytes` to the file and expects the `mode` open, with no pool
-  /// and on every pool width, to fail with exactly "<path>: <message>".
-  void expect_message(const std::string& bytes, DptOpenMode mode,
-                      const std::string& message) {
+  /// Writes `bytes` to the file and expects every open of it to fail with
+  /// exactly "<path>: <message>".
+  void expect_rejected(const std::string& bytes, const std::string& message,
+                       const std::string& where = "") {
     write_bytes(path_, bytes);
-    for (ThreadPool* pool : pools_.all()) {
-      DptReadOptions options;
-      options.mode = mode;
-      options.pool = pool;
-      EXPECT_EQ(open_error(path_, options), path_ + ": " + message)
-          << (mode == DptOpenMode::kMap ? "kMap, " : "kRead, ")
-          << width_of(pool);
-    }
-  }
-
-  /// Both open modes fail with the same message.
-  void expect_rejected(const std::string& bytes, const std::string& message) {
-    expect_rejected(bytes, message, message);
-  }
-  void expect_rejected(const std::string& bytes, const std::string& map_message,
-                       const std::string& read_message) {
-    expect_message(bytes, DptOpenMode::kMap, map_message);
-    expect_message(bytes, DptOpenMode::kRead, read_message);
-  }
-
-  /// Expects the kRead open, on every pool width, to give `want`: it
-  /// rebuilds the rows and normalizes them (sorted, duplicate-free).
-  void expect_read_normalizes(const RequestSequence& want) {
-    for (ThreadPool* pool : pools_.all()) {
-      DptReadOptions copied;
-      copied.mode = DptOpenMode::kRead;
-      copied.pool = pool;
-      EXPECT_TRUE(same_sequence(read_trace_dpt(path_, copied), want))
-          << width_of(pool);
-    }
+    expect_open_error(path_, pools_, path_ + ": " + message, where);
   }
 
   VerifyPools pools_;
@@ -515,8 +545,7 @@ TEST_F(DptCorruption, ResealedOffsetsPastThePoolAreRejected) {
               &past, sizeof past);
   reseal_column(bytes, offsets);
   expect_rejected(bytes,
-                  "adopt_columns: item_offsets must end at the pool size",
-                  "column 'item_offsets': not a valid CSR offsets column");
+                  "adopt_columns: item_offsets must end at the pool size");
 }
 
 TEST_F(DptCorruption, ResealedOffsetsThatLeapAndFallBackAreRejected) {
@@ -534,16 +563,7 @@ TEST_F(DptCorruption, ResealedOffsetsThatLeapAndFallBackAreRejected) {
     std::memcpy(bytes.data() + offsets.byte_offset + 16, &zero, sizeof zero);
     reseal_column(bytes, offsets);
     expect_rejected(bytes, "adopt_columns: item_offsets must be non-decreasing",
-                    "column 'item_offsets': not a valid CSR offsets column");
-    // verify_columns cuts the rows by these offsets too.
-    for (ThreadPool* pool : pools_.all()) {
-      DptReadOptions options;
-      options.verify_columns = true;
-      options.pool = pool;
-      EXPECT_EQ(open_error(path_, options),
-                path_ + ": adopt_columns: item_offsets must be non-decreasing")
-          << "verify_columns, " << width_of(pool) << ", leap " << leap;
-    }
+                    "leap " + std::to_string(leap) + ", ");
   }
 }
 
@@ -556,8 +576,7 @@ TEST_F(DptCorruption, ResealedServerIdOutOfRangeIsRejected) {
   const std::uint32_t bogus = 0xFFFFu;
   std::memcpy(bytes.data() + servers.byte_offset, &bogus, sizeof bogus);
   reseal_column(bytes, servers);
-  expect_rejected(bytes, "adopt_columns: server id out of range",
-                  "RequestSequence: server id out of range at request 0");
+  expect_rejected(bytes, "adopt_columns: server id out of range");
 }
 
 TEST_F(DptCorruption, ResealedUnsortedItemRowListIsRejected) {
@@ -574,11 +593,9 @@ TEST_F(DptCorruption, ResealedUnsortedItemRowListIsRejected) {
   std::swap(rows[0], rows[1]);
   std::memcpy(bytes.data() + pool.byte_offset, rows, sizeof rows);
   reseal_column(bytes, pool);
-  expect_message(bytes, DptOpenMode::kMap,
-                 "adopt_columns: an item's inverted index rows are not "
-                 "strictly ascending");
-  // The read open rebuilds the index from the rows and never trusts it.
-  expect_read_normalizes(testing::running_example_sequence());
+  expect_rejected(bytes,
+                  "adopt_columns: an item's inverted index rows are not "
+                  "strictly ascending");
 }
 
 TEST_F(DptCorruption, ResealedItemRowPastTheLastRequestIsRejected) {
@@ -593,9 +610,7 @@ TEST_F(DptCorruption, ResealedItemRowPastTheLastRequestIsRejected) {
   row = 7;
   std::memcpy(bytes.data() + last, &row, sizeof row);
   reseal_column(bytes, pool);
-  expect_message(bytes, DptOpenMode::kMap,
-                 "adopt_columns: inverted index row out of range");
-  expect_read_normalizes(testing::running_example_sequence());
+  expect_rejected(bytes, "adopt_columns: inverted index row out of range");
 }
 
 // The rows of a `.dpt` must be non-empty with strictly ascending items:
@@ -609,15 +624,9 @@ TEST_F(DptCorruption, ResealedRepeatedItemInARowIsRejected) {
   const std::uint32_t zero = 0;  // row 1 {0,1} becomes {0,0}
   std::memcpy(bytes.data() + items.byte_offset + 2 * 4, &zero, sizeof zero);
   reseal_column(bytes, items);
-  expect_message(
-      bytes, DptOpenMode::kMap,
-      "RequestSequence: item set must be sorted and duplicate-free at "
-      "request 1");
-  // The read open dedups the row.
-  SequenceBuilder want(/*server_count=*/4, /*item_count=*/2);
-  want.add(2, 0.5, {0}).add(1, 0.8, {0}).add(3, 1.1, {1}).add(0, 1.4, {0, 1});
-  want.add(2, 2.6, {0}).add(2, 3.2, {1}).add(1, 4.0, {0, 1});
-  expect_read_normalizes(std::move(want).build());
+  expect_rejected(bytes,
+                  "RequestSequence: item set must be sorted and duplicate-free "
+                  "at request 1");
 }
 
 TEST_F(DptCorruption, ResealedSwappedPairInARowIsRejected) {
@@ -634,12 +643,9 @@ TEST_F(DptCorruption, ResealedSwappedPairInARowIsRejected) {
     std::memcpy(bytes.data() + items.byte_offset + entry * 4, pair,
                 sizeof pair);
     reseal_column(bytes, items);
-    expect_message(
-        bytes, DptOpenMode::kMap,
-        "RequestSequence: item set must be sorted and duplicate-free at "
-        "request " + std::to_string(row));
-    // The read open sorts the row back.
-    expect_read_normalizes(testing::running_example_sequence());
+    expect_rejected(bytes,
+                    "RequestSequence: item set must be sorted and "
+                    "duplicate-free at request " + std::to_string(row));
   }
 }
 
@@ -682,39 +688,82 @@ TEST_F(DptCorruption, ChecksumMismatchOutranksAStructuralFault) {
   expect_rejected(bytes, "checksum mismatch in column 'servers'");
 }
 
-TEST_F(DptCorruption, ChecksumVerificationCanBeDisabledForValidStructure) {
-  // With verify_checksums off a payload flip in the times column goes
-  // through (the structural checks still hold); this documents that the
-  // flag only skips integrity, never structure.  The times column offset
-  // comes from the descriptor table: 40-byte rows from byte 64, layout
-  // {u32 id, u32 element_size, u64 count, u64 offset, u64 length, u64 sum}.
-  std::uint64_t times_offset = 0;
-  for (std::size_t d = 0; d < 6; ++d) {
-    const std::size_t row = 64 + d * 40;
-    std::uint32_t id = 0;
-    std::memcpy(&id, bytes_.data() + row, sizeof(id));
-    if (id == 2) {
-      std::memcpy(&times_offset, bytes_.data() + row + 16,
-                  sizeof(times_offset));
-    }
+// The times must be strictly increasing, finite and > 0, as RequestSequence
+// requires: the DP reads them as the order of service.  The running
+// example's times are 0.5 0.8 1.1 1.4 2.6 3.2 4.0.  Each fault names the
+// first row RequestSequence's own validation names.
+
+std::string times_message(std::size_t row) {
+  return "RequestSequence: times must be strictly increasing, finite and > 0 "
+         "(violated at request " + std::to_string(row) + ")";
+}
+
+TEST_F(DptCorruption, ResealedTimesOutOfOrderAreRejected) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const DescriptorView times = find_descriptor(bytes_, /*id=*/2);
+  ASSERT_EQ(times.element_count, 7u);
+  struct Case {
+    const char* what;
+    std::size_t row;
+    double time;
+    std::size_t reported;
+  };
+  const Case cases[] = {
+      {"NaN", 3, kNan, 3},
+      {"repeated time", 4, 1.4, 4},
+      {"step back", 4, 1.0, 4},
+      {"+inf in the middle", 3, kInf, 3},
+      {"+inf last", 6, kInf, 6},
+      {"first time 0", 0, 0.0, 0},
+      {"first time -1", 0, -1.0, 0},
+  };
+  for (const Case& c : cases) {
+    std::string bytes = bytes_;
+    std::memcpy(bytes.data() + times.byte_offset + c.row * 8, &c.time,
+                sizeof c.time);
+    reseal_column(bytes, times);
+    expect_rejected(bytes, times_message(c.reported),
+                    std::string(c.what) + ", ");
   }
-  ASSERT_GT(times_offset, 0u);
-  std::string bytes = bytes_;
-  // Flip a low mantissa bit of times[0]: logically wrong, structurally fine.
-  bytes[times_offset] = static_cast<char>(bytes[times_offset] ^ 0x01);
-  write_bytes(path_, bytes);
-  DptReadOptions options;
-  options.verify_checksums = false;
-  const RequestSequence seq = read_trace_dpt(path_, options);
-  EXPECT_EQ(seq.size(), testing::running_example_sequence().size());
+}
+
+TEST_F(DptCorruption, StructuralFaultOutranksATimesFault) {
+  // A NaN time (resealed) with a server id out of range, then with a
+  // repeated item in a row — the last structural check — in another
+  // column: the structural fault is reported, at every pool width.
+  std::string times_fault = bytes_;
+  const DescriptorView times = find_descriptor(times_fault, /*id=*/2);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::memcpy(times_fault.data() + times.byte_offset + 8, &nan, sizeof nan);
+  reseal_column(times_fault, times);
+
+  std::string bytes = times_fault;
+  const DescriptorView servers = find_descriptor(bytes, /*id=*/1);
+  const std::uint32_t bogus = 0xFFFFu;
+  std::memcpy(bytes.data() + servers.byte_offset, &bogus, sizeof bogus);
+  reseal_column(bytes, servers);
+  expect_rejected(bytes, "adopt_columns: server id out of range");
+
+  bytes = times_fault;
+  const DescriptorView items = find_descriptor(bytes, /*id=*/4);
+  const std::uint32_t zero = 0;  // row 1 {0,1} becomes {0,0}
+  std::memcpy(bytes.data() + items.byte_offset + 2 * 4, &zero, sizeof zero);
+  reseal_column(bytes, items);
+  expect_rejected(bytes,
+                  "RequestSequence: item set must be sorted and duplicate-free "
+                  "at request 1");
+
+  // A flipped byte in another column's payload outranks both.
+  bytes[bytes.size() - 5] = static_cast<char>(bytes[bytes.size() - 5] ^ 0x40);
+  expect_rejected(bytes, "checksum mismatch in column 'per_item_pool'");
 }
 
 // ---------------------------------------------------------------------------
 // Faults deep in a 20,000-row file, where servers, times, item_offsets,
 // items_pool and per_item_pool each hold more than 64 KiB: every check must
 // find its fault wherever it sits and name the right row.  Each fault goes
-// just before, at and after 64 KiB into its column.  (The times column has
-// no structural check in the trusting open: only its checksum covers it.)
+// just before, at and after 64 KiB into its column.
 
 template <typename T>
 T peek(const std::string& bytes, const DescriptorView& column,
@@ -763,18 +812,13 @@ class DptDeepFaults : public ::testing::Test {
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
-  /// Reseals `column` in `bytes` and expects the map open, with no pool and
-  /// on every pool width, to fail with exactly "<path>: <message>".
+  /// Reseals `column` in `bytes` and expects every open of it to fail with
+  /// exactly "<path>: <message>".
   void expect_fault(std::string bytes, const DescriptorView& column,
                     const std::string& message, const std::string& where) {
     reseal_column(bytes, column);
     write_bytes(path_, bytes);
-    for (ThreadPool* pool : pools_.all()) {
-      DptReadOptions options;
-      options.pool = pool;
-      EXPECT_EQ(open_error(path_, options), path_ + ": " + message)
-          << where << ", " << width_of(pool);
-    }
+    expect_open_error(path_, pools_, path_ + ": " + message, where + ", ");
   }
 
   VerifyPools pools_;
@@ -783,11 +827,7 @@ class DptDeepFaults : public ::testing::Test {
 };
 
 TEST_F(DptDeepFaults, TheUntouchedFileOpens) {
-  for (ThreadPool* pool : pools_.all()) {
-    DptReadOptions options;
-    options.pool = pool;
-    EXPECT_EQ(open_error(path_, options), "") << width_of(pool);
-  }
+  expect_open_error(path_, pools_, "", "");
   const DescriptorView items = find_descriptor(bytes_, /*id=*/4);
   ASSERT_GT(items.element_count, 2 * kMark32);
   const DescriptorView index = find_descriptor(bytes_, /*id=*/6);
@@ -801,6 +841,24 @@ TEST_F(DptDeepFaults, ServerIdOutOfRange) {
     poke<std::uint32_t>(bytes, servers, at, kServers);
     expect_fault(bytes, servers, "adopt_columns: server id out of range",
                  "server " + std::to_string(at));
+  }
+}
+
+TEST_F(DptDeepFaults, TimesOutOfOrder) {
+  // A step back (the time before repeated) and a NaN, on each side of the
+  // mark: both name the row that holds them.
+  const DescriptorView times = find_descriptor(bytes_, /*id=*/2);
+  ASSERT_GT(times.element_count, 2 * kMark64);
+  for (const std::size_t at : {kMark64 - 1, kMark64, kMark64 + 1}) {
+    const std::string message =
+        "RequestSequence: times must be strictly increasing, finite and > 0 "
+        "(violated at request " + std::to_string(at) + ")";
+    std::string bytes = bytes_;
+    poke<double>(bytes, times, at, peek<double>(bytes, times, at - 1));
+    expect_fault(bytes, times, message, "repeat at " + std::to_string(at));
+    bytes = bytes_;
+    poke<double>(bytes, times, at, std::numeric_limits<double>::quiet_NaN());
+    expect_fault(bytes, times, message, "NaN at " + std::to_string(at));
   }
 }
 

@@ -1,16 +1,14 @@
-// DptStreamWriter (trace/dpt_stream_writer.hpp) and DptChecksumStream
-// (trace/dpt.hpp): the archive-while-serving path must produce files
-// byte-for-byte identical to write_trace_dpt on the same logical sequence,
-// and the incremental checksum must equal the one-shot function at every
-// chunking — those two identities are what let `serve --archive` emit
-// `.dpt` files indistinguishable from offline conversion.
+// DptStreamWriter (trace/dpt_stream_writer.hpp): the archive-while-serving
+// path must produce files byte-for-byte identical to write_trace_dpt of the
+// same rows with counts of max id + 1 — what `dpgreedy convert` writes for
+// the same feed — and reject the rows RequestSequence would reject, as they
+// arrive.
 #include <gtest/gtest.h>
 
 #include "test_support.hpp"
 
 #include <unistd.h>
 
-#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -20,6 +18,7 @@
 #include "trace/dpt.hpp"
 #include "trace/dpt_stream_writer.hpp"
 #include "trace/generators.hpp"
+#include "trace/io.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -59,47 +58,10 @@ RequestSequence fixture_trace() {
   return generate_zipf_trace(config, rng);
 }
 
-// ---------------------------------------------------------------------------
-// DptChecksumStream
-
-TEST(DptChecksumStream, MatchesOneShotAtEveryChunking) {
-  // Sizes straddling every finalization regime: empty, sub-stripe tails of
-  // 1/4/8-byte granularity, exactly one stripe, stripe ± 1, multiples.
-  const std::size_t sizes[] = {0, 1, 3, 4, 7, 8, 12, 31, 32,
-                               33, 40, 63, 64, 65, 96, 1000};
-  const std::size_t chunks[] = {1, 3, 7, 13, 32, 64, 1u << 20};
-  std::vector<unsigned char> data(1000);
-  std::uint64_t x = 0x9E3779B97F4A7C15ULL;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    data[i] = static_cast<unsigned char>(x);
-  }
-  for (const std::size_t size : sizes) {
-    const std::uint64_t want = dpt_checksum(data.data(), size);
-    for (const std::size_t chunk : chunks) {
-      DptChecksumStream stream;
-      for (std::size_t at = 0; at < size; at += chunk) {
-        stream.update(data.data() + at, std::min(chunk, size - at));
-      }
-      EXPECT_EQ(stream.digest(), want)
-          << "size " << size << " chunk " << chunk;
-      EXPECT_EQ(stream.total_bytes(), size);
-    }
-  }
-}
-
-TEST(DptChecksumStream, DigestIsNonDestructiveMidStream) {
-  const std::string text = "the quick brown fox jumps over the lazy dog, "
-                           "twice around the block and back again";
-  DptChecksumStream stream(/*seed=*/7);
-  stream.update(text.data(), 10);
-  const std::uint64_t at10 = stream.digest();
-  EXPECT_EQ(at10, dpt_checksum(text.data(), 10, 7));
-  EXPECT_EQ(stream.digest(), at10);  // reading twice changes nothing
-  stream.update(text.data() + 10, text.size() - 10);
-  EXPECT_EQ(stream.digest(), dpt_checksum(text.data(), text.size(), 7));
+/// `sequence` as `dpgreedy convert` reads it back from its CSV: counts of
+/// max id + 1, what an archive of its rows derives.
+RequestSequence as_converted(const RequestSequence& sequence) {
+  return trace_from_csv(trace_to_csv(sequence));
 }
 
 // ---------------------------------------------------------------------------
@@ -109,10 +71,9 @@ TEST(DptStreamWriter, PerRowAppendMatchesWriteTraceDptByteForByte) {
   const RequestSequence sequence = fixture_trace();
   const std::string batch_path = temp_path("batch.dpt");
   const std::string stream_path = temp_path("stream.dpt");
-  write_trace_dpt(batch_path, sequence);
+  write_trace_dpt(batch_path, as_converted(sequence));
 
-  DptStreamWriter writer(stream_path, sequence.server_count(),
-                         sequence.item_count());
+  DptStreamWriter writer(stream_path);
   for (std::size_t i = 0; i < sequence.size(); ++i) {
     writer.append(sequence.server_of(i), sequence.time_of(i),
                   sequence.items_of(i));
@@ -129,12 +90,11 @@ TEST(DptStreamWriter, BlockAppendMatchesWriteTraceDptByteForByte) {
   const RequestSequence sequence = fixture_trace();
   const std::string batch_path = temp_path("batch.dpt");
   const std::string stream_path = temp_path("stream.dpt");
-  write_trace_dpt(batch_path, sequence);
+  write_trace_dpt(batch_path, as_converted(sequence));
 
-  // Feed through RequestBlocks of a ragged size, the archive-a-serve-feed
-  // shape (the last block is partial).
-  DptStreamWriter writer(stream_path, sequence.server_count(),
-                         sequence.item_count());
+  // Rows taken from RequestBlocks of a ragged size (the last block is
+  // partial), one append per served row, as `serve --archive` feeds them.
+  DptStreamWriter writer(stream_path);
   RequestBlock block;
   for (std::size_t at = 0; at < sequence.size();) {
     block.clear();
@@ -143,7 +103,9 @@ TEST(DptStreamWriter, BlockAppendMatchesWriteTraceDptByteForByte) {
       block.append_row(sequence.server_of(at), sequence.time_of(at),
                        sequence.items_of(at));
     }
-    writer.append_block(block);
+    for (std::size_t r = 0; r < block.size(); ++r) {
+      writer.append(block.server_of(r), block.time_of(r), block.items_of(r));
+    }
   }
   writer.finish();
 
@@ -153,23 +115,22 @@ TEST(DptStreamWriter, BlockAppendMatchesWriteTraceDptByteForByte) {
 }
 
 TEST(DptStreamWriter, RoundTripsThroughBothOpenModes) {
+  // The default open and the one that also cross-checks the stored
+  // inverted index against a rebuild.
   const RequestSequence sequence = fixture_trace();
   const std::string path = temp_path("roundtrip.dpt");
-  DptStreamWriter writer(path);  // counts derived from the feed itself
+  DptStreamWriter writer(path);
   for (std::size_t i = 0; i < sequence.size(); ++i) {
     writer.append(sequence.server_of(i), sequence.time_of(i),
                   sequence.items_of(i));
   }
   writer.finish();
 
-  DptReadOptions map_options;
-  map_options.mode = DptOpenMode::kMap;
-  map_options.verify_checksums = true;
-  map_options.verify_columns = true;
-  EXPECT_TRUE(same_sequence(read_trace_dpt(path, map_options), sequence));
-  DptReadOptions read_options;
-  read_options.mode = DptOpenMode::kRead;
-  EXPECT_TRUE(same_sequence(read_trace_dpt(path, read_options), sequence));
+  const RequestSequence want = as_converted(sequence);
+  EXPECT_TRUE(same_sequence(read_trace_dpt(path), want));
+  DptReadOptions checked;
+  checked.verify_columns = true;
+  EXPECT_TRUE(same_sequence(read_trace_dpt(path, checked), want));
   std::remove(path.c_str());
 }
 
@@ -192,20 +153,6 @@ TEST(DptStreamWriter, AppendCanonicalizesUnsortedDuplicateItems) {
   std::remove(batch_path.c_str());
 }
 
-TEST(DptStreamWriter, MinCountsPinALargerUniverse) {
-  const std::string path = temp_path("mins.dpt");
-  DptStreamWriter writer(path, /*min_server_count=*/40,
-                         /*min_item_count=*/99);
-  writer.append(1, 1.0, std::vector<ItemId>{0, 2});
-  writer.finish();
-  const DptInfo info = probe_trace_dpt(path);
-  EXPECT_EQ(info.request_count, 1u);
-  EXPECT_EQ(info.server_count, 40u);
-  EXPECT_EQ(info.item_count, 99u);
-  EXPECT_EQ(info.item_access_count, 2u);
-  std::remove(path.c_str());
-}
-
 TEST(DptStreamWriter, RejectsInvalidRowsAndMisuse) {
   const std::string path = temp_path("invalid.dpt");
   DptStreamWriter writer(path);
@@ -217,24 +164,29 @@ TEST(DptStreamWriter, RejectsInvalidRowsAndMisuse) {
                InvalidArgument);
   // Item sets must be non-empty.
   EXPECT_THROW(writer.append(0, 2.0, std::vector<ItemId>{}), InvalidArgument);
+  EXPECT_EQ(writer.rows(), 1u);
   writer.finish();
   EXPECT_THROW(writer.append(0, 3.0, std::vector<ItemId>{1}),
                InvalidArgument);
   EXPECT_THROW(writer.finish(), InvalidArgument);
+  // The rejected rows left the archive alone: it holds the one valid row.
+  const DptInfo info = probe_trace_dpt(path);
+  EXPECT_EQ(info.request_count, 1u);
+  EXPECT_EQ(info.server_count, 1u);
+  EXPECT_EQ(info.item_count, 4u);
   std::remove(path.c_str());
 
-  // An empty feed has no derivable universe; the mins make it legal.
-  DptStreamWriter empty(temp_path("empty.dpt"));
+  // A first time of 0 or below is rejected too.
+  DptStreamWriter first(temp_path("first.dpt"));
+  EXPECT_THROW(first.append(0, 0.0, std::vector<ItemId>{1}), InvalidArgument);
+  EXPECT_THROW(first.append(0, -1.0, std::vector<ItemId>{1}),
+               InvalidArgument);
+
+  // An empty feed has nothing to write, and leaves no file behind.
+  const std::string empty_path = temp_path("empty.dpt");
+  DptStreamWriter empty(empty_path);
   EXPECT_THROW(empty.finish(), InvalidArgument);
-  const std::string pinned_path = temp_path("empty_pinned.dpt");
-  DptStreamWriter pinned(pinned_path, /*min_server_count=*/2,
-                         /*min_item_count=*/3);
-  pinned.finish();
-  const DptInfo info = probe_trace_dpt(pinned_path);
-  EXPECT_EQ(info.request_count, 0u);
-  EXPECT_EQ(info.server_count, 2u);
-  EXPECT_EQ(info.item_count, 3u);
-  std::remove(pinned_path.c_str());
+  EXPECT_FALSE(std::ifstream(empty_path).good());
 }
 
 }  // namespace

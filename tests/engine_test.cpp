@@ -414,11 +414,9 @@ TEST(Engine, SolverInstanceIsReusableAcrossRuns) {
 }
 
 TEST(SolverConfigBuilder, FluentChainSetsFields) {
-  const SolverConfig config =
-      SolverConfig{}.threads(8).telemetry(true).seed(42);
+  const SolverConfig config = SolverConfig{}.threads(8).telemetry(true);
   EXPECT_EQ(config.thread_count, 8u);
   EXPECT_TRUE(config.telemetry_enabled);
-  EXPECT_EQ(config.rng_seed, 42u);
   // Aggregate initialization keeps working alongside the builder.
   SolverConfig aggregate;
   aggregate.theta = 0.5;
@@ -435,8 +433,7 @@ TEST(SolverConfigBuilder, WithSetsEveryNamedField) {
       .with("hold_factor", "2.0")
       .with("keep_schedules", "false")
       .with("threads", "8")
-      .with("telemetry", "on")
-      .with("seed", "7");
+      .with("telemetry", "on");
   EXPECT_EQ(config.theta, 0.4);
   EXPECT_EQ(config.max_group_size, 4u);
   EXPECT_EQ(config.window, 100u);
@@ -445,7 +442,6 @@ TEST(SolverConfigBuilder, WithSetsEveryNamedField) {
   EXPECT_FALSE(config.keep_schedules);
   EXPECT_EQ(config.thread_count, 8u);
   EXPECT_TRUE(config.telemetry_enabled);
-  EXPECT_EQ(config.rng_seed, 7u);
 }
 
 TEST(SolverConfigBuilder, UnknownFieldThrowsListingValidFields) {
@@ -458,7 +454,7 @@ TEST(SolverConfigBuilder, UnknownFieldThrowsListingValidFields) {
     for (const char* field : {"theta", "max_group_size", "window",
                               "repack_interval", "hold_factor",
                               "keep_schedules", "threads", "telemetry",
-                              "seed"}) {
+                              "kernels"}) {
       EXPECT_NE(message.find(field), std::string::npos) << message;
     }
   }

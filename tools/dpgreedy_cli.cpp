@@ -157,7 +157,7 @@ std::unique_ptr<ThreadPool> pool_of(const RunFlags& flags) {
 }
 
 RequestSequence load_trace(const RunFlags& flags, ThreadPool* pool) {
-  RequestSequence trace = read_trace_auto(*flags.trace, 0, 0, pool);
+  RequestSequence trace = read_trace_auto(*flags.trace, pool);
   DPG_INFO << "loaded " << trace.size() << " requests (m="
            << trace.server_count() << ", k=" << trace.item_count()
            << ") from " << *flags.trace;
@@ -704,13 +704,9 @@ int cmd_serve(int argc, const char* const* argv) {
     archive_writer = std::make_unique<DptStreamWriter>(config.archive_path);
     hooks.on_served = [&archive_writer](const RequestBlock& block,
                                         std::size_t rows) {
-      if (rows == block.size()) {
-        archive_writer->append_block(block);
-      } else {
-        for (std::size_t r = 0; r < rows; ++r) {
-          archive_writer->append(block.server_of(r), block.time_of(r),
-                                 block.items_of(r));
-        }
+      for (std::size_t r = 0; r < rows; ++r) {
+        archive_writer->append(block.server_of(r), block.time_of(r),
+                               block.items_of(r));
       }
     };
   }
@@ -726,7 +722,7 @@ int cmd_serve(int argc, const char* const* argv) {
       // Binary traces mmap in zero-copy; claimed blocks view the columns.
       // The open verifies them on a --threads pool, gone once it returns.
       const RequestSequence trace =
-          read_trace_auto(*flags.trace, 0, 0, pool_of(flags).get());
+          read_trace_auto(*flags.trace, pool_of(flags).get());
       SequenceClaimSource source(trace, config.batch_rows,
                                  config.max_request_rows);
       result = run_sharded_serve(source, model, config, options, hooks);
