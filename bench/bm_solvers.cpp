@@ -399,7 +399,7 @@ DPG_BENCH_NOINLINE void sweep_prescan_scalar(const Flow& flow,
   }
 }
 
-/// The kernel path's one fused pass (p(i), link, w, W and base).
+/// The kernel path's one fused pass (p(i), link, w, W, base and L).
 DPG_BENCH_NOINLINE void sweep_prescan_kernel(
     const Flow& flow, std::size_t servers, double mu, double lambda,
     std::int32_t* last_visit, const kernels::NodeColumns& columns) {
@@ -425,8 +425,10 @@ int run_dp_kernel(const std::string& fragment_path) {
   std::vector<ServerId> s(nodes);
   std::vector<std::int32_t> prev(nodes);
   std::vector<Cost> base(nodes), wp_k(nodes);
-  const kernels::NodeColumns columns{t.data(), s.data(), prev.data(),
-                                     base.data(), wp_k.data()};
+  std::vector<std::int32_t> local_links(nodes);
+  const kernels::NodeColumns columns{t.data(),    s.data(),
+                                     prev.data(), base.data(),
+                                     wp_k.data(), local_links.data()};
   // The p(i) pre-scan alone, for context: the reference runs it before
   // its w/W loop; the kernel pass folds it in.
   const double link_ms = kernel_best_ms([&] {

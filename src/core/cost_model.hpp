@@ -16,9 +16,9 @@
 namespace dpg {
 
 struct CostModel {
-  /// Cache cost per item per time unit (μ). Must be >= 0.
+  /// Cache cost per item per time unit (μ). Must be finite and >= 0.
   double mu = 1.0;
-  /// Transfer cost per item per hop (λ). Must be >= 0.
+  /// Transfer cost per item per hop (λ). Must be finite and >= 0.
   double lambda = 1.0;
   /// Package discount factor (α) in (0, 1].
   double alpha = 0.8;

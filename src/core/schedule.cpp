@@ -52,10 +52,12 @@ void ScheduleCounter::add_transfer(ServerId from, ServerId to, Time time) {
   ++counts_.transfers;
 }
 
-void ScheduleCounter::publish() const noexcept {
-  g_segments_emitted.add(counts_.segments);
-  g_transfers_emitted.add(counts_.transfers);
+void publish_emitted(ScheduleCounts counts) noexcept {
+  g_segments_emitted.add(counts.segments);
+  g_transfers_emitted.add(counts.transfers);
 }
+
+void ScheduleCounter::publish() const noexcept { publish_emitted(counts_); }
 
 Time Schedule::total_cache_time() const {
   // Union of intervals per server (a server never needs two copies of the

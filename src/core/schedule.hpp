@@ -40,6 +40,10 @@ struct ScheduleCounts {
   std::size_t transfers = 0;
 };
 
+/// Bumps the schedule.*_emitted counters by `counts`, as building a
+/// schedule that holds them would have, element by element.
+void publish_emitted(ScheduleCounts counts) noexcept;
+
 /// Counts what a Schedule would hold without holding it: add_segment and
 /// add_transfer run Schedule's checks and skip the zero-length segments it
 /// skips, so a loop written once against either fills the same counts.

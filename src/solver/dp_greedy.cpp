@@ -94,19 +94,19 @@ void serve_singletons_scalar(const RequestSequence& sequence,
 /// merge of the two items' request lists (kernels::merge_two_lists), which
 /// prefetches the server and time of the rows it will reach, reads each
 /// request's server and time once and
-///   * appends the requests holding both items to the package flow
-///     (ws.flow), which update both items' recency state;
+///   * hands each request holding both items to
+///     `co_request(index, server, time)`, which appends it to the package
+///     flow or steps the DP's pre-scan with it; it updates both items'
+///     recency state;
 ///   * decides a's single-item requests as they come, in a's event order;
 ///   * decides b's the same way but stages them (ws.staged), folding them in
 ///     after a's so singleton_cost, the charges and the services accumulate
 ///     in the reference's order: a's decisions, then b's.
 /// The two items' recency state interleaves per server: last[2s + lane].
+template <typename CoRequest>
 void walk_package(const RequestSequence& sequence, const CostModel& model,
                   ItemPair pair, PackageReport& report, SolverWorkspace& ws,
-                  bool keep_plan) {
-  Flow& flow = ws.flow;
-  flow.group_size = 2;
-  flow.points.clear();
+                  bool keep_plan, CoRequest&& co_request) {
   ws.staged.clear();
   ws.server_times.assign(2 * sequence.server_count(), -1.0);
   Time* last = ws.server_times.data();
@@ -130,7 +130,7 @@ void walk_package(const RequestSequence& sequence, const CostModel& model,
         const Time time = times[index];
         Time* here = last + 2 * static_cast<std::size_t>(server);
         if (holders.size() == 2) {
-          flow.points.push_back(ServicePoint{server, time, index});
+          co_request(index, server, time);
           prev[0] = prev[1] = time;
           here[0] = here[1] = time;
           return;
@@ -166,12 +166,34 @@ PackageReport solve_pair_package_ws(const RequestSequence& sequence,
   report.total_accesses =
       sequence.item_frequency(pair.a) + sequence.item_frequency(pair.b);
 
+  // Without a kept plan the kernel walk pre-scans the co-requests straight
+  // into the DP's node columns and builds no flow.
+  const bool walk_prescans = dp.use_kernels && !keep_plan;
+  std::size_t nodes = 0;
   {
-    // Building the flow and the greedy decisions: Phase 2's CPU outside
-    // the DP (phase2/dp_solve).
+    // The flow (or its pre-scan) and the greedy decisions: Phase 2's CPU
+    // outside the DP (phase2/dp_solve).
     const obs::TraceSpan walk_span("phase2/package_walk");
-    if (dp.use_kernels) {
-      walk_package(sequence, model, pair, report, ws, keep_plan);
+    if (walk_prescans) {
+      const std::size_t m = sequence.server_count();
+      const std::size_t most = std::min(sequence.item_frequency(pair.a),
+                                        sequence.item_frequency(pair.b));
+      const kernels::NodeColumns columns = ws.node_columns(most + 1, m);
+      kernels::FlowPrescan scan(columns, m, model.mu, model.lambda,
+                                ws.last_visit.data());
+      walk_package(sequence, model, pair, report, ws, keep_plan,
+                   [&scan](std::size_t, ServerId server, Time time) {
+                     scan.step(server, time);
+                   });
+      nodes = scan.nodes();
+    } else if (dp.use_kernels) {
+      Flow& flow = ws.flow;
+      flow.group_size = 2;
+      flow.points.clear();
+      walk_package(sequence, model, pair, report, ws, keep_plan,
+                   [&flow](std::size_t index, ServerId server, Time time) {
+                     flow.points.push_back(ServicePoint{server, time, index});
+                   });
     } else {
       make_package_flow(sequence, pair.a, pair.b, ws.flow);
       serve_singletons_scalar(sequence, model, pair.a, pair.b, report, ws,
@@ -180,14 +202,16 @@ PackageReport solve_pair_package_ws(const RequestSequence& sequence,
                               keep_plan);
     }
   }
-  report.co_request_count = ws.flow.size();
+  report.co_request_count = walk_prescans ? nodes - 1 : ws.flow.size();
   // Every request of either item not in the flow is one greedy decision.
   g_singleton_services.add(report.total_accesses -
                            2 * report.co_request_count);
 
   SolveResult package =
-      solve_optimal_offline(ws.flow, model, sequence.server_count(),
-                            plan_options(dp, keep_plan), &ws);
+      walk_prescans
+          ? solve_prescanned(ws, nodes, /*group_size=*/2, model)
+          : solve_optimal_offline(ws.flow, model, sequence.server_count(),
+                                  plan_options(dp, keep_plan), &ws);
   report.package_cost = package.cost;  // already 2α-discounted
   report.package_counts = package.counts;
   if (keep_plan) {

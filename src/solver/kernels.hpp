@@ -5,10 +5,12 @@
 // v_i needs C(i).  The kernel path keeps that chain free of data-dependent
 // branches:
 //
-//   * prescan_flow finds p(i) and writes W and base(i) = μ·(t_i − t_{p(i)})
-//     + W(i−1) in one pass over the flow, storing the ∞ base of a server's
-//     first visit directly (multiplying μ into an ∞ Δt would manufacture
-//     NaNs at μ = 0);
+//   * the pre-scan (FlowPrescan, one step per point) finds p(i) and writes
+//     W, base(i) = μ·(t_i − t_{p(i)}) + W(i−1) and the local-link count
+//     L(i), storing the ∞ base of a server's first visit directly
+//     (multiplying μ into an ∞ Δt would manufacture NaNs at μ = 0).  Phase
+//     2's walks step it as they read each request; prescan_flow steps it
+//     over a built flow;
 //   * the forward pass computes only the minimum VALUE of v over the window,
 //     from a WindowMin (solver/workspace.hpp).  Windows of at most
 //     kRingWindow nodes read two overlapping power-of-two blocks of a
@@ -23,7 +25,10 @@
 //     equals the minimum — the tie rule of SuffixMin (its push pops `>=`,
 //     keeping the newest of any equal run) and of the reference loops.  The
 //     scan runs backward from i − 1 over nodes the backtrack then walks as
-//     intermediates anyway, so it is O(n) per flow in all.
+//     intermediates anyway, so it is O(n) per flow in all.  A plan that is
+//     not kept is counted without the walk: a D(i) step with split k serves
+//     L(i−1) − L(k) of the nodes between k and i by their local links and
+//     the rest by side transfers.
 //
 // The worst case stays O(n log n) per flow: the ring costs O(1) per push and
 // query, closing a block O(kWideBlock) once per kWideBlock pushes, the stack
@@ -35,7 +40,9 @@
 //
 // Package walks (walk_package in solver/dp_greedy.cpp) merge a pair's two
 // request lists with merge_two_lists, which advances its cursors by
-// comparison results and prefetches the rows it will read.
+// comparison results and prefetches the rows it will read; item walks
+// (solve_single_item) read one list with walk_list, which prefetches the
+// same way.
 //
 // Cross-checked bit for bit against the `--no-kernels` reference loops in
 // tests/kernels_test.cpp and tests/kernel_equivalence_test.cpp, and the
@@ -89,7 +96,7 @@ inline void prefetch(const void* address) noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Fused pre-scan: p(i), link, w and W in one pass over the flow.
+// Fused pre-scan: p(i), link, w, W and L, one step per point.
 
 /// The node columns the kernel DP reads, one entry per node: node 0 is the
 /// origin (server kOriginServer at time 0), node i the flow's point i − 1.
@@ -99,41 +106,85 @@ struct NodeColumns {
   std::int32_t* prev;  // p(i), or -1 on a server's first visit
   Cost* base;          // μ·(t_i − t_{p(i)}) + W(i−1), ∞ without p(i)
   Cost* w_prefix;      // W(i) = w(1) + ... + w(i)
+  /// L(i): the nodes j <= i whose local link is cheaper than a transfer,
+  /// μ·(t_j − t_{p(j)}) < λ — the test the backtrack makes.
+  std::int32_t* local_links;
 };
 
-/// Fills `out` for a flow's `points` (n = points + 1 nodes) in one pass,
-/// with `last_visit` (server_count entries) as the per-server scratch.
-/// Throws InvalidArgument on a server id out of range, as
-/// RequestIndex::rebuild does.  base and W carry the reference's bits:
-/// link = μ·Δt is added to W(i−1) first, and W(i) = W(i−1) + min(λ, link).
+/// The pre-scan as a per-point step: each step(server, time) appends the
+/// flow's next point as node nodes(), so a walk that reads a flow's
+/// requests can fill the columns as it goes, without building the flow.
+/// `last_visit` (server_count entries) is the per-server scratch.  base and
+/// W carry the reference's bits: link = μ·Δt is added to W(i−1) first, and
+/// W(i) = W(i−1) + min(λ, link).  Each step keeps the checks of a built
+/// flow: the server id is in range (as RequestIndex::rebuild checks) and
+/// the time is > 0 and above the one before (as validate_flow checks);
+/// either throws InvalidArgument.
+class FlowPrescan {
+ public:
+  FlowPrescan(const NodeColumns& out, std::size_t server_count, double mu,
+              double lambda, std::int32_t* last_visit)
+      : out_(out),
+        last_visit_(last_visit),
+        server_count_(server_count),
+        mu_(mu),
+        lambda_(lambda) {
+    require(server_count > kOriginServer, "prescan_flow: need >= 1 server");
+    std::fill(last_visit, last_visit + server_count, std::int32_t{-1});
+    last_visit[kOriginServer] = 0;
+    out.times[0] = 0.0;
+    out.servers[0] = kOriginServer;
+    out.prev[0] = -1;
+    out.base[0] = kInfiniteCost;
+    out.w_prefix[0] = 0.0;
+    out.local_links[0] = 0;
+  }
+
+  void step(ServerId server, Time time) {
+    require(server < server_count_,
+            "prescan_flow: service point server out of range");
+    require(time > last_time_,
+            "Flow: service times must be strictly increasing and positive");
+    const std::size_t i = nodes_++;
+    const std::int32_t p = last_visit_[server];
+    last_visit_[server] = static_cast<std::int32_t>(i);
+    const auto p_node = static_cast<std::size_t>(p);
+    const Cost link =
+        p >= 0 ? mu_ * (time - out_.times[p_node]) : kInfiniteCost;
+    out_.times[i] = time;
+    out_.servers[i] = server;
+    out_.prev[i] = p;
+    out_.base[i] = link + w_prefix_;
+    w_prefix_ += std::min(lambda_, link);
+    out_.w_prefix[i] = w_prefix_;
+    // A first visit's ∞ link is never below λ.
+    local_links_ += link < lambda_ ? 1 : 0;
+    out_.local_links[i] = local_links_;
+    last_time_ = time;
+  }
+
+  /// Nodes written so far: the origin and one per point stepped.
+  [[nodiscard]] std::size_t nodes() const noexcept { return nodes_; }
+
+ private:
+  NodeColumns out_;
+  std::int32_t* last_visit_;
+  std::size_t server_count_;
+  double mu_;
+  double lambda_;
+  std::size_t nodes_ = 1;
+  Time last_time_ = 0.0;
+  Cost w_prefix_ = 0.0;
+  std::int32_t local_links_ = 0;
+};
+
+/// Fills `out` for a flow's `points` (n = points + 1 nodes): one
+/// FlowPrescan step per point.
 inline void prescan_flow(std::span<const ServicePoint> points,
                          std::size_t server_count, double mu, double lambda,
                          std::int32_t* last_visit, const NodeColumns& out) {
-  require(server_count > kOriginServer, "prescan_flow: need >= 1 server");
-  std::fill(last_visit, last_visit + server_count, std::int32_t{-1});
-  last_visit[kOriginServer] = 0;
-  out.times[0] = 0.0;
-  out.servers[0] = kOriginServer;
-  out.prev[0] = -1;
-  out.base[0] = kInfiniteCost;
-  out.w_prefix[0] = 0.0;
-  Cost w_prefix = 0.0;
-  for (std::size_t i = 1; i <= points.size(); ++i) {
-    const ServicePoint& point = points[i - 1];
-    require(point.server < server_count,
-            "prescan_flow: service point server out of range");
-    const std::int32_t p = last_visit[point.server];
-    last_visit[point.server] = static_cast<std::int32_t>(i);
-    const auto p_node = static_cast<std::size_t>(p);
-    const Cost link =
-        p >= 0 ? mu * (point.time - out.times[p_node]) : kInfiniteCost;
-    out.times[i] = point.time;
-    out.servers[i] = point.server;
-    out.prev[i] = p;
-    out.base[i] = link + w_prefix;
-    w_prefix += std::min(lambda, link);
-    out.w_prefix[i] = w_prefix;
-  }
+  FlowPrescan scan(out, server_count, mu, lambda, last_visit);
+  for (const ServicePoint& point : points) scan.step(point.server, point.time);
 }
 
 // ---------------------------------------------------------------------------
@@ -213,10 +264,26 @@ static_assert(2 * kWideBlock <= kRingWindow,
               "a wide window must hold a whole block past its first one");
 
 // ---------------------------------------------------------------------------
-// Two-list walk (Phase-2 package flows).
+// List walks (Phase-2 package and item flows).
 
-/// How many entries ahead of its cursors merge_two_lists prefetches.
+/// How many entries ahead of its cursors a list walk prefetches.
 inline constexpr std::size_t kMergePrefetchDistance = 16;
+
+/// visit(index) once per entry of the request list `list`, in order,
+/// calling prefetch(index) for the entry kMergePrefetchDistance ahead, as
+/// merge_two_lists does for each of its cursors.
+template <typename Prefetch, typename Visit>
+void walk_list(std::span<const std::size_t> list, Prefetch&& prefetch,
+               Visit&& visit) {
+  const std::size_t n = list.size();
+  for (std::size_t k = 0; k < std::min(kMergePrefetchDistance, n); ++k) {
+    prefetch(list[k]);
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    prefetch(list[std::min(k + kMergePrefetchDistance, n - 1)]);
+    visit(list[k]);
+  }
+}
 
 /// merge_item_lists at k = 2 (core/request.hpp) as one two-cursor loop:
 /// visit(index, holders) runs once per distinct index of the ascending

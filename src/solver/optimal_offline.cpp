@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -119,6 +120,57 @@ std::int32_t recovered_split(const SolverWorkspace& ws, std::size_t i) {
   return static_cast<std::int32_t>(k);
 }
 
+/// The counts of the schedule backtrack() builds on the kernel path,
+/// without walking its intermediates.  A D(i) step with split k lays one
+/// line and serves the i − 1 − k nodes between k and i: L(i−1) − L(k) of
+/// them by their local links (the pre-scan's prefix count of the test the
+/// backtrack makes) and the rest by side transfers.  A Tr(i) step lays one
+/// segment and ships a transfer when the server changes.  On a flow that
+/// passed the pre-scan no segment has zero length and no transfer stays on
+/// its server (docs/ALGORITHMS.md), so ScheduleCounter would count every
+/// element and none of its checks could fire.
+ScheduleCounts counted_plan(const SolverWorkspace& ws, std::size_t n) {
+  const ServerId* s = ws.servers.data();
+  const std::int32_t* local_links = ws.local_links.data();
+  ScheduleCounts counts;
+  std::size_t i = n - 1;
+  while (i > 0) {
+    const std::int32_t split = recovered_split(ws, i);
+    if (split >= 0) {
+      const auto k = static_cast<std::size_t>(split);
+      const auto local =
+          static_cast<std::size_t>(local_links[i - 1] - local_links[k]);
+      counts.segments += 1 + local;
+      counts.transfers += i - 1 - k - local;
+      i = k;
+    } else {
+      counts.segments += 1;
+      counts.transfers += s[i - 1] != s[i] ? 1 : 0;
+      i = i - 1;
+    }
+  }
+  return counts;
+}
+
+/// The kernel DP over `n` >= 2 pre-scanned nodes: the forward pass, then
+/// the plan built by the backtrack or counted from the prefix counts.
+void solve_kernel(SolverWorkspace& ws, std::size_t n, const CostModel& model,
+                  bool build_schedule, std::size_t group_size,
+                  SolveResult& result) {
+  result.raw_cost = forward_pass(ws, n, model.mu, model.lambda);
+  result.cost = model.flow_multiplier(group_size) * result.raw_cost;
+  if (build_schedule) {
+    backtrack(NodeView{ws.times.data(), ws.servers.data(), ws.prev.data()}, n,
+              model.mu, model.lambda,
+              [&ws](std::size_t i) { return recovered_split(ws, i); },
+              result.schedule);
+    result.counts = result.schedule.counts();
+    return;
+  }
+  result.counts = counted_plan(ws, n);
+  publish_emitted(result.counts);
+}
+
 }  // namespace
 
 SolveResult solve_optimal_offline(const Flow& flow, const CostModel& model,
@@ -153,31 +205,14 @@ SolveResult solve_optimal_offline(const Flow& flow, const CostModel& model,
 
   if (options.use_kernels) {
     // Kernel path (solver/kernels.hpp): one pre-scan pass builds p(i),
-    // base and W; the forward pass keeps only window minima; the backtrack
-    // recovers each split.  Bit-identical to the reference branch below.
-    ws.times.resize(n);
-    ws.servers.resize(n);
-    ws.prev.resize(n);
-    ws.base.resize(n);
-    ws.w_prefix.resize(n);
-    ws.v.resize(n);
-    ws.via_line.resize(n);
-    ws.line_min.resize(n);
-    ws.last_visit.resize(server_count);
+    // base, W and L; the forward pass keeps only window minima; the
+    // backtrack recovers each split, or the plan is counted without it.
+    // Bit-identical to the reference branch below.
+    const kernels::NodeColumns columns = ws.node_columns(n, server_count);
     kernels::prescan_flow(flow.points, server_count, mu, lambda,
-                          ws.last_visit.data(),
-                          kernels::NodeColumns{ws.times.data(),
-                                               ws.servers.data(),
-                                               ws.prev.data(), ws.base.data(),
-                                               ws.w_prefix.data()});
-    result.raw_cost = forward_pass(ws, n, mu, lambda);
-    result.cost = model.flow_multiplier(flow.group_size) * result.raw_cost;
-    record_plan(result, options.build_schedule, [&](auto& plan) {
-      backtrack(NodeView{ws.times.data(), ws.servers.data(), ws.prev.data()},
-                n, mu, lambda,
-                [&ws](std::size_t i) { return recovered_split(ws, i); },
-                plan);
-    });
+                          ws.last_visit.data(), columns);
+    solve_kernel(ws, n, model, options.build_schedule, flow.group_size,
+                 result);
     return result;
   }
 
@@ -277,6 +312,26 @@ SolveResult solve_optimal_offline(const Flow& flow, const CostModel& model,
   return result;
 }
 
+SolveResult solve_prescanned(SolverWorkspace& workspace, std::size_t nodes,
+                             std::size_t group_size, const CostModel& model) {
+  model.validate();
+  const obs::TraceSpan span("phase2/dp_solve");
+  g_dp_solves.add();
+  g_workspace_hits.add();
+  SolveResult result;
+  result.schedule = Schedule(group_size);
+  if (nodes <= 1) {
+    result.raw_cost = 0.0;
+    result.cost = 0.0;
+    return result;
+  }
+  g_dp_cells.add(nodes - 1);
+  g_flow_nodes.record(nodes);
+  solve_kernel(workspace, nodes, model, /*build_schedule=*/false, group_size,
+               result);
+  return result;
+}
+
 SingleItemReport solve_single_item(const RequestSequence& sequence,
                                    const CostModel& model, ItemId item,
                                    const OptimalOfflineOptions& options,
@@ -285,7 +340,40 @@ SingleItemReport solve_single_item(const RequestSequence& sequence,
   SingleItemReport report;
   report.item = item;
   report.accesses = sequence.item_frequency(item);
-  make_item_flow(sequence, item, workspace.flow);
+  if (options.use_kernels && !keep_plan) {
+    // Walk once: each row's server and time go from the sequence's columns
+    // straight into the pre-scan; no flow is built.
+    std::size_t nodes = 0;
+    {
+      const obs::TraceSpan walk_span("phase2/item_walk");
+      const std::span<const std::size_t> rows =
+          sequence.indices_for_item(item);
+      const std::size_t m = sequence.server_count();
+      const kernels::NodeColumns columns =
+          workspace.node_columns(rows.size() + 1, m);
+      kernels::FlowPrescan scan(columns, m, model.mu, model.lambda,
+                                workspace.last_visit.data());
+      const ServerId* servers = sequence.servers().data();
+      const Time* times = sequence.times().data();
+      kernels::walk_list(
+          rows,
+          [servers, times](std::size_t index) {
+            kernels::prefetch(servers + index);
+            kernels::prefetch(times + index);
+          },
+          [&](std::size_t index) { scan.step(servers[index], times[index]); });
+      nodes = scan.nodes();
+    }
+    const SolveResult solved =
+        solve_prescanned(workspace, nodes, /*group_size=*/1, model);
+    report.cost = solved.cost;
+    report.schedule_counts = solved.counts;
+    return report;
+  }
+  {
+    const obs::TraceSpan walk_span("phase2/item_walk");
+    make_item_flow(sequence, item, workspace.flow);
+  }
   SolveResult solved =
       solve_optimal_offline(workspace.flow, model, sequence.server_count(),
                             plan_options(options, keep_plan), &workspace);

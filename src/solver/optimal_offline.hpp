@@ -55,9 +55,10 @@ struct OptimalOfflineOptions {
   /// reference loops, kept as the cross-check oracle.
   bool use_kernels = true;
 
-  /// Reconstruct the schedule (backtracking).  Off, the same backtrack only
-  /// counts its segments and transfers (SolveResult::counts); costs and
-  /// counts are computed either way.
+  /// Reconstruct the schedule (backtracking).  Off, only its segments and
+  /// transfers are counted (SolveResult::counts): by the same backtrack on
+  /// the reference path, from prefix counts of the local links on the
+  /// kernel path.  Costs and counts are computed either way.
   bool build_schedule = true;
 };
 
@@ -79,6 +80,17 @@ struct OptimalOfflineOptions {
     const OptimalOfflineOptions& options = {},
     SolverWorkspace* workspace = nullptr);
 
+/// Solves, on the kernel path with the plan counted, the flow of `nodes`
+/// nodes a kernels::FlowPrescan has written into `workspace`'s node columns
+/// (SolverWorkspace::node_columns): Phase 2's walks pre-scan each flow as
+/// they read its requests and never build it.  Cost, counts and telemetry
+/// are those solve_optimal_offline gives the same flow with build_schedule
+/// off.
+[[nodiscard]] SolveResult solve_prescanned(SolverWorkspace& workspace,
+                                           std::size_t nodes,
+                                           std::size_t group_size,
+                                           const CostModel& model);
+
 /// One item served on its own by the optimal offline DP: an unpacked item
 /// of DP_Greedy or its group extension, or any item of the Optimal baseline.
 struct SingleItemReport {
@@ -93,9 +105,11 @@ struct SingleItemReport {
   Flow flow;
 };
 
-/// Builds `item`'s flow in the workspace and solves it.  With `keep_plan`
-/// the report takes the schedule and a copy of the flow, so a caller that
-/// wants the plan never has to rebuild it; without, only the counts.
+/// Solves `item`'s flow.  With `keep_plan` (or on the reference path) the
+/// flow is built in the workspace and the report takes the schedule and a
+/// copy of the flow, so a caller that wants the plan never has to rebuild
+/// it.  Without, the kernel path reads the item's rows straight from the
+/// sequence's columns into the pre-scan, and the report keeps the counts.
 [[nodiscard]] SingleItemReport solve_single_item(
     const RequestSequence& sequence, const CostModel& model, ItemId item,
     const OptimalOfflineOptions& options, SolverWorkspace& workspace,

@@ -141,18 +141,42 @@ struct SolverWorkspace {
   std::vector<DpChoice> choice;
   SuffixMin suffix;
 
-  // Kernel-path node columns (kernels::prescan_flow) and per-node records:
+  // Kernel-path node columns (kernels::FlowPrescan) and per-node records:
   // v_k = C(k) − W(k), whether D(i) won, and D(i)'s window minimum, from
   // which the backtrack recovers the split.
   std::vector<Time> times;
   std::vector<ServerId> servers;
   std::vector<std::int32_t> prev;
   std::vector<Cost> base;
+  std::vector<std::int32_t> local_links;
   std::vector<Cost> v;
   std::vector<std::uint8_t> via_line;
   std::vector<Cost> line_min;
   std::vector<std::int32_t> last_visit;  // per server, during the pre-scan
   WindowMin windows;
+
+  /// The kernel path's node columns for a flow of up to `nodes` nodes over
+  /// `server_count` servers.  The columns and per-node records only grow,
+  /// so a walk can size them for its bound before it knows the flow's
+  /// length, and a reused workspace never refills them.
+  kernels::NodeColumns node_columns(std::size_t nodes,
+                                    std::size_t server_count) {
+    if (times.size() < nodes) {
+      times.resize(nodes);
+      servers.resize(nodes);
+      prev.resize(nodes);
+      base.resize(nodes);
+      local_links.resize(nodes);
+      v.resize(nodes);
+      via_line.resize(nodes);
+      line_min.resize(nodes);
+    }
+    if (w_prefix.size() < nodes) w_prefix.resize(nodes);
+    if (last_visit.size() < server_count) last_visit.resize(server_count);
+    return kernels::NodeColumns{times.data(),    servers.data(),
+                                prev.data(),     base.data(),
+                                w_prefix.data(), local_links.data()};
+  }
 
   /// Per-server recency scratch of the Phase-2 greedy decisions: one
   /// item's (scalar reference) or a package's two items', interleaved.

@@ -1,6 +1,8 @@
 // Table II of the paper, cell by cell, plus cost-model invariants.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/cost_model.hpp"
 #include "util/error.hpp"
 
@@ -76,6 +78,31 @@ TEST(CostModel, ValidateRejectsBadParameters) {
   EXPECT_NO_THROW((CostModel{0.0, 0.0, 1.0}).validate());
 }
 
+TEST(CostModel, ValidateRejectsRatesThatAreNotFinite) {
+  // An infinite or NaN rate prices every schedule at inf or NaN, which no
+  // report can print as a number.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {inf, -inf, nan}) {
+    try {
+      (CostModel{bad, 1.0, 0.8}).validate();
+      ADD_FAILURE() << "mu " << bad << " accepted";
+    } catch (const InvalidArgument& error) {
+      EXPECT_STREQ(error.what(),
+                   "CostModel: mu must be finite and non-negative");
+    }
+    try {
+      (CostModel{1.0, bad, 0.8}).validate();
+      ADD_FAILURE() << "lambda " << bad << " accepted";
+    } catch (const InvalidArgument& error) {
+      EXPECT_STREQ(error.what(),
+                   "CostModel: lambda must be finite and non-negative");
+    }
+  }
+  const double huge = std::numeric_limits<double>::max();
+  EXPECT_NO_THROW((CostModel{huge, huge, 0.8}).validate());
+}
+
 TEST(CostModel, FromRhoRejectsBadInputs) {
   EXPECT_THROW((void)CostModel::from_rho(0.0, 6.0, 0.8), InvalidArgument);
   EXPECT_THROW((void)CostModel::from_rho(1.0, 0.0, 0.8), InvalidArgument);
@@ -97,6 +124,20 @@ TEST(HeterogeneousCostModel, BoundsChecked) {
   EXPECT_THROW((void)model.mu(5), InvalidArgument);
   EXPECT_THROW(model.set_lambda(0, 5, 1.0), InvalidArgument);
   EXPECT_THROW(model.set_mu(0, -1.0), InvalidArgument);
+}
+
+TEST(HeterogeneousCostModel, RejectsRatesThatAreNotFinite) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {inf, -inf, nan}) {
+    EXPECT_THROW(HeterogeneousCostModel(2, bad, 1.0), InvalidArgument) << bad;
+    EXPECT_THROW(HeterogeneousCostModel(2, 1.0, bad), InvalidArgument) << bad;
+    HeterogeneousCostModel model(2, 1.0, 1.0);
+    EXPECT_THROW(model.set_mu(0, bad), InvalidArgument) << bad;
+    EXPECT_THROW(model.set_lambda(0, 1, bad), InvalidArgument) << bad;
+    EXPECT_EQ(model.mu(0), 1.0);
+    EXPECT_EQ(model.lambda(0, 1), 1.0);
+  }
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
+#include "mobility/simulator.hpp"
 #include "parallel/thread_pool.hpp"
 #include "solver/baselines.hpp"
 #include "solver/dp_greedy.hpp"
@@ -12,6 +14,7 @@
 #include "solver/group_solver.hpp"
 #include "solver/online.hpp"
 #include "test_support.hpp"
+#include "trace/generators.hpp"
 
 namespace dpg {
 namespace {
@@ -256,6 +259,99 @@ TEST(DpGreedy, EverySolverCountsWhatItWouldBuild) {
           return solve_online_break_even(flow, model, m, online, build);
         },
         "online_break_even hold " + std::to_string(hold));
+  }
+}
+
+/// One trace from each generator, small enough to solve many times.
+std::vector<std::pair<std::string, RequestSequence>> generator_traces() {
+  std::vector<std::pair<std::string, RequestSequence>> traces;
+  Rng rng(37);
+  MobilityConfig taxi;
+  taxi.taxi_count = 20;
+  taxi.duration = 60.0;
+  traces.emplace_back("taxi", simulate_mobility(taxi, rng));
+  PairedTraceConfig paired;
+  paired.server_count = 12;
+  traces.emplace_back("paired", generate_paired_trace(paired, rng));
+  ZipfTraceConfig zipf;
+  zipf.request_count = 3000;
+  traces.emplace_back("zipf", generate_zipf_trace(zipf, rng));
+  UniformTraceConfig uniform;
+  uniform.request_count = 2000;
+  traces.emplace_back("uniform", generate_uniform_trace(uniform, rng));
+  BurstyTraceConfig bursty;
+  traces.emplace_back("bursty", generate_bursty_trace(bursty, rng));
+  traces.emplace_back("random", testing::random_sequence(rng, 2000, 6, 8, 0.6));
+  return traces;
+}
+
+void expect_same_solve(const SolveResult& want, Cost cost,
+                       ScheduleCounts counts, const std::string& context) {
+  EXPECT_EQ(want.cost, cost) << context;
+  expect_counts_eq(want.schedule.counts(), counts, context);
+}
+
+TEST(DpGreedy, WalkFedSolvesMatchFlowFedOnes) {
+  // Without plans the kernel path pre-scans each package flow while it
+  // walks the pair's requests, and each unpacked item while it reads the
+  // item's rows; no flow is built.  Every package and item must cost the
+  // same bits and count the same schedule as a flow-fed solve that keeps
+  // its plan, and as the reference path without plans.
+  for (const auto& [name, seq] : generator_traces()) {
+    const std::size_t m = seq.server_count();
+    for (const CostModel& model :
+         {CostModel{1.0, 1.0, 0.8}, CostModel{0.0, 1.0, 0.8},
+          CostModel{1.0, 0.0, 0.8}}) {
+      const std::string rates = name + " mu " + std::to_string(model.mu) +
+                                " lambda " + std::to_string(model.lambda);
+      DpGreedyOptions walked;
+      walked.theta = 0.05;
+      walked.keep_plans = false;
+      DpGreedyOptions reference = walked;
+      reference.dp.use_kernels = false;
+      const DpGreedyResult a = solve_dp_greedy(seq, model, walked);
+      const DpGreedyResult b = solve_dp_greedy(seq, model, reference);
+      EXPECT_EQ(a.total_cost, b.total_cost) << rates;
+      ASSERT_EQ(a.packages.size(), b.packages.size()) << rates;
+      ASSERT_EQ(a.singles.size(), b.singles.size()) << rates;
+      if (name != "uniform") {
+        EXPECT_FALSE(a.packages.empty()) << rates;
+      }
+      for (std::size_t i = 0; i < a.packages.size(); ++i) {
+        const PackageReport& got = a.packages[i];
+        const std::string context = rates + ", package " + std::to_string(i);
+        const Flow flow = make_package_flow(seq, got.pair.a, got.pair.b);
+        expect_same_solve(solve_optimal_offline(flow, model, m),
+                          got.package_cost, got.package_counts, context);
+        EXPECT_EQ(got.co_request_count, flow.size()) << context;
+        EXPECT_EQ(got.package_cost, b.packages[i].package_cost) << context;
+        expect_counts_eq(b.packages[i].package_counts, got.package_counts,
+                         context);
+        EXPECT_EQ(got.singleton_cost, b.packages[i].singleton_cost) << context;
+        EXPECT_EQ(got.charges, b.packages[i].charges) << context;
+      }
+      for (std::size_t i = 0; i < a.singles.size(); ++i) {
+        const SingleItemReport& got = a.singles[i];
+        const std::string context = rates + ", single " + std::to_string(i);
+        expect_same_solve(
+            solve_optimal_offline(make_item_flow(seq, got.item), model, m),
+            got.cost, got.schedule_counts, context);
+        EXPECT_EQ(got.cost, b.singles[i].cost) << context;
+        expect_counts_eq(b.singles[i].schedule_counts, got.schedule_counts,
+                         context);
+      }
+      // The Optimal baseline serves every item through the same walk.
+      const OptimalBaselineResult optimal =
+          solve_optimal_baseline(seq, model, OptimalOfflineOptions{}, nullptr,
+                                 /*keep_plans=*/false);
+      for (ItemId item = 0; item < seq.item_count(); ++item) {
+        const SingleItemReport& got = optimal.items[item];
+        expect_same_solve(
+            solve_optimal_offline(make_item_flow(seq, item), model, m),
+            got.cost, got.schedule_counts,
+            rates + ", optimal item " + std::to_string(item));
+      }
+    }
   }
 }
 

@@ -170,8 +170,10 @@ TEST(Kernels, LinkCostsHandlesMissingPrevAndZeroMu) {
   std::vector<std::int32_t> prev(4);
   std::vector<Cost> base(4);
   std::vector<Cost> w_prefix(4);
-  const kernels::NodeColumns out{t.data(), s.data(), prev.data(), base.data(),
-                                 w_prefix.data()};
+  std::vector<std::int32_t> local(4);
+  const kernels::NodeColumns out{t.data(),    s.data(),
+                                 prev.data(), base.data(),
+                                 w_prefix.data(), local.data()};
   // μ = 0 with a missing p(j) must yield ∞, not 0·∞ = NaN.
   kernels::prescan_flow(points, 2, 0.0, 1.5, last.data(), out);
   EXPECT_EQ(prev, (std::vector<std::int32_t>{-1, -1, 0, 1}));
@@ -179,16 +181,60 @@ TEST(Kernels, LinkCostsHandlesMissingPrevAndZeroMu) {
   EXPECT_FALSE(std::isnan(base[1]));
   EXPECT_EQ(base[2], 1.5);  // link 0 + W(1) = λ
   EXPECT_EQ(w_prefix[3], 1.5);
+  // Free links beat λ on every return; a first visit has no link.
+  EXPECT_EQ(local, (std::vector<std::int32_t>{0, 0, 1, 2}));
   kernels::prescan_flow(points, 2, 2.0, 10.0, last.data(), out);
   EXPECT_EQ(base[2], 2.0 * 2.5 + 10.0);
   EXPECT_EQ(base[3], 2.0 * 3.0 + (10.0 + 5.0));
   EXPECT_EQ(w_prefix[3], 10.0 + 5.0 + 6.0);
+  EXPECT_EQ(local, (std::vector<std::int32_t>{0, 0, 1, 2}));
   EXPECT_EQ(t, (std::vector<Time>{0.0, 1.0, 2.5, 4.0}));
   EXPECT_EQ(s, (std::vector<ServerId>{0, 1, 0, 1}));
+  // A link equal to λ is a transfer's, not a local one: 2 · 2.5 = 5.
+  kernels::prescan_flow(points, 2, 2.0, 5.0, last.data(), out);
+  EXPECT_EQ(local, (std::vector<std::int32_t>{0, 0, 0, 0}));
+  // λ = 0: no link is cheaper, not even a free one.
+  kernels::prescan_flow(points, 2, 0.0, 0.0, last.data(), out);
+  EXPECT_EQ(local, (std::vector<std::int32_t>{0, 0, 0, 0}));
   // A server id past server_count is rejected, as RequestIndex does.
   EXPECT_THROW(
       kernels::prescan_flow(points, 1, 1.0, 1.0, last.data(), out),
       InvalidArgument);
+}
+
+TEST(Kernels, PrescanStepRejectsWhatValidateFlowRejects) {
+  // The step keeps validate_flow's checks, with its message: a time that
+  // repeats, falls back, is 0 or NaN throws.
+  std::vector<std::int32_t> last(2);
+  std::vector<Time> t(4);
+  std::vector<ServerId> s(4);
+  std::vector<std::int32_t> prev(4);
+  std::vector<Cost> base(4);
+  std::vector<Cost> w_prefix(4);
+  std::vector<std::int32_t> local(4);
+  const kernels::NodeColumns out{t.data(),    s.data(),
+                                 prev.data(), base.data(),
+                                 w_prefix.data(), local.data()};
+  const std::string message =
+      "Flow: service times must be strictly increasing and positive";
+  for (const std::vector<Time>& times :
+       {std::vector<Time>{1.0, 1.0}, std::vector<Time>{2.0, 1.5},
+        std::vector<Time>{0.0}, std::vector<Time>{1.0, std::nan("")}}) {
+    kernels::FlowPrescan scan(out, 2, 1.0, 1.0, last.data());
+    try {
+      for (const Time time : times) scan.step(1, time);
+      ADD_FAILURE() << "times accepted, first " << times.front();
+    } catch (const InvalidArgument& error) {
+      EXPECT_EQ(std::string(error.what()), message);
+    }
+    Flow flow;
+    for (const Time time : times) flow.points.push_back({1, time, 0});
+    EXPECT_THROW(validate_flow(flow), InvalidArgument);
+  }
+  kernels::FlowPrescan scan(out, 2, 1.0, 1.0, last.data());
+  scan.step(1, 0.5);
+  scan.step(0, 0.75);
+  EXPECT_EQ(scan.nodes(), 3u);
 }
 
 TEST(Kernels, WAndPrefixMatchesScalarWithInfinities) {
@@ -206,15 +252,20 @@ TEST(Kernels, WAndPrefixMatchesScalarWithInfinities) {
     const std::size_t nodes = n + 1;
     std::vector<Cost> w_ref(nodes, 0.0);
     std::vector<Cost> base_ref(nodes, kInfiniteCost);
+    // L: the backtrack's local-link test, counted node by node.
+    std::vector<std::int32_t> local_ref(nodes, 0);
     for (std::size_t j = 1; j < nodes; ++j) {
       const std::int32_t pj = index.prev_same_server(j);
       Cost link = kInfiniteCost;
+      bool local_chosen = false;
       if (pj >= 0) {
         link = mu * (index.time_of(j) -
                      index.time_of(static_cast<std::size_t>(pj)));
         base_ref[j] = link + w_ref[j - 1];
+        local_chosen = link < lambda;
       }
       w_ref[j] = w_ref[j - 1] + std::min(lambda, link);
+      local_ref[j] = local_ref[j - 1] + (local_chosen ? 1 : 0);
     }
     std::vector<std::int32_t> last(servers);
     std::vector<Time> t(nodes);
@@ -222,10 +273,12 @@ TEST(Kernels, WAndPrefixMatchesScalarWithInfinities) {
     std::vector<std::int32_t> prev(nodes);
     std::vector<Cost> base(nodes);
     std::vector<Cost> w_prefix(nodes);
+    std::vector<std::int32_t> local(nodes);
     kernels::prescan_flow(flow.points, servers, mu, lambda, last.data(),
                           kernels::NodeColumns{t.data(), s.data(),
                                                prev.data(), base.data(),
-                                               w_prefix.data()});
+                                               w_prefix.data(),
+                                               local.data()});
     for (std::size_t j = 0; j < nodes; ++j) {
       ASSERT_EQ(t[j], index.time_of(j)) << "round " << round << " j " << j;
       ASSERT_EQ(s[j], index.server_of(j)) << "round " << round << " j " << j;
@@ -233,6 +286,7 @@ TEST(Kernels, WAndPrefixMatchesScalarWithInfinities) {
           << "round " << round << " j " << j;
       ASSERT_EQ(base[j], base_ref[j]) << "round " << round << " j " << j;
       ASSERT_EQ(w_prefix[j], w_ref[j]) << "round " << round << " j " << j;
+      ASSERT_EQ(local[j], local_ref[j]) << "round " << round << " j " << j;
     }
   }
 }

@@ -1,7 +1,13 @@
 // Unit tests for the optimal offline DP (solver/optimal_offline).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "core/request_index.hpp"
 #include "util/error.hpp"
+#include "solver/kernels.hpp"
 #include "solver/optimal_offline.hpp"
 #include "solver/workspace.hpp"
 #include "test_support.hpp"
@@ -118,6 +124,102 @@ TEST(OptimalOffline, CountedSchedulesMatchBuiltOnes) {
       EXPECT_TRUE(b.schedule.segments().empty());
       EXPECT_TRUE(b.schedule.transfers().empty());
     }
+  }
+}
+
+/// `n` points over servers 1..`busy`, picked at random, with server
+/// `busy` + 1 visited about once every `rare_gap` points: its D windows
+/// hold hundreds of nodes, past the window-minimum ring and across several
+/// kernels::kWideBlock blocks.  Times step by multiples of 0.125, so v
+/// ties and local links that cost exactly λ are common.
+Flow rare_server_flow(Rng& rng, std::size_t n, std::size_t busy,
+                      std::size_t rare_gap) {
+  Flow flow;
+  Time t = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    t += 0.125 * static_cast<Time>(rng.next_int(1, 16));
+    const bool rare = rng.next_below(rare_gap) == 0;
+    const auto server = static_cast<ServerId>(
+        rare ? busy + 1 : 1 + rng.next_below(busy));
+    flow.points.push_back(ServicePoint{server, t, i});
+  }
+  return flow;
+}
+
+/// The widest D window of `flow`: max over i of i − p(i).
+std::size_t widest_window(const Flow& flow, std::size_t server_count) {
+  const RequestIndex index(flow, server_count);
+  std::size_t widest = 0;
+  for (std::size_t i = 1; i < index.node_count(); ++i) {
+    const std::int32_t p = index.prev_same_server(i);
+    if (p >= 0) widest = std::max(widest, i - static_cast<std::size_t>(p));
+  }
+  return widest;
+}
+
+/// Four results of one flow agree: the kernel path's count, the counts()
+/// of the schedule it builds, the reference path's count, and the cost
+/// bits of all three.
+void expect_counts_agree(const Flow& flow, const CostModel& model,
+                         std::size_t server_count,
+                         const std::string& context) {
+  OptimalOfflineOptions built;
+  OptimalOfflineOptions counted;
+  counted.build_schedule = false;
+  OptimalOfflineOptions reference = counted;
+  reference.use_kernels = false;
+  SolverWorkspace ws;
+  const SolveResult schedule =
+      solve_optimal_offline(flow, model, server_count, built, &ws);
+  const SolveResult kernel =
+      solve_optimal_offline(flow, model, server_count, counted, &ws);
+  const SolveResult scalar =
+      solve_optimal_offline(flow, model, server_count, reference, &ws);
+  const ScheduleCounts want = schedule.schedule.counts();
+  EXPECT_EQ(kernel.counts.segments, want.segments) << context;
+  EXPECT_EQ(kernel.counts.transfers, want.transfers) << context;
+  EXPECT_EQ(scalar.counts.segments, want.segments) << context;
+  EXPECT_EQ(scalar.counts.transfers, want.transfers) << context;
+  EXPECT_EQ(kernel.cost, schedule.cost) << context;
+  EXPECT_EQ(scalar.cost, schedule.cost) << context;
+  EXPECT_TRUE(kernel.schedule.segments().empty()) << context;
+}
+
+TEST(OptimalOffline, CountedSchedulesMatchBuiltOnesOnLongFlows) {
+  // Flows of 1,000 to 10,000 points whose rare server's windows cross
+  // several 64-node blocks: the count from prefix sums must match the
+  // walked schedule and the reference at cheap and dear lines, at μ = 0
+  // (every window one tie) and at λ = 0 (no local link is cheaper).
+  Rng rng(23);
+  const std::vector<CostModel> models = {
+      {1.0, 1.0, 0.8},  {0.25, 1.0, 0.8}, {0.01, 8.0, 0.8},
+      {0.5, 0.375, 0.8}, {0.0, 1.0, 0.8}, {1.0, 0.0, 0.8},
+      {0.0, 0.0, 0.8}};
+  for (const std::size_t n : {1000u, 4000u, 10000u}) {
+    const Flow flow = rare_server_flow(rng, n, 6, 300);
+    ASSERT_GT(widest_window(flow, 8), 4 * kernels::kWideBlock);
+    for (const CostModel& model : models) {
+      expect_counts_agree(flow, model, 8,
+                          "n " + std::to_string(n) + " mu " +
+                              std::to_string(model.mu) + " lambda " +
+                              std::to_string(model.lambda));
+    }
+  }
+}
+
+TEST(OptimalOffline, CountedSchedulesMatchBuiltOnesOnTieHeavyFlows) {
+  // 0.125-quantized times over few servers: equal v values in every
+  // window, so only the latest-tie split gives the walked schedule's
+  // counts, and links equal to λ must count as transfers.
+  Rng rng(31);
+  for (int round = 0; round < 120; ++round) {
+    const std::size_t n = static_cast<std::size_t>(rng.next_int(2, 300));
+    const std::size_t servers = static_cast<std::size_t>(rng.next_int(2, 6));
+    const Flow flow = testing::random_flow(rng, n, servers);
+    const double mu = 0.25 * static_cast<double>(rng.next_int(0, 4));
+    const double lambda = 0.125 * static_cast<double>(rng.next_int(0, 8));
+    expect_counts_agree(flow, CostModel{mu, lambda, 0.8}, servers,
+                        "round " + std::to_string(round));
   }
 }
 
