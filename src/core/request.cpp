@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <mutex>
 #include <numeric>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -14,8 +17,22 @@ namespace {
 
 const obs::Counter g_build_allocs = obs::counter("trace.build_allocs");
 const obs::Counter g_sequences_built = obs::counter("trace.sequences_built");
+const obs::Counter g_item_index_builds =
+    obs::counter("trace.item_index_builds");
+
+/// True when the two columns hold the same bits (a NaN equals itself).
+template <typename T>
+bool same_bits(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
 
 }  // namespace
+
+struct RequestSequence::ItemRowIndex {
+  std::once_flag built;
+  std::vector<std::size_t> rows;  // A request indices, cut by per_item_offsets
+};
 
 bool Request::contains(ItemId item) const noexcept {
   return std::binary_search(items.begin(), items.end(), item);
@@ -27,6 +44,8 @@ RequestSequence::RequestSequence(std::size_t server_count,
     : server_count_(server_count), item_count_(item_count) {
   std::size_t accesses = 0;
   for (const RequestDraft& r : requests) accesses += r.items.size();
+  require(accesses <= kMaxItemAccesses,
+          "RequestSequence: a sequence holds at most 2^32 - 1 item accesses");
   servers_.reserve(requests.size());
   times_.reserve(requests.size());
   items_pool_.reserve(accesses);
@@ -36,11 +55,11 @@ RequestSequence::RequestSequence(std::size_t server_count,
     servers_.push_back(r.server);
     times_.push_back(r.time);
     items_pool_.insert(items_pool_.end(), r.items.begin(), r.items.end());
-    item_offsets_.push_back(items_pool_.size());
+    item_offsets_.push_back(static_cast<ItemOffset>(items_pool_.size()));
   }
   bind_owned_primary();
   validate_columns(/*rows_normalized=*/false);
-  build_item_index();
+  build_item_events();
   g_sequences_built.add();
 }
 
@@ -49,7 +68,7 @@ RequestSequence::RequestSequence(std::size_t server_count,
                                  std::vector<ServerId> servers,
                                  std::vector<Time> times,
                                  std::vector<ItemId> items_pool,
-                                 std::vector<std::size_t> item_offsets,
+                                 std::vector<ItemOffset> item_offsets,
                                  bool rows_normalized)
     : server_count_(server_count),
       item_count_(item_count),
@@ -59,7 +78,7 @@ RequestSequence::RequestSequence(std::size_t server_count,
       item_offsets_(std::move(item_offsets)) {
   bind_owned_primary();
   validate_columns(rows_normalized);
-  build_item_index();
+  build_item_events();
   g_sequences_built.add();
 }
 
@@ -72,8 +91,9 @@ void RequestSequence::bind_owned_primary() noexcept {
 
 void RequestSequence::bind_owned_all() noexcept {
   bind_owned_primary();
-  per_item_pool_v_ = per_item_pool_;
   per_item_offsets_v_ = per_item_offsets_;
+  per_item_times_v_ = per_item_times_;
+  per_item_servers_v_ = per_item_servers_;
 }
 
 RequestSequence::RequestSequence(const RequestSequence& other)
@@ -83,15 +103,18 @@ RequestSequence::RequestSequence(const RequestSequence& other)
       times_(other.times_),
       items_pool_(other.items_pool_),
       item_offsets_(other.item_offsets_),
-      per_item_pool_(other.per_item_pool_),
       per_item_offsets_(other.per_item_offsets_),
+      per_item_times_(other.per_item_times_),
+      per_item_servers_(other.per_item_servers_),
       servers_v_(other.servers_v_),
       times_v_(other.times_v_),
       items_pool_v_(other.items_pool_v_),
       item_offsets_v_(other.item_offsets_v_),
-      per_item_pool_v_(other.per_item_pool_v_),
       per_item_offsets_v_(other.per_item_offsets_v_),
-      keeper_(other.keeper_) {
+      per_item_times_v_(other.per_item_times_v_),
+      per_item_servers_v_(other.per_item_servers_v_),
+      keeper_(other.keeper_),
+      row_index_(other.row_index_) {
   // A borrowed copy shares the external buffer (keeper_ keeps it alive); an
   // owning copy got fresh vectors and must re-point its views at them.
   if (keeper_ == nullptr) bind_owned_all();
@@ -104,25 +127,23 @@ RequestSequence::RequestSequence(RequestSequence&& other) noexcept
       times_(std::move(other.times_)),
       items_pool_(std::move(other.items_pool_)),
       item_offsets_(std::move(other.item_offsets_)),
-      per_item_pool_(std::move(other.per_item_pool_)),
       per_item_offsets_(std::move(other.per_item_offsets_)),
+      per_item_times_(std::move(other.per_item_times_)),
+      per_item_servers_(std::move(other.per_item_servers_)),
       servers_v_(other.servers_v_),
       times_v_(other.times_v_),
       items_pool_v_(other.items_pool_v_),
       item_offsets_v_(other.item_offsets_v_),
-      per_item_pool_v_(other.per_item_pool_v_),
       per_item_offsets_v_(other.per_item_offsets_v_),
-      keeper_(std::move(other.keeper_)) {
+      per_item_times_v_(other.per_item_times_v_),
+      per_item_servers_v_(other.per_item_servers_v_),
+      keeper_(std::move(other.keeper_)),
+      row_index_(std::move(other.row_index_)) {
   // Moved vectors keep their heap buffers, so the copied views stay valid;
   // rebind anyway so the invariant "views alias *this* object's storage or
   // keeper_'s buffer" holds even for empty short vectors.
   if (keeper_ == nullptr) bind_owned_all();
-  other.servers_v_ = {};
-  other.times_v_ = {};
-  other.items_pool_v_ = {};
-  other.item_offsets_v_ = {};
-  other.per_item_pool_v_ = {};
-  other.per_item_offsets_v_ = {};
+  other.clear_views();
 }
 
 RequestSequence& RequestSequence::operator=(const RequestSequence& other) {
@@ -141,24 +162,32 @@ RequestSequence& RequestSequence::operator=(RequestSequence&& other) noexcept {
     times_ = std::move(other.times_);
     items_pool_ = std::move(other.items_pool_);
     item_offsets_ = std::move(other.item_offsets_);
-    per_item_pool_ = std::move(other.per_item_pool_);
     per_item_offsets_ = std::move(other.per_item_offsets_);
+    per_item_times_ = std::move(other.per_item_times_);
+    per_item_servers_ = std::move(other.per_item_servers_);
     servers_v_ = other.servers_v_;
     times_v_ = other.times_v_;
     items_pool_v_ = other.items_pool_v_;
     item_offsets_v_ = other.item_offsets_v_;
-    per_item_pool_v_ = other.per_item_pool_v_;
     per_item_offsets_v_ = other.per_item_offsets_v_;
+    per_item_times_v_ = other.per_item_times_v_;
+    per_item_servers_v_ = other.per_item_servers_v_;
     keeper_ = std::move(other.keeper_);
+    row_index_ = std::move(other.row_index_);
     if (keeper_ == nullptr) bind_owned_all();
-    other.servers_v_ = {};
-    other.times_v_ = {};
-    other.items_pool_v_ = {};
-    other.item_offsets_v_ = {};
-    other.per_item_pool_v_ = {};
-    other.per_item_offsets_v_ = {};
+    other.clear_views();
   }
   return *this;
+}
+
+void RequestSequence::clear_views() noexcept {
+  servers_v_ = {};
+  times_v_ = {};
+  items_pool_v_ = {};
+  item_offsets_v_ = {};
+  per_item_offsets_v_ = {};
+  per_item_times_v_ = {};
+  per_item_servers_v_ = {};
 }
 
 RequestSequence RequestSequence::adopt_columns(
@@ -172,9 +201,11 @@ RequestSequence RequestSequence::adopt_columns(
   seq.times_v_ = columns.times;
   seq.items_pool_v_ = columns.items_pool;
   seq.item_offsets_v_ = columns.item_offsets;
-  seq.per_item_pool_v_ = columns.per_item_pool;
   seq.per_item_offsets_v_ = columns.per_item_offsets;
+  seq.per_item_times_v_ = columns.per_item_times;
+  seq.per_item_servers_v_ = columns.per_item_servers;
   seq.keeper_ = std::move(keeper);
+  seq.row_index_ = std::make_shared<ItemRowIndex>();
   require(seq.keeper_ != nullptr,
           "adopt_columns: a keeper must own the column storage");
 
@@ -188,13 +219,14 @@ RequestSequence RequestSequence::adopt_columns(
           "adopt_columns: item_offsets must have n + 1 entries");
   require(columns.per_item_offsets.size() == item_count + 1,
           "adopt_columns: per_item_offsets must have k + 1 entries");
-  require(columns.per_item_pool.size() == columns.items_pool.size(),
-          "adopt_columns: inverted-index pool size mismatch");
+  require(columns.per_item_times.size() == columns.items_pool.size() &&
+              columns.per_item_servers.size() == columns.items_pool.size(),
+          "adopt_columns: per-item event pool size mismatch");
 
   if (verify_columns) {
-    // Cross-check the stored inverted index against a rebuild: the borrowed
-    // views stay in place, the rebuilt owned vectors are just compared and
-    // discarded (vectors stay small-but-allocated only on this slow path).
+    // Cross-check the stored events against a rebuild: the borrowed views
+    // stay in place, the rebuilt owned vectors are just compared and
+    // discarded.
     RequestSequence rebuilt;
     rebuilt.server_count_ = server_count;
     rebuilt.item_count_ = item_count;
@@ -202,16 +234,12 @@ RequestSequence RequestSequence::adopt_columns(
     rebuilt.times_v_ = columns.times;
     rebuilt.items_pool_v_ = columns.items_pool;
     rebuilt.item_offsets_v_ = columns.item_offsets;
-    rebuilt.build_item_index();
-    require(std::equal(rebuilt.per_item_pool_.begin(),
-                       rebuilt.per_item_pool_.end(),
-                       columns.per_item_pool.begin(),
-                       columns.per_item_pool.end()) &&
-                std::equal(rebuilt.per_item_offsets_.begin(),
-                           rebuilt.per_item_offsets_.end(),
-                           columns.per_item_offsets.begin(),
-                           columns.per_item_offsets.end()),
-            "adopt_columns: stored inverted index does not match the items");
+    rebuilt.build_item_events();
+    require(same_bits(rebuilt.per_item_offsets_v_, columns.per_item_offsets) &&
+                same_bits(rebuilt.per_item_times_v_, columns.per_item_times) &&
+                same_bits(rebuilt.per_item_servers_v_,
+                          columns.per_item_servers),
+            "adopt_columns: stored per-item events do not match the items");
   }
   g_sequences_built.add();
   return seq;
@@ -220,7 +248,7 @@ RequestSequence RequestSequence::adopt_columns(
 void RequestSequence::validate_columns(bool rows_normalized) const {
   require(server_count_ > 0, "RequestSequence: need >= 1 server");
   require(item_count_ > 0, "RequestSequence: need >= 1 item");
-  // Checked before build_item_index sizes its arrays by item_count_.
+  // Checked before build_item_events sizes its arrays by item_count_.
   require(item_count_ <= kNoItem,
           "RequestSequence: item id 4294967295 is reserved (kNoItem)");
   // One tight pass per flat array (not one combined per-row loop): each
@@ -261,9 +289,10 @@ void RequestSequence::validate_columns(bool rows_normalized) const {
   }
 }
 
-void RequestSequence::build_item_index() {
-  // Per-item inverted index as one flat pool + offsets: counting pass over
-  // the items pool, prefix sum, then a scatter pass.  The scatter advances
+void RequestSequence::build_item_events() {
+  // Per-item events as flat pools + offsets: counting pass over the items
+  // pool, prefix sum, then a scatter pass that copies each row's time and
+  // server into every item it holds.  The scatter advances
   // per_item_offsets_[item] to the end of item's range, so a final shift
   // restores the offsets — no per-item vectors, no cursor copy.  The item
   // range check rides on the counting pass (one pool scan, not two).
@@ -284,18 +313,42 @@ void RequestSequence::build_item_index() {
   }
   std::partial_sum(per_item_offsets_.begin(), per_item_offsets_.end(),
                    per_item_offsets_.begin());
-  per_item_pool_.resize(items_pool_v_.size());
+  per_item_times_.resize(items_pool_v_.size());
+  per_item_servers_.resize(items_pool_v_.size());
   for (std::size_t i = 0; i < servers_v_.size(); ++i) {
+    const Time time = times_v_[i];
+    const ServerId server = servers_v_[i];
     for (const ItemId item : items_of(i)) {
-      per_item_pool_[per_item_offsets_[item]++] = i;
+      const std::size_t slot = per_item_offsets_[item]++;
+      per_item_times_[slot] = time;
+      per_item_servers_[slot] = server;
     }
   }
   for (std::size_t item = item_count_; item > 0; --item) {
     per_item_offsets_[item] = per_item_offsets_[item - 1];
   }
   per_item_offsets_[0] = 0;
-  per_item_pool_v_ = per_item_pool_;
   per_item_offsets_v_ = per_item_offsets_;
+  per_item_times_v_ = per_item_times_;
+  per_item_servers_v_ = per_item_servers_;
+  row_index_ = std::make_shared<ItemRowIndex>();
+}
+
+std::span<const std::size_t> RequestSequence::item_rows() const {
+  ItemRowIndex& index = *row_index_;
+  // call_once publishes the pool to every thread that waited on it; the
+  // same scatter as build_item_events, with a cursor per item.
+  std::call_once(index.built, [this, &index] {
+    const obs::TraceSpan span("trace/item_index_build");
+    g_item_index_builds.add();
+    std::vector<std::size_t> cursor(per_item_offsets_v_.begin(),
+                                    per_item_offsets_v_.end() - 1);
+    index.rows.resize(items_pool_v_.size());
+    for (std::size_t i = 0; i < servers_v_.size(); ++i) {
+      for (const ItemId item : items_of(i)) index.rows[cursor[item]++] = i;
+    }
+  });
+  return index.rows;
 }
 
 std::size_t RequestSequence::item_frequency(ItemId item) const {
@@ -305,20 +358,29 @@ std::size_t RequestSequence::item_frequency(ItemId item) const {
 
 std::size_t RequestSequence::pair_frequency(ItemId a, ItemId b) const {
   require(a < item_count_ && b < item_count_, "pair_frequency: item out of range");
-  const ItemId pair[2] = {a, b};
+  // Times strictly increase across requests, so a shared time is a shared
+  // request.
+  const std::span<const Time> x = events_for_item(a).times;
+  const std::span<const Time> y = events_for_item(b).times;
   std::size_t count = 0;
-  merge_item_lists(pair, [&count](std::size_t,
-                                  std::span<const std::size_t> holders) {
-    if (holders.size() == 2) ++count;
-  });
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < x.size() && j < y.size()) {
+    const bool x_first = x[i] <= y[j];
+    const bool y_first = y[j] <= x[i];
+    count += x_first && y_first ? 1 : 0;
+    i += x_first ? 1 : 0;
+    j += y_first ? 1 : 0;
+  }
   return count;
 }
 
 std::span<const std::size_t> RequestSequence::indices_for_item(
     ItemId item) const {
   require(item < item_count_, "indices_for_item: item out of range");
-  return {per_item_pool_v_.data() + per_item_offsets_v_[item],
-          per_item_offsets_v_[item + 1] - per_item_offsets_v_[item]};
+  return item_rows().subspan(
+      per_item_offsets_v_[item],
+      per_item_offsets_v_[item + 1] - per_item_offsets_v_[item]);
 }
 
 std::string RequestSequence::to_string() const {
@@ -379,7 +441,7 @@ RequestSequence SequenceBuilder::build_with_counts(std::size_t server_count,
     std::vector<ServerId> servers;
     std::vector<Time> times;
     std::vector<ItemId> pool;
-    std::vector<std::size_t> offsets;
+    std::vector<ItemOffset> offsets;
     servers.reserve(servers_.size());
     times.reserve(times_.size());
     pool.reserve(items_pool_.size());
@@ -394,7 +456,7 @@ RequestSequence SequenceBuilder::build_with_counts(std::size_t server_count,
                       static_cast<std::ptrdiff_t>(item_offsets_[row]),
                   items_pool_.begin() +
                       static_cast<std::ptrdiff_t>(item_offsets_[row + 1]));
-      offsets.push_back(pool.size());
+      offsets.push_back(static_cast<ItemOffset>(pool.size()));
     }
     servers_ = std::move(servers);
     times_ = std::move(times);

@@ -9,9 +9,13 @@
 // one times_[] array, and a single items pool indexed by item_offsets_[]
 // (n + 1 entries), so walking a sequence touches contiguous memory and a
 // sequence of n requests costs O(1) owning arrays instead of n item vectors.
-// The per-item inverted index is the same shape — one flat pool of request
-// indices plus per_item_offsets_[] (k + 1 entries), built with a counting
-// pass.  `Request` is a lightweight non-owning view into those arrays.
+// Each item's requests are also kept as *events*: per_item_offsets_[] (k + 1
+// entries) cuts two pools, per_item_times_[] and per_item_servers_[], into
+// one contiguous run per item in time order, so Phase 2 reads an item's
+// requests without gathering rows.  The row numbers of those events (the
+// inverted index, indices_for_item) are derived state, built once from the
+// rows on first use.  `Request` is a lightweight non-owning view into the
+// row arrays.
 #pragma once
 
 #include <algorithm>
@@ -45,16 +49,27 @@ struct RequestDraft {
   std::vector<ItemId> items;
 };
 
-/// The six CSR columns of a RequestSequence, as non-owning views.  Used by
+/// One item's requests in time order, as two parallel contiguous views:
+/// times[j] and servers[j] are the time and server of the item's j-th
+/// request (the request indices_for_item(item)[j] names).
+struct ItemEvents {
+  std::span<const Time> times;
+  std::span<const ServerId> servers;
+
+  [[nodiscard]] std::size_t size() const noexcept { return times.size(); }
+};
+
+/// The seven columns of a RequestSequence, as non-owning views.  Used by
 /// the binary trace reader (trace/dpt.cpp) to hand a sequence columns that
 /// live in an mmap'ed file, and by callers that want the raw arrays.
 struct SequenceColumns {
   std::span<const ServerId> servers;               // n
   std::span<const Time> times;                     // n
-  std::span<const ItemId> items_pool;              // Σ|d_i|
-  std::span<const std::size_t> item_offsets;       // n + 1
-  std::span<const std::size_t> per_item_pool;      // Σ|d_i|
+  std::span<const ItemId> items_pool;              // A = Σ|d_i|
+  std::span<const ItemOffset> item_offsets;        // n + 1
   std::span<const std::size_t> per_item_offsets;   // k + 1
+  std::span<const Time> per_item_times;            // A
+  std::span<const ServerId> per_item_servers;      // A
 };
 
 /// The validated offline input: m servers, k items, n requests in strictly
@@ -81,17 +96,18 @@ class RequestSequence {
   RequestSequence& operator=(RequestSequence&& other) noexcept;
   ~RequestSequence() = default;
 
-  /// Adopts externally stored CSR columns without copying them.  `keeper`
-  /// owns the storage (e.g. an mmap'ed file) and is held until every copy of
-  /// the sequence is gone.  The column sizes are always checked.  The
-  /// contents are trusted: the caller must have checked that both offsets
-  /// columns start at 0, end at their pool's size and never decrease, that
-  /// every id is in range, every row is non-empty with strictly ascending
-  /// items, the times are strictly increasing, finite and > 0, and every
-  /// item's rows are strictly ascending and < n (the `.dpt` open checks all
-  /// of it in its verification pass).  `verify_columns` also cross-checks
-  /// the provided inverted index against one rebuilt from the rows, the one
-  /// check that the index lists the rows holding each item.  Throws
+  /// Adopts externally stored columns without copying them.  `keeper` owns
+  /// the storage (e.g. an mmap'ed file) and is held until every copy of the
+  /// sequence is gone.  The column sizes are always checked.  The contents
+  /// are trusted: the caller must have checked that both offsets columns
+  /// start at 0, end at their pool's size and never decrease, that every id
+  /// is in range, every row is non-empty with strictly ascending items, the
+  /// times are strictly increasing, finite and > 0, each item has as many
+  /// events as rows that hold it, and each item's event times are strictly
+  /// ascending, finite and > 0 (the `.dpt` open checks all of it in its
+  /// verification pass).  `verify_columns` also cross-checks the events and
+  /// their offsets bit for bit against a rebuild from the rows, the one
+  /// check that each event is the request it stands for.  Throws
   /// InvalidArgument on any inconsistency found.
   [[nodiscard]] static RequestSequence adopt_columns(
       std::size_t server_count, std::size_t item_count,
@@ -132,11 +148,12 @@ class RequestSequence {
     return times_v_;
   }
 
-  /// All six CSR columns at once (what the `.dpt` writer serializes).
+  /// All seven columns at once (what the `.dpt` writer serializes).
   [[nodiscard]] SequenceColumns columns() const noexcept {
-    return SequenceColumns{servers_v_,        times_v_,
-                           items_pool_v_,     item_offsets_v_,
-                           per_item_pool_v_,  per_item_offsets_v_};
+    return SequenceColumns{servers_v_,          times_v_,
+                           items_pool_v_,       item_offsets_v_,
+                           per_item_offsets_v_, per_item_times_v_,
+                           per_item_servers_v_};
   }
 
   /// Forward iterator yielding Request views by value.
@@ -199,7 +216,7 @@ class RequestSequence {
   [[nodiscard]] std::size_t item_frequency(ItemId item) const;
 
   /// Number of requests containing both items (the |(d_i, d_j)| of Eq. 5):
-  /// a merge of the two items' request lists (merge_item_lists).
+  /// the times the two items' events share (times identify requests).
   [[nodiscard]] std::size_t pair_frequency(ItemId a, ItemId b) const;
 
   /// Walks the union of the request lists of `items` (indices_for_item) in
@@ -209,10 +226,11 @@ class RequestSequence {
   /// read off the sorted lists alone — no request's item list is touched —
   /// and the walk allocates nothing for up to kInlineMergeItems items.
   ///
-  /// Phase 2 builds every flow through it: a package's co-requests are the
-  /// indices both items hold, an item's singleton events those only it
-  /// holds, a group's full requests those all k items hold, and a union
-  /// flow every index visited.
+  /// The flows that name their requests are built through it: a package's
+  /// co-requests are the indices both items hold (make_package_flow, the
+  /// `--no-kernels` reference), a group's full requests those all k items
+  /// hold, and a union flow every index visited.  Phase 2's kernel walks
+  /// merge the items' events by time instead (kernels.hpp).
   template <typename Visit>
   void merge_item_lists(std::span<const ItemId> items, Visit&& visit) const;
 
@@ -224,8 +242,21 @@ class RequestSequence {
     return items_pool_v_.size();
   }
 
+  /// The time and server of every request containing `item`, in time order
+  /// — views into the per-item event pools.
+  [[nodiscard]] ItemEvents events_for_item(ItemId item) const {
+    require(item < item_count_, "events_for_item: item out of range");
+    const std::size_t begin = per_item_offsets_v_[item];
+    const std::size_t count = per_item_offsets_v_[item + 1] - begin;
+    return {per_item_times_v_.subspan(begin, count),
+            per_item_servers_v_.subspan(begin, count)};
+  }
+
   /// Indices (into the sequence) of requests containing `item`, in time
-  /// order — a view into the flat inverted-index pool.
+  /// order — a view into the flat inverted-index pool, entry j the request
+  /// of event j.  The pool is built from the rows on the first call of any
+  /// copy of this sequence (once, safely from concurrent threads; counted
+  /// by `trace.item_index_builds`) and shared by every copy.
   [[nodiscard]] std::span<const std::size_t> indices_for_item(ItemId item) const;
 
   /// Human-readable one-line-per-request dump (debugging/tests).
@@ -236,45 +267,56 @@ class RequestSequence {
 
   RequestSequence() = default;  // adopt_columns' blank slate
 
+  /// The inverted index, built on first use (request.cpp).
+  struct ItemRowIndex;
+
   /// Takes ownership of pre-flattened CSR arrays, then validates and builds
-  /// the per-item inverted index (SequenceBuilder's fast path).
-  /// `rows_normalized` asserts that every row is already sorted and
-  /// duplicate-free (end_request()'s invariant), skipping that re-check.
+  /// the per-item events (SequenceBuilder's fast path).  `rows_normalized`
+  /// asserts that every row is already sorted and duplicate-free
+  /// (end_request()'s invariant), skipping that re-check.
   RequestSequence(std::size_t server_count, std::size_t item_count,
                   std::vector<ServerId> servers, std::vector<Time> times,
                   std::vector<ItemId> items_pool,
-                  std::vector<std::size_t> item_offsets, bool rows_normalized);
+                  std::vector<ItemOffset> item_offsets, bool rows_normalized);
 
   /// Points the primary-column views at the owned vectors.
   void bind_owned_primary() noexcept;
-  /// Points all six views at the owned vectors (owning sequences only).
+  /// Points all seven views at the owned vectors (owning sequences only).
   void bind_owned_all() noexcept;
+  /// Empties every view (a moved-from sequence).
+  void clear_views() noexcept;
   /// Checks the row invariants through the views (throws InvalidArgument).
   void validate_columns(bool rows_normalized) const;
-  /// Builds the owned inverted index from the primary views and binds its
-  /// views; also range-checks item ids (rides on the counting pass).
-  void build_item_index();
+  /// Builds the owned per-item events from the primary views and binds
+  /// their views; also range-checks item ids (rides on the counting pass).
+  void build_item_events();
+  /// The whole inverted-index pool, built on the first call.
+  [[nodiscard]] std::span<const std::size_t> item_rows() const;
 
   std::size_t server_count_ = 0;
   std::size_t item_count_ = 0;
 
   // Owned storage — empty when the sequence borrows (keeper_ != nullptr).
-  std::vector<ServerId> servers_;            // n
-  std::vector<Time> times_;                  // n
-  std::vector<ItemId> items_pool_;           // Σ|d_i|
-  std::vector<std::size_t> item_offsets_;    // n + 1
-  std::vector<std::size_t> per_item_pool_;   // Σ|d_i| request indices
+  std::vector<ServerId> servers_;              // n
+  std::vector<Time> times_;                    // n
+  std::vector<ItemId> items_pool_;             // A = Σ|d_i|
+  std::vector<ItemOffset> item_offsets_;       // n + 1
   std::vector<std::size_t> per_item_offsets_;  // k + 1
+  std::vector<Time> per_item_times_;           // A
+  std::vector<ServerId> per_item_servers_;     // A
 
   // Every accessor reads these views; they alias the vectors above or an
   // external buffer whose lifetime keeper_ pins.
   std::span<const ServerId> servers_v_;
   std::span<const Time> times_v_;
   std::span<const ItemId> items_pool_v_;
-  std::span<const std::size_t> item_offsets_v_;
-  std::span<const std::size_t> per_item_pool_v_;
+  std::span<const ItemOffset> item_offsets_v_;
   std::span<const std::size_t> per_item_offsets_v_;
+  std::span<const Time> per_item_times_v_;
+  std::span<const ServerId> per_item_servers_v_;
   std::shared_ptr<const void> keeper_;
+  // Shared by every copy: the rows are the same, so is the index.
+  std::shared_ptr<ItemRowIndex> row_index_;
 };
 
 namespace detail {
@@ -386,7 +428,10 @@ class SequenceBuilder {
       items_pool_.erase(std::unique(first, items_pool_.end()),
                         items_pool_.end());
     }
-    push(item_offsets_, items_pool_.size());
+    require(items_pool_.size() <= kMaxItemAccesses,
+            "SequenceBuilder: a sequence holds at most 2^32 - 1 item "
+            "accesses");
+    push(item_offsets_, static_cast<ItemOffset>(items_pool_.size()));
     return *this;
   }
 
@@ -419,7 +464,7 @@ class SequenceBuilder {
   std::vector<ServerId> servers_;
   std::vector<Time> times_;
   std::vector<ItemId> items_pool_;
-  std::vector<std::size_t> item_offsets_;  // always size() + 1 when closed
+  std::vector<ItemOffset> item_offsets_;  // always size() + 1 when closed
   std::uint64_t grow_events_ = 0;
   bool row_open_ = false;
 };

@@ -143,11 +143,11 @@ class RequestBlock {
 
   /// Points the block at external CSR columns without copying.  `offsets`
   /// has rows+1 entries and may index anywhere into the pool that `pool`
-  /// spans (absolute offsets of an mmap'ed sequence work verbatim).  The
-  /// caller keeps the backing storage alive while the block is in flight;
-  /// rows must already be sorted and duplicate-free.
+  /// spans (a sequence's absolute item_offsets work verbatim).  The caller
+  /// keeps the backing storage alive while the block is in flight; rows
+  /// must already be sorted and duplicate-free.
   void adopt(std::span<const ServerId> servers, std::span<const Time> times,
-             std::span<const std::size_t> offsets,
+             std::span<const ItemOffset> offsets,
              std::span<const ItemId> pool) noexcept {
     viewed_ = true;
     row_open_ = false;
@@ -170,7 +170,7 @@ class RequestBlock {
   // Views (replay path).
   std::span<const ServerId> servers_v_;
   std::span<const Time> times_v_;
-  std::span<const std::size_t> offsets_v_;
+  std::span<const ItemOffset> offsets_v_;
   const ItemId* pool_base_ = nullptr;
 };
 

@@ -1,6 +1,7 @@
 // Fundamental identifiers and constants of the caching model.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -17,6 +18,14 @@ using ServerId = std::uint32_t;
 
 /// Index of a data item, 0-based dense in [0, k).
 using ItemId = std::uint32_t;
+
+/// An offset into a sequence's items pool (its item_offsets column).  32
+/// bits: a sequence holds at most kMaxItemAccesses item accesses, and
+/// SequenceBuilder, the `.dpt` writer and the `.dpt` open each reject a
+/// larger one.
+using ItemOffset = std::uint32_t;
+inline constexpr std::size_t kMaxItemAccesses =
+    std::numeric_limits<ItemOffset>::max();
 
 /// Sentinel "no server".
 inline constexpr ServerId kNoServer = std::numeric_limits<ServerId>::max();

@@ -209,7 +209,7 @@ void CorrelationAnalysis::count_sparse(const RequestSequence& sequence,
                                        ThreadPool* pool) {
   const obs::TraceSpan span("phase1/count_sparse");
   const SequenceColumns columns = sequence.columns();
-  const std::span<const std::size_t> offsets = columns.item_offsets;
+  const std::span<const ItemOffset> offsets = columns.item_offsets;
   const std::span<const ItemId> items = columns.items_pool;
   // Rows of one or two items are counted without a branch on their width, a
   // block of rows at a time: every row writes the key of its first two items

@@ -90,24 +90,27 @@ void serve_singletons_scalar(const RequestSequence& sequence,
   }
 }
 
-/// The kernel path of Phase 2's walk over a package {a, b}: one two-cursor
-/// merge of the two items' request lists (kernels::merge_two_lists), which
-/// prefetches the server and time of the rows it will reach, reads each
-/// request's server and time once and
+/// The kernel path of Phase 2's walk over a package {a, b}: one merge of
+/// the two items' events by time (kernels::merge_two_event_lists), which
+/// reads each request's server and time once from the items' contiguous
+/// event columns and
 ///   * hands each request holding both items to
-///     `co_request(index, server, time)`, which appends it to the package
-///     flow or steps the DP's pre-scan with it; it updates both items'
-///     recency state;
-///   * decides a's single-item requests as they come, in a's event order;
-///   * decides b's the same way but stages them (ws.staged), folding them in
-///     after a's so singleton_cost, the charges and the services accumulate
-///     in the reference's order: a's decisions, then b's.
+///     `co_request(position, server, time)`, `position` its place in a's
+///     events, which appends it to the package flow or steps the DP's
+///     pre-scan with it; it updates both items' recency state;
+///   * decides each item's single-item requests as they come and stages
+///     them in the item's own run of ws.staged, then folds a's run and b's
+///     into singleton_cost, the charges and the services, so they
+///     accumulate in the reference's order: a's decisions, then b's.
 /// The two items' recency state interleaves per server: last[2s + lane].
+/// A kept plan names each decision's request: `rows` holds each item's row
+/// index (indices_for_item), entry for entry with its events; without a
+/// kept plan it is empty and never read.
 template <typename CoRequest>
 void walk_package(const RequestSequence& sequence, const CostModel& model,
                   ItemPair pair, PackageReport& report, SolverWorkspace& ws,
+                  const std::span<const std::size_t> (&rows)[2],
                   bool keep_plan, CoRequest&& co_request) {
-  ws.staged.clear();
   ws.server_times.assign(2 * sequence.server_count(), -1.0);
   Time* last = ws.server_times.data();
   last[2 * kOriginServer] = 0.0;  // the origin copies
@@ -117,20 +120,20 @@ void walk_package(const RequestSequence& sequence, const CostModel& model,
   const Cost lambda = model.lambda;
   const Cost package_option = model.package_fetch_cost();
 
-  const ServerId* servers = sequence.servers().data();
-  const Time* times = sequence.times().data();
-  kernels::merge_two_lists(
-      sequence.indices_for_item(pair.a), sequence.indices_for_item(pair.b),
-      [servers, times](std::size_t index) {
-        kernels::prefetch(servers + index);
-        kernels::prefetch(times + index);
-      },
-      [&](std::size_t index, std::span<const std::size_t> holders) {
-        const ServerId server = servers[index];
-        const Time time = times[index];
+  const ItemEvents events[2] = {sequence.events_for_item(pair.a),
+                                sequence.events_for_item(pair.b)};
+  // Each item's decisions fill its own run of ws.staged, sized for all of
+  // its events, so a decision lands without a branch on its item.
+  ws.staged.resize(events[0].size() + events[1].size());
+  StagedDecision* staged[2] = {ws.staged.data(),
+                               ws.staged.data() + events[0].size()};
+  kernels::merge_two_event_lists(
+      events[0], events[1],
+      [&](std::span<const std::size_t> holders, std::size_t position,
+          ServerId server, Time time) {
         Time* here = last + 2 * static_cast<std::size_t>(server);
         if (holders.size() == 2) {
-          co_request(index, server, time);
+          co_request(position, server, time);
           prev[0] = prev[1] = time;
           here[0] = here[1] = time;
           return;
@@ -142,18 +145,31 @@ void walk_package(const RequestSequence& sequence, const CostModel& model,
         Cost cost;
         const kernels::ServeChoiceIndex choice = kernels::serve_choice3(
             cache_option, transfer_option, package_option, &cost);
-        if (lane == 0) {
-          record_service(report, index, pair.a,
-                         static_cast<ServeChoice>(choice), cost, keep_plan);
-        } else {
-          ws.staged.push_back(StagedDecision{index, cost, choice});
-        }
+        *staged[lane]++ = StagedDecision{position, cost, choice};
         prev[lane] = time;
         here[lane] = time;
       });
-  for (const StagedDecision& d : ws.staged) {
-    record_service(report, d.request_index, pair.b,
-                   static_cast<ServeChoice>(d.choice), d.cost, keep_plan);
+  // a's decisions, then b's: the reference's accumulation order.
+  const StagedDecision* begin[2] = {ws.staged.data(),
+                                    ws.staged.data() + events[0].size()};
+  const ItemId item[2] = {pair.a, pair.b};
+  for (std::size_t lane = 0; lane < 2; ++lane) {
+    const auto count = static_cast<std::size_t>(staged[lane] - begin[lane]);
+    const std::size_t charged = report.charges.size();
+    report.charges.resize(charged + count);
+    ServeChoice* charge = report.charges.data() + charged;
+    for (const StagedDecision* d = begin[lane]; d != staged[lane]; ++d) {
+      const auto choice = static_cast<ServeChoice>(d->choice);
+      report.singleton_cost += d->cost;
+      *charge = choice;
+      charge += choice != ServeChoice::kCacheSameServer ? 1 : 0;
+      if (keep_plan) {
+        report.services.push_back(
+            {rows[lane][d->position], item[lane], choice, d->cost});
+      }
+    }
+    report.charges.resize(
+        static_cast<std::size_t>(charge - report.charges.data()));
   }
 }
 
@@ -181,7 +197,8 @@ PackageReport solve_pair_package_ws(const RequestSequence& sequence,
       const kernels::NodeColumns columns = ws.node_columns(most + 1, m);
       kernels::FlowPrescan scan(columns, m, model.mu, model.lambda,
                                 ws.last_visit.data());
-      walk_package(sequence, model, pair, report, ws, keep_plan,
+      const std::span<const std::size_t> no_rows[2] = {};
+      walk_package(sequence, model, pair, report, ws, no_rows, keep_plan,
                    [&scan](std::size_t, ServerId server, Time time) {
                      scan.step(server, time);
                    });
@@ -190,11 +207,17 @@ PackageReport solve_pair_package_ws(const RequestSequence& sequence,
       Flow& flow = ws.flow;
       flow.group_size = 2;
       flow.points.clear();
-      walk_package(sequence, model, pair, report, ws, keep_plan,
-                   [&flow](std::size_t index, ServerId server, Time time) {
-                     flow.points.push_back(ServicePoint{server, time, index});
+      const std::span<const std::size_t> rows[2] = {
+          sequence.indices_for_item(pair.a),
+          sequence.indices_for_item(pair.b)};
+      walk_package(sequence, model, pair, report, ws, rows, keep_plan,
+                   [&flow, &rows](std::size_t position, ServerId server,
+                                  Time time) {
+                     flow.points.push_back(
+                         ServicePoint{server, time, rows[0][position]});
                    });
     } else {
+      // The reference gathers rows: the oracle the events are checked by.
       make_package_flow(sequence, pair.a, pair.b, ws.flow);
       serve_singletons_scalar(sequence, model, pair.a, pair.b, report, ws,
                               keep_plan);

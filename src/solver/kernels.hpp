@@ -39,14 +39,15 @@
 // recovered split is the reference's argmin.
 //
 // Package walks (walk_package in solver/dp_greedy.cpp) merge a pair's two
-// request lists with merge_two_lists, which advances its cursors by
-// comparison results and prefetches the rows it will read; item walks
-// (solve_single_item) read one list with walk_list, which prefetches the
-// same way.
+// items' events by time with merge_two_event_lists, which advances its
+// cursors by comparison results; item walks (solve_single_item) read one
+// item's events in order.  Both read contiguous per-item columns
+// (RequestSequence::events_for_item), not rows.
 //
-// Cross-checked bit for bit against the `--no-kernels` reference loops in
-// tests/kernels_test.cpp and tests/kernel_equivalence_test.cpp, and the
-// two-list walk against the k-list merge in tests/list_merge_test.cpp; the
+// Cross-checked bit for bit against the `--no-kernels` reference loops,
+// which gather rows, in tests/kernels_test.cpp and
+// tests/kernel_equivalence_test.cpp, and the event merge against the
+// k-list merge in tests/list_merge_test.cpp; the
 // >=2x single-thread gate lives in bench/bm_solvers.cpp (`dp_kernel`
 // section of BENCH_solvers.json).
 #pragma once
@@ -86,15 +87,6 @@ namespace dpg::kernels {
   return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) & mask);
 }
 
-/// Hints that `address` will be read soon.  Never faults.
-inline void prefetch(const void* address) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(address);
-#else
-  (void)address;
-#endif
-}
-
 // ---------------------------------------------------------------------------
 // Fused pre-scan: p(i), link, w, W and L, one step per point.
 
@@ -113,7 +105,7 @@ struct NodeColumns {
 
 /// The pre-scan as a per-point step: each step(server, time) appends the
 /// flow's next point as node nodes(), so a walk that reads a flow's
-/// requests can fill the columns as it goes, without building the flow.
+/// events can fill the columns as it goes, without building the flow.
 /// `last_visit` (server_count entries) is the per-server scratch.  base and
 /// W carry the reference's bits: link = μ·Δt is added to W(i−1) first, and
 /// W(i) = W(i−1) + min(λ, link).  Each step keeps the checks of a built
@@ -264,72 +256,40 @@ static_assert(2 * kWideBlock <= kRingWindow,
               "a wide window must hold a whole block past its first one");
 
 // ---------------------------------------------------------------------------
-// List walks (Phase-2 package and item flows).
+// Event merge (Phase-2 package walks).
 
-/// How many entries ahead of its cursors a list walk prefetches.
-inline constexpr std::size_t kMergePrefetchDistance = 16;
-
-/// visit(index) once per entry of the request list `list`, in order,
-/// calling prefetch(index) for the entry kMergePrefetchDistance ahead, as
-/// merge_two_lists does for each of its cursors.
-template <typename Prefetch, typename Visit>
-void walk_list(std::span<const std::size_t> list, Prefetch&& prefetch,
-               Visit&& visit) {
-  const std::size_t n = list.size();
-  for (std::size_t k = 0; k < std::min(kMergePrefetchDistance, n); ++k) {
-    prefetch(list[k]);
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    prefetch(list[std::min(k + kMergePrefetchDistance, n - 1)]);
-    visit(list[k]);
-  }
-}
-
-/// merge_item_lists at k = 2 (core/request.hpp) as one two-cursor loop:
-/// visit(index, holders) runs once per distinct index of the ascending
-/// lists `a` and `b`, in ascending order, with holders {0}, {1} or {0, 1}.
-/// Each step advances the cursors by its two comparisons instead of
-/// branching on them, and calls prefetch(index) for the entry
-/// kMergePrefetchDistance ahead of each cursor, so the caller can pull in
-/// the rows it is about to read.
-template <typename Prefetch, typename Visit>
-void merge_two_lists(std::span<const std::size_t> a,
-                     std::span<const std::size_t> b, Prefetch&& prefetch,
-                     Visit&& visit) {
+/// merge_item_lists at k = 2 (core/request.hpp) over two items' events,
+/// merged by time: visit(holders, position, server, time) runs once per
+/// distinct time of `a` and `b`, in ascending order, with holders {0}, {1}
+/// or {0, 1} and `position` the event's place in its first holder's list.
+/// Times strictly increase across a sequence's requests, so a time both
+/// lists hold is one request holding both items.  Each step advances the
+/// cursors by its two comparisons instead of branching on them.  The event
+/// columns are contiguous, so the walk needs no prefetch.
+template <typename Visit>
+void merge_two_event_lists(ItemEvents a, ItemEvents b, Visit&& visit) {
   static constexpr std::size_t kHolders[2] = {0, 1};
   const std::span<const std::size_t> only_a(kHolders, 1);
   const std::span<const std::size_t> only_b(kHolders + 1, 1);
   const std::size_t na = a.size();
   const std::size_t nb = b.size();
-  for (std::size_t k = 0; k < std::min(kMergePrefetchDistance, na); ++k) {
-    prefetch(a[k]);
-  }
-  for (std::size_t k = 0; k < std::min(kMergePrefetchDistance, nb); ++k) {
-    prefetch(b[k]);
-  }
   std::size_t ia = 0;
   std::size_t ib = 0;
   while (ia < na && ib < nb) {
-    prefetch(a[std::min(ia + kMergePrefetchDistance, na - 1)]);
-    prefetch(b[std::min(ib + kMergePrefetchDistance, nb - 1)]);
-    const std::size_t head_a = a[ia];
-    const std::size_t head_b = b[ib];
-    const bool in_a = head_a <= head_b;
-    const bool in_b = head_b <= head_a;
+    const Time time_a = a.times[ia];
+    const Time time_b = b.times[ib];
+    const bool in_a = time_a <= time_b;
+    const bool in_b = time_b <= time_a;
+    const std::size_t position = in_a ? ia : ib;
+    const ServerId server = in_a ? a.servers[ia] : b.servers[ib];
     ia += in_a ? 1 : 0;
     ib += in_b ? 1 : 0;
-    visit(in_a ? head_a : head_b,
-          std::span<const std::size_t>(kHolders + (in_a ? 0 : 1),
-                                       (in_a ? 1u : 0u) + (in_b ? 1u : 0u)));
+    visit(std::span<const std::size_t>(kHolders + (in_a ? 0 : 1),
+                                       (in_a ? 1u : 0u) + (in_b ? 1u : 0u)),
+          position, server, in_a ? time_a : time_b);
   }
-  for (; ia < na; ++ia) {
-    prefetch(a[std::min(ia + kMergePrefetchDistance, na - 1)]);
-    visit(a[ia], only_a);
-  }
-  for (; ib < nb; ++ib) {
-    prefetch(b[std::min(ib + kMergePrefetchDistance, nb - 1)]);
-    visit(b[ib], only_b);
-  }
+  for (; ia < na; ++ia) visit(only_a, ia, a.servers[ia], a.times[ia]);
+  for (; ib < nb; ++ib) visit(only_b, ib, b.servers[ib], b.times[ib]);
 }
 
 // ---------------------------------------------------------------------------

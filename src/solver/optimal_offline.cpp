@@ -178,13 +178,16 @@ SolveResult solve_optimal_offline(const Flow& flow, const CostModel& model,
                                   const OptimalOfflineOptions& options,
                                   SolverWorkspace* workspace) {
   model.validate();
-  validate_flow(flow);
+  // The time checks of validate_flow run in the pre-scan (kernel path) and
+  // in RequestIndex::rebuild (reference path), with the same message; the
+  // counters below move only once they passed.
+  require(flow.group_size >= 1, "Flow: group_size must be >= 1");
   const obs::TraceSpan span("phase2/dp_solve");
-  g_dp_solves.add();
-  (workspace != nullptr ? g_workspace_hits : g_workspace_local).add();
   SolveResult result;
   result.schedule = Schedule(flow.group_size);
   if (flow.empty()) {
+    g_dp_solves.add();
+    (workspace != nullptr ? g_workspace_hits : g_workspace_local).add();
     result.raw_cost = 0.0;
     result.cost = 0.0;
     return result;
@@ -198,10 +201,14 @@ SolveResult solve_optimal_offline(const Flow& flow, const CostModel& model,
   SolverWorkspace& ws = workspace != nullptr ? *workspace : local.emplace();
 
   const std::size_t n = flow.size() + 1;  // origin + services
-  g_dp_cells.add(n - 1);
-  g_flow_nodes.record(n);
   const double mu = model.mu;
   const double lambda = model.lambda;
+  const auto count_solve = [&] {
+    g_dp_solves.add();
+    (workspace != nullptr ? g_workspace_hits : g_workspace_local).add();
+    g_dp_cells.add(n - 1);
+    g_flow_nodes.record(n);
+  };
 
   if (options.use_kernels) {
     // Kernel path (solver/kernels.hpp): one pre-scan pass builds p(i),
@@ -211,6 +218,7 @@ SolveResult solve_optimal_offline(const Flow& flow, const CostModel& model,
     const kernels::NodeColumns columns = ws.node_columns(n, server_count);
     kernels::prescan_flow(flow.points, server_count, mu, lambda,
                           ws.last_visit.data(), columns);
+    count_solve();
     solve_kernel(ws, n, model, options.build_schedule, flow.group_size,
                  result);
     return result;
@@ -220,6 +228,7 @@ SolveResult solve_optimal_offline(const Flow& flow, const CostModel& model,
   // recurrences, kept as the bit-exact oracle the kernels are checked
   // against.
   ws.index.rebuild(flow, server_count);
+  count_solve();
   const RequestIndex& index = ws.index;
 
   // w_j: the cheapest way to serve node j as an *intermediate* under a cache
@@ -341,27 +350,20 @@ SingleItemReport solve_single_item(const RequestSequence& sequence,
   report.item = item;
   report.accesses = sequence.item_frequency(item);
   if (options.use_kernels && !keep_plan) {
-    // Walk once: each row's server and time go from the sequence's columns
+    // Walk once: the item's events go from their contiguous columns
     // straight into the pre-scan; no flow is built.
     std::size_t nodes = 0;
     {
       const obs::TraceSpan walk_span("phase2/item_walk");
-      const std::span<const std::size_t> rows =
-          sequence.indices_for_item(item);
+      const ItemEvents events = sequence.events_for_item(item);
       const std::size_t m = sequence.server_count();
       const kernels::NodeColumns columns =
-          workspace.node_columns(rows.size() + 1, m);
+          workspace.node_columns(events.size() + 1, m);
       kernels::FlowPrescan scan(columns, m, model.mu, model.lambda,
                                 workspace.last_visit.data());
-      const ServerId* servers = sequence.servers().data();
-      const Time* times = sequence.times().data();
-      kernels::walk_list(
-          rows,
-          [servers, times](std::size_t index) {
-            kernels::prefetch(servers + index);
-            kernels::prefetch(times + index);
-          },
-          [&](std::size_t index) { scan.step(servers[index], times[index]); });
+      for (std::size_t j = 0; j < events.size(); ++j) {
+        scan.step(events.servers[j], events.times[j]);
+      }
       nodes = scan.nodes();
     }
     const SolveResult solved =
@@ -372,7 +374,23 @@ SingleItemReport solve_single_item(const RequestSequence& sequence,
   }
   {
     const obs::TraceSpan walk_span("phase2/item_walk");
-    make_item_flow(sequence, item, workspace.flow);
+    if (options.use_kernels) {
+      // A kept plan walks the same events; each point names its request
+      // from the row index, entry for entry.
+      const ItemEvents events = sequence.events_for_item(item);
+      const std::span<const std::size_t> rows =
+          sequence.indices_for_item(item);
+      Flow& flow = workspace.flow;
+      flow.group_size = 1;
+      flow.points.clear();
+      for (std::size_t j = 0; j < events.size(); ++j) {
+        flow.points.push_back(
+            ServicePoint{events.servers[j], events.times[j], rows[j]});
+      }
+    } else {
+      // The reference gathers rows: the oracle the events are checked by.
+      make_item_flow(sequence, item, workspace.flow);
+    }
   }
   SolveResult solved =
       solve_optimal_offline(workspace.flow, model, sequence.server_count(),

@@ -116,11 +116,11 @@ class WindowMin {
   std::size_t size_ = 0;
 };
 
-/// One greedy decision for the second item of a package, made during the
-/// one walk over the pair's requests and held until the first item's
-/// decisions are summed (solver/dp_greedy.cpp).
+/// One greedy decision of a package's item, made during the one walk over
+/// the pair's events and held until the walk ends, when the first item's
+/// decisions are summed before the second's (solver/dp_greedy.cpp).
 struct StagedDecision {
-  std::size_t request_index = 0;
+  std::size_t position = 0;  // the request's place in the item's events
   Cost cost = 0.0;
   std::uint8_t choice = 0;  // kernels::ServeChoiceIndex
 };
@@ -182,7 +182,7 @@ struct SolverWorkspace {
   /// item's (scalar reference) or a package's two items', interleaved.
   std::vector<Time> server_times;
 
-  /// The second item's decisions of the package walk.
+  /// Both items' decisions of the package walk, one run per item.
   std::vector<StagedDecision> staged;
 };
 

@@ -133,18 +133,35 @@ constexpr std::uint32_t kEndianMarker = 0x0A0B0C0Du;
 constexpr std::size_t kFixedHeaderBytes = 64;
 constexpr std::size_t kDescriptorBytes = 40;
 constexpr std::size_t kColumnAlignment = 64;
-constexpr std::uint32_t kColumnCount = 6;
 
 // Column identifiers.  Readers skip descriptors with ids they do not know —
 // the forward-compat rule that lets future versions append columns.
 enum ColumnId : std::uint32_t {
-  kColServers = 1,        // u32 × n
-  kColTimes = 2,          // f64 × n
-  kColItemOffsets = 3,    // u64 × (n + 1)
-  kColItemsPool = 4,      // u32 × A
-  kColPerItemOffsets = 5, // u64 × (k + 1)
-  kColPerItemPool = 6,    // u64 × A
+  kColServers = 1,         // u32 × n
+  kColTimes = 2,           // f64 × n
+  kColItemOffsets = 3,     // u32 × (n + 1); u64 in version 1
+  kColItemsPool = 4,       // u32 × A
+  kColPerItemOffsets = 5,  // u64 × (k + 1)
+  kColPerItemPool = 6,     // u64 × A, version 1 only: each item's rows
+  kColPerItemTimes = 7,    // f64 × A, version 2
+  kColPerItemServers = 8,  // u32 × A, version 2
 };
+constexpr std::uint32_t kMaxColumnId = kColPerItemServers;
+
+/// The columns a version stores, in file (and descriptor) order.
+constexpr std::uint32_t kVersion1Columns[] = {
+    kColServers,   kColTimes,          kColItemOffsets,
+    kColItemsPool, kColPerItemOffsets, kColPerItemPool};
+constexpr std::uint32_t kVersion2Columns[] = {
+    kColServers,        kColTimes,        kColItemOffsets,
+    kColItemsPool,      kColPerItemOffsets, kColPerItemTimes,
+    kColPerItemServers};
+constexpr std::uint32_t kVersion2ColumnCount = std::size(kVersion2Columns);
+
+std::span<const std::uint32_t> columns_of(std::uint32_t version) {
+  if (version == 1) return kVersion1Columns;
+  return kVersion2Columns;
+}
 
 const char* column_name(std::uint32_t id) {
   switch (id) {
@@ -154,6 +171,8 @@ const char* column_name(std::uint32_t id) {
     case kColItemsPool: return "items_pool";
     case kColPerItemOffsets: return "per_item_offsets";
     case kColPerItemPool: return "per_item_pool";
+    case kColPerItemTimes: return "per_item_times";
+    case kColPerItemServers: return "per_item_servers";
     default: return "unknown";
   }
 }
@@ -279,6 +298,11 @@ Header parse_header(const std::string& path, const unsigned char* bytes,
   h.server_count = get_u64(bytes + 32);
   h.item_count = get_u64(bytes + 40);
   h.item_access_count = get_u64(bytes + 48);
+  if (h.item_access_count > kMaxItemAccesses) {
+    // item_offsets holds u32 offsets into the items pool.
+    corrupt(path, "item access count " + std::to_string(h.item_access_count) +
+                      " exceeds the limit of 2^32 - 1");
+  }
   const std::uint32_t column_count = get_u32(bytes + 56);
   const std::uint64_t table_bytes =
       kFixedHeaderBytes +
@@ -318,32 +342,40 @@ Header parse_header(const std::string& path, const unsigned char* bytes,
   return h;
 }
 
-/// The six known columns out of the table, by id; unknown ids are ignored
-/// (forward compatibility), missing or duplicated known ids are corruption.
+/// The version's known columns out of the table, by id; unknown ids are
+/// ignored (forward compatibility), missing or duplicated known ids are
+/// corruption.
 struct ColumnSet {
-  const ColumnDesc* by_id[kColumnCount + 1] = {};
+  const ColumnDesc* by_id[kMaxColumnId + 1] = {};
 };
 
 ColumnSet resolve_columns(const std::string& path, const Header& h) {
+  const std::span<const std::uint32_t> known = columns_of(h.version);
   ColumnSet set;
   for (const ColumnDesc& desc : h.columns) {
-    if (desc.id < 1 || desc.id > kColumnCount) continue;
+    if (std::find(known.begin(), known.end(), desc.id) == known.end()) {
+      continue;
+    }
     if (set.by_id[desc.id] != nullptr) {
       corrupt(path, std::string("duplicate column '") +
                         column_name(desc.id) + "'");
     }
     set.by_id[desc.id] = &desc;
   }
-  const std::uint32_t expected_size[kColumnCount + 1] = {0, 4, 8, 8, 4, 8, 8};
-  const std::uint64_t expected_count[kColumnCount + 1] = {
+  const std::uint32_t offset_bytes = h.version == 1 ? 8 : 4;
+  const std::uint32_t expected_size[kMaxColumnId + 1] = {
+      0, 4, 8, offset_bytes, 4, 8, 8, 8, 4};
+  const std::uint64_t expected_count[kMaxColumnId + 1] = {
       0,
       h.request_count,
       h.request_count,
       h.request_count + 1,
       h.item_access_count,
       h.item_count + 1,
+      h.item_access_count,
+      h.item_access_count,
       h.item_access_count};
-  for (std::uint32_t id = 1; id <= kColumnCount; ++id) {
+  for (const std::uint32_t id : known) {
     const ColumnDesc* desc = set.by_id[id];
     if (desc == nullptr) {
       corrupt(path, std::string("missing column '") + column_name(id) + "'");
@@ -361,16 +393,17 @@ ColumnSet resolve_columns(const std::string& path, const Header& h) {
 // The verification pass, the only validator of a file's contents.  Each
 // column task hashes its column whole, then runs the column's checks over
 // it.  The tasks are spread over the caller's pool, largest first; each CSR
-// pair (item_offsets with items_pool, per_item_offsets with per_item_pool)
-// is one task, since the pool checks cut their column by the verified
-// offsets.  No task throws: each records whether its checksums matched and
-// its first fault, and the open raises them after the join in a fixed
-// order, so the error does not depend on the pool width or on which task
-// finished first.
+// pair whose second column is cut by the first (item_offsets with
+// items_pool; in version 1, per_item_offsets with per_item_pool) is one
+// task, since the pool checks cut their column by the verified offsets.
+// No task throws: each records whether its checksums matched and its first
+// fault, and the open raises them after the join in a fixed order, so the
+// error does not depend on the pool width or on which task finished first.
 
 /// The structural checks in the order the open reports them: a file with
 /// several faults gets the message of the first.  The two row checks come
-/// after the others, and the times check last of all.
+/// after the others, then the row times; the per-item events of version 2
+/// are checked against the rows, so their faults come last of all.
 enum class Check : std::uint8_t {
   kItemOffsetsStart,
   kItemOffsetsEnd,
@@ -380,10 +413,13 @@ enum class Check : std::uint8_t {
   kPerItemOffsetsOrder,
   kServerRange,
   kItemRange,
-  kPerItemRows,  // per item in id order: rows ascending, then last row < n
+  kPerItemRows,  // version 1, per item in id order: rows ascending, last < n
   kEmptyRow,
   kRowOrder,
   kTimes,
+  kEventCounts,  // version 2: each item has one event per row holding it
+  kEventServerRange,
+  kEventTimes,   // version 2, per item: ascending, finite and > 0
   kPassed,
 };
 
@@ -417,6 +453,12 @@ std::span<const T> column_span(const unsigned char* bytes,
           static_cast<std::size_t>(desc.element_count)};
 }
 
+/// Column `id` of the plan's file, unhashed.
+template <typename T>
+std::span<const T> plan_column(const VerifyPlan& plan, std::uint32_t id) {
+  return column_span<T>(plan.bytes, *plan.set->by_id[id]);
+}
+
 /// Column `id`, its checksum compared into `verdict` first.
 template <typename T>
 std::span<const T> hashed_column(const VerifyPlan& plan, std::uint32_t id,
@@ -434,6 +476,49 @@ bool any_out_of_range(std::span<const T> ids, std::uint64_t count) {
   T top = 0;
   for (const T id : ids) top = std::max(top, id);
   return !ids.empty() && top >= count;
+}
+
+/// The first per_item_offsets fault, if any: the column must start at 0,
+/// end at the pool size A and never decrease.  Every task that cuts a
+/// per-item pool by the offsets asks first; only the offsets' own task
+/// reports the fault.
+Check item_starts_fault(std::span<const std::uint64_t> starts,
+                        std::uint64_t pool_size) {
+  // Empty only when the header's item count is 2^64 - 1 and k + 1 wrapped.
+  if (starts.empty() || starts.front() != 0) {
+    return Check::kPerItemOffsetsStart;
+  }
+  if (starts.back() != pool_size) return Check::kPerItemOffsetsEnd;
+  if (!std::is_sorted(starts.begin(), starts.end())) {
+    return Check::kPerItemOffsetsOrder;
+  }
+  return Check::kPassed;
+}
+
+/// Hashes per_item_offsets into its verdict and notes its fault; returns
+/// the column.
+std::span<const std::uint64_t> verify_item_starts(const VerifyPlan& plan,
+                                                  ColumnVerdict* verdicts) {
+  ColumnVerdict& verdict = verdicts[kColPerItemOffsets];
+  const auto starts =
+      hashed_column<std::uint64_t>(plan, kColPerItemOffsets, verdict);
+  switch (item_starts_fault(starts, plan.header->item_access_count)) {
+    case Check::kPerItemOffsetsStart:
+      verdict.note(Check::kPerItemOffsetsStart,
+                   "adopt_columns: per_item_offsets must start at 0");
+      break;
+    case Check::kPerItemOffsetsEnd:
+      verdict.note(Check::kPerItemOffsetsEnd,
+                   "adopt_columns: per_item_offsets must end at its pool size");
+      break;
+    case Check::kPerItemOffsetsOrder:
+      verdict.note(Check::kPerItemOffsetsOrder,
+                   "adopt_columns: per_item_offsets must be non-decreasing");
+      break;
+    default:
+      break;
+  }
+  return starts;
 }
 
 void verify_servers(const VerifyPlan& plan, ColumnVerdict* verdicts) {
@@ -472,10 +557,12 @@ void verify_times(const VerifyPlan& plan, ColumnVerdict* verdicts) {
 }
 
 /// item_offsets, then items_pool: the row checks read the verified offsets.
+/// `Offset` is the version's offset width.
+template <typename Offset>
 void verify_rows(const VerifyPlan& plan, ColumnVerdict* verdicts) {
   ColumnVerdict& offsets_verdict = verdicts[kColItemOffsets];
   const auto offsets =
-      hashed_column<std::uint64_t>(plan, kColItemOffsets, offsets_verdict);
+      hashed_column<Offset>(plan, kColItemOffsets, offsets_verdict);
   if (offsets.front() != 0) {
     offsets_verdict.note(Check::kItemOffsetsStart,
                          "adopt_columns: item_offsets must start at 0");
@@ -488,7 +575,9 @@ void verify_rows(const VerifyPlan& plan, ColumnVerdict* verdicts) {
                                     std::greater_equal<>());
              step != offsets.end()) {
     // Each entry must exceed the one before: a smaller one anywhere breaks
-    // the order, else the first equal one ends an empty row.
+    // the order, else the first equal one ends an empty row.  The entries
+    // themselves are compared, never their differences, so an entry that
+    // leaps by half the offset range and falls back is out of order too.
     if (!std::is_sorted(step, offsets.end())) {
       offsets_verdict.note(
           Check::kItemOffsetsOrder,
@@ -533,31 +622,14 @@ void verify_rows(const VerifyPlan& plan, ColumnVerdict* verdicts) {
   }
 }
 
-/// per_item_offsets, then per_item_pool: each item's rows must be strictly
-/// ascending, and its last row below n.
-void verify_item_index(const VerifyPlan& plan, ColumnVerdict* verdicts) {
-  ColumnVerdict& starts_verdict = verdicts[kColPerItemOffsets];
-  const auto starts =
-      hashed_column<std::uint64_t>(plan, kColPerItemOffsets, starts_verdict);
-  // Empty only when the header's item count is 2^64 - 1 and k + 1 wrapped.
-  if (starts.empty() || starts.front() != 0) {
-    starts_verdict.note(Check::kPerItemOffsetsStart,
-                        "adopt_columns: per_item_offsets must start at 0");
-  } else if (starts.back() != plan.header->item_access_count) {
-    starts_verdict.note(
-        Check::kPerItemOffsetsEnd,
-        "adopt_columns: per_item_offsets must end at its pool size");
-  } else if (!std::is_sorted(starts.begin(), starts.end())) {
-    starts_verdict.note(
-        Check::kPerItemOffsetsOrder,
-        "adopt_columns: per_item_offsets must be non-decreasing");
-  }
-
+/// Version 1: per_item_offsets, then per_item_pool: each item's rows must be
+/// strictly ascending, and its last row below n.
+void verify_item_rows(const VerifyPlan& plan, ColumnVerdict* verdicts) {
+  const auto starts = verify_item_starts(plan, verdicts);
   ColumnVerdict& verdict = verdicts[kColPerItemPool];
   const auto pool =
       hashed_column<std::uint64_t>(plan, kColPerItemPool, verdict);
-  if (!starts_verdict.passed()) return;
-  // Phase 2 merges these lists and reads their order as time order.
+  if (!verdicts[kColPerItemOffsets].passed()) return;
   // Strictly ascending, a list's last row bounds all of its rows.
   for (std::size_t item = 0; item + 1 < starts.size(); ++item) {
     const auto rows =
@@ -577,12 +649,74 @@ void verify_item_index(const VerifyPlan& plan, ColumnVerdict* verdicts) {
   }
 }
 
-/// Runs the pass over all six columns, on `pool` when set, then raises the
-/// first checksum mismatch in column-id order, else the first structural
-/// fault in Check order.
+/// Version 2: per_item_offsets, then each item's event count against the
+/// rows that hold it, from a histogram of items_pool.  Equal counts make
+/// the row index built from the rows (indices_for_item) line up with the
+/// events entry for entry.  An item id out of range lands in an overflow
+/// bucket: items_pool's own task reports it, ahead of this check.
+void verify_event_counts(const VerifyPlan& plan, ColumnVerdict* verdicts) {
+  const auto starts = verify_item_starts(plan, verdicts);
+  ColumnVerdict& verdict = verdicts[kColPerItemOffsets];
+  if (!verdict.passed()) return;
+  const std::size_t k = starts.size() - 1;
+  std::vector<std::uint32_t> held(k + 1, 0);
+  for (const ItemId item : plan_column<ItemId>(plan, kColItemsPool)) {
+    ++held[std::min<std::size_t>(item, k)];
+  }
+  for (std::size_t item = 0; item < k; ++item) {
+    if (held[item] != starts[item + 1] - starts[item]) {
+      verdict.note(Check::kEventCounts,
+                   "adopt_columns: an item's event count differs from the "
+                   "rows that hold it");
+      return;
+    }
+  }
+}
+
+void verify_event_servers(const VerifyPlan& plan, ColumnVerdict* verdicts) {
+  ColumnVerdict& verdict = verdicts[kColPerItemServers];
+  const auto servers =
+      hashed_column<ServerId>(plan, kColPerItemServers, verdict);
+  if (any_out_of_range(servers, plan.header->server_count)) {
+    verdict.note(Check::kEventServerRange,
+                 "adopt_columns: per-item event server id out of range");
+  }
+}
+
+/// Version 2: each item's event times are strictly ascending, finite and
+/// > 0, the order Phase 2 walks them in and merges two items' events by.
+/// Each run is folded without an early exit, so the compares vectorize.
+void verify_event_times(const VerifyPlan& plan, ColumnVerdict* verdicts) {
+  ColumnVerdict& verdict = verdicts[kColPerItemTimes];
+  const auto times = hashed_column<Time>(plan, kColPerItemTimes, verdict);
+  const auto starts = plan_column<std::uint64_t>(plan, kColPerItemOffsets);
+  if (item_starts_fault(starts, plan.header->item_access_count) !=
+      Check::kPassed) {
+    return;
+  }
+  for (std::size_t item = 0; item + 1 < starts.size(); ++item) {
+    const auto run =
+        times.subspan(starts[item], starts[item + 1] - starts[item]);
+    if (run.empty()) continue;
+    bool bad = !(run.front() > 0.0) || !std::isfinite(run.back());
+    for (std::size_t j = 1; j < run.size(); ++j) {
+      bad |= !(run[j - 1] < run[j]);
+    }
+    if (bad) {
+      verdict.note(Check::kEventTimes,
+                   "adopt_columns: an item's event times are not strictly "
+                   "ascending, finite and > 0");
+      return;
+    }
+  }
+}
+
+/// Runs the pass over the version's columns, on `pool` when set, then
+/// raises the first checksum mismatch in column-id order, else the first
+/// structural fault in Check order.
 void verify_pass(const std::string& path, const VerifyPlan& plan,
                  ThreadPool* pool) {
-  ColumnVerdict verdicts[kColumnCount + 1];
+  ColumnVerdict verdicts[kMaxColumnId + 1];
   struct Task {
     std::uint64_t bytes;
     void (*run)(const VerifyPlan&, ColumnVerdict*);
@@ -590,14 +724,25 @@ void verify_pass(const std::string& path, const VerifyPlan& plan,
   const auto bytes_of = [&plan](std::uint32_t id) {
     return plan.set->by_id[id]->byte_length;
   };
-  Task tasks[] = {
+  std::vector<Task> tasks = {
       {bytes_of(kColServers), verify_servers},
       {bytes_of(kColTimes), verify_times},
-      {bytes_of(kColItemOffsets) + bytes_of(kColItemsPool), verify_rows},
-      {bytes_of(kColPerItemOffsets) + bytes_of(kColPerItemPool),
-       verify_item_index},
   };
-  std::stable_sort(std::begin(tasks), std::end(tasks),
+  if (plan.header->version == 1) {
+    tasks.push_back({bytes_of(kColItemOffsets) + bytes_of(kColItemsPool),
+                     verify_rows<std::uint64_t>});
+    tasks.push_back({bytes_of(kColPerItemOffsets) + bytes_of(kColPerItemPool),
+                     verify_item_rows});
+  } else {
+    tasks.push_back({bytes_of(kColItemOffsets) + bytes_of(kColItemsPool),
+                     verify_rows<ItemOffset>});
+    // The histogram reads items_pool.
+    tasks.push_back({bytes_of(kColPerItemOffsets) + bytes_of(kColItemsPool),
+                     verify_event_counts});
+    tasks.push_back({bytes_of(kColPerItemTimes), verify_event_times});
+    tasks.push_back({bytes_of(kColPerItemServers), verify_event_servers});
+  }
+  std::stable_sort(tasks.begin(), tasks.end(),
                    [](const Task& x, const Task& y) {
                      return x.bytes > y.bytes;
                    });
@@ -606,12 +751,12 @@ void verify_pass(const std::string& path, const VerifyPlan& plan,
     tasks[t].run(plan, verdicts);
   };
   if (pool != nullptr) {
-    parallel_for(*pool, std::size(tasks), run);
+    parallel_for(*pool, tasks.size(), run);
   } else {
-    for (std::size_t t = 0; t < std::size(tasks); ++t) run(t);
+    for (std::size_t t = 0; t < tasks.size(); ++t) run(t);
   }
 
-  for (std::uint32_t id = 1; id <= kColumnCount; ++id) {
+  for (std::uint32_t id = 1; id <= kMaxColumnId; ++id) {
     if (!verdicts[id].checksum_ok) {
       corrupt(path, std::string("checksum mismatch in column '") +
                         column_name(id) + "'");
@@ -625,6 +770,45 @@ void verify_pass(const std::string& path, const VerifyPlan& plan,
   if (!first.passed()) corrupt(path, first.message);
 }
 
+/// The sequence of a version-1 file whose pass succeeded: its rows copied
+/// into an owned sequence, which builds the per-item events.  With
+/// `verify_columns` the stored row lists are cross-checked against the
+/// row index built from the rows, as version 1 always did.
+RequestSequence sequence_of_version1(const std::string& path,
+                                     const VerifyPlan& plan,
+                                     bool verify_columns) {
+  const Header& h = *plan.header;
+  const auto servers = plan_column<ServerId>(plan, kColServers);
+  const auto times = plan_column<Time>(plan, kColTimes);
+  const auto offsets = plan_column<std::uint64_t>(plan, kColItemOffsets);
+  const auto items = plan_column<ItemId>(plan, kColItemsPool);
+  SequenceBuilder builder(h.server_count, h.item_count);
+  builder.reserve(servers.size(), items.size());
+  for (std::size_t row = 0; row < servers.size(); ++row) {
+    builder.begin_request(servers[row], times[row]);
+    for (std::uint64_t p = offsets[row]; p < offsets[row + 1]; ++p) {
+      builder.push_item(items[p]);
+    }
+    builder.end_request();
+  }
+  RequestSequence sequence = std::move(builder).build();
+  if (verify_columns) {
+    const auto starts = plan_column<std::uint64_t>(plan, kColPerItemOffsets);
+    const auto stored = plan_column<std::uint64_t>(plan, kColPerItemPool);
+    for (ItemId item = 0; item < h.item_count; ++item) {
+      const auto rows = sequence.indices_for_item(item);
+      const auto list =
+          stored.subspan(starts[item], starts[item + 1] - starts[item]);
+      if (!std::equal(rows.begin(), rows.end(), list.begin(), list.end())) {
+        corrupt(path,
+                "adopt_columns: stored inverted index does not match the "
+                "items");
+      }
+    }
+  }
+  return sequence;
+}
+
 }  // namespace
 
 void write_trace_dpt(const std::string& path,
@@ -636,13 +820,15 @@ void write_trace_dpt(const std::string& path,
                 "write_trace_dpt stores columns verbatim little-endian");
   const obs::TraceSpan span("trace/dpt_write");
   const SequenceColumns cols = sequence.columns();
+  require(cols.items_pool.size() <= kMaxItemAccesses,
+          "write_trace_dpt: a .dpt holds at most 2^32 - 1 item accesses");
 
   Header h;
   h.request_count = sequence.size();
   h.server_count = sequence.server_count();
   h.item_count = sequence.item_count();
   h.item_access_count = sequence.total_item_accesses();
-  h.header_bytes = kFixedHeaderBytes + kColumnCount * kDescriptorBytes;
+  h.header_bytes = kFixedHeaderBytes + kVersion2ColumnCount * kDescriptorBytes;
 
   struct Plan {
     std::uint32_t id;
@@ -650,15 +836,17 @@ void write_trace_dpt(const std::string& path,
     std::uint32_t element_size;
     std::uint64_t element_count;
   };
-  const Plan plans[kColumnCount] = {
+  const Plan plans[kVersion2ColumnCount] = {
       {kColServers, cols.servers.data(), 4, cols.servers.size()},
       {kColTimes, cols.times.data(), 8, cols.times.size()},
-      {kColItemOffsets, cols.item_offsets.data(), 8, cols.item_offsets.size()},
+      {kColItemOffsets, cols.item_offsets.data(), 4, cols.item_offsets.size()},
       {kColItemsPool, cols.items_pool.data(), 4, cols.items_pool.size()},
       {kColPerItemOffsets, cols.per_item_offsets.data(), 8,
        cols.per_item_offsets.size()},
-      {kColPerItemPool, cols.per_item_pool.data(), 8,
-       cols.per_item_pool.size()},
+      {kColPerItemTimes, cols.per_item_times.data(), 8,
+       cols.per_item_times.size()},
+      {kColPerItemServers, cols.per_item_servers.data(), 4,
+       cols.per_item_servers.size()},
   };
 
   std::size_t cursor = align_up(h.header_bytes, kColumnAlignment);
@@ -686,7 +874,7 @@ void write_trace_dpt(const std::string& path,
   put_u64(header, h.server_count);
   put_u64(header, h.item_count);
   put_u64(header, h.item_access_count);
-  put_u32(header, kColumnCount);
+  put_u32(header, kVersion2ColumnCount);
   put_u32(header, 0);  // reserved
   for (const ColumnDesc& desc : h.columns) {
     put_u32(header, desc.id);
@@ -704,7 +892,7 @@ void write_trace_dpt(const std::string& path,
               static_cast<std::streamsize>(header.size()));
     written = header.size();
     const char zeros[kColumnAlignment] = {};
-    for (std::size_t i = 0; i < kColumnCount; ++i) {
+    for (std::size_t i = 0; i < kVersion2ColumnCount; ++i) {
       const ColumnDesc& desc = h.columns[i];
       if (written < desc.byte_offset) {
         out.write(zeros,
@@ -730,8 +918,8 @@ RequestSequence read_trace_dpt(const std::string& path,
   static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
                 "the .dpt zero-copy path assumes 64-bit size_t");
   static_assert(sizeof(Time) == 8 && sizeof(ServerId) == 4 &&
-                    sizeof(ItemId) == 4,
-                "the .dpt column shapes mirror core/types.hpp");
+                    sizeof(ItemId) == 4 && sizeof(ItemOffset) == 4,
+                "the .dpt column shapes mirror core/request.hpp");
 
   auto mapped = std::make_shared<MappedFile>(path);
   const std::size_t file_bytes = mapped->size();
@@ -739,24 +927,27 @@ RequestSequence read_trace_dpt(const std::string& path,
   const unsigned char* bytes = mapped->data();
   const Header h = parse_header(path, bytes, file_bytes);
   const ColumnSet set = resolve_columns(path, h);
-  verify_pass(path, VerifyPlan{bytes, &set, &h}, options.pool);
+  const VerifyPlan plan{bytes, &set, &h};
+  verify_pass(path, plan, options.pool);
+  if (h.version == 1) {
+    return sequence_of_version1(path, plan, options.verify_columns);
+  }
 
   SequenceColumns columns;
-  columns.servers = column_span<ServerId>(bytes, *set.by_id[kColServers]);
-  columns.times = column_span<Time>(bytes, *set.by_id[kColTimes]);
-  columns.items_pool = column_span<ItemId>(bytes, *set.by_id[kColItemsPool]);
-  columns.item_offsets =
-      column_span<std::size_t>(bytes, *set.by_id[kColItemOffsets]);
-  columns.per_item_pool =
-      column_span<std::size_t>(bytes, *set.by_id[kColPerItemPool]);
+  columns.servers = plan_column<ServerId>(plan, kColServers);
+  columns.times = plan_column<Time>(plan, kColTimes);
+  columns.items_pool = plan_column<ItemId>(plan, kColItemsPool);
+  columns.item_offsets = plan_column<ItemOffset>(plan, kColItemOffsets);
   columns.per_item_offsets =
-      column_span<std::size_t>(bytes, *set.by_id[kColPerItemOffsets]);
+      plan_column<std::size_t>(plan, kColPerItemOffsets);
+  columns.per_item_times = plan_column<Time>(plan, kColPerItemTimes);
+  columns.per_item_servers = plan_column<ServerId>(plan, kColPerItemServers);
   try {
     return RequestSequence::adopt_columns(h.server_count, h.item_count,
                                           columns, std::move(mapped),
                                           options.verify_columns);
   } catch (const InvalidArgument& e) {
-    // An index that does not match the rows (verify_columns) is file
+    // Events that do not match the rows (verify_columns) are file
     // corruption from the caller's point of view.
     corrupt(path, e.what());
   }

@@ -2,7 +2,10 @@
 // every generator family through the one open (mmap zero-copy), CSV ↔ .dpt
 // interchange byte-identity, the XXH64 checksum against its published
 // vectors, and one test per corruption class — each must fail with a clean
-// FormatError naming the file, never a crash or a garbage sequence.
+// FormatError naming the file, never a crash or a garbage sequence.  The
+// corruption classes run on both versions: the version-2 files the writer
+// makes, and the committed version-1 fixtures under tests/data (written by
+// the version-1 writer, with their CSV sources).
 #include <gtest/gtest.h>
 
 #include "test_support.hpp"
@@ -48,6 +51,11 @@ std::string temp_path(const std::string& name) {
   }
   unique += std::to_string(::getpid()) + "_";
   return ::testing::TempDir() + unique + name;
+}
+
+/// A committed fixture under tests/data.
+std::string fixture_path(const std::string& name) {
+  return std::string(DPG_TEST_DATA_DIR) + "/" + name;
 }
 
 std::string read_bytes(const std::string& path) {
@@ -262,7 +270,7 @@ TEST(DptAuto, ProbeAndReadHandleLargeColumnTables) {
   write_trace_dpt(path, seq);
   const std::string bytes = read_bytes(path);
 
-  constexpr std::size_t kKnown = 6;
+  constexpr std::size_t kKnown = 7;
   constexpr std::size_t kExtra = 1700;  // table of ~68 KiB, past 64 KiB
   std::uint64_t old_header_bytes = 0;
   std::memcpy(&old_header_bytes, bytes.data() + 16, 8);
@@ -427,8 +435,8 @@ std::string open_error(const std::string& path, const DptReadOptions& options) {
 
 /// Expects every open of `path` — with no pool and on every pool width,
 /// without and with verify_columns — to fail with exactly `want` ("" to
-/// open).  verify_columns adds only the index cross-check, which runs after
-/// the pass, so a file the pass rejects gets the pass's message.
+/// open).  verify_columns adds only the cross-check against the rows, which
+/// runs after the pass, so a file the pass rejects gets the pass's message.
 void expect_open_error(const std::string& path, VerifyPools& pools,
                        const std::string& want, const std::string& where) {
   for (const bool verify_columns : {false, true}) {
@@ -442,328 +450,6 @@ void expect_open_error(const std::string& path, VerifyPools& pools,
     }
   }
 }
-
-class DptCorruption : public ::testing::Test {
- protected:
-  void SetUp() override {
-    path_ = temp_path("dpt_corrupt.dpt");
-    write_trace_dpt(path_, testing::running_example_sequence());
-    bytes_ = read_bytes(path_);
-    ASSERT_GT(bytes_.size(), 64u);
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
-
-  /// Writes `bytes` to the file and expects every open of it to fail with
-  /// exactly "<path>: <message>".
-  void expect_rejected(const std::string& bytes, const std::string& message,
-                       const std::string& where = "") {
-    write_bytes(path_, bytes);
-    expect_open_error(path_, pools_, path_ + ": " + message, where);
-  }
-
-  VerifyPools pools_;
-  std::string path_;
-  std::string bytes_;
-};
-
-TEST_F(DptCorruption, EmptyFile) {
-  expect_rejected("", "truncated header (0 bytes, need 64)");
-}
-
-TEST_F(DptCorruption, TruncatedHeader) {
-  expect_rejected(bytes_.substr(0, 32), "truncated header (32 bytes, need 64)");
-}
-
-TEST_F(DptCorruption, TruncatedColumns) {
-  expect_rejected(bytes_.substr(0, bytes_.size() / 2),
-                  "column 'times': data out of file bounds (truncated file?)");
-  expect_rejected(
-      bytes_.substr(0, bytes_.size() - 1),
-      "column 'per_item_pool': data out of file bounds (truncated file?)");
-}
-
-TEST_F(DptCorruption, WrongMagic) {
-  std::string bytes = bytes_;
-  bytes[0] = 'X';
-  expect_rejected(bytes, "not a .dpt trace (bad magic)");
-}
-
-TEST_F(DptCorruption, FutureVersion) {
-  std::string bytes = bytes_;
-  bytes[12] = static_cast<char>(0x7F);  // u32 version field little-endian
-  expect_rejected(bytes, "unsupported version 127 (this build reads up to 1)");
-}
-
-TEST_F(DptCorruption, FlippedColumnByte) {
-  // Damage a payload byte near the end (inside the last column) — only the
-  // checksum can catch this, which is the point of having one.
-  std::string bytes = bytes_;
-  bytes[bytes.size() - 5] = static_cast<char>(bytes[bytes.size() - 5] ^ 0x40);
-  expect_rejected(bytes, "checksum mismatch in column 'per_item_pool'");
-}
-
-TEST_F(DptCorruption, FlippedChecksumByte) {
-  // Damage a stored checksum in the column table instead of the payload.
-  std::string bytes = bytes_;
-  bytes[64 + 32] = static_cast<char>(bytes[64 + 32] ^ 0x01);
-  expect_rejected(bytes, "checksum mismatch in column 'servers'");
-}
-
-TEST_F(DptCorruption, DescriptorOffsetOverflowIsRejected) {
-  // byte_offset + byte_length wrapping past 2^64 must not pass the bounds
-  // check and hand the verification pass a wild pointer.
-  std::string bytes = bytes_;
-  const DescriptorView servers = find_descriptor(bytes, /*id=*/1);
-  const std::uint64_t wild = 0xFFFFFFFFFFFFFFC0ULL;  // 64-byte aligned
-  std::memcpy(bytes.data() + servers.row + 16, &wild, sizeof wild);
-  expect_rejected(
-      bytes, "column 'servers': data out of file bounds (truncated file?)");
-}
-
-TEST_F(DptCorruption, DescriptorLengthWrapIsRejected) {
-  // element_count × element_size wraps to 0 (mod 2^64), "matching" a zero
-  // byte_length; the divide-based shape check must reject it.
-  std::string bytes = bytes_;
-  const DescriptorView servers = find_descriptor(bytes, /*id=*/1);
-  const std::uint64_t huge = 0x4000000000000000ULL;  // 2^62 × 4 ≡ 0
-  const std::uint64_t zero = 0;
-  std::memcpy(bytes.data() + servers.row + 8, &huge, sizeof huge);
-  std::memcpy(bytes.data() + servers.row + 24, &zero, sizeof zero);
-  expect_rejected(bytes, "column 'servers': descriptor length mismatch");
-}
-
-TEST_F(DptCorruption, ResealedOffsetsPastThePoolAreRejected) {
-  // A hostile writer can recompute checksums, so checksum validity must
-  // not imply content validity: an item_offsets entry pointing past the
-  // items pool must be caught structurally in both open modes.
-  std::string bytes = bytes_;
-  const DescriptorView offsets = find_descriptor(bytes, /*id=*/3);
-  ASSERT_GT(offsets.element_count, 0u);
-  const std::uint64_t past = std::uint64_t{1} << 60;
-  std::memcpy(bytes.data() + offsets.byte_offset +
-                  (offsets.element_count - 1) * 8,
-              &past, sizeof past);
-  reseal_column(bytes, offsets);
-  expect_rejected(bytes,
-                  "adopt_columns: item_offsets must end at the pool size");
-}
-
-TEST_F(DptCorruption, ResealedOffsetsThatLeapAndFallBackAreRejected) {
-  // The running example's offsets are {0, 1, 3, 4, 6, 7, 8, 10}.  Raise
-  // offsets[1] by 2^63 or more and drop offsets[2] to 0: the start and the
-  // end still hold, and every step is below 2^63 in two's complement, so
-  // only a compare of the entries themselves finds the order broken.
-  const DescriptorView offsets = find_descriptor(bytes_, /*id=*/3);
-  ASSERT_EQ(offsets.element_count, 8u);
-  const std::uint64_t half = std::uint64_t{1} << 63;
-  for (const std::uint64_t leap : {half, half + 5, ~std::uint64_t{0}}) {
-    std::string bytes = bytes_;
-    const std::uint64_t zero = 0;
-    std::memcpy(bytes.data() + offsets.byte_offset + 8, &leap, sizeof leap);
-    std::memcpy(bytes.data() + offsets.byte_offset + 16, &zero, sizeof zero);
-    reseal_column(bytes, offsets);
-    expect_rejected(bytes, "adopt_columns: item_offsets must be non-decreasing",
-                    "leap " + std::to_string(leap) + ", ");
-  }
-}
-
-TEST_F(DptCorruption, ResealedServerIdOutOfRangeIsRejected) {
-  // Server ids index per-server solver state downstream, so even the
-  // trusting map open must range-check them.
-  std::string bytes = bytes_;
-  const DescriptorView servers = find_descriptor(bytes, /*id=*/1);
-  ASSERT_GT(servers.element_count, 0u);
-  const std::uint32_t bogus = 0xFFFFu;
-  std::memcpy(bytes.data() + servers.byte_offset, &bogus, sizeof bogus);
-  reseal_column(bytes, servers);
-  expect_rejected(bytes, "adopt_columns: server id out of range");
-}
-
-TEST_F(DptCorruption, ResealedUnsortedItemRowListIsRejected) {
-  // Phase 2 merges the items' stored row lists and reads their order as
-  // time order, so the trusting map open must check that each list is
-  // strictly ascending.  Swap the first two rows of item 0's list (rows 0
-  // and 1 of the running example) and recompute the checksum.
-  std::string bytes = bytes_;
-  const DescriptorView pool = find_descriptor(bytes, /*id=*/6);
-  ASSERT_GE(pool.element_count, 2u);
-  std::uint64_t rows[2];
-  std::memcpy(rows, bytes.data() + pool.byte_offset, sizeof rows);
-  ASSERT_LT(rows[0], rows[1]);
-  std::swap(rows[0], rows[1]);
-  std::memcpy(bytes.data() + pool.byte_offset, rows, sizeof rows);
-  reseal_column(bytes, pool);
-  expect_rejected(bytes,
-                  "adopt_columns: an item's inverted index rows are not "
-                  "strictly ascending");
-}
-
-TEST_F(DptCorruption, ResealedItemRowPastTheLastRequestIsRejected) {
-  // Item 1's list, the last in per_item_pool, ends at row 6 of the running
-  // example's 7; row 7 keeps the list ascending but names no request.
-  std::string bytes = bytes_;
-  const DescriptorView pool = find_descriptor(bytes, /*id=*/6);
-  const std::size_t last = pool.byte_offset + (pool.element_count - 1) * 8;
-  std::uint64_t row = 0;
-  std::memcpy(&row, bytes.data() + last, sizeof row);
-  ASSERT_EQ(row, 6u);
-  row = 7;
-  std::memcpy(bytes.data() + last, &row, sizeof row);
-  reseal_column(bytes, pool);
-  expect_rejected(bytes, "adopt_columns: inverted index row out of range");
-}
-
-// The rows of a `.dpt` must be non-empty with strictly ascending items:
-// Phase 1 indexes its pair counts by a row's items, and a repeated item
-// wrote past the dense pair-count array.  The running example's rows are
-// {0} {0,1} {1} {0,1} {0} {1} {0,1}.
-
-TEST_F(DptCorruption, ResealedRepeatedItemInARowIsRejected) {
-  std::string bytes = bytes_;
-  const DescriptorView items = find_descriptor(bytes, /*id=*/4);
-  const std::uint32_t zero = 0;  // row 1 {0,1} becomes {0,0}
-  std::memcpy(bytes.data() + items.byte_offset + 2 * 4, &zero, sizeof zero);
-  reseal_column(bytes, items);
-  expect_rejected(bytes,
-                  "RequestSequence: item set must be sorted and duplicate-free "
-                  "at request 1");
-}
-
-TEST_F(DptCorruption, ResealedSwappedPairInARowIsRejected) {
-  // Row 3 {0,1} at pool entries 4 and 5, and the last row, row 6, at 8 and 9.
-  for (const std::size_t row : {3u, 6u}) {
-    const std::size_t entry = row == 3 ? 4 : 8;
-    std::string bytes = bytes_;
-    const DescriptorView items = find_descriptor(bytes, /*id=*/4);
-    std::uint32_t pair[2];
-    std::memcpy(pair, bytes.data() + items.byte_offset + entry * 4,
-                sizeof pair);
-    ASSERT_LT(pair[0], pair[1]);
-    std::swap(pair[0], pair[1]);
-    std::memcpy(bytes.data() + items.byte_offset + entry * 4, pair,
-                sizeof pair);
-    reseal_column(bytes, items);
-    expect_rejected(bytes,
-                    "RequestSequence: item set must be sorted and "
-                    "duplicate-free at request " + std::to_string(row));
-  }
-}
-
-TEST_F(DptCorruption, ResealedEmptyRowIsRejected) {
-  // offsets[1] = 0 empties row 0 and hands its item to row 1, which then
-  // repeats item 0: the empty row is reported first.
-  std::string bytes = bytes_;
-  const DescriptorView offsets = find_descriptor(bytes, /*id=*/3);
-  const std::uint64_t zero = 0;
-  std::memcpy(bytes.data() + offsets.byte_offset + 8, &zero, sizeof zero);
-  reseal_column(bytes, offsets);
-  expect_rejected(bytes, "RequestSequence: empty item set at request 0");
-}
-
-TEST_F(DptCorruption, ChecksumMismatchOutranksAStructuralFault) {
-  // A server id out of range in column 1 (resealed) and a flipped times
-  // byte in column 2: the checksum is reported, in every mode and at every
-  // pool width, although the servers task may finish first.
-  std::string bytes = bytes_;
-  const DescriptorView servers = find_descriptor(bytes, /*id=*/1);
-  const std::uint32_t bogus = 0xFFFFu;
-  std::memcpy(bytes.data() + servers.byte_offset, &bogus, sizeof bogus);
-  reseal_column(bytes, servers);
-  const DescriptorView times = find_descriptor(bytes, /*id=*/2);
-  bytes[times.byte_offset + 3] =
-      static_cast<char>(bytes[times.byte_offset + 3] ^ 0x10);
-  expect_rejected(bytes, "checksum mismatch in column 'times'");
-
-  // A resealed unsorted per-item list (column 6, the largest task) and a
-  // flipped server byte (column 1): the checksum still wins.
-  bytes = bytes_;
-  const DescriptorView pool = find_descriptor(bytes, /*id=*/6);
-  std::uint64_t rows[2];
-  std::memcpy(rows, bytes.data() + pool.byte_offset, sizeof rows);
-  std::swap(rows[0], rows[1]);
-  std::memcpy(bytes.data() + pool.byte_offset, rows, sizeof rows);
-  reseal_column(bytes, pool);
-  bytes[servers.byte_offset] =
-      static_cast<char>(bytes[servers.byte_offset] ^ 1);
-  expect_rejected(bytes, "checksum mismatch in column 'servers'");
-}
-
-// The times must be strictly increasing, finite and > 0, as RequestSequence
-// requires: the DP reads them as the order of service.  The running
-// example's times are 0.5 0.8 1.1 1.4 2.6 3.2 4.0.  Each fault names the
-// first row RequestSequence's own validation names.
-
-std::string times_message(std::size_t row) {
-  return "RequestSequence: times must be strictly increasing, finite and > 0 "
-         "(violated at request " + std::to_string(row) + ")";
-}
-
-TEST_F(DptCorruption, ResealedTimesOutOfOrderAreRejected) {
-  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const DescriptorView times = find_descriptor(bytes_, /*id=*/2);
-  ASSERT_EQ(times.element_count, 7u);
-  struct Case {
-    const char* what;
-    std::size_t row;
-    double time;
-    std::size_t reported;
-  };
-  const Case cases[] = {
-      {"NaN", 3, kNan, 3},
-      {"repeated time", 4, 1.4, 4},
-      {"step back", 4, 1.0, 4},
-      {"+inf in the middle", 3, kInf, 3},
-      {"+inf last", 6, kInf, 6},
-      {"first time 0", 0, 0.0, 0},
-      {"first time -1", 0, -1.0, 0},
-  };
-  for (const Case& c : cases) {
-    std::string bytes = bytes_;
-    std::memcpy(bytes.data() + times.byte_offset + c.row * 8, &c.time,
-                sizeof c.time);
-    reseal_column(bytes, times);
-    expect_rejected(bytes, times_message(c.reported),
-                    std::string(c.what) + ", ");
-  }
-}
-
-TEST_F(DptCorruption, StructuralFaultOutranksATimesFault) {
-  // A NaN time (resealed) with a server id out of range, then with a
-  // repeated item in a row — the last structural check — in another
-  // column: the structural fault is reported, at every pool width.
-  std::string times_fault = bytes_;
-  const DescriptorView times = find_descriptor(times_fault, /*id=*/2);
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  std::memcpy(times_fault.data() + times.byte_offset + 8, &nan, sizeof nan);
-  reseal_column(times_fault, times);
-
-  std::string bytes = times_fault;
-  const DescriptorView servers = find_descriptor(bytes, /*id=*/1);
-  const std::uint32_t bogus = 0xFFFFu;
-  std::memcpy(bytes.data() + servers.byte_offset, &bogus, sizeof bogus);
-  reseal_column(bytes, servers);
-  expect_rejected(bytes, "adopt_columns: server id out of range");
-
-  bytes = times_fault;
-  const DescriptorView items = find_descriptor(bytes, /*id=*/4);
-  const std::uint32_t zero = 0;  // row 1 {0,1} becomes {0,0}
-  std::memcpy(bytes.data() + items.byte_offset + 2 * 4, &zero, sizeof zero);
-  reseal_column(bytes, items);
-  expect_rejected(bytes,
-                  "RequestSequence: item set must be sorted and duplicate-free "
-                  "at request 1");
-
-  // A flipped byte in another column's payload outranks both.
-  bytes[bytes.size() - 5] = static_cast<char>(bytes[bytes.size() - 5] ^ 0x40);
-  expect_rejected(bytes, "checksum mismatch in column 'per_item_pool'");
-}
-
-// ---------------------------------------------------------------------------
-// Faults deep in a 20,000-row file, where servers, times, item_offsets,
-// items_pool and per_item_pool each hold more than 64 KiB: every check must
-// find its fault wherever it sits and name the right row.  Each fault goes
-// just before, at and after 64 KiB into its column.
 
 template <typename T>
 T peek(const std::string& bytes, const DescriptorView& column,
@@ -781,12 +467,704 @@ void poke(std::string& bytes, const DescriptorView& column, std::size_t index,
               sizeof value);
 }
 
+/// Writes `value` into entry `index` of an offsets column at the column's
+/// own width: u32 item_offsets in version 2, u64 in version 1.
+void poke_offset(std::string& bytes, const DescriptorView& column,
+                 std::size_t index, std::uint64_t value) {
+  if (column.element_size == 4) {
+    poke<std::uint32_t>(bytes, column, index,
+                        static_cast<std::uint32_t>(value));
+  } else {
+    poke<std::uint64_t>(bytes, column, index, value);
+  }
+}
+
+/// The running example as each version stores it, with the names its
+/// messages use.
+struct Layout {
+  std::string name;  // prefixes each failure's context
+  std::string bytes;
+  std::uint32_t last_column;  // the column at the end of the file
+  const char* last_column_name;
+  /// A per-item column of 8-byte entries, the largest verification task:
+  /// per_item_times in version 2, per_item_pool in version 1.
+  std::uint32_t per_item_column;
+};
+
+class DptCorruption : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = temp_path("dpt_corrupt.dpt");
+    write_trace_dpt(path_, testing::running_example_sequence());
+    bytes_ = read_bytes(path_);
+    v1_bytes_ = read_bytes(fixture_path("running_example.v1.dpt"));
+    ASSERT_GT(bytes_.size(), 64u);
+    ASSERT_GT(v1_bytes_.size(), 64u);
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Both versions of the running example: the version-2 file the writer
+  /// makes and the committed version-1 fixture.
+  [[nodiscard]] std::vector<Layout> layouts() const {
+    return {{"version 2, ", bytes_, 8, "per_item_servers", 7},
+            {"version 1, ", v1_bytes_, 6, "per_item_pool", 6}};
+  }
+
+  /// Writes `bytes` to the file and expects every open of it to fail with
+  /// exactly "<path>: <message>".
+  void expect_rejected(const std::string& bytes, const std::string& message,
+                       const std::string& where = "") {
+    write_bytes(path_, bytes);
+    expect_open_error(path_, pools_, path_ + ": " + message, where);
+  }
+
+  VerifyPools pools_;
+  std::string path_;
+  std::string bytes_;     // version 2
+  std::string v1_bytes_;  // version 1
+};
+
+TEST_F(DptCorruption, EmptyFile) {
+  expect_rejected("", "truncated header (0 bytes, need 64)");
+}
+
+TEST_F(DptCorruption, TruncatedHeader) {
+  for (const Layout& file : layouts()) {
+    expect_rejected(file.bytes.substr(0, 32),
+                    "truncated header (32 bytes, need 64)", file.name);
+  }
+}
+
+TEST_F(DptCorruption, TruncatedColumns) {
+  for (const Layout& file : layouts()) {
+    expect_rejected(file.bytes.substr(0, file.bytes.size() / 2),
+                    "column 'times': data out of file bounds (truncated file?)",
+                    file.name);
+    expect_rejected(file.bytes.substr(0, file.bytes.size() - 1),
+                    std::string("column '") + file.last_column_name +
+                        "': data out of file bounds (truncated file?)",
+                    file.name);
+  }
+}
+
+TEST_F(DptCorruption, WrongMagic) {
+  for (const Layout& file : layouts()) {
+    std::string bytes = file.bytes;
+    bytes[0] = 'X';
+    expect_rejected(bytes, "not a .dpt trace (bad magic)", file.name);
+  }
+}
+
+TEST_F(DptCorruption, FutureVersion) {
+  for (const Layout& file : layouts()) {
+    std::string bytes = file.bytes;
+    bytes[12] = static_cast<char>(0x7F);  // u32 version field little-endian
+    expect_rejected(bytes, "unsupported version 127 (this build reads up to 2)",
+                    file.name);
+    bytes[12] = 3;
+    expect_rejected(bytes, "unsupported version 3 (this build reads up to 2)",
+                    file.name);
+  }
+}
+
+TEST_F(DptCorruption, FlippedColumnByte) {
+  // Damage a payload byte near the end (inside the last column) — only the
+  // checksum can catch this, which is the point of having one.
+  for (const Layout& file : layouts()) {
+    std::string bytes = file.bytes;
+    bytes[bytes.size() - 5] =
+        static_cast<char>(bytes[bytes.size() - 5] ^ 0x40);
+    expect_rejected(bytes,
+                    std::string("checksum mismatch in column '") +
+                        file.last_column_name + "'",
+                    file.name);
+  }
+}
+
+TEST_F(DptCorruption, FlippedChecksumByte) {
+  // Damage a stored checksum in the column table instead of the payload.
+  for (const Layout& file : layouts()) {
+    std::string bytes = file.bytes;
+    bytes[64 + 32] = static_cast<char>(bytes[64 + 32] ^ 0x01);
+    expect_rejected(bytes, "checksum mismatch in column 'servers'", file.name);
+  }
+}
+
+TEST_F(DptCorruption, DescriptorOffsetOverflowIsRejected) {
+  // byte_offset + byte_length wrapping past 2^64 must not pass the bounds
+  // check and hand the verification pass a wild pointer.
+  for (const Layout& file : layouts()) {
+    std::string bytes = file.bytes;
+    const DescriptorView servers = find_descriptor(bytes, /*id=*/1);
+    const std::uint64_t wild = 0xFFFFFFFFFFFFFFC0ULL;  // 64-byte aligned
+    std::memcpy(bytes.data() + servers.row + 16, &wild, sizeof wild);
+    expect_rejected(
+        bytes, "column 'servers': data out of file bounds (truncated file?)",
+        file.name);
+  }
+}
+
+TEST_F(DptCorruption, DescriptorLengthWrapIsRejected) {
+  // element_count × element_size wraps to 0 (mod 2^64), "matching" a zero
+  // byte_length; the divide-based shape check must reject it.
+  for (const Layout& file : layouts()) {
+    std::string bytes = file.bytes;
+    const DescriptorView servers = find_descriptor(bytes, /*id=*/1);
+    const std::uint64_t huge = 0x4000000000000000ULL;  // 2^62 × 4 ≡ 0
+    const std::uint64_t zero = 0;
+    std::memcpy(bytes.data() + servers.row + 8, &huge, sizeof huge);
+    std::memcpy(bytes.data() + servers.row + 24, &zero, sizeof zero);
+    expect_rejected(bytes, "column 'servers': descriptor length mismatch",
+                    file.name);
+  }
+}
+
+TEST_F(DptCorruption, HeaderWithTooManyItemAccessesIsRejected) {
+  // The item offsets are 32 bits wide, so a sequence holds at most 2^32 - 1
+  // item accesses.  The header's A is checked before any column is sized
+  // by it.
+  for (const Layout& file : layouts()) {
+    for (const std::uint64_t accesses :
+         {std::uint64_t{1} << 32, ~std::uint64_t{0}}) {
+      std::string bytes = file.bytes;
+      std::memcpy(bytes.data() + 48, &accesses, sizeof accesses);
+      expect_rejected(bytes,
+                      "item access count " + std::to_string(accesses) +
+                          " exceeds the limit of 2^32 - 1",
+                      file.name + "A " + std::to_string(accesses) + ", ");
+    }
+  }
+}
+
+TEST_F(DptCorruption, ResealedOffsetsPastThePoolAreRejected) {
+  // A hostile writer can recompute checksums, so checksum validity must
+  // not imply content validity: an item_offsets entry pointing past the
+  // items pool must be caught structurally in both open modes.
+  for (const Layout& file : layouts()) {
+    std::string bytes = file.bytes;
+    const DescriptorView offsets = find_descriptor(bytes, /*id=*/3);
+    ASSERT_GT(offsets.element_count, 0u);
+    const std::uint64_t past = std::uint64_t{1}
+                               << (8 * offsets.element_size - 4);
+    poke_offset(bytes, offsets, offsets.element_count - 1, past);
+    reseal_column(bytes, offsets);
+    expect_rejected(bytes,
+                    "adopt_columns: item_offsets must end at the pool size",
+                    file.name);
+  }
+}
+
+TEST_F(DptCorruption, ResealedOffsetsThatLeapAndFallBackAreRejected) {
+  // The running example's offsets are {0, 1, 3, 4, 6, 7, 8, 10}.  Raise
+  // offsets[1] by half the offset range or more (2^31 at u32, 2^63 at u64)
+  // and drop offsets[2] to 0: the start and the end still hold, and every
+  // step is below half the range in two's complement, so only a compare of
+  // the entries themselves finds the order broken.
+  for (const Layout& file : layouts()) {
+    const DescriptorView offsets = find_descriptor(file.bytes, /*id=*/3);
+    ASSERT_EQ(offsets.element_count, 8u);
+    const unsigned bits = 8 * offsets.element_size;
+    const std::uint64_t half = std::uint64_t{1} << (bits - 1);
+    const std::uint64_t top = half + (half - 1);
+    for (const std::uint64_t leap : {half, half + 5, top}) {
+      std::string bytes = file.bytes;
+      poke_offset(bytes, offsets, 1, leap);
+      poke_offset(bytes, offsets, 2, 0);
+      reseal_column(bytes, offsets);
+      expect_rejected(bytes,
+                      "adopt_columns: item_offsets must be non-decreasing",
+                      file.name + "leap " + std::to_string(leap) + ", ");
+    }
+  }
+}
+
+TEST_F(DptCorruption, ResealedServerIdOutOfRangeIsRejected) {
+  // Server ids index per-server solver state downstream, so even the
+  // trusting map open must range-check them.
+  for (const Layout& file : layouts()) {
+    std::string bytes = file.bytes;
+    const DescriptorView servers = find_descriptor(bytes, /*id=*/1);
+    ASSERT_GT(servers.element_count, 0u);
+    poke<std::uint32_t>(bytes, servers, 0, 0xFFFFu);
+    reseal_column(bytes, servers);
+    expect_rejected(bytes, "adopt_columns: server id out of range", file.name);
+  }
+}
+
+TEST_F(DptCorruption, ResealedUnsortedItemRowListIsRejected) {
+  // Version 1 stores each item's rows, and Phase 2 read their order as time
+  // order, so the open checks that each list is strictly ascending.  Swap
+  // the first two rows of item 0's list (rows 0 and 1 of the running
+  // example) and recompute the checksum.
+  std::string bytes = v1_bytes_;
+  const DescriptorView pool = find_descriptor(bytes, /*id=*/6);
+  ASSERT_GE(pool.element_count, 2u);
+  const auto first = peek<std::uint64_t>(bytes, pool, 0);
+  const auto second = peek<std::uint64_t>(bytes, pool, 1);
+  ASSERT_LT(first, second);
+  poke<std::uint64_t>(bytes, pool, 0, second);
+  poke<std::uint64_t>(bytes, pool, 1, first);
+  reseal_column(bytes, pool);
+  expect_rejected(bytes,
+                  "adopt_columns: an item's inverted index rows are not "
+                  "strictly ascending");
+}
+
+TEST_F(DptCorruption, ResealedItemRowPastTheLastRequestIsRejected) {
+  // Version 1: item 1's list, the last in per_item_pool, ends at row 6 of
+  // the running example's 7; row 7 keeps the list ascending but names no
+  // request.
+  std::string bytes = v1_bytes_;
+  const DescriptorView pool = find_descriptor(bytes, /*id=*/6);
+  const std::size_t last = pool.element_count - 1;
+  ASSERT_EQ(peek<std::uint64_t>(bytes, pool, last), 6u);
+  poke<std::uint64_t>(bytes, pool, last, 7);
+  reseal_column(bytes, pool);
+  expect_rejected(bytes, "adopt_columns: inverted index row out of range");
+}
+
+// Version 2 stores each item's events: its requests' times (column 7) and
+// servers (column 8), cut by per_item_offsets.  The running example's are
+// item 0: times 0.5 0.8 1.4 2.6 4.0, servers 2 1 0 2 1 (entries 0-4);
+// item 1: times 0.8 1.1 1.4 3.2 4.0, servers 1 3 0 2 1 (entries 5-9).
+
+std::string event_times_message() {
+  return "adopt_columns: an item's event times are not strictly ascending, "
+         "finite and > 0";
+}
+
+TEST_F(DptCorruption, ResealedEventTimesOutOfOrderAreRejected) {
+  // Phase 2 walks an item's events in the stored order and merges two
+  // items' events by time, so each item's times must be strictly
+  // ascending, finite and > 0.  The last time of item 0 above item 1's
+  // first is no fault: the order holds per item.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const DescriptorView times = find_descriptor(bytes_, /*id=*/7);
+  ASSERT_EQ(times.element_count, 10u);
+  struct Case {
+    const char* what;
+    std::size_t entry;
+    double time;
+  };
+  const Case cases[] = {
+      {"step back", 2, 0.6},
+      {"repeated time", 1, 0.5},
+      {"NaN", 3, kNan},
+      {"+inf in the middle", 2, kInf},
+      {"+inf last", 9, kInf},
+      {"first time 0", 5, 0.0},
+      {"first time -1", 0, -1.0},
+  };
+  for (const Case& c : cases) {
+    std::string bytes = bytes_;
+    poke<double>(bytes, times, c.entry, c.time);
+    reseal_column(bytes, times);
+    expect_rejected(bytes, event_times_message(), std::string(c.what) + ", ");
+  }
+}
+
+TEST_F(DptCorruption, ResealedEventServerOutOfRangeIsRejected) {
+  // The walks index per-server state by an event's server, as by a row's.
+  const DescriptorView servers = find_descriptor(bytes_, /*id=*/8);
+  for (const std::uint32_t bogus : {4u, 0xFFFFu}) {
+    std::string bytes = bytes_;
+    poke<std::uint32_t>(bytes, servers, 7, bogus);
+    reseal_column(bytes, servers);
+    expect_rejected(bytes,
+                    "adopt_columns: per-item event server id out of range",
+                    "server " + std::to_string(bogus) + ", ");
+  }
+}
+
+TEST_F(DptCorruption, ResealedEventCountThatDiffersFromTheRowsIsRejected) {
+  // Each item holds as many events as rows that hold it: the row index
+  // built from the rows names each event's request entry for entry.  Move
+  // the boundary between the two items' events: item 0 keeps 4 events
+  // (rows say 5), item 1 gets 6.  Item 1's first event is item 0's last,
+  // time 4.0, so its times break too; the count is reported first.  Then
+  // the same boundary with item 1's new first time lowered to 0.7, where
+  // every run stays ascending and only the count finds the fault.
+  const DescriptorView starts = find_descriptor(bytes_, /*id=*/5);
+  const DescriptorView times = find_descriptor(bytes_, /*id=*/7);
+  ASSERT_EQ(peek<std::uint64_t>(bytes_, starts, 1), 5u);
+  std::string bytes = bytes_;
+  poke<std::uint64_t>(bytes, starts, 1, 4);
+  reseal_column(bytes, starts);
+  const std::string message =
+      "adopt_columns: an item's event count differs from the rows that hold "
+      "it";
+  expect_rejected(bytes, message, "times broken too, ");
+  poke<double>(bytes, times, 4, 0.7);
+  reseal_column(bytes, times);
+  expect_rejected(bytes, message, "times ascending, ");
+
+  bytes = bytes_;
+  poke<std::uint64_t>(bytes, starts, 1, 6);
+  reseal_column(bytes, starts);
+  expect_rejected(bytes, message, "item 0 one longer, ");
+}
+
+TEST_F(DptCorruption, VerifyColumnsRejectsAMovedEvent) {
+  // An event whose time moved but stays ascending (item 0's 0.8 to 0.9), or
+  // whose server moved but stays in range, passes the structural pass: only
+  // the cross-check against the rows finds it.
+  const DescriptorView times = find_descriptor(bytes_, /*id=*/7);
+  const DescriptorView servers = find_descriptor(bytes_, /*id=*/8);
+  std::string moved_time = bytes_;
+  poke<double>(moved_time, times, 1, 0.9);
+  reseal_column(moved_time, times);
+  std::string moved_server = bytes_;
+  poke<std::uint32_t>(moved_server, servers, 1, 3);
+  reseal_column(moved_server, servers);
+  for (const std::string* bytes : {&moved_time, &moved_server}) {
+    write_bytes(path_, *bytes);
+    for (ThreadPool* pool : pools_.all()) {
+      DptReadOptions options;
+      options.pool = pool;
+      EXPECT_EQ(open_error(path_, options), "") << width_of(pool);
+      options.verify_columns = true;
+      EXPECT_EQ(open_error(path_, options),
+                path_ +
+                    ": adopt_columns: stored per-item events do not match the "
+                    "items")
+          << width_of(pool);
+    }
+  }
+}
+
+// The rows of a `.dpt` must be non-empty with strictly ascending items:
+// Phase 1 indexes its pair counts by a row's items, and a repeated item
+// wrote past the dense pair-count array.  The running example's rows are
+// {0} {0,1} {1} {0,1} {0} {1} {0,1}.
+
+TEST_F(DptCorruption, ResealedRepeatedItemInARowIsRejected) {
+  // Version 2's event counts no longer match the rows either (item 0 is in
+  // six rows, item 1 in four), but the row fault is reported first.
+  for (const Layout& file : layouts()) {
+    std::string bytes = file.bytes;
+    const DescriptorView items = find_descriptor(bytes, /*id=*/4);
+    poke<std::uint32_t>(bytes, items, 2, 0);  // row 1 {0,1} becomes {0,0}
+    reseal_column(bytes, items);
+    expect_rejected(bytes,
+                    "RequestSequence: item set must be sorted and "
+                    "duplicate-free at request 1",
+                    file.name);
+  }
+}
+
+TEST_F(DptCorruption, ResealedSwappedPairInARowIsRejected) {
+  // Row 3 {0,1} at pool entries 4 and 5, and the last row, row 6, at 8 and 9.
+  for (const Layout& file : layouts()) {
+    for (const std::size_t row : {3u, 6u}) {
+      const std::size_t entry = row == 3 ? 4 : 8;
+      std::string bytes = file.bytes;
+      const DescriptorView items = find_descriptor(bytes, /*id=*/4);
+      const auto first = peek<std::uint32_t>(bytes, items, entry);
+      const auto second = peek<std::uint32_t>(bytes, items, entry + 1);
+      ASSERT_LT(first, second);
+      poke<std::uint32_t>(bytes, items, entry, second);
+      poke<std::uint32_t>(bytes, items, entry + 1, first);
+      reseal_column(bytes, items);
+      expect_rejected(bytes,
+                      "RequestSequence: item set must be sorted and "
+                      "duplicate-free at request " + std::to_string(row),
+                      file.name);
+    }
+  }
+}
+
+TEST_F(DptCorruption, ResealedEmptyRowIsRejected) {
+  // offsets[1] = 0 empties row 0 and hands its item to row 1, which then
+  // repeats item 0: the empty row is reported first.
+  for (const Layout& file : layouts()) {
+    std::string bytes = file.bytes;
+    const DescriptorView offsets = find_descriptor(bytes, /*id=*/3);
+    poke_offset(bytes, offsets, 1, 0);
+    reseal_column(bytes, offsets);
+    expect_rejected(bytes, "RequestSequence: empty item set at request 0",
+                    file.name);
+  }
+}
+
+TEST_F(DptCorruption, ChecksumMismatchOutranksAStructuralFault) {
+  for (const Layout& file : layouts()) {
+    // A server id out of range in column 1 (resealed) and a flipped times
+    // byte in column 2: the checksum is reported, in every mode and at
+    // every pool width, although the servers task may finish first.
+    std::string bytes = file.bytes;
+    const DescriptorView servers = find_descriptor(bytes, /*id=*/1);
+    poke<std::uint32_t>(bytes, servers, 0, 0xFFFFu);
+    reseal_column(bytes, servers);
+    const DescriptorView times = find_descriptor(bytes, /*id=*/2);
+    bytes[times.byte_offset + 3] =
+        static_cast<char>(bytes[times.byte_offset + 3] ^ 0x10);
+    expect_rejected(bytes, "checksum mismatch in column 'times'", file.name);
+
+    // Two swapped entries of the largest task's per-item column (resealed:
+    // item 0's first two rows or event times) and a flipped server byte:
+    // the checksum still wins.
+    bytes = file.bytes;
+    const DescriptorView per_item =
+        find_descriptor(bytes, file.per_item_column);
+    const auto first = peek<std::uint64_t>(bytes, per_item, 0);
+    poke<std::uint64_t>(bytes, per_item, 0,
+                        peek<std::uint64_t>(bytes, per_item, 1));
+    poke<std::uint64_t>(bytes, per_item, 1, first);
+    reseal_column(bytes, per_item);
+    bytes[servers.byte_offset] =
+        static_cast<char>(bytes[servers.byte_offset] ^ 1);
+    expect_rejected(bytes, "checksum mismatch in column 'servers'", file.name);
+  }
+}
+
+// The times must be strictly increasing, finite and > 0, as RequestSequence
+// requires: the DP reads them as the order of service.  The running
+// example's times are 0.5 0.8 1.1 1.4 2.6 3.2 4.0.  Each fault names the
+// first row RequestSequence's own validation names.
+
+std::string times_message(std::size_t row) {
+  return "RequestSequence: times must be strictly increasing, finite and > 0 "
+         "(violated at request " + std::to_string(row) + ")";
+}
+
+TEST_F(DptCorruption, ResealedTimesOutOfOrderAreRejected) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* what;
+    std::size_t row;
+    double time;
+    std::size_t reported;
+  };
+  const Case cases[] = {
+      {"NaN", 3, kNan, 3},
+      {"repeated time", 4, 1.4, 4},
+      {"step back", 4, 1.0, 4},
+      {"+inf in the middle", 3, kInf, 3},
+      {"+inf last", 6, kInf, 6},
+      {"first time 0", 0, 0.0, 0},
+      {"first time -1", 0, -1.0, 0},
+  };
+  for (const Layout& file : layouts()) {
+    const DescriptorView times = find_descriptor(file.bytes, /*id=*/2);
+    ASSERT_EQ(times.element_count, 7u);
+    for (const Case& c : cases) {
+      std::string bytes = file.bytes;
+      poke<double>(bytes, times, c.row, c.time);
+      reseal_column(bytes, times);
+      expect_rejected(bytes, times_message(c.reported),
+                      file.name + c.what + ", ");
+    }
+  }
+}
+
+TEST_F(DptCorruption, StructuralFaultOutranksATimesFault) {
+  for (const Layout& file : layouts()) {
+    // A NaN time (resealed) with a server id out of range, then with a
+    // repeated item in a row — the last structural check before the times —
+    // in another column: the structural fault is reported, at every pool
+    // width.
+    std::string times_fault = file.bytes;
+    const DescriptorView times = find_descriptor(times_fault, /*id=*/2);
+    poke<double>(times_fault, times, 1,
+                 std::numeric_limits<double>::quiet_NaN());
+    reseal_column(times_fault, times);
+
+    std::string bytes = times_fault;
+    const DescriptorView servers = find_descriptor(bytes, /*id=*/1);
+    poke<std::uint32_t>(bytes, servers, 0, 0xFFFFu);
+    reseal_column(bytes, servers);
+    expect_rejected(bytes, "adopt_columns: server id out of range", file.name);
+
+    bytes = times_fault;
+    const DescriptorView items = find_descriptor(bytes, /*id=*/4);
+    poke<std::uint32_t>(bytes, items, 2, 0);  // row 1 {0,1} becomes {0,0}
+    reseal_column(bytes, items);
+    expect_rejected(bytes,
+                    "RequestSequence: item set must be sorted and "
+                    "duplicate-free at request 1",
+                    file.name);
+
+    // A flipped byte in another column's payload outranks both.
+    bytes[bytes.size() - 5] =
+        static_cast<char>(bytes[bytes.size() - 5] ^ 0x40);
+    expect_rejected(bytes,
+                    std::string("checksum mismatch in column '") +
+                        file.last_column_name + "'",
+                    file.name);
+  }
+}
+
+TEST_F(DptCorruption, RowFaultsOutrankEventFaults) {
+  // The events are checked against the rows, so the rows' own faults come
+  // first: a NaN row time with an event time out of order reports the row.
+  std::string bytes = bytes_;
+  const DescriptorView times = find_descriptor(bytes, /*id=*/2);
+  poke<double>(bytes, times, 1, std::numeric_limits<double>::quiet_NaN());
+  reseal_column(bytes, times);
+  const DescriptorView events = find_descriptor(bytes, /*id=*/7);
+  poke<double>(bytes, events, 2, 0.6);
+  reseal_column(bytes, events);
+  expect_rejected(bytes, times_message(1));
+}
+
+// ---------------------------------------------------------------------------
+// Version 1: the committed fixtures open as their CSV sources do, upgrade
+// to the version-2 file of the same rows, and keep every message.
+
+/// The committed version-1 fixtures and their CSV sources.
+const char* const kVersion1Fixtures[] = {"running_example", "taxi416"};
+
+TEST(DptVersion1, FixturesOpenAsTheirCsvDoes) {
+  VerifyPools pools;
+  for (const std::string stem : kVersion1Fixtures) {
+    const std::string v1 = fixture_path(stem + ".v1.dpt");
+    EXPECT_EQ(probe_trace_dpt(v1).version, 1u) << stem;
+    const RequestSequence csv = read_trace_file(fixture_path(stem + ".csv"));
+    for (const bool verify_columns : {false, true}) {
+      for (ThreadPool* pool : pools.all()) {
+        DptReadOptions options;
+        options.verify_columns = verify_columns;
+        options.pool = pool;
+        const RequestSequence opened = read_trace_dpt(v1, options);
+        EXPECT_FALSE(opened.borrows_storage()) << stem;
+        EXPECT_TRUE(same_sequence(csv, opened)) << stem;
+        for (ItemId item = 0; item < csv.item_count(); ++item) {
+          const ItemEvents want = csv.events_for_item(item);
+          const ItemEvents got = opened.events_for_item(item);
+          EXPECT_TRUE(std::equal(want.times.begin(), want.times.end(),
+                                 got.times.begin(), got.times.end()))
+              << stem << " item " << item;
+          EXPECT_TRUE(std::equal(want.servers.begin(), want.servers.end(),
+                                 got.servers.begin(), got.servers.end()))
+              << stem << " item " << item;
+        }
+      }
+    }
+  }
+}
+
+TEST(DptVersion1, ConvertUpgradesToTheFileOfTheSameRows) {
+  for (const std::string stem : kVersion1Fixtures) {
+    const std::string from_v1 = temp_path(stem + "_from_v1.dpt");
+    const std::string from_csv = temp_path(stem + "_from_csv.dpt");
+    write_trace_dpt(from_v1, read_trace_dpt(fixture_path(stem + ".v1.dpt")));
+    write_trace_dpt(from_csv, read_trace_file(fixture_path(stem + ".csv")));
+    EXPECT_EQ(read_bytes(from_v1), read_bytes(from_csv)) << stem;
+    EXPECT_EQ(probe_trace_dpt(from_v1).version, 2u) << stem;
+    std::remove(from_v1.c_str());
+    std::remove(from_csv.c_str());
+  }
+}
+
+TEST(DptVersion1, VerifyColumnsChecksTheStoredRowLists) {
+  // Item 0's rows {0, 1, 3, 4, 6} become {0, 1, 2, 4, 6}: still ascending
+  // and in range, so the pass accepts them; only the cross-check against
+  // the rows finds that row 2 does not hold item 0.
+  const std::string path = temp_path("v1_rows.dpt");
+  std::string bytes = read_bytes(fixture_path("running_example.v1.dpt"));
+  const DescriptorView pool = find_descriptor(bytes, /*id=*/6);
+  ASSERT_EQ(peek<std::uint64_t>(bytes, pool, 2), 3u);
+  poke<std::uint64_t>(bytes, pool, 2, 2);
+  reseal_column(bytes, pool);
+  write_bytes(path, bytes);
+  VerifyPools pools;
+  for (ThreadPool* pool_ptr : pools.all()) {
+    DptReadOptions options;
+    options.pool = pool_ptr;
+    EXPECT_EQ(open_error(path, options), "") << width_of(pool_ptr);
+    options.verify_columns = true;
+    EXPECT_EQ(open_error(path, options),
+              path + ": adopt_columns: stored inverted index does not match "
+                     "the items")
+        << width_of(pool_ptr);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(DptVersion1, TaxiFixtureFaultsKeepTheirMessages) {
+  // Faults in the middle of the 416-row fixture, one per version-1 check
+  // that cuts or scans a whole column.
+  const std::string path = temp_path("v1_taxi.dpt");
+  const std::string original = read_bytes(fixture_path("taxi416.v1.dpt"));
+  const DescriptorView servers = find_descriptor(original, /*id=*/1);
+  const DescriptorView times = find_descriptor(original, /*id=*/2);
+  const DescriptorView offsets = find_descriptor(original, /*id=*/3);
+  const DescriptorView items = find_descriptor(original, /*id=*/4);
+  const DescriptorView starts = find_descriptor(original, /*id=*/5);
+  const DescriptorView pool = find_descriptor(original, /*id=*/6);
+  ASSERT_EQ(offsets.element_size, 8u);
+  ASSERT_EQ(times.element_count, 416u);
+  VerifyPools pools;
+  const auto expect_fault = [&](std::string bytes, const DescriptorView& column,
+                                const std::string& message,
+                                const std::string& where) {
+    reseal_column(bytes, column);
+    write_bytes(path, bytes);
+    expect_open_error(path, pools, path + ": " + message, where + ", ");
+  };
+
+  std::string bytes = original;
+  poke<std::uint32_t>(bytes, servers, 200, 50);
+  expect_fault(bytes, servers, "adopt_columns: server id out of range",
+               "server");
+
+  bytes = original;
+  poke<double>(bytes, times, 300, peek<double>(bytes, times, 299));
+  expect_fault(bytes, times, times_message(300), "repeated time");
+
+  bytes = original;
+  poke<std::uint64_t>(bytes, offsets, 208,
+                      peek<std::uint64_t>(bytes, offsets, 207) - 1);
+  expect_fault(bytes, offsets,
+               "adopt_columns: item_offsets must be non-decreasing",
+               "decreasing offset");
+
+  bytes = original;
+  poke<std::uint64_t>(bytes, offsets, 208,
+                      peek<std::uint64_t>(bytes, offsets, 207));
+  expect_fault(bytes, offsets, "RequestSequence: empty item set at request 207",
+               "empty row");
+
+  bytes = original;
+  poke<std::uint32_t>(bytes, items, 250, 10);
+  expect_fault(bytes, items, "adopt_columns: item id out of range", "item");
+
+  // Item 3's rows: swap its two middle entries.
+  const auto begin = peek<std::uint64_t>(original, starts, 3);
+  const auto end = peek<std::uint64_t>(original, starts, 4);
+  ASSERT_GE(end - begin, 4u);
+  const std::size_t mid = static_cast<std::size_t>(begin + (end - begin) / 2);
+  bytes = original;
+  const auto row = peek<std::uint64_t>(bytes, pool, mid);
+  poke<std::uint64_t>(bytes, pool, mid,
+                      peek<std::uint64_t>(bytes, pool, mid + 1));
+  poke<std::uint64_t>(bytes, pool, mid + 1, row);
+  expect_fault(bytes, pool,
+               "adopt_columns: an item's inverted index rows are not strictly "
+               "ascending",
+               "row list");
+
+  bytes = original;
+  poke<std::uint64_t>(bytes, pool, pool.element_count - 1, 416);
+  expect_fault(bytes, pool, "adopt_columns: inverted index row out of range",
+               "row past the end");
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Faults deep in a 20,000-row file, where servers, times, item_offsets,
+// items_pool and the per-item event columns each hold more than 64 KiB:
+// every check must find its fault wherever it sits and name the right row.
+// Each fault goes just before, at and after 64 KiB into its column.
+
 class DptDeepFaults : public ::testing::Test {
  protected:
   static constexpr std::size_t kRows = 20000;
   static constexpr std::size_t kItems = 8;
   static constexpr std::size_t kServers = 4;
-  // 64 KiB into a column, in entries: of u32 and of u64 entries.
+  // 64 KiB into a column, in entries: of u32 and of u64 or f64 entries.
   static constexpr std::size_t kMark32 = 16384;
   static constexpr std::size_t kMark64 = 8192;
   // The one four-item row, on items_pool entries [kMark32 - 2, kMark32 + 2).
@@ -830,8 +1208,10 @@ TEST_F(DptDeepFaults, TheUntouchedFileOpens) {
   expect_open_error(path_, pools_, "", "");
   const DescriptorView items = find_descriptor(bytes_, /*id=*/4);
   ASSERT_GT(items.element_count, 2 * kMark32);
-  const DescriptorView index = find_descriptor(bytes_, /*id=*/6);
-  ASSERT_GT(index.element_count, 2 * kMark64);
+  const DescriptorView offsets = find_descriptor(bytes_, /*id=*/3);
+  ASSERT_GT(offsets.element_count, kMark32 + 1);
+  const DescriptorView events = find_descriptor(bytes_, /*id=*/7);
+  ASSERT_GT(events.element_count, 2 * kMark64);
 }
 
 TEST_F(DptDeepFaults, ServerIdOutOfRange) {
@@ -850,9 +1230,7 @@ TEST_F(DptDeepFaults, TimesOutOfOrder) {
   const DescriptorView times = find_descriptor(bytes_, /*id=*/2);
   ASSERT_GT(times.element_count, 2 * kMark64);
   for (const std::size_t at : {kMark64 - 1, kMark64, kMark64 + 1}) {
-    const std::string message =
-        "RequestSequence: times must be strictly increasing, finite and > 0 "
-        "(violated at request " + std::to_string(at) + ")";
+    const std::string message = times_message(at);
     std::string bytes = bytes_;
     poke<double>(bytes, times, at, peek<double>(bytes, times, at - 1));
     expect_fault(bytes, times, message, "repeat at " + std::to_string(at));
@@ -864,10 +1242,11 @@ TEST_F(DptDeepFaults, TimesOutOfOrder) {
 
 TEST_F(DptDeepFaults, DecreasingItemOffset) {
   const DescriptorView offsets = find_descriptor(bytes_, /*id=*/3);
-  for (const std::size_t at : {kMark64 - 1, kMark64, kMark64 + 1}) {
+  ASSERT_EQ(offsets.element_size, 4u);
+  for (const std::size_t at : {kMark32 - 1, kMark32, kMark32 + 1}) {
     std::string bytes = bytes_;
-    poke<std::uint64_t>(bytes, offsets, at,
-                        peek<std::uint64_t>(bytes, offsets, at - 1) - 1);
+    poke<std::uint32_t>(bytes, offsets, at,
+                        peek<std::uint32_t>(bytes, offsets, at - 1) - 1);
     expect_fault(bytes, offsets,
                  "adopt_columns: item_offsets must be non-decreasing",
                  "offset " + std::to_string(at));
@@ -876,11 +1255,11 @@ TEST_F(DptDeepFaults, DecreasingItemOffset) {
 
 TEST_F(DptDeepFaults, EmptyRow) {
   const DescriptorView offsets = find_descriptor(bytes_, /*id=*/3);
-  for (const std::size_t at : {kMark64 - 1, kMark64, kMark64 + 1}) {
+  for (const std::size_t at : {kMark32 - 1, kMark32, kMark32 + 1}) {
     // offsets[at] = offsets[at - 1] empties row at - 1.
     std::string bytes = bytes_;
-    poke<std::uint64_t>(bytes, offsets, at,
-                        peek<std::uint64_t>(bytes, offsets, at - 1));
+    poke<std::uint32_t>(bytes, offsets, at,
+                        peek<std::uint32_t>(bytes, offsets, at - 1));
     expect_fault(bytes, offsets,
                  "RequestSequence: empty item set at request " +
                      std::to_string(at - 1),
@@ -902,8 +1281,8 @@ TEST_F(DptDeepFaults, UnsortedRowAcrossTheMark) {
   // Swap a pair of the four-item row before, across and after the mark.
   const DescriptorView items = find_descriptor(bytes_, /*id=*/4);
   const DescriptorView offsets = find_descriptor(bytes_, /*id=*/3);
-  ASSERT_EQ(peek<std::uint64_t>(bytes_, offsets, kWideRow), kMark32 - 2);
-  ASSERT_EQ(peek<std::uint64_t>(bytes_, offsets, kWideRow + 1), kMark32 + 2);
+  ASSERT_EQ(peek<std::uint32_t>(bytes_, offsets, kWideRow), kMark32 - 2);
+  ASSERT_EQ(peek<std::uint32_t>(bytes_, offsets, kWideRow + 1), kMark32 + 2);
   for (const std::size_t at : {kMark32 - 2, kMark32 - 1, kMark32}) {
     std::string bytes = bytes_;
     const auto first = peek<std::uint32_t>(bytes, items, at);
@@ -917,23 +1296,31 @@ TEST_F(DptDeepFaults, UnsortedRowAcrossTheMark) {
   }
 }
 
-TEST_F(DptDeepFaults, UnsortedItemRowListAcrossTheMark) {
-  // Item 1's list covers per_item_pool entries around the mark: swap a pair
-  // of its rows before, across and after it.
+TEST_F(DptDeepFaults, UnsortedItemEventsAcrossTheMark) {
+  // Item 1's events cover per_item_times entries around the mark: swap a
+  // pair of its times before, across and after it.
   const DescriptorView starts = find_descriptor(bytes_, /*id=*/5);
-  const DescriptorView index = find_descriptor(bytes_, /*id=*/6);
+  const DescriptorView times = find_descriptor(bytes_, /*id=*/7);
   ASSERT_LT(peek<std::uint64_t>(bytes_, starts, 1), kMark64 - 2);
   ASSERT_GT(peek<std::uint64_t>(bytes_, starts, 2), kMark64 + 1);
   for (const std::size_t at : {kMark64 - 2, kMark64 - 1, kMark64}) {
     std::string bytes = bytes_;
-    const auto first = peek<std::uint64_t>(bytes, index, at);
-    poke<std::uint64_t>(bytes, index, at,
-                        peek<std::uint64_t>(bytes, index, at + 1));
-    poke<std::uint64_t>(bytes, index, at + 1, first);
-    expect_fault(bytes, index,
-                 "adopt_columns: an item's inverted index rows are not "
-                 "strictly ascending",
+    const auto first = peek<double>(bytes, times, at);
+    poke<double>(bytes, times, at, peek<double>(bytes, times, at + 1));
+    poke<double>(bytes, times, at + 1, first);
+    expect_fault(bytes, times, event_times_message(),
                  "pair at " + std::to_string(at));
+  }
+}
+
+TEST_F(DptDeepFaults, EventServerOutOfRange) {
+  const DescriptorView servers = find_descriptor(bytes_, /*id=*/8);
+  for (const std::size_t at : {kMark32 - 1, kMark32, kMark32 + 1}) {
+    std::string bytes = bytes_;
+    poke<std::uint32_t>(bytes, servers, at, kServers);
+    expect_fault(bytes, servers,
+                 "adopt_columns: per-item event server id out of range",
+                 "event server " + std::to_string(at));
   }
 }
 

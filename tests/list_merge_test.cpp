@@ -173,14 +173,45 @@ std::vector<ListVisit> k_list_walk(const std::vector<std::size_t>& a,
   return visits;
 }
 
-/// The two-cursor walk of a package, recording what it prefetches too.
-std::vector<ListVisit> two_cursor_walk(const std::vector<std::size_t>& a,
-                                       const std::vector<std::size_t>& b,
-                                       std::vector<std::size_t>& prefetched) {
+/// The time and server the event merge reads for list entry `index`: times
+/// strictly increase with the index, as a sequence's do across its rows.
+Time time_of_entry(std::size_t index) {
+  return 0.25 * static_cast<Time>(index + 1);
+}
+ServerId server_of_entry(std::size_t index) {
+  return static_cast<ServerId>(index % 5);
+}
+
+/// The events of an index list: its entries' times and servers.
+struct EventColumns {
+  explicit EventColumns(const std::vector<std::size_t>& list) {
+    for (const std::size_t index : list) {
+      times.push_back(time_of_entry(index));
+      servers.push_back(server_of_entry(index));
+    }
+  }
+  [[nodiscard]] ItemEvents events() const { return {times, servers}; }
+  std::vector<Time> times;
+  std::vector<ServerId> servers;
+};
+
+/// The time merge of a package's events, each visit mapped back to the
+/// index its position names; the time and server it hands on must be that
+/// index's.
+std::vector<ListVisit> event_merge_walk(const std::vector<std::size_t>& a,
+                                        const std::vector<std::size_t>& b,
+                                        const std::string& context) {
+  const EventColumns events_a(a);
+  const EventColumns events_b(b);
+  const std::vector<std::size_t>* lists[2] = {&a, &b};
   std::vector<ListVisit> visits;
-  kernels::merge_two_lists(
-      a, b, [&prefetched](std::size_t index) { prefetched.push_back(index); },
-      [&visits](std::size_t index, std::span<const std::size_t> held) {
+  kernels::merge_two_event_lists(
+      events_a.events(), events_b.events(),
+      [&](std::span<const std::size_t> held, std::size_t position,
+          ServerId server, Time time) {
+        const std::size_t index = (*lists[held.front()])[position];
+        EXPECT_EQ(time, time_of_entry(index)) << context;
+        EXPECT_EQ(server, server_of_entry(index)) << context;
         visits.push_back({index, {held.begin(), held.end()}});
       });
   return visits;
@@ -189,18 +220,7 @@ std::vector<ListVisit> two_cursor_walk(const std::vector<std::size_t>& a,
 void expect_same_walk(const std::vector<std::size_t>& a,
                       const std::vector<std::size_t>& b,
                       const std::string& context) {
-  std::vector<std::size_t> prefetched;
-  EXPECT_EQ(two_cursor_walk(a, b, prefetched), k_list_walk(a, b)) << context;
-  // Only list entries are prefetched (the caller reads rows at them), and
-  // every entry is, before or when its cursor reaches it.
-  std::vector<std::size_t> entries = a;
-  entries.insert(entries.end(), b.begin(), b.end());
-  std::sort(entries.begin(), entries.end());
-  entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
-  std::sort(prefetched.begin(), prefetched.end());
-  prefetched.erase(std::unique(prefetched.begin(), prefetched.end()),
-                   prefetched.end());
-  EXPECT_EQ(prefetched, entries) << context;
+  EXPECT_EQ(event_merge_walk(a, b, context), k_list_walk(a, b)) << context;
 }
 
 /// Ascending indices below `universe`, each kept with probability `keep`.
@@ -241,11 +261,10 @@ TEST(ListMerge, TwoCursorWalkMatchesTheKListMerge) {
     expect_same_walk(lists.second, lists.first,
                      std::string(name) + ", swapped");
   }
-  // Random lists around the prefetch distance: shorter, equal, longer.
+  // Random lists, empty to a few dozen entries.
   Rng rng(12);
   for (int round = 0; round < 300; ++round) {
-    const std::size_t universe = rng.next_below(
-        4 * kernels::kMergePrefetchDistance + 2);
+    const std::size_t universe = rng.next_below(66);
     expect_same_walk(random_list(rng, universe, rng.next_double(0.0, 1.0)),
                      random_list(rng, universe, rng.next_double(0.0, 1.0)),
                      "round " + std::to_string(round));

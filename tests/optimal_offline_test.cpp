@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/request_index.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "solver/kernels.hpp"
 #include "solver/optimal_offline.hpp"
@@ -262,6 +263,67 @@ TEST(OptimalOffline, RejectsUnsortedFlow) {
   flow.points.push_back({1, 2.0, 0});
   flow.points.push_back({1, 1.0, 1});
   EXPECT_THROW((void)solve_optimal_offline(flow, unit_model(), 2), InvalidArgument);
+}
+
+TEST(OptimalOffline, RejectedFlowsKeepTheMessageAndMoveNoCounter) {
+  // The time checks run once per path, in the pre-scan (kernels) or in the
+  // reference's RequestIndex::rebuild: a repeated time or one <= 0 gets
+  // validate_flow's message, and no phase2.* counter moves, with or without
+  // a workspace.
+  const std::string message =
+      "Flow: service times must be strictly increasing and positive";
+  const std::vector<std::vector<Time>> bad_times = {
+      {0.5, 1.0, 1.0}, {0.0, 1.0}, {-1.0}, {0.5, 0.25}};
+  obs::set_enabled(true);
+  obs::reset_metrics();
+  SolverWorkspace workspace;
+  for (const bool use_kernels : {true, false}) {
+    SolverWorkspace* const no_workspace = nullptr;
+    for (SolverWorkspace* ws : {&workspace, no_workspace}) {
+      for (const std::vector<Time>& times : bad_times) {
+        Flow flow;
+        ServerId server = 0;
+        for (const Time time : times) {
+          flow.points.push_back({server++ % 3, time, 0});
+        }
+        OptimalOfflineOptions options;
+        options.use_kernels = use_kernels;
+        const obs::MetricsSnapshot before = obs::snapshot_metrics();
+        try {
+          (void)solve_optimal_offline(flow, unit_model(), 3, options, ws);
+          ADD_FAILURE() << "accepted, kernels " << use_kernels;
+        } catch (const InvalidArgument& error) {
+          EXPECT_EQ(std::string(error.what()), message)
+              << "kernels " << use_kernels;
+        }
+        const obs::MetricsSnapshot moved =
+            obs::metrics_delta(before, obs::snapshot_metrics());
+        for (const auto& [name, value] : moved.counters) {
+          EXPECT_FALSE(name.rfind("phase2.", 0) == 0 && value != 0)
+              << name << " moved by " << value << ", kernels " << use_kernels;
+        }
+        for (const auto& [name, data] : moved.histograms) {
+          EXPECT_FALSE(name.rfind("phase2.", 0) == 0)
+              << name << ", kernels " << use_kernels;
+        }
+      }
+    }
+    // A valid flow on the same path moves them.
+    const obs::MetricsSnapshot before = obs::snapshot_metrics();
+    OptimalOfflineOptions options;
+    options.use_kernels = use_kernels;
+    (void)solve_optimal_offline(Flow{{{1, 0.5, 0}, {2, 1.0, 1}}, 1},
+                                unit_model(), 3, options, &workspace);
+    const obs::MetricsSnapshot moved =
+        obs::metrics_delta(before, obs::snapshot_metrics());
+    EXPECT_EQ(obs::counter_value(moved, "phase2.dp_solves"), 1u);
+    EXPECT_EQ(obs::counter_value(moved, "phase2.dp_cells"), 2u);
+  }
+  Flow empty_group{{{1, 1.0, 0}}, 0};
+  EXPECT_THROW((void)solve_optimal_offline(empty_group, unit_model(), 3),
+               InvalidArgument);
+  obs::set_enabled(false);
+  obs::reset_metrics();
 }
 
 TEST(OptimalOffline, SharedWorkspaceMatchesFreshSolves) {
