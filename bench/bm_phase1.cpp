@@ -189,8 +189,8 @@ Phase2Report run_phase2() {
 
   // Cost-only solves isolate the scratch path: with build_schedule off the
   // only allocations left are the solver's own working buffers.
-  OptimalOfflineOptions dp;
-  dp.build_schedule = false;
+  const OptimalOfflineOptions dp;
+  constexpr bool kBuildSchedule = false;
 
   Phase2Report report;
   report.pairs = packing.pairs.size();
@@ -201,11 +201,15 @@ Phase2Report run_phase2() {
     Cost total = 0.0;
     for (const ItemPair& pair : packing.pairs) {
       const Flow flow = make_package_flow(seq, pair.a, pair.b);
-      total += solve_optimal_offline(flow, model, seq.server_count(), dp).cost;
+      total += solve_optimal_offline(flow, model, seq.server_count(), dp,
+                                     kBuildSchedule)
+                   .cost;
     }
     for (const ItemId item : packing.singles) {
       const Flow flow = make_item_flow(seq, item);
-      total += solve_optimal_offline(flow, model, seq.server_count(), dp).cost;
+      total += solve_optimal_offline(flow, model, seq.server_count(), dp,
+                                     kBuildSchedule)
+                   .cost;
     }
     return total;
   };
@@ -213,15 +217,15 @@ Phase2Report run_phase2() {
     Cost total = 0.0;
     for (const ItemPair& pair : packing.pairs) {
       make_package_flow(seq, pair.a, pair.b, ws.flow);
-      total +=
-          solve_optimal_offline(ws.flow, model, seq.server_count(), dp, &ws)
-              .cost;
+      total += solve_optimal_offline(ws.flow, model, seq.server_count(), dp,
+                                     kBuildSchedule, &ws)
+                   .cost;
     }
     for (const ItemId item : packing.singles) {
       make_item_flow(seq, item, ws.flow);
-      total +=
-          solve_optimal_offline(ws.flow, model, seq.server_count(), dp, &ws)
-              .cost;
+      total += solve_optimal_offline(ws.flow, model, seq.server_count(), dp,
+                                     kBuildSchedule, &ws)
+                   .cost;
     }
     return total;
   };

@@ -46,11 +46,10 @@ void BM_OptimalOfflineWindowMin(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Flow flow = make_flow(n, 16, 1);
   const CostModel model{1.0, 1.0, 0.8};
-  OptimalOfflineOptions options;
-  options.build_schedule = false;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        solve_optimal_offline(flow, model, 16, options).raw_cost);
+        solve_optimal_offline(flow, model, 16, {}, /*build_schedule=*/false)
+            .raw_cost);
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
@@ -61,11 +60,12 @@ void BM_OptimalOfflineNaiveScan(benchmark::State& state) {
   const Flow flow = make_flow(n, 16, 1);
   const CostModel model{1.0, 1.0, 0.8};
   OptimalOfflineOptions options;
-  options.build_schedule = false;
   options.fast_range_min = false;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        solve_optimal_offline(flow, model, 16, options).raw_cost);
+        solve_optimal_offline(flow, model, 16, options,
+                              /*build_schedule=*/false)
+            .raw_cost);
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
@@ -168,11 +168,10 @@ void BM_OptimalOfflineFreshBuffers(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Flow flow = make_flow(n, 16, 7);
   const CostModel model{1.0, 1.0, 0.8};
-  OptimalOfflineOptions options;
-  options.build_schedule = false;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        solve_optimal_offline(flow, model, 16, options).raw_cost);
+        solve_optimal_offline(flow, model, 16, {}, /*build_schedule=*/false)
+            .raw_cost);
   }
 }
 BENCHMARK(BM_OptimalOfflineFreshBuffers)->Range(256, 4096);
@@ -181,12 +180,12 @@ void BM_OptimalOfflineWorkspaceReuse(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Flow flow = make_flow(n, 16, 7);
   const CostModel model{1.0, 1.0, 0.8};
-  OptimalOfflineOptions options;
-  options.build_schedule = false;
   SolverWorkspace workspace;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        solve_optimal_offline(flow, model, 16, options, &workspace).raw_cost);
+        solve_optimal_offline(flow, model, 16, {}, /*build_schedule=*/false,
+                              &workspace)
+            .raw_cost);
   }
 }
 BENCHMARK(BM_OptimalOfflineWorkspaceReuse)->Range(256, 4096);

@@ -15,6 +15,18 @@ using namespace dpg;
 
 namespace {
 
+/// Runs visit(server, time, with_partner) over `item`'s requests in time
+/// order, from one merge of the two items' events.
+template <typename Visit>
+void walk_item(const RequestSequence& trace, ItemId item, ItemId partner,
+               Visit&& visit) {
+  const ItemId pair[2] = {item, partner};
+  trace.merge_item_lists(pair, [&](std::span<const std::size_t> holders,
+                                   ServerId server, Time time) {
+    if (holders.front() == 0) visit(server, time, holders.size() == 2);
+  });
+}
+
 /// Variant (b): DP_Greedy without the package-fetch option — singles pick
 /// min(cache, transfer) only.  Recomputed here from the service records by
 /// re-pricing each decision without the 2αλ choice.
@@ -33,19 +45,20 @@ double without_package_fetch(const RequestSequence& trace,
       Time prev = 0.0;
       std::vector<Time> last_on(trace.server_count(), -1.0);
       last_on[kOriginServer] = 0.0;
-      for (const std::size_t index : trace.indices_for_item(item)) {
-        const Request& r = trace[index];
-        if (!r.contains(partner)) {
-          Cost cache = kInfiniteCost;
-          if (last_on[r.server] >= 0.0) {
-            cache = model.mu * (r.time - last_on[r.server]);
-          }
-          const Cost transfer = model.mu * (r.time - prev) + model.lambda;
-          total += std::min(cache, transfer);
-        }
-        prev = r.time;
-        last_on[r.server] = r.time;
-      }
+      walk_item(trace, item, partner,
+                [&](ServerId server, Time time, bool with_partner) {
+                  if (!with_partner) {
+                    Cost cache = kInfiniteCost;
+                    if (last_on[server] >= 0.0) {
+                      cache = model.mu * (time - last_on[server]);
+                    }
+                    const Cost transfer =
+                        model.mu * (time - prev) + model.lambda;
+                    total += std::min(cache, transfer);
+                  }
+                  prev = time;
+                  last_on[server] = time;
+                });
     }
   }
   for (const SingleItemReport& report : dpg.singles) total += report.cost;
@@ -67,12 +80,10 @@ double singles_via_dp(const RequestSequence& trace, const CostModel& model,
       const ItemId partner = item == report.pair.a ? report.pair.b
                                                    : report.pair.a;
       Flow singles;
-      for (const std::size_t index : trace.indices_for_item(item)) {
-        const Request& r = trace[index];
-        if (!r.contains(partner)) {
-          singles.points.push_back(ServicePoint{r.server, r.time, index});
-        }
-      }
+      walk_item(trace, item, partner,
+                [&](ServerId server, Time time, bool with_partner) {
+                  if (!with_partner) singles.points.push_back({server, time});
+                });
       total +=
           solve_optimal_offline(singles, model, trace.server_count()).raw_cost;
     }

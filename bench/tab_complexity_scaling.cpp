@@ -28,10 +28,10 @@ double time_solver(const Flow& flow, const CostModel& model, std::size_t m,
                    bool fast, int repeats) {
   OptimalOfflineOptions options;
   options.fast_range_min = fast;
-  options.build_schedule = false;
   Stopwatch watch;
   for (int r = 0; r < repeats; ++r) {
-    const SolveResult result = solve_optimal_offline(flow, model, m, options);
+    const SolveResult result =
+        solve_optimal_offline(flow, model, m, options, /*build_schedule=*/false);
     (void)result;
   }
   return watch.elapsed_seconds() / repeats;

@@ -6,23 +6,15 @@ namespace dpg {
 
 namespace {
 
-/// The service point of request `index`, read from the server and time
-/// columns only (a request's item list is never needed to place it).
-ServicePoint point_of(const RequestSequence& sequence, std::size_t index) {
-  return ServicePoint{sequence.server_of(index), sequence.time_of(index),
-                      index};
-}
-
 /// Appends the requests whose holder count passes `keep` over the merged
-/// request lists of `items`.
+/// events of `items`.
 template <typename Keep>
 void append_merged(const RequestSequence& sequence,
                    std::span<const ItemId> items, Keep keep, Flow& out) {
   sequence.merge_item_lists(
-      items, [&](std::size_t index, std::span<const std::size_t> holders) {
-        if (keep(holders.size())) {
-          out.points.push_back(point_of(sequence, index));
-        }
+      items, [&](std::span<const std::size_t> holders, ServerId server,
+                 Time time) {
+        if (keep(holders.size())) out.points.push_back({server, time});
       });
 }
 
@@ -36,9 +28,10 @@ Flow make_item_flow(const RequestSequence& sequence, ItemId item) {
 
 void make_item_flow(const RequestSequence& sequence, ItemId item, Flow& out) {
   out.group_size = 1;
-  out.points.clear();
-  for (const std::size_t index : sequence.indices_for_item(item)) {
-    out.points.push_back(point_of(sequence, index));
+  const ItemEvents events = sequence.events_for_item(item);
+  out.points.resize(events.size());
+  for (std::size_t j = 0; j < events.size(); ++j) {
+    out.points[j] = {events.servers[j], events.times[j]};
   }
 }
 
@@ -52,7 +45,7 @@ void make_package_flow(const RequestSequence& sequence, ItemId a, ItemId b,
                        Flow& out) {
   out.group_size = 2;
   out.points.clear();
-  // Requests holding both items: the intersection of the two request lists.
+  // Requests holding both items: the times both items' events hold.
   const ItemId pair[2] = {a, b};
   append_merged(sequence, pair, [](std::size_t held) { return held == 2; },
                 out);

@@ -18,15 +18,11 @@ namespace dpg {
 /// The server that initially stores every item (the paper's s_1).
 inline constexpr ServerId kOriginServer = 0;
 
-/// One service obligation of a flow.
+/// One service obligation of a flow: a request's server and time (times
+/// strictly increase across a sequence's requests, so the time names it).
 struct ServicePoint {
   ServerId server = 0;
   Time time = 0.0;
-  /// Index of the originating request in the RequestSequence;
-  /// kNoRequest for synthetic points.
-  std::size_t request_index = kNoRequest;
-
-  static constexpr std::size_t kNoRequest = static_cast<std::size_t>(-1);
 };
 
 /// A flow and the number of items travelling together (1 = individual item,
@@ -40,7 +36,7 @@ struct Flow {
   [[nodiscard]] bool empty() const noexcept { return points.empty(); }
 };
 
-/// Service points of all requests containing `item`.
+/// Service points of all requests containing `item`: a copy of its events.
 [[nodiscard]] Flow make_item_flow(const RequestSequence& sequence, ItemId item);
 
 /// In-place variant: rebuilds `out` (clearing points, keeping capacity) so a
@@ -49,8 +45,8 @@ void make_item_flow(const RequestSequence& sequence, ItemId item, Flow& out);
 
 /// Service points of all requests containing *both* `a` and `b`
 /// (the package flow of Phase 2; group_size = 2).  Merges the two items'
-/// request lists (RequestSequence::merge_item_lists), so the cost is
-/// O(|d_a| + |d_b|) and no request's item list is read.
+/// events by time (RequestSequence::merge_item_lists), so the cost is
+/// O(|d_a| + |d_b|) and no row is read.
 [[nodiscard]] Flow make_package_flow(const RequestSequence& sequence, ItemId a,
                                      ItemId b);
 
@@ -60,7 +56,7 @@ void make_package_flow(const RequestSequence& sequence, ItemId a, ItemId b,
 
 /// Service points of all requests containing every item of `group`
 /// (multi-item packing extension; group_size = group.size()).  One merge of
-/// the items' request lists: O(Σ|d_i| · |group|), independent of n.
+/// the items' events: O(Σ|d_i| · |group|), independent of n.
 [[nodiscard]] Flow make_group_flow(const RequestSequence& sequence,
                                    const std::vector<ItemId>& group);
 

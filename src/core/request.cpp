@@ -1,13 +1,12 @@
 #include "core/request.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstring>
-#include <mutex>
 #include <numeric>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -17,8 +16,6 @@ namespace {
 
 const obs::Counter g_build_allocs = obs::counter("trace.build_allocs");
 const obs::Counter g_sequences_built = obs::counter("trace.sequences_built");
-const obs::Counter g_item_index_builds =
-    obs::counter("trace.item_index_builds");
 
 /// True when the two columns hold the same bits (a NaN equals itself).
 template <typename T>
@@ -27,12 +24,13 @@ bool same_bits(std::span<const T> a, std::span<const T> b) {
          (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
 }
 
-}  // namespace
+/// `time` in its shortest round-trip form, as the CSV writer prints it.
+std::string time_text(Time time) {
+  char buffer[32];
+  return {buffer, std::to_chars(buffer, buffer + sizeof buffer, time).ptr};
+}
 
-struct RequestSequence::ItemRowIndex {
-  std::once_flag built;
-  std::vector<std::size_t> rows;  // A request indices, cut by per_item_offsets
-};
+}  // namespace
 
 bool Request::contains(ItemId item) const noexcept {
   return std::binary_search(items.begin(), items.end(), item);
@@ -113,8 +111,7 @@ RequestSequence::RequestSequence(const RequestSequence& other)
       per_item_offsets_v_(other.per_item_offsets_v_),
       per_item_times_v_(other.per_item_times_v_),
       per_item_servers_v_(other.per_item_servers_v_),
-      keeper_(other.keeper_),
-      row_index_(other.row_index_) {
+      keeper_(other.keeper_) {
   // A borrowed copy shares the external buffer (keeper_ keeps it alive); an
   // owning copy got fresh vectors and must re-point its views at them.
   if (keeper_ == nullptr) bind_owned_all();
@@ -137,8 +134,7 @@ RequestSequence::RequestSequence(RequestSequence&& other) noexcept
       per_item_offsets_v_(other.per_item_offsets_v_),
       per_item_times_v_(other.per_item_times_v_),
       per_item_servers_v_(other.per_item_servers_v_),
-      keeper_(std::move(other.keeper_)),
-      row_index_(std::move(other.row_index_)) {
+      keeper_(std::move(other.keeper_)) {
   // Moved vectors keep their heap buffers, so the copied views stay valid;
   // rebind anyway so the invariant "views alias *this* object's storage or
   // keeper_'s buffer" holds even for empty short vectors.
@@ -173,7 +169,6 @@ RequestSequence& RequestSequence::operator=(RequestSequence&& other) noexcept {
     per_item_times_v_ = other.per_item_times_v_;
     per_item_servers_v_ = other.per_item_servers_v_;
     keeper_ = std::move(other.keeper_);
-    row_index_ = std::move(other.row_index_);
     if (keeper_ == nullptr) bind_owned_all();
     other.clear_views();
   }
@@ -205,7 +200,6 @@ RequestSequence RequestSequence::adopt_columns(
   seq.per_item_times_v_ = columns.per_item_times;
   seq.per_item_servers_v_ = columns.per_item_servers;
   seq.keeper_ = std::move(keeper);
-  seq.row_index_ = std::make_shared<ItemRowIndex>();
   require(seq.keeper_ != nullptr,
           "adopt_columns: a keeper must own the column storage");
 
@@ -331,24 +325,6 @@ void RequestSequence::build_item_events() {
   per_item_offsets_v_ = per_item_offsets_;
   per_item_times_v_ = per_item_times_;
   per_item_servers_v_ = per_item_servers_;
-  row_index_ = std::make_shared<ItemRowIndex>();
-}
-
-std::span<const std::size_t> RequestSequence::item_rows() const {
-  ItemRowIndex& index = *row_index_;
-  // call_once publishes the pool to every thread that waited on it; the
-  // same scatter as build_item_events, with a cursor per item.
-  std::call_once(index.built, [this, &index] {
-    const obs::TraceSpan span("trace/item_index_build");
-    g_item_index_builds.add();
-    std::vector<std::size_t> cursor(per_item_offsets_v_.begin(),
-                                    per_item_offsets_v_.end() - 1);
-    index.rows.resize(items_pool_v_.size());
-    for (std::size_t i = 0; i < servers_v_.size(); ++i) {
-      for (const ItemId item : items_of(i)) index.rows[cursor[item]++] = i;
-    }
-  });
-  return index.rows;
 }
 
 std::size_t RequestSequence::item_frequency(ItemId item) const {
@@ -375,12 +351,16 @@ std::size_t RequestSequence::pair_frequency(ItemId a, ItemId b) const {
   return count;
 }
 
-std::span<const std::size_t> RequestSequence::indices_for_item(
-    ItemId item) const {
-  require(item < item_count_, "indices_for_item: item out of range");
-  return item_rows().subspan(
-      per_item_offsets_v_[item],
-      per_item_offsets_v_[item + 1] - per_item_offsets_v_[item]);
+std::size_t RequestSequence::row_of_event(ItemId item, Time time) const {
+  require(item < item_count_, "row_of_event: item out of range");
+  const auto at = std::lower_bound(times_v_.begin(), times_v_.end(), time);
+  const auto row = static_cast<std::size_t>(at - times_v_.begin());
+  if (at == times_v_.end() || *at != time || !(*this)[row].contains(item)) {
+    throw InvalidArgument("row_of_event: no request at time " +
+                          time_text(time) + " holds item " +
+                          std::to_string(item));
+  }
+  return row;
 }
 
 std::string RequestSequence::to_string() const {

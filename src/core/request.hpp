@@ -11,15 +11,15 @@
 // sequence of n requests costs O(1) owning arrays instead of n item vectors.
 // Each item's requests are also kept as *events*: per_item_offsets_[] (k + 1
 // entries) cuts two pools, per_item_times_[] and per_item_servers_[], into
-// one contiguous run per item in time order, so Phase 2 reads an item's
-// requests without gathering rows.  The row numbers of those events (the
-// inverted index, indices_for_item) are derived state, built once from the
-// rows on first use.  `Request` is a lightweight non-owning view into the
-// row arrays.
+// one contiguous run per item in time order, so every flow reads an item's
+// requests without gathering rows.  Times strictly increase across the
+// rows, so an event's time names its request.  `Request` is a lightweight
+// non-owning view into the row arrays.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -51,7 +51,7 @@ struct RequestDraft {
 
 /// One item's requests in time order, as two parallel contiguous views:
 /// times[j] and servers[j] are the time and server of the item's j-th
-/// request (the request indices_for_item(item)[j] names).
+/// request (the request at time times[j]).
 struct ItemEvents {
   std::span<const Time> times;
   std::span<const ServerId> servers;
@@ -219,18 +219,20 @@ class RequestSequence {
   /// the times the two items' events share (times identify requests).
   [[nodiscard]] std::size_t pair_frequency(ItemId a, ItemId b) const;
 
-  /// Walks the union of the request lists of `items` (indices_for_item) in
-  /// one merge pass: visit(index, holders) runs once per distinct request
-  /// index, in ascending (time) order, where `holders` names the positions
-  /// in `items` of the items that request holds, ascending.  Membership is
-  /// read off the sorted lists alone — no request's item list is touched —
-  /// and the walk allocates nothing for up to kInlineMergeItems items.
+  /// Walks the union of the events of `items` (events_for_item) in one
+  /// merge by time: visit(holders, server, time) runs once per distinct
+  /// request time, ascending, where `holders` names the positions in
+  /// `items` of the items that request holds, ascending, and `server` is
+  /// read from the first holder's event.  Times strictly increase across
+  /// the rows, so a time several items' events hold is one request holding
+  /// them all.  Membership is read off the events alone — no request's item
+  /// list is touched — and the walk allocates nothing for up to
+  /// kInlineMergeItems items.
   ///
-  /// The flows that name their requests are built through it: a package's
-  /// co-requests are the indices both items hold (make_package_flow, the
-  /// `--no-kernels` reference), a group's full requests those all k items
-  /// hold, and a union flow every index visited.  Phase 2's kernel walks
-  /// merge the items' events by time instead (kernels.hpp).
+  /// The package, group and union flows are built through it (core/flow.hpp):
+  /// a package's co-requests are the times both items hold, a group's full
+  /// requests those all k items hold, and a union flow every time visited.
+  /// kernels::merge_two_event_lists is the same merge at k = 2.
   template <typename Visit>
   void merge_item_lists(std::span<const ItemId> items, Visit&& visit) const;
 
@@ -252,12 +254,12 @@ class RequestSequence {
             per_item_servers_v_.subspan(begin, count)};
   }
 
-  /// Indices (into the sequence) of requests containing `item`, in time
-  /// order — a view into the flat inverted-index pool, entry j the request
-  /// of event j.  The pool is built from the rows on the first call of any
-  /// copy of this sequence (once, safely from concurrent threads; counted
-  /// by `trace.item_index_builds`) and shared by every copy.
-  [[nodiscard]] std::span<const std::size_t> indices_for_item(ItemId item) const;
+  /// The row of `item`'s request at `time`: a binary search of the time
+  /// column, O(log n).  The `--no-kernels` reference reaches each request
+  /// it reads this way, from the event's time to the row, so it reads
+  /// server and item set from the rows themselves.  Throws InvalidArgument,
+  /// naming the item and the time, when no request at `time` holds `item`.
+  [[nodiscard]] std::size_t row_of_event(ItemId item, Time time) const;
 
   /// Human-readable one-line-per-request dump (debugging/tests).
   [[nodiscard]] std::string to_string() const;
@@ -266,9 +268,6 @@ class RequestSequence {
   friend class SequenceBuilder;
 
   RequestSequence() = default;  // adopt_columns' blank slate
-
-  /// The inverted index, built on first use (request.cpp).
-  struct ItemRowIndex;
 
   /// Takes ownership of pre-flattened CSR arrays, then validates and builds
   /// the per-item events (SequenceBuilder's fast path).  `rows_normalized`
@@ -290,8 +289,6 @@ class RequestSequence {
   /// Builds the owned per-item events from the primary views and binds
   /// their views; also range-checks item ids (rides on the counting pass).
   void build_item_events();
-  /// The whole inverted-index pool, built on the first call.
-  [[nodiscard]] std::span<const std::size_t> item_rows() const;
 
   std::size_t server_count_ = 0;
   std::size_t item_count_ = 0;
@@ -315,39 +312,38 @@ class RequestSequence {
   std::span<const Time> per_item_times_v_;
   std::span<const ServerId> per_item_servers_v_;
   std::shared_ptr<const void> keeper_;
-  // Shared by every copy: the rows are the same, so is the index.
-  std::shared_ptr<ItemRowIndex> row_index_;
 };
 
 namespace detail {
 
-/// merge_item_lists' loop over k lists, with caller-provided cursor, head
-/// and holder arrays of k entries each.  Each step takes the smallest head
-/// and advances every list that holds it.  A finished list's head reads
-/// kDone, above every request index, so the smallest head is kDone once
-/// all k lists are done.
+/// merge_item_lists' loop over k event lists, with caller-provided cursor,
+/// head and holder arrays of k entries each.  Each step takes the earliest
+/// head time and advances every list that holds it.  A finished list's head
+/// reads +∞, above every event time (all are finite), so the earliest head
+/// is +∞ once all k lists are done.
 template <typename Visit>
-void merge_sorted_lists(const std::span<const std::size_t>* lists,
-                        std::size_t k, std::size_t* cursors,
-                        std::size_t* heads, std::size_t* holders,
-                        Visit& visit) {
-  constexpr std::size_t kDone = static_cast<std::size_t>(-1);
+void merge_event_lists(const ItemEvents* lists, std::size_t k,
+                       std::size_t* cursors, Time* heads,
+                       std::size_t* holders, Visit& visit) {
+  constexpr Time kDone = std::numeric_limits<Time>::infinity();
   for (std::size_t j = 0; j < k; ++j) {
     cursors[j] = 0;
-    heads[j] = lists[j].empty() ? kDone : lists[j].front();
+    heads[j] = lists[j].size() == 0 ? kDone : lists[j].times.front();
   }
   for (;;) {
-    std::size_t next = kDone;
+    Time next = kDone;
     for (std::size_t j = 0; j < k; ++j) next = std::min(next, heads[j]);
     if (next == kDone) return;
     std::size_t held = 0;
+    ServerId server = 0;
     for (std::size_t j = 0; j < k; ++j) {
       if (heads[j] != next) continue;
+      if (held == 0) server = lists[j].servers[cursors[j]];
       holders[held++] = j;
       const std::size_t cursor = ++cursors[j];
-      heads[j] = cursor < lists[j].size() ? lists[j][cursor] : kDone;
+      heads[j] = cursor < lists[j].size() ? lists[j].times[cursor] : kDone;
     }
-    visit(next, std::span<const std::size_t>(holders, held));
+    visit(std::span<const std::size_t>(holders, held), server, next);
   }
 }
 
@@ -360,21 +356,22 @@ void RequestSequence::merge_item_lists(std::span<const ItemId> items,
   // time between stack and heap arrays measured slower at k = 2.
   const std::size_t k = items.size();
   if (k <= kInlineMergeItems) {
-    std::span<const std::size_t> lists[kInlineMergeItems];
+    ItemEvents lists[kInlineMergeItems];
     std::size_t cursors[kInlineMergeItems] = {};
-    std::size_t heads[kInlineMergeItems] = {};
+    Time heads[kInlineMergeItems] = {};
     std::size_t holders[kInlineMergeItems] = {};
-    for (std::size_t j = 0; j < k; ++j) lists[j] = indices_for_item(items[j]);
-    detail::merge_sorted_lists(lists, k, cursors, heads, holders, visit);
+    for (std::size_t j = 0; j < k; ++j) lists[j] = events_for_item(items[j]);
+    detail::merge_event_lists(lists, k, cursors, heads, holders, visit);
     return;
   }
   // Larger groups (rare: complete-linkage groups are small) keep their
   // cursors on the heap.
-  std::vector<std::span<const std::size_t>> lists(k);
-  std::vector<std::size_t> state(3 * k);
-  for (std::size_t j = 0; j < k; ++j) lists[j] = indices_for_item(items[j]);
-  detail::merge_sorted_lists(lists.data(), k, state.data(), state.data() + k,
-                             state.data() + 2 * k, visit);
+  std::vector<ItemEvents> lists(k);
+  std::vector<std::size_t> state(2 * k);  // cursors, then holders
+  std::vector<Time> heads(k);
+  for (std::size_t j = 0; j < k; ++j) lists[j] = events_for_item(items[j]);
+  detail::merge_event_lists(lists.data(), k, state.data(), heads.data(),
+                            state.data() + k, visit);
 }
 
 /// Convenience builder used heavily by tests, generators and the streaming

@@ -21,9 +21,8 @@ PackageServedPair solve_pair_package_served_ws(const RequestSequence& sequence,
   out.total_accesses =
       sequence.item_frequency(pair.a) + sequence.item_frequency(pair.b);
   Flow union_flow = make_union_flow(sequence, {pair.a, pair.b});
-  SolveResult solved =
-      solve_optimal_offline(union_flow, model, sequence.server_count(),
-                            plan_options(dp, keep_plan), &ws);
+  SolveResult solved = solve_optimal_offline(
+      union_flow, model, sequence.server_count(), dp, keep_plan, &ws);
   out.cost = solved.cost;  // priced at the 2α package rate
   out.schedule_counts = solved.counts;
   if (keep_plan) {

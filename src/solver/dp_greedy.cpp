@@ -29,17 +29,14 @@ static_assert(static_cast<int>(ServeChoice::kCacheSameServer) ==
                   kernels::kChoicePackage,
               "serve choice encodings must line up");
 
-/// Records one greedy decision of `item`: its cost into singleton_cost, a
-/// non-cache choice into the charge list, and with `keep_plan` the decision
-/// itself.
-void record_service(PackageReport& report, std::size_t request_index,
-                    ItemId item, ServeChoice choice, Cost cost,
-                    bool keep_plan) {
+/// Records one greedy decision of `item` for its request at `time`: its
+/// cost into singleton_cost, a non-cache choice into the charge list, and
+/// with `keep_plan` the decision itself.
+void record_service(PackageReport& report, Time time, ItemId item,
+                    ServeChoice choice, Cost cost, bool keep_plan) {
   report.singleton_cost += cost;
   if (choice != ServeChoice::kCacheSameServer) report.charges.push_back(choice);
-  if (keep_plan) {
-    report.services.push_back({request_index, item, choice, cost});
-  }
+  if (keep_plan) report.services.push_back({time, item, choice, cost});
 }
 
 /// Greedy service of the requests that touch exactly one item of a pair.
@@ -48,25 +45,32 @@ void record_service(PackageReport& report, std::size_t request_index,
 /// already paid for them) but do update the recency state the greedy
 /// options consult, because serving a request leaves a copy behind.
 ///
-/// The reference: one stateful loop per item that asks each request
-/// whether it holds the partner.  The kernel path (walk_package below)
-/// makes the same decisions in the same accumulation order, so the two are
-/// bit-identical (cross-checked in tests/list_merge_test.cpp and
+/// The reference: one stateful loop per item that reads each request from
+/// its row, found by the event's time (RequestSequence::row_of_event), and
+/// asks the row whether it holds the partner.  Walking `item` = a also
+/// appends a's rows that hold b to `package_flow`.  The kernel path
+/// (walk_package below) makes the same decisions in the same accumulation
+/// order from the events alone, so the two are bit-identical
+/// (cross-checked in tests/list_merge_test.cpp and
 /// tests/kernel_equivalence_test.cpp).
 void serve_singletons_scalar(const RequestSequence& sequence,
                              const CostModel& model, ItemId item,
                              ItemId partner, PackageReport& report,
-                             SolverWorkspace& ws, bool keep_plan) {
+                             SolverWorkspace& ws, bool keep_plan,
+                             Flow* package_flow) {
   // Recency state over this item's event history (workspace scratch).
   Time prev_time = 0.0;
   ws.server_times.assign(sequence.server_count(), -1.0);
   std::vector<Time>& last_on_server = ws.server_times;
   last_on_server[kOriginServer] = 0.0;  // the origin copy
 
-  for (const std::size_t index : sequence.indices_for_item(item)) {
-    const Request& r = sequence[index];
-    const bool is_package_request = r.contains(partner);
-    if (!is_package_request) {
+  for (const Time event_time : sequence.events_for_item(item).times) {
+    const Request r = sequence[sequence.row_of_event(item, event_time)];
+    if (r.contains(partner)) {
+      if (package_flow != nullptr) {
+        package_flow->points.push_back({r.server, r.time});
+      }
+    } else {
       Cost cache_option = kInfiniteCost;
       if (last_on_server[r.server] >= 0.0) {
         cache_option = model.mu * (r.time - last_on_server[r.server]);
@@ -75,13 +79,13 @@ void serve_singletons_scalar(const RequestSequence& sequence,
       const Cost package_option = model.package_fetch_cost();
 
       if (cache_option <= transfer_option && cache_option <= package_option) {
-        record_service(report, index, item, ServeChoice::kCacheSameServer,
+        record_service(report, r.time, item, ServeChoice::kCacheSameServer,
                        cache_option, keep_plan);
       } else if (transfer_option <= package_option) {
-        record_service(report, index, item, ServeChoice::kTransferFromPrev,
+        record_service(report, r.time, item, ServeChoice::kTransferFromPrev,
                        transfer_option, keep_plan);
       } else {
-        record_service(report, index, item, ServeChoice::kPackageFetch,
+        record_service(report, r.time, item, ServeChoice::kPackageFetch,
                        package_option, keep_plan);
       }
     }
@@ -94,22 +98,18 @@ void serve_singletons_scalar(const RequestSequence& sequence,
 /// the two items' events by time (kernels::merge_two_event_lists), which
 /// reads each request's server and time once from the items' contiguous
 /// event columns and
-///   * hands each request holding both items to
-///     `co_request(position, server, time)`, `position` its place in a's
-///     events, which appends it to the package flow or steps the DP's
-///     pre-scan with it; it updates both items' recency state;
+///   * hands each request holding both items to `co_request(server, time)`,
+///     which steps the DP's pre-scan with it (and with a kept plan appends
+///     it to the package flow); it updates both items' recency state;
 ///   * decides each item's single-item requests as they come and stages
 ///     them in the item's own run of ws.staged, then folds a's run and b's
-///     into singleton_cost, the charges and the services, so they
-///     accumulate in the reference's order: a's decisions, then b's.
+///     into singleton_cost, the charges and, with `keep_plan`, the
+///     services, so they accumulate in the reference's order: a's
+///     decisions, then b's.
 /// The two items' recency state interleaves per server: last[2s + lane].
-/// A kept plan names each decision's request: `rows` holds each item's row
-/// index (indices_for_item), entry for entry with its events; without a
-/// kept plan it is empty and never read.
 template <typename CoRequest>
 void walk_package(const RequestSequence& sequence, const CostModel& model,
                   ItemPair pair, PackageReport& report, SolverWorkspace& ws,
-                  const std::span<const std::size_t> (&rows)[2],
                   bool keep_plan, CoRequest&& co_request) {
   ws.server_times.assign(2 * sequence.server_count(), -1.0);
   Time* last = ws.server_times.data();
@@ -129,11 +129,10 @@ void walk_package(const RequestSequence& sequence, const CostModel& model,
                                ws.staged.data() + events[0].size()};
   kernels::merge_two_event_lists(
       events[0], events[1],
-      [&](std::span<const std::size_t> holders, std::size_t position,
-          ServerId server, Time time) {
+      [&](std::span<const std::size_t> holders, ServerId server, Time time) {
         Time* here = last + 2 * static_cast<std::size_t>(server);
         if (holders.size() == 2) {
-          co_request(position, server, time);
+          co_request(server, time);
           prev[0] = prev[1] = time;
           here[0] = here[1] = time;
           return;
@@ -145,7 +144,7 @@ void walk_package(const RequestSequence& sequence, const CostModel& model,
         Cost cost;
         const kernels::ServeChoiceIndex choice = kernels::serve_choice3(
             cache_option, transfer_option, package_option, &cost);
-        *staged[lane]++ = StagedDecision{position, cost, choice};
+        *staged[lane]++ = StagedDecision{time, cost, choice};
         prev[lane] = time;
         here[lane] = time;
       });
@@ -164,8 +163,7 @@ void walk_package(const RequestSequence& sequence, const CostModel& model,
       *charge = choice;
       charge += choice != ServeChoice::kCacheSameServer ? 1 : 0;
       if (keep_plan) {
-        report.services.push_back(
-            {rows[lane][d->position], item[lane], choice, d->cost});
+        report.services.push_back({d->time, item[lane], choice, d->cost});
       }
     }
     report.charges.resize(
@@ -181,65 +179,55 @@ PackageReport solve_pair_package_ws(const RequestSequence& sequence,
   report.pair = pair;
   report.total_accesses =
       sequence.item_frequency(pair.a) + sequence.item_frequency(pair.b);
+  Flow& flow = ws.flow;
+  flow.group_size = 2;
 
-  // Without a kept plan the kernel walk pre-scans the co-requests straight
-  // into the DP's node columns and builds no flow.
-  const bool walk_prescans = dp.use_kernels && !keep_plan;
   std::size_t nodes = 0;
   {
-    // The flow (or its pre-scan) and the greedy decisions: Phase 2's CPU
-    // outside the DP (phase2/dp_solve).
+    // The flow's pre-scan (or the flow) and the greedy decisions: Phase
+    // 2's CPU outside the DP (phase2/dp_solve).
     const obs::TraceSpan walk_span("phase2/package_walk");
-    if (walk_prescans) {
+    if (dp.use_kernels) {
+      // One walk pre-scans the co-requests straight into the DP's node
+      // columns; a kept plan also builds the flow.
       const std::size_t m = sequence.server_count();
       const std::size_t most = std::min(sequence.item_frequency(pair.a),
                                         sequence.item_frequency(pair.b));
+      // node_columns sizes last_visit: call it first.
       const kernels::NodeColumns columns = ws.node_columns(most + 1, m);
       kernels::FlowPrescan scan(columns, m, model.mu, model.lambda,
                                 ws.last_visit.data());
-      const std::span<const std::size_t> no_rows[2] = {};
-      walk_package(sequence, model, pair, report, ws, no_rows, keep_plan,
-                   [&scan](std::size_t, ServerId server, Time time) {
-                     scan.step(server, time);
-                   });
+      kernels::prescan_walk(scan, keep_plan ? &flow : nullptr,
+                            [&](auto&& co_request) {
+                              walk_package(sequence, model, pair, report, ws,
+                                           keep_plan, co_request);
+                            });
       nodes = scan.nodes();
-    } else if (dp.use_kernels) {
-      Flow& flow = ws.flow;
-      flow.group_size = 2;
-      flow.points.clear();
-      const std::span<const std::size_t> rows[2] = {
-          sequence.indices_for_item(pair.a),
-          sequence.indices_for_item(pair.b)};
-      walk_package(sequence, model, pair, report, ws, rows, keep_plan,
-                   [&flow, &rows](std::size_t position, ServerId server,
-                                  Time time) {
-                     flow.points.push_back(
-                         ServicePoint{server, time, rows[0][position]});
-                   });
     } else {
-      // The reference gathers rows: the oracle the events are checked by.
-      make_package_flow(sequence, pair.a, pair.b, ws.flow);
+      // The reference reads rows: the oracle the events are checked by.
+      flow.points.clear();
       serve_singletons_scalar(sequence, model, pair.a, pair.b, report, ws,
-                              keep_plan);
+                              keep_plan, &flow);
       serve_singletons_scalar(sequence, model, pair.b, pair.a, report, ws,
-                              keep_plan);
+                              keep_plan, nullptr);
+      nodes = flow.size() + 1;
     }
   }
-  report.co_request_count = walk_prescans ? nodes - 1 : ws.flow.size();
+  report.co_request_count = nodes - 1;
   // Every request of either item not in the flow is one greedy decision.
   g_singleton_services.add(report.total_accesses -
                            2 * report.co_request_count);
 
   SolveResult package =
-      walk_prescans
-          ? solve_prescanned(ws, nodes, /*group_size=*/2, model)
-          : solve_optimal_offline(ws.flow, model, sequence.server_count(),
-                                  plan_options(dp, keep_plan), &ws);
+      dp.use_kernels
+          ? solve_prescanned(ws, nodes, /*group_size=*/2, model, keep_plan)
+          : solve_optimal_offline(flow, model, sequence.server_count(), dp,
+                                  keep_plan, &ws);
   report.package_cost = package.cost;  // already 2α-discounted
   report.package_counts = package.counts;
   if (keep_plan) {
     report.package_schedule = std::move(package.schedule);
-    report.package_flow = ws.flow;
+    report.package_flow = flow;
   }
   return report;
 }

@@ -60,9 +60,10 @@ enum class ServeChoice : std::uint8_t {
   kPackageFetch,        // 2αλ
 };
 
-/// One greedy decision of Phase 2.
+/// One greedy decision of Phase 2, for the request at `time` (times
+/// strictly increase across a sequence's requests, so the time names it).
 struct SingletonService {
-  std::size_t request_index = 0;
+  Time time = 0.0;
   ItemId item = 0;
   ServeChoice choice = ServeChoice::kCacheSameServer;
   Cost cost = 0.0;

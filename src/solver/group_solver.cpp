@@ -39,9 +39,8 @@ GroupReport solve_group_package_ws(const RequestSequence& sequence,
 
   Flow group_flow = make_group_flow(sequence, group);
   report.full_request_count = group_flow.size();
-  SolveResult solved =
-      solve_optimal_offline(group_flow, model, sequence.server_count(),
-                            plan_options(dp, keep_plan), &ws);
+  SolveResult solved = solve_optimal_offline(
+      group_flow, model, sequence.server_count(), dp, keep_plan, &ws);
   report.package_cost = solved.cost;  // g·α-discounted
   report.package_counts = solved.counts;
   if (keep_plan) {
@@ -60,13 +59,11 @@ GroupReport solve_group_package_ws(const RequestSequence& sequence,
   std::vector<Time> last_on_server(k * m, -1.0);
   for (std::size_t j = 0; j < k; ++j) last_on_server[j * m + kOriginServer] = 0.0;
 
-  // One merge of the items' request lists names the group items each
-  // request holds, in ascending item order, so the per-request sums add the
+  // One merge of the items' events names the group items each request
+  // holds, in ascending item order, so the per-request sums add the
   // present items in the request's own item order.
-  sequence.merge_item_lists(items, [&](std::size_t index,
-                                       std::span<const std::size_t> present) {
-    const ServerId server = sequence.server_of(index);
-    const Time time = sequence.time_of(index);
+  sequence.merge_item_lists(items, [&](std::span<const std::size_t> present,
+                                       ServerId server, Time time) {
     if (present.size() < k) {
       g_group_partials.add();
       Cost individual_total = 0.0;

@@ -9,8 +9,8 @@
 //     W, base(i) = μ·(t_i − t_{p(i)}) + W(i−1) and the local-link count
 //     L(i), storing the ∞ base of a server's first visit directly
 //     (multiplying μ into an ∞ Δt would manufacture NaNs at μ = 0).  Phase
-//     2's walks step it as they read each request; prescan_flow steps it
-//     over a built flow;
+//     2's walks step it as they read each request (prescan_walk);
+//     prescan_flow steps it over a built flow;
 //   * the forward pass computes only the minimum VALUE of v over the window,
 //     from a WindowMin (solver/workspace.hpp).  Windows of at most
 //     kRingWindow nodes read two overlapping power-of-two blocks of a
@@ -42,10 +42,11 @@
 // items' events by time with merge_two_event_lists, which advances its
 // cursors by comparison results; item walks (solve_single_item) read one
 // item's events in order.  Both read contiguous per-item columns
-// (RequestSequence::events_for_item), not rows.
+// (RequestSequence::events_for_item), not rows, and step the pre-scan with
+// each point; a kept plan also appends the point to the flow.
 //
 // Cross-checked bit for bit against the `--no-kernels` reference loops,
-// which gather rows, in tests/kernels_test.cpp and
+// which read each request from its row, in tests/kernels_test.cpp and
 // tests/kernel_equivalence_test.cpp, and the event merge against the
 // k-list merge in tests/list_merge_test.cpp; the
 // >=2x single-thread gate lives in bench/bm_solvers.cpp (`dp_kernel`
@@ -179,6 +180,23 @@ inline void prescan_flow(std::span<const ServicePoint> points,
   for (const ServicePoint& point : points) scan.step(point.server, point.time);
 }
 
+/// Phase 2's one walk per flow: runs `walk(visit)`, where each
+/// visit(server, time) steps `scan` and, when `flow` is set (a kept plan),
+/// also appends the point to it after clearing it.  The two visits are
+/// separate instantiations, so the plans-off step carries no branch.
+template <typename Walk>
+void prescan_walk(FlowPrescan& scan, Flow* flow, Walk&& walk) {
+  if (flow == nullptr) {
+    walk([&scan](ServerId server, Time time) { scan.step(server, time); });
+    return;
+  }
+  flow->points.clear();
+  walk([&scan, flow](ServerId server, Time time) {
+    scan.step(server, time);
+    flow->points.push_back({server, time});
+  });
+}
+
 // ---------------------------------------------------------------------------
 // Window minimum of the most recent values, in O(1) without branches.
 
@@ -259,13 +277,13 @@ static_assert(2 * kWideBlock <= kRingWindow,
 // Event merge (Phase-2 package walks).
 
 /// merge_item_lists at k = 2 (core/request.hpp) over two items' events,
-/// merged by time: visit(holders, position, server, time) runs once per
-/// distinct time of `a` and `b`, in ascending order, with holders {0}, {1}
-/// or {0, 1} and `position` the event's place in its first holder's list.
-/// Times strictly increase across a sequence's requests, so a time both
-/// lists hold is one request holding both items.  Each step advances the
-/// cursors by its two comparisons instead of branching on them.  The event
-/// columns are contiguous, so the walk needs no prefetch.
+/// merged by time: visit(holders, server, time) runs once per distinct
+/// time of `a` and `b`, in ascending order, with holders {0}, {1} or
+/// {0, 1} and `server` read from the first holder's event.  Times strictly
+/// increase across a sequence's requests, so a time both lists hold is one
+/// request holding both items.  Each step advances the cursors by its two
+/// comparisons instead of branching on them.  The event columns are
+/// contiguous, so the walk needs no prefetch.
 template <typename Visit>
 void merge_two_event_lists(ItemEvents a, ItemEvents b, Visit&& visit) {
   static constexpr std::size_t kHolders[2] = {0, 1};
@@ -280,16 +298,15 @@ void merge_two_event_lists(ItemEvents a, ItemEvents b, Visit&& visit) {
     const Time time_b = b.times[ib];
     const bool in_a = time_a <= time_b;
     const bool in_b = time_b <= time_a;
-    const std::size_t position = in_a ? ia : ib;
     const ServerId server = in_a ? a.servers[ia] : b.servers[ib];
     ia += in_a ? 1 : 0;
     ib += in_b ? 1 : 0;
     visit(std::span<const std::size_t>(kHolders + (in_a ? 0 : 1),
                                        (in_a ? 1u : 0u) + (in_b ? 1u : 0u)),
-          position, server, in_a ? time_a : time_b);
+          server, in_a ? time_a : time_b);
   }
-  for (; ia < na; ++ia) visit(only_a, ia, a.servers[ia], a.times[ia]);
-  for (; ib < nb; ++ib) visit(only_b, ib, b.servers[ib], b.times[ib]);
+  for (; ia < na; ++ia) visit(only_a, a.servers[ia], a.times[ia]);
+  for (; ib < nb; ++ib) visit(only_b, b.servers[ib], b.times[ib]);
 }
 
 // ---------------------------------------------------------------------------

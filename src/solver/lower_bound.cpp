@@ -1,22 +1,19 @@
 #include "solver/lower_bound.hpp"
 
-#include "core/flow.hpp"
+#include "solver/baselines.hpp"
 
 namespace dpg {
 
 PackedLowerBound packed_lower_bound(const RequestSequence& sequence,
                                     const CostModel& model,
                                     const OptimalOfflineOptions& dp) {
-  model.validate();
-  OptimalOfflineOptions options = dp;
-  options.build_schedule = false;
+  // The Optimal baseline's total: each item's optimum, single-item flows
+  // priced at face value, added in item order.
   PackedLowerBound bound;
-  for (ItemId item = 0; item < sequence.item_count(); ++item) {
-    bound.sum_item_optima +=
-        solve_optimal_offline(make_item_flow(sequence, item), model,
-                              sequence.server_count(), options)
-            .raw_cost;
-  }
+  bound.sum_item_optima =
+      solve_optimal_baseline(sequence, model, dp, nullptr,
+                             /*keep_plans=*/false)
+          .total_cost;
   bound.lemma1 = model.alpha * bound.sum_item_optima;
   return bound;
 }

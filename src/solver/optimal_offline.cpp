@@ -176,6 +176,7 @@ void solve_kernel(SolverWorkspace& ws, std::size_t n, const CostModel& model,
 SolveResult solve_optimal_offline(const Flow& flow, const CostModel& model,
                                   std::size_t server_count,
                                   const OptimalOfflineOptions& options,
+                                  bool build_schedule,
                                   SolverWorkspace* workspace) {
   model.validate();
   // The time checks of validate_flow run in the pre-scan (kernel path) and
@@ -219,8 +220,7 @@ SolveResult solve_optimal_offline(const Flow& flow, const CostModel& model,
     kernels::prescan_flow(flow.points, server_count, mu, lambda,
                           ws.last_visit.data(), columns);
     count_solve();
-    solve_kernel(ws, n, model, options.build_schedule, flow.group_size,
-                 result);
+    solve_kernel(ws, n, model, build_schedule, flow.group_size, result);
     return result;
   }
 
@@ -309,7 +309,7 @@ SolveResult solve_optimal_offline(const Flow& flow, const CostModel& model,
   result.raw_cost = c[n - 1];
   result.cost = model.flow_multiplier(flow.group_size) * result.raw_cost;
 
-  record_plan(result, options.build_schedule, [&](auto& plan) {
+  record_plan(result, build_schedule, [&](auto& plan) {
     backtrack(NodeView{index.times().data(), index.servers().data(),
                        index.prev_same_servers().data()},
               n, mu, lambda,
@@ -322,7 +322,8 @@ SolveResult solve_optimal_offline(const Flow& flow, const CostModel& model,
 }
 
 SolveResult solve_prescanned(SolverWorkspace& workspace, std::size_t nodes,
-                             std::size_t group_size, const CostModel& model) {
+                             std::size_t group_size, const CostModel& model,
+                             bool build_schedule) {
   model.validate();
   const obs::TraceSpan span("phase2/dp_solve");
   g_dp_solves.add();
@@ -336,8 +337,7 @@ SolveResult solve_prescanned(SolverWorkspace& workspace, std::size_t nodes,
   }
   g_dp_cells.add(nodes - 1);
   g_flow_nodes.record(nodes);
-  solve_kernel(workspace, nodes, model, /*build_schedule=*/false, group_size,
-               result);
+  solve_kernel(workspace, nodes, model, build_schedule, group_size, result);
   return result;
 }
 
@@ -349,57 +349,51 @@ SingleItemReport solve_single_item(const RequestSequence& sequence,
   SingleItemReport report;
   report.item = item;
   report.accesses = sequence.item_frequency(item);
-  if (options.use_kernels && !keep_plan) {
-    // Walk once: the item's events go from their contiguous columns
-    // straight into the pre-scan; no flow is built.
+  Flow& flow = workspace.flow;
+  flow.group_size = 1;
+  SolveResult solved;
+  if (options.use_kernels) {
+    // One walk: the item's events go from their contiguous columns into
+    // the pre-scan, and with a kept plan into the flow as well.
     std::size_t nodes = 0;
     {
       const obs::TraceSpan walk_span("phase2/item_walk");
       const ItemEvents events = sequence.events_for_item(item);
       const std::size_t m = sequence.server_count();
+      // node_columns sizes last_visit: call it first.
       const kernels::NodeColumns columns =
           workspace.node_columns(events.size() + 1, m);
       kernels::FlowPrescan scan(columns, m, model.mu, model.lambda,
                                 workspace.last_visit.data());
-      for (std::size_t j = 0; j < events.size(); ++j) {
-        scan.step(events.servers[j], events.times[j]);
-      }
+      kernels::prescan_walk(scan, keep_plan ? &flow : nullptr,
+                            [&events](auto&& visit) {
+                              for (std::size_t j = 0; j < events.size(); ++j) {
+                                visit(events.servers[j], events.times[j]);
+                              }
+                            });
       nodes = scan.nodes();
     }
-    const SolveResult solved =
-        solve_prescanned(workspace, nodes, /*group_size=*/1, model);
-    report.cost = solved.cost;
-    report.schedule_counts = solved.counts;
-    return report;
-  }
-  {
-    const obs::TraceSpan walk_span("phase2/item_walk");
-    if (options.use_kernels) {
-      // A kept plan walks the same events; each point names its request
-      // from the row index, entry for entry.
-      const ItemEvents events = sequence.events_for_item(item);
-      const std::span<const std::size_t> rows =
-          sequence.indices_for_item(item);
-      Flow& flow = workspace.flow;
-      flow.group_size = 1;
+    solved = solve_prescanned(workspace, nodes, /*group_size=*/1, model,
+                              keep_plan);
+  } else {
+    {
+      // The reference reads each request from its row, found by its
+      // event's time: the oracle the events are checked by.
+      const obs::TraceSpan walk_span("phase2/item_walk");
       flow.points.clear();
-      for (std::size_t j = 0; j < events.size(); ++j) {
-        flow.points.push_back(
-            ServicePoint{events.servers[j], events.times[j], rows[j]});
+      for (const Time time : sequence.events_for_item(item).times) {
+        const Request request = sequence[sequence.row_of_event(item, time)];
+        flow.points.push_back({request.server, request.time});
       }
-    } else {
-      // The reference gathers rows: the oracle the events are checked by.
-      make_item_flow(sequence, item, workspace.flow);
     }
+    solved = solve_optimal_offline(flow, model, sequence.server_count(),
+                                   options, keep_plan, &workspace);
   }
-  SolveResult solved =
-      solve_optimal_offline(workspace.flow, model, sequence.server_count(),
-                            plan_options(options, keep_plan), &workspace);
   report.cost = solved.cost;
   report.schedule_counts = solved.counts;
   if (keep_plan) {
     report.schedule = std::move(solved.schedule);
-    report.flow = workspace.flow;
+    report.flow = flow;
   }
   return report;
 }

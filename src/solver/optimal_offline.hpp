@@ -54,42 +54,33 @@ struct OptimalOfflineOptions {
   /// (tests/kernels_test.cpp, tests/kernel_equivalence_test.cpp); off = the
   /// reference loops, kept as the cross-check oracle.
   bool use_kernels = true;
-
-  /// Reconstruct the schedule (backtracking).  Off, only its segments and
-  /// transfers are counted (SolveResult::counts): by the same backtrack on
-  /// the reference path, from prefix counts of the local links on the
-  /// kernel path.  Costs and counts are computed either way.
-  bool build_schedule = true;
 };
-
-/// `options` with the schedule built only when the caller keeps the plan;
-/// otherwise it is counted.
-[[nodiscard]] inline OptimalOfflineOptions plan_options(
-    OptimalOfflineOptions options, bool keep_plan) noexcept {
-  options.build_schedule = options.build_schedule && keep_plan;
-  return options;
-}
 
 /// Solves one flow to optimality. `server_count` bounds the server ids in
 /// the flow; the flow starts at `origin` (server 0 by default) at time 0.
-/// Passing a `workspace` reuses its scratch buffers (solver/workspace.hpp)
-/// so repeated solves perform zero steady-state allocations; results are
-/// bit-identical with or without one.
+/// `build_schedule` reconstructs the schedule (backtracking); without it
+/// only its segments and transfers are counted (SolveResult::counts): by
+/// the same backtrack on the reference path, from prefix counts of the
+/// local links on the kernel path.  Costs and counts are computed either
+/// way.  Passing a `workspace` reuses its scratch buffers
+/// (solver/workspace.hpp) so repeated solves perform zero steady-state
+/// allocations; results are bit-identical with or without one.
 [[nodiscard]] SolveResult solve_optimal_offline(
     const Flow& flow, const CostModel& model, std::size_t server_count,
-    const OptimalOfflineOptions& options = {},
+    const OptimalOfflineOptions& options = {}, bool build_schedule = true,
     SolverWorkspace* workspace = nullptr);
 
-/// Solves, on the kernel path with the plan counted, the flow of `nodes`
-/// nodes a kernels::FlowPrescan has written into `workspace`'s node columns
+/// Solves, on the kernel path, the flow of `nodes` nodes a
+/// kernels::FlowPrescan has written into `workspace`'s node columns
 /// (SolverWorkspace::node_columns): Phase 2's walks pre-scan each flow as
-/// they read its requests and never build it.  Cost, counts and telemetry
-/// are those solve_optimal_offline gives the same flow with build_schedule
-/// off.
+/// they read its requests.  Cost, counts, schedule and telemetry are those
+/// solve_optimal_offline gives the same flow with the same
+/// `build_schedule`.
 [[nodiscard]] SolveResult solve_prescanned(SolverWorkspace& workspace,
                                            std::size_t nodes,
                                            std::size_t group_size,
-                                           const CostModel& model);
+                                           const CostModel& model,
+                                           bool build_schedule);
 
 /// One item served on its own by the optimal offline DP: an unpacked item
 /// of DP_Greedy or its group extension, or any item of the Optimal baseline.
@@ -105,11 +96,13 @@ struct SingleItemReport {
   Flow flow;
 };
 
-/// Solves `item`'s flow.  With `keep_plan` (or on the reference path) the
-/// flow is built in the workspace and the report takes the schedule and a
-/// copy of the flow, so a caller that wants the plan never has to rebuild
-/// it.  Without, the kernel path reads the item's rows straight from the
-/// sequence's columns into the pre-scan, and the report keeps the counts.
+/// Solves `item`'s flow.  The kernel path reads the item's events straight
+/// into the pre-scan; the reference path builds the flow in the workspace
+/// from the rows, each found by its event's time
+/// (RequestSequence::row_of_event).  With `keep_plan` the kernel walk also
+/// builds the flow, and the report takes the schedule and a copy of the
+/// flow, so a caller that wants the plan never has to rebuild it.  Without,
+/// the report keeps the counts.
 [[nodiscard]] SingleItemReport solve_single_item(
     const RequestSequence& sequence, const CostModel& model, ItemId item,
     const OptimalOfflineOptions& options, SolverWorkspace& workspace,

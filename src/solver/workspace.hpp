@@ -120,14 +120,15 @@ class WindowMin {
 /// the pair's events and held until the walk ends, when the first item's
 /// decisions are summed before the second's (solver/dp_greedy.cpp).
 struct StagedDecision {
-  std::size_t position = 0;  // the request's place in the item's events
+  Time time = 0.0;  // the request's time, which names it
   Cost cost = 0.0;
   std::uint8_t choice = 0;  // kernels::ServeChoiceIndex
 };
 
 /// The reusable scratch of one solver "lane".
 struct SolverWorkspace {
-  /// Flow-build buffer: make_item_flow / make_package_flow write here.
+  /// Flow-build buffer: Phase 2's kept-plan and reference walks and the
+  /// per-item solvers' make_item_flow write here.
   Flow flow;
 
   /// Section-V pre-scan index, rebuilt in place per solve (the reference

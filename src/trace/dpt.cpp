@@ -624,7 +624,7 @@ void verify_rows(const VerifyPlan& plan, ColumnVerdict* verdicts) {
 
 /// Version 1: per_item_offsets, then per_item_pool: each item's rows must be
 /// strictly ascending, and its last row below n.
-void verify_item_rows(const VerifyPlan& plan, ColumnVerdict* verdicts) {
+void verify_row_lists(const VerifyPlan& plan, ColumnVerdict* verdicts) {
   const auto starts = verify_item_starts(plan, verdicts);
   ColumnVerdict& verdict = verdicts[kColPerItemPool];
   const auto pool =
@@ -650,10 +650,12 @@ void verify_item_rows(const VerifyPlan& plan, ColumnVerdict* verdicts) {
 }
 
 /// Version 2: per_item_offsets, then each item's event count against the
-/// rows that hold it, from a histogram of items_pool.  Equal counts make
-/// the row index built from the rows (indices_for_item) line up with the
-/// events entry for entry.  An item id out of range lands in an overflow
-/// bucket: items_pool's own task reports it, ahead of this check.
+/// rows that hold it, from a histogram of items_pool.  With the ascending
+/// event times, equal counts map each item's events one to one onto its
+/// rows wherever each event's time finds a row holding the item
+/// (RequestSequence::row_of_event, the `--no-kernels` reference's walk).
+/// An item id out of range lands in an overflow bucket: items_pool's own
+/// task reports it, ahead of this check.
 void verify_event_counts(const VerifyPlan& plan, ColumnVerdict* verdicts) {
   const auto starts = verify_item_starts(plan, verdicts);
   ColumnVerdict& verdict = verdicts[kColPerItemOffsets];
@@ -732,7 +734,7 @@ void verify_pass(const std::string& path, const VerifyPlan& plan,
     tasks.push_back({bytes_of(kColItemOffsets) + bytes_of(kColItemsPool),
                      verify_rows<std::uint64_t>});
     tasks.push_back({bytes_of(kColPerItemOffsets) + bytes_of(kColPerItemPool),
-                     verify_item_rows});
+                     verify_row_lists});
   } else {
     tasks.push_back({bytes_of(kColItemOffsets) + bytes_of(kColItemsPool),
                      verify_rows<ItemOffset>});
@@ -772,8 +774,8 @@ void verify_pass(const std::string& path, const VerifyPlan& plan,
 
 /// The sequence of a version-1 file whose pass succeeded: its rows copied
 /// into an owned sequence, which builds the per-item events.  With
-/// `verify_columns` the stored row lists are cross-checked against the
-/// row index built from the rows, as version 1 always did.
+/// `verify_columns` the stored row lists are cross-checked against a walk
+/// of the rows, one cursor per item, as version 1 always did.
 RequestSequence sequence_of_version1(const std::string& path,
                                      const VerifyPlan& plan,
                                      bool verify_columns) {
@@ -793,16 +795,20 @@ RequestSequence sequence_of_version1(const std::string& path,
   }
   RequestSequence sequence = std::move(builder).build();
   if (verify_columns) {
+    // Each row must be the next entry of every item it holds.  The lists'
+    // lengths and the rows' item counts both sum to A, so when no list
+    // runs out, every list ends where its item's rows do.
     const auto starts = plan_column<std::uint64_t>(plan, kColPerItemOffsets);
     const auto stored = plan_column<std::uint64_t>(plan, kColPerItemPool);
-    for (ItemId item = 0; item < h.item_count; ++item) {
-      const auto rows = sequence.indices_for_item(item);
-      const auto list =
-          stored.subspan(starts[item], starts[item + 1] - starts[item]);
-      if (!std::equal(rows.begin(), rows.end(), list.begin(), list.end())) {
-        corrupt(path,
-                "adopt_columns: stored inverted index does not match the "
-                "items");
+    std::vector<std::uint64_t> cursor(starts.begin(), starts.end() - 1);
+    for (std::size_t row = 0; row < sequence.size(); ++row) {
+      for (const ItemId item : sequence.items_of(row)) {
+        const std::uint64_t at = cursor[item]++;
+        if (at >= starts[item + 1] || stored[at] != row) {
+          corrupt(path,
+                  "adopt_columns: stored inverted index does not match the "
+                  "items");
+        }
       }
     }
   }

@@ -17,8 +17,8 @@
 // (`DptReadOptions::pool`), largest first, so on a few workers the open
 // takes about as long as its largest column task.
 //
-// Version-1 files (u64 item offsets and a stored row index instead of the
-// events) still open: the version-1 pass checks them as it always did, then
+// Version-1 files (u64 item offsets and stored per-item row lists instead
+// of the events) still open: the version-1 pass checks them as it always did, then
 // their rows are copied into an owned sequence, which builds the events.
 // `convert old.dpt new.dpt` upgrades a file.
 //
@@ -50,7 +50,7 @@ inline constexpr std::uint32_t kDptVersion = 2;
 struct DptReadOptions {
   /// Also cross-check the stored per-item events bit for bit against ones
   /// rebuilt from the rows (RequestSequence::adopt_columns; on a version-1
-  /// file, the stored row lists against the row index).  The pass checks
+  /// file, the stored row lists against a walk of the rows).  The pass checks
   /// that each item has one event per row holding it, with servers in range
   /// and ascending times, not that each event is its row's; the rebuild
   /// does, at the cost of a second copy of the events in memory.  A file the

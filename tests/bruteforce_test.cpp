@@ -18,7 +18,7 @@ TEST(BruteForce, EmptyFlow) {
 
 TEST(BruteForce, SingleRequestMatchesHandComputation) {
   Flow flow;
-  flow.points.push_back({2, 1.5, 0});
+  flow.points.push_back({2, 1.5});
   const BruteForceResult r = solve_bruteforce(flow, CostModel{1, 1, 0.8});
   EXPECT_NEAR(r.raw_cost, 2.5, kTol);  // hold 1.5 at origin + transfer
 }
@@ -27,8 +27,8 @@ TEST(BruteForce, SharedLineIsCountedOnce) {
   // Two children hanging off the same origin hold must not double-charge
   // the overlapping interval.
   Flow flow;
-  flow.points.push_back({1, 1.0, 0});
-  flow.points.push_back({2, 2.0, 1});
+  flow.points.push_back({1, 1.0});
+  flow.points.push_back({2, 2.0});
   const CostModel model{1.0, 0.1, 0.8};
   // Parent both at origin: hold [0,2] once (2μ) + 2 transfers.
   const Cost explicit_cost =
@@ -40,7 +40,7 @@ TEST(BruteForce, SharedLineIsCountedOnce) {
 
 TEST(BruteForce, PriceRejectsWrongArity) {
   Flow flow;
-  flow.points.push_back({1, 1.0, 0});
+  flow.points.push_back({1, 1.0});
   const CostModel model{1, 1, 0.8};
   const std::vector<std::uint8_t> too_many_parents{0, 0};
   EXPECT_THROW((void)price_parent_assignment(flow, model, too_many_parents),

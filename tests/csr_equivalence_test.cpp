@@ -35,15 +35,24 @@ RequestSequence medium_trace() {
   return generate_zipf_trace(config, rng);
 }
 
-TEST(CsrEquivalence, IndicesForItemMatchesNaiveScan) {
+TEST(CsrEquivalence, EventsForItemMatchNaiveScan) {
   const RequestSequence seq = medium_trace();
   for (ItemId item = 0; item < seq.item_count(); ++item) {
-    std::vector<std::size_t> naive;
+    std::vector<Time> times;
+    std::vector<ServerId> servers;
     for (std::size_t i = 0; i < seq.size(); ++i) {
-      if (seq[i].contains(item)) naive.push_back(i);
+      if (!seq[i].contains(item)) continue;
+      times.push_back(seq.time_of(i));
+      servers.push_back(seq.server_of(i));
+      EXPECT_EQ(seq.row_of_event(item, seq.time_of(i)), i) << "item " << item;
     }
-    const std::span<const std::size_t> csr = seq.indices_for_item(item);
-    ASSERT_EQ(std::vector<std::size_t>(csr.begin(), csr.end()), naive)
+    const ItemEvents events = seq.events_for_item(item);
+    ASSERT_EQ(std::vector<Time>(events.times.begin(), events.times.end()),
+              times)
+        << "item " << item;
+    ASSERT_EQ(std::vector<ServerId>(events.servers.begin(),
+                                    events.servers.end()),
+              servers)
         << "item " << item;
   }
 }

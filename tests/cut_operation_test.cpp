@@ -20,8 +20,8 @@ TEST(CutOperation, EmptyFlow) {
 TEST(CutOperation, ShortLocalGapsAreRemoved) {
   // Two same-server requests λ/2 apart: case 1.
   Flow flow;
-  flow.points.push_back({0, 1.0, 0});
-  flow.points.push_back({0, 1.4, 1});
+  flow.points.push_back({0, 1.0});
+  flow.points.push_back({0, 1.4});
   const CutAnalysis analysis = cut_operation(flow, CostModel{1, 1, 0.8}, 2);
   ASSERT_EQ(analysis.entries.size(), 2u);
   EXPECT_EQ(analysis.entries[0].cut, CutClass::kRemoved);  // gap 1.0 == λ
@@ -32,7 +32,7 @@ TEST(CutOperation, ShortLocalGapsAreRemoved) {
 
 TEST(CutOperation, LongPredecessorGapsAreTrimmed) {
   Flow flow;
-  flow.points.push_back({1, 5.0, 0});  // 5μ from the origin event, > λ
+  flow.points.push_back({1, 5.0});  // 5μ from the origin event, > λ
   const CutAnalysis analysis = cut_operation(flow, CostModel{1, 1, 0.8}, 2);
   ASSERT_EQ(analysis.entries.size(), 1u);
   EXPECT_EQ(analysis.entries[0].cut, CutClass::kTrimmed);

@@ -43,7 +43,7 @@ void expect_same_result(const DpGreedyResult& serial,
     ASSERT_EQ(s.co_request_count, p.co_request_count);
     ASSERT_EQ(s.services.size(), p.services.size());
     for (std::size_t j = 0; j < s.services.size(); ++j) {
-      ASSERT_EQ(s.services[j].request_index, p.services[j].request_index);
+      ASSERT_EQ(s.services[j].time, p.services[j].time);
       ASSERT_EQ(s.services[j].choice, p.services[j].choice);
       ASSERT_EQ(s.services[j].cost, p.services[j].cost);
     }

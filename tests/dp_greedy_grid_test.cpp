@@ -56,7 +56,7 @@ TEST_P(DpGreedyGrid, AccountingIdentitiesHold) {
       // contains exactly one of the two items.
       for (const SingletonService& s : p.services) {
         ASSERT_TRUE(s.item == p.pair.a || s.item == p.pair.b);
-        const Request& r = seq[s.request_index];
+        const Request r = seq[seq.row_of_event(s.item, s.time)];
         const ItemId other = s.item == p.pair.a ? p.pair.b : p.pair.a;
         ASSERT_TRUE(r.contains(s.item));
         ASSERT_FALSE(r.contains(other));

@@ -316,7 +316,7 @@ TEST(DpGreedy, WalkFedSolvesMatchFlowFedOnes) {
   // merges the pair's events, and each unpacked item while it reads the
   // item's events; no flow is built.  Every package and item must cost the
   // same bits and count the same schedule as a flow-fed solve that keeps
-  // its plan, and as the reference path, which gathers rows, without
+  // its plan, and as the reference path, which reads rows, without
   // plans — on built sequences and on ones opened from a `.dpt`.
   for (const auto& [name, seq] : built_and_opened_traces()) {
     const std::size_t m = seq.server_count();

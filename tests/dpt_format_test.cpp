@@ -23,6 +23,7 @@
 
 #include "mobility/simulator.hpp"
 #include "parallel/thread_pool.hpp"
+#include "solver/dp_greedy.hpp"
 #include "trace/dpt.hpp"
 #include "trace/generators.hpp"
 #include "trace/io.hpp"
@@ -778,8 +779,8 @@ TEST_F(DptCorruption, ResealedEventServerOutOfRangeIsRejected) {
 }
 
 TEST_F(DptCorruption, ResealedEventCountThatDiffersFromTheRowsIsRejected) {
-  // Each item holds as many events as rows that hold it: the row index
-  // built from the rows names each event's request entry for entry.  Move
+  // Each item holds as many events as rows that hold it, so each event
+  // time finds one of the item's rows (RequestSequence::row_of_event).  Move
   // the boundary between the two items' events: item 0 keeps 4 events
   // (rows say 5), item 1 gets 6.  Item 1's first event is item 0's last,
   // time 4.0, so its times break too; the count is reported first.  Then
@@ -807,8 +808,8 @@ TEST_F(DptCorruption, ResealedEventCountThatDiffersFromTheRowsIsRejected) {
 
 TEST_F(DptCorruption, VerifyColumnsRejectsAMovedEvent) {
   // An event whose time moved but stays ascending (item 0's 0.8 to 0.9), or
-  // whose server moved but stays in range, passes the structural pass: only
-  // the cross-check against the rows finds it.
+  // whose server moved but stays in range (item 0's 1 to 3 at 0.8), passes
+  // the structural pass: only the cross-check against the rows finds it.
   const DescriptorView times = find_descriptor(bytes_, /*id=*/7);
   const DescriptorView servers = find_descriptor(bytes_, /*id=*/8);
   std::string moved_time = bytes_;
@@ -830,6 +831,45 @@ TEST_F(DptCorruption, VerifyColumnsRejectsAMovedEvent) {
                     "items")
           << width_of(pool);
     }
+  }
+
+  // Opened without the cross-check, the `--no-kernels` reference still
+  // reads each request from the row its event's time finds, where the
+  // kernels read the events alone.  θ = 0.3 packs {0, 1} (J = 3/7).
+  const CostModel model = testing::running_example_model();
+  DpGreedyOptions kernel;
+  DpGreedyOptions reference;
+  reference.dp.use_kernels = false;
+  write_bytes(path_, moved_time);
+  {
+    // No request at 0.9: the reference throws, the kernels solve.
+    const RequestSequence sequence = read_trace_dpt(path_);
+    EXPECT_NO_THROW((void)solve_dp_greedy(sequence, model, kernel));
+    try {
+      (void)solve_dp_greedy(sequence, model, reference);
+      ADD_FAILURE() << "the reference solved a moved event time";
+    } catch (const InvalidArgument& error) {
+      EXPECT_EQ(std::string(error.what()),
+                "row_of_event: no request at time 0.9 holds item 0");
+    }
+  }
+  write_bytes(path_, moved_server);
+  {
+    // The package's first co-request: the kernels' kept plan has the
+    // moved event's server, the reference's the row's.
+    const RequestSequence sequence = read_trace_dpt(path_);
+    const DpGreedyResult got = solve_dp_greedy(sequence, model, kernel);
+    const DpGreedyResult want = solve_dp_greedy(sequence, model, reference);
+    ASSERT_EQ(got.packages.size(), 1u);
+    ASSERT_EQ(want.packages.size(), 1u);
+    const Flow& got_flow = got.packages.front().package_flow;
+    const Flow& want_flow = want.packages.front().package_flow;
+    ASSERT_EQ(got_flow.size(), 3u);
+    ASSERT_EQ(want_flow.size(), 3u);
+    EXPECT_EQ(got_flow.points[0].time, 0.8);
+    EXPECT_EQ(want_flow.points[0].time, 0.8);
+    EXPECT_EQ(got_flow.points[0].server, 3u);
+    EXPECT_EQ(want_flow.points[0].server, 1u);
   }
 }
 

@@ -116,7 +116,7 @@ TEST(DptStreamWriter, BlockAppendMatchesWriteTraceDptByteForByte) {
 
 TEST(DptStreamWriter, RoundTripsThroughBothOpenModes) {
   // The default open and the one that also cross-checks the stored
-  // inverted index against a rebuild.
+  // per-item events against a rebuild.
   const RequestSequence sequence = fixture_trace();
   const std::string path = temp_path("roundtrip.dpt");
   DptStreamWriter writer(path);

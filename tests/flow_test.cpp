@@ -20,7 +20,7 @@ TEST(Flow, ItemFlowPicksContainingRequests) {
   EXPECT_EQ(flow.points[0].time, 1.0);
   EXPECT_EQ(flow.points[1].time, 3.0);
   EXPECT_EQ(flow.points[2].time, 5.0);
-  EXPECT_EQ(flow.points[1].request_index, 2u);
+  EXPECT_EQ(flow.points[1].server, 2u);
   EXPECT_EQ(flow.group_size, 1u);
 }
 
@@ -62,11 +62,11 @@ TEST(Flow, EmptyGroupRejected) {
 
 TEST(Flow, ValidateCatchesNonIncreasingTimes) {
   Flow flow;
-  flow.points.push_back({0, 1.0, 0});
-  flow.points.push_back({0, 1.0, 1});
+  flow.points.push_back({0, 1.0});
+  flow.points.push_back({1, 1.0});
   EXPECT_THROW(validate_flow(flow), InvalidArgument);
   Flow zero;
-  zero.points.push_back({0, 0.0, 0});
+  zero.points.push_back({0, 0.0});
   EXPECT_THROW(validate_flow(zero), InvalidArgument);
   Flow empty;
   EXPECT_NO_THROW(validate_flow(empty));

@@ -17,8 +17,8 @@ TEST(Greedy, EmptyFlow) {
 
 TEST(Greedy, PrefersCacheWhenGapIsShort) {
   Flow flow;
-  flow.points.push_back({0, 1.0, 0});
-  flow.points.push_back({0, 1.5, 1});
+  flow.points.push_back({0, 1.0});
+  flow.points.push_back({0, 1.5});
   const SolveResult r = solve_greedy(flow, CostModel{1, 10, 0.8}, 2);
   EXPECT_NEAR(r.raw_cost, 1.5, kTol);  // two local cache extensions
   EXPECT_TRUE(r.schedule.transfers().empty());
@@ -26,9 +26,9 @@ TEST(Greedy, PrefersCacheWhenGapIsShort) {
 
 TEST(Greedy, PrefersTransferWhenGapIsLong) {
   Flow flow;
-  flow.points.push_back({1, 1.0, 0});
-  flow.points.push_back({0, 8.0, 1});
-  flow.points.push_back({1, 8.5, 2});
+  flow.points.push_back({1, 1.0});
+  flow.points.push_back({0, 8.0});
+  flow.points.push_back({1, 8.5});
   const CostModel model{1.0, 1.0, 0.8};
   const SolveResult r = solve_greedy(flow, model, 2);
   // r1: transfer from origin (1μ + λ = 2); r2: cache at origin from t=0 is
@@ -54,9 +54,9 @@ TEST(Greedy, MatchesFigure4StyleAccounting) {
 
 TEST(Chain, FollowsTheTrajectory) {
   Flow flow;
-  flow.points.push_back({1, 1.0, 0});
-  flow.points.push_back({2, 2.0, 1});
-  flow.points.push_back({2, 3.0, 2});
+  flow.points.push_back({1, 1.0});
+  flow.points.push_back({2, 2.0});
+  flow.points.push_back({2, 3.0});
   const SolveResult r = solve_chain(flow, CostModel{1, 1, 0.8});
   // Hold 3 time units along the chain + two hops.
   EXPECT_NEAR(r.raw_cost, 3.0 + 2.0, kTol);
@@ -93,8 +93,8 @@ TEST(GreedyHeterogeneous, AvoidsExpensiveServers) {
   HeterogeneousCostModel model(3, 1.0, 1.0);
   model.set_mu(1, 100.0);  // server 1 cache is prohibitively expensive
   Flow flow;
-  flow.points.push_back({1, 1.0, 0});
-  flow.points.push_back({1, 2.0, 1});
+  flow.points.push_back({1, 1.0});
+  flow.points.push_back({1, 2.0});
   const SolveResult r = solve_greedy_heterogeneous(flow, model);
   // Serving the second request by caching at server 1 would cost 100;
   // greedy transfers from the previous request's server instead... the

@@ -136,7 +136,7 @@ TEST(Kernels, WindowMinSingleElement) {
 /// is one three-way tie.
 Flow tied_window_flow() {
   Flow flow;
-  flow.points = {{1, 1.0, 0}, {1, 2.0, 1}, {0, 3.0, 2}};
+  flow.points = {{1, 1.0}, {1, 2.0}, {0, 3.0}};
   return flow;
 }
 
@@ -162,8 +162,7 @@ TEST(Kernels, WindowMinTiePicksLatestIndex) {
 TEST(Kernels, LinkCostsHandlesMissingPrevAndZeroMu) {
   // Node 1 is server 1's first visit, node 2 returns to the origin's
   // server, node 3 to node 1's.
-  const std::vector<ServicePoint> points = {
-      {1, 1.0, 0}, {0, 2.5, 1}, {1, 4.0, 2}};
+  const std::vector<ServicePoint> points = {{1, 1.0}, {0, 2.5}, {1, 4.0}};
   std::vector<std::int32_t> last(2);
   std::vector<Time> t(4);
   std::vector<ServerId> s(4);
@@ -228,7 +227,7 @@ TEST(Kernels, PrescanStepRejectsWhatValidateFlowRejects) {
       EXPECT_EQ(std::string(error.what()), message);
     }
     Flow flow;
-    for (const Time time : times) flow.points.push_back({1, time, 0});
+    for (const Time time : times) flow.points.push_back({1, time});
     EXPECT_THROW(validate_flow(flow), InvalidArgument);
   }
   kernels::FlowPrescan scan(out, 2, 1.0, 1.0, last.data());
@@ -383,12 +382,11 @@ void expect_same_solve(const Flow& flow, const CostModel& model,
         << context;
   }
   // Counted instead of built: the same counts on both paths.
-  with_kernels.build_schedule = false;
-  without.build_schedule = false;
-  const SolveResult ca =
-      solve_optimal_offline(flow, model, server_count, with_kernels);
-  const SolveResult cb =
-      solve_optimal_offline(flow, model, server_count, without);
+  const SolveResult ca = solve_optimal_offline(flow, model, server_count,
+                                               with_kernels,
+                                               /*build_schedule=*/false);
+  const SolveResult cb = solve_optimal_offline(
+      flow, model, server_count, without, /*build_schedule=*/false);
   ASSERT_EQ(ca.raw_cost, a.raw_cost) << context;
   ASSERT_EQ(ca.counts.segments, a.counts.segments) << context;
   ASSERT_EQ(ca.counts.transfers, a.counts.transfers) << context;
@@ -468,7 +466,7 @@ TEST(KernelDp, FirstVisitsAndWidthOneWindows) {
                        ? static_cast<ServerId>(1 + i)
                        : static_cast<ServerId>(rng.next_below(6));
         }
-        flow.points.push_back({server, t, i});
+        flow.points.push_back({server, t});
       }
       expect_same_solve(flow, model, 302,
                         rates(model) + " round " + std::to_string(round));
@@ -494,7 +492,7 @@ Flow round_robin_flow(Rng& rng, std::size_t width, std::size_t n,
       server = static_cast<ServerId>(1 + next);
       next = (next + 1) % width;
     }
-    flow.points.push_back({server, t, i});
+    flow.points.push_back({server, t});
   }
   return flow;
 }

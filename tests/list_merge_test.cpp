@@ -1,12 +1,17 @@
-// Phase 2 reads item membership off merged per-item request lists
+// Phase 2 reads item membership off the items' merged per-item events
 // (RequestSequence::merge_item_lists) instead of asking each request.  This
-// suite checks every list-merge result against a scan of every row written
+// suite checks every merge result against a scan of every row written
 // here, on random traces shaped to hit the merge's edge cases: rows of 1–4
 // items over a 30-item universe, one item that is never requested, and two
-// item blocks whose cross pairs never co-occur.
+// item blocks whose cross pairs never co-occur.  The flow scans also run on
+// each trace opened from its `.dpt`, whose events are mapped, not built.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +20,7 @@
 #include "solver/dp_greedy.hpp"
 #include "solver/group_solver.hpp"
 #include "solver/kernels.hpp"
+#include "trace/dpt.hpp"
 #include "util/rng.hpp"
 
 namespace dpg {
@@ -46,6 +52,17 @@ RequestSequence block_trace(std::uint64_t seed, std::size_t rows,
   return std::move(builder).build();
 }
 
+/// `sequence` written to a `.dpt` and opened again: the same rows, with
+/// per-item events mapped from the file.
+RequestSequence opened(const RequestSequence& sequence) {
+  const std::string path = ::testing::TempDir() + "list_merge_" +
+                           std::to_string(::getpid()) + ".dpt";
+  write_trace_dpt(path, sequence);
+  RequestSequence out = read_trace_dpt(path);
+  std::remove(path.c_str());  // the mapping outlives the file
+  return out;
+}
+
 /// How many of `items` request `index` holds, from its own item list.
 std::size_t held_by_row(const RequestSequence& seq, std::size_t index,
                         const std::vector<ItemId>& items) {
@@ -64,7 +81,7 @@ Flow scanned_flow(const RequestSequence& seq, const std::vector<ItemId>& items,
   flow.group_size = items.size();
   for (std::size_t i = 0; i < seq.size(); ++i) {
     if (held_by_row(seq, i, items) >= min_held) {
-      flow.points.push_back({seq.server_of(i), seq.time_of(i), i});
+      flow.points.push_back({seq.server_of(i), seq.time_of(i)});
     }
   }
   return flow;
@@ -77,8 +94,6 @@ void expect_same_flow(const Flow& want, const Flow& got,
   for (std::size_t p = 0; p < want.size(); ++p) {
     EXPECT_EQ(want.points[p].server, got.points[p].server) << context;
     EXPECT_EQ(want.points[p].time, got.points[p].time) << context;
-    EXPECT_EQ(want.points[p].request_index, got.points[p].request_index)
-        << context;
   }
 }
 
@@ -109,21 +124,45 @@ TEST(ListMerge, TracesHitTheEdgeCases) {
   EXPECT_GT(seq.pair_frequency(0, 1), 0u);
 }
 
+TEST(ListMerge, ItemFlowsMatchARowScan) {
+  for (const std::uint64_t seed : {1ull, 2ull}) {
+    const RequestSequence built = block_trace(seed, 1500, 6);
+    const RequestSequence mapped = opened(built);
+    for (const RequestSequence* seq : {&built, &mapped}) {
+      const std::string origin = seq == &built ? " built" : " mapped";
+      Flow reused;  // the in-place builder must reset a used buffer
+      for (ItemId item = 0; item < kItems; ++item) {
+        const std::string context =
+            "seed " + std::to_string(seed) + origin + " item " +
+            std::to_string(item);
+        const Flow want = scanned_flow(*seq, {item}, 1);
+        expect_same_flow(want, make_item_flow(*seq, item), context);
+        make_item_flow(*seq, item, reused);
+        expect_same_flow(want, reused, context + " in place");
+      }
+    }
+  }
+}
+
 TEST(ListMerge, PackageFlowsMatchARowScan) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    const RequestSequence seq = block_trace(seed, 1500, 6);
-    Flow reused;  // the in-place builder must reset a used buffer
-    for (ItemId a = 0; a < kItems; ++a) {
-      for (ItemId b = 0; b < kItems; ++b) {
-        if (a == b) continue;
-        const std::string context = "seed " + std::to_string(seed) + " {" +
-                                    std::to_string(a) + "," +
-                                    std::to_string(b) + "}";
-        const Flow want = scanned_flow(seq, {a, b}, 2);
-        expect_same_flow(want, make_package_flow(seq, a, b), context);
-        make_package_flow(seq, a, b, reused);
-        expect_same_flow(want, reused, context + " in place");
-        EXPECT_EQ(seq.pair_frequency(a, b), want.size()) << context;
+    const RequestSequence built = block_trace(seed, 1500, 6);
+    const RequestSequence mapped = opened(built);
+    for (const RequestSequence* seq : {&built, &mapped}) {
+      const std::string origin = seq == &built ? " built" : " mapped";
+      Flow reused;  // the in-place builder must reset a used buffer
+      for (ItemId a = 0; a < kItems; ++a) {
+        for (ItemId b = 0; b < kItems; ++b) {
+          if (a == b) continue;
+          const std::string context = "seed " + std::to_string(seed) +
+                                      origin + " {" + std::to_string(a) +
+                                      "," + std::to_string(b) + "}";
+          const Flow want = scanned_flow(*seq, {a, b}, 2);
+          expect_same_flow(want, make_package_flow(*seq, a, b), context);
+          make_package_flow(*seq, a, b, reused);
+          expect_same_flow(want, reused, context + " in place");
+          EXPECT_EQ(seq->pair_frequency(a, b), want.size()) << context;
+        }
       }
     }
   }
@@ -136,58 +175,51 @@ TEST(ListMerge, GroupFlowsMatchARowScan) {
   for (ItemId item = 0; item < kItems; item += 2) wide.push_back(item);
   ASSERT_GT(wide.size(), RequestSequence::kInlineMergeItems);
   for (const std::uint64_t seed : {4ull, 5ull}) {
-    const RequestSequence seq = block_trace(seed, 1500, 5);
+    const RequestSequence built = block_trace(seed, 1500, 5);
+    const RequestSequence mapped = opened(built);
     std::vector<std::vector<ItemId>> groups = random_groups(rng, 300);
     groups.push_back(wide);
-    for (const std::vector<ItemId>& group : groups) {
-      const std::string context =
-          "seed " + std::to_string(seed) + " " + group_name(group);
-      expect_same_flow(scanned_flow(seq, group, group.size()),
-                       make_group_flow(seq, group), context + " intersection");
-      expect_same_flow(scanned_flow(seq, group, 1),
-                       make_union_flow(seq, group), context + " union");
+    for (const RequestSequence* seq : {&built, &mapped}) {
+      const std::string origin = seq == &built ? " built " : " mapped ";
+      for (const std::vector<ItemId>& group : groups) {
+        const std::string context =
+            "seed " + std::to_string(seed) + origin + group_name(group);
+        expect_same_flow(scanned_flow(*seq, group, group.size()),
+                         make_group_flow(*seq, group),
+                         context + " intersection");
+        expect_same_flow(scanned_flow(*seq, group, 1),
+                         make_union_flow(*seq, group), context + " union");
+      }
     }
   }
 }
 
-/// One visit of a list walk: the request index and the holders.
+/// One visit of an event merge: the request's time and server, and the
+/// holders.
 struct ListVisit {
-  std::size_t index = 0;
+  Time time = 0.0;
+  ServerId server = 0;
   std::vector<std::size_t> holders;
   bool operator==(const ListVisit&) const = default;
 };
 
-/// The k-list merge of RequestSequence::merge_item_lists at k = 2.
-std::vector<ListVisit> k_list_walk(const std::vector<std::size_t>& a,
-                                   const std::vector<std::size_t>& b) {
-  const std::span<const std::size_t> lists[2] = {a, b};
-  std::size_t cursors[2] = {};
-  std::size_t heads[2] = {};
-  std::size_t holders[2] = {};
-  std::vector<ListVisit> visits;
-  auto visit = [&visits](std::size_t index,
-                         std::span<const std::size_t> held) {
-    visits.push_back({index, {held.begin(), held.end()}});
-  };
-  detail::merge_sorted_lists(lists, 2, cursors, heads, holders, visit);
-  return visits;
-}
-
-/// The time and server the event merge reads for list entry `index`: times
+/// The time and server of list entry `index` in list `lane`: times
 /// strictly increase with the index, as a sequence's do across its rows.
+/// The two lists disagree on every shared entry's server, so a merge shows
+/// whose it reads: the first holder's.
 Time time_of_entry(std::size_t index) {
   return 0.25 * static_cast<Time>(index + 1);
 }
-ServerId server_of_entry(std::size_t index) {
-  return static_cast<ServerId>(index % 5);
+ServerId server_of_entry(std::size_t index, std::size_t lane) {
+  return static_cast<ServerId>((index + 2 * lane) % 5);
 }
 
-/// The events of an index list: its entries' times and servers.
+/// The events of list `lane`: its entries' times and servers.
 struct EventColumns {
-  explicit EventColumns(const std::vector<std::size_t>& list) {
+  EventColumns(const std::vector<std::size_t>& list, std::size_t lane) {
     for (const std::size_t index : list) {
       times.push_back(time_of_entry(index));
-      servers.push_back(server_of_entry(index));
+      servers.push_back(server_of_entry(index, lane));
     }
   }
   [[nodiscard]] ItemEvents events() const { return {times, servers}; }
@@ -195,24 +227,58 @@ struct EventColumns {
   std::vector<ServerId> servers;
 };
 
-/// The time merge of a package's events, each visit mapped back to the
-/// index its position names; the time and server it hands on must be that
-/// index's.
-std::vector<ListVisit> event_merge_walk(const std::vector<std::size_t>& a,
-                                        const std::vector<std::size_t>& b,
-                                        const std::string& context) {
-  const EventColumns events_a(a);
-  const EventColumns events_b(b);
-  const std::vector<std::size_t>* lists[2] = {&a, &b};
+/// What a merge of two index lists' events must visit: every index either
+/// list holds, ascending, with the lists that hold it and the first
+/// holder's server.
+std::vector<ListVisit> expected_walk(const std::vector<std::size_t>& a,
+                                     const std::vector<std::size_t>& b) {
+  std::vector<std::size_t> both;
+  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                 std::back_inserter(both));
+  std::vector<ListVisit> visits;
+  for (const std::size_t index : both) {
+    ListVisit visit{time_of_entry(index), 0, {}};
+    if (std::binary_search(a.begin(), a.end(), index)) {
+      visit.holders.push_back(0);
+    }
+    if (std::binary_search(b.begin(), b.end(), index)) {
+      visit.holders.push_back(1);
+    }
+    visit.server = server_of_entry(index, visit.holders.front());
+    visits.push_back(std::move(visit));
+  }
+  return visits;
+}
+
+/// The k-list merge of RequestSequence::merge_item_lists at k = 2.
+std::vector<ListVisit> k_list_walk(const std::vector<std::size_t>& a,
+                                   const std::vector<std::size_t>& b) {
+  const EventColumns events_a(a, 0);
+  const EventColumns events_b(b, 1);
+  const ItemEvents lists[2] = {events_a.events(), events_b.events()};
+  std::size_t cursors[2] = {};
+  Time heads[2] = {};
+  std::size_t holders[2] = {};
+  std::vector<ListVisit> visits;
+  auto visit = [&visits](std::span<const std::size_t> held, ServerId server,
+                         Time time) {
+    visits.push_back({time, server, {held.begin(), held.end()}});
+  };
+  detail::merge_event_lists(lists, 2, cursors, heads, holders, visit);
+  return visits;
+}
+
+/// The two-cursor merge of a package's events.
+std::vector<ListVisit> two_list_walk(const std::vector<std::size_t>& a,
+                                     const std::vector<std::size_t>& b) {
+  const EventColumns events_a(a, 0);
+  const EventColumns events_b(b, 1);
   std::vector<ListVisit> visits;
   kernels::merge_two_event_lists(
       events_a.events(), events_b.events(),
-      [&](std::span<const std::size_t> held, std::size_t position,
-          ServerId server, Time time) {
-        const std::size_t index = (*lists[held.front()])[position];
-        EXPECT_EQ(time, time_of_entry(index)) << context;
-        EXPECT_EQ(server, server_of_entry(index)) << context;
-        visits.push_back({index, {held.begin(), held.end()}});
+      [&visits](std::span<const std::size_t> held, ServerId server,
+                Time time) {
+        visits.push_back({time, server, {held.begin(), held.end()}});
       });
   return visits;
 }
@@ -220,7 +286,9 @@ std::vector<ListVisit> event_merge_walk(const std::vector<std::size_t>& a,
 void expect_same_walk(const std::vector<std::size_t>& a,
                       const std::vector<std::size_t>& b,
                       const std::string& context) {
-  EXPECT_EQ(event_merge_walk(a, b, context), k_list_walk(a, b)) << context;
+  const std::vector<ListVisit> want = expected_walk(a, b);
+  EXPECT_EQ(two_list_walk(a, b), want) << context;
+  EXPECT_EQ(k_list_walk(a, b), want) << context;
 }
 
 /// Ascending indices below `universe`, each kept with probability `keep`.
@@ -294,8 +362,7 @@ void expect_kernel_walk_matches_scalar(const RequestSequence& seq,
   expect_same_flow(want.package_flow, got.package_flow, context + " flow");
   ASSERT_EQ(want.services.size(), got.services.size()) << context;
   for (std::size_t s = 0; s < want.services.size(); ++s) {
-    EXPECT_EQ(want.services[s].request_index, got.services[s].request_index)
-        << context;
+    EXPECT_EQ(want.services[s].time, got.services[s].time) << context;
     EXPECT_EQ(want.services[s].item, got.services[s].item) << context;
     EXPECT_EQ(want.services[s].choice, got.services[s].choice) << context;
     EXPECT_EQ(want.services[s].cost, got.services[s].cost) << context;

@@ -22,7 +22,7 @@ TEST(OnlineBreakEven, EmptyFlowCostsNothing) {
 
 TEST(OnlineBreakEven, LocalHitAtOriginIsPureCache) {
   Flow flow;
-  flow.points.push_back({kOriginServer, 3.0, 0});
+  flow.points.push_back({kOriginServer, 3.0});
   const SolveResult r =
       solve_online_break_even(flow, CostModel{1, 1, 0.8}, 2);
   EXPECT_EQ(r.counts.transfers, 0u);
@@ -31,7 +31,7 @@ TEST(OnlineBreakEven, LocalHitAtOriginIsPureCache) {
 
 TEST(OnlineBreakEven, MissTransfersFromLiveCopy) {
   Flow flow;
-  flow.points.push_back({1, 0.5, 0});
+  flow.points.push_back({1, 0.5});
   const SolveResult r =
       solve_online_break_even(flow, CostModel{1, 1, 0.8}, 2);
   EXPECT_EQ(r.counts.transfers, 1u);
@@ -43,8 +43,8 @@ TEST(OnlineBreakEven, DropsIdleCopiesAfterBreakEvenHorizon) {
   // Copy fetched to server 1 at t=1, never used again; next event far away.
   // It should be charged exactly λ/μ of idle holding, not the whole gap.
   Flow flow;
-  flow.points.push_back({1, 1.0, 0});
-  flow.points.push_back({0, 50.0, 1});
+  flow.points.push_back({1, 1.0});
+  flow.points.push_back({0, 50.0});
   const CostModel model{1.0, 2.0, 0.8};
   const SolveResult r = solve_online_break_even(flow, model, 2);
   // Costs: origin hold [0, 1.0] (source use) = 1; transfer λ=2;
@@ -110,9 +110,9 @@ INSTANTIATE_TEST_SUITE_P(Lambdas, OnlineCompetitiveness,
 
 TEST(OnlineBreakEven, ZeroMuNeverDropsAndNeverRetransfersToSameServer) {
   Flow flow;
-  flow.points.push_back({1, 1.0, 0});
-  flow.points.push_back({2, 2.0, 1});
-  flow.points.push_back({1, 30.0, 2});
+  flow.points.push_back({1, 1.0});
+  flow.points.push_back({2, 2.0});
+  flow.points.push_back({1, 30.0});
   const CostModel model{0.0, 1.0, 0.8};
   const SolveResult r = solve_online_break_even(flow, model, 3);
   EXPECT_EQ(r.counts.transfers, 2u);  // server 1 copy survives forever

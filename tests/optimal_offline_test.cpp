@@ -30,7 +30,7 @@ TEST(OptimalOffline, EmptyFlowCostsNothing) {
 
 TEST(OptimalOffline, SingleRequestAtOriginIsPureCache) {
   Flow flow;
-  flow.points.push_back({kOriginServer, 2.5, 0});
+  flow.points.push_back({kOriginServer, 2.5});
   const SolveResult r = solve_optimal_offline(flow, unit_model(), 3);
   EXPECT_NEAR(r.raw_cost, 2.5, kTol);  // hold at the origin, no transfer
   EXPECT_TRUE(r.schedule.transfers().empty());
@@ -38,7 +38,7 @@ TEST(OptimalOffline, SingleRequestAtOriginIsPureCache) {
 
 TEST(OptimalOffline, SingleRemoteRequestIsCachePlusTransfer) {
   Flow flow;
-  flow.points.push_back({2, 2.5, 0});
+  flow.points.push_back({2, 2.5});
   const SolveResult r = solve_optimal_offline(flow, unit_model(), 3);
   EXPECT_NEAR(r.raw_cost, 3.5, kTol);  // 2.5μ hold + λ
   EXPECT_EQ(r.schedule.transfers().size(), 1u);
@@ -46,9 +46,9 @@ TEST(OptimalOffline, SingleRemoteRequestIsCachePlusTransfer) {
 
 TEST(OptimalOffline, RepeatedSameServerRequestsChainCacheLines) {
   Flow flow;
-  flow.points.push_back({1, 1.0, 0});
-  flow.points.push_back({1, 2.0, 1});
-  flow.points.push_back({1, 3.0, 2});
+  flow.points.push_back({1, 1.0});
+  flow.points.push_back({1, 2.0});
+  flow.points.push_back({1, 3.0});
   const SolveResult r = solve_optimal_offline(flow, unit_model(), 2);
   // 1μ hold at origin + λ + 2μ hold at server 1.
   EXPECT_NEAR(r.raw_cost, 4.0, kTol);
@@ -59,9 +59,9 @@ TEST(OptimalOffline, SideTransferOffALineBeatsChaining) {
   // Two interleaved servers: the DP should hold one line on server 1 and
   // side-transfer to server 2 rather than bounce the copy back and forth.
   Flow flow;
-  flow.points.push_back({1, 1.0, 0});
-  flow.points.push_back({2, 1.1, 1});
-  flow.points.push_back({1, 1.2, 2});
+  flow.points.push_back({1, 1.0});
+  flow.points.push_back({2, 1.1});
+  flow.points.push_back({1, 1.2});
   CostModel model{1.0, 0.05, 0.8};  // cheap transfers
   const SolveResult r = solve_optimal_offline(flow, model, 3);
   // Hold origin [0,1] (1μ), transfer to s1; hold s1 [1.0,1.2] (0.2μ);
@@ -111,12 +111,11 @@ TEST(OptimalOffline, CountedSchedulesMatchBuiltOnes) {
     const CostModel model{trial % 5 == 0 ? 0.0 : 1.0,
                           0.25 + 0.25 * static_cast<double>(trial % 16), 0.8};
     for (const bool kernels : {true, false}) {
-      OptimalOfflineOptions built;
-      built.use_kernels = kernels;
-      OptimalOfflineOptions counted = built;
-      counted.build_schedule = false;
-      const SolveResult a = solve_optimal_offline(flow, model, 5, built);
-      const SolveResult b = solve_optimal_offline(flow, model, 5, counted);
+      OptimalOfflineOptions options;
+      options.use_kernels = kernels;
+      const SolveResult a = solve_optimal_offline(flow, model, 5, options);
+      const SolveResult b = solve_optimal_offline(flow, model, 5, options,
+                                                  /*build_schedule=*/false);
       EXPECT_EQ(a.raw_cost, b.raw_cost);
       EXPECT_EQ(a.counts.segments, a.schedule.counts().segments);
       EXPECT_EQ(a.counts.transfers, a.schedule.counts().transfers);
@@ -142,7 +141,7 @@ Flow rare_server_flow(Rng& rng, std::size_t n, std::size_t busy,
     const bool rare = rng.next_below(rare_gap) == 0;
     const auto server = static_cast<ServerId>(
         rare ? busy + 1 : 1 + rng.next_below(busy));
-    flow.points.push_back(ServicePoint{server, t, i});
+    flow.points.push_back(ServicePoint{server, t});
   }
   return flow;
 }
@@ -164,18 +163,16 @@ std::size_t widest_window(const Flow& flow, std::size_t server_count) {
 void expect_counts_agree(const Flow& flow, const CostModel& model,
                          std::size_t server_count,
                          const std::string& context) {
-  OptimalOfflineOptions built;
-  OptimalOfflineOptions counted;
-  counted.build_schedule = false;
-  OptimalOfflineOptions reference = counted;
+  const OptimalOfflineOptions kernels;
+  OptimalOfflineOptions reference;
   reference.use_kernels = false;
   SolverWorkspace ws;
-  const SolveResult schedule =
-      solve_optimal_offline(flow, model, server_count, built, &ws);
-  const SolveResult kernel =
-      solve_optimal_offline(flow, model, server_count, counted, &ws);
-  const SolveResult scalar =
-      solve_optimal_offline(flow, model, server_count, reference, &ws);
+  const SolveResult schedule = solve_optimal_offline(
+      flow, model, server_count, kernels, /*build_schedule=*/true, &ws);
+  const SolveResult kernel = solve_optimal_offline(
+      flow, model, server_count, kernels, /*build_schedule=*/false, &ws);
+  const SolveResult scalar = solve_optimal_offline(
+      flow, model, server_count, reference, /*build_schedule=*/false, &ws);
   const ScheduleCounts want = schedule.schedule.counts();
   EXPECT_EQ(kernel.counts.segments, want.segments) << context;
   EXPECT_EQ(kernel.counts.transfers, want.transfers) << context;
@@ -238,8 +235,8 @@ TEST(OptimalOffline, PackageMultiplierScalesCost) {
 
 TEST(OptimalOffline, ZeroLambdaPrefersTransfersEverywhere) {
   Flow flow;
-  flow.points.push_back({1, 1.0, 0});
-  flow.points.push_back({2, 5.0, 1});
+  flow.points.push_back({1, 1.0});
+  flow.points.push_back({2, 5.0});
   CostModel model{1.0, 0.0, 0.8};
   const SolveResult r = solve_optimal_offline(flow, model, 3);
   // Free transfers: chain the copy, pay only the unavoidable cache time.
@@ -248,10 +245,10 @@ TEST(OptimalOffline, ZeroLambdaPrefersTransfersEverywhere) {
 
 TEST(OptimalOffline, ZeroMuPrefersOneLongLine) {
   Flow flow;
-  flow.points.push_back({1, 1.0, 0});
-  flow.points.push_back({2, 2.0, 1});
-  flow.points.push_back({1, 3.0, 2});
-  flow.points.push_back({2, 4.0, 3});
+  flow.points.push_back({1, 1.0});
+  flow.points.push_back({2, 2.0});
+  flow.points.push_back({1, 3.0});
+  flow.points.push_back({2, 4.0});
   CostModel model{0.0, 1.0, 0.8};
   const SolveResult r = solve_optimal_offline(flow, model, 3);
   // Free caching: every server needs the copy delivered once: two transfers.
@@ -260,8 +257,8 @@ TEST(OptimalOffline, ZeroMuPrefersOneLongLine) {
 
 TEST(OptimalOffline, RejectsUnsortedFlow) {
   Flow flow;
-  flow.points.push_back({1, 2.0, 0});
-  flow.points.push_back({1, 1.0, 1});
+  flow.points.push_back({1, 2.0});
+  flow.points.push_back({1, 1.0});
   EXPECT_THROW((void)solve_optimal_offline(flow, unit_model(), 2), InvalidArgument);
 }
 
@@ -284,13 +281,14 @@ TEST(OptimalOffline, RejectedFlowsKeepTheMessageAndMoveNoCounter) {
         Flow flow;
         ServerId server = 0;
         for (const Time time : times) {
-          flow.points.push_back({server++ % 3, time, 0});
+          flow.points.push_back({server++ % 3, time});
         }
         OptimalOfflineOptions options;
         options.use_kernels = use_kernels;
         const obs::MetricsSnapshot before = obs::snapshot_metrics();
         try {
-          (void)solve_optimal_offline(flow, unit_model(), 3, options, ws);
+          (void)solve_optimal_offline(flow, unit_model(), 3, options,
+                                      /*build_schedule=*/true, ws);
           ADD_FAILURE() << "accepted, kernels " << use_kernels;
         } catch (const InvalidArgument& error) {
           EXPECT_EQ(std::string(error.what()), message)
@@ -312,14 +310,14 @@ TEST(OptimalOffline, RejectedFlowsKeepTheMessageAndMoveNoCounter) {
     const obs::MetricsSnapshot before = obs::snapshot_metrics();
     OptimalOfflineOptions options;
     options.use_kernels = use_kernels;
-    (void)solve_optimal_offline(Flow{{{1, 0.5, 0}, {2, 1.0, 1}}, 1},
-                                unit_model(), 3, options, &workspace);
+    (void)solve_optimal_offline(Flow{{{1, 0.5}, {2, 1.0}}, 1}, unit_model(), 3,
+                                options, /*build_schedule=*/true, &workspace);
     const obs::MetricsSnapshot moved =
         obs::metrics_delta(before, obs::snapshot_metrics());
     EXPECT_EQ(obs::counter_value(moved, "phase2.dp_solves"), 1u);
     EXPECT_EQ(obs::counter_value(moved, "phase2.dp_cells"), 2u);
   }
-  Flow empty_group{{{1, 1.0, 0}}, 0};
+  Flow empty_group{{{1, 1.0}}, 0};
   EXPECT_THROW((void)solve_optimal_offline(empty_group, unit_model(), 3),
                InvalidArgument);
   obs::set_enabled(false);
@@ -336,8 +334,8 @@ TEST(OptimalOffline, SharedWorkspaceMatchesFreshSolves) {
   for (const std::size_t n : {40u, 5u, 120u, 1u, 60u}) {
     const Flow flow = testing::random_flow(rng, n, 5);
     const SolveResult fresh = solve_optimal_offline(flow, model, 5);
-    const SolveResult reused =
-        solve_optimal_offline(flow, model, 5, {}, &workspace);
+    const SolveResult reused = solve_optimal_offline(
+        flow, model, 5, {}, /*build_schedule=*/true, &workspace);
     ASSERT_EQ(fresh.raw_cost, reused.raw_cost);
     ASSERT_EQ(fresh.cost, reused.cost);
     ASSERT_EQ(fresh.schedule.segments().size(),
@@ -363,10 +361,14 @@ TEST(OptimalOffline, WorkspaceReuseCoversBothRangeMinStrategies) {
   SolverWorkspace workspace;
   for (int round = 0; round < 5; ++round) {
     const Flow flow = testing::random_flow(rng, 80, 4);
-    const Cost fast =
-        solve_optimal_offline(flow, model, 4, {}, &workspace).raw_cost;
-    const Cost slow =
-        solve_optimal_offline(flow, model, 4, naive, &workspace).raw_cost;
+    const Cost fast = solve_optimal_offline(flow, model, 4, {},
+                                            /*build_schedule=*/true,
+                                            &workspace)
+                          .raw_cost;
+    const Cost slow = solve_optimal_offline(flow, model, 4, naive,
+                                            /*build_schedule=*/true,
+                                            &workspace)
+                          .raw_cost;
     ASSERT_NEAR(fast, slow, kTol);
   }
 }

@@ -144,11 +144,7 @@ TEST(ParallelPhase2, ReportsDoNotDependOnKeptPlans) {
 /// Plans off, Phase 2 counts the schedules it does not build and keeps no
 /// greedy decision records, yet every counter reads as with plans on:
 /// schedule.*_emitted by the counted totals, phase2.singleton_services by
-/// the decisions made, not the records kept.  The one exception is
-/// trace.item_index_builds: the row index is derived state, built once per
-/// sequence by the first run that names requests (a kept plan, or a
-/// per-item solver's flows), and shared by every later run
-/// (tests/item_row_index_test.cpp pins its values).
+/// the decisions made, not the records kept.
 TEST(ParallelPhase2, CountersDoNotDependOnKeptPlans) {
   const CostModel model{1.0, 2.0, 0.8};
   PairedTraceConfig paired;
@@ -172,14 +168,8 @@ TEST(ParallelPhase2, CountersDoNotDependOnKeptPlans) {
         const std::string context = "trace " + std::to_string(t) + ", " +
                                     name + " @ threads=" +
                                     std::to_string(threads);
-        const auto solver_counters = [](const RunReport& report) {
-          auto counters = report.metrics.counters;
-          std::erase_if(counters, [](const auto& counter) {
-            return counter.first == "trace.item_index_builds";
-          });
-          return counters;
-        };
-        EXPECT_EQ(solver_counters(with), solver_counters(without)) << context;
+        EXPECT_EQ(with.metrics.counters, without.metrics.counters)
+            << context;
         if (name == "dp_greedy") {
           EXPECT_GT(obs::counter_value(without.metrics,
                                        "phase2.singleton_services"),

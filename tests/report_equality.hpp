@@ -28,7 +28,7 @@ inline void expect_lemma1_certificate(const RunReport& report,
       << context;
 }
 
-/// Every service point of two flows: server, time and originating request.
+/// Every service point of two flows: server and time.
 inline void expect_flows_identical(const Flow& expected, const Flow& actual,
                                    const std::string& context) {
   EXPECT_EQ(expected.group_size, actual.group_size) << context;
@@ -37,8 +37,6 @@ inline void expect_flows_identical(const Flow& expected, const Flow& actual,
     EXPECT_EQ(expected.points[i].server, actual.points[i].server)
         << context << ", point " << i;
     EXPECT_EQ(expected.points[i].time, actual.points[i].time)
-        << context << ", point " << i;
-    EXPECT_EQ(expected.points[i].request_index, actual.points[i].request_index)
         << context << ", point " << i;
   }
 }

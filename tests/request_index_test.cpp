@@ -11,11 +11,11 @@ namespace {
 Flow fig8_like_flow() {
   // Servers: 0 (origin), 1, 2, 3; nodes at 0.5@2, 0.8@1, 1.4@0, 2.6@2, 4.0@1.
   Flow flow;
-  flow.points.push_back({2, 0.5, 0});
-  flow.points.push_back({1, 0.8, 1});
-  flow.points.push_back({0, 1.4, 2});
-  flow.points.push_back({2, 2.6, 3});
-  flow.points.push_back({1, 4.0, 4});
+  flow.points.push_back({2, 0.5});
+  flow.points.push_back({1, 0.8});
+  flow.points.push_back({0, 1.4});
+  flow.points.push_back({2, 2.6});
+  flow.points.push_back({1, 4.0});
   return flow;
 }
 
@@ -57,7 +57,7 @@ TEST(RequestIndex, PrevSameServerMatchesABackwardScan) {
     for (std::size_t p = 0; p < points; ++p) {
       time += rng.next_double(0.1, 1.1);
       flow.points.push_back(
-          {static_cast<ServerId>(rng.next_below(servers)), time, p});
+          {static_cast<ServerId>(rng.next_below(servers)), time});
     }
     index.rebuild(flow, servers);
     ASSERT_EQ(index.node_count(), points + 1);
@@ -95,8 +95,8 @@ TEST(RequestIndex, RejectsBadInputs) {
   EXPECT_THROW(RequestIndex(fig8_like_flow(), 2),  // server 3 out of range
                InvalidArgument);
   Flow bad;
-  bad.points.push_back({0, 2.0, 0});
-  bad.points.push_back({0, 1.0, 1});
+  bad.points.push_back({0, 2.0});
+  bad.points.push_back({0, 1.0});
   EXPECT_THROW(RequestIndex(bad, 1), InvalidArgument);
 }
 

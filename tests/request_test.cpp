@@ -13,8 +13,8 @@ namespace {
 
 using testing::items_of;
 
-std::vector<std::size_t> indices_vec(const RequestSequence& seq, ItemId item) {
-  const std::span<const std::size_t> view = seq.indices_for_item(item);
+std::vector<Time> event_times(const RequestSequence& seq, ItemId item) {
+  const std::span<const Time> view = seq.events_for_item(item).times;
   return {view.begin(), view.end()};
 }
 
@@ -69,7 +69,14 @@ TEST(RequestSequence, FrequenciesAndIndices) {
   EXPECT_EQ(seq.pair_frequency(1, 2), 1u);
   EXPECT_EQ(seq.pair_frequency(0, 2), 1u);
   EXPECT_EQ(seq.total_item_accesses(), 6u);
-  EXPECT_EQ(indices_vec(seq, 1), (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(event_times(seq, 1), (std::vector<Time>{1.0, 2.0, 3.0}));
+  // An event's time names its request's row.
+  EXPECT_EQ(seq.row_of_event(1, 2.0), 1u);
+  EXPECT_EQ(seq.row_of_event(2, 3.0), 2u);
+  // No request at 2.5; the one at 2.0 does not hold item 0.
+  EXPECT_THROW((void)seq.row_of_event(0, 2.5), InvalidArgument);
+  EXPECT_THROW((void)seq.row_of_event(0, 2.0), InvalidArgument);
+  EXPECT_THROW((void)seq.row_of_event(0, 4.0), InvalidArgument);
 }
 
 TEST(RequestSequence, PairFrequencyIsSymmetric) {
@@ -90,9 +97,12 @@ TEST(RequestSequence, CsrColumnsExposeFlatLayout) {
   // Item sets of consecutive requests are adjacent in one pool.
   EXPECT_EQ(seq.items_of(0).data() + seq.items_of(0).size(),
             seq.items_of(1).data());
-  // Per-item index spans are slices of one flat pool too.
-  EXPECT_EQ(seq.indices_for_item(0).data() + seq.indices_for_item(0).size(),
-            seq.indices_for_item(1).data());
+  // Per-item event spans are slices of one flat pool too.
+  EXPECT_EQ(seq.events_for_item(0).times.data() + seq.events_for_item(0).size(),
+            seq.events_for_item(1).times.data());
+  EXPECT_EQ(
+      seq.events_for_item(0).servers.data() + seq.events_for_item(0).size(),
+      seq.events_for_item(1).servers.data());
 }
 
 TEST(SequenceBuilder, SortsByTimeAndNormalizesItems) {

@@ -78,7 +78,7 @@ TEST(RunningExample, SingletonGreedyCosts) {
   ASSERT_EQ(report.services.size(), 4u);
   const auto find_service = [&](ItemId item, Time time) {
     for (const SingletonService& s : report.services) {
-      if (s.item == item && seq[s.request_index].time == time) return s;
+      if (s.item == item && s.time == time) return s;
     }
     ADD_FAILURE() << "service not found";
     return SingletonService{};

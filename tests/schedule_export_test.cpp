@@ -40,7 +40,7 @@ TEST(ScheduleExport, CsvRejectsUnknownKind) {
 
 TEST(ScheduleExport, DotContainsEveryPiece) {
   Flow flow;
-  flow.points.push_back({1, 0.8, 0});
+  flow.points.push_back({1, 0.8});
   const std::string dot = schedule_to_dot(sample_schedule(), flow, "demo");
   EXPECT_NE(dot.find("digraph \"demo\""), std::string::npos);
   EXPECT_NE(dot.find("cache 1.400"), std::string::npos);

@@ -113,7 +113,7 @@ TEST(ScheduleValidate, AcceptsGroundedChain) {
   s.add_transfer(0, 1, 1.0);
   s.add_segment(1, 1.0, 2.0);
   Flow flow;
-  flow.points.push_back({1, 2.0, 0});
+  flow.points.push_back({1, 2.0});
   const ValidationResult v = s.validate(flow);
   EXPECT_TRUE(v.ok) << v.message;
 }
@@ -122,7 +122,7 @@ TEST(ScheduleValidate, RejectsUngroundedSegment) {
   Schedule s;
   s.add_segment(2, 1.0, 2.0);  // no copy ever reached server 2
   Flow flow;
-  flow.points.push_back({2, 2.0, 0});
+  flow.points.push_back({2, 2.0});
   const ValidationResult v = s.validate(flow);
   EXPECT_FALSE(v.ok);
   EXPECT_NE(v.message.find("ungrounded cache segment"), std::string::npos);
@@ -140,7 +140,7 @@ TEST(ScheduleValidate, RejectsUncoveredServicePoint) {
   Schedule s;
   s.add_segment(0, 0.0, 1.0);
   Flow flow;
-  flow.points.push_back({1, 0.5, 0});
+  flow.points.push_back({1, 0.5});
   const ValidationResult v = s.validate(flow);
   EXPECT_FALSE(v.ok);
   EXPECT_NE(v.message.find("not covered"), std::string::npos);
@@ -155,7 +155,7 @@ TEST(ScheduleValidate, ResolvesSameInstantChains) {
   s.add_transfer(1, 2, 1.0);
   s.add_segment(2, 1.0, 3.0);
   Flow flow;
-  flow.points.push_back({2, 3.0, 0});
+  flow.points.push_back({2, 3.0});
   const ValidationResult v = s.validate(flow);
   EXPECT_TRUE(v.ok) << v.message;
 }
@@ -163,7 +163,7 @@ TEST(ScheduleValidate, ResolvesSameInstantChains) {
 TEST(ScheduleValidate, OriginPointOnlyCoversTimeZero) {
   Schedule s;  // empty schedule
   Flow flow;
-  flow.points.push_back({kOriginServer, 1.0, 0});
+  flow.points.push_back({kOriginServer, 1.0});
   const ValidationResult v = s.validate(flow);
   EXPECT_FALSE(v.ok);  // the copy is not held at the origin past t=0
 }

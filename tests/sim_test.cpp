@@ -20,8 +20,8 @@ TEST(Replay, EmptyPlansAreFeasibleAndFree) {
 
 TEST(Replay, ClassifiesCacheHitsVersusTransferArrivals) {
   Flow flow;
-  flow.points.push_back({0, 1.0, 0});  // served by the origin cache line
-  flow.points.push_back({1, 2.0, 1});  // served by a transfer at 2.0
+  flow.points.push_back({0, 1.0});  // served by the origin cache line
+  flow.points.push_back({1, 2.0});  // served by a transfer at 2.0
   Schedule schedule;
   schedule.add_segment(0, 0.0, 2.0);
   schedule.add_transfer(0, 1, 2.0);
@@ -37,7 +37,7 @@ TEST(Replay, ClassifiesCacheHitsVersusTransferArrivals) {
 
 TEST(Replay, ReportsInfeasiblePlanWithLabel) {
   Flow flow;
-  flow.points.push_back({2, 1.0, 0});
+  flow.points.push_back({2, 1.0});
   Schedule schedule;  // nothing scheduled at all
   const ReplayMetrics m = replay_plans(
       {FlowPlan{flow, schedule, "broken item"}}, CostModel{1, 1, 0.8}, 3);
@@ -48,11 +48,11 @@ TEST(Replay, ReportsInfeasiblePlanWithLabel) {
 TEST(Replay, AggregatesAcrossPlansAndTracksPeakCopies) {
   // Two flows each holding a copy over [0, 2] on different servers.
   Flow f1;
-  f1.points.push_back({0, 2.0, 0});
+  f1.points.push_back({0, 2.0});
   Schedule s1;
   s1.add_segment(0, 0.0, 2.0);
   Flow f2;
-  f2.points.push_back({1, 2.0, 0});
+  f2.points.push_back({1, 2.0});
   Schedule s2;
   s2.add_segment(0, 0.0, 1.0);
   s2.add_transfer(0, 1, 1.0);
@@ -86,8 +86,8 @@ TEST(Replay, MatchesSolverCostOnRealPlans) {
 
 TEST(ReplayReport, RendersFeasibleSummary) {
   Flow flow;
-  flow.points.push_back({0, 1.0, 0});
-  flow.points.push_back({1, 2.0, 1});
+  flow.points.push_back({0, 1.0});
+  flow.points.push_back({1, 2.0});
   Schedule schedule;
   schedule.add_segment(0, 0.0, 2.0);
   schedule.add_transfer(0, 1, 2.0);
@@ -102,7 +102,7 @@ TEST(ReplayReport, RendersFeasibleSummary) {
 
 TEST(ReplayReport, SurfacesInfeasibility) {
   Flow flow;
-  flow.points.push_back({2, 1.0, 0});
+  flow.points.push_back({2, 1.0});
   const ReplayMetrics m = replay_plans(
       {FlowPlan{flow, Schedule{}, "broken"}}, CostModel{1, 1, 0.8}, 3);
   const std::string report = render_replay_report(m);
@@ -113,11 +113,11 @@ TEST(ReplayReport, SurfacesInfeasibility) {
 TEST(Replay, PerServerPeakCopiesAreTracked) {
   // Two plans overlapping on server 0 over [0, 1].
   Flow f1;
-  f1.points.push_back({0, 1.0, 0});
+  f1.points.push_back({0, 1.0});
   Schedule s1;
   s1.add_segment(0, 0.0, 1.0);
   Flow f2;
-  f2.points.push_back({0, 0.5, 0});
+  f2.points.push_back({0, 0.5});
   Schedule s2;
   s2.add_segment(0, 0.0, 0.5);
   const ReplayMetrics m = replay_plans(

@@ -68,7 +68,7 @@ TEST(SubsetExact, RejectsTooManyCandidates) {
   // 30 same-server points -> 30 local candidates > the default cap of 20.
   Flow flow;
   for (std::size_t i = 0; i < 30; ++i) {
-    flow.points.push_back({0, static_cast<Time>(i + 1), i});
+    flow.points.push_back({0, static_cast<Time>(i + 1)});
   }
   const CostModel model{1, 1, 0.8};
   EXPECT_THROW((void)solve_subset_exact(flow, model, 1), InvalidArgument);

@@ -114,7 +114,7 @@ inline Flow random_flow(Rng& rng, std::size_t n, std::size_t server_count,
   for (std::size_t i = 0; i < n; ++i) {
     t += 0.125 * static_cast<Time>(rng.next_int(1, 16));
     flow.points.push_back(ServicePoint{
-        static_cast<ServerId>(rng.next_below(server_count)), t, i});
+        static_cast<ServerId>(rng.next_below(server_count)), t});
   }
   return flow;
 }
